@@ -55,34 +55,15 @@ def stage_latency(registry) -> Dict[str, Dict[str, float]]:
     return stages
 
 
-#: Metric sections carried over from the previous dump of the same
-#: bench when the new dump does not provide them.  ``profile`` comes
-#: from ``test_serve_profile.py`` and the RPS harness must not erase it
-#: (nor vice versa) — the two tests co-own one artifact.
-PRESERVED_SECTIONS = ("profile",)
-
-
 def write_bench(
     name: str, metrics: Dict[str, object], registry=None
 ) -> Path:
     """Write ``BENCH_<name>.json`` at the repo root and return its path.
 
     Pass the run's :class:`MetricsRegistry` to add a ``stage_latency``
-    section — p50/p95/p99 per guard stage next to the RPS numbers.
-    Sections named in :data:`PRESERVED_SECTIONS` survive from the
-    previous dump unless the caller supplies fresh ones."""
+    section — p50/p95/p99 per guard stage next to the harness's own
+    numbers."""
     path = ROOT / ("BENCH_%s.json" % name)
-    previous: Dict[str, object] = {}
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text())
-        except (ValueError, OSError):
-            previous = {}
-    previous_metrics = previous.get("metrics", {})
-    for section in PRESERVED_SECTIONS:
-        if section in previous_metrics and section not in metrics:
-            metrics = dict(metrics)
-            metrics[section] = previous_metrics[section]
     payload = {
         "bench": name,
         "git_rev": git_rev(),
@@ -93,26 +74,5 @@ def write_bench(
     }
     if registry is not None:
         payload["stage_latency"] = stage_latency(registry)
-    elif "stage_latency" in previous:
-        # A registry-less rewrite (e.g. the profile harness merging its
-        # section in) must not erase the percentiles the RPS harness
-        # measured.
-        payload["stage_latency"] = previous["stage_latency"]
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def update_bench(
-    name: str, sections: Dict[str, object], registry=None
-) -> Path:
-    """Merge ``sections`` into ``BENCH_<name>.json``'s metrics, keeping
-    whatever else the file already holds (creating it when absent)."""
-    path = ROOT / ("BENCH_%s.json" % name)
-    metrics: Dict[str, object] = {}
-    if path.exists():
-        try:
-            metrics = json.loads(path.read_text()).get("metrics", {})
-        except (ValueError, OSError):
-            metrics = {}
-    metrics.update(sections)
-    return write_bench(name, metrics, registry=registry)

@@ -17,19 +17,28 @@ session sits at the bottom of a three-deep delegation chain
 pays a real graph search plus three RSA verifies per session, while the
 drain streams the cached chains with replicated premises cited by
 digest (``(lemma <digest>)`` stubs) instead of restated.  Traffic is
-real bytes over 127.0.0.1 through a :class:`ThreadedFleet` listener,
-driven in fixed-size pipelined windows; the topology change fires on a
-separate thread at a window boundary, so the post-change windows
-measure checks/s through the flip — *dip depth* (how far below the
-pre-change baseline the worst post-change window falls) and *dip
-duration* (how long throughput stays below 90% of baseline) are the
-first-class metrics.
+real bytes over 127.0.0.1 through a one-listener :class:`ServeFleet`,
+driven in fixed-size pipelined windows by a client on the same event
+loop; the topology change fires as a loop callback at a window boundary
+(the loop is the cluster's single owner — the discipline
+``bench/server.py``'s control line follows), so it lands after the
+window's frames are written and before the listener serves them, and
+the post-change windows measure checks/s through the flip — *dip depth*
+(how far below the pre-change baseline the worst post-change window
+falls) and *dip duration* (how long throughput stays below 90% of
+baseline) are the first-class metrics.
 
-Wall-clock dips are recorded and gated loosely (CI hosts are noisy);
-the deterministic assertions ride counters: the drained path's
+The deterministic assertions ride counters: the drained path's
 survivors pay **zero** Prover searches where the cold path pays one per
 session, and the hot-speaker warm-up runs assert the replica set skips
 every duplicate derivation (``rederivations_avoided``) at R=2 and R=4.
+Dip depth is recorded but not asserted: with the cluster owned by one
+loop the whole drain (~12 ms here) lands inside the first post-change
+window, so the drained worst window sits 0.86-0.97x as deep as the cold
+one (8 repeats, IQR 0.87-0.92) — the earlier 0.85 contrast came from a
+drain thread smearing that cost over several windows.  What a drain
+costs bystanders under paced load is ``churn_paced``'s
+``cluster.handoff.drain_ms`` and ``loadgen.lat_p99_ms`` (``bench/``).
 
 Results land in ``BENCH_cluster_drain.json``.
 """
@@ -38,7 +47,6 @@ import asyncio
 import gc
 import os
 import statistics
-import threading
 import time
 
 from benchmarks._bench_output import write_bench
@@ -48,7 +56,7 @@ from repro.core.principals import KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.crypto.rsa import generate_keypair
 from repro.guard import ChannelCredential, GuardRequest, SessionCredential
-from repro.serve import ServeClient, ThreadedFleet
+from repro.serve import ServeClient, ServeFleet
 from repro.sexp import sexp, to_canonical
 from repro.spki import Certificate
 from repro.tags import Tag
@@ -74,19 +82,12 @@ HOT_CHECKS = 8 * HOT_THRESHOLD
 #: later record is the per-session hop plus ``(lemma <digest>)`` stubs.
 KEY_BITS = 1024
 CHAIN_HOPS = 4
-#: The throughput dip a planned drain causes must be measurably
-#: shallower than a cold leave's: the drained median dip depth may be at
-#: most this fraction of the cold one.  (Observed contrast is ~0.6-0.75
-#: — a drain dips into the 30%s where a cold storm dips into the 50%s —
-#: so the bar has real slack without being vacuous.)
-DIP_SHALLOWER = 0.85
 #: Wall-clock backstop on the same runs: a drain's post-change windows
 #: must not take materially longer than the cold leave's, after each run
-#: is normalized by its own warm baseline.  The dip-depth gate carries
-#: the perf contrast — post-window wall clock on a shared CI box is too
-#: noisy to gate tightly (observed medians swing ~0.95-1.2x) — so this
-#: bar only catches a handoff that costs *more* than the storm it
-#: avoids.
+#: is normalized by its own warm baseline.  Post-window wall clock on a
+#: shared CI box is too noisy to gate tightly (observed medians swing
+#: ~0.9-1.1x), so this bar only catches a handoff that costs *more* than
+#: the storm it avoids.
 SPEEDUP_BAR = 0.85
 
 try:
@@ -158,29 +159,28 @@ def _logicals():
     return nodes
 
 
-async def _drive(address, windows, change_at, change):
-    """Serve the windows through one pipelined client; fire ``change``
-    on its own thread at the ``change_at`` window boundary so the flip
-    happens *under* live traffic, not between measurements."""
+async def _drive(cluster, windows, change_at, change):
+    """Serve the windows through one listener and one pipelined client
+    on this loop; queue ``change`` as a loop callback at the
+    ``change_at`` window boundary so the flip happens *under* that
+    window's traffic, not between measurements."""
+    fleet = ServeFleet(cluster, listeners=1)
+    [address] = await fleet.start()
     client = await ServeClient.connect(*address)
     await client.ping()
-    thread = None
     series = []
     for index, requests in enumerate(windows):
         if index == change_at:
-            thread = threading.Thread(target=change, daemon=True)
-            thread.start()
+            asyncio.get_running_loop().call_soon(change)
         start = time.perf_counter()
         replies = await client.check_pipelined(requests)
         elapsed = time.perf_counter() - start
         statuses = {reply.status for reply in replies if not reply.granted}
         assert not statuses, "non-grants mid-flip: %s" % statuses
         series.append((len(replies), elapsed))
-    if thread is not None:
-        thread.join(timeout=30)
-        assert not thread.is_alive(), "topology change never finished"
     retries = client.stats["retries"]
     await client.close()
+    await fleet.shutdown()
     return series, retries
 
 
@@ -200,7 +200,7 @@ def _measure_leave(mode, chain_kps, rng):
         _window(issuer, sessions, logicals)
         for _ in range(PRE_WINDOWS + POST_WINDOWS)
     ]
-    change_ms = [0.0]
+    change_ms = []
 
     def change():
         start = time.perf_counter()
@@ -208,16 +208,12 @@ def _measure_leave(mode, chain_kps, rng):
             cluster.drain(victim)
         else:
             cluster.remove_node(victim)
-        change_ms[0] = (time.perf_counter() - start) * 1000.0
+        change_ms.append((time.perf_counter() - start) * 1000.0)
 
-    fleet = ThreadedFleet(cluster, listeners=1)
-    addresses = fleet.start()
-    try:
-        series, retries = asyncio.run(
-            _drive(addresses[0], windows, PRE_WINDOWS, change)
-        )
-    finally:
-        fleet.shutdown()
+    series, retries = asyncio.run(
+        _drive(cluster, windows, PRE_WINDOWS, change)
+    )
+    assert len(change_ms) == 1, "topology change never ran"
 
     rps = [count / elapsed for count, elapsed in series]
     baseline = statistics.median(rps[1:PRE_WINDOWS])
@@ -380,11 +376,6 @@ def test_drain_vs_cold_leave_over_loopback(keypool, rng):
     )
     dip_depth_drain = statistics.median(d["dip_depth"] for _, d in pairs)
     dip_depth_cold = statistics.median(c["dip_depth"] for c, _ in pairs)
-    assert dip_depth_drain <= DIP_SHALLOWER * dip_depth_cold, (
-        "drain dip (%.1f%%) is not measurably shallower than the cold "
-        "leave's (%.1f%%)"
-        % (100 * dip_depth_drain, 100 * dip_depth_cold)
-    )
     # The representative pair for the JSON detail: the median-speedup run.
     cold, drain = pairs[speedups.index(speedup)]
 
@@ -432,6 +423,7 @@ def test_drain_vs_cold_leave_over_loopback(keypool, rng):
         },
     )
     print(
-        "  post-change speedup %.2fx (drain vs cold) | wrote %s"
-        % (speedup, path.name)
+        "  post-change speedup %.2fx (drain vs cold) | dip %.1f%% (drain) "
+        "vs %.1f%% (cold), unasserted | wrote %s"
+        % (speedup, 100 * dip_depth_drain, 100 * dip_depth_cold, path.name)
     )

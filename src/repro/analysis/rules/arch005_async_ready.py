@@ -1,4 +1,5 @@
-"""ARCH005: no blocking calls on the guard/cluster dispatch hot paths."""
+"""ARCH005: no blocking calls and no second thread on the guard/cluster/
+serve hot paths."""
 
 from __future__ import annotations
 
@@ -27,24 +28,36 @@ _BLOCKING_PREFIXES = (
 # Builtins that suspend the thread on the filesystem or the terminal.
 _BLOCKING_BUILTINS = {"open", "input"}
 
+# The concurrency model (docs/serve.md): a cluster is touched only by
+# the event loop that serves it.  Anything that starts a thread, or
+# hands a call to one, breaks that by construction.
+_THREAD_MODULES = ("threading", "concurrent.futures")
+_THREAD_HANDOFFS = {
+    "run_in_executor", "run_coroutine_threadsafe", "to_thread",
+}
+
 
 @register
 class AsyncReadyRule(Rule):
-    """Flag blocking calls inside ``repro.guard`` / ``repro.cluster``.
+    """Flag blocking calls and thread use inside ``repro.guard`` /
+    ``repro.cluster`` / ``repro.serve``.
 
-    These packages are the dispatch hot path a future ``async def``
-    connection handler awaits through; a synchronous sleep, socket
-    operation, subprocess, or file read there blocks the whole event
-    loop.  Real I/O belongs in the serving layer (where it can be
-    ``await``-ed or pushed to a thread), not in authorization logic.
+    These packages run on the listener's event loop, which is the only
+    thread of control allowed to touch a cluster.  A synchronous sleep,
+    socket operation, subprocess, or file read there blocks the whole
+    loop; a ``threading`` / ``concurrent.futures`` import or a
+    ``run_in_executor`` / ``run_coroutine_threadsafe`` / ``to_thread``
+    call puts a second thread on state that has no locks.  Real I/O
+    belongs in the serving layer, where it can be ``await``-ed.
     """
 
     rule_id = "ARCH005"
-    title = "blocking call in guard/cluster hot path"
+    title = "blocking call or thread use in guard/cluster/serve"
     rationale = (
-        "The ROADMAP's asyncio listener fleet dispatches into guard/cluster "
-        "from connection handlers; blocking calls there stall every "
-        "connection on the loop."
+        "The asyncio listener dispatches into guard/cluster from its "
+        "connection handlers and is their single owner; blocking calls "
+        "stall every connection on the loop, and a second thread races "
+        "unlocked caches."
     )
 
     def applies_to(self, rel: str) -> bool:
@@ -58,9 +71,28 @@ class AsyncReadyRule(Rule):
                 for finding in self._awaitless_loops(source, handler):
                     yield finding
         for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for module in self._thread_imports(node):
+                    yield self.finding(
+                        source, node,
+                        "import of %s in single-owner code — a cluster is "
+                        "touched only by the event loop that serves it"
+                        % module,
+                    )
+                continue
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
+            # Matched on spelling, not import origin: the receiver is a
+            # loop object (``loop.run_in_executor``), never an import.
+            called = getattr(func, "attr", None) or getattr(func, "id", None)
+            if called in _THREAD_HANDOFFS:
+                yield self.finding(
+                    source, node,
+                    "thread handoff %s() in single-owner code — call the "
+                    "backend on the event loop that owns it" % called,
+                )
+                continue
             if isinstance(func, ast.Name) and func.id in _BLOCKING_BUILTINS:
                 yield self.finding(
                     source, node,
@@ -81,6 +113,21 @@ class AsyncReadyRule(Rule):
                     "asyncio handler awaiting this stalls the event loop"
                     % target,
                 )
+
+    @staticmethod
+    def _thread_imports(node):
+        """The thread-starting modules an import statement names."""
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                return []  # relative imports never name the stdlib
+            prefix = node.module + "."
+        else:
+            prefix = ""
+        names = [prefix + alias.name + "." for alias in node.names]
+        return [
+            module for module in _THREAD_MODULES
+            if any(name.startswith(module + ".") for name in names)
+        ]
 
     def _awaitless_loops(self, source, handler):
         """Flag ``while True`` (or any constant-true test) loops inside an

@@ -223,43 +223,22 @@ class ClusterMembership:
         Raises :class:`NodeUnavailableError` when the ring still points
         at a crashed node — the caller should trigger (or wait for) a
         sweep and retry, which is exactly what the serving layer's RETRY
-        code tells a wire client to do.  A *planned* departure repairs
-        the ring in the same breath it flips the state, so a lookup that
-        catches the flip mid-stride (threaded serving during a drain)
-        re-resolves against the repaired ring instead of surfacing a
-        retryable error for a node that left cleanly."""
-        node_id = self._resolve_serving(key)
-        if node_id is None:
-            raise NodeUnavailableError(self.ring.node_for(key))
+        code tells a wire client to do.  A *planned* departure withdraws
+        the ring points in the same step that flips the state, so a
+        lookup never finds a cleanly-left node on the ring."""
+        node_id = self.ring.node_for(key)
+        if self._state.get(node_id) not in SERVING:
+            raise NodeUnavailableError(node_id)
         return self._nodes[node_id]
-
-    def _resolve_serving(self, key: bytes) -> Optional[str]:
-        for _ in range(2):
-            node_id = self.ring.node_for(key)
-            if self._state.get(node_id) in SERVING:
-                return node_id
-            if node_id in self.ring:
-                # Genuinely dead-with-points (a crash): no amount of
-                # re-resolving helps until a sweep repairs the ring.
-                return None
-            # The owner left between our ring lookup and the state
-            # check; its points are already gone — look again.
-        return None
 
     def nodes_for(self, key: bytes, count: int = 1) -> List[GuardNode]:
         """The live replica set of ``key``: the owner followed by up to
         ``count - 1`` distinct ring successors.  A crashed owner raises
         :class:`NodeUnavailableError`; crashed successors are simply
-        dropped from the set (a spread check can land anywhere live).
-        As in :meth:`node_for`, an owner that *left cleanly* mid-lookup
-        triggers a re-resolve, not an error."""
+        dropped from the set (a spread check can land anywhere live)."""
         node_ids = self.ring.successors(key, count)
         if self._state.get(node_ids[0]) not in SERVING:
-            if node_ids[0] in self.ring:
-                raise NodeUnavailableError(node_ids[0])
-            node_ids = self.ring.successors(key, count)
-            if self._state.get(node_ids[0]) not in SERVING:
-                raise NodeUnavailableError(node_ids[0])
+            raise NodeUnavailableError(node_ids[0])
         return [
             self._nodes[node_id]
             for node_id in node_ids

@@ -79,11 +79,8 @@ class HashRing:
             raise ValueError("a node needs at least one ring point")
         self.vnodes = vnodes
         self._points: List[Tuple[int, str]] = []  # sorted (point, node_id)
-        # Immutable lookup snapshot ``(point_keys, points)``, replaced
-        # wholesale by ``_reindex``.  Lookups unpack it *once*, so a
-        # concurrent add/remove (a drain finalizing under a threaded
-        # serve fleet) can never catch a reader between two attribute
-        # reads that disagree about the ring's shape.
+        # Lookup tables ``(point_keys, points)`` for bisect, rebuilt by
+        # ``_reindex`` on every add/remove.
         self._index: Tuple[Tuple[int, ...], Tuple[Tuple[int, str], ...]] = (
             (), ()
         )

@@ -463,10 +463,7 @@ class Guard:
         now = context.now
         bucket = self.cache.bucket(speaker)
         stale: List[bytes] = []
-        # Snapshot the bucket: under a ThreadedFleet two listeners can
-        # land the same speaker on two loops, and a concurrent cache.add
-        # mid-iteration would otherwise raise "dict changed size".
-        for key, entry in list(bucket.items()):
+        for key, entry in bucket.items():
             # The cache's only write path requires speaks-for conclusions.
             conclusion = entry.proof.conclusion
             # The lapsed-window check runs before the issuer filter so
@@ -545,10 +542,18 @@ class Guard:
             proof=derived, record=record,
         )
 
-    #: Bound on the hot-path memo dicts; each is cleared wholesale when
-    #: exceeded (the steady state is a small working set of (speaker,
-    #: logical) pairs, so a rare full reset beats per-entry bookkeeping).
+    #: Bound on each hot-path memo dict.
     DERIVED_MEMO_LIMIT = 4096
+
+    def _memoize(self, memo: dict, key, value):
+        """Insert into one of the three hot-path memos under the one
+        bound they share: a full dict is cleared wholesale (the steady
+        state is a small working set of (speaker, logical) pairs, so a
+        rare full reset beats per-entry bookkeeping)."""
+        if len(memo) >= self.DERIVED_MEMO_LIMIT:
+            memo.clear()
+        memo[key] = value
+        return value
 
     def _session_principal(self, fingerprint) -> MacPrincipal:
         """One :class:`MacPrincipal` instance per MAC fingerprint, so
@@ -556,10 +561,10 @@ class Guard:
         memoized canonical encoding."""
         principal = self._session_principals.get(fingerprint)
         if principal is None:
-            if len(self._session_principals) >= self.DERIVED_MEMO_LIMIT:
-                self._session_principals.clear()
-            principal = MacPrincipal(fingerprint)
-            self._session_principals[fingerprint] = principal
+            principal = self._memoize(
+                self._session_principals, fingerprint,
+                MacPrincipal(fingerprint),
+            )
         return principal
 
     def _utterance(self, speaker: Principal, logical) -> Says:
@@ -570,10 +575,9 @@ class Guard:
         key = (speaker.canonical_key(), to_canonical(logical))
         says = self._says_memo.get(key)
         if says is None:
-            if len(self._says_memo) >= self.DERIVED_MEMO_LIMIT:
-                self._says_memo.clear()
-            says = Says(speaker, logical)
-            self._says_memo[key] = says
+            says = self._memoize(
+                self._says_memo, key, Says(speaker, logical)
+            )
         return says
 
     def _derived_step(self, admitted: _Admitted, proof: Proof,
@@ -611,10 +615,7 @@ class Guard:
         )
         derived = DerivedSaysStep(utterance, proof)
         derived.verify(context)
-        if len(self._derived_memo) >= self.DERIVED_MEMO_LIMIT:
-            self._derived_memo.clear()
-        self._derived_memo[key] = derived
-        return derived
+        return self._memoize(self._derived_memo, key, derived)
 
     # -- transport delivery (secure channels, local pipes) ----------------
 
@@ -791,11 +792,11 @@ class Guard:
             bucket = self.cache.buckets.get(speaker)
             if bucket is None:
                 return []
-            return [(speaker, entry.proof) for entry in list(bucket.values())]
+            return [(speaker, entry.proof) for entry in bucket.values()]
         return [
             (spk, entry.proof)
-            for spk, bucket in list(self.cache.buckets.items())
-            for entry in list(bucket.values())
+            for spk, bucket in self.cache.buckets.items()
+            for entry in bucket.values()
         ]
 
     def export_shortcuts(self, subject=None) -> List[Proof]:

@@ -151,8 +151,8 @@ class _Timer:
 class MetricsRegistry:
     """One process's (or one test's) metric sink.
 
-    Thread-safe: the serve layer's ``ThreadedDispatcher`` runs guard
-    batches off the event loop, so counters may increment concurrently.
+    Thread-safe: in-process embedders of a guard (``rmi/invoker.py``)
+    are threaded, so counters may increment concurrently.
     """
 
     def __init__(self, timebase=None):

@@ -12,10 +12,10 @@ per-stage durations.  Span ids are stamped into every
 cluster audit trail correlatable with traces.
 
 Propagation is via a :mod:`contextvars` context variable — natural for
-asyncio.  One deliberate exception: ``run_in_executor`` (the serve
-layer's ``ThreadedDispatcher``) does *not* propagate context, so the
-guard never relies on an ambient serve-layer span; it opens its own
-span from the ``trace`` id riding on the :class:`GuardRequest` itself.
+asyncio.  One deliberate exception: a serve batch carries many
+requests, so the guard never relies on an ambient serve-layer span; it
+opens its own span from the ``trace`` id riding on the
+:class:`GuardRequest` itself.
 
 Finished spans land in a bounded ring (``max_spans``) for inspection —
 enough for tests and the CLI, not an unbounded history.

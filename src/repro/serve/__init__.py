@@ -21,25 +21,20 @@ what the *server* does between frames:
   triggers the failure sweep and answers RETRY, and the client
   resubmits once against the repaired ring
   (:mod:`repro.serve.client`).
-- **Executor seam.** Backend calls run through a
-  :class:`~repro.serve.dispatch.Dispatcher` — inline on the event loop
-  for benchmarks, or a thread pool so one cold proof check cannot
-  stall every connection (:mod:`repro.serve.dispatch`).
+- **One owner.** The listener calls its backend directly on its event
+  loop, and that loop is the only thread of control that touches the
+  backend; control-plane calls (revoke, drain, join) run on the same
+  loop, so invalidation-versus-check order is loop order
+  ("Concurrency model" in ``docs/serve.md``).
 
-:mod:`repro.serve.fleet` scales this to N listeners sharing one
-backend (one :class:`~repro.cluster.ClusterFrontend` each when the
-backend is a cluster), and ``benchmarks/test_serve_rps.py`` measures
-real requests/sec over loopback against the modeled numbers.
+:mod:`repro.serve.fleet` scales this to N listeners on one loop sharing
+one backend (one :class:`~repro.cluster.ClusterFrontend` each when the
+backend is a cluster); ``bench/`` (see ``bench/README.md``) measures
+the whole stack from a separate load-generator process.
 """
 
 from repro.serve.client import ServeClient
-from repro.serve.dispatch import (
-    Dispatcher,
-    InlineDispatcher,
-    ThreadedDispatcher,
-    resolve_dispatcher,
-)
-from repro.serve.fleet import ServeFleet, ThreadedFleet
+from repro.serve.fleet import ServeFleet
 from repro.serve.protocol import (
     DecodeCache,
     FrameBuffer,
@@ -68,12 +63,7 @@ __all__ = [
     "ServeClient",
     "ServeFleet",
     "ServeListener",
-    "ThreadedFleet",
     "DecodeCache",
-    "Dispatcher",
-    "InlineDispatcher",
-    "ThreadedDispatcher",
-    "resolve_dispatcher",
     "FrameBuffer",
     "MAX_FRAME",
     "STATS_OK",

@@ -1,43 +1,25 @@
 """A fleet of listeners sharing one backend (and one ring).
 
-The multi-listener shape from the ROADMAP: N listening sockets, one
-authorization state.  When the shared backend is an
-:class:`~repro.cluster.AuthCluster`, each listener fronts it through its
-own counted :class:`~repro.cluster.ClusterFrontend` handle — the same
-arrangement ``benchmarks/test_frontend_routing.py`` models in-process —
-so per-listener traffic shows up in the frontend stats.  Any other
+N listening sockets, one authorization state, one event loop: every
+listener runs on the *caller's* loop, which is therefore the single
+owner of the backend ("Concurrency model" in ``docs/serve.md``).  When
+the shared backend is an :class:`~repro.cluster.AuthCluster`, each
+listener fronts it through its own counted
+:class:`~repro.cluster.ClusterFrontend` handle — the same arrangement
+``benchmarks/test_frontend_routing.py`` models in-process — so
+per-listener traffic shows up in the frontend stats.  Any other
 :class:`AuthBackend` (a bare guard, a single frontend) is shared
 directly by every listener.
-
-The fleet owns one dispatcher for all listeners (a thread pool split
-per-listener would fragment it) and closes it on shutdown if it created
-it.
-
-Two deployment shapes share that construction:
-
-- :class:`ServeFleet` — every listener on the *caller's* event loop.
-  One thread of control; N sockets are mostly an addressing convenience.
-- :class:`ThreadedFleet` — every listener on its **own thread with its
-  own event loop**, all against the same thread-safe cluster handle
-  fleet.  This is the shape that scales with cores: each loop runs its
-  connections' pumps and dispatch independently, so listeners contend
-  only where the GIL (or a lock inside the backend) makes them.  On a
-  single-core host the threads time-slice and throughput matches the
-  single-loop fleet; the structure is the same either way, which is why
-  the benchmark reports both and records ``cpu_cores`` beside them.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple
 
 from repro.cluster.dispatch import AuthCluster
 from repro.cluster.frontend import fleet as frontend_fleet
 from repro.obs.registry import default_registry
 from repro.obs.trace import default_tracer
-from repro.serve.dispatch import Dispatcher, resolve_dispatcher
 from repro.serve.server import ServeListener
 
 
@@ -49,7 +31,6 @@ class ServeFleet:
         backend,
         listeners: int = 1,
         host: str = "127.0.0.1",
-        dispatcher: Optional[Union[str, Dispatcher]] = None,
         metrics=None,
         tracer=None,
         **listener_kwargs,
@@ -57,8 +38,6 @@ class ServeFleet:
         if listeners < 1:
             raise ValueError("a fleet needs at least one listener")
         self.backend = backend
-        self.dispatcher = resolve_dispatcher(dispatcher)
-        self._owns_dispatcher = not isinstance(dispatcher, Dispatcher)
         # One registry/tracer per fleet: the backend's (so guard, frontend
         # and listener counters merge) unless the caller injects one.
         if metrics is None:
@@ -77,7 +56,6 @@ class ServeFleet:
                 frontend,
                 host=host,
                 name="listener-%d" % index,
-                dispatcher=self.dispatcher,
                 metrics=self.metrics,
                 tracer=self.tracer,
                 **listener_kwargs,
@@ -95,8 +73,6 @@ class ServeFleet:
     async def shutdown(self) -> None:
         for listener in self.listeners:
             await listener.shutdown()
-        if self._owns_dispatcher:
-            self.dispatcher.close()
 
     def addresses(self) -> List[Tuple[str, int]]:
         return [listener.address for listener in self.listeners]
@@ -108,141 +84,3 @@ class ServeFleet:
             for key, value in listener.stats.items():
                 total[key] = total.get(key, 0) + value
         return total
-
-
-class _ListenerThread(threading.Thread):
-    """One listener bound, served, and shut down on its own event loop."""
-
-    def __init__(self, listener: ServeListener):
-        super().__init__(name="serve-%s" % listener.name, daemon=True)
-        self.listener = listener
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
-        self.address: Optional[Tuple[str, int]] = None
-        self.error: Optional[BaseException] = None
-        self.ready = threading.Event()
-
-    def run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self.loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            try:
-                self.address = loop.run_until_complete(
-                    self.listener.start()
-                )
-            except (OSError, RuntimeError, ValueError) as exc:
-                # Bind failures surface in the starter's thread via
-                # ``ready``/``error``; count them so a fleet that limps
-                # up partial is visible in metrics too.
-                self.listener.metrics.inc("serve.fleet.start_errors")
-                self.error = exc
-                return
-            finally:
-                self.ready.set()
-            loop.run_forever()
-        finally:
-            loop.close()
-            asyncio.set_event_loop(None)
-
-    def stop(self, timeout: float) -> None:
-        """Shut the listener down on its loop, then stop the loop."""
-        loop = self.loop
-        if loop is None or not self.is_alive():
-            return
-        if self.error is None:
-            future = asyncio.run_coroutine_threadsafe(
-                self.listener.shutdown(), loop
-            )
-            try:
-                future.result(timeout)
-            except (TimeoutError, OSError, RuntimeError,
-                    asyncio.CancelledError):
-                self.listener.metrics.inc("serve.fleet.shutdown_errors")
-        try:
-            loop.call_soon_threadsafe(loop.stop)
-        except RuntimeError:
-            # The loop closed between the liveness check and the call.
-            self.listener.metrics.inc("serve.fleet.shutdown_errors")
-
-
-class ThreadedFleet:
-    """N listeners, each on its own thread and event loop.
-
-    Construction is :class:`ServeFleet`'s (same per-listener frontend
-    handles, same shared dispatcher and registry); only the runtime
-    differs — ``start``/``shutdown`` are *synchronous* calls made from
-    any thread, and each listener's pumps, batches, and decode cache
-    live entirely on its own loop.  The cluster underneath is the
-    shared state; its dict-based caches and the guard's snapshot-then-
-    iterate discipline are what make that sharing safe.
-    """
-
-    def __init__(
-        self,
-        backend,
-        listeners: int = 1,
-        host: str = "127.0.0.1",
-        dispatcher: Optional[Union[str, Dispatcher]] = None,
-        metrics=None,
-        tracer=None,
-        **listener_kwargs,
-    ):
-        self.fleet = ServeFleet(
-            backend,
-            listeners=listeners,
-            host=host,
-            dispatcher=dispatcher,
-            metrics=metrics,
-            tracer=tracer,
-            **listener_kwargs,
-        )
-        self.backend = self.fleet.backend
-        self.metrics = self.fleet.metrics
-        self.tracer = self.fleet.tracer
-        self.listeners = self.fleet.listeners
-        self.threads = [
-            _ListenerThread(listener) for listener in self.listeners
-        ]
-
-    def start(self, timeout: float = 10.0) -> List[Tuple[str, int]]:
-        """Start every listener thread; returns their bound addresses.
-        A listener that fails to bind raises here after the rest are
-        shut back down."""
-        for thread in self.threads:
-            thread.start()
-        addresses = []
-        failure: Optional[BaseException] = None
-        for thread in self.threads:
-            if not thread.ready.wait(timeout):
-                failure = RuntimeError(
-                    "listener %s did not start within %.1fs"
-                    % (thread.listener.name, timeout)
-                )
-                break
-            if thread.error is not None:
-                failure = thread.error
-                break
-            addresses.append(thread.address)
-        if failure is not None:
-            self.shutdown(timeout)
-            raise failure
-        return addresses
-
-    def shutdown(self, timeout: float = 10.0) -> None:
-        for thread in self.threads:
-            thread.stop(timeout)
-        for thread in self.threads:
-            thread.join(timeout)
-        if self.fleet._owns_dispatcher:
-            self.fleet.dispatcher.close()
-
-    def addresses(self) -> List[Tuple[str, int]]:
-        return [
-            thread.address
-            for thread in self.threads
-            if thread.address is not None
-        ]
-
-    def stats(self) -> dict:
-        """Fleet-wide counters: the sum over listeners."""
-        return self.fleet.stats()

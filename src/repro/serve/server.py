@@ -16,6 +16,11 @@ connections.  Each connection runs two coroutines:
   degenerates naturally to batches of one — same code path, no mode
   switch.
 
+The backend is called directly on the listener's event loop, and that
+loop is the only thread of control that touches it: a batch is decoded,
+checked and answered between two awaits, so nothing else observes
+the backend mid-batch ("Concurrency model" in ``docs/serve.md``).
+
 A batch that routes onto a crashed cluster node raises
 :class:`~repro.core.errors.NodeUnavailableError` out of ``check_many``.
 The listener answers every check in that batch with RETRY and triggers
@@ -40,7 +45,6 @@ from typing import List, Optional, Set, Tuple
 from repro.core.errors import NodeUnavailableError, SnowflakeError
 from repro.obs.registry import SIZE_BUCKETS, default_registry
 from repro.obs.trace import default_tracer
-from repro.serve.dispatch import Dispatcher, resolve_dispatcher
 from repro.serve.protocol import (
     CHALLENGE,
     DENIED,
@@ -79,7 +83,6 @@ class ServeListener:
         host: str = "127.0.0.1",
         port: int = 0,
         name: str = "listener",
-        dispatcher: Optional[Dispatcher] = None,
         max_batch: int = 64,
         inflight_window: int = 64,
         max_frame: int = MAX_FRAME,
@@ -95,12 +98,9 @@ class ServeListener:
         self.host = host
         self.port = port
         self.name = name
-        self.dispatcher = resolve_dispatcher(dispatcher)
         self.max_batch = max_batch
         self.inflight_window = inflight_window
         self.max_frame = max_frame
-        # Per-listener, so under ThreadedFleet each event loop owns its
-        # cache outright — no cross-thread sharing on the hot path.
         self.decode_cache = DecodeCache(capacity=decode_cache)
         self.closing = False
         # A listener inherits the backend's registry/tracer so serve
@@ -346,7 +346,7 @@ class _Connection:
                 replies[slot] = Reply(STATS_OK, command.request_id,
                                       data=metrics.snapshot())
             elif command.op == "proof":
-                replies[slot] = await self._submit_proof(command)
+                replies[slot] = self._submit_proof(command)
             else:
                 # The serve span is the request's root unless the frame
                 # already carries a trace id (a RETRY resend does): then
@@ -367,7 +367,7 @@ class _Connection:
             stats["decode_misses"] += cache.misses - misses
             metrics.inc("serve.decode.misses", cache.misses - misses)
         if checks:
-            await self._serve_checks(checks, replies)
+            self._serve_checks(checks, replies)
         for slot, span in spans.items():
             reply = replies[slot]
             if reply is not None:
@@ -384,7 +384,7 @@ class _Connection:
             [reply for reply in replies if reply is not None]
         )
 
-    async def _serve_checks(self, checks, replies) -> None:
+    def _serve_checks(self, checks, replies) -> None:
         """The tentpole hot path: every check in the batch rides one
         ``check_many`` call — one premise snapshot, one meter charge."""
         listener = self.listener
@@ -393,14 +393,8 @@ class _Connection:
         stats["batched_requests"] += len(requests)
         if len(requests) > 1:
             stats["coalesced"] += len(requests)
-        listener.metrics.inc(
-            "serve.dispatch.%s"
-            % getattr(listener.dispatcher, "name", "custom")
-        )
         try:
-            decisions = await listener.dispatcher.run(
-                listener.backend.check_many, requests
-            )
+            decisions = listener.backend.check_many(requests)
         except NodeUnavailableError as exc:
             listener.repair()
             for slot, request_id, _, _ in checks:
@@ -421,12 +415,10 @@ class _Connection:
                 decision_reply(request_id, decision)
             )
 
-    async def _submit_proof(self, command: Command) -> Reply:
+    def _submit_proof(self, command: Command) -> Reply:
         listener = self.listener
         try:
-            await listener.dispatcher.run(
-                listener.backend.submit_proof, command.body
-            )
+            listener.backend.submit_proof(command.body)
         except NodeUnavailableError as exc:
             listener.repair()
             return listener._count(

@@ -359,8 +359,8 @@ def _drive_fleet(args, cluster):
 
 def cmd_serve(args) -> int:
     """Serve the demo cluster workload over real loopback sockets and
-    print measured requests/sec as JSON — the CLI face of
-    ``benchmarks/test_serve_rps.py`` (and the CI smoke for it)."""
+    print measured requests/sec as JSON (a smoke, not a measurement:
+    the client shares the process — ``bench/run.py`` is the benchmark)."""
     from repro.cluster import AuthCluster
 
     cluster = AuthCluster(node_count=args.nodes)
@@ -378,67 +378,6 @@ def cmd_serve(args) -> int:
                 "batches": stats["batches"],
                 "batched_requests": stats["batched_requests"],
                 "coalesced": stats["coalesced"],
-            },
-            indent=args.indent,
-            sort_keys=True,
-        )
-    )
-    return 0 if granted == args.requests else 1
-
-
-def profile_top(profiler, top: int = 25) -> List[dict]:
-    """The ``top`` most cumulative-expensive functions of a finished
-    :class:`cProfile.Profile`, as JSON-shaped rows (shared by the
-    ``profile`` subcommand and ``benchmarks/test_serve_profile.py``)."""
-    import pstats
-
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    rows = []
-    for func in stats.fcn_list[:top]:
-        cc, nc, tt, ct, _callers = stats.stats[func]
-        filename, line, name = func
-        # Keep the tail of the path: enough to identify the module
-        # without leaking the absolute checkout location into output.
-        short = "/".join(filename.replace("\\", "/").split("/")[-2:])
-        rows.append(
-            {
-                "function": "%s:%d:%s" % (short, line, name),
-                "calls": nc,
-                "tottime_s": round(tt, 6),
-                "cumtime_s": round(ct, 6),
-            }
-        )
-    return rows
-
-
-def cmd_profile(args) -> int:
-    """cProfile the serve hot path: run the scripted loopback fleet
-    workload under the profiler and print the top functions by
-    cumulative time — where the next optimisation dollar goes."""
-    import cProfile
-
-    from repro.cluster import AuthCluster
-
-    cluster = AuthCluster(node_count=args.nodes)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    chunks, elapsed, stats = _drive_fleet(args, cluster)
-    profiler.disable()
-    granted = sum(
-        1 for chunk in chunks for reply in chunk if reply.granted
-    )
-    print(
-        json.dumps(
-            {
-                "requests": args.requests,
-                "granted": granted,
-                "listeners": args.listeners,
-                "elapsed_s": elapsed,
-                "real_rps": args.requests / elapsed if elapsed else None,
-                "decode_hits": stats.get("decode_hits", 0),
-                "decode_misses": stats.get("decode_misses", 0),
-                "top": profile_top(profiler, args.top),
             },
             indent=args.indent,
             sort_keys=True,
@@ -567,21 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=7)
     serve.add_argument("--indent", type=int, default=2)
     serve.set_defaults(func=cmd_serve)
-
-    profile = commands.add_parser(
-        "profile",
-        help="cProfile the serve-fleet hot path and print the top "
-             "functions by cumulative time",
-    )
-    profile.add_argument("--nodes", type=int, default=4)
-    profile.add_argument("--sessions", type=int, default=16)
-    profile.add_argument("--requests", type=int, default=64)
-    profile.add_argument("--listeners", type=int, default=2)
-    profile.add_argument("--seed", type=int, default=7)
-    profile.add_argument("--top", type=int, default=25,
-                         help="how many rows of the profile to print")
-    profile.add_argument("--indent", type=int, default=2)
-    profile.set_defaults(func=cmd_profile)
 
     metrics = commands.add_parser(
         "metrics",

@@ -402,6 +402,57 @@ class TestArch005AsyncReady:
         assert rule_ids(result) == []
 
 
+    def test_thread_use_in_single_owner_code_flagged(self, lint):
+        # The concurrency model: a cluster is touched only by the event
+        # loop that serves it — no thread may be started or handed work.
+        result = lint(
+            "repro/serve/scratch.py",
+            """
+            import asyncio
+            import threading
+            from concurrent.futures import ThreadPoolExecutor
+
+            async def offload(backend, requests, other_loop):
+                loop = asyncio.get_running_loop()
+                await loop.run_in_executor(None, backend.check_many, requests)
+                asyncio.run_coroutine_threadsafe(backend.drain(), other_loop)
+            """,
+        )
+        assert rule_ids(result) == ["ARCH005"] * 4
+        messages = " ".join(finding.message for finding in result.findings)
+        for name in ("threading", "concurrent.futures", "run_in_executor",
+                     "run_coroutine_threadsafe"):
+            assert name in messages
+
+    def test_direct_backend_call_on_the_loop_is_clean(self, lint):
+        result = lint(
+            "repro/serve/scratch.py",
+            """
+            import asyncio
+
+            async def serve(backend, queue, writer):
+                while True:
+                    requests = await queue.get()
+                    decisions = backend.check_many(requests)
+                    writer.write(decisions)
+                    await writer.drain()
+            """,
+        )
+        assert rule_ids(result) == []
+
+    def test_threads_outside_the_single_owner_scope_are_exempt(self, lint):
+        # repro.obs keeps its locks: in-process embedders are threaded.
+        result = lint(
+            "repro/obs/scratch.py",
+            """
+            import threading
+
+            LOCK = threading.Lock()
+            """,
+        )
+        assert rule_ids(result) == []
+
+
 class TestArch006ExceptionDiscipline:
     def test_bare_except_flagged(self, lint):
         result = lint(

@@ -106,6 +106,9 @@ class TestStageCounters:
         assert histograms["guard.stage.prover_ms"]["count"] == 1
         assert histograms["guard.stage.fastpath_ms"]["count"] == 2
         assert histograms["guard.admission_ms"]["count"] == 3
+        for name in ("guard.stage.prover_ms", "guard.stage.fastpath_ms"):
+            row = histograms[name]
+            assert row["p50"] <= row["p95"] <= row["p99"]
 
     def test_supplied_proof_credentials_label_as_proof_cache(
         self, world, server_kp, rng

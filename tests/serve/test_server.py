@@ -1,18 +1,15 @@
 """The listener itself: batching, backpressure, shutdown, crash retry.
 
-Timing-sensitive behaviors (coalescing, backpressure) are made
-deterministic with a deliberately slow backend wrapper: while one
-``check_many`` batch grinds on the thread pool, every frame the client
-pipelined behind it is guaranteed to be queued (or to overflow the
-in-flight window) before the next batch forms.  The sleep lives in test
-code — the serving package itself is wall-clock-free and archlint keeps
-it that way.
+Coalescing and backpressure need no timing: ``check_pipelined`` writes
+its whole window as one buffer, and client and listener share one event
+loop, so the reader pump finds every frame of the window already
+buffered and queues them (or overflows the in-flight window) in one
+uninterrupted slice before the dispatch loop forms its next batch.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 import pytest
 
@@ -23,7 +20,6 @@ from repro.guard import GuardRequest, SessionCredential, default_backend
 from repro.net.trust import TrustEnvironment
 from repro.prover import Prover
 from repro.serve import ServeClient, ServeFleet, ServeListener
-from repro.serve.dispatch import ThreadedDispatcher
 from repro.serve.protocol import (
     CHALLENGE,
     encode_check,
@@ -38,18 +34,21 @@ from repro.spki import Certificate
 from repro.tags import Tag
 
 
-class SlowBackend:
-    """Delegate everything, but make ``check_many`` take real time so a
-    pipelined client predictably stacks frames behind the first batch."""
+class HookedBackend:
+    """Delegate everything, but run ``hook`` the first time
+    ``check_many`` is called — on the event loop, in the middle of the
+    listener's first batch — and keep what it returned."""
 
-    def __init__(self, backend, delay=0.1):
+    def __init__(self, backend, hook):
         self._backend = backend
-        self._delay = delay
+        self._hook = hook
+        self.hook_result = None
         self.batch_sizes = []
 
     def check_many(self, requests):
+        if not self.batch_sizes:
+            self.hook_result = self._hook()
         self.batch_sizes.append(len(requests))
-        time.sleep(self._delay)
         return self._backend.check_many(requests)
 
     def __getattr__(self, name):
@@ -132,10 +131,9 @@ class TestServing:
 
     def test_pipelined_requests_coalesce_into_batches(self, server_kp, rng):
         backend, issuer, minted = _guard_world(server_kp, rng)
-        slow = SlowBackend(backend)
 
         async def scenario():
-            listener = ServeListener(slow, dispatcher=ThreadedDispatcher())
+            listener = ServeListener(backend)
             host, port = await listener.start()
             client = await ServeClient.connect(host, port)
             replies = await client.check_pipelined(
@@ -143,25 +141,21 @@ class TestServing:
             )
             await client.close()
             await listener.shutdown()
-            listener.dispatcher.close()
             return replies, listener.stats
 
         replies, stats = asyncio.run(scenario())
         assert all(reply.granted for reply in replies)
-        # While the first (small) batch slept, the remaining frames all
-        # arrived: the rest of the pipeline coalesced.
+        # The window arrived as one buffer: the pump queued all of it
+        # before the dispatch loop woke, so the pipeline coalesced.
         assert stats["batches"] < stats["batched_requests"] == 8
         assert stats["coalesced"] > 0
-        assert max(slow.batch_sizes) > 1
 
     def test_full_inflight_window_pauses_the_reader(self, server_kp, rng):
         backend, issuer, minted = _guard_world(server_kp, rng)
-        slow = SlowBackend(backend)
 
         async def scenario():
             listener = ServeListener(
-                slow, dispatcher=ThreadedDispatcher(),
-                inflight_window=2, max_batch=2,
+                backend, inflight_window=2, max_batch=2,
             )
             host, port = await listener.start()
             client = await ServeClient.connect(host, port)
@@ -170,7 +164,6 @@ class TestServing:
             )
             await client.close()
             await listener.shutdown()
-            listener.dispatcher.close()
             return replies, listener.stats
 
         replies, stats = asyncio.run(scenario())
@@ -182,49 +175,31 @@ class TestServing:
 
     def test_graceful_shutdown_drains_accepted_work(self, server_kp, rng):
         backend, issuer, minted = _guard_world(server_kp, rng)
-        slow = SlowBackend(backend, delay=0.05)
 
         async def scenario():
-            fleet = ServeFleet(slow, dispatcher=ThreadedDispatcher())
-            [(host, port)] = await fleet.start()
-            client = await ServeClient.connect(host, port)
-            pending = asyncio.ensure_future(
-                client.check_pipelined(
-                    [_request(issuer, minted, index) for index in range(6)]
-                )
+            # The shutdown is requested from inside the first batch of
+            # two, with the other four frames accepted but unserved.
+            hooked = HookedBackend(
+                backend, lambda: asyncio.ensure_future(fleet.shutdown())
             )
-            await asyncio.sleep(0.02)  # let the frames reach the server
-            await fleet.shutdown()
-            replies = await pending
-            with pytest.raises((ConnectionError, OSError)):
-                await ServeClient.connect(host, port)
-            await client.close()
-            return replies
-
-        replies = asyncio.run(scenario())
-        # Everything accepted before the shutdown was served...
-        assert len(replies) == 6
-        assert all(reply.granted for reply in replies)
-        # ...and the listening socket is genuinely gone (the raises above).
-
-    def test_threaded_and_inline_dispatchers_agree(self, server_kp, rng):
-        backend, issuer, minted = _guard_world(server_kp, rng)
-
-        async def scenario(dispatcher):
-            listener = ServeListener(backend, dispatcher=dispatcher)
-            host, port = await listener.start()
+            fleet = ServeFleet(hooked, max_batch=2)
+            [(host, port)] = await fleet.start()
             client = await ServeClient.connect(host, port)
             replies = await client.check_pipelined(
                 [_request(issuer, minted, index) for index in range(6)]
             )
+            await hooked.hook_result
+            with pytest.raises((ConnectionError, OSError)):
+                await ServeClient.connect(host, port)
             await client.close()
-            await listener.shutdown()
-            listener.dispatcher.close()
-            return [reply.status for reply in replies]
+            return replies, hooked.batch_sizes
 
-        inline = asyncio.run(scenario(None))
-        threaded = asyncio.run(scenario(ThreadedDispatcher()))
-        assert inline == threaded == ["ok"] * 6
+        replies, batch_sizes = asyncio.run(scenario())
+        # Everything accepted before the shutdown was served...
+        assert batch_sizes == [2, 2, 2]
+        assert len(replies) == 6
+        assert all(reply.granted for reply in replies)
+        # ...and the listening socket is genuinely gone (the raises above).
 
 
 class TestCrashRetry:
@@ -360,3 +335,6 @@ class TestRevocationOnTheWire:
         # the server challenges for a fresh proof rather than granting.
         assert second.status == CHALLENGE
         assert stats["grants"] == 2 and stats["challenges"] == 1
+        # The warm replay was served from the decode cache; the
+        # revocation moved the generation, so the third decode missed.
+        assert stats["decode_hits"] == 1 and stats["decode_misses"] == 2
