@@ -135,7 +135,7 @@ def test_batched_dispatch_amortizes_the_checkauth_charge(keypool, rng):
         for node in cluster.nodes()
     )
     # One checkAuth per shard batch instead of one per request.
-    assert charges == cluster.dispatcher.stats["shard_batches"]
+    assert charges == cluster.stats_snapshot()["dispatch"]["shard_batches"]
     assert charges <= 8
     aggregate = ClusterAggregate.of_nodes(cluster.nodes())
     batched = aggregate.throughput(REQUESTS)

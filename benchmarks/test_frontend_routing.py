@@ -8,9 +8,9 @@ request) through a 4-listener fleet twice:
 
 - **pinned**: all four listeners share one ``Guard`` with one meter —
   the pre-refactor shape; modeled wall-clock is that single meter;
-- **routed**: the same four listeners hold ``ClusterFrontend`` handles
-  on an 8-node ``AuthCluster``; modeled wall-clock is the busiest
-  node's meter (the makespan).
+- **routed**: the same four listeners share an 8-node ``AuthCluster``
+  (each is handed the cluster itself); modeled wall-clock is the
+  busiest node's meter (the makespan).
 
 Asserted: work is conserved exactly (routing moves charges, it never
 adds any) and the routed fleet clears ≥ 3× the pinned fleet's modeled
@@ -24,7 +24,7 @@ after one invalidation-bus round.
 """
 
 from benchmarks._bench_output import write_bench
-from repro.cluster import AuthCluster, fleet
+from repro.cluster import AuthCluster
 from repro.obs import MetricsRegistry, Tracer
 from repro.core.errors import NeedAuthorizationError
 from repro.core.principals import KeyPrincipal, MacPrincipal
@@ -89,20 +89,19 @@ def test_fleet_over_cluster_beats_fleet_pinned_to_one_guard(keypool, rng):
     pinned_ms = meter.total_ms()
     pinned_rps = REQUESTS / (pinned_ms / 1000.0)
 
-    # -- routed: the same four listeners as frontends on one ring --------
+    # -- routed: the same four listeners sharing one ring ----------------
     registry = MetricsRegistry()
     cluster = AuthCluster(
         node_count=NODES, metrics=registry, tracer=Tracer(registry=registry)
     )
-    fronts = fleet(cluster, ["listener-%d" % i for i in range(LISTENERS)])
     routed_sessions = []
     for _ in range(SESSIONS):
         mac_id, mac_key = cluster.mint_session(rng)
         cluster.add_delegation(_certify(server_kp, mac_key, rng))
         routed_sessions.append((mac_id, mac_key))
-    for listener, front in enumerate(fronts):
+    for listener in range(LISTENERS):
         for index in range(listener, REQUESTS, LISTENERS):
-            decision = front.check(_request(issuer, routed_sessions, index))
+            decision = cluster.check(_request(issuer, routed_sessions, index))
             assert decision.granted
     aggregate = ClusterAggregate.of_nodes(cluster.nodes())
     routed_rps = aggregate.throughput(REQUESTS)
@@ -112,12 +111,8 @@ def test_fleet_over_cluster_beats_fleet_pinned_to_one_guard(keypool, rng):
     chart.add("routed over %d nodes" % NODES, routed_rps)
     print("\n" + chart.render())
     print(
-        "  speedup %.2fx | imbalance %.2f | per-frontend grants: %s"
-        % (
-            routed_rps / pinned_rps,
-            aggregate.imbalance(),
-            ", ".join(str(front.stats["grants"]) for front in fronts),
-        )
+        "  speedup %.2fx | imbalance %.2f"
+        % (routed_rps / pinned_rps, aggregate.imbalance())
     )
 
     write_bench(
@@ -136,8 +131,6 @@ def test_fleet_over_cluster_beats_fleet_pinned_to_one_guard(keypool, rng):
 
     # Routing moves work between CPUs; it must not create or lose any.
     assert abs(aggregate.sum_ms() - pinned_ms) < 1e-6
-    # Every frontend did its slice; every decision was tallied.
-    assert all(front.stats["grants"] == REQUESTS // LISTENERS for front in fronts)
     # The acceptance bar: ≥ 3× one guard's modeled throughput.
     assert routed_rps >= 3 * pinned_rps
 

@@ -34,8 +34,8 @@ class BackendBoundaryRule(Rule):
     """Flag transport modules importing ``Prover``/``ProofCache``.
 
     PR 4 routed every transport through the ``AuthBackend`` protocol so a
-    single guard, a sharded cluster, or a frontend handle are one
-    constructor argument apart.  A transport that reaches for the prover
+    single guard and a sharded cluster are one constructor argument
+    apart.  A transport that reaches for the prover
     or the proof cache directly re-couples wire framing to one backend.
     Client-side proof *assembly* (a proxy building its own chains) is the
     legitimate exception — suppress it inline with a reason.

@@ -10,7 +10,9 @@ from repro.analysis.registry import Rule, register
 _SCOPE = ("repro/guard/pipeline.py",)
 
 # The public decision surface: anything returning from one of these must
-# have passed an audit emission on its grant paths.
+# have passed an audit emission on its grant paths.  ``check_many`` is
+# the one function that orchestrates the stages; ``check`` (a batch of
+# one) and ``check_auth`` reach the emission through it on the call graph.
 _DECISION_FUNCTIONS = {"check", "check_many", "check_auth"}
 
 

@@ -9,7 +9,7 @@ registry, prover, and meter.  Membership — join, leave, fail, heartbeat
 sweep — is explicit and clock-injected (:mod:`repro.cluster.membership`);
 an invalidation bus (:mod:`repro.cluster.bus`) broadcasts delegation
 retractions, channel closes, and revocations so no replica's caches
-outlive a justification; and a batch dispatcher
+outlive a justification; and ``AuthCluster.check_many``
 (:mod:`repro.cluster.dispatch`) rides ``Guard.check_many`` so each shard
 pays one premise snapshot and one meter charge per batch.
 
@@ -18,17 +18,16 @@ wherever the premise set is held, so any node can verify any request
 its shard receives — see ``docs/cluster.md``.
 
 The cluster implements the full :class:`~repro.guard.backend.AuthBackend`
-protocol, so transports front it exactly as they front a single guard;
-:mod:`repro.cluster.frontend` gives each listener in a fleet its own
-counted handle on the shared ring, :mod:`repro.cluster.audit` merges the
-per-node audit logs into one time-ordered trail, and ``replica_reads``
-spreads a hot speaker's checks over its shard's ring successors.
+protocol, so transports front it exactly as they front a single guard
+(every listener of a fleet is handed the cluster itself);
+:mod:`repro.cluster.audit` merges the per-node audit logs into one
+time-ordered trail, and ``replica_reads`` spreads a hot speaker's checks
+over its shard's ring successors.
 """
 
 from repro.cluster.audit import ClusterAuditView
 from repro.cluster.bus import InvalidationBus, InvalidationEvent
-from repro.cluster.dispatch import AuthCluster, BatchDispatcher
-from repro.cluster.frontend import ClusterFrontend, fleet
+from repro.cluster.dispatch import AuthCluster
 from repro.cluster.membership import (
     CRASHED,
     FAILED,
@@ -47,10 +46,7 @@ from repro.cluster.ring import (
 
 __all__ = [
     "AuthCluster",
-    "BatchDispatcher",
     "ClusterAuditView",
-    "ClusterFrontend",
-    "fleet",
     "ClusterMembership",
     "MembershipEvent",
     "UP",

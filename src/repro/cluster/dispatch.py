@@ -1,21 +1,22 @@
 """Shard-aware dispatch: one mixed request stream, one batch per shard.
 
-``BatchDispatcher`` is the data plane: it groups a heterogeneous stream
-of :class:`GuardRequest`\\ s by serving node and rides
+``AuthCluster`` is the subsystem's facade.  Its data plane is
+``check_many``: it groups a heterogeneous stream of
+:class:`GuardRequest`\\ s by serving node and rides
 ``Guard.check_many()``, so each shard pays one trusted-premise snapshot
 and one metered ``checkAuth`` charge per batch instead of one per
 request — the cluster-scale version of the batching the guard already
-does for a single process.
+does for a single process.  A single ``check`` is a batch of one.
 
-``AuthCluster`` is the control plane and the subsystem's facade: it owns
-the shared clock, the membership table, the invalidation bus, the
-replicated delegation set, and the session directory used to re-mint a
-failed node's sessions onto their new owners on first miss.  It
-implements the full :class:`~repro.guard.backend.AuthBackend` protocol,
-so every transport that can front a single :class:`Guard` can front a
-cluster unchanged — and with ``replica_reads > 1`` a *hot* speaker's
-read-only checks spread over the ring successors of its shard, lifting
-the one-speaker-one-node throughput cap (premises are replicated, so any
+Its control plane owns the shared clock, the membership table, the
+invalidation bus, the replicated delegation set, and the session
+directory used to re-mint a failed node's sessions onto their new
+owners on first miss.  It implements the full
+:class:`~repro.guard.backend.AuthBackend` protocol, so every transport
+that can front a single :class:`Guard` can front a cluster unchanged —
+and with ``replica_reads > 1`` a *hot* speaker's read-only checks
+spread over the ring successors of its shard, lifting the
+one-speaker-one-node throughput cap (premises are replicated, so any
 replica can verify; the invalidation bus reaches the whole replica set,
 so a retraction still denies everywhere after one round).
 """
@@ -23,7 +24,7 @@ so a retraction still denies everywhere after one round).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.audit import ClusterAuditView
 from repro.cluster.bus import InvalidationBus
@@ -54,62 +55,8 @@ from repro.sexp import parse_canonical
 from repro.sim.clock import SimClock
 
 
-class BatchDispatcher:
-    """Group a request stream per serving node and batch-verify each group.
-
-    Decisions come back in the original stream order, and a failed
-    request never interrupts its batch (``check_many`` semantics), so a
-    caller cannot tell how the stream was partitioned — only the meters
-    can.  ``router`` resolves a request to its serving node; the default
-    is plain ring ownership, and the cluster injects its replica-aware
-    router so batches spread hot speakers exactly as single checks do.
-    """
-
-    def __init__(
-        self,
-        membership: ClusterMembership,
-        router: Optional[Callable[[GuardRequest], GuardNode]] = None,
-        metrics=None,
-    ):
-        self.membership = membership
-        self.router = router
-        self.metrics = default_registry(metrics)
-        self.stats = {"dispatches": 0, "requests": 0, "shard_batches": 0}
-
-    def _resolve(self, request: GuardRequest) -> GuardNode:
-        if self.router is not None:
-            return self.router(request)
-        return self.membership.node_for(routing_key(request))
-
-    def dispatch(self, requests, prepare=None) -> List[GuardDecision]:
-        """``prepare``, if given, runs as ``prepare(request, node)`` once
-        per request while the serving node is being resolved (the cluster
-        hangs session re-minting here so routing happens exactly once)."""
-        requests = list(requests)
-        groups: "OrderedDict[str, Tuple[GuardNode, List[int]]]" = OrderedDict()
-        for index, request in enumerate(requests):
-            node = self._resolve(request)
-            if prepare is not None:
-                prepare(request, node)
-            entry = groups.get(node.node_id)
-            if entry is None:
-                groups[node.node_id] = (node, [index])
-            else:
-                entry[1].append(index)
-        decisions: List[Optional[GuardDecision]] = [None] * len(requests)
-        for node, indices in groups.values():
-            self.metrics.observe(
-                "cluster.shard_batch_size", len(indices),
-                buckets=SIZE_BUCKETS,
-            )
-            batch = node.check_many([requests[i] for i in indices])
-            for i, decision in zip(indices, batch):
-                decisions[i] = decision
-        self.stats["dispatches"] += 1
-        self.stats["requests"] += len(requests)
-        self.stats["shard_batches"] += len(groups)
-        self.metrics.inc("cluster.dispatches")
-        return decisions  # type: ignore[return-value]
+#: LRU bound on the per-speaker traffic table behind ``hot_threshold``.
+HOT_SPEAKER_CAP = 4096
 
 
 class AuthCluster:
@@ -157,7 +104,6 @@ class AuthCluster:
         replica_reads: int = 1,
         hot_threshold: int = 16,
         hot_window: Optional[float] = 300.0,
-        hot_speaker_cap: int = 4096,
         gossip: bool = True,
         audit_retain: Optional[int] = None,
         rng=None,
@@ -168,8 +114,8 @@ class AuthCluster:
             raise ValueError("replica_reads must be at least 1")
         self.clock = clock if clock is not None else SimClock()
         # One registry/tracer pair for the whole subsystem: every node's
-        # guard, the dispatcher, and (via source registration) the full
-        # ``stats_snapshot`` tree land in the same scrape point.
+        # guard, the dispatch counters, and (via source registration) the
+        # full ``stats_snapshot`` tree land in the same scrape point.
         self.metrics = default_registry(metrics)
         if tracer is not None:
             self.tracer = tracer
@@ -184,16 +130,12 @@ class AuthCluster:
             ring=HashRing(vnodes=vnodes),
             heartbeat_timeout=heartbeat_timeout,
         )
-        self.dispatcher = BatchDispatcher(
-            self.membership, router=self._route, metrics=self.metrics
-        )
         self.session_ttl = session_ttl
         self.directory_cap = directory_cap
         self.check_charge = check_charge
         self.replica_reads = replica_reads
         self.hot_threshold = hot_threshold
         self.hot_window = hot_window
-        self.hot_speaker_cap = hot_speaker_cap
         self.gossip = gossip
         self.rng = rng
         self.audit = ClusterAuditView(self.membership, retain=audit_retain)
@@ -225,9 +167,13 @@ class AuthCluster:
         self._session_directory: "OrderedDict[str, Tuple[MacKey, float]]" = (
             OrderedDict()
         )
+        # The data plane's own tallies (the ``dispatch`` section of
+        # ``stats_snapshot``): ``check_many`` calls, requests routed, and
+        # per-node batches handed to a guard.
+        self.dispatch_stats = {
+            "dispatches": 0, "requests": 0, "shard_batches": 0,
+        }
         self.stats = {
-            "checks": 0,
-            "batches": 0,
             "replica_reads": 0,
             "deliveries": 0,
             "proofs_submitted": 0,
@@ -418,7 +364,7 @@ class AuthCluster:
             count = entry[0]
         self._traffic[key] = (count + 1, now)
         self._traffic.move_to_end(key)
-        while len(self._traffic) > self.hot_speaker_cap:
+        while len(self._traffic) > HOT_SPEAKER_CAP:
             self._traffic.popitem(last=False)
         return count + 1
 
@@ -677,20 +623,37 @@ class AuthCluster:
     # -- the data plane ----------------------------------------------------
 
     def check(self, request: GuardRequest) -> GuardDecision:
-        """Route one request to its serving node (shard owner, or a
-        replica once the speaker runs hot) and run the guard pipeline
-        there (raising exactly as ``Guard.check`` does)."""
-        self.stats["checks"] += 1
-        node = self._route(request)
-        self._prepare(request, node)
-        return node.check(request)
+        """Decide one request — a batch of one, routed to its serving
+        node (shard owner, or a replica once the speaker runs hot) —
+        raising exactly as ``Guard.check`` does."""
+        return self.check_many([request])[0].granted_or_raise()
 
     def check_many(self, requests) -> List[GuardDecision]:
-        """Batch-dispatch a mixed stream: one ``check_many`` call — one
-        premise snapshot, one checkAuth charge — per serving node
-        touched."""
-        self.stats["batches"] += 1
-        return self.dispatcher.dispatch(requests, prepare=self._prepare)
+        """Batch-dispatch a mixed stream: one ``Guard.check_many`` call —
+        one premise snapshot, one checkAuth charge — per serving node
+        touched.  Decisions come back in the original stream order, and
+        a failed request never interrupts its batch, so a caller cannot
+        tell how the stream was partitioned — only the meters can."""
+        requests = list(requests)
+        groups: Dict[GuardNode, List[int]] = {}
+        for index, request in enumerate(requests):
+            node = self._route(request)
+            self._prepare(request, node)
+            groups.setdefault(node, []).append(index)
+        decisions: List[Optional[GuardDecision]] = [None] * len(requests)
+        for node, indices in groups.items():
+            self.metrics.observe(
+                "cluster.shard_batch_size", len(indices),
+                buckets=SIZE_BUCKETS,
+            )
+            batch = node.guard.check_many([requests[i] for i in indices])
+            for i, decision in zip(indices, batch):
+                decisions[i] = decision
+        self.dispatch_stats["dispatches"] += 1
+        self.dispatch_stats["requests"] += len(requests)
+        self.dispatch_stats["shard_batches"] += len(groups)
+        self.metrics.inc("cluster.dispatches")
+        return decisions  # type: ignore[return-value]
 
     def authenticate(self, request: GuardRequest):
         """Resolve a request's credential to its speaker on the node that
@@ -778,7 +741,7 @@ class AuthCluster:
         return {
             "cluster": dict(self.stats),
             "membership": dict(self.membership.stats),
-            "dispatch": dict(self.dispatcher.stats),
+            "dispatch": dict(self.dispatch_stats),
             "handoff": dict(self.handoff.stats),
             "bus": dict(self.bus.stats),
             "ring": {

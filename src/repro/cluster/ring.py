@@ -194,14 +194,6 @@ class GuardNode:
             tracer=tracer,
         )
 
-    # The node surface is the guard surface; dispatchers call these.
-
-    def check(self, request: GuardRequest):
-        return self.guard.check(request)
-
-    def check_many(self, requests):
-        return self.guard.check_many(requests)
-
     def apply_event(self, event) -> int:
         """Bus delivery: apply a remote invalidation to local caches."""
         return self.guard.apply_invalidation(event.kind, event.payload)

@@ -87,6 +87,13 @@ class GuardDecision:
         self.record = record
         self.error = error
 
+    def granted_or_raise(self) -> "GuardDecision":
+        """The single-request surface of a batch outcome: the decision
+        itself when granted, else the error it carries, raised."""
+        if not self.granted:
+            raise self.error
+        return self
+
 
 class _Admitted:
     """A request past stage 1: speaker resolved, credential verified."""
@@ -204,7 +211,6 @@ class Guard:
             "prover_hits": 0,
             "credential_verifications": 0,
             "batches": 0,
-            "batched_requests": 0,
             "deliveries": 0,
             "channels_opened": 0,
             "channels_closed": 0,
@@ -317,36 +323,14 @@ class Guard:
     # -- stages 2-4: authorize against the issuer -------------------------
 
     def check(self, request: GuardRequest) -> GuardDecision:
-        """Run the full pipeline for one request.
+        """Run the full pipeline for one request: a batch of one.
 
         Returns a granted :class:`GuardDecision` or raises
         :class:`NeedAuthorizationError` (carrying the issuer and minimum
         restriction set for the client's invoker) /
         :class:`AuthorizationError`.
         """
-        self.stats["checks"] += 1
-        span = self.tracer.start_span("guard.check", trace=request.trace)
-        try:
-            admitted = self._admit_timed(request, span)
-            if self.check_charge:
-                maybe_charge(self.meter, self.check_charge)
-            # The transport (or the request's own bytes) vouches the
-            # utterance — into this decision's context snapshot, not the
-            # durable premise set, so per-request utterances do not
-            # accumulate for the life of the server.
-            context = self.trust.context()
-            context.trust(self._utterance(admitted.speaker, request.logical))
-            return self._authorize_timed(admitted, context, span)
-        except NeedAuthorizationError:
-            self.stats["challenges"] += 1
-            span.annotate("status", "challenge")
-            raise
-        except AuthorizationError:
-            self.stats["denials"] += 1
-            span.annotate("status", "denied")
-            raise
-        finally:
-            self.tracer.finish(span)
+        return self.check_many([request])[0].granted_or_raise()
 
     def check_many(self, requests: Iterable[GuardRequest]) -> List[GuardDecision]:
         """Verify independent requests in one pass.
@@ -358,7 +342,7 @@ class Guard:
         """
         requests = list(requests)
         self.stats["batches"] += 1
-        self.stats["batched_requests"] += len(requests)
+        self.stats["checks"] += len(requests)
         self.metrics.observe(
             "guard.batch_size", len(requests), buckets=SIZE_BUCKETS
         )
@@ -525,7 +509,7 @@ class Guard:
                stage: str) -> GuardDecision:
         request = admitted.request
         derived = self._derived_step(admitted, proof, context)
-        # The current span (activated by check/check_many around this
+        # The current span (activated by check_many around this
         # request) is the correlation key: its ids go into the record, so
         # the merged cluster audit trail lines up with the trace store.
         span = self.tracer.current()

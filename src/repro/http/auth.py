@@ -79,7 +79,7 @@ class ProtectedServlet(Servlet):
             # HTTP meters its own SPKI handling; no per-check RMI charge.
             # The only sanctioned default construction: the shared
             # backend factory (any AuthBackend may be injected instead —
-            # a shared Guard, an AuthCluster, a ClusterFrontend).
+            # a shared Guard, an AuthCluster).
             guard = default_backend(
                 trust,
                 meter=meter,

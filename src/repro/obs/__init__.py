@@ -11,7 +11,7 @@ assertable in benchmarks:
   :class:`~repro.core.timebase` so SimClock tests stay deterministic;
 - :mod:`repro.obs.trace` — :class:`Trace`/:class:`Span` context born at
   the serve reader pump (or ``Guard.check`` entry for in-process
-  callers), flowing through frontend → cluster dispatch → the guard
+  callers), flowing through cluster dispatch → the guard
   pipeline, stamping each request with the stage that granted it and
   writing span ids into every :class:`AuditRecord`.
 

@@ -82,7 +82,7 @@ class RmiServer:
     """The assembled server stack: trust + auth + skeleton + listener.
 
     ``backend`` injects any :class:`~repro.guard.AuthBackend` — a shared
-    guard or an :class:`~repro.cluster.AuthCluster` frontend — as the
+    guard or an :class:`~repro.cluster.AuthCluster` — as the
     server's authorization state; the default is one guard per server
     process via the shared backend factory.
     """

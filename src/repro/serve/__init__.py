@@ -28,9 +28,8 @@ what the *server* does between frames:
   ("Concurrency model" in ``docs/serve.md``).
 
 :mod:`repro.serve.fleet` scales this to N listeners on one loop sharing
-one backend (one :class:`~repro.cluster.ClusterFrontend` each when the
-backend is a cluster); ``bench/`` (see ``bench/README.md``) measures
-the whole stack from a separate load-generator process.
+one backend; ``bench/`` (see ``bench/README.md``) measures the whole
+stack from a separate load-generator process.
 """
 
 from repro.serve.client import ServeClient

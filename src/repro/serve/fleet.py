@@ -2,22 +2,16 @@
 
 N listening sockets, one authorization state, one event loop: every
 listener runs on the *caller's* loop, which is therefore the single
-owner of the backend ("Concurrency model" in ``docs/serve.md``).  When
-the shared backend is an :class:`~repro.cluster.AuthCluster`, each
-listener fronts it through its own counted
-:class:`~repro.cluster.ClusterFrontend` handle — the same arrangement
-``benchmarks/test_frontend_routing.py`` models in-process — so
-per-listener traffic shows up in the frontend stats.  Any other
-:class:`AuthBackend` (a bare guard, a single frontend) is shared
-directly by every listener.
+owner of the backend ("Concurrency model" in ``docs/serve.md``).  Every
+listener is handed the backend the fleet was given — a bare guard or an
+:class:`~repro.cluster.AuthCluster` alike; per-listener traffic shows
+up in each listener's own ``stats``.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.cluster.dispatch import AuthCluster
-from repro.cluster.frontend import fleet as frontend_fleet
 from repro.obs.registry import default_registry
 from repro.obs.trace import default_tracer
 from repro.serve.server import ServeListener
@@ -38,7 +32,7 @@ class ServeFleet:
         if listeners < 1:
             raise ValueError("a fleet needs at least one listener")
         self.backend = backend
-        # One registry/tracer per fleet: the backend's (so guard, frontend
+        # One registry/tracer per fleet: the backend's (so guard, cluster
         # and listener counters merge) unless the caller injects one.
         if metrics is None:
             metrics = getattr(backend, "metrics", None)
@@ -47,20 +41,16 @@ class ServeFleet:
             tracer = getattr(backend, "tracer", None)
         self.tracer = default_tracer(tracer)
         self.metrics.register_source("serve.fleet", self.stats)
-        if isinstance(backend, AuthCluster):
-            frontends = frontend_fleet(backend, listeners)
-        else:
-            frontends = [backend] * listeners
         self.listeners: List[ServeListener] = [
             ServeListener(
-                frontend,
+                backend,
                 host=host,
                 name="listener-%d" % index,
                 metrics=self.metrics,
                 tracer=self.tracer,
                 **listener_kwargs,
             )
-            for index, frontend in enumerate(frontends)
+            for index in range(listeners)
         ]
 
     async def start(self) -> List[Tuple[str, int]]:

@@ -418,10 +418,11 @@ def _request_id(node: SList) -> int:
     atom = node.items[1]
     if not isinstance(atom, Atom):
         raise WireError("request id must be an atom")
-    try:
-        return int(atom.text())
-    except (UnicodeDecodeError, ValueError):
+    # ASCII digits only: bare ``int()`` also takes signs, blanks and
+    # underscores, and would echo the id back in a different spelling.
+    if not atom.value.isdigit():
         raise _reject("unreadable request id %r" % (atom,))
+    return int(atom.value)
 
 
 def decode_command(payload: bytes) -> Command:
@@ -447,6 +448,31 @@ def decode_command(payload: bytes) -> Command:
 # -- decode fast path ------------------------------------------------------
 
 
+def _split_id_header(
+    payload: bytes, digits_start: int
+) -> Optional[Tuple[int, int]]:
+    """``(request_id, id_end)`` for a frame whose ``<len>:<id>`` atom
+    starts at ``digits_start``, or ``None`` to take the full parser.
+
+    Both fields must be ASCII digits and nothing else — exactly what the
+    full parser accepts — so the sliced path can never admit a frame
+    (``+1:``, ``0_1:``, a signed or blank-padded id) that
+    :func:`decode_command` would reject."""
+    colon = payload.find(b":", digits_start, digits_start + 11)
+    if colon <= digits_start:
+        return None
+    length = payload[digits_start:colon]
+    if length.isdigit():
+        id_end = colon + 1 + int(length)
+        request_id = payload[colon + 1:id_end]
+        if request_id.isdigit():
+            return int(request_id), id_end
+    # Irregular header bytes: count the fallback and let the full
+    # decoder own the (possibly-erroring) parse.
+    default_registry().inc("serve.protocol.decode_fallbacks")
+    return None
+
+
 def _split_check_frame(payload: bytes) -> Optional[Tuple[int, bytes]]:
     """``(request_id, request_bytes)`` for a canonical check frame.
 
@@ -456,19 +482,10 @@ def _split_check_frame(payload: bytes) -> Optional[Tuple[int, bytes]]:
     decode path, which owns the error reporting."""
     if not payload.startswith(b"(5:check") or not payload.endswith(b")"):
         return None
-    digits_start = 8
-    colon = payload.find(b":", digits_start, digits_start + 11)
-    if colon <= digits_start:
+    header = _split_id_header(payload, 8)
+    if header is None:
         return None
-    try:
-        id_len = int(payload[digits_start:colon])
-        id_end = colon + 1 + id_len
-        request_id = int(payload[colon + 1:id_end])
-    except ValueError:
-        # Irregular header bytes: count the fallback and let the full
-        # decoder own the (possibly-erroring) parse.
-        default_registry().inc("serve.protocol.decode_fallbacks")
-        return None
+    request_id, id_end = header
     if id_end >= len(payload) - 1:
         return None
     return request_id, payload[id_end:-1]
@@ -489,6 +506,11 @@ def _clone_request(request: GuardRequest) -> GuardRequest:
         transport=request.transport,
         trace=request.trace,
     )
+
+
+#: Entries a :class:`DecodeCache` keeps before evicting the least
+#: recently used.
+DECODE_CACHE_CAPACITY = 1024
 
 
 class DecodeCache:
@@ -512,10 +534,7 @@ class DecodeCache:
     through to :func:`decode_command` untouched.
     """
 
-    def __init__(self, capacity: int = 1024):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
+    def __init__(self):
         self._entries: "OrderedDict[bytes, Tuple[int, GuardRequest]]" = (
             OrderedDict()
         )
@@ -547,7 +566,7 @@ class DecodeCache:
             self._entries[request_bytes] = (
                 generation, _clone_request(command.body)
             )
-            if len(self._entries) > self.capacity:
+            if len(self._entries) > DECODE_CACHE_CAPACITY:
                 self._entries.popitem(last=False)
         return command
 
@@ -697,18 +716,16 @@ def _ok_reply_bytes(request_id: int, via: str, stage: str) -> bytes:
 
 def encode_reply(reply: Reply) -> bytes:
     if reply.status == OK:
-        # Byte-identical to the generic encoding below, minus the tree
-        # build and walk (the grant path emits thousands of these).
+        # Byte-identical to the generic encoding of ``(ok id (via X)
+        # (stage Y))``, minus the tree build and walk (the grant path
+        # emits thousands of these).
         return _ok_reply_bytes(
             reply.request_id,
             reply.via or "unknown",
             reply.stage or "unknown",
         )
     items: List[SExp] = [Atom(reply.status), Atom(str(reply.request_id))]
-    if reply.status == OK:
-        items.append(SList([Atom("via"), Atom(reply.via or "unknown")]))
-        items.append(SList([Atom("stage"), Atom(reply.stage or "unknown")]))
-    elif reply.status == CHALLENGE:
+    if reply.status == CHALLENGE:
         if reply.issuer is not None:
             items.append(SList([Atom("issuer"), reply.issuer.to_sexp()]))
         if reply.tag is not None:
@@ -729,8 +746,10 @@ def encode_reply(reply: Reply) -> bytes:
 
 
 #: Parsed ``(via X)(stage Y)`` tails by their canonical bytes — the
-#: decode twin of :data:`_OK_TAILS`: a pipelined client drains floods of
-#: granted replies that differ only in request id.
+#: decode twin of :data:`_OK_TAILS`.  Its traffic is the benchmark's own
+#: reply check: ``bench/run.py`` decodes all ≈ 85 000 replies of a
+#: ``steady_pipelined`` run after the timed phase, 1.8 µs a reply this
+#: way against 20.9 µs through the parser (0.15 s against 1.8 s a run).
 _OK_TAIL_LABELS: Dict[bytes, Tuple[str, str]] = {}
 
 
@@ -740,17 +759,10 @@ def _split_ok_reply(payload: bytes) -> Optional[Reply]:
     frames' error reporting)."""
     if not payload.startswith(b"(2:ok") or not payload.endswith(b")"):
         return None
-    digits_start = 5
-    colon = payload.find(b":", digits_start, digits_start + 11)
-    if colon <= digits_start:
+    header = _split_id_header(payload, 5)
+    if header is None:
         return None
-    try:
-        id_len = int(payload[digits_start:colon])
-        id_end = colon + 1 + id_len
-        request_id = int(payload[colon + 1:id_end])
-    except ValueError:
-        default_registry().inc("serve.protocol.decode_fallbacks")
-        return None
+    request_id, id_end = header
     tail = payload[id_end:-1]
     labels = _OK_TAIL_LABELS.get(tail)
     if labels is None:

@@ -88,7 +88,6 @@ class ServeListener:
         max_frame: int = MAX_FRAME,
         metrics=None,
         tracer=None,
-        decode_cache: int = 1024,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -101,7 +100,7 @@ class ServeListener:
         self.max_batch = max_batch
         self.inflight_window = inflight_window
         self.max_frame = max_frame
-        self.decode_cache = DecodeCache(capacity=decode_cache)
+        self.decode_cache = DecodeCache()
         self.closing = False
         # A listener inherits the backend's registry/tracer so serve
         # spans and guard spans land in one place; explicit injection
@@ -181,8 +180,7 @@ class ServeListener:
     def repair(self) -> None:
         """A batch routed onto a corpse: run the backend's failure sweep
         so the dead node's shards reassign before the client retries."""
-        cluster = getattr(self.backend, "cluster", self.backend)
-        sweep = getattr(cluster, "sweep_failures", None)
+        sweep = getattr(self.backend, "sweep_failures", None)
         if callable(sweep):
             sweep()
             self.stats["repairs"] += 1

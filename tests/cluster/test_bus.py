@@ -21,7 +21,7 @@ from repro.tags import Tag
 def _warm_all_nodes(world):
     """Every node grants once, so every node holds derived state."""
     for node in world.cluster.nodes():
-        decision = node.check(world.request())
+        decision = node.guard.check(world.request())
         assert decision.granted
     return world.cluster.nodes()
 
@@ -36,16 +36,16 @@ class TestDelegationRetraction:
         )
         # The origin denies immediately...
         with pytest.raises(NeedAuthorizationError):
-            origin.check(world.request())
+            origin.guard.check(world.request())
         # ...but the replicas still grant: their caches are untouched
         # until the bus round runs.
         for node in nodes[1:]:
-            assert node.check(world.request()).granted
+            assert node.guard.check(world.request()).granted
 
         assert world.cluster.deliver_invalidations() > 0
         for node in nodes:
             with pytest.raises(NeedAuthorizationError):
-                node.check(world.request())
+                node.guard.check(world.request())
 
     def test_retraction_purges_caches_shortcuts_and_counts(self, world):
         nodes = _warm_all_nodes(world)
@@ -82,14 +82,14 @@ class TestChannelClose:
         for node in nodes[:2]:
             node.trust.vouch(premise)
             node.guard.submit_proof(wire)
-            assert node.check(world.request(speaker=channel)).granted
+            assert node.guard.check(world.request(speaker=channel)).granted
 
         world.cluster.close_channel(premise)
         world.cluster.deliver_invalidations()
         for node in nodes[:2]:
             assert not node.trust.vouches_for(premise)
             with pytest.raises(NeedAuthorizationError):
-                node.check(world.request(speaker=channel))
+                node.guard.check(world.request(speaker=channel))
 
 
 class TestRevocation:
@@ -102,7 +102,7 @@ class TestRevocation:
         for node in nodes:
             assert node.guard.cached_proof_count() == 0
             with pytest.raises(NeedAuthorizationError):
-                node.check(world.request())
+                node.guard.check(world.request())
         assert world.cluster.bus.stats["published_serial_revoked"] == 1
 
     def test_late_joiner_is_not_handed_revoked_authority(self, world):
@@ -114,11 +114,11 @@ class TestRevocation:
         late = world.cluster.add_node()
         assert world.delegation not in late.prover.graph
         with pytest.raises(NeedAuthorizationError):
-            late.check(world.request())
+            late.guard.check(world.request())
 
     def test_unrelated_serial_revocation_is_a_noop(self, world):
         nodes = _warm_all_nodes(world)
         world.cluster.revoke_serial(b"\x00" * 8)
         world.cluster.deliver_invalidations()
         for node in nodes:
-            assert node.check(world.request()).granted
+            assert node.guard.check(world.request()).granted

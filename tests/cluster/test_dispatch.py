@@ -78,7 +78,8 @@ def test_one_checkauth_charge_per_shard_batch(server_kp, alice_kp, rng):
     )
     # Batched: one checkAuth per shard batch, not one per request.
     assert charges == shards_touched
-    assert cluster.dispatcher.stats["shard_batches"] == shards_touched
+    dispatch = cluster.stats_snapshot()["dispatch"]
+    assert dispatch["shard_batches"] == shards_touched
 
     # Sequentially, the same stream pays one charge per request.
     sequential, channels2, request2 = _world(server_kp, alice_kp, rng)

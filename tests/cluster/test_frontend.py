@@ -1,15 +1,17 @@
-"""The frontend layer: a fleet of listeners over one shared ring.
+"""What a fleet of listeners relies on when it is handed one cluster.
 
-Plus the control-plane satellites that make a fleet operable: the
-membership heartbeat pumping ``SessionRegistry.sweep()`` cluster-wide,
-and the merged, time-ordered cluster audit view with its retention cap.
+Every front end (http servlet, smtp receiver, rmi skeleton, serve
+listener) holds the :class:`AuthCluster` itself, so these are cluster
+properties: one ring and one session escrow however many fronts ask,
+the membership heartbeat pumping ``SessionRegistry.sweep()``
+cluster-wide, and the merged, time-ordered cluster audit view with its
+retention cap.
 """
 
 import pytest
 
-from repro.cluster import ClusterAuditView, fleet
+from repro.cluster import AuthCluster, ClusterAuditView
 from repro.cluster.ring import session_routing_key
-from repro.core.errors import NeedAuthorizationError
 from repro.core.principals import KeyPrincipal
 
 from tests.cluster.conftest import ClusterWorld
@@ -22,59 +24,39 @@ def world(server_kp, alice_kp, rng):
 
 class TestFleet:
     def test_fleet_shares_one_ring(self, world):
-        """Decisions made through different frontends land on the same
+        """Single checks asked by different fronts land on the same
         shard state: a fleet is N listeners, not N authorization
         domains."""
-        fronts = fleet(world.cluster, ["http-1", "smtp-1", "rmi-1"])
-        for front in fronts:
-            assert front.check(world.request()).granted
-        # One speaker, one owner node — all three frontends routed there.
+        fronts = ["http-1", "smtp-1", "rmi-1"]
+        for transport in fronts:
+            assert world.cluster.check(
+                world.request(transport=transport)
+            ).granted
+        # One speaker, one owner node — every front's check routed there.
         served = [
             node
             for node in world.cluster.nodes()
             if node.guard.stats["checks"] > 0
         ]
         assert len(served) == 1
+        assert served[0].guard.stats["checks"] == len(fronts)
         assert served[0].guard.stats["grants"] == len(fronts)
 
-    def test_per_frontend_stats_tally_locally(self, world, carol_kp):
-        front_a, front_b = fleet(world.cluster, 2)
-        assert front_a.check(world.request()).granted
-        assert front_a.check(world.request()).granted
-        stranger = KeyPrincipal(carol_kp.public)
-        with pytest.raises(NeedAuthorizationError):
-            front_b.check(world.request(speaker=stranger))
-        assert front_a.stats["grants"] == 2
-        assert front_a.stats["challenges"] == 0
-        assert front_b.stats["challenges"] == 1
-        assert front_b.stats["grants"] == 0
-
-    def test_frontend_batches_count_decisions(self, world, carol_kp):
-        (front,) = fleet(world.cluster, 1)
-        stranger = KeyPrincipal(carol_kp.public)
-        decisions = front.check_many(
-            [world.request(), world.request(speaker=stranger), world.request()]
-        )
-        assert [d.granted for d in decisions] == [True, False, True]
-        assert front.stats["batches"] == 1
-        assert front.stats["batched_requests"] == 3
-        assert front.stats["grants"] == 2
-        assert front.stats["challenges"] == 1
-
-    def test_fleet_sessions_mint_into_the_shared_escrow(self, world, rng):
-        front_a, front_b = fleet(world.cluster, 2, rng=rng)
-        mac_id, _ = front_a.mint_session()
-        # Any other frontend's traffic can reach the session: the escrow
-        # and the owning node's registry are cluster state, not frontend
-        # state.
-        assert mac_id in world.cluster._session_directory
-        assert front_b.cluster is front_a.cluster
+    def test_fleet_sessions_mint_into_the_shared_escrow(self, rng):
+        """A session minted with the cluster's injected rng is cluster
+        state — escrowed for failover and installed on its ring owner —
+        so any front's traffic can reach it."""
+        cluster = AuthCluster(node_count=4, rng=rng)
+        mac_id, _ = cluster.mint_session()
+        assert mac_id in cluster._session_directory
+        owner = cluster.membership.node_for(session_routing_key(mac_id))
+        assert owner.guard.sessions.get(mac_id) is not None
 
     def test_frontend_audit_is_the_merged_cluster_view(self, world):
-        (front,) = fleet(world.cluster, 1)
-        assert front.check(world.request()).granted
-        assert front.audit is world.cluster.audit
-        assert len(front.audit.records) == 1
+        """A front end reads one trail: the single check's record in the
+        merged view is the serving node's own record."""
+        decision = world.cluster.check(world.request())
+        assert world.cluster.audit.records == [decision.record]
 
 
 class TestHeartbeatSweep:

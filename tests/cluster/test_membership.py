@@ -39,7 +39,7 @@ class TestTransitions:
         late = world.cluster.add_node()
         # The new node can authorize without ever having seen the
         # delegation arrive: it was replayed at join.
-        decision = late.check(world.request())
+        decision = late.guard.check(world.request())
         assert decision.granted and decision.stage == "prover"
 
 
@@ -180,4 +180,4 @@ class TestSessionFailover:
         # The failed call must not have desynced replication: a late
         # joiner still receives the delegation.
         late = world.cluster.add_node()
-        assert late.check(world.request()).granted
+        assert late.guard.check(world.request()).granted

@@ -275,7 +275,7 @@ class TestRevocationUnderSpread:
         # accidentally dodge a stale replica.
         for node in cluster.nodes():
             with pytest.raises(NeedAuthorizationError):
-                node.check(_request(issuer, client))
+                node.guard.check(_request(issuer, client))
         # And through the cluster's own (spread) routing as well.
         for index in range(2 * HOT_THRESHOLD):
             with pytest.raises(NeedAuthorizationError):

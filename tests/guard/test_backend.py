@@ -1,26 +1,38 @@
-"""The AuthBackend protocol: one surface, three implementations.
+"""The AuthBackend protocol: one surface, two implementations.
 
-``Guard`` (one process), ``AuthCluster`` (a ring of guards), and
-``ClusterFrontend`` (one listener's handle on a shared ring) must all
-satisfy the protocol every transport programs against — conformance is
-what lets the http/rmi/smtp/secure integration tests run unchanged
-against any of them.
+``Guard`` (one process) and ``AuthCluster`` (a ring of guards) must
+both satisfy the protocol every transport programs against —
+conformance is what lets the http/rmi/smtp/secure integration tests run
+unchanged against either — and on both a single ``check`` is
+``check_many`` over a batch of one.
 """
 
 import random
 
 import pytest
 
-from repro.cluster import AuthCluster, ClusterFrontend
-from repro.core.principals import KeyPrincipal
+from repro.cluster import AuthCluster, routing_key
+from repro.core.errors import (
+    AuthorizationError,
+    NeedAuthorizationError,
+    NodeUnavailableError,
+)
+from repro.core.principals import HashPrincipal, KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
+from repro.crypto.hashes import HashValue
 from repro.guard import (
     AuthBackend,
+    ChannelCredential,
     Guard,
+    GuardRequest,
+    ProofCredential,
+    SessionCredential,
     default_backend,
     resolve_backend,
 )
 from repro.net.trust import TrustEnvironment
+from repro.prover import KeyClosure, Prover
+from repro.sexp import sexp, to_canonical, to_transport
 from repro.sim import SimClock
 from repro.spki import Certificate
 from repro.tags import Tag
@@ -47,17 +59,11 @@ PROTOCOL_METHODS = [
 
 
 def _backends():
-    trust = TrustEnvironment()
-    cluster = AuthCluster(node_count=2)
-    return [
-        Guard(trust),
-        cluster,
-        ClusterFrontend(cluster, "fe-0"),
-    ]
+    return [Guard(TrustEnvironment()), AuthCluster(node_count=2)]
 
 
 class TestConformance:
-    @pytest.mark.parametrize("index", [0, 1, 2], ids=["guard", "cluster", "frontend"])
+    @pytest.mark.parametrize("index", [0, 1], ids=["guard", "cluster"])
     def test_every_protocol_method_present(self, index):
         backend = _backends()[index]
         for name in PROTOCOL_METHODS:
@@ -68,7 +74,7 @@ class TestConformance:
         assert hasattr(backend, "audit")
         assert hasattr(backend, "stats")
 
-    @pytest.mark.parametrize("index", [0, 1, 2], ids=["guard", "cluster", "frontend"])
+    @pytest.mark.parametrize("index", [0, 1], ids=["guard", "cluster"])
     def test_runtime_isinstance(self, index):
         assert isinstance(_backends()[index], AuthBackend)
 
@@ -134,3 +140,153 @@ class TestGuardSurface:
         certificate = Certificate.issue(server_kp, alice, Tag.all(), rng=rng)
         cluster.digest_delegation(SignedCertificateStep(certificate))
         assert cluster.outgoing_delegations(alice) == 1
+
+
+LOGICAL = sexp(["web", ["method", "GET"], ["path", "/doc"]])
+CREDENTIALS = ["channel", "session", "proof"]
+OUTCOMES = {
+    "grant": None,
+    "denial": AuthorizationError,
+    "challenge": NeedAuthorizationError,
+}
+
+
+class _World:
+    """One backend plus everything needed to ask it any of the nine
+    (credential kind × outcome) questions.  Built from fixed seeds, so
+    two worlds are the same backend in the same state."""
+
+    def __init__(self, kind, keypool):
+        alice_kp, _, carol_kp, server_kp = keypool[:4]
+        rng = random.Random(7)
+        self.issuer = KeyPrincipal(server_kp.public)
+        self.alice = KeyPrincipal(alice_kp.public)
+        self.stranger = KeyPrincipal(carol_kp.public)
+        if kind == "guard":
+            self.backend = default_backend(
+                TrustEnvironment(clock=SimClock()), prover=Prover()
+            )
+            self.guards = [self.backend]
+        else:
+            self.backend = AuthCluster(node_count=3)
+            self.guards = [node.guard for node in self.backend.nodes()]
+        self.mac_id, self.mac_key = self.backend.mint_session(rng)
+        self.orphan_id, self.orphan_key = self.backend.mint_session(rng)
+        for subject in (
+            self.alice, MacPrincipal(self.mac_key.fingerprint())
+        ):
+            self.backend.digest_delegation(
+                SignedCertificateStep(
+                    Certificate.issue(server_kp, subject, Tag.all(), rng=rng)
+                )
+            )
+        # The client side of the proof kind: alice holds the server's
+        # delegation and signs request hashes over to herself.
+        client = Prover()
+        client.control(KeyClosure(alice_kp, rng))
+        client.add_certificate(
+            Certificate.issue(server_kp, self.alice, Tag.all(), rng=rng)
+        )
+        self.subject = HashPrincipal(
+            HashValue.of_bytes(to_canonical(LOGICAL))
+        )
+        self.proof_wire = to_transport(
+            client.prove(self.subject, self.issuer).to_sexp()
+        )
+
+    def request(self, credential, outcome):
+        issuer = self.issuer
+        message = to_canonical(LOGICAL)
+        if credential == "channel":
+            # A vouched speaker is refused outright only when the
+            # request names no issuer to authorize against.
+            if outcome == "denial":
+                issuer = None
+            built = ChannelCredential(
+                self.stranger if outcome == "challenge" else self.alice
+            )
+        elif credential == "session":
+            mac_id, mac_key = (
+                (self.orphan_id, self.orphan_key)
+                if outcome == "challenge"
+                else (self.mac_id, self.mac_key)
+            )
+            tag = mac_key.tag(message)
+            if outcome == "denial":
+                tag = bytes(len(tag))
+            built = SessionCredential(mac_id, tag, message)
+        else:
+            subject = self.subject
+            if outcome == "denial":
+                subject = HashPrincipal(HashValue.of_bytes(b"another body"))
+            elif outcome == "challenge":
+                # A sound proof, but of authority over someone else.
+                issuer = self.stranger
+            built = ProofCredential(subject, wire=self.proof_wire)
+        return GuardRequest(
+            LOGICAL, issuer=issuer, credential=built, transport="http"
+        )
+
+    def audited(self):
+        return len(self.backend.audit.records)
+
+    def decided(self):
+        return sum(guard.stats["checks"] for guard in self.guards)
+
+
+@pytest.mark.parametrize("outcome", sorted(OUTCOMES))
+@pytest.mark.parametrize("credential", CREDENTIALS)
+@pytest.mark.parametrize("kind", ["guard", "cluster"])
+class TestCheckIsABatchOfOne:
+    def test_check_agrees_with_check_many(
+        self, kind, credential, outcome, keypool
+    ):
+        batched, single = _World(kind, keypool), _World(kind, keypool)
+        (expected,) = batched.backend.check_many(
+            [batched.request(credential, outcome)]
+        )
+        request = single.request(credential, outcome)
+        if outcome == "grant":
+            decision = single.backend.check(request)
+            assert expected.granted and decision.granted
+            assert (decision.via, decision.stage, decision.speaker) == (
+                expected.via, expected.stage, expected.speaker
+            )
+            assert single.backend.audit.records == [decision.record]
+        else:
+            assert not expected.granted
+            assert type(expected.error) is OUTCOMES[outcome]
+            with pytest.raises(OUTCOMES[outcome]) as raised:
+                single.backend.check(request)
+            assert type(raised.value) is type(expected.error)
+            assert str(raised.value) == str(expected.error)
+            assert single.audited() == 0
+        # Either way the serving guard decided exactly one request.
+        assert single.decided() == batched.decided() == 1
+
+
+@pytest.mark.parametrize("credential", CREDENTIALS)
+def test_crashed_serving_node_raises_from_both_entry_points(
+    credential, keypool
+):
+    world = _World("cluster", keypool)
+    request = world.request(credential, "grant")
+    owner = world.backend.membership.node_for(routing_key(request))
+    world.backend.crash_node(owner.node_id)
+    with pytest.raises(NodeUnavailableError):
+        world.backend.check_many([request])
+    with pytest.raises(NodeUnavailableError):
+        world.backend.check(request)
+    assert world.audited() == 0
+
+
+def test_guard_checks_counts_requests_decided(keypool):
+    """``stats["checks"]`` is per request, not per call: harnesses find
+    the serving node of a batch by it."""
+    world = _World("guard", keypool)
+    world.backend.check(world.request("channel", "grant"))
+    world.backend.check_many(
+        [world.request("session", "grant"), world.request("proof", "denial")]
+    )
+    assert world.backend.stats["checks"] == 3
+    assert world.backend.stats["batches"] == 2

@@ -2,16 +2,16 @@
 
 The tentpole property of the AuthBackend refactor: the http, smtp, and
 rmi/secure-channel integration flows must pass *unchanged* whether the
-transport fronts a single shared :class:`Guard`, an
-:class:`AuthCluster`, or a :class:`ClusterFrontend` handle on one.
-Transports own wire framing; authorization routing belongs to the
-backend — so these tests parametrize only the backend factory and touch
-nothing else.
+transport fronts a single shared :class:`Guard` or an
+:class:`AuthCluster` — tuned to spread hot speakers, or exactly as a
+front end is handed one by default.  Transports own wire framing;
+authorization routing belongs to the backend — so these tests
+parametrize only the backend factory and touch nothing else.
 """
 
 import pytest
 
-from repro.cluster import AuthCluster, ClusterFrontend
+from repro.cluster import AuthCluster
 from repro.core.errors import AuthorizationError, NeedAuthorizationError
 from repro.core.principals import HashPrincipal, KeyPrincipal, MacPrincipal
 from repro.guard import default_backend
@@ -28,6 +28,10 @@ from repro.smtp import SnowflakeSmtpClient, SnowflakeSmtpServer
 from repro.spki import Certificate
 from repro.tags import parse_tag
 
+#: ``cluster`` spreads a hot speaker over two replicas after four
+#: requests; ``frontend`` is the cluster as a listener fronts it out of
+#: the box (``ServeFleet``, ``bench/server.py``): every knob at its
+#: default, so checks stay pinned to the shard owner.
 BACKENDS = ["guard", "cluster", "frontend"]
 
 
@@ -35,15 +39,12 @@ def make_backend(kind, trust, clock=None):
     """The only thing these tests vary."""
     if kind == "guard":
         return default_backend(trust, check_charge=None)
-    cluster = AuthCluster(
-        node_count=3,
-        clock=clock if clock is not None else trust.clock,
-        replica_reads=2,
-        hot_threshold=4,
-    )
+    clock = clock if clock is not None else trust.clock
     if kind == "cluster":
-        return cluster
-    return ClusterFrontend(cluster, "fe-under-test")
+        return AuthCluster(
+            node_count=3, clock=clock, replica_reads=2, hot_threshold=4
+        )
+    return AuthCluster(node_count=3, clock=clock)
 
 
 class _DocServlet(ProtectedServlet):

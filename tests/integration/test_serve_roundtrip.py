@@ -5,9 +5,11 @@ flows are backend-agnostic *in process*.  This file proves the same
 shapes survive the wire: the http proof-carrying request and the rmi
 challenge → submit-proof → retry conversation each run through a real
 loopback TCP socket into a :class:`ServeListener`, parametrized over
-the same three backends — a single guard, a 3-node cluster, and a
-frontend handle on one.  Transports own framing; authorization routing
-stays behind ``AuthBackend``, now with a socket in between.
+the same three backends — a single guard, a 3-node cluster tuned to
+spread hot speakers, and one with every knob at its default (what
+``bench/server.py`` puts behind its listener).  Transports own framing;
+authorization routing stays behind ``AuthBackend``, now with a socket
+in between.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import asyncio
 
 import pytest
 
-from repro.cluster import AuthCluster, ClusterFrontend
+from repro.cluster import AuthCluster
 from repro.core.principals import HashPrincipal, KeyPrincipal
 from repro.crypto.hashes import HashValue
 from repro.guard import (
@@ -42,12 +44,11 @@ RMI_TAG = "(tag (rmi))"
 def make_backend(kind, trust):
     if kind == "guard":
         return default_backend(trust, check_charge=None, prover=Prover())
-    cluster = AuthCluster(
-        node_count=3, clock=trust.clock, replica_reads=2, hot_threshold=4
-    )
     if kind == "cluster":
-        return cluster
-    return ClusterFrontend(cluster, "fe-under-test")
+        return AuthCluster(
+            node_count=3, clock=trust.clock, replica_reads=2, hot_threshold=4
+        )
+    return AuthCluster(node_count=3, clock=trust.clock)
 
 
 def _prover_for(holder_kp, server_kp, rng, tag=WEB_TAG):

@@ -28,6 +28,7 @@ from repro.serve.protocol import (
     PROOF_OK,
     RETRY,
     STATS_OK,
+    DecodeCache,
     FrameBuffer,
     Reply,
     WireError,
@@ -187,6 +188,40 @@ class TestCommandCodec:
             decode_command(b"not an sexp at all")
         with pytest.raises(WireError):
             decode_command(to_canonical(sexp(["frobnicate", "3"])))
+
+
+#: ``<len>:<id>`` headers bare ``int()`` reads as 7 (or -7) but the
+#: canonical parser, or a digits-only id, does not.
+MALFORMED_ID_HEADERS = [b"+1:7", b"0_1:7", b"2:-7", b"2: 7"]
+
+
+class TestDecodeCache:
+    @pytest.mark.parametrize("header", MALFORMED_ID_HEADERS)
+    def test_warm_cache_rejects_what_the_full_parser_rejects(self, header):
+        """The sliced hit path may not be laxer than ``decode_command``:
+        a malformed length prefix or id fails closed even when the
+        request bytes behind it are already cached."""
+        request = GuardRequest(LOGICAL, transport="http")
+        cache = DecodeCache()
+        cache.decode(encode_check(7, request))
+        cache.decode(encode_check(8, request))
+        assert cache.hits == 1
+        frame = b"(5:check%s%s)" % (
+            header, to_canonical(guard_request_to_sexp(request))
+        )
+        with pytest.raises(WireError):
+            cache.decode(frame)
+        assert cache.hits == 1
+        with pytest.raises(WireError):
+            decode_command(frame)
+
+    @pytest.mark.parametrize("header", MALFORMED_ID_HEADERS)
+    def test_learned_ok_reply_path_is_as_strict(self, header):
+        granted = encode_reply(Reply(OK, 7, via="session", stage="cache"))
+        assert decode_reply(granted).request_id == 7   # teaches the tail
+        assert granted.startswith(b"(2:ok1:7")
+        with pytest.raises(WireError):
+            decode_reply(b"(2:ok" + header + granted[len(b"(2:ok1:7"):])
 
 
 class TestReplyCodec:
