@@ -25,7 +25,8 @@ from repro.analysis.registry import Rule, all_rules, get_rule, register
 # Importing the rules package registers every built-in rule.
 import repro.analysis.rules  # noqa: F401  (registration side effect)
 
-__version__ = "1.0"
+#: Keys the findings cache: bump it when a rule's logic changes.
+__version__ = "1.1"
 
 __all__ = [
     "Baseline",

@@ -79,11 +79,12 @@ def _called_names(node: ast.AST) -> Set[str]:
 
 
 def _reraises(handler: ast.ExceptHandler) -> bool:
-    """A handler that re-raises (bare ``raise``) swallows nothing."""
-    for child in ast.walk(handler):
-        if isinstance(child, ast.Raise) and child.exc is None:
-            return True
-    return False
+    """A handler that raises — the caught exception again, or a
+    translation of it (``raise WireError(...)``) — swallows nothing:
+    the failure keeps propagating to the boundary that turns it into a
+    reply, and that handler is the one that must count it, on a
+    registry it actually has."""
+    return any(isinstance(child, ast.Raise) for child in ast.walk(handler))
 
 
 @register
@@ -100,9 +101,9 @@ class CountedFailuresRule(Rule):
     call graph (like ARCH004) and requires each handler to reach a
     counting primitive — an ``*.inc(...)`` registry call or a
     ``stats[...] += 1`` dict bump — directly or through a local helper
-    such as ``_count``; a handler that re-raises, or that catches a
-    pure flow-control signal (``CancelledError``, ``QueueFull``,
-    ``QueueEmpty``), is exempt.
+    such as ``_count``; a handler that raises (the same exception or a
+    translation of it), or that catches a pure flow-control signal
+    (``CancelledError``, ``QueueFull``, ``QueueEmpty``), is exempt.
     """
 
     rule_id = "ARCH007"
@@ -152,7 +153,7 @@ class CountedFailuresRule(Rule):
             label = ", ".join(sorted(caught)) if caught else "everything"
             yield self.finding(
                 source, handler,
-                "except handler catching %s neither re-raises nor "
+                "except handler catching %s neither raises nor "
                 "reaches a counting primitive (*.inc() or "
                 "stats[...] += 1) — count the failure it absorbs"
                 % label,

@@ -78,6 +78,7 @@ from repro.sexp import (
     SExp,
     SList,
     SexpParseError,
+    canonical_extent,
     parse_canonical,
     to_canonical,
     to_transport,
@@ -104,18 +105,6 @@ STATS_OK = "stats-ok"
 
 class WireError(SnowflakeError):
     """The peer's bytes do not parse as this protocol."""
-
-
-def _reject(message: str) -> WireError:
-    """Build a :class:`WireError`, counting it first.
-
-    Every malformed-peer path in this module funnels through here so
-    ``serve.protocol.wire_errors`` tallies how often the codec turned
-    bytes away — the difference between "quiet wire" and "noisy peer"
-    is invisible without the counter.
-    """
-    default_registry().inc("serve.protocol.wire_errors")
-    return WireError(message)
 
 
 # -- framing ---------------------------------------------------------------
@@ -210,7 +199,7 @@ async def read_frame(reader, max_frame: int = MAX_FRAME) -> Optional[bytes]:
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
-        raise _reject("connection closed inside a frame header")
+        raise WireError("connection closed inside a frame header")
     (length,) = HEADER.unpack(header)
     if length > max_frame:
         raise WireError(
@@ -220,7 +209,7 @@ async def read_frame(reader, max_frame: int = MAX_FRAME) -> Optional[bytes]:
     try:
         return await reader.readexactly(length)
     except asyncio.IncompleteReadError:
-        raise _reject("connection closed inside a frame body")
+        raise WireError("connection closed inside a frame body")
 
 
 def write_frame(writer, payload: bytes, max_frame: int = MAX_FRAME) -> None:
@@ -299,7 +288,7 @@ def credential_from_sexp(node: SExp) -> Credential:
                 subject = principal_from_sexp(field.items[1])
             return ProofCredential(subject, wire=node.items[1].value)
     except (ValueError, AttributeError) as exc:
-        raise _reject("credential rejected: %s" % exc)
+        raise WireError("credential rejected: %s" % exc)
     raise WireError("unknown credential kind %r" % head)
 
 
@@ -325,47 +314,53 @@ def guard_request_to_sexp(request: GuardRequest) -> SExp:
     return SList(items)
 
 
+#: GuardRequest keywords whose decoded values repeat across sessions and
+#: requests, so :class:`DecodeCache` shares one object per distinct value.
+_SHARED_FIELDS = frozenset(("transport", "logical", "issuer", "min_tag"))
+
+
+def _decode_field(field: SExp) -> Tuple[str, object]:
+    """One ``(name value)`` request field as ``(GuardRequest keyword,
+    decoded value)``.
+
+    The one place that knows what ``(issuer ...)`` means: the node path
+    (:func:`guard_request_from_sexp`) and :class:`DecodeCache`'s byte
+    path both call it, one field at a time."""
+    if not isinstance(field, SList) or len(field) != 2:
+        raise WireError("bad request field %r" % (field,))
+    name = field.head()
+    value = field.items[1]
+    try:
+        if name == "transport":
+            return "transport", value.text()
+        if name == "logical":
+            return "logical", value
+        if name == "issuer":
+            return "issuer", principal_from_sexp(value)
+        if name == "min-tag":
+            return "min_tag", Tag.from_sexp(value)
+        if name == "credential":
+            return "credential", credential_from_sexp(value)
+        if name == "trace":
+            return "trace", value.text()
+    except (ValueError, AttributeError) as exc:
+        raise WireError("request field %r rejected: %s" % (name, exc))
+    raise WireError("unknown request field %r" % name)
+
+
+def _request_from_fields(fields: Dict[str, object]) -> GuardRequest:
+    """Build the request from decoded fields (a repeated field's last
+    occurrence won when the dict was filled)."""
+    if "logical" not in fields:
+        raise WireError("request carries no (logical ...) field")
+    fields.setdefault("transport", "serve")
+    return GuardRequest(**fields)
+
+
 def guard_request_from_sexp(node: SExp) -> GuardRequest:
     if not isinstance(node, SList) or node.head() != "request":
         raise WireError("expected a (request ...) form")
-    logical = None
-    transport = "serve"
-    issuer = None
-    min_tag = None
-    credential = None
-    trace = None
-    for field in node.items[1:]:
-        if not isinstance(field, SList) or len(field) != 2:
-            raise WireError("bad request field %r" % (field,))
-        name = field.head()
-        value = field.items[1]
-        try:
-            if name == "transport":
-                transport = value.text()
-            elif name == "logical":
-                logical = value
-            elif name == "issuer":
-                issuer = principal_from_sexp(value)
-            elif name == "min-tag":
-                min_tag = Tag.from_sexp(value)
-            elif name == "credential":
-                credential = credential_from_sexp(value)
-            elif name == "trace":
-                trace = value.text()
-            else:
-                raise WireError("unknown request field %r" % name)
-        except (ValueError, AttributeError) as exc:
-            raise _reject("request field %r rejected: %s" % (name, exc))
-    if logical is None:
-        raise WireError("request carries no (logical ...) field")
-    return GuardRequest(
-        logical,
-        issuer=issuer,
-        min_tag=min_tag,
-        credential=credential,
-        transport=transport,
-        trace=trace,
-    )
+    return _request_from_fields(dict(map(_decode_field, node.items[1:])))
 
 
 # -- commands --------------------------------------------------------------
@@ -408,7 +403,7 @@ def _parse_payload(payload: bytes) -> SList:
     try:
         node = parse_canonical(payload)
     except (SexpParseError, ValueError) as exc:
-        raise _reject("unparseable frame: %s" % exc)
+        raise WireError("unparseable frame: %s" % exc)
     if not isinstance(node, SList) or len(node) < 2:
         raise WireError("frame is not a command list")
     return node
@@ -421,7 +416,7 @@ def _request_id(node: SList) -> int:
     # ASCII digits only: bare ``int()`` also takes signs, blanks and
     # underscores, and would echo the id back in a different spelling.
     if not atom.value.isdigit():
-        raise _reject("unreadable request id %r" % (atom,))
+        raise WireError("unreadable request id %r" % (atom,))
     return int(atom.value)
 
 
@@ -467,108 +462,144 @@ def _split_id_header(
         request_id = payload[colon + 1:id_end]
         if request_id.isdigit():
             return int(request_id), id_end
-    # Irregular header bytes: count the fallback and let the full
-    # decoder own the (possibly-erroring) parse.
-    default_registry().inc("serve.protocol.decode_fallbacks")
     return None
-
-
-def _split_check_frame(payload: bytes) -> Optional[Tuple[int, bytes]]:
-    """``(request_id, request_bytes)`` for a canonical check frame.
-
-    Canonical check frames are ``(5:check<len>:<id><request>)``, so the
-    request subtree can be sliced out with byte arithmetic — no sexp
-    parse.  Anything irregular returns ``None`` and takes the full
-    decode path, which owns the error reporting."""
-    if not payload.startswith(b"(5:check") or not payload.endswith(b")"):
-        return None
-    header = _split_id_header(payload, 8)
-    if header is None:
-        return None
-    request_id, id_end = header
-    if id_end >= len(payload) - 1:
-        return None
-    return request_id, payload[id_end:-1]
-
-
-def _clone_request(request: GuardRequest) -> GuardRequest:
-    """A fresh :class:`GuardRequest` sharing the immutable parts.
-
-    The serve layer mutates ``trace`` (and the pipeline fills
-    ``channel``) in place, so a cache may never hand out its stored
-    template — but logical form, principals, and credentials are
-    immutable and shared freely."""
-    return GuardRequest(
-        request.logical,
-        issuer=request.issuer,
-        min_tag=request.min_tag,
-        credential=request.credential,
-        transport=request.transport,
-        trace=request.trace,
-    )
 
 
 #: Entries a :class:`DecodeCache` keeps before evicting the least
 #: recently used.
 DECODE_CACHE_CAPACITY = 1024
 
+#: Decoded fields a :class:`DecodeCache` memoises before it clears the
+#: memo and lets it refill.
+FIELD_MEMO_CAPACITY = 1024
+
+#: Neither the LRU nor the field memo keys on more bytes than this (the
+#: benchmark's frames are 330 B and 1 051 B).  Larger requests and
+#: fields decode uncached, so what a peer can pin is capacity times this
+#: and not capacity times ``MAX_FRAME``.
+CACHED_BYTES_CEILING = 4096
+
 
 class DecodeCache:
-    """An LRU from check-frame request bytes to decoded requests.
+    """Decode reuse for check frames, at two granularities.
 
     Decoding a check frame — sexp parse, principal reconstruction,
     credential validation — dominates the listener's per-request Python
-    cost, and real clients repeat themselves: the same session re-asks
-    the same question with a fresh request id.  The cache keys on the
-    *request subtree bytes* (the id is sliced off first), so a repeat
-    question skips the whole codec no matter what id it rides under.
+    cost, and real clients repeat themselves.  Both layers key on exact
+    bytes, after the request id has been sliced off by byte arithmetic:
 
-    Hits stay semantically transparent: the pipeline still verifies the
-    MAC / proof / session on every request, so a hit can never turn a
-    deny into a grant.  Entries are nonetheless stamped with the
-    backend's ``invalidation_generation`` as defense in depth — any
-    revocation, retraction, channel close, or membership change bumps
-    the generation and strands every prior entry.
+    - an **LRU on the request subtree**: the same session re-asking the
+      same question skips the codec whatever id it rides under;
+    - a **field memo** on the bytes of each ``transport`` / ``logical``
+      / ``issuer`` / ``min-tag`` field: an LRU miss walks the
+      ``(request ...)`` subtree field by field
+      (:func:`~repro.sexp.parser.canonical_extent`) and parses only the
+      fields that are new — in practice the credential and the trace
+      id — so every request naming one path or one issuer shares one
+      decoded object.
 
-    Non-check frames (ping, stats, proof) and irregular bytes fall
-    through to :func:`decode_command` untouched.
+    Memo keys are only ever bytes the full parser consumed as one
+    complete expression, and canonical parsing is prefix-deterministic,
+    so equal bytes at a field position decode to the equal value.  *A
+    memoised field is a parsed value, never a verified one*: it holds no
+    trust state and needs no generation stamp, and the pipeline still
+    runs MAC / proof / session verification on every request, so a hit
+    in either layer can never turn a deny into a grant.  LRU entries are
+    nonetheless stamped with the backend's ``invalidation_generation``
+    as defense in depth — any revocation, retraction, channel close, or
+    membership change strands every prior entry.
+
+    The byte path only ever *succeeds*: non-check frames go straight to
+    :func:`decode_command`, and so does any check frame it could not
+    finish (irregular bytes, a field the codec rejects), counted in
+    ``serve.protocol.decode_fallbacks`` — the full parser owns every
+    error.
     """
 
     def __init__(self):
-        self._entries: "OrderedDict[bytes, Tuple[int, GuardRequest]]" = (
-            OrderedDict()
-        )
+        self._entries: (
+            "OrderedDict[bytes, Tuple[int, Dict[str, object]]]"
+        ) = OrderedDict()
+        self._fields: Dict[bytes, Tuple[str, object]] = {}
         self.hits = 0
         self.misses = 0
+        #: Where fall-backs and field-memo traffic are counted; the
+        #: listener that owns the cache points it at its own registry.
+        self.metrics = default_registry()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def decode(self, payload: bytes, generation: int = 0) -> Command:
         """Decode one frame, through the cache when it is a check."""
-        split = _split_check_frame(payload)
-        if split is None:
-            return decode_command(payload)
-        request_id, request_bytes = split
+        if payload.startswith(b"(5:check"):
+            try:
+                return self._decode_check(payload, generation)
+            except WireError:
+                self.metrics.inc("serve.protocol.decode_fallbacks")
+        return decode_command(payload)
+
+    def _decode_check(self, payload: bytes, generation: int) -> Command:
+        header = _split_id_header(payload, 8)
+        if header is None or not payload.endswith(b")"):
+            raise WireError("irregular check frame")
+        request_id, id_end = header
+        request_bytes = payload[id_end:-1]
         entry = self._entries.get(request_bytes)
         if entry is not None:
             if entry[0] == generation:
                 self._entries.move_to_end(request_bytes)
                 self.hits += 1
                 return Command(
-                    "check", request_id, _clone_request(entry[1])
+                    "check", request_id, GuardRequest(**entry[1])
                 )
             # Stale trust state: drop it and re-decode below.
             del self._entries[request_bytes]
         self.misses += 1
-        command = decode_command(payload)
-        if command.op == "check":
-            self._entries[request_bytes] = (
-                generation, _clone_request(command.body)
-            )
+        fields = self._decode_fields(request_bytes)
+        command = Command("check", request_id, _request_from_fields(fields))
+        if len(request_bytes) <= CACHED_BYTES_CEILING:
+            # The dict, not the request: the serve layer mutates
+            # ``trace`` (and the pipeline fills ``channel``) in place,
+            # so every hit builds its own GuardRequest around the
+            # shared, immutable field values.
+            self._entries[request_bytes] = (generation, fields)
             if len(self._entries) > DECODE_CACHE_CAPACITY:
                 self._entries.popitem(last=False)
         return command
+
+    def _decode_fields(self, data: bytes) -> Dict[str, object]:
+        """Decode ``(request <field>...)`` bytes field by field."""
+        last = len(data) - 1
+        if not data.startswith(b"(7:request") or data[last] != 41:  # ")"
+            raise WireError("irregular request subtree")
+        memo = self._fields
+        fields: Dict[str, object] = {}
+        hits = parsed = 0
+        pos = 10
+        while pos < last:
+            end = canonical_extent(data, pos)
+            if end is None or end > last:
+                raise WireError("irregular request field")
+            field_bytes = data[pos:end]
+            pair = memo.get(field_bytes)
+            if pair is not None:
+                hits += 1
+            else:
+                parsed += 1
+                pair = _decode_field(parse_canonical(field_bytes))
+                if (
+                    pair[0] in _SHARED_FIELDS
+                    and len(field_bytes) <= CACHED_BYTES_CEILING
+                ):
+                    if len(memo) >= FIELD_MEMO_CAPACITY:
+                        memo.clear()
+                    memo[field_bytes] = pair
+            fields[pair[0]] = pair[1]
+            pos = end
+        self.metrics.inc("serve.decode.field_hits", hits)
+        self.metrics.inc("serve.decode.field_misses", parsed)
+        return fields
 
 
 # -- value codec -----------------------------------------------------------
@@ -633,7 +664,7 @@ def value_from_sexp(node: SExp):
                 result[field.head()] = value_from_sexp(field.items[1])
             return result
     except (IndexError, UnicodeDecodeError, ValueError) as exc:
-        raise _reject("bad %s value: %s" % (head, exc))
+        raise WireError("bad %s value: %s" % (head, exc))
     raise WireError("unknown value tag %r" % head)
 
 
@@ -809,7 +840,7 @@ def decode_reply(payload: bytes) -> Reply:
                 elif field.head() == "tag":
                     tag = Tag.from_sexp(field.items[1])
             except ValueError as exc:
-                raise _reject("challenge field rejected: %s" % exc)
+                raise WireError("challenge field rejected: %s" % exc)
         return Reply(CHALLENGE, request_id, issuer=issuer, tag=tag)
     if status in (DENIED, RETRY, ERROR):
         message = node.items[2].text() if len(node) > 2 else ""
@@ -827,7 +858,7 @@ def decode_reply(payload: bytes) -> Reply:
                     if len(field) > 2:
                         window = int(field.items[2].text())
             except (UnicodeDecodeError, ValueError) as exc:
-                raise _reject("pong field rejected: %s" % exc)
+                raise WireError("pong field rejected: %s" % exc)
         return Reply(PONG, request_id, uptime=uptime, inflight=inflight,
                      window=window)
     if status == STATS_OK:

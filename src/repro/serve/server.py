@@ -100,7 +100,6 @@ class ServeListener:
         self.max_batch = max_batch
         self.inflight_window = inflight_window
         self.max_frame = max_frame
-        self.decode_cache = DecodeCache()
         self.closing = False
         # A listener inherits the backend's registry/tracer so serve
         # spans and guard spans land in one place; explicit injection
@@ -108,6 +107,8 @@ class ServeListener:
         if metrics is None:
             metrics = getattr(backend, "metrics", None)
         self.metrics = default_registry(metrics)
+        self.decode_cache = DecodeCache()
+        self.decode_cache.metrics = self.metrics
         if tracer is None:
             tracer = getattr(backend, "tracer", None)
         self.tracer = default_tracer(tracer)
@@ -327,6 +328,7 @@ class _Connection:
             try:
                 command = cache.decode(payload, generation)
             except WireError as exc:
+                metrics.inc("serve.protocol.wire_errors")
                 replies[slot] = listener._count(
                     Reply(ERROR, 0, message=str(exc))
                 )

@@ -14,7 +14,12 @@ optionally carrying a display hint) and lists, with three encodings:
 """
 
 from repro.sexp.ast import SExp, Atom, SList, sexp
-from repro.sexp.parser import parse, parse_canonical, SexpParseError
+from repro.sexp.parser import (
+    SexpParseError,
+    canonical_extent,
+    parse,
+    parse_canonical,
+)
 from repro.sexp.encoder import (
     to_canonical,
     to_transport,
@@ -29,6 +34,7 @@ __all__ = [
     "sexp",
     "parse",
     "parse_canonical",
+    "canonical_extent",
     "SexpParseError",
     "to_canonical",
     "to_transport",

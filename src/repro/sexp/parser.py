@@ -156,6 +156,41 @@ def _verbatim_at(data: bytes, pos: int) -> Tuple[bytes, int, bool]:
     return data[pos + 1 : end], end, clean
 
 
+def canonical_extent(data: bytes, pos: int = 0) -> Optional[int]:
+    """End offset of the one canonical expression starting at ``pos``.
+
+    Skips by length prefixes alone — no nodes built — so a caller can
+    slice a sub-expression out of a frame and decide whether it has seen
+    those exact bytes before.  Anything irregular (a display hint, a
+    prefix that is not plain digits, truncation, a stray ``)``) returns
+    ``None``: take the full parser, which owns the error.  Whenever this
+    returns ``end``, ``parse_canonical(data[pos:end])`` succeeds.
+    """
+    size = len(data)
+    depth = 0
+    while pos < size:
+        ch = data[pos]
+        if ch == 40:  # "("
+            depth += 1
+            pos += 1
+        elif ch == 41:  # ")"
+            depth -= 1
+            pos += 1
+            if depth <= 0:
+                return pos if depth == 0 else None
+        else:
+            colon = data.find(b":", pos, pos + 11)
+            prefix = data[pos:colon]
+            if colon < 0 or not prefix.isdigit():
+                return None
+            pos = colon + 1 + int(prefix)
+            if pos > size:
+                return None
+            if not depth:
+                return pos
+    return None
+
+
 def parse(text) -> SExp:
     """Parse one advanced-form S-expression; reject trailing garbage.
 

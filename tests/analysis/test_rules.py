@@ -612,6 +612,21 @@ class TestArch007CountedFailures:
         )
         assert rule_ids(result) == []
 
+    def test_translating_raise_is_clean(self, lint):
+        # A codec function has no registry to count on; translating the
+        # failure keeps it propagating to the listener, which does.
+        result = lint(
+            "repro/serve/scratch.py",
+            """
+            def decode(payload):
+                try:
+                    return parse(payload)
+                except ValueError as exc:
+                    raise WireError("unparseable frame: %s" % exc)
+            """,
+        )
+        assert rule_ids(result) == []
+
     def test_flow_control_signals_are_exempt(self, lint):
         result = lint(
             "repro/serve/scratch.py",

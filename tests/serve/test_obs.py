@@ -12,9 +12,10 @@ from repro.cluster import AuthCluster, session_routing_key
 from repro.core.principals import KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.guard import GuardRequest, SessionCredential
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, default_registry
 from repro.serve import STATS_OK, ServeClient, ServeListener
-from repro.sexp import sexp, to_canonical
+from repro.serve.protocol import encode_check, encode_frame
+from repro.sexp import Atom, SList, sexp, to_canonical
 from repro.sim import SimClock
 from repro.spki import Certificate
 from repro.tags import Tag
@@ -119,6 +120,53 @@ class TestStatsWire:
         reply = asyncio.run(scenario())
         spans = reply.data["histograms"]["span.serve.request_ms"]
         assert spans["count"] == 6
+
+
+    def test_codec_failures_count_on_the_listeners_own_registry(
+        self, server_kp, rng
+    ):
+        # A listener handed ``metrics=`` must show its own malformed
+        # frames in ``(stats)``; the process-wide registry sees nothing.
+        cluster, issuer, minted, _, _ = _observed_cluster(server_kp, rng)
+        mine = MetricsRegistry()
+        request = _request(issuer, minted, 0)
+        good = encode_check(3, request)
+        names = ("serve.protocol.wire_errors",
+                 "serve.protocol.decode_fallbacks")
+        before = [default_registry().counter(name) for name in names]
+
+        async def scenario():
+            listener = ServeListener(cluster, metrics=mine)
+            host, port = await listener.start()
+            client = await ServeClient.connect(host, port)
+            writer = client.writer
+            # Garbage; a check whose id header the byte path will not
+            # read (and the full parser rejects); a check it will not
+            # read but the full parser accepts (a display hint).
+            writer.write(encode_frame(b"not an sexp"))
+            writer.write(encode_frame(
+                good.replace(b"(5:check1:3", b"(5:check+1:3")
+            ))
+            hinted = GuardRequest(
+                SList([Atom("web"), Atom("x", hint=b"text/plain")]),
+                issuer=issuer, transport="http",
+            )
+            refused = await client.check(hinted)
+            assert (await client.check(request)).granted
+            reply = await client.stats_snapshot()
+            await client.close()
+            await listener.shutdown()
+            return refused, reply
+
+        refused, reply = asyncio.run(scenario())
+        # Decoded, and answered by the guard (it carries no credential).
+        assert refused.status == "denied"
+        counters = reply.data["counters"]
+        assert counters["serve.protocol.wire_errors"] == 2
+        assert counters["serve.protocol.decode_fallbacks"] == 2
+        assert counters["serve.decode.field_misses"] > 0
+        assert mine.counter("serve.protocol.wire_errors") == 2
+        assert [default_registry().counter(name) for name in names] == before
 
 
 class TestServerSampling:

@@ -20,6 +20,7 @@ from repro.guard import (
     SessionCredential,
 )
 from repro.serve.protocol import (
+    CACHED_BYTES_CEILING,
     CHALLENGE,
     DENIED,
     ERROR,
@@ -214,6 +215,44 @@ class TestDecodeCache:
         assert cache.hits == 1
         with pytest.raises(WireError):
             decode_command(frame)
+
+    def test_oversize_requests_decode_uncached(self):
+        """Neither layer may key on a peer-sized blob: 1 024 distinct
+        ``(logical <1 MiB atom>)`` frames used to pin a gigabyte."""
+        cache = DecodeCache()
+        for index in range(8):
+            blob = b"%04d" % index + b"x" * CACHED_BYTES_CEILING
+            command = cache.decode(
+                encode_check(index, GuardRequest(sexp(["web", blob])))
+            )
+            assert command.body.logical.items[1].value == blob
+        retained = sum(map(len, cache._entries)) + sum(map(len, cache._fields))
+        assert retained < CACHED_BYTES_CEILING
+        # The small fields of those same frames are still shared.
+        assert len(cache._fields) == 1
+
+    def test_equal_fields_decode_to_shared_objects(self, alice_kp):
+        """Two sessions asking one path of one issuer get the same
+        ``logical`` and ``issuer`` objects, not equal copies."""
+        issuer = KeyPrincipal(alice_kp.public)
+        message = to_canonical(LOGICAL)
+        cache = DecodeCache()
+        first, second = (
+            cache.decode(encode_check(index, GuardRequest(
+                LOGICAL,
+                issuer=issuer,
+                credential=SessionCredential(
+                    "session-%d" % index, b"tag", message
+                ),
+                transport="http",
+            ))).body
+            for index in (1, 2)
+        )
+        assert cache.hits == 0 and cache.misses == 2
+        assert first is not second
+        assert first.logical is second.logical
+        assert first.issuer is second.issuer
+        assert first.credential.session_id != second.credential.session_id
 
     @pytest.mark.parametrize("header", MALFORMED_ID_HEADERS)
     def test_learned_ok_reply_path_is_as_strict(self, header):

@@ -288,53 +288,100 @@ class TestWireErrors:
 
 class TestRevocationOnTheWire:
     def test_revoked_speaker_replaying_identical_bytes_is_denied(
-        self, server_kp, rng
+        self, server_kp, bob_kp, rng
     ):
-        # The decode cache serves byte-identical frames without
-        # re-parsing — but a cached *decode* must never become a cached
-        # *decision*.  Grant once, revoke the session's certificate,
-        # replay the exact same frame bytes: the cache may hit, the
-        # grant must not.
+        # The decode cache serves byte-identical frames, and fields it
+        # has seen before, without re-parsing — but a cached *decode*
+        # must never become a cached *decision*.  Two sessions hang off
+        # one group certificate.  Grant, revoke that certificate, then
+        # (a) replay the first session's exact frame bytes and (b) send
+        # the second session's frame for the same path — new to the
+        # LRU, every field but the credential served from the memo.
+        # Either cache may hit; neither grant may stand.
         cluster = AuthCluster(node_count=3, clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
-        mac_id, mac_key = cluster.mint_session(rng)
-        certificate = Certificate.issue(
-            server_kp, MacPrincipal(mac_key.fingerprint()), Tag.all(),
-            rng=rng,
+        group = Certificate.issue(
+            server_kp, KeyPrincipal(bob_kp.public), Tag.all(), rng=rng
         )
-        cluster.add_delegation(SignedCertificateStep(certificate))
-        request = _request(issuer, [(mac_id, mac_key)], 0)
-        frame = encode_frame(encode_check(7, request))
+        cluster.add_delegation(SignedCertificateStep(group))
+        minted = []
+        for _ in range(2):
+            mac_id, mac_key = cluster.mint_session(rng)
+            cluster.add_delegation(SignedCertificateStep(Certificate.issue(
+                bob_kp, MacPrincipal(mac_key.fingerprint()), Tag.all(),
+                rng=rng,
+            )))
+            minted.append((mac_id, mac_key))
+
+        def frame(request_id, session, path):
+            request = _request(issuer, [minted[session]], path)
+            return encode_frame(encode_check(request_id, request))
 
         async def scenario():
             listener = ServeListener(cluster)
             host, port = await listener.start()
             reader, writer = await asyncio.open_connection(host, port)
-            async def replay():
-                writer.write(frame)
+            async def send(payload):
+                writer.write(payload)
                 await writer.drain()
                 return decode_reply(await read_frame(reader))
-            first = await replay()
+            first = await send(frame(7, 0, 0))
             # Warm the decode cache: an identical replay while still
-            # authorized is granted (and served from the cache).
-            warm = await replay()
-            cluster.revoke_serial(certificate.serial)
+            # authorized is granted (and served from the LRU).
+            warm = await send(frame(7, 0, 0))
+            # The other session's chain works too (a different path, so
+            # its frame for path 0 stays new to the LRU).
+            other = await send(frame(8, 1, 1))
+            field_hits = listener.metrics.counter("serve.decode.field_hits")
+            cluster.revoke_serial(group.serial)
             cluster.deliver_invalidations()
-            second = await replay()
+            second = await send(frame(7, 0, 0))
+            sibling = await send(frame(9, 1, 0))
+            field_hits = (
+                listener.metrics.counter("serve.decode.field_hits")
+                - field_hits
+            )
             writer.close()
             await writer.wait_closed()
             stats = listener.stats.copy()
             await listener.shutdown()
-            return first, warm, second, stats
+            return first, warm, other, second, sibling, stats, field_hits
 
-        first, warm, second, stats = asyncio.run(scenario())
-        assert first.granted
-        assert warm.granted
-        assert not second.granted
-        # With its only chain revoked the speaker is back to square one:
-        # the server challenges for a fresh proof rather than granting.
+        first, warm, other, second, sibling, stats, field_hits = (
+            asyncio.run(scenario())
+        )
+        assert first.granted and warm.granted and other.granted
+        # With their only chain revoked the speakers are back to square
+        # one: the server challenges for a fresh proof, not a grant.
         assert second.status == CHALLENGE
-        assert stats["grants"] == 2 and stats["challenges"] == 1
-        # The warm replay was served from the decode cache; the
-        # revocation moved the generation, so the third decode missed.
-        assert stats["decode_hits"] == 1 and stats["decode_misses"] == 2
+        assert sibling.status == CHALLENGE
+        assert stats["grants"] == 3 and stats["challenges"] == 2
+        # The warm replay was served from the LRU; the revocation moved
+        # the generation, so both later decodes missed it — and found
+        # transport, logical and issuer in the field memo.
+        assert stats["decode_hits"] == 1 and stats["decode_misses"] == 4
+        assert field_hits == 6
+
+    def test_sessions_share_decoded_fields_down_to_the_audit_log(
+        self, server_kp, rng
+    ):
+        # Two sessions asking the same path: one decoded ``logical`` and
+        # one ``issuer`` object between them, and the grants' audit
+        # records hold those objects, not a parse tree each.
+        backend, issuer, minted = _guard_world(server_kp, rng, sessions=2)
+
+        async def scenario():
+            listener = ServeListener(backend)
+            host, port = await listener.start()
+            client = await ServeClient.connect(host, port)
+            for session in range(2):
+                request = _request(issuer, [minted[session]], 5)
+                assert (await client.check(request)).granted
+            await client.close()
+            await listener.shutdown()
+
+        asyncio.run(scenario())
+        first, second = backend.audit.records
+        assert first.speaker != second.speaker
+        assert first.request is second.request
+        assert first.issuer is second.issuer
