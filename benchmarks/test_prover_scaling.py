@@ -106,3 +106,46 @@ def test_incremental_collection_keeps_depth_constant(benchmark):
     # Each extension explores O(1) nodes thanks to the cached prefix.
     tail = expansions[4:]
     assert max(tail) <= 8
+
+
+def _fan_in_prover(delegates):
+    """One issuer with ``delegates`` direct delegates — the shape of a
+    server holding one session chain per client."""
+    prover = Prover()
+    issuer = NamePrincipal(_BASE, "fan-in-issuer")
+    for i in range(delegates):
+        prover.add_proof(PremiseStep(SpeaksFor(
+            NamePrincipal(_BASE, "delegate%d" % i), issuer, Tag.all()
+        )))
+    return prover, issuer
+
+
+@pytest.mark.parametrize("delegates", [256, 2048])
+def test_refusal_cost_is_flat_in_graph_size(delegates):
+    """A count gate, not a timing: a speaker holding no delegation is
+    refused when its own wave runs dry, not after the issuer's whole
+    incoming bucket has been walked."""
+    prover, issuer = _fan_in_prover(delegates)
+    unknown = NamePrincipal(_BASE, "unknown-speaker")
+    for refusal in range(1, 4):
+        assert prover.find_proof(unknown, issuer) is None
+        assert prover.stats["searches"] == refusal
+        assert prover.stats["nodes_expanded"] <= 2 * refusal
+
+
+def test_cold_grant_expands_depth_not_fan_in():
+    """A depth-3 chain beside 2 048 siblings is proved from the
+    speaker's side: the cheaper frontier walks, so the issuer's incoming
+    bucket is never enumerated."""
+    prover, issuer = _fan_in_prover(2048)
+    hops = [issuer] + [NamePrincipal(_BASE, "hop%d" % i) for i in range(3)]
+    for target, subject in zip(hops, hops[1:]):
+        prover.add_proof(PremiseStep(SpeaksFor(subject, target, Tag.all())))
+    assert prover.find_proof(hops[-1], issuer) is not None
+    # One pop per chain edge, all on the speaker's side (alternating
+    # waves would spend two of four on the issuer's delegates).
+    assert prover.stats["nodes_expanded"] == 3
+    # Warm: the derived shortcut is met on the first expansion.
+    before = prover.stats["nodes_expanded"]
+    assert prover.find_proof(hops[-1], issuer) is not None
+    assert prover.stats["nodes_expanded"] - before == 1

@@ -10,7 +10,13 @@ and constructs new delegations."
   that cache deep traversals.
 - The *search* (:mod:`repro.prover.prover`) runs a bidirectional BFS —
   backward from the required issuer and forward from the subject — meeting
-  in the middle and composing transitivity steps.
+  in the middle and composing transitivity steps.  Each step walks the
+  frontier whose head node has fewer edges, and the search ends as soon as
+  either frontier runs dry, so a refusal costs what the *speaker* holds
+  (one expansion for a speaker with no delegation) and a cold grant costs
+  the chain's depth — neither grows with the graph.  The two rules and
+  the argument that each wave alone is a complete depth-bounded search
+  are stated once, on ``Prover._bidirectional``.
 - *Closures* (:mod:`repro.prover.closures`) represent principals the
   application controls (a held private key, a capability): the Prover uses
   them to complete proofs by minting the final restricted delegation.
@@ -24,8 +30,9 @@ Engine internals
 edges by usability cost: derived shortcuts (scanned first, newest first),
 wildcard edges whose tag is the universal set (no per-request tag test),
 then restricted edges.  ``incoming()``/``outgoing()`` return read-only
-views; principal and edge counts are maintained incrementally, so the BFS
-inner loop allocates nothing per expansion.
+views whose ``len()`` is O(1) — the search compares the two frontier
+heads with it every step — and principal and edge counts are maintained
+incrementally.
 
 **Shortcut LRU.**  Collected delegations are permanent; *derived* shortcut
 edges live in an LRU bounded by ``max_shortcuts`` (:class:`Prover` kwarg).

@@ -8,9 +8,10 @@ Prover simply issues a delegation KCH => A to complete the proof."
 
 The search here is *bidirectional*: a backward wave from the issuer (over
 the incoming index) and a forward wave from the subject (over the outgoing
-index) advance in lock step and meet in the middle, so a cold query over a
-chain of depth ``d`` composes its proof after roughly ``d`` expansions
-instead of exploring the full backward fan-out of every chain node.  The
+index) meet in the middle, the narrower frontier stepping first, so a cold
+query over a chain of depth ``d`` composes its proof after roughly ``d``
+expansions instead of exploring the full backward fan-out of every chain
+node, and a query with no answer ends when either wave runs dry.  The
 search is still deliberately *incomplete* — the paper cites Abadi et al.'s
 result that general access control with conjunction and quoting is
 exponential — but, as in the paper, applications collect delegations in the
@@ -65,7 +66,8 @@ class Prover:
         self.max_visits = max_visits
         # Canonical-suffix memo for derived transitivity chains, keyed by
         # the digests of the remaining leaves (see _canonical_chain);
-        # flushed whenever the graph's invalidation generation moves.
+        # flushed whenever the graph's invalidation generation moves and
+        # cleared on overflow past max_shortcuts.
         self._suffixes: Dict[Tuple[bytes, ...], Proof] = {}
         self._suffix_generation = 0
         # Search statistics, reported by the prover-scaling benchmark.
@@ -348,29 +350,55 @@ class Prover:
         is the identity at each seed).  Whenever one wave generates a node
         the other wave has reached, the two half-proofs compose — provided
         the combined chain stays within ``max_depth`` edges, preserving the
-        seed semantics of a single depth-bounded backward walk.  The
-        backward wave expands first each round so a one-hop shortcut edge
-        still satisfies a warm repeat query after a single expansion.
+        seed semantics of a single depth-bounded backward walk.
+
+        Two rules make the cost follow the answer, not the graph:
+
+        1. *Stop when a wave runs dry.*  An exhausted wave has generated
+           every node within ``max_depth`` of its seed and tested each one
+           against the other side at generation — the other seed included,
+           since a seed is ``reached`` from the start — so each wave alone
+           is a complete depth-bounded search and nothing is left for the
+           other to find.  A speaker holding no delegation is refused
+           after one expansion however much the server holds.  The one
+           exception: while this prover holds closures, an exhausted
+           *forward* wave leaves the backward wave running, because the
+           backward wave can still mint at a final principal it has not
+           popped yet.
+        2. *Walk the cheaper frontier.*  Each step expands the wave whose
+           head node has fewer edges to walk (ties go to the backward
+           wave), so a session under an issuer with hundreds of direct
+           delegates is proved in ``depth`` expansions from its own side,
+           and a warm repeat query still meets its shortcut edge on the
+           first expansion from whichever end is narrower.
+
+        Neither rule can grant more: they end a fruitless search early or
+        pick a different chain over the same edges, and the caller still
+        ``verify()``s whatever comes back.
         """
+        graph = self.graph
         backward = _Wave(issuer, backward=True)
         forward = _Wave(subject, backward=False)
-        while backward.queue or forward.queue:
-            for wave, other in ((backward, forward), (forward, backward)):
-                if not wave.queue:
-                    continue
-                found = self._expand_wave(
-                    wave,
-                    other,
-                    subject,
-                    request,
-                    min_tag,
-                    now,
-                    use_closures,
-                    needed_tag,
-                    delegation_validity,
-                )
-                if found is not None:
-                    return found
+        may_mint = use_closures and bool(self._closures)
+        while backward.queue and (forward.queue or may_mint):
+            wave, other = backward, forward
+            if forward.queue and len(
+                graph.outgoing(forward.queue[0][0])
+            ) < len(graph.incoming(backward.queue[0][0])):
+                wave, other = forward, backward
+            found = self._expand_wave(
+                wave,
+                other,
+                subject,
+                request,
+                min_tag,
+                now,
+                use_closures,
+                needed_tag,
+                delegation_validity,
+            )
+            if found is not None:
+                return found
         return None
 
     def _expand_wave(
@@ -542,6 +570,11 @@ class Prover:
             cached = self._suffixes.get(key)
             if cached is None:
                 cached = TransitivityStep(leaves[index], chain)
+                # Clear-on-overflow under the shortcut bound: the memo
+                # only buys sharing, and must not keep an evicted
+                # shortcut's proof reachable.
+                if len(self._suffixes) >= self.graph.max_shortcuts:
+                    self._suffixes.clear()
                 self._suffixes[key] = cached
             chain = cached
         if chain.conclusion != proof.conclusion:

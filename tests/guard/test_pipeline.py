@@ -215,6 +215,48 @@ class TestSessionCredential:
                 )
             )
 
+    def test_chainless_session_refusal_is_flat_in_graph_size(self, world, rng):
+        """A MAC session holding no delegation is challenged after at
+        most two prover expansions per refusal, however many delegations
+        the guard holds — and the challenge is the one an empty guard
+        gives, down to the wire bytes."""
+        from repro.core.principals import NamePrincipal
+        from repro.serve.protocol import (
+            CHALLENGE, Reply, decision_reply, encode_reply,
+        )
+
+        issuer = world["issuer"]
+        loaded = Guard(world["trust"], prover=Prover(), check_charge=None)
+        for index in range(256):
+            loaded.prover.add_proof(PremiseStep(SpeaksFor(
+                NamePrincipal(issuer, "delegate%d" % index), issuer, Tag.all()
+            )))
+        empty = Guard(world["trust"], prover=Prover(), check_charge=None)
+        frames = []
+        for guard in (loaded, empty):
+            mac_id, mac_key = guard.sessions.mint(rng)
+            message = b"GET /doc"
+            request = GuardRequest(
+                REQUEST,
+                issuer=issuer,
+                credential=SessionCredential(
+                    mac_id, mac_key.tag(message), message
+                ),
+                transport="http",
+            )
+            for refusal in range(1, 4):
+                (decision,) = guard.check_many([request])
+                error = decision.error
+                assert type(error) is NeedAuthorizationError
+                assert error.issuer == issuer
+                assert error.tag == request.effective_min_tag()
+                assert guard.prover.stats["searches"] == refusal
+                assert guard.prover.stats["nodes_expanded"] <= 2 * refusal
+            frames.append(encode_reply(decision_reply(7, decision)))
+        assert frames[0] == frames[1] == encode_reply(Reply(
+            CHALLENGE, 7, issuer=issuer, tag=request.effective_min_tag()
+        ))
+
     def test_registry_is_lru_bounded(self, rng):
         registry = SessionRegistry(max_sessions=4)
         for _ in range(10):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.principals import KeyPrincipal, QuotingPrincipal
+from repro.core.principals import KeyPrincipal, NamePrincipal, QuotingPrincipal
 from repro.core.proofs import (
+    PremiseStep,
     SignedCertificateStep,
     VerificationContext,
 )
@@ -22,6 +23,11 @@ def principals(alice_kp, bob_kp, carol_kp, server_kp):
         "C": KeyPrincipal(carol_kp.public),
         "S": KeyPrincipal(server_kp.public),
     }
+
+
+def _delegate(prover, subject, issuer):
+    """Collect the premise ``subject => issuer``, unrestricted."""
+    prover.add_proof(PremiseStep(SpeaksFor(subject, issuer, Tag.all())))
 
 
 class TestFindProof:
@@ -266,3 +272,122 @@ class TestLimits:
         for subject, issuer in zip(hops, hops[1:]):
             deep_prover.add_proof(PremiseStep(SpeaksFor(subject, issuer, Tag.all())))
         assert deep_prover.find_proof(principals["C"], A) is not None
+
+    @staticmethod
+    def _chain(prover, issuer, length, wide, width=32):
+        """``length`` premise edges from a fresh subject up to ``issuer``,
+        with ``width`` dead-end edges hung on one node to steer the
+        walk: on the issuer (fan-in: the forward wave is cheaper), on the
+        subject (fan-out: the backward wave is), or into the node two
+        hops below the issuer (the backward wave walks down to it, then
+        the forward wave walks up to it, and they meet there)."""
+        hops = [issuer] + [
+            NamePrincipal(issuer, "hop%d" % i) for i in range(length)
+        ]
+        for target, subject in zip(hops, hops[1:]):
+            _delegate(prover, subject, target)
+        subject = hops[-1]
+        for i in range(width):
+            aside = NamePrincipal(issuer, "aside%d" % i)
+            if wide == "subject":
+                _delegate(prover, subject, aside)
+            else:
+                _delegate(
+                    prover, aside, issuer if wide == "issuer" else hops[2]
+                )
+        return subject
+
+    @pytest.mark.parametrize("wide", ["issuer", "subject", "middle"])
+    def test_meet_rule_at_the_depth_boundary(self, principals, wide):
+        """A chain of exactly ``max_depth`` edges is found and one of
+        ``max_depth + 1`` is not — whichever wave walks it, and when
+        both do (``other_depth + child_depth <= max_depth``)."""
+        issuer, depth = principals["A"], 4
+        prover = Prover(max_depth=depth)
+        subject = self._chain(prover, issuer, depth, wide)
+        proof = prover.find_proof(subject, issuer)
+        assert proof is not None
+        assert (proof.conclusion.subject, proof.conclusion.issuer) == (
+            subject, issuer
+        )
+        # One pop per chain edge, none spent on the 32 dead ends.
+        assert prover.stats["nodes_expanded"] == depth
+
+        too_deep = Prover(max_depth=depth)
+        subject = self._chain(too_deep, issuer, depth + 1, wide)
+        assert too_deep.find_proof(subject, issuer) is None
+        if wide != "middle":
+            # The walking wave popped its seed and every chain node, the
+            # one at max_depth included (popped, counted, not expanded).
+            assert too_deep.stats["nodes_expanded"] == depth + 1
+
+
+class TestEarlyTermination:
+    """The search ends when a wave runs dry; the counters keep their
+    meaning (one ``searches`` per search, one ``nodes_expanded`` per
+    popped queue entry), so they compare across commits."""
+
+    @staticmethod
+    def _delegates(prover, issuer, count):
+        for i in range(count):
+            _delegate(prover, NamePrincipal(issuer, "delegate%d" % i), issuer)
+
+    def test_refusal_counts_one_search_and_each_popped_node(self, principals):
+        prover = Prover()
+        self._delegates(prover, principals["A"], 8)
+        # A speaker with no delegation: its wave dies on the first pop.
+        assert prover.find_proof(principals["C"], principals["A"]) is None
+        assert prover.stats["searches"] == 1
+        assert prover.stats["nodes_expanded"] == 1
+        # A speaker whose two delegations lead nowhere near the issuer:
+        # three pops (itself and both dead-end hops), still one search.
+        aside = [NamePrincipal(principals["S"], "aside%d" % i) for i in range(2)]
+        for subject, issuer in zip([principals["B"]] + aside, aside):
+            _delegate(prover, subject, issuer)
+        assert prover.find_proof(principals["B"], principals["A"]) is None
+        assert prover.stats["searches"] == 2
+        assert prover.stats["nodes_expanded"] == 1 + 3
+
+    def test_exhausted_forward_wave_leaves_a_minting_prover_running(
+        self, alice_kp, server_kp, principals, rng
+    ):
+        """``prove()`` with closures is the exception: the subject holds
+        nothing, yet the backward wave must go on to the final principal
+        behind the issuer's other delegates and mint there."""
+        prover = Prover()
+        self._delegates(prover, principals["S"], 8)
+        prover.add_certificate(
+            Certificate.issue(server_kp, principals["A"], Tag.all(), rng=rng)
+        )
+        assert prover.prove(principals["B"], principals["S"], request=["web"]) is None
+        prover.control(KeyClosure(alice_kp, rng))
+        assert prover.find_proof(principals["B"], principals["S"], request=["web"]) is None
+        proof = prover.prove(principals["B"], principals["S"], request=["web"])
+        assert proof is not None
+        proof.verify(VerificationContext())
+        assert proof.conclusion.subject == principals["B"]
+
+
+class TestSuffixMemoBound:
+    def test_memo_stays_within_max_shortcuts(self, principals):
+        """More distinct derived chains than ``max_shortcuts``: the
+        canonical-suffix memo is cleared on overflow instead of pinning
+        every chain ever derived, and an evicted chain is re-derived."""
+        bound = 4
+        prover = Prover(max_shortcuts=bound)
+        issuer = principals["A"]
+        middle = NamePrincipal(issuer, "middle")
+        _delegate(prover, middle, issuer)
+        leaves = [NamePrincipal(issuer, "leaf%d" % i) for i in range(3 * bound)]
+        for leaf in leaves:
+            _delegate(prover, leaf, middle)
+        for leaf in leaves:
+            assert prover.find_proof(leaf, issuer) is not None
+            assert len(prover._suffixes) <= bound
+        assert prover.graph.shortcut_count <= bound
+        assert prover.stats["shortcut_evictions"] == len(leaves) - bound
+        # The first chain's shortcut and memo entry are both long gone.
+        again = prover.find_proof(leaves[0], issuer)
+        assert again is not None
+        assert again.conclusion.subject == leaves[0]
+        assert len(prover._suffixes) <= bound
