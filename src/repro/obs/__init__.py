@@ -10,7 +10,7 @@ assertable in benchmarks:
   with percentile summaries), timestamped via an injected monotonic
   :class:`~repro.core.timebase` so SimClock tests stay deterministic;
 - :mod:`repro.obs.trace` — :class:`Trace`/:class:`Span` context born at
-  the serve reader pump (or ``Guard.check`` entry for in-process
+  the serve listener's connection (or ``Guard.check`` entry for in-process
   callers), flowing through cluster dispatch → the guard
   pipeline, stamping each request with the stage that granted it and
   writing span ids into every :class:`AuditRecord`.

@@ -1,7 +1,7 @@
 """Request tracing: one trace per logical request, one span per hop.
 
 A *trace* is a 64-bit hex id minted where a request is born — in the
-serve client (so a wire retry reuses it), in the listener's reader pump
+serve client (so a wire retry reuses it), in the listener's connection
 for requests that arrive without one, or at ``Guard.check`` entry for
 in-process callers.  A *span* is one timed hop within a trace: the
 serve layer opens a ``serve.request`` span per frame, and the guard

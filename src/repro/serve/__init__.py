@@ -7,15 +7,15 @@ thin — a 4-byte length prefix framing one canonical S-expression per
 message (:mod:`repro.serve.protocol`) — because the interesting part is
 what the *server* does between frames:
 
-- **Pipelining → batching.** A connection's reader keeps pulling frames
-  while earlier ones are being served; whatever has accumulated when
-  the dispatch loop comes around is coalesced into one
-  ``check_many`` batch, so in-flight pipelined requests pay one
-  premise snapshot and one meter charge per batch, not per request
+- **Pipelining → batching.** Each connection is served from its own
+  ``data_received``: the complete frames of one recv are coalesced
+  into one ``check_many`` batch (at most ``max_batch``), so in-flight
+  pipelined requests pay one premise snapshot and one meter charge per
+  batch, not per request, and a batch of one costs one loop wake-up
   (:mod:`repro.serve.server`).
-- **Backpressure.** Each connection has a bounded in-flight window;
-  when it fills, the reader stops pulling frames and the kernel's TCP
-  window pushes back on the client.
+- **Backpressure.** The transport's own: a peer that does not read its
+  replies stops being served and stops being read, and the kernel's
+  TCP window pushes back on its writes.
 - **Failure mapping.** A batch that routes onto a crashed cluster node
   raises :class:`~repro.core.errors.NodeUnavailableError`; the server
   triggers the failure sweep and answers RETRY, and the client

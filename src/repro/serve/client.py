@@ -4,9 +4,10 @@ The client exists for the benchmarks and tests, but it is a faithful
 model of what any consumer of this protocol must do:
 
 - **Pipelining.** Requests carry client-assigned ids, so a client can
-  keep many in flight and match replies as they arrive.  One receiver
-  coroutine resolves a future per id; ``check_pipelined`` fans a whole
-  workload through the window without waiting request-by-request.
+  keep many in flight and match replies as they arrive.  The client is
+  an :class:`asyncio.Protocol` like the server's connections: its
+  ``data_received`` resolves a future per id, and ``check_pipelined``
+  fans a whole workload through without waiting request-by-request.
   Server-side, those in-flight frames are what coalesce into
   ``check_many`` batches — pipelining is the *client's* half of the
   batching optimisation.
@@ -40,13 +41,11 @@ from repro.serve.protocol import (
 )
 
 
-class ServeClient:
+class ServeClient(asyncio.Protocol):
     """One connection to a :class:`~repro.serve.server.ServeListener`."""
 
     def __init__(
         self,
-        reader,
-        writer,
         max_frame: int = MAX_FRAME,
         rng=None,
         metrics=None,
@@ -54,8 +53,6 @@ class ServeClient:
     ):
         if trace_sample < 1:
             raise ValueError("trace_sample must be at least 1")
-        self.reader = reader
-        self.writer = writer
         self.max_frame = max_frame
         self.rng = rng  # trace-id entropy; None uses the default RNG
         self.metrics = default_registry(metrics)
@@ -66,7 +63,7 @@ class ServeClient:
         #: at its own sample rate; the ids just will not be client-known.
         self.trace_sample = trace_sample
         self._trace_births = 0
-        #: Frames staged since the last drain point.  ``_dispatch`` only
+        #: Frames staged since the last flush.  ``_dispatch`` only
         #: queues bytes here; ``_flush`` joins and writes them as one
         #: buffer, so a pipelined window costs one socket send instead
         #: of one per request (and lands on the server as one read,
@@ -76,44 +73,35 @@ class ServeClient:
         #: Replies that matched no pending request (e.g. the server's
         #: id-0 report of an unparseable frame) — kept for inspection.
         self.orphans: List[Reply] = []
-        #: request id -> the trace id its frame carries (check commands
-        #: only), so callers can join replies to server-side traces.
-        self.trace_ids: Dict[int, str] = {}
+        #: The socket; raw frames may be written to it directly.
+        self.transport: Optional[asyncio.Transport] = None
+        self._buffer = FrameBuffer(max_frame)
         self._next_id = 1
         self._futures: Dict[int, "asyncio.Future"] = {}
         self._sent_frames: Dict[int, bytes] = {}
         self._retried: Set[int] = set()
-        self._receiver = asyncio.ensure_future(self._receive())
+        #: Pending while the transport's write buffer is over its high
+        #: water mark; ``_flush`` waits on it.
+        self._writable: Optional["asyncio.Future"] = None
+        self._closed: "asyncio.Future" = (
+            asyncio.get_running_loop().create_future()
+        )
 
     @classmethod
-    async def connect(
-        cls,
-        host: str,
-        port: int,
-        max_frame: int = MAX_FRAME,
-        rng=None,
-        metrics=None,
-        trace_sample: int = 1,
-    ) -> "ServeClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, max_frame=max_frame, rng=rng,
-                   metrics=metrics, trace_sample=trace_sample)
+    async def connect(cls, host: str, port: int, **options) -> "ServeClient":
+        """Open a connection; ``options`` are the constructor's."""
+        _, client = await asyncio.get_running_loop().create_connection(
+            lambda: cls(**options), host, port
+        )
+        return client
 
     async def close(self) -> None:
-        self._receiver.cancel()
-        try:
-            await self._receiver
-        except asyncio.CancelledError:
-            pass
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            self.metrics.inc("serve.client.close_errors")
+        self.transport.close()
+        await self._closed
 
     # -- sending -----------------------------------------------------------
 
-    def _ensure_trace(self, request: GuardRequest) -> Optional[str]:
+    def _ensure_trace(self, request: GuardRequest) -> None:
         """Mint a trace id for ``request`` unless the caller set one.
 
         Minted *before* framing, so the id rides inside the stored
@@ -125,23 +113,18 @@ class ServeClient:
             if self.trace_sample > 1:
                 self._trace_births += 1
                 if (self._trace_births - 1) % self.trace_sample:
-                    return None
+                    return
             request.trace = new_trace_id(self.rng)
-        return request.trace
 
-    def _dispatch(
-        self, encoder, retryable: bool, trace: Optional[str] = None
-    ) -> "asyncio.Future":
+    def _dispatch(self, encoder, retryable: bool) -> "asyncio.Future":
         """Assign an id, frame and queue one command; the returned future
-        resolves when its reply arrives (no drain here — callers batch
-        drains)."""
+        resolves when its reply arrives (no write here — callers batch
+        flushes)."""
         request_id = self._next_id
         self._next_id += 1
         framed = encode_frame(encoder(request_id), self.max_frame)
         if retryable:
             self._sent_frames[request_id] = framed
-        if trace is not None:
-            self.trace_ids[request_id] = trace
         future = asyncio.get_running_loop().create_future()
         self._futures[request_id] = future
         self._outbox.append(framed)
@@ -149,8 +132,9 @@ class ServeClient:
         return future
 
     async def _flush(self) -> None:
-        """Write everything staged since the last flush as one buffer
-        and drain: the client half of write coalescing."""
+        """Write everything staged since the last flush as one buffer,
+        then wait while the transport is over its high water mark: the
+        client half of write coalescing."""
         if self._outbox:
             payload = (
                 self._outbox[0]
@@ -158,15 +142,15 @@ class ServeClient:
                 else b"".join(self._outbox)
             )
             del self._outbox[:]
-            self.writer.write(payload)
-        await self.writer.drain()
+            self.transport.write(payload)
+        if self._writable is not None:
+            await self._writable
 
     async def check(self, request: GuardRequest) -> Reply:
         """One request, one reply — the serial (unpipelined) shape."""
-        trace = self._ensure_trace(request)
+        self._ensure_trace(request)
         future = self._dispatch(
-            lambda rid: encode_check(rid, request), retryable=True,
-            trace=trace,
+            lambda rid: encode_check(rid, request), retryable=True
         )
         await self._flush()
         return await future
@@ -175,16 +159,15 @@ class ServeClient:
         self, requests: List[GuardRequest]
     ) -> List[Reply]:
         """Send every request before waiting for any reply.  The frames
-        land back-to-back on the server's in-flight queue, which is what
-        lets it coalesce them into ``check_many`` batches."""
-        futures = [
-            self._dispatch(
+        reach the server back-to-back in one recv, which is what lets it
+        coalesce them into ``check_many`` batches."""
+        futures = []
+        for request in requests:
+            self._ensure_trace(request)
+            futures.append(self._dispatch(
                 lambda rid, request=request: encode_check(rid, request),
                 retryable=True,
-                trace=self._ensure_trace(request),
-            )
-            for request in requests
-        ]
+            ))
         await self._flush()
         return list(await asyncio.gather(*futures))
 
@@ -208,24 +191,35 @@ class ServeClient:
 
     # -- receiving ---------------------------------------------------------
 
-    async def _receive(self) -> None:
-        # Chunk reads through a FrameBuffer instead of two awaits per
-        # frame: a pipelined window's replies arrive as one coalesced
-        # buffer, and this drains them all on a single loop wakeup.
-        buffer = FrameBuffer(self.max_frame)
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        # A pipelined window's replies arrive as one coalesced buffer;
+        # this resolves them all on a single loop wakeup.
+        self._buffer.feed(data)
         try:
-            while True:
-                chunk = await self.reader.read(1 << 16)
-                if not chunk:
-                    break
-                buffer.feed(chunk)
-                for payload in buffer.frames():
-                    self._resolve(decode_reply(payload))
-        except (ConnectionError, OSError, WireError) as exc:
+            for payload in self._buffer.frames():
+                self._resolve(decode_reply(payload))
+        except WireError as exc:
             self.metrics.inc("serve.client.receive_errors")
             self._fail_pending(exc)
-            return
-        self._fail_pending(WireError("connection closed by server"))
+            self.transport.close()
+
+    def pause_writing(self) -> None:
+        self._writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        writable, self._writable = self._writable, None
+        if writable is not None and not writable.done():
+            writable.set_result(None)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if exc is not None:
+            self.metrics.inc("serve.client.receive_errors")
+        self._fail_pending(exc or WireError("connection closed"))
+        self.resume_writing()
+        self._closed.set_result(None)
 
     def _resolve(self, reply: Reply) -> None:
         request_id = reply.request_id
@@ -237,7 +231,7 @@ class ServeClient:
             # The server re-swept the ring; resend this frame once.
             self._retried.add(request_id)
             self.stats["retries"] += 1
-            self.writer.write(self._sent_frames[request_id])
+            self.transport.write(self._sent_frames[request_id])
             return
         future = self._futures.pop(request_id, None)
         self._sent_frames.pop(request_id, None)

@@ -44,9 +44,8 @@ Server replies:
   command, oversize payload); ``<id>`` is 0 when the id itself was
   unreadable;
 - ``(proof-ok <id>)``;
-- ``(pong <id> [(uptime <seconds>)] [(inflight <n> <window>)])`` — the
-  liveness reply doubles as a cheap health probe: listener uptime plus
-  current in-flight queue occupancy against its window;
+- ``(pong <id> [(uptime <seconds>)])`` — the liveness reply doubles as
+  a cheap health probe: listener uptime;
 - ``(stats-ok <id> <value>)`` — the listener's metrics snapshot, as the
   tagged value encoding of :func:`value_to_sexp`.
 """

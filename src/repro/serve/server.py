@@ -1,25 +1,29 @@
 """The asyncio listener: pipelining, batching, backpressure, shutdown.
 
 One :class:`ServeListener` owns one listening socket and any number of
-connections.  Each connection runs two coroutines:
+connections.  Each connection is one :class:`asyncio.Protocol`, and the
+whole serving path runs inside its ``data_received``: the bytes of one
+recv go through a :class:`~repro.serve.protocol.FrameBuffer`, and the
+complete frames — at most ``max_batch`` of them — are decoded, checked
+in a single ``check_many`` call, encoded and written before the callback
+returns.  A pipelined client therefore pays one premise snapshot and one
+meter charge per *recv* rather than per request; a serial client (one
+request in flight) degenerates naturally to batches of one — same code
+path, no mode switch, one loop wake-up.  With frames left over, the
+connection stops reading and takes its next slice on the next loop turn
+(``call_soon``), so a deep pipeline holds the loop for one batch at a
+time while other connections wait.
 
-- a **reader pump** that pulls frames off the socket into a bounded
-  queue.  When the queue is full the pump stops reading — that is the
-  whole backpressure mechanism: an unread socket fills the kernel
-  buffer, TCP closes the window, and the client's writes stall until
-  the server catches up.  Nothing is dropped and no memory grows.
-- a **dispatch loop** that takes whatever frames have accumulated
-  (up to ``max_batch``) and serves them as *one* unit: all the checks
-  in the batch go down in a single ``check_many`` call, so a pipelined
-  client pays one premise snapshot and one meter charge per batch
-  rather than per request.  A serial client (one request in flight)
-  degenerates naturally to batches of one — same code path, no mode
-  switch.
+Backpressure is the transport's own.  A peer that does not read its
+replies fills the kernel buffer, then the transport's write buffer;
+``pause_writing`` stops the connection serving and reading, the unread
+socket closes the TCP window, and the peer's writes stall until it
+reads again.  Nothing is dropped and no memory grows.
 
 The backend is called directly on the listener's event loop, and that
 loop is the only thread of control that touches it: a batch is decoded,
-checked and answered between two awaits, so nothing else observes
-the backend mid-batch ("Concurrency model" in ``docs/serve.md``).
+checked and answered inside one callback, so nothing else observes the
+backend mid-batch ("Concurrency model" in ``docs/serve.md``).
 
 A batch that routes onto a crashed cluster node raises
 :class:`~repro.core.errors.NodeUnavailableError` out of ``check_many``.
@@ -33,8 +37,8 @@ one final leave, and every post-flip lookup resolves to a live,
 already-warm node (see ``docs/serve.md`` and ``docs/cluster.md``).
 
 Graceful shutdown closes the listening socket first (new connects are
-refused), then asks each connection to stop reading, serve what it has
-already accepted, and close.  Nothing accepted is abandoned.
+refused), then lets each connection serve the complete frames it has
+already buffered and close.  Nothing accepted is abandoned.
 """
 
 from __future__ import annotations
@@ -58,11 +62,11 @@ from repro.serve.protocol import (
     STATS_OK,
     Command,
     DecodeCache,
+    FrameBuffer,
     Reply,
     WireError,
     decision_reply,
     encode_reply,
-    read_frame,
 )
 
 _STATUS_COUNTERS = {
@@ -84,21 +88,17 @@ class ServeListener:
         port: int = 0,
         name: str = "listener",
         max_batch: int = 64,
-        inflight_window: int = 64,
         max_frame: int = MAX_FRAME,
         metrics=None,
         tracer=None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if inflight_window < 1:
-            raise ValueError("inflight_window must be at least 1")
         self.backend = backend
         self.host = host
         self.port = port
         self.name = name
         self.max_batch = max_batch
-        self.inflight_window = inflight_window
         self.max_frame = max_frame
         self.closing = False
         # A listener inherits the backend's registry/tracer so serve
@@ -135,12 +135,13 @@ class ServeListener:
         self.metrics.register_source("serve.%s" % name, self.stats)
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set["_Connection"] = set()
+        self._drained: Optional["asyncio.Future"] = None
 
     async def start(self) -> Tuple[str, int]:
         """Bind and listen; returns ``(host, port)`` with the real port
         filled in when 0 was requested (benchmarks bind ephemeral)."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         bound = self._server.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
@@ -157,26 +158,25 @@ class ServeListener:
     def address(self) -> Tuple[str, int]:
         return self.host, self.port
 
-    async def _handle(self, reader, writer) -> None:
-        if self.closing:
-            writer.close()
-            return
-        connection = _Connection(self, reader, writer)
-        self._connections.add(connection)
-        self.stats["connections"] += 1
-        try:
-            await connection.run()
-        finally:
-            self._connections.discard(connection)
-
     async def shutdown(self) -> None:
-        """Refuse new connections, drain accepted work, close sockets."""
+        """Refuse new connections, serve what is buffered, close sockets."""
         self.closing = True
         if self._server is not None:
             self._server.close()
+        if self._connections:
+            if self._drained is None:
+                self._drained = asyncio.get_running_loop().create_future()
+            for connection in list(self._connections):
+                connection.finish()
+            await self._drained
+        if self._server is not None:
             await self._server.wait_closed()
-        for connection in list(self._connections):
-            await connection.drain_and_close()
+
+    def _forget(self, connection: "_Connection") -> None:
+        self._connections.discard(connection)
+        if self._drained is not None and not self._connections:
+            self._drained.set_result(None)
+            self._drained = None
 
     def repair(self) -> None:
         """A batch routed onto a corpse: run the backend's failure sweep
@@ -198,123 +198,129 @@ class ServeListener:
         return "ServeListener(%s @ %s:%d)" % (self.name, self.host, self.port)
 
 
-class _Connection:
-    """One accepted socket: a reader pump feeding a dispatch loop
-    through a bounded queue (the in-flight window)."""
+class _Connection(asyncio.Protocol):
+    """One accepted socket, served from its own ``data_received``."""
 
-    def __init__(self, listener: ServeListener, reader, writer):
+    def __init__(self, listener: ServeListener):
         self.listener = listener
-        self.reader = reader
-        self.writer = writer
-        self.queue: "asyncio.Queue" = asyncio.Queue(
-            maxsize=listener.inflight_window
-        )
-        self.draining = False
-        self._eof = False
+        self.transport: Optional[asyncio.Transport] = None
+        self._buffer = FrameBuffer(listener.max_frame)
+        #: Complete frames not yet served (empty whenever the socket is
+        #: being read, so it holds at most one recv's worth).
+        self._frames: List[bytes] = []
+        #: EOF, a framing error or shutdown: serve ``_frames``, then close.
+        self._ending = False
         self._wire_error: Optional[WireError] = None
-        self._pump_task: Optional["asyncio.Task"] = None
-        self._done = asyncio.Event()
+        self._write_paused = False
+        self._turn: Optional[asyncio.Handle] = None
 
-    async def run(self) -> None:
-        self._pump_task = asyncio.ensure_future(self._pump())
+    # -- transport callbacks -------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        listener = self.listener
+        if listener.closing:
+            transport.close()
+            return
+        listener._connections.add(self)
+        listener.stats["connections"] += 1
+
+    def data_received(self, data: bytes) -> None:
+        # Reading is paused while frames are left over or a turn is
+        # scheduled, so every recv finds neither: serve in place.
+        self._buffer.feed(data)
         try:
-            await self._dispatch_loop()
-        finally:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-            self.writer.close()
-            try:
-                await self.writer.wait_closed()
-            except (ConnectionError, OSError):
-                self.listener.metrics.inc("serve.conn.close_errors")
-            self._done.set()
-
-    async def drain_and_close(self) -> None:
-        """Stop reading, serve everything already accepted, close."""
-        self.draining = True
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-        self._nudge()
-        await self._done.wait()
-
-    # -- reader pump -------------------------------------------------------
-
-    async def _pump(self) -> None:
-        """Socket → queue.  ``queue.put`` blocking on a full queue is the
-        backpressure: while we are parked here, nobody reads the socket,
-        and TCP stalls the client."""
-        try:
-            while True:
-                frame = await read_frame(self.reader, self.listener.max_frame)
-                if frame is None:
-                    break
-                if self.queue.full():
-                    self.listener.stats["paused"] += 1
-                await self.queue.put(
-                    (frame, self.listener.metrics.timebase.now())
-                )
+            self._frames.extend(self._buffer.frames())
         except WireError as exc:
-            self.listener.metrics.inc("serve.conn.wire_errors")
-            self._wire_error = exc
-        except (ConnectionError, OSError):
-            # Peer vanished; the dispatch loop drains what arrived.
-            self.listener.metrics.inc("serve.conn.read_errors")
-        finally:
-            self._eof = True
-            self._nudge()
+            # Unframeable from here on; what came before is still owed
+            # an answer.
+            self._fail(exc)
+        self._serve_slice()
 
-    def _nudge(self) -> None:
-        """Wake a dispatch loop blocked on an empty queue.  A full queue
-        needs no sentinel — ``get`` cannot be blocked on it."""
-        try:
-            self.queue.put_nowait(None)
-        except asyncio.QueueFull:
-            pass
+    def eof_received(self) -> bool:
+        if self._buffer.pending():
+            self._fail(WireError("connection closed inside a frame"))
+        self.finish()
+        return True  # keep the write side open: we close once served
 
-    # -- dispatch loop -----------------------------------------------------
+    def pause_writing(self) -> None:
+        # The peer is not reading its replies: stop serving it, and stop
+        # reading it so TCP pushes back on its writes.
+        self._write_paused = True
+        self.listener.stats["paused"] += 1
+        self.transport.pause_reading()
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            if self.queue.empty() and (self._eof or self.draining):
-                break
-            entry = await self.queue.get()
-            batch: List[Tuple[bytes, float]] = (
-                [] if entry is None else [entry]
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._kick()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if exc is not None:
+            # Peer vanished (reset, broken pipe); nobody is left to answer.
+            self.listener.metrics.inc("serve.conn.aborted")
+        self.listener._forget(self)
+
+    # -- serving -------------------------------------------------------------
+
+    def finish(self) -> None:
+        """Serve the complete frames already buffered, then close."""
+        self._ending = True
+        self._kick()
+
+    def _fail(self, exc: WireError) -> None:
+        self.listener.metrics.inc("serve.conn.wire_errors")
+        self._wire_error = exc
+        self._ending = True
+
+    def _kick(self) -> None:
+        """Re-enter the serving path from outside a recv — unless its
+        next turn is already scheduled."""
+        if self._turn is None:
+            self._serve_slice()
+
+    def _serve_slice(self) -> None:
+        """Serve at most ``max_batch`` buffered frames, then decide what
+        the connection waits for next: the peer reading (``resume_writing``
+        re-enters here), its own next loop turn (frames remain — the other
+        connections go first), the close, or more bytes."""
+        self._turn = None
+        transport = self.transport
+        if transport.is_closing():
+            return
+        frames = self._frames
+        if frames and not self._write_paused:
+            max_batch = self.listener.max_batch
+            batch = frames[:max_batch]
+            del frames[:max_batch]
+            self._serve(batch)
+        if self._write_paused:
+            return
+        if frames:
+            transport.pause_reading()
+            self._turn = asyncio.get_running_loop().call_soon(
+                self._serve_slice
             )
-            while len(batch) < self.listener.max_batch:
-                try:
-                    extra = self.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is not None:
-                    batch.append(extra)
-            if batch:
-                served = await self._serve(batch)
-                if not served:
-                    break
-        if self._wire_error is not None:
-            await self._write_replies(
-                [Reply(ERROR, 0, message=str(self._wire_error))]
-            )
+        elif self._ending:
+            if self._wire_error is not None:
+                self._write_replies(
+                    [Reply(ERROR, 0, message=str(self._wire_error))]
+                )
+            transport.close()  # flushes what is still buffered
+        else:
+            transport.resume_reading()
 
-    async def _serve(self, entries: List[Tuple[bytes, float]]) -> bool:
-        """Serve one coalesced batch; returns False when the peer is
-        gone and the connection should wind down."""
+    def _serve(self, payloads: List[bytes]) -> None:
+        """Decode, check and answer one batch."""
         listener = self.listener
         stats = listener.stats
         metrics = listener.metrics
         tracer = listener.tracer
-        now = metrics.timebase.now()
         stats["batches"] += 1
-        stats["frames"] += len(entries)
-        metrics.observe("serve.batch_size", len(entries),
+        stats["frames"] += len(payloads)
+        metrics.observe("serve.batch_size", len(payloads),
                         buckets=SIZE_BUCKETS)
-        replies: List[Optional[Reply]] = [None] * len(entries)
+        replies: List[Optional[Reply]] = [None] * len(payloads)
         checks = []  # (slot, request_id, GuardRequest, span)
-        spans = {}   # slot -> the request's serve-layer span
         # One generation read per batch: every cached decode this batch
         # serves is vouched for by the trust state as of *now*.  (Hits
         # are transparent anyway — the pipeline re-verifies — but the
@@ -322,9 +328,7 @@ class _Connection:
         cache = listener.decode_cache
         generation = getattr(listener.backend, "invalidation_generation", 0)
         hits, misses = cache.hits, cache.misses
-        for slot, (payload, arrived_at) in enumerate(entries):
-            metrics.observe("serve.queue_wait_ms",
-                            (now - arrived_at) * 1000.0)
+        for slot, payload in enumerate(payloads):
             try:
                 command = cache.decode(payload, generation)
             except WireError as exc:
@@ -335,12 +339,8 @@ class _Connection:
                 continue
             if command.op == "ping":
                 stats["pings"] += 1
-                replies[slot] = Reply(
-                    PONG, command.request_id,
-                    uptime=listener.uptime_s(),
-                    inflight=self.queue.qsize(),
-                    window=listener.inflight_window,
-                )
+                replies[slot] = Reply(PONG, command.request_id,
+                                      uptime=listener.uptime_s())
             elif command.op == "stats":
                 stats["stats_requests"] += 1
                 replies[slot] = Reply(STATS_OK, command.request_id,
@@ -356,7 +356,6 @@ class _Connection:
                                          activate=False)
                 if command.body.trace is None:
                     command.body.trace = span.trace_id
-                spans[slot] = span
                 checks.append(
                     (slot, command.request_id, command.body, span)
                 )
@@ -368,7 +367,7 @@ class _Connection:
             metrics.inc("serve.decode.misses", cache.misses - misses)
         if checks:
             self._serve_checks(checks, replies)
-        for slot, span in spans.items():
+        for slot, _, _, span in checks:
             reply = replies[slot]
             if reply is not None:
                 span.annotate("status", reply.status)
@@ -380,9 +379,7 @@ class _Connection:
             # Finish before the write so a STATS probe sent after the
             # reply lands sees these spans' histograms already updated.
             tracer.finish(span)
-        return await self._write_replies(
-            [reply for reply in replies if reply is not None]
-        )
+        self._write_replies([reply for reply in replies if reply is not None])
 
     def _serve_checks(self, checks, replies) -> None:
         """The tentpole hot path: every check in the batch rides one
@@ -431,28 +428,24 @@ class _Connection:
         listener.stats["proofs"] += 1
         return Reply(PROOF_OK, command.request_id)
 
-    async def _write_replies(self, replies: List[Reply]) -> bool:
-        """Write a batch's replies as one buffer, one drain."""
-        if not replies:
-            return True
+    def _write_replies(self, replies: List[Reply]) -> None:
+        """Write a batch's replies as one buffer, one ``write``."""
         # max_frame bounds what we *accept*; our own replies are framed
-        # against the protocol ceiling.  One growing buffer, one write,
-        # one drain for the whole batch — header and body appended
+        # against the protocol ceiling.  Header and body are appended
         # directly, no per-reply frame concatenation.
         buffer = bytearray()
         for reply in replies:
             body = encode_reply(reply)
             if len(body) > MAX_FRAME:
-                raise WireError(
-                    "reply frame of %d bytes exceeds the %d-byte "
-                    "ceiling" % (len(body), MAX_FRAME)
-                )
+                # One unframeable reply (a huge stats snapshot) costs
+                # its own request an ERROR, not the batch its answers.
+                self.listener.metrics.inc("serve.replies.oversize")
+                body = encode_reply(self.listener._count(Reply(
+                    ERROR, reply.request_id,
+                    message="reply of %d bytes exceeds the %d-byte "
+                    "frame ceiling" % (len(body), MAX_FRAME),
+                )))
             buffer += HEADER.pack(len(body))
             buffer += body
-        try:
-            self.writer.write(bytes(buffer))
-            await self.writer.drain()
-        except (ConnectionError, OSError):
-            self.listener.metrics.inc("serve.conn.write_errors")
-            return False
-        return True
+        if buffer:
+            self.transport.write(buffer)

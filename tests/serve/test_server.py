@@ -1,10 +1,11 @@
-"""The listener itself: batching, backpressure, shutdown, crash retry.
+"""The listener itself: batching, shutdown, crash retry.
 
-Coalescing and backpressure need no timing: ``check_pipelined`` writes
-its whole window as one buffer, and client and listener share one event
-loop, so the reader pump finds every frame of the window already
-buffered and queues them (or overflows the in-flight window) in one
-uninterrupted slice before the dispatch loop forms its next batch.
+Coalescing needs no timing: ``check_pipelined`` writes its whole window
+as one buffer, and client and listener share one event loop, so the
+connection's ``data_received`` finds every frame of the window in one
+recv and serves them as ``max_batch`` slices, one per loop turn.
+(Backpressure, framing errors and interleaving are exercised with raw
+sockets in ``test_connection_properties.py``.)
 """
 
 from __future__ import annotations
@@ -145,33 +146,10 @@ class TestServing:
 
         replies, stats = asyncio.run(scenario())
         assert all(reply.granted for reply in replies)
-        # The window arrived as one buffer: the pump queued all of it
-        # before the dispatch loop woke, so the pipeline coalesced.
+        # The window arrived as one buffer, so one recv framed all of
+        # it and the pipeline coalesced.
         assert stats["batches"] < stats["batched_requests"] == 8
         assert stats["coalesced"] > 0
-
-    def test_full_inflight_window_pauses_the_reader(self, server_kp, rng):
-        backend, issuer, minted = _guard_world(server_kp, rng)
-
-        async def scenario():
-            listener = ServeListener(
-                backend, inflight_window=2, max_batch=2,
-            )
-            host, port = await listener.start()
-            client = await ServeClient.connect(host, port)
-            replies = await client.check_pipelined(
-                [_request(issuer, minted, index) for index in range(10)]
-            )
-            await client.close()
-            await listener.shutdown()
-            return replies, listener.stats
-
-        replies, stats = asyncio.run(scenario())
-        assert all(reply.granted for reply in replies)
-        # 10 in flight against a window of 2: the pump had to stop
-        # reading at least once, and nothing was lost.
-        assert stats["paused"] >= 1
-        assert stats["grants"] == 10
 
     def test_graceful_shutdown_drains_accepted_work(self, server_kp, rng):
         backend, issuer, minted = _guard_world(server_kp, rng)
