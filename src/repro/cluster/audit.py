@@ -1,6 +1,6 @@
 """A merged, time-ordered audit view over a cluster's per-node logs.
 
-Each :class:`~repro.cluster.ring.GuardNode` keeps its own append-only
+Each :class:`~repro.cluster.ring.GuardNode` keeps its own
 :class:`~repro.guard.audit.AuditLog` — disjoint trails that are useless
 for answering "what did the cluster grant, in order?".  This view merges
 them on the shared cluster clock (every node stamps records with the
@@ -9,10 +9,14 @@ timestamps are comparable), preserving each node's local append order on
 ties.  Left and failed nodes stay in the merge: a node's shards move on,
 its history does not.
 
-``retain`` is the simple retention policy the ROADMAP asked for: the
-view yields at most the ``retain`` *most recent* records, so an operator
-tool can cap its working set without any node truncating its own log.
-The surface mirrors :class:`~repro.guard.audit.AuditLog` (``records``,
+**Bound.**  Every node's log is a ring of its last ``retain`` records
+(:data:`~repro.guard.audit.AUDIT_RETAIN` when the cluster was built
+without ``audit_retain``), so one merge touches at most *known nodes* ×
+*ring size* records however long the cluster has served; the view then
+yields the ``retain`` *most recent* of them.  Each call re-merges —
+nothing is cached, because nothing tells the view a node has granted —
+and ``len()`` adds the rings' lengths without merging.  The surface
+mirrors :class:`~repro.guard.audit.AuditLog` (``records``,
 ``involving``, ``by_transport``, ``len``) so application code written
 against a single guard's log reads a cluster's unchanged.
 """
@@ -59,7 +63,23 @@ class ClusterAuditView:
         return self._merged()
 
     def __len__(self) -> int:
-        return len(self._merged())
+        total = sum(
+            len(node.guard.audit) for node in self.membership.known()
+        )
+        return total if self.retain is None else min(total, self.retain)
+
+    @property
+    def recorded(self) -> int:
+        """Grants the cluster ever recorded, on any known node."""
+        return sum(
+            node.guard.audit.recorded for node in self.membership.known()
+        )
+
+    @property
+    def evicted(self) -> int:
+        """Recorded grants this view no longer yields: aged out of a
+        node's ring, or beyond the view's own ``retain``."""
+        return self.recorded - len(self)
 
     def record(self, record: AuditRecord) -> None:
         raise TypeError(

@@ -43,6 +43,7 @@ from repro.core.proofs import Proof, proof_cites_serial, proof_from_sexp
 from repro.core.statements import SpeaksFor
 from repro.crypto.mac import MacKey
 from repro.crypto.rng import default_rng
+from repro.guard.audit import AUDIT_RETAIN, AuditLog
 from repro.guard.pipeline import GuardDecision
 from repro.obs.registry import SIZE_BUCKETS, default_registry
 from repro.obs.trace import Tracer, default_tracer
@@ -106,6 +107,7 @@ class AuthCluster:
         hot_window: Optional[float] = 300.0,
         gossip: bool = True,
         audit_retain: Optional[int] = None,
+        audit_sink=None,
         rng=None,
         metrics=None,
         tracer=None,
@@ -138,6 +140,10 @@ class AuthCluster:
         self.hot_window = hot_window
         self.gossip = gossip
         self.rng = rng
+        # One retention knob: ``audit_retain`` sizes each node's ring and
+        # caps the merged view; ``audit_sink`` sees every node's records.
+        self.audit_retain = audit_retain
+        self.audit_sink = audit_sink
         self.audit = ClusterAuditView(self.membership, retain=audit_retain)
         # The handoff/gossip plane: warm-state transfer for planned
         # departures, and proof-cache pushes when a speaker goes hot.
@@ -207,6 +213,13 @@ class AuthCluster:
             clock=self.clock,
             session_ttl=self.session_ttl,
             check_charge=self.check_charge,
+            audit=AuditLog(
+                retain=(
+                    AUDIT_RETAIN if self.audit_retain is None
+                    else self.audit_retain
+                ),
+                sink=self.audit_sink, metrics=self.metrics,
+            ),
             metrics=self.metrics,
             tracer=self.tracer,
         )

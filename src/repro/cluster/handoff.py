@@ -117,7 +117,7 @@ class HandoffRecord:
             SList([Atom("generation"), Atom(str(self.generation))]),
         ]
         if self.speaker is not None:
-            items.append(SList([Atom("speaker"), self.speaker.sexp_node()]))
+            items.append(SList([Atom("speaker"), self.speaker.to_sexp()]))
         if self.kind in ("proof", "shortcut"):
             proof: Proof = self.payload
             items.append(SList([Atom("digest"), Atom(proof.digest())]))

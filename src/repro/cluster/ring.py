@@ -173,6 +173,7 @@ class GuardNode:
         check_charge: Optional[str] = "rmi_checkauth",
         max_speakers: int = 4096,
         max_sessions: int = 4096,
+        audit=None,
         metrics=None,
         tracer=None,
     ):
@@ -190,6 +191,7 @@ class GuardNode:
             max_sessions=max_sessions,
             session_ttl=session_ttl,
             check_charge=check_charge,
+            audit=audit,
             metrics=metrics,
             tracer=tracer,
         )

@@ -27,8 +27,11 @@ class Principal:
     # compared/hashed constantly on the guard's hot path (premise-cache
     # buckets, proof verification, ring routing), so identity questions
     # reduce to one C-speed bytes compare instead of rebuilding and
-    # walking two AST trees per question.
-    __slots__ = ("_key", "_node")
+    # walking two AST trees per question.  The bytes are all a principal
+    # keeps: its tree is built when asked for (``to_sexp``) and belongs
+    # to the caller — the one subtree worth sharing, a key's, is
+    # memoized by the key itself (``RsaPublicKey.to_sexp``).
+    __slots__ = ("_key",)
 
     def canonical_key(self) -> bytes:
         """The canonical encoding of :meth:`to_sexp`, computed once.
@@ -36,21 +39,9 @@ class Principal:
         tree equality."""
         key = getattr(self, "_key", None)
         if key is None:
-            key = to_canonical(self.sexp_node())
+            key = to_canonical(self.to_sexp())
             object.__setattr__(self, "_key", key)
         return key
-
-    def sexp_node(self) -> SExp:
-        """A shared, memoized :meth:`to_sexp` tree.  Principals are
-        immutable and AST nodes are never mutated after construction,
-        so encoders can embed this one instance everywhere the
-        principal appears and let the memoizing canonical encoder pay
-        the subtree walk once.  Treat the result as read-only."""
-        node = getattr(self, "_node", None)
-        if node is None:
-            node = self.to_sexp()
-            object.__setattr__(self, "_node", node)
-        return node
 
     def to_sexp(self) -> SExp:
         raise NotImplementedError
@@ -161,7 +152,7 @@ class NamePrincipal(Principal):
         raise AttributeError("principals are immutable")
 
     def to_sexp(self) -> SExp:
-        return SList([Atom("name"), self.base.sexp_node(), Atom(self.label)])
+        return SList([Atom("name"), self.base.to_sexp(), Atom(self.label)])
 
     def display(self) -> str:
         return "%s.%s" % (self.base.display(), self.label)
@@ -205,7 +196,7 @@ class ConjunctPrincipal(Principal):
     def to_sexp(self) -> SExp:
         # Sort by canonical encoding for a deterministic wire form.
         ordered = sorted(self.members, key=lambda p: p.canonical_key())
-        return SList([Atom("conjunct")] + [p.sexp_node() for p in ordered])
+        return SList([Atom("conjunct")] + [p.to_sexp() for p in ordered])
 
     def display(self) -> str:
         return "(" + " & ".join(sorted(m.display() for m in self.members)) + ")"
@@ -245,7 +236,7 @@ class ThresholdPrincipal(Principal):
         ordered = sorted(self.members, key=lambda p: p.canonical_key())
         return SList(
             [Atom("threshold"), Atom(str(self.k)), Atom(str(len(ordered)))]
-            + [p.sexp_node() for p in ordered]
+            + [p.to_sexp() for p in ordered]
         )
 
     def display(self) -> str:
@@ -276,7 +267,7 @@ class QuotingPrincipal(Principal):
         raise AttributeError("principals are immutable")
 
     def to_sexp(self) -> SExp:
-        return SList([Atom("quoting"), self.quoter.sexp_node(), self.quotee.sexp_node()])
+        return SList([Atom("quoting"), self.quoter.to_sexp(), self.quotee.to_sexp()])
 
     def display(self) -> str:
         return "%s|%s" % (self.quoter.display(), self.quotee.display())
@@ -374,15 +365,14 @@ def substitute(principal: Principal, replacement: Principal) -> Principal:
 def principal_from_sexp(node: SExp) -> Principal:
     """Parse any principal from its S-expression wire form.
 
-    The returned principal adopts ``node`` as its memoized sexp tree
-    (see :meth:`Principal.sexp_node`): honest encoders are
-    deterministic, so the parsed node is exactly what ``to_sexp`` would
-    rebuild, and a decoded principal compares, hashes, and re-encodes
-    without another serialization pass.
+    The returned principal adopts the bytes the parser consumed for
+    ``node`` as its :meth:`~Principal.canonical_key` (not the node — a
+    kept principal must not pin its parse tree): honest encoders are
+    deterministic, so they equal what ``to_sexp`` would re-encode, and a
+    decoded principal compares and hashes without a serialization pass.
     """
     principal = _principal_from_sexp(node)
-    if getattr(principal, "_node", None) is None:
-        object.__setattr__(principal, "_node", node)
+    object.__setattr__(principal, "_key", to_canonical(node))
     return principal
 
 

@@ -33,7 +33,7 @@ from repro.core.statements import (
     Statement,
     statement_from_sexp,
 )
-from repro.sexp import Atom, SExp, SList
+from repro.sexp import Atom, SExp, SList, to_canonical
 from repro.spki.certificate import Certificate
 
 
@@ -89,7 +89,6 @@ class Proof:
             raise ProofError("conclusion must be a Statement")
         self._conclusion = conclusion
         self._premises = tuple(premises)
-        self._sexp: Optional[SExp] = None
         self._canonical: Optional[bytes] = None
         self._digest: Optional[bytes] = None
 
@@ -134,30 +133,29 @@ class Proof:
     # -- serialization ----------------------------------------------------
 
     def to_sexp(self) -> SExp:
-        """Wire form, memoized.
+        """Wire form, built on request and not kept.
 
-        Proof trees are immutable and S-expression nodes are immutable,
-        so the node (with its own memoized canonical encoding) is built
-        at most once per proof — a proof that is digested, streamed in a
-        handoff record, and attached to a wire reply serializes exactly
-        once.  ``proof_from_sexp`` seeds this memo with the node it just
-        parsed, so decoded proofs never rebuild the tree at all.
+        What a proof memoizes is its canonical *bytes* (:meth:`canonical`)
+        — equality, hashing and the digest run on those, and a decoded
+        proof is seeded with the bytes it arrived as.  The tree is for
+        callers that embed or stream it (handoff export, gossip, a
+        client attaching its proof), none of them on the check path.
         """
-        cached = self._sexp
-        if cached is not None:
-            return cached
+        return self._wire_sexp([p.to_sexp() for p in self._premises])
+
+    def _wire_sexp(self, premises: List[SExp], elide: bool = False) -> SExp:
+        """``(proof rule [payload] [premises] [conclusion])`` around
+        already-encoded premises — the one place the node layout lives
+        (the lemma-citation form differs only in what it is handed)."""
         items: List[SExp] = [Atom("proof"), Atom(self.rule)]
         payload = self._payload_sexp()
         if payload is not None:
             items.append(SList([Atom("payload")] + list(payload)))
-        if self._premises:
-            items.append(
-                SList([Atom("premises")] + [p.to_sexp() for p in self._premises])
-            )
-        items.append(SList([Atom("conclusion"), self._conclusion.sexp_node()]))
-        node = SList(items)
-        self._sexp = node
-        return node
+        if premises:
+            items.append(SList([Atom("premises")] + premises))
+        if not elide:
+            items.append(SList([Atom("conclusion"), self._conclusion.to_sexp()]))
+        return SList(items)
 
     def _payload_sexp(self) -> Optional[List[SExp]]:
         return None
@@ -169,10 +167,28 @@ class Proof:
         and reusing the bytes is safe.  The delegation graph keys every
         edge by this form; memoizing here turns ``DelegationGraph.add``
         from a re-serialization per call into a dict lookup.
+
+        The bytes are assembled in :meth:`_wire_sexp`'s layout from what
+        the parts already memoize — each premise's ``canonical()``, the
+        conclusion's ``canonical_key()`` — so a chain composed over
+        known lemmas encodes its own step, not their trees again.
         """
         cached = self._canonical
         if cached is None:
-            cached = self._canonical = self.to_sexp().to_canonical()
+            parts = [b"(5:proof", to_canonical(Atom(self.rule))]
+            payload = self._payload_sexp()
+            if payload is not None:
+                parts.append(
+                    to_canonical(SList([Atom("payload")] + list(payload)))
+                )
+            if self._premises:
+                parts.append(b"(8:premises")
+                parts.extend(p.canonical() for p in self._premises)
+                parts.append(b")")
+            parts.append(b"(10:conclusion")
+            parts.append(self._conclusion.canonical_key())
+            parts.append(b"))")
+            cached = self._canonical = b"".join(parts)
         return cached
 
     def digest(self) -> bytes:
@@ -226,32 +242,30 @@ def proof_to_lemma_sexp(proof: Proof, cite) -> SExp:
     side is :func:`proof_from_sexp` with a ``lemmas`` resolver; a receiver
     that cannot resolve a citation refuses the whole proof — fail-closed.
     """
-    premises = proof.premises
-    if not premises:
-        return proof.to_sexp()
-    encoded = []
+    return _lemma_sexp(proof, cite)[0]
+
+
+def _lemma_sexp(proof: Proof, cite) -> Tuple[SExp, bool]:
+    """The citing form of ``proof`` and whether anything under it was
+    cited (a subtree without citations is its ordinary wire form)."""
+    encoded: List[SExp] = []
     cited = False
-    for premise in premises:
+    for premise in proof.premises:
         if cite(premise):
             encoded.append(SList([Atom("lemma"), Atom(premise.digest())]))
             cited = True
         else:
-            sub = proof_to_lemma_sexp(premise, cite)
-            cited = cited or sub is not premise.to_sexp()
+            sub, sub_cited = _lemma_sexp(premise, cite)
             encoded.append(sub)
-    if not cited:
-        return proof.to_sexp()
-    items: List[SExp] = [Atom("proof"), Atom(proof.rule)]
-    payload = proof._payload_sexp()
-    if payload is not None:
-        items.append(SList([Atom("payload")] + list(payload)))
-    items.append(SList([Atom("premises")] + encoded))
+            cited = cited or sub_cited
     # A rule step that derives its conclusion needs no conclusion on the
-    # wire: the receiver's trusted step constructor recomputes it, and
-    # the caller's digest-of-the-full-form check pins the result.
-    if not proof.conclusion_derivable:
-        items.append(SList([Atom("conclusion"), proof.conclusion.sexp_node()]))
-    return SList(items)
+    # wire once a premise is cited: the receiver's trusted step
+    # constructor recomputes it, and the caller's digest-of-the-full-form
+    # check pins the result.
+    return (
+        proof._wire_sexp(encoded, elide=cited and proof.conclusion_derivable),
+        cited,
+    )
 
 
 def proof_from_sexp(node: SExp, lemmas=None) -> Proof:
@@ -323,18 +337,16 @@ def _proof_from_sexp(node: SExp, lemmas) -> Tuple[Proof, bool]:
         # the object can never exist in an inconsistent state.
         if proof.conclusion != conclusion:
             raise ProofError("conclusion does not match rule derivation")
-    if elided:
-        # An elided node is never the proof's canonical form, so it must
-        # not seed the serialization memo.
-        cited = True
-    if not cited:
-        # Adopt the parsed node as the proof's serialization memo: honest
-        # encoders are deterministic, so the node equals what to_sexp
-        # would rebuild, and decode → digest → re-stream never
-        # re-serializes.  (A tree holding resolved citations must NOT
-        # adopt the stubbed wire form — its digest names the full form.)
-        proof._sexp = node
-    return proof, cited
+    if not cited and not elided:
+        # Adopt the bytes the parser consumed as the proof's canonical
+        # form: honest encoders are deterministic, so they equal what
+        # to_sexp would re-encode, and decode → digest → dedup never
+        # serializes.  The bytes, not the parsed node — a kept proof
+        # must not pin its parse tree.  (A tree holding resolved
+        # citations or an elided conclusion must NOT adopt the stubbed
+        # wire form — its digest names the full form.)
+        proof._canonical = to_canonical(node)
+    return proof, cited or elided
 
 
 @register_rule

@@ -147,29 +147,27 @@ class Statement:
     # Memoized canonical encoding, mirroring ``Principal.canonical_key``:
     # statements are hashable value objects (the proof cache and the
     # prover's tables key on them), so equality and hashing reduce to
-    # one bytes compare instead of rebuilding two AST trees.
-    __slots__ = ("_key", "_node")
+    # one bytes compare instead of rebuilding two AST trees.  The bytes
+    # are all a statement keeps: its tree is built when asked for
+    # (``to_sexp``) and belongs to the caller.
+    __slots__ = ("_key",)
 
     def to_sexp(self) -> SExp:
         raise NotImplementedError
-
-    def sexp_node(self) -> SExp:
-        """A shared, memoized :meth:`to_sexp` tree (statements and AST
-        nodes are immutable); encoders embed this one instance so the
-        memoizing canonical encoder pays the subtree walk once."""
-        node = getattr(self, "_node", None)
-        if node is None:
-            node = self.to_sexp()
-            object.__setattr__(self, "_node", node)
-        return node
 
     def canonical_key(self) -> bytes:
         """The canonical encoding of :meth:`to_sexp`, computed once."""
         key = getattr(self, "_key", None)
         if key is None:
-            key = to_canonical(self.sexp_node())
+            key = self._encode()
             object.__setattr__(self, "_key", key)
         return key
+
+    def _encode(self) -> bytes:
+        """:meth:`to_sexp`'s bytes, assembled from what the parts already
+        memoize (a principal's ``canonical_key``, a request node's
+        encoding) instead of building a tree to encode and drop."""
+        raise NotImplementedError
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -221,13 +219,24 @@ class SpeaksFor(Statement):
     def to_sexp(self) -> SExp:
         items = [
             Atom("speaks-for"),
-            SList([Atom("subject"), self.subject.sexp_node()]),
-            SList([Atom("issuer"), self.issuer.sexp_node()]),
+            SList([Atom("subject"), self.subject.to_sexp()]),
+            SList([Atom("issuer"), self.issuer.to_sexp()]),
             self.tag.to_sexp(),
         ]
         if not self.validity.is_unbounded():
             items.append(self.validity.to_sexp())
         return SList(items)
+
+    def _encode(self) -> bytes:
+        parts = [
+            b"(10:speaks-for(7:subject", self.subject.canonical_key(),
+            b")(6:issuer", self.issuer.canonical_key(),
+            b")", to_canonical(self.tag.to_sexp()),
+        ]
+        if not self.validity.is_unbounded():
+            parts.append(to_canonical(self.validity.to_sexp()))
+        parts.append(b")")
+        return b"".join(parts)
 
     @classmethod
     def from_sexp(cls, node: SExp) -> "SpeaksFor":
@@ -271,7 +280,12 @@ class Says(Statement):
         self.request = sexp(request)
 
     def to_sexp(self) -> SExp:
-        return SList([Atom("says"), self.speaker.sexp_node(), self.request])
+        return SList([Atom("says"), self.speaker.to_sexp(), self.request])
+
+    def _encode(self) -> bytes:
+        return b"(4:says%s%s)" % (
+            self.speaker.canonical_key(), to_canonical(self.request)
+        )
 
     @classmethod
     def from_sexp(cls, node: SExp) -> "Says":
@@ -293,13 +307,13 @@ def statement_from_sexp(node: SExp) -> Statement:
         elif head == "says":
             statement = Says.from_sexp(node)
         if statement is not None:
-            # Adopt the parsed node's (memoized) canonical encoding as
-            # the statement's key: honest encoders are deterministic, so
-            # this equals what to_sexp would rebuild, and the decoded
-            # statement compares/hashes without ever re-serializing.  A
-            # peer that ships a non-normal encoding merely gets a key
-            # that matches nothing local — fail-closed.
-            object.__setattr__(statement, "_node", node)
+            # Adopt the bytes the parser consumed as the statement's
+            # key (not the node: a kept statement must not pin its parse
+            # tree): honest encoders are deterministic, so this equals
+            # what to_sexp would re-encode, and the decoded statement
+            # compares/hashes without ever re-serializing.  A peer that
+            # ships a non-normal encoding merely gets a key that matches
+            # nothing local — fail-closed.
             object.__setattr__(statement, "_key", to_canonical(node))
             return statement
     raise ValueError("unknown statement form: %r" % (node,))

@@ -10,16 +10,22 @@ block so that malleability tests have something real to attack.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.crypto import numtheory
 from repro.crypto.rng import default_rng
 from repro.crypto.hashes import HashValue, _ALGORITHMS
-from repro.sexp import Atom, SExp, SList
+from repro.sexp import Atom, SExp, SList, to_canonical
 
 DEFAULT_BITS = 1024
 DEFAULT_EXPONENT = 65537
 _SIG_HASH = "sha256"
+
+
+#: Bound on the decoded-key intern table (see ``RsaPublicKey.from_sexp``):
+#: what a peer showing ever-new keys can pin is this many keys.
+DECODED_KEYS_LIMIT = 4096
+_DECODED_KEYS: Dict[bytes, "RsaPublicKey"] = {}
 
 
 class RsaPublicKey:
@@ -60,8 +66,21 @@ class RsaPublicKey:
 
     @classmethod
     def from_sexp(cls, node: SExp) -> "RsaPublicKey":
+        """Decode a key, sharing one instance per distinct encoding.
+
+        A server sees the same few issuer keys in every certificate it
+        is shown, and every kept proof keeps its certificate's key — so
+        decoded keys are interned by the canonical bytes of ``node``
+        (bounded: a full table is cleared and refills).  Keys are value
+        objects, so sharing one only shares its memoized node and
+        fingerprint; equal bytes decode to the equal key, so a hit is
+        exactly what the decode below would have built."""
         if not isinstance(node, SList) or node.head() != "public-key":
             raise ValueError("expected (public-key ...), got %r" % (node,))
+        wire = to_canonical(node)
+        known = _DECODED_KEYS.get(wire)
+        if known is not None:
+            return known
         body = node.items[1]
         if not isinstance(body, SList) or body.head() != "rsa":
             raise ValueError("only rsa public keys are supported")
@@ -77,6 +96,9 @@ class RsaPublicKey:
         # canonical bytes the parser already memoized) is the encoding
         # this key would rebuild; decoded keys never re-serialize.
         key._node = node
+        if len(_DECODED_KEYS) >= DECODED_KEYS_LIMIT:
+            _DECODED_KEYS.clear()
+        _DECODED_KEYS[wire] = key
         return key
 
     def fingerprint(self) -> HashValue:

@@ -7,15 +7,22 @@ quoting involvement.  The guard pipeline emits one record per grant
 regardless of which transport carried the request, so an HTTP GET, an
 RMI invocation, and an SMTP delivery justified by the same delegation
 chain leave structurally identical trails.
+
+Where the record goes is :class:`AuditLog`'s concern: memory holds the
+last ``retain`` of them (a ring), and an optional ``sink`` sees every
+one — so a guard's heap stops growing with the requests it has served,
+and the durable trail is whatever the operator points the sink at.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.principals import Principal
 from repro.core.proofs import Proof
 from repro.core.statements import Says, SpeaksFor
+from repro.obs.registry import default_registry
 from repro.sexp import SExp
 
 
@@ -89,26 +96,69 @@ class AuditRecord:
         )
 
 
-class AuditLog:
-    """Append-only log of authorization decisions."""
+#: Records an :class:`AuditLog` keeps in memory — the size of the
+#: tracer's finished-span ring (``Tracer(max_spans=2048)``): a record
+#: whose span has left that ring can no longer be joined to its trace.
+AUDIT_RETAIN = 2048
 
-    def __init__(self):
-        self.records: List[AuditRecord] = []
+
+class AuditLog:
+    """The last ``retain`` authorization decisions, oldest first.
+
+    Memory holds the tail; durability is the sink's job.  ``sink(record)``
+    is called with every record before it enters the ring, so "every
+    granted request leaves an end-to-end audit record" is true of the
+    sink's destination for the life of the server and of ``records`` for
+    the last ``retain`` grants.  A sink that raises is counted
+    (``guard.audit.sink_errors``); the record still enters the ring and
+    the grant stands — the decision was already justified by its proof,
+    and refusing service because the log's destination is down would let
+    a full disk deny every request.
+    """
+
+    def __init__(self, retain: int = AUDIT_RETAIN, sink=None, metrics=None):
+        if retain < 0:
+            raise ValueError("retention cap cannot be negative")
+        self.retain = retain
+        self.sink: Optional[Callable[[AuditRecord], None]] = sink
+        self.metrics = default_registry(metrics)
+        self._ring: "deque[AuditRecord]" = deque(maxlen=retain)
+        #: Records ever passed to :meth:`record`.
+        self.recorded = 0
 
     def record(self, record: AuditRecord) -> None:
-        self.records.append(record)
+        if self.sink is not None:
+            try:
+                self.sink(record)
+            except Exception:  # boundary: an operator's callable
+                self.metrics.inc("guard.audit.sink_errors")
+        if len(self._ring) == self.retain:
+            self.metrics.inc("guard.audit.evicted")
+        self._ring.append(record)
+        self.recorded += 1
+        self.metrics.inc("guard.audit.recorded")
+
+    @property
+    def evicted(self) -> int:
+        """Recorded grants that have since left the ring."""
+        return self.recorded - len(self._ring)
+
+    @property
+    def records(self) -> List[AuditRecord]:
+        """The retained tail as a fresh list, oldest first."""
+        return list(self._ring)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._ring)
 
     def involving(self, principal: Principal) -> List[AuditRecord]:
         return [
             record
-            for record in self.records
+            for record in self._ring
             if principal in record.involved_principals()
         ]
 
     def by_transport(self, transport: str) -> List[AuditRecord]:
         return [
-            record for record in self.records if record.transport == transport
+            record for record in self._ring if record.transport == transport
         ]

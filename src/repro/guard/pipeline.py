@@ -162,7 +162,9 @@ class Guard:
             self.sessions = SessionRegistry(
                 max_sessions, ttl=session_ttl, clock=trust.clock
             )
-        self.audit = audit if audit is not None else AuditLog()
+        self.audit = (
+            audit if audit is not None else AuditLog(metrics=self.metrics)
+        )
         self.check_charge = check_charge
         # Derived-step memo for the grant hot path ("each proof need be
         # verified only once" — Section 4.3).  Keyed by (speaker, logical)

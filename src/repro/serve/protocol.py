@@ -298,7 +298,7 @@ def guard_request_to_sexp(request: GuardRequest) -> SExp:
         SList([Atom("logical"), request.logical]),
     ]
     if request.issuer is not None:
-        items.append(SList([Atom("issuer"), request.issuer.sexp_node()]))
+        items.append(SList([Atom("issuer"), request.issuer.to_sexp()]))
     if request.min_tag is not None:
         items.append(SList([Atom("min-tag"), request.min_tag.to_sexp()]))
     if request.credential is not None:

@@ -276,17 +276,22 @@ def cmd_audit(args) -> int:
                 len(all_nodes), "" if len(all_nodes) == 1 else "s",
             )
         )
-        for record in records:
-            print(record.render())
+        _print_trail(cluster.audit, records)
         return 0
     for node in all_nodes:
+        # ``--retain`` already sized each node's ring (``audit_retain``).
         records = node.guard.audit.records
-        if args.retain is not None:
-            records = records[max(0, len(records) - args.retain):]
         print("# %s: %d record(s)" % (node.node_id, len(records)))
-        for record in records:
-            print(record.render())
+        _print_trail(node.guard.audit, records)
     return 0
+
+
+def _print_trail(log, records) -> None:
+    """One audit trail: what the ring no longer holds, then what it does."""
+    if log.evicted > 0:
+        print("# %d earlier records evicted" % log.evicted)
+    for record in records:
+        print(record.render())
 
 
 def _drive_fleet(args, cluster):
@@ -491,7 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one time-ordered cluster-wide trail instead "
                             "of per-node sections")
     audit.add_argument("--retain", type=int, default=None,
-                       help="keep only the most recent N records")
+                       help="keep only the most recent N records (per node, "
+                            "and in the merged view); the default is each "
+                            "guard's 2048-record ring")
     audit.set_defaults(func=cmd_audit)
 
     serve = commands.add_parser(

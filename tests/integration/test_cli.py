@@ -146,7 +146,26 @@ class TestAuditCommand:
     def test_retention_cap(self, capsys):
         assert main(["audit", "--merge", "--retain", "5", *self.ARGS]) == 0
         out = capsys.readouterr().out
-        assert "5 records" in out.splitlines()[0]
+        lines = out.splitlines()
+        assert "5 records" in lines[0]
+        # What the rings no longer hold is said, not silently dropped.
+        assert lines[1] == "# 7 earlier records evicted"
+
+    def test_nothing_evicted_says_nothing(self, capsys):
+        assert main(["audit", "--merge", *self.ARGS]) == 0
+        assert "evicted" not in capsys.readouterr().out
+
+    def test_per_node_rings_report_their_own_evictions(self, capsys):
+        assert main(["audit", "--retain", "1", *self.ARGS]) == 0
+        out = capsys.readouterr().out
+        assert out.count("record(s)") == 3
+        evicted = sum(
+            int(line.split()[1])
+            for line in out.splitlines()
+            if line.endswith("earlier records evicted")
+        )
+        kept = out.count("[http]")
+        assert kept <= 3 and kept + evicted == 12
 
     def test_per_node_sections_without_merge(self, capsys):
         assert main(["audit", *self.ARGS]) == 0
