@@ -11,11 +11,15 @@ import random
 
 import pytest
 
+from repro.cluster import AuthCluster
 from repro.core.principals import NamePrincipal, KeyPrincipal
-from repro.core.proofs import PremiseStep
+from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.statements import SpeaksFor
 from repro.crypto import generate_keypair
+from repro.guard import ChannelCredential, GuardRequest
+from repro.obs.registry import MetricsRegistry
 from repro.prover import Prover
+from repro.spki import Certificate
 from repro.tags import Tag
 
 _BASE_KP = generate_keypair(384, random.Random(0x5CA1E))
@@ -149,3 +153,69 @@ def test_cold_grant_expands_depth_not_fan_in():
     before = prover.stats["nodes_expanded"]
     assert prover.find_proof(hops[-1], issuer) is not None
     assert prover.stats["nodes_expanded"] - before == 1
+
+
+def _revocation_world(bystanders):
+    """A 4-node cluster replicating ``bystanders`` one-hop delegations
+    plus one two-hop chain (``session => victim => issuer``), every
+    speaker's proof cached on its shard and the victim's chain derived
+    and cached on every node."""
+    rng = random.Random(0xD1E)
+    cluster = AuthCluster(node_count=4, metrics=MetricsRegistry())
+    victim_kp = generate_keypair(384, rng)
+    victim = KeyPrincipal(victim_kp.public)
+    session = NamePrincipal(victim, "session")
+    revoked = Certificate.issue(_BASE_KP, victim, Tag.all(), rng=rng)
+    holders = [NamePrincipal(_BASE, "holder%d" % i) for i in range(bystanders)]
+    for certificate in [
+        revoked, Certificate.issue(victim_kp, session, Tag.all(), rng=rng)
+    ] + [
+        Certificate.issue(_BASE_KP, holder, Tag.all(), rng=rng)
+        for holder in holders
+    ]:
+        cluster.add_delegation(SignedCertificateStep(certificate))
+
+    def ask(speaker):
+        return GuardRequest(
+            ["web", ["method", "GET"]], issuer=_BASE,
+            credential=ChannelCredential(speaker), transport="rmi",
+        )
+
+    for node in cluster.nodes():
+        assert node.guard.check(ask(session)).granted
+    bystander_requests = [ask(holder) for holder in holders]
+    assert all(d.granted for d in cluster.check_many(bystander_requests))
+    return cluster, revoked.serial, ask(session), bystander_requests
+
+
+@pytest.mark.parametrize("bystanders", [256, 2048])
+def test_revocation_cost_is_flat_in_what_the_cluster_holds(bystanders):
+    """A count gate, not a timing: one revocation and its bus round look
+    up the victim's edges and cache buckets on each of 4 nodes — 2 edges
+    (the revoked delegation and the shortcut derived over it) and 1
+    cached proof per node — whether the nodes replicate 256 delegations
+    or 2 048, and every bystander is still answered from its cache."""
+    cluster, serial, victim_request, bystander_requests = _revocation_world(
+        bystanders
+    )
+    nodes = cluster.nodes()
+    edges = sum(node.prover.graph.edge_count() for node in nodes)
+    cached = sum(node.guard.cache.count() for node in nodes)
+    assert cached == bystanders + len(nodes)
+
+    cluster.revoke_serial(serial)
+    assert cluster.deliver_invalidations() == len(nodes) - 1
+
+    counters = cluster.metrics.snapshot()["counters"]
+    assert counters["prover.invalidate_examined"] == 2 * len(nodes)
+    assert counters["guard.cache.retract_examined"] == len(nodes)
+    # Only the victim's state went: per node the revoked edge, its
+    # shortcut and the cached chain; the onward hop cites another serial.
+    assert sum(
+        node.prover.graph.edge_count() for node in nodes
+    ) == edges - 2 * len(nodes)
+    assert sum(node.guard.cache.count() for node in nodes) == bystanders
+    assert not cluster.check_many([victim_request])[0].granted
+    searches = sum(node.prover.stats["searches"] for node in nodes)
+    assert all(d.granted for d in cluster.check_many(bystander_requests))
+    assert sum(node.prover.stats["searches"] for node in nodes) == searches

@@ -39,7 +39,12 @@ from repro.cluster.ring import (
 )
 from repro.core.errors import AuthorizationError
 from repro.core.principals import MacPrincipal, Principal, QuotingPrincipal
-from repro.core.proofs import Proof, proof_cites_serial, proof_from_sexp
+from repro.core.proofs import (
+    CitationIndex,
+    Proof,
+    proof_citations,
+    proof_from_sexp,
+)
 from repro.core.statements import SpeaksFor
 from repro.crypto.mac import MacKey
 from repro.crypto.rng import default_rng
@@ -153,7 +158,13 @@ class AuthCluster:
         # departures (a departing guard's counter leaves the sum) so the
         # cluster-wide generation never revisits an earlier value.
         self._generation_base = 0
+        # The replicated set (digest -> delegation, replayed to a joining
+        # node in arrival order), and what a revocation or a retraction
+        # looks up in it: certificate serial / lemma digest -> digests of
+        # the replicated delegations embedding it.
         self._delegations: Dict[bytes, Proof] = {}
+        self._delegations_citing_serial = CitationIndex()
+        self._delegations_embedding = CitationIndex()
         # routing-key -> (request count, last seen); LRU-bounded.
         # Hotness decays on idleness, not lifetime: a counter whose
         # speaker has been quiet past ``hot_window`` restarts, so
@@ -437,10 +448,28 @@ class AuthCluster:
         """Digest a delegation into every live node's prover.  Any replica
         can then complete proofs over it — the property that makes
         speaker-sharding (and replica reads) safe."""
-        self._delegations[proof.digest()] = proof
+        digest = proof.digest()
+        self._delegations[digest] = proof
+        serials, lemma_digests, _ = proof_citations(proof)
+        for serial in serials:
+            self._delegations_citing_serial.add(serial, digest)
+        for lemma_digest in lemma_digests:
+            self._delegations_embedding.add(lemma_digest, digest)
         for node in self.membership.alive():
             node.guard.digest_delegation(proof)
         self.stats["delegations_added"] += 1
+
+    def _unreplicate(self, digests) -> None:
+        """Take delegations out of the replicated set, so a node joining
+        later is not handed them (or anything they embed) at replay."""
+        for digest in digests:
+            serials, lemma_digests, _ = proof_citations(
+                self._delegations.pop(digest)
+            )
+            for serial in serials:
+                self._delegations_citing_serial.discard(serial, digest)
+            for lemma_digest in lemma_digests:
+                self._delegations_embedding.discard(lemma_digest, digest)
 
     def digest_delegation(self, proof: Proof) -> None:
         """The backend-protocol name for :meth:`add_delegation`: a
@@ -458,7 +487,12 @@ class AuthCluster:
     def retract_delegation(self, proof_or_digest, via: Optional[str] = None) -> int:
         """Retract a delegation *on one node*; the node's invalidation
         hook broadcasts it, and the next bus round purges the rest of the
-        cluster.  Returns entries dropped on the originating node."""
+        cluster.  Returns entries dropped on the originating node.
+
+        Every replicated delegation embedding the retracted lemma leaves
+        the replicated set with it: digesting such a chain at a later
+        join would re-add the lemma itself.
+        """
         digest = (
             proof_or_digest
             if isinstance(proof_or_digest, bytes)
@@ -467,7 +501,7 @@ class AuthCluster:
         # Resolve the originating node before touching the replicated
         # set: a bad `via` must fail with the cluster state unchanged.
         origin = self._via(via)
-        self._delegations.pop(digest, None)
+        self._unreplicate(self._delegations_embedding.holders(digest))
         removed = origin.guard.retract_delegation(digest)
         self.stats["delegations_retracted"] += 1
         return removed
@@ -480,11 +514,7 @@ class AuthCluster:
         replay.
         """
         origin = self._via(via)
-        self._delegations = {
-            digest: proof
-            for digest, proof in self._delegations.items()
-            if not proof_cites_serial(proof, serial)
-        }
+        self._unreplicate(self._delegations_citing_serial.holders(serial))
         removed = origin.guard.revoke_serial(serial)
         self.stats["serials_revoked"] += 1
         return removed

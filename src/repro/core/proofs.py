@@ -414,16 +414,90 @@ class SignedCertificateStep(Proof):
         return cls(Certificate.from_sexp(payload[0]))
 
 
-def proof_cites_serial(proof: Proof, serial: bytes) -> bool:
-    """True when any lemma of ``proof`` is a signed-certificate step over
-    the certificate with ``serial`` — the one predicate revocation uses,
-    shared by the prover's edge purge and the cluster's replicated-
-    delegation filter so the two can never diverge."""
-    return any(
-        isinstance(lemma, SignedCertificateStep)
-        and lemma.certificate.serial == serial
-        for lemma in proof.lemmas()
-    )
+def proof_citations(
+    proof: Proof,
+) -> Tuple[Tuple[bytes, ...], Tuple[bytes, ...], Tuple[Statement, ...]]:
+    """What ``proof`` leans on, as ``(serials, lemma digests, premises)``:
+    the serial of every signed certificate in the tree, the digest of
+    every lemma (the proof's own first), and the statement of every
+    premise leaf.
+
+    These are the three things an invalidation event can name — a
+    revoked serial, a retracted delegation's digest, a closed channel's
+    binding — so this is the one definition of "cites" that the proof
+    cache, the delegation graph and the cluster's replicated set index
+    by.  A thing cited twice is listed twice; the indexes do not mind.
+    """
+    serials: List[bytes] = []
+    digests: List[bytes] = []
+    premises: List[Statement] = []
+    # ``proof.lemmas()`` order, without a generator frame per level: every
+    # graph edge and every cache entry is built through here.
+    stack = [proof]
+    while stack:
+        lemma = stack.pop()
+        digests.append(lemma.digest())
+        if isinstance(lemma, PremiseStep):
+            premises.append(lemma.conclusion)
+        elif isinstance(lemma, SignedCertificateStep):
+            serials.append(lemma.certificate.serial)
+        stack.extend(reversed(lemma.premises))
+    return tuple(serials), tuple(digests), tuple(premises)
+
+
+class CitationIndex:
+    """cited thing -> the holders whose proofs cite it, in listing order.
+
+    The reverse of :func:`proof_citations`, kept at insert and remove by
+    whoever owns the holders, so an invalidation event looks its victims
+    up instead of reading everything held.  Most things are cited by one
+    holder (a session's certificate, a proof's own digest), and a cache
+    pays for its index once per insert, so a lone holder is stored bare
+    and only a second one buys a container — an insertion-ordered dict,
+    which makes the order a purge visits its victims in the order they
+    arrived, on every run.  A holder is anything hashable except ``None``.
+    """
+
+    __slots__ = ("_held",)
+
+    def __init__(self):
+        self._held: Dict[object, object] = {}
+
+    def add(self, cited, holder) -> None:
+        held = self._held.get(cited)
+        if held is None:
+            self._held[cited] = holder
+        elif type(held) is dict:
+            held[holder] = None
+        elif held != holder:
+            self._held[cited] = {held: None, holder: None}
+
+    def discard(self, cited, holder) -> None:
+        held = self._held.get(cited)
+        if type(held) is dict:
+            held.pop(holder, None)
+            if len(held) == 1:
+                (self._held[cited],) = held
+        elif held is not None and held == holder:
+            del self._held[cited]
+
+    def holders(self, cited) -> Tuple[object, ...]:
+        """A snapshot: the caller may unlist holders while walking it."""
+        held = self._held.get(cited)
+        if held is None:
+            return ()
+        if type(held) is dict:
+            return tuple(held)
+        return (held,)
+
+    def clear(self) -> None:
+        self._held.clear()
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def __iter__(self) -> Iterator[object]:
+        return iter(self._held)
 
 
 def authorizes(

@@ -620,7 +620,7 @@ class Guard:
         cached proofs leaning on it, and notify invalidation hooks so
         peers holding copies drop theirs too."""
         self.trust.retract(premise)
-        self.cache.retract_premise(premise)
+        self._retract_cached(self.cache.retract_premise, premise)
         self._tombstone(self._closed_channels, to_canonical(premise.to_sexp()))
         self.stats["channels_closed"] += 1
         self.invalidation_generation += 1
@@ -720,7 +720,7 @@ class Guard:
             removed = self._retract_delegation(payload)
         elif kind == "channel_closed":
             self.trust.retract(payload)
-            removed = self.cache.retract_premise(payload)
+            removed = self._retract_cached(self.cache.retract_premise, payload)
             self._tombstone(
                 self._closed_channels, to_canonical(payload.to_sexp())
             )
@@ -734,16 +734,36 @@ class Guard:
 
     def _retract_delegation(self, digest: bytes) -> int:
         self._tombstone(self._retracted_digests, digest)
-        removed = self.cache.retract_dependents(digest)
+        removed = self._retract_cached(self.cache.retract_dependents, digest)
         if self.prover is not None:
             removed += self.prover.invalidate_proof(digest)
         return removed
 
     def _revoke_serial(self, serial: bytes) -> int:
         self._tombstone(self._revoked_serials, serial)
-        removed = self.cache.retract_serial(serial)
+        removed = self._retract_cached(self.cache.retract_serial, serial)
         if self.prover is not None:
+            stats = self.prover.stats
+            examined = stats["invalidate_examined"]
             removed += self.prover.invalidate_serial(serial)
+            self.metrics.inc(
+                "prover.invalidate_examined",
+                stats["invalidate_examined"] - examined,
+            )
+        return removed
+
+    def _retract_cached(self, retract, cited) -> int:
+        """Run one proof-cache purge and publish what it had to look at:
+        ``guard.cache.retract_examined`` (and ``prover.invalidate_examined``
+        beside it) count the entries and edges whose predicate an event
+        evaluated — flat in what the node holds, or the index has a hole."""
+        stats = self.cache.stats
+        examined = stats["retract_examined"]
+        removed = retract(cited)
+        self.metrics.inc(
+            "guard.cache.retract_examined",
+            stats["retract_examined"] - examined,
+        )
         return removed
 
     #: Bound on each tombstone table (FIFO).  Aging a tombstone out can

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Sequence
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.principals import Principal
-from repro.core.proofs import Proof
+from repro.core.proofs import CitationIndex, Proof, proof_citations
 from repro.core.statements import SpeaksFor
 
 
@@ -173,10 +173,14 @@ class DelegationGraph:
         self._edges: Dict[bytes, Edge] = {}
         self._degree: Dict[Principal, int] = {}
         self._shortcut_lru: "OrderedDict[bytes, Edge]" = OrderedDict()
-        # constituent-proof digest -> keys of composite edges built on it
-        self._dependents: Dict[bytes, Set[bytes]] = {}
-        # composite key -> the constituent digests it was registered under
-        self._constituents_of: Dict[bytes, Tuple[bytes, ...]] = {}
+        # What an invalidation event looks up instead of walking every
+        # edge: constituent-proof digest -> keys of the composite edges
+        # built on it, and certificate serial -> keys of the edges whose
+        # proofs cite it.  An edge is listed at ``add`` and unlisted only
+        # in ``_unlink``, the one way an edge leaves the graph; both read
+        # what to list it under off its proof (``_citations``).
+        self._dependents = CitationIndex()
+        self._citing_serial = CitationIndex()
         self.max_shortcuts = max_shortcuts
         self.generation = 0
         self.evictions = 0
@@ -211,19 +215,34 @@ class DelegationGraph:
             self._degree[principal] = self._degree.get(principal, 0) + 1
         if edge.statement.validity.not_after is not None:
             self._bounded_count += 1
+        # Leaves *and* interior lemmas, shortcut or not: removing any
+        # constituent — another shortcut this proof embeds, a leaf of an
+        # undigested composite stored as a base edge — cascades here.
+        serials, constituents = self._citations(proof)
+        for constituent in constituents:
+            self._dependents.add(constituent, key)
+        for serial in serials:
+            self._citing_serial.add(serial, key)
         if shortcut:
             self._shortcut_count += 1
             self._shortcut_lru[key] = edge
-            self._register_dependencies(edge)
             if self._shortcut_count > self.max_shortcuts:
                 self._evict_one()
         else:
             self._basic_count += 1
-            if proof.premises:
-                # An undigested composite stored as a base edge still
-                # depends on its leaves for invalidation purposes.
-                self._register_dependencies(edge)
         return True
+
+    @staticmethod
+    def _citations(
+        proof: Proof,
+    ) -> Tuple[Tuple[bytes, ...], Tuple[bytes, ...]]:
+        """``(serials, constituents)``: what an edge over ``proof`` is
+        listed under — the certificates it cites and every sub-lemma's
+        digest but its own (which leads the walker's lemma digests).
+        Derived from the proof at both ends of an edge's life rather
+        than kept on every edge."""
+        serials, digests, _ = proof_citations(proof)
+        return serials, digests[1:]
 
     def _promote(self, edge: Edge) -> None:
         """Turn a derived shortcut into a permanent collected edge."""
@@ -240,20 +259,6 @@ class DelegationGraph:
         self._basic_count += 1
         self._incoming[edge.issuer].insert(edge)
         self._outgoing[edge.subject].insert(edge)
-
-    def _register_dependencies(self, edge: Edge) -> None:
-        """Register this composite edge under every constituent sub-proof
-        (leaves *and* interior lemmas), so removing any constituent —
-        including another shortcut this proof embeds — cascades here."""
-        if not edge.proof.premises:
-            return
-        constituents = []
-        for lemma in edge.proof.lemmas():
-            lemma_key = lemma.digest()
-            if lemma_key != edge.key:
-                constituents.append(lemma_key)
-                self._dependents.setdefault(lemma_key, set()).add(edge.key)
-        self._constituents_of[edge.key] = tuple(constituents)
 
     def touch(self, edge: Edge) -> None:
         """Refresh a shortcut's recency after a cache hit."""
@@ -287,12 +292,11 @@ class DelegationGraph:
             self._shortcut_lru.pop(edge.key, None)
         else:
             self._basic_count -= 1
-        for constituent_key in self._constituents_of.pop(edge.key, ()):
-            dependents = self._dependents.get(constituent_key)
-            if dependents is not None:
-                dependents.discard(edge.key)
-                if not dependents:
-                    del self._dependents[constituent_key]
+        serials, constituents = self._citations(edge.proof)
+        for constituent in constituents:
+            self._dependents.discard(constituent, edge.key)
+        for serial in serials:
+            self._citing_serial.discard(serial, edge.key)
 
     def _evict_one(self) -> None:
         """Drop the least recently useful shortcut (cache pressure, not
@@ -318,7 +322,7 @@ class DelegationGraph:
     def _invalidate(self, edge: Edge, cascade: bool = True) -> int:
         if edge.key not in self._edges:
             return 0
-        dependents = tuple(self._dependents.get(edge.key, ())) if cascade else ()
+        dependents = self._dependents.holders(edge.key) if cascade else ()
         self._unlink(edge)
         self.invalidations += 1
         removed = 1
@@ -399,6 +403,12 @@ class DelegationGraph:
 
     def edges(self) -> Iterator[Edge]:
         return iter(self._edges.values())
+
+    def citing_serial(self, serial: bytes) -> Tuple[bytes, ...]:
+        """Keys of the edges whose proofs cite the certificate with
+        ``serial``, oldest first (revocation lookups — see
+        ``Prover.invalidate_serial``)."""
+        return self._citing_serial.holders(serial)
 
     def find(self, digest: bytes) -> Optional[Edge]:
         """The edge whose proof has this digest, if present (lemma

@@ -25,7 +25,7 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.principals import Principal, QuotingPrincipal
-from repro.core.proofs import Proof, proof_cites_serial
+from repro.core.proofs import Proof
 from repro.core.rules import TransitivityStep
 from repro.core.statements import SpeaksFor, Validity
 from repro.prover.closures import Closure
@@ -78,6 +78,7 @@ class Prover:
             "shortcut_cache_size": 0,
             "shortcut_evictions": 0,
             "invalidations": 0,
+            "invalidate_examined": 0,
             "generation": 0,
         }
 
@@ -174,11 +175,8 @@ class Prover:
         """Retract every edge whose proof cites the certificate with
         ``serial`` (revocation event), cascading into derived shortcuts.
         Returns the number of edges removed."""
-        dead = [
-            edge.key
-            for edge in self.graph.edges()
-            if proof_cites_serial(edge.proof, serial)
-        ]
+        dead = self.graph.citing_serial(serial)
+        self.stats["invalidate_examined"] += len(dead)
         removed = 0
         for key in dead:
             removed += self.graph.remove(key)

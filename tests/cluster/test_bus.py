@@ -105,6 +105,25 @@ class TestRevocation:
                 node.guard.check(world.request())
         assert world.cluster.bus.stats["published_serial_revoked"] == 1
 
+    def test_a_purge_says_what_it_examined(self, world):
+        """One edge and one cached proof per node cite the serial; the
+        registry counters (what ``(stats <id>)`` serves) and the per-node
+        tallies (what ``repro.tools stats`` dumps) both say so."""
+        nodes = _warm_all_nodes(world)
+        metrics = world.cluster.metrics
+        edges = metrics.counter("prover.invalidate_examined")
+        entries = metrics.counter("guard.cache.retract_examined")
+        world.cluster.revoke_serial(world.certificate.serial)
+        world.cluster.deliver_invalidations()
+        assert metrics.counter("prover.invalidate_examined") - edges == len(nodes)
+        assert (
+            metrics.counter("guard.cache.retract_examined") - entries
+            == len(nodes)
+        )
+        for tallies in world.cluster.stats_snapshot()["nodes"].values():
+            assert tallies["prover"]["invalidate_examined"] == 1
+            assert tallies["cache"]["retract_examined"] == 1
+
     def test_late_joiner_is_not_handed_revoked_authority(self, world):
         """The delegation-replay at join must not resurrect authority a
         revocation already killed cluster-wide."""
@@ -115,6 +134,37 @@ class TestRevocation:
         assert world.delegation not in late.prover.graph
         with pytest.raises(NeedAuthorizationError):
             late.guard.check(world.request())
+
+    def test_late_joiner_is_not_handed_retracted_delegation(
+        self, world, alice_kp, bob_kp
+    ):
+        """A retraction names a lemma, and a replicated chain embedding
+        that lemma re-adds it when digested — so the replay set must
+        lose every delegation built on the retracted one, not just the
+        entry stored under its own digest."""
+        bob = KeyPrincipal(bob_kp.public)
+        onward = SignedCertificateStep(
+            Certificate.issue(alice_kp, bob, Tag.all(), rng=world.rng)
+        )
+        world.cluster.add_delegation(
+            TransitivityStep(onward, world.delegation)
+        )
+        nodes = world.cluster.nodes()
+        for node in nodes:
+            assert node.guard.check(world.request(speaker=bob)).granted
+        world.cluster.retract_delegation(world.delegation)
+        world.cluster.deliver_invalidations()
+        for node in nodes:
+            with pytest.raises(NeedAuthorizationError):
+                node.guard.check(world.request(speaker=bob))
+        late = world.cluster.add_node()
+        assert world.delegation not in late.prover.graph
+        for speaker in (bob, world.client):
+            with pytest.raises(NeedAuthorizationError):
+                late.guard.check(world.request(speaker=speaker))
+        # The onward hop was never retracted: every node keeps it.
+        for node in nodes:
+            assert onward in node.prover.graph
 
     def test_unrelated_serial_revocation_is_a_noop(self, world):
         nodes = _warm_all_nodes(world)

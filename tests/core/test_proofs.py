@@ -5,9 +5,11 @@ import pytest
 from repro.core.errors import ProofError, VerificationError
 from repro.core.principals import KeyPrincipal
 from repro.core.proofs import (
+    CitationIndex,
     PremiseStep,
     SignedCertificateStep,
     VerificationContext,
+    proof_citations,
     proof_from_sexp,
 )
 from repro.core.rules import TransitivityStep
@@ -151,3 +153,43 @@ class TestLemmas:
         )
         text = cert.display_tree()
         assert "signed-certificate" in text
+
+
+class TestCitations:
+    def test_a_chain_cites_every_serial_lemma_and_premise_under_it(
+        self, A, alice_kp, B, carol_kp, rng
+    ):
+        C = KeyPrincipal(carol_kp.public)
+        binding = PremiseStep(SpeaksFor(C, B, Tag.all()))
+        cert = SignedCertificateStep(
+            Certificate.issue(alice_kp, B, Tag.all(), rng=rng)
+        )
+        chain = TransitivityStep(binding, cert)
+        serials, digests, premises = proof_citations(chain)
+        assert serials == (cert.certificate.serial,)
+        # Outermost first: a proof's own digest leads its citations.
+        assert digests == (chain.digest(), binding.digest(), cert.digest())
+        assert premises == (binding.conclusion,)
+        assert proof_citations(cert) == (serials, (cert.digest(),), ())
+
+    def test_index_lists_holders_in_arrival_order(self):
+        index = CitationIndex()
+        assert index.holders(b"s") == ()
+        for holder in (b"k2", b"k1", b"k3", b"k1"):
+            index.add(b"s", holder)
+        assert index.holders(b"s") == (b"k2", b"k1", b"k3")
+        index.discard(b"s", b"k2")
+        index.discard(b"s", b"absent")
+        assert index.holders(b"s") == (b"k1", b"k3")
+
+    def test_index_forgets_a_thing_with_its_last_holder(self):
+        index = CitationIndex()
+        index.add(b"s", b"k1")
+        index.add(b"s", b"k2")
+        index.add(b"t", b"k1")
+        index.discard(b"s", b"k1")
+        index.discard(b"t", b"other")
+        assert sorted(index) == [b"s", b"t"]
+        index.discard(b"s", b"k2")
+        index.discard(b"t", b"k1")
+        assert len(index) == 0 and index.holders(b"s") == ()

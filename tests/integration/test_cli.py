@@ -119,6 +119,8 @@ class TestStatsCommand:
         assert len(snapshot["nodes"]) == 3
         node = next(iter(snapshot["nodes"].values()))
         assert set(node) == {"guard", "cache", "sessions", "prover", "meter_ms"}
+        assert "retract_examined" in node["cache"]
+        assert "invalidate_examined" in node["prover"]
         assert snapshot["aggregate"]["throughput_rps"] > 0
 
     def test_fail_one_exercises_session_reminting(self, capsys):
