@@ -28,15 +28,15 @@ the post-change windows measure checks/s through the flip — *dip depth*
 falls) and *dip duration* (how long throughput stays below 90% of
 baseline) are the first-class metrics.
 
-The deterministic assertions ride counters: the drained path's
-survivors pay **zero** Prover searches where the cold path pays one per
-session, and the hot-speaker warm-up runs assert the replica set skips
-every duplicate derivation (``rederivations_avoided``) at R=2 and R=4.
-Dip depth is recorded but not asserted: with the cluster owned by one
+The assertions ride counters only: the drained path's survivors pay
+**zero** Prover searches where the cold path pays one per session, no
+handed-off record is refused as stale, and no client sees a RETRY.
+Wall clock is recorded, not asserted.  With the cluster owned by one
 loop the whole drain (~12 ms here) lands inside the first post-change
 window, so the drained worst window sits 0.86-0.97x as deep as the cold
-one (8 repeats, IQR 0.87-0.92) — the earlier 0.85 contrast came from a
-drain thread smearing that cost over several windows.  What a drain
+one (8 repeats, IQR 0.87-0.92), and the self-normalized post-change
+speedup of drain over cold has read 1.04, 1.05 and 0.97 — inside its
+own spread.  What a drain
 costs bystanders under paced load is ``churn_paced``'s
 ``cluster.handoff.drain_ms`` and ``loadgen.lat_p99_ms`` (``bench/``).
 
@@ -55,7 +55,7 @@ from repro.cluster.ring import session_routing_key
 from repro.core.principals import KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.crypto.rsa import generate_keypair
-from repro.guard import ChannelCredential, GuardRequest, SessionCredential
+from repro.guard import GuardRequest, SessionCredential
 from repro.serve import ServeClient, ServeFleet
 from repro.sexp import sexp, to_canonical
 from repro.spki import Certificate
@@ -66,14 +66,9 @@ SESSIONS = 48
 DISTINCT_PATHS = 8
 PRE_WINDOWS = 4          # window 0 is cache warm-up; baseline = 1..PRE-1
 POST_WINDOWS = 4
-RUNS = 3                 # cold/drain pairs; the gate takes the median
+RUNS = 3                 # cold/drain pairs; the JSON reports the median
 WINDOW_REQUESTS = 2 * SESSIONS  # every window touches every session twice
 DIP_FLOOR = 0.90         # a window below 90% of baseline counts as dipped
-#: The wall-clock gate compares *slowdowns*, not raw elapsed: each run's
-#: post-change time is normalized by what its own warm baseline predicts,
-#: so a globally slow run (noisy CI neighbor) cancels out of the ratio.
-HOT_THRESHOLD = 8
-HOT_CHECKS = 8 * HOT_THRESHOLD
 #: Delegation chains in the drain world are this deep and this wide:
 #: the ``root -> gateways -> host`` spine is built of 1024-bit issuers,
 #: so a cold re-derivation pays ``CHAIN_HOPS`` real RSA verifies plus a
@@ -82,13 +77,6 @@ HOT_CHECKS = 8 * HOT_THRESHOLD
 #: later record is the per-session hop plus ``(lemma <digest>)`` stubs.
 KEY_BITS = 1024
 CHAIN_HOPS = 4
-#: Wall-clock backstop on the same runs: a drain's post-change windows
-#: must not take materially longer than the cold leave's, after each run
-#: is normalized by its own warm baseline.  Post-window wall clock on a
-#: shared CI box is too noisy to gate tightly (observed medians swing
-#: ~0.9-1.1x), so this bar only catches a handoff that costs *more* than
-#: the storm it avoids.
-SPEEDUP_BAR = 0.85
 
 try:
     CPU_CORES = len(os.sched_getaffinity(0))
@@ -247,77 +235,7 @@ def _measure_leave(mode, chain_kps, rng):
     }
 
 
-def _measure_hot_speaker(server_kp, alice_kp, rng, replica_reads):
-    """Hot-speaker warm-up at R: drive one speaker past the threshold
-    and time how long until the whole replica set has served it.  With
-    gossip the replicas answer from handed-off cache entries — zero
-    Prover searches anywhere but the owner."""
-    cluster = AuthCluster(
-        node_count=6,
-        replica_reads=replica_reads,
-        hot_threshold=HOT_THRESHOLD,
-    )
-    issuer = KeyPrincipal(server_kp.public)
-    client = KeyPrincipal(alice_kp.public)
-    certificate = Certificate.issue(server_kp, client, Tag.all(), rng=rng)
-    cluster.add_delegation(SignedCertificateStep(certificate))
-
-    logicals = [
-        sexp(["web", ["method", "GET"], ["path", "/hot-%d" % path]])
-        for path in range(DISTINCT_PATHS)
-    ]
-    start = time.perf_counter()
-    warm_at = None
-    checks_until_warm = None
-    for index in range(HOT_CHECKS):
-        request = GuardRequest(
-            logicals[index % DISTINCT_PATHS],
-            issuer=issuer,
-            credential=ChannelCredential(client),
-            transport="rmi",
-        )
-        assert cluster.check(request).granted
-        if warm_at is None:
-            served = [
-                node for node in cluster.nodes()
-                if node.guard.stats["checks"] > 0
-            ]
-            if len(served) == replica_reads:
-                warm_at = time.perf_counter()
-                checks_until_warm = index + 1
-    elapsed = time.perf_counter() - start
-    served = [
-        node for node in cluster.nodes() if node.guard.stats["checks"] > 0
-    ]
-    searchers = [
-        node for node in served if node.prover.stats["searches"] > 0
-    ]
-    replica_searches = sum(
-        node.prover.stats["searches"]
-        for node in served
-        if node not in searchers[:1]
-    )
-    return {
-        "replica_reads": replica_reads,
-        "checks": HOT_CHECKS,
-        "elapsed_s": elapsed,
-        "time_to_warm_ms": (
-            (warm_at - start) * 1000.0 if warm_at is not None else None
-        ),
-        "checks_until_warm": checks_until_warm,
-        "nodes_served": len(served),
-        "replica_prover_searches": replica_searches,
-        "gossip_pushes": cluster.handoff.stats["gossip_pushes"],
-        "rederivations_avoided": (
-            cluster.handoff.stats["rederivations_avoided"]
-        ),
-    }
-
-
-def test_drain_vs_cold_leave_over_loopback(keypool, rng):
-    server_kp = keypool[0]
-    alice_kp = keypool[1]
-
+def test_drain_vs_cold_leave_over_loopback(rng):
     # One shared delegation spine for all runs (keygen is the expensive
     # part; the worlds differ only in their minted sessions).
     chain_kps = tuple(
@@ -361,43 +279,19 @@ def test_drain_vs_cold_leave_over_loopback(keypool, rng):
         # A planned departure never surfaces as RETRY at the wire.
         assert drain["client_retries"] == 0
 
-    # The wall-clock contrast, on self-normalized slowdowns, gated on the
-    # median pair (the JSON carries every run for the CI perf gate and
-    # cross-commit diffing).
+    # The wall-clock contrast, on self-normalized slowdowns (each run's
+    # post-change time over what its own warm baseline predicts, so a
+    # globally slow run cancels out): recorded for every run, asserted
+    # on none.
     speedups = [
         cold["post_slowdown"] / drain["post_slowdown"]
         for cold, drain in pairs
     ]
     speedup = statistics.median(speedups)
-    assert speedup >= SPEEDUP_BAR, (
-        "a drain cost more wall-clock than the cold storm it avoids "
-        "(%.2fx, per-run %s)"
-        % (speedup, ["%.2fx" % value for value in speedups])
-    )
     dip_depth_drain = statistics.median(d["dip_depth"] for _, d in pairs)
     dip_depth_cold = statistics.median(c["dip_depth"] for c, _ in pairs)
     # The representative pair for the JSON detail: the median-speedup run.
     cold, drain = pairs[speedups.index(speedup)]
-
-    hot = {}
-    for replica_reads in (2, 4):
-        row = _measure_hot_speaker(server_kp, alice_kp, rng, replica_reads)
-        hot["r%d" % replica_reads] = row
-        print(
-            "  hot speaker R=%d: warm after %s checks (%.2f ms), "
-            "%d re-derivations avoided, %d replica searches" % (
-                replica_reads, row["checks_until_warm"],
-                row["time_to_warm_ms"] or 0.0,
-                row["rederivations_avoided"],
-                row["replica_prover_searches"],
-            )
-        )
-        # Counter-asserted warm-up: one gossip push per hot crossing,
-        # every replica derivation avoided, no duplicate Prover work.
-        assert row["gossip_pushes"] == 1
-        assert row["rederivations_avoided"] == replica_reads - 1
-        assert row["replica_prover_searches"] == 0
-        assert row["nodes_served"] == replica_reads
 
     path = write_bench(
         "cluster_drain",
@@ -419,7 +313,6 @@ def test_drain_vs_cold_leave_over_loopback(keypool, rng):
             },
             "drain": drain,
             "cold_leave": cold,
-            "hot_speaker": hot,
         },
     )
     print(

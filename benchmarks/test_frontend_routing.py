@@ -15,18 +15,11 @@ request) through a 4-listener fleet twice:
 Asserted: work is conserved exactly (routing moves charges, it never
 adds any) and the routed fleet clears ≥ 3× the pinned fleet's modeled
 throughput.
-
-The second harness prices **replica reads**: one *hot* speaker, whose
-single shard caps it at one node's throughput at R=1, exceeds that cap
-at R≥2 as its checks spread over the shard's ring successors — with
-work still conserved, and a revocation still denied on every replica
-after one invalidation-bus round.
 """
 
 from benchmarks._bench_output import write_bench
 from repro.cluster import AuthCluster
 from repro.obs import MetricsRegistry, Tracer
-from repro.core.errors import NeedAuthorizationError
 from repro.core.principals import KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.guard import GuardRequest, SessionCredential, default_backend
@@ -43,9 +36,6 @@ LISTENERS = 4
 SESSIONS = 96
 REQUESTS = 384
 NODES = 8
-
-HOT_REQUESTS = 384
-REPLICAS = (1, 2, 4)
 
 
 def _certify(server_kp, mac_key, rng):
@@ -134,62 +124,3 @@ def test_fleet_over_cluster_beats_fleet_pinned_to_one_guard(keypool, rng):
     # The acceptance bar: ≥ 3× one guard's modeled throughput.
     assert routed_rps >= 3 * pinned_rps
 
-
-def test_replica_reads_lift_a_hot_speaker_past_one_node(keypool, rng):
-    server_kp = keypool[0]
-    issuer = KeyPrincipal(server_kp.public)
-    chart = BarChart("hot speaker (modeled req/s)", unit="rps")
-    throughput = {}
-    sums = {}
-    clusters = {}
-    sessions = {}
-    for replicas in REPLICAS:
-        cluster = AuthCluster(node_count=NODES, replica_reads=replicas)
-        mac_id, mac_key = cluster.mint_session(rng)
-        certificate = Certificate.issue(
-            server_kp, MacPrincipal(mac_key.fingerprint()), Tag.all(), rng=rng
-        )
-        cluster.add_delegation(SignedCertificateStep(certificate))
-        hot = [(mac_id, mac_key)]
-        for index in range(HOT_REQUESTS):
-            assert cluster.check(_request(issuer, hot, index)).granted
-        aggregate = ClusterAggregate.of_nodes(cluster.nodes())
-        throughput[replicas] = aggregate.throughput(HOT_REQUESTS)
-        sums[replicas] = aggregate.sum_ms()
-        clusters[replicas] = cluster
-        sessions[replicas] = (mac_id, mac_key, certificate)
-        served = len(aggregate.loaded_nodes())
-        chart.add("R=%d (%d node%s)" % (replicas, served,
-                                        "s" if served > 1 else ""),
-                  throughput[replicas])
-    print("\n" + chart.render())
-    print(
-        "  speedups vs R=1: "
-        + ", ".join(
-            "R=%d -> %.2fx" % (r, throughput[r] / throughput[1])
-            for r in REPLICAS
-        )
-    )
-
-    # Work conserved at every replication factor.
-    for replicas in REPLICAS[1:]:
-        assert abs(sums[replicas] - sums[1]) < 1e-6
-    # R=1 *is* one node's modeled throughput (the cap replica reads
-    # exist to lift); R≥2 must exceed it, and more replicas more so.
-    for smaller, larger in zip(REPLICAS, REPLICAS[1:]):
-        assert throughput[larger] > throughput[smaller]
-    assert throughput[2] > throughput[1]
-
-    # Safety at R=4: revoke the hot speaker's certificate, pump ONE bus
-    # round, and every node — every replica included — must deny.
-    cluster = clusters[REPLICAS[-1]]
-    mac_id, mac_key, certificate = sessions[REPLICAS[-1]]
-    cluster.revoke_serial(certificate.serial)
-    cluster.deliver_invalidations()
-    hot = [(mac_id, mac_key)]
-    for index in range(4 * cluster.hot_threshold):
-        try:
-            cluster.check(_request(issuer, hot, index))
-        except NeedAuthorizationError:
-            continue
-        raise AssertionError("a replica granted after revocation + one round")

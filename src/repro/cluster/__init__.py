@@ -14,15 +14,16 @@ outlive a justification; and ``AuthCluster.check_many``
 pays one premise snapshot and one meter charge per batch.
 
 The speaks-for model is what makes all of this safe: a proof is valid
-wherever the premise set is held, so any node can verify any request
-its shard receives — see ``docs/cluster.md``.
+wherever the premise set is held, so whichever node owns a speaker's
+shard — before or after a ring change — decides its requests the same
+way; see ``docs/cluster.md``.
 
 The cluster implements the full :class:`~repro.guard.backend.AuthBackend`
 protocol, so transports front it exactly as they front a single guard
-(every listener of a fleet is handed the cluster itself);
+(every listener of a fleet is handed the cluster itself), and every
+check is served by its speaker's shard owner;
 :mod:`repro.cluster.audit` merges the per-node audit logs into one
-time-ordered trail, and ``replica_reads`` spreads a hot speaker's checks
-over its shard's ring successors.
+time-ordered trail.
 """
 
 from repro.cluster.audit import ClusterAuditView

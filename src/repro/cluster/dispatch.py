@@ -8,17 +8,13 @@ and one metered ``checkAuth`` charge per batch instead of one per
 request — the cluster-scale version of the batching the guard already
 does for a single process.  A single ``check`` is a batch of one.
 
-Its control plane owns the shared clock, the membership table, the
-invalidation bus, the replicated delegation set, and the session
-directory used to re-mint a failed node's sessions onto their new
-owners on first miss.  It implements the full
-:class:`~repro.guard.backend.AuthBackend` protocol, so every transport
-that can front a single :class:`Guard` can front a cluster unchanged —
-and with ``replica_reads > 1`` a *hot* speaker's read-only checks
-spread over the ring successors of its shard, lifting the
-one-speaker-one-node throughput cap (premises are replicated, so any
-replica can verify; the invalidation bus reaches the whole replica set,
-so a retraction still denies everywhere after one round).
+Every check is served by its speaker's shard owner.  The control plane
+owns the shared clock, the membership table, the invalidation bus, the
+replicated delegation set, and the session directory used to re-mint a
+failed node's sessions onto their new owners on first miss.  It
+implements the full :class:`~repro.guard.backend.AuthBackend` protocol,
+so every transport that can front a single :class:`Guard` can front a
+cluster unchanged.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from repro.cluster.ring import (
     session_routing_key,
 )
 from repro.core.errors import AuthorizationError
-from repro.core.principals import MacPrincipal, Principal, QuotingPrincipal
+from repro.core.principals import Principal, QuotingPrincipal
 from repro.core.proofs import (
     CitationIndex,
     Proof,
@@ -61,30 +57,21 @@ from repro.sexp import parse_canonical
 from repro.sim.clock import SimClock
 
 
-#: LRU bound on the per-speaker traffic table behind ``hot_threshold``.
-HOT_SPEAKER_CAP = 4096
-
-
 class AuthCluster:
     """A sharded, replicated authorization cluster (an ``AuthBackend``).
 
     - **sharding**: requests route by speaker fingerprint on a
-      consistent-hash ring; each node's guard keeps local caches exactly
-      as a single-process guard would;
-    - **replica reads**: with ``replica_reads = R > 1``, a speaker whose
-      request count passes ``hot_threshold`` has its checks spread
-      round-robin over the R ring successors of its shard — delegations
-      are replicated and session secrets re-mint from the escrow
-      directory, so any replica verifies correctly and a single hot
-      speaker is no longer capped at one node's throughput;
+      consistent-hash ring, and the shard owner serves every check; each
+      node's guard keeps local caches exactly as a single-process guard
+      would;
     - **replication**: delegations added through the cluster are digested
-      into *every* node's prover (the speaks-for model makes any replica
+      into *every* node's prover (the speaks-for model makes any node
       able to verify any proof), and new nodes receive the current set at
       join;
     - **invalidation**: retractions, channel closes, and revocations are
       applied locally, then broadcast on the bus; one
       ``deliver_invalidations()`` round purges every other node's
-      dependent cache entries and shortcuts — replica sets included;
+      dependent cache entries and shortcuts;
     - **failure**: a failed node's shards reassign by ring arithmetic;
       its MAC sessions re-mint onto the new owners from the cluster
       directory on first miss, carrying their original mint stamp so
@@ -93,9 +80,7 @@ class AuthCluster:
       serving), streams its warm state — cached proofs, shortcuts, MAC
       sessions, channel bindings — to the inheriting ring successors via
       :class:`~repro.cluster.handoff.HandoffCoordinator`, then finalizes
-      the leave, so a planned topology change costs ~no re-derivations;
-      with ``gossip=True`` the same records warm a hot speaker's replica
-      set the moment its checks start spreading.
+      the leave, so a planned topology change costs ~no re-derivations.
     """
 
     def __init__(
@@ -107,18 +92,12 @@ class AuthCluster:
         session_ttl: Optional[float] = None,
         directory_cap: int = 4096,
         check_charge: Optional[str] = "rmi_checkauth",
-        replica_reads: int = 1,
-        hot_threshold: int = 16,
-        hot_window: Optional[float] = 300.0,
-        gossip: bool = True,
         audit_retain: Optional[int] = None,
         audit_sink=None,
         rng=None,
         metrics=None,
         tracer=None,
     ):
-        if replica_reads < 1:
-            raise ValueError("replica_reads must be at least 1")
         self.clock = clock if clock is not None else SimClock()
         # One registry/tracer pair for the whole subsystem: every node's
         # guard, the dispatch counters, and (via source registration) the
@@ -140,18 +119,13 @@ class AuthCluster:
         self.session_ttl = session_ttl
         self.directory_cap = directory_cap
         self.check_charge = check_charge
-        self.replica_reads = replica_reads
-        self.hot_threshold = hot_threshold
-        self.hot_window = hot_window
-        self.gossip = gossip
         self.rng = rng
         # One retention knob: ``audit_retain`` sizes each node's ring and
         # caps the merged view; ``audit_sink`` sees every node's records.
         self.audit_retain = audit_retain
         self.audit_sink = audit_sink
         self.audit = ClusterAuditView(self.membership, retain=audit_retain)
-        # The handoff/gossip plane: warm-state transfer for planned
-        # departures, and proof-cache pushes when a speaker goes hot.
+        # The handoff plane: warm-state transfer for planned departures.
         self.handoff = HandoffCoordinator(self)
         self._next_node = 0
         # Base term of ``invalidation_generation``: compensates for node
@@ -165,17 +139,11 @@ class AuthCluster:
         self._delegations: Dict[bytes, Proof] = {}
         self._delegations_citing_serial = CitationIndex()
         self._delegations_embedding = CitationIndex()
-        # routing-key -> (request count, last seen); LRU-bounded.
-        # Hotness decays on idleness, not lifetime: a counter whose
-        # speaker has been quiet past ``hot_window`` restarts, so
-        # trickle speakers cool back to owner-pinned routing while a
-        # continuously hot speaker stays spread.
-        self._traffic: "OrderedDict[bytes, Tuple[int, float]]" = OrderedDict()
         # channel fingerprint -> vouched premise, for live channels only
-        # (entries die at close).  The replica-read analogue of the
-        # session escrow: whichever node serves a spread channel speaker
-        # can be handed the binding on first miss, even if the ring
-        # changed since open_channel vouched the original replica set.
+        # (entries die at close).  The channel analogue of the session
+        # escrow: a node that comes to serve a channel speaker — after a
+        # ring change, or for a quoting speaker that routes by its
+        # compound fingerprint — is handed the binding on first miss.
         self._channel_directory: Dict[bytes, SpeaksFor] = {}
         # mac_id -> (secret, mint stamp); LRU-bounded by directory_cap.
         # The directory is the failover escrow, not an authority grant:
@@ -191,7 +159,6 @@ class AuthCluster:
             "dispatches": 0, "requests": 0, "shard_batches": 0,
         }
         self.stats = {
-            "replica_reads": 0,
             "deliveries": 0,
             "proofs_submitted": 0,
             "sessions_minted": 0,
@@ -376,78 +343,16 @@ class AuthCluster:
             raise LookupError("unknown node %r" % node_id)
         return node
 
-    # -- replica-read routing ----------------------------------------------
-
-    def _note_traffic(self, key: bytes) -> int:
-        now = self.clock.now()
-        entry = self._traffic.get(key)
-        count = 0
-        if entry is not None and (
-            self.hot_window is None or now - entry[1] <= self.hot_window
-        ):
-            count = entry[0]
-        self._traffic[key] = (count + 1, now)
-        self._traffic.move_to_end(key)
-        while len(self._traffic) > HOT_SPEAKER_CAP:
-            self._traffic.popitem(last=False)
-        return count + 1
-
     def _route(self, request: GuardRequest) -> GuardNode:
-        """The serving node of a check: the shard owner, or — once the
-        speaker runs hot and ``replica_reads > 1`` — a round-robin pick
-        from the shard's replica set.  Only *decisions* spread; state
-        mutations (delivery vouching, channel opens pinned elsewhere)
-        stay with the owner."""
-        key = routing_key(request)
-        if self.replica_reads <= 1 or len(self.membership) <= 1:
-            return self.membership.node_for(key)
-        count = self._note_traffic(key)
-        if count <= self.hot_threshold:
-            return self.membership.node_for(key)
-        replicas = self.membership.nodes_for(key, self.replica_reads)
-        if (
-            self.gossip
-            and count == self.hot_threshold + 1
-            and len(replicas) > 1
-        ):
-            # The speaker just crossed the hot threshold: its next checks
-            # spread over the replica set, so push the owner's warm cache
-            # entries there now — each replica then hits the proof-cache
-            # stage instead of paying the same Prover derivation again.
-            speaker = self._gossip_speaker(request, replicas[0])
-            if speaker is not None:
-                self.handoff.gossip(replicas[0], replicas[1:], speaker)
-        node = replicas[count % len(replicas)]
-        if node is not replicas[0]:
-            self.stats["replica_reads"] += 1
-            self.metrics.inc("cluster.replica_reads")
-        return node
-
-    def _gossip_speaker(
-        self, request: GuardRequest, owner: GuardNode
-    ) -> Optional[Principal]:
-        """The cache-bucket key the owner holds this request's warm state
-        under — the speaker gossip must export by.  Mirrors how the guard
-        buckets each credential kind: channels by the channel speaker,
-        sessions by the MAC principal of the session key, subject-bound
-        proofs by the expected subject."""
-        credential = request.credential
-        if isinstance(credential, ChannelCredential):
-            return credential.speaker
-        if isinstance(credential, SessionCredential):
-            mac_key = owner.guard.sessions.get(credential.session_id)
-            if mac_key is None:
-                return None
-            return MacPrincipal(mac_key.fingerprint())
-        expected = getattr(credential, "expected_subject", None)
-        return expected
+        """The serving node of a request: its speaker's shard owner."""
+        return self.membership.node_for(routing_key(request))
 
     # -- replicated delegations and invalidation ---------------------------
 
     def add_delegation(self, proof: Proof) -> None:
-        """Digest a delegation into every live node's prover.  Any replica
+        """Digest a delegation into every live node's prover.  Any node
         can then complete proofs over it — the property that makes
-        speaker-sharding (and replica reads) safe."""
+        speaker-sharding safe."""
         digest = proof.digest()
         self._delegations[digest] = proof
         serials, lemma_digests, _ = proof_citations(proof)
@@ -531,28 +436,22 @@ class AuthCluster:
     def open_channel(
         self, channel_principal: Principal, bound_principal: Principal
     ) -> SpeaksFor:
-        """Vouch a completed key exchange on the channel's owning node —
-        and, when replica reads are on, on the ring successors too, so a
-        hot channel speaker can be verified anywhere its checks land.
+        """Vouch a completed key exchange on the channel's owning node.
         Close retracts on the owner and the bus round clears the rest."""
         fingerprint = principal_fingerprint(channel_principal)
-        replicas = self.membership.nodes_for(fingerprint, self.replica_reads)
-        premise = replicas[0].guard.open_channel(
+        premise = self.membership.node_for(fingerprint).guard.open_channel(
             channel_principal, bound_principal
         )
-        for node in replicas[1:]:
-            node.trust.vouch(premise)
-        # Remember the binding for the channel's lifetime: if the ring
-        # changes while the speaker is hot, the new serving nodes are
-        # handed the premise on first miss (see ``_ensure_channel``).
+        # Remember the binding for the channel's lifetime: a node that
+        # comes to serve the speaker later is handed the premise on first
+        # miss (see ``_ensure_channel``).
         self._channel_directory[fingerprint] = premise
         self.stats["channels_opened"] += 1
         return premise
 
     def close_channel(self, premise: SpeaksFor) -> None:
         """Close on the current owner; the broadcast reaches any node
-        that held dependent state under an older ring layout — including
-        the replica set a hot channel was spread over."""
+        that held dependent state under an older ring layout."""
         self._channel_directory.pop(
             principal_fingerprint(premise.subject), None
         )
@@ -611,8 +510,8 @@ class AuthCluster:
     def _ensure_channel(self, request: GuardRequest, node: GuardNode) -> None:
         """Hand a live channel's binding to the node about to serve it.
 
-        ``open_channel`` vouches onto the replica set of the moment, but
-        the ring can change under a live connection (a join, a failure)
+        ``open_channel`` vouches on the owner of the moment, but the
+        ring can change under a live connection (a join, a failure)
         and a quoting speaker (``KCH|C``) routes by the *compound*
         fingerprint, not the channel's — either way the serving node may
         lack the premise every chain over the channel needs.  The
@@ -634,17 +533,15 @@ class AuthCluster:
 
     def _ensure_session(self, request: GuardRequest, node: GuardNode) -> None:
         """Re-mint a directory session onto the node about to serve it on
-        first miss — the lazy half of failure rebalancing, and of replica
-        reads (a replica learns a hot session's secret the first time a
-        spread check lands on it).  The re-mint carries the original mint
-        stamp, so the session's absolute TTL holds across any number of
-        serving nodes."""
+        first miss — the lazy half of failure rebalancing.  The re-mint
+        carries the original mint stamp, so the session's absolute TTL
+        holds across any number of serving nodes."""
         credential = request.credential
         if not isinstance(credential, SessionCredential):
             return
         # Steady state short-circuits on the serving node's registry
         # alone; the escrow directory is only consulted on a miss (mint,
-        # failover, rebalance, replica spread, or a genuinely unknown id).
+        # failover, rebalance, or a genuinely unknown id).
         if node.guard.sessions.get(credential.session_id) is not None:
             return
         entry = self._session_directory.get(credential.session_id)
@@ -666,14 +563,13 @@ class AuthCluster:
     # -- the data plane ----------------------------------------------------
 
     def check(self, request: GuardRequest) -> GuardDecision:
-        """Decide one request — a batch of one, routed to its serving
-        node (shard owner, or a replica once the speaker runs hot) —
-        raising exactly as ``Guard.check`` does."""
+        """Decide one request — a batch of one, routed to its shard
+        owner — raising exactly as ``Guard.check`` does."""
         return self.check_many([request])[0].granted_or_raise()
 
     def check_many(self, requests) -> List[GuardDecision]:
         """Batch-dispatch a mixed stream: one ``Guard.check_many`` call —
-        one premise snapshot, one checkAuth charge — per serving node
+        one premise snapshot, one checkAuth charge — per shard owner
         touched.  Decisions come back in the original stream order, and
         a failed request never interrupts its batch, so a caller cannot
         tell how the stream was partitioned — only the meters can."""
@@ -699,19 +595,18 @@ class AuthCluster:
         return decisions  # type: ignore[return-value]
 
     def authenticate(self, request: GuardRequest):
-        """Resolve a request's credential to its speaker on the node that
-        would serve it (so a session credential's chain is digested where
-        its checks will land)."""
+        """Resolve a request's credential to its speaker on its shard
+        owner (so a session credential's chain is digested where its
+        checks will land)."""
         node = self._route(request)
         self._prepare(request, node)
         return node.guard.authenticate(request)
 
     def deliver(self, request: GuardRequest) -> Principal:
-        """Post-handshake transport delivery, pinned to the shard owner:
-        delivery *vouches* the utterance (mutable premise state), and
-        premises live on the owner.  The decision itself — ``check`` —
-        is what spreads under replica reads."""
-        owner = self.membership.node_for(routing_key(request))
+        """Post-handshake transport delivery on the shard owner: delivery
+        *vouches* the utterance (mutable premise state), and premises
+        live where the speaker's checks are decided."""
+        owner = self._route(request)
         self._prepare(request, owner)
         speaker = owner.guard.deliver(request)
         self.stats["deliveries"] += 1
@@ -731,28 +626,21 @@ class AuthCluster:
 
     def submit_proof(self, proof_wire: bytes) -> Proof:
         """The proofRecipient path, cluster-wide: the subject's shard
-        owner pays the one parse+verify charge; with replica reads on,
-        the already-verified proof is memoized into the rest of the
-        replica set for free (one trust domain — verification is not
-        repeated, exactly as a cache hit does not re-verify)."""
+        owner pays the one parse+verify charge and memoizes the proof
+        where the subject's checks are decided."""
         # Parse once, here: routing needs the conclusion, and the
         # verifying guard accepts the built proof so nothing is parsed
         # (or priced) twice.
         proof = proof_from_sexp(parse_canonical(proof_wire))
         conclusion = proof.conclusion
         if isinstance(conclusion, SpeaksFor):
-            replicas = self.membership.nodes_for(
-                principal_fingerprint(conclusion.subject), self.replica_reads
-            )
+            owner = self.node_for_speaker(conclusion.subject)
             # A chain over a live channel needs the binding premise
-            # wherever it verifies — hand it over exactly as checks do.
-            for node in replicas:
-                self._ensure_channel_premise(conclusion.subject, node)
+            # where it verifies — hand it over exactly as checks do.
+            self._ensure_channel_premise(conclusion.subject, owner)
         else:
-            replicas = [self._via(None)]
-        proof = replicas[0].guard.submit_proof(proof_wire, proof=proof)
-        for node in replicas[1:]:
-            node.guard.cache_proof(proof)
+            owner = self._via(None)
+        proof = owner.guard.submit_proof(proof_wire, proof=proof)
         self.stats["proofs_submitted"] += 1
         return proof
 
@@ -790,7 +678,6 @@ class AuthCluster:
             "ring": {
                 "nodes": self.membership.ring.nodes(),
                 "vnodes": self.membership.ring.vnodes,
-                "replica_reads": self.replica_reads,
             },
             "nodes": {
                 node.node_id: node.stats()

@@ -8,10 +8,7 @@ makes a planned departure cost ~zero re-derivations: the draining node
 enumerates its warm state (proof-cache entries, prover shortcuts, MAC
 sessions, channel bindings), encodes each item as a serializable
 :class:`HandoffRecord`, and streams the records to the ring successors
-that will inherit each shard.  The same records ride intra-replica-set
-gossip: when a speaker goes hot and its checks spread over R successors,
-the owner pushes its prover-stage cache entries to the replica set so the
-replicas skip the duplicate derivations they would otherwise each pay.
+that will inherit each shard.
 
 The safety argument is the guard's, not ours: **a handed-off proof is
 never a handed-off decision**.  Every record is re-admitted through the
@@ -271,13 +268,13 @@ class DrainReport:
 
 
 class HandoffCoordinator:
-    """The cluster's handoff/gossip plane: export, stream, re-admit.
+    """The cluster's handoff plane: export, stream, re-admit.
 
-    Owned by :class:`~repro.cluster.dispatch.AuthCluster`; a drain and a
-    gossip push ride the same machinery — enumerate warm state into
-    :class:`HandoffRecord` objects, round-trip each through its canonical
-    wire form (the stream is the protocol, not an object-graph shortcut),
-    and install on the receivers through the guard import hooks.
+    Owned by :class:`~repro.cluster.dispatch.AuthCluster`; a drain
+    enumerates warm state into :class:`HandoffRecord` objects,
+    round-trips each through its canonical wire form (the stream is the
+    protocol, not an object-graph shortcut), and installs them on the
+    receivers through the guard import hooks.
     """
 
     #: Reports kept for the aggregate view (newest last).
@@ -296,8 +293,6 @@ class HandoffCoordinator:
             "shortcuts_offered": 0,
             "sessions_offered": 0,
             "channels_offered": 0,
-            "rederivations_avoided": 0,
-            "gossip_pushes": 0,
             "drains": 0,
             "bytes_streamed": 0,
             "last_drain_ms": 0.0,
@@ -373,9 +368,9 @@ class HandoffCoordinator:
 
     def _inheritor(self, key: bytes, draining_id: str) -> Optional[str]:
         """Who inherits ``key`` once ``draining_id`` leaves: the first
-        serving successor that is not the departing node.  (For state a
-        replica held on someone else's shard, that is simply the owner —
-        the install dedups.)"""
+        serving successor that is not the departing node.  (For state the
+        node holds on someone else's shard — left from an older ring
+        layout — that is simply the owner; the install dedups.)"""
         membership = self.cluster.membership
         ring = membership.ring
         for node_id in ring.successors(key, len(ring)):
@@ -470,7 +465,7 @@ class HandoffCoordinator:
             )
         return guard.import_shortcut(record.payload, full_verify=full_verify)
 
-    # -- the two protocols --------------------------------------------------
+    # -- the drain ------------------------------------------------------------
 
     def drain(self, node: GuardNode) -> DrainReport:
         """Transfer a draining node's warm state to the inheriting
@@ -506,59 +501,3 @@ class HandoffCoordinator:
         self.stats["drain_ms_total"] += duration_ms
         self.metrics.inc("cluster.handoff.drains")
         return report
-
-    def gossip(
-        self, owner: GuardNode, replicas: List[GuardNode], speaker
-    ) -> int:
-        """Push the owner's prover-stage cache entries for a
-        newly-hot ``speaker`` to its replica set, so spread checks hit
-        warm caches instead of each replica paying the same derivation.
-        Returns the number of re-derivations avoided (fresh proof-cache
-        installs on replicas)."""
-        if not replicas:
-            return 0
-        generation = self.cluster.invalidation_generation
-        records = [
-            HandoffRecord("proof", generation, proof, speaker=speaker)
-            for _, proof in owner.guard.export_proof_entries(speaker)
-        ]
-        # Skip shortcuts for chains already in the push — a proof record
-        # warms the receiver's prover as well as its cache.
-        pushed = {record.payload.digest() for record in records}
-        records.extend(
-            HandoffRecord("shortcut", generation, proof)
-            for proof in owner.guard.export_shortcuts(subject=speaker)
-            if proof.digest() not in pushed
-        )
-        if not records:
-            return 0
-        self.stats["records_offered"] += len(records) * len(replicas)
-        self.stats["proofs_offered"] += sum(
-            1 for record in records if record.kind == "proof"
-        ) * len(replicas)
-        self.stats["shortcuts_offered"] += sum(
-            1 for record in records if record.kind == "shortcut"
-        ) * len(replicas)
-        avoided = 0
-        for replica in replicas:
-            # Each replica decodes its own copy of the stream, resolving
-            # lemma citations against its *own* trusted graph; the stream
-            # dictionary is likewise per replica (what was delivered to
-            # one replica says nothing about what another holds).
-            citer = _StreamCiter(owner.guard.replicated_lemma)
-            for record in records:
-                record.cite = citer
-            decoded, _ = self._stream(records, replica.guard.resolve_lemma)
-            proof_records = [r for r in decoded if r.kind == "proof"]
-            shortcut_records = [r for r in decoded if r.kind == "shortcut"]
-            # Count avoided derivations by what actually landed fresh:
-            # a replica that already held the chain avoids nothing new.
-            fresh, _, _ = self.install(replica, proof_records)
-            avoided += fresh
-            if shortcut_records:
-                self.install(replica, shortcut_records)
-        self.stats["gossip_pushes"] += 1
-        self.stats["rederivations_avoided"] += avoided
-        self.metrics.inc("cluster.handoff.gossip_pushes")
-        self.metrics.inc("cluster.handoff.rederivations_avoided", avoided)
-        return avoided

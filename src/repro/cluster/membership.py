@@ -231,20 +231,6 @@ class ClusterMembership:
             raise NodeUnavailableError(node_id)
         return self._nodes[node_id]
 
-    def nodes_for(self, key: bytes, count: int = 1) -> List[GuardNode]:
-        """The live replica set of ``key``: the owner followed by up to
-        ``count - 1`` distinct ring successors.  A crashed owner raises
-        :class:`NodeUnavailableError`; crashed successors are simply
-        dropped from the set (a spread check can land anywhere live)."""
-        node_ids = self.ring.successors(key, count)
-        if self._state.get(node_ids[0]) not in SERVING:
-            raise NodeUnavailableError(node_ids[0])
-        return [
-            self._nodes[node_id]
-            for node_id in node_ids
-            if self._state.get(node_id) in SERVING
-        ]
-
     def known(self) -> List[GuardNode]:
         """Every node ever admitted, in join order — including the left
         and the failed, whose audit trails must outlive their shards."""
@@ -265,6 +251,3 @@ class ClusterMembership:
             for node_id, state in self._state.items()
             if state in SERVING
         ]
-
-    def __len__(self) -> int:
-        return len(self.alive())

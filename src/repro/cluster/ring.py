@@ -121,13 +121,13 @@ class HashRing:
         return points[index][1]
 
     def successors(self, key: bytes, count: int = 1) -> List[str]:
-        """The replica set of ``key``: up to ``count`` *distinct* node
-        ids walking clockwise from the key's hash.  The first entry is
-        the owner (``node_for``); the rest are the ring successors that
-        replica reads spread a hot speaker over.  Fewer than ``count``
-        nodes on the ring yields them all."""
+        """Up to ``count`` *distinct* node ids walking clockwise from the
+        key's hash.  The first entry is the owner (``node_for``); the
+        rest are, in order, the nodes that would inherit the key's shard
+        if those before them left — where a drain streams warm state.
+        Fewer than ``count`` nodes on the ring yields them all."""
         if count < 1:
-            raise ValueError("a replica set needs at least one node")
+            raise ValueError("successors needs a count of at least one")
         point_keys, points = self._index
         if not points:
             raise LookupError("the ring has no nodes")

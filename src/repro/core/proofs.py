@@ -138,7 +138,7 @@ class Proof:
         What a proof memoizes is its canonical *bytes* (:meth:`canonical`)
         — equality, hashing and the digest run on those, and a decoded
         proof is seeded with the bytes it arrived as.  The tree is for
-        callers that embed or stream it (handoff export, gossip, a
+        callers that embed or stream it (a drain's handoff export, a
         client attaching its proof), none of them on the check path.
         """
         return self._wire_sexp([p.to_sexp() for p in self._premises])

@@ -36,6 +36,16 @@ def _speaks_for(proof: Proof, role: str) -> SpeaksFor:
     return conclusion
 
 
+def _joint_validity(first: Validity, second: Validity, error) -> Validity:
+    """When two composed statements both hold.  Disjoint windows mean
+    the composition holds at no time: the step is refused with
+    ``error`` — there is no window to conclude it with."""
+    try:
+        return first.intersect(second)
+    except ValueError:
+        raise error("validity windows are disjoint: the step holds at no time")
+
+
 @register_rule
 class TransitivityStep(Proof):
     """``A =T1=> B`` and ``B =T2=> C`` yield ``A =T1∩T2=> C``.
@@ -59,7 +69,7 @@ class TransitivityStep(Proof):
             first.subject,
             second.issuer,
             first.tag.intersect(second.tag),
-            first.validity.intersect(second.validity),
+            _joint_validity(first.validity, second.validity, ProofError),
         )
         super().__init__(conclusion, (left, right))
 
@@ -72,7 +82,7 @@ class TransitivityStep(Proof):
             first.subject,
             second.issuer,
             first.tag.intersect(second.tag),
-            first.validity.intersect(second.validity),
+            _joint_validity(first.validity, second.validity, VerificationError),
         )
         if expected != self.conclusion:
             raise VerificationError("transitivity conclusion was altered")
@@ -349,7 +359,7 @@ class ConjunctionIntroStep(Proof):
             first.subject,
             ConjunctPrincipal.of(first.issuer, second.issuer),
             first.tag.intersect(second.tag),
-            first.validity.intersect(second.validity),
+            _joint_validity(first.validity, second.validity, ProofError),
         )
         super().__init__(conclusion, (left, right))
 
@@ -362,7 +372,7 @@ class ConjunctionIntroStep(Proof):
             first.subject,
             ConjunctPrincipal.of(first.issuer, second.issuer),
             first.tag.intersect(second.tag),
-            first.validity.intersect(second.validity),
+            _joint_validity(first.validity, second.validity, VerificationError),
         )
         if expected != self.conclusion:
             raise VerificationError("conjunction-intro conclusion was altered")
@@ -447,7 +457,9 @@ class ThresholdIntroStep(Proof):
         validity = conclusions[0].validity
         for conclusion in conclusions[1:]:
             tag = tag.intersect(conclusion.tag)
-            validity = validity.intersect(conclusion.validity)
+            validity = _joint_validity(
+                validity, conclusion.validity, ProofError
+            )
         super().__init__(
             SpeaksFor(subject, threshold, tag, validity), tuple(premises)
         )
@@ -472,7 +484,9 @@ class ThresholdIntroStep(Proof):
         validity = conclusions[0].validity
         for later in conclusions[1:]:
             tag = tag.intersect(later.tag)
-            validity = validity.intersect(later.validity)
+            validity = _joint_validity(
+                validity, later.validity, VerificationError
+            )
         expected = SpeaksFor(conclusion.subject, threshold, tag, validity)
         if expected != conclusion:
             raise VerificationError("threshold-intro conclusion was altered")

@@ -55,17 +55,13 @@ class Validity:
         return True
 
     def intersect(self, other: "Validity") -> "Validity":
-        not_before = _opt_max(self.not_before, other.not_before)
-        not_after = _opt_min(self.not_after, other.not_after)
-        if (
-            not_before is not None
-            and not_after is not None
-            and not_before > not_after
-        ):
-            # An unsatisfiable window; represent as a zero-length instant in
-            # the past so `contains` is False for every real time.
-            return Validity(not_after, not_after)
-        return Validity(not_before, not_after)
+        """The instants both windows contain.  Disjoint windows share
+        none, and there is no window containing nothing, so they raise
+        :class:`ValueError` exactly as the constructor does."""
+        return Validity(
+            _opt_max(self.not_before, other.not_before),
+            _opt_min(self.not_after, other.not_after),
+        )
 
     def is_unbounded(self) -> bool:
         return self.not_before is None and self.not_after is None

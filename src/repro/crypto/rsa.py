@@ -28,6 +28,15 @@ DECODED_KEYS_LIMIT = 4096
 _DECODED_KEYS: Dict[bytes, "RsaPublicKey"] = {}
 
 
+def _key_number(body: SList, name: str) -> int:
+    """The integer in an ``(rsa ...)`` body's ``(<name> <bytes>)`` field.
+    A field without exactly one atom value is a malformed key."""
+    field = body.find(name)
+    if field is None or len(field) != 2 or not isinstance(field.items[1], Atom):
+        raise ValueError("public key field %r needs exactly one value" % name)
+    return numtheory.bytes_to_int(field.items[1].value)
+
+
 class RsaPublicKey:
     """An RSA public key, serializable as ``(public-key (rsa (e ..) (n ..)))``."""
 
@@ -75,8 +84,12 @@ class RsaPublicKey:
         objects, so sharing one only shares its memoized node and
         fingerprint; equal bytes decode to the equal key, so a hit is
         exactly what the decode below would have built."""
-        if not isinstance(node, SList) or node.head() != "public-key":
-            raise ValueError("expected (public-key ...), got %r" % (node,))
+        if (
+            not isinstance(node, SList)
+            or node.head() != "public-key"
+            or len(node) != 2
+        ):
+            raise ValueError("expected (public-key <key>), got %r" % (node,))
         wire = to_canonical(node)
         known = _DECODED_KEYS.get(wire)
         if known is not None:
@@ -84,14 +97,7 @@ class RsaPublicKey:
         body = node.items[1]
         if not isinstance(body, SList) or body.head() != "rsa":
             raise ValueError("only rsa public keys are supported")
-        e_field = body.find("e")
-        n_field = body.find("n")
-        if e_field is None or n_field is None:
-            raise ValueError("public key missing e or n")
-        key = cls(
-            numtheory.bytes_to_int(n_field.items[1].value),
-            numtheory.bytes_to_int(e_field.items[1].value),
-        )
+        key = cls(_key_number(body, "n"), _key_number(body, "e"))
         # Honest encoders are deterministic, so the parsed node (whose
         # canonical bytes the parser already memoized) is the encoding
         # this key would rebuild; decoded keys never re-serialize.

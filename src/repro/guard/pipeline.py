@@ -779,39 +779,33 @@ class Guard:
 
     # -- warm-state handoff (export / import hooks) -------------------------
     #
-    # A draining cluster node (or a hot-speaker owner gossiping to its
-    # replica set) exports its warm state through the three ``export_*``
-    # snapshots and the receiver re-admits each record through the
-    # ``import_*`` hooks.  The contract is the one invariant the whole
-    # protocol hangs on: *a handed-off proof is never a handed-off
-    # decision*.  Every import re-validates against the receiving guard's
-    # own premise snapshot, clock, and invalidation tombstones; anything
-    # revoked, retracted, closed, or lapsed between export and install is
-    # refused, and the next check for it pays the full Prover path.
+    # A draining cluster node exports its warm state through the three
+    # ``export_*`` snapshots and the receiver re-admits each record
+    # through the ``import_*`` hooks.  The contract is the one invariant
+    # the whole protocol hangs on: *a handed-off proof is never a
+    # handed-off decision*.  Every import re-validates against the
+    # receiving guard's own premise snapshot, clock, and invalidation
+    # tombstones; anything revoked, retracted, closed, or lapsed between
+    # export and install is refused, and the next check for it pays the
+    # full Prover path.
 
-    def export_proof_entries(self, speaker=None) -> List[Tuple[object, Proof]]:
-        """Snapshot the proof cache as ``(speaker, proof)`` pairs —
-        ``speaker`` narrows to one bucket (replica gossip), ``None``
-        exports every bucket (a drain).  Pure read: no LRU touches, so
-        enumerating warm state does not reorder it."""
-        if speaker is not None:
-            bucket = self.cache.buckets.get(speaker)
-            if bucket is None:
-                return []
-            return [(speaker, entry.proof) for entry in bucket.values()]
+    def export_proof_entries(self) -> List[Tuple[object, Proof]]:
+        """Snapshot the proof cache as ``(speaker, proof)`` pairs, every
+        bucket.  Pure read: no LRU touches, so enumerating warm state
+        does not reorder it."""
         return [
             (spk, entry.proof)
             for spk, bucket in self.cache.buckets.items()
             for entry in bucket.values()
         ]
 
-    def export_shortcuts(self, subject=None) -> List[Proof]:
+    def export_shortcuts(self) -> List[Proof]:
         """Snapshot the attached prover's shortcut cache (empty without
         a prover) — the derived chains a successor would otherwise
         re-search for."""
         if self.prover is None:
             return []
-        return self.prover.export_shortcuts(subject)
+        return self.prover.export_shortcuts()
 
     def export_sessions(self) -> List[Tuple[str, object, float]]:
         """Snapshot the live MAC sessions as ``(mac_id, key, minted_at)``

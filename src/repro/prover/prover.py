@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.errors import ProofError
 from repro.core.principals import Principal, QuotingPrincipal
 from repro.core.proofs import Proof
 from repro.core.rules import TransitivityStep
@@ -33,6 +34,16 @@ from repro.prover.graph import DelegationGraph
 from repro.sexp import SExp, sexp
 from repro.spki.certificate import Certificate
 from repro.tags import Tag
+
+
+def _chain(left: Proof, right: Proof) -> Optional[Proof]:
+    """``left`` then ``right`` by transitivity, or ``None`` when their
+    validity windows are disjoint: that chain holds at no time, so it is
+    no search state and never a shortcut."""
+    try:
+        return TransitivityStep(left, right)
+    except ProofError:
+        return None
 
 
 class _Wave:
@@ -110,7 +121,7 @@ class Prover:
 
         self.add_proof(SignedCertificateStep(certificate))
 
-    def export_shortcuts(self, subject: Optional[Principal] = None):
+    def export_shortcuts(self):
         """Snapshot the shortcut cache as a list of derived proofs.
 
         Shortcuts are the expensive part of a prover's warm state: base
@@ -119,13 +130,9 @@ class Prover:
         shards would re-search for every one.  A draining node exports
         them here; the receiver re-admits each through its guard's
         import hook (which re-validates — an exported shortcut is never
-        an exported decision).  ``subject`` narrows the snapshot to one
-        speaker's chains (the replica-gossip case)."""
+        an exported decision)."""
         return [
-            edge.proof
-            for edge in list(self.graph.edges())
-            if edge.shortcut
-            and (subject is None or edge.subject == subject)
+            edge.proof for edge in list(self.graph.edges()) if edge.shortcut
         ]
 
     def lemma(self, digest: bytes) -> Optional[Proof]:
@@ -285,10 +292,12 @@ class Prover:
             if quoter_proof is None:
                 continue
             lifted = QuotingLeftMonotonicityStep(quoter_proof, subject.quotee)
-            combined = TransitivityStep(lifted, tail)
-            if self._covers(combined.conclusion,
-                            sexp(request) if request is not None else None,
-                            min_tag, now):
+            combined = _chain(lifted, tail)
+            if combined is not None and self._covers(
+                combined.conclusion,
+                sexp(request) if request is not None else None,
+                min_tag, now,
+            ):
                 return self._cache(combined)
         return None
 
@@ -447,16 +456,18 @@ class Prover:
             count = wave.visits.get(nxt, 0)
             if count >= self.max_visits:
                 continue
+            if half is None:
+                combined = edge.proof
+            elif wave.backward:
+                combined = _chain(edge.proof, half)
+            else:
+                combined = _chain(half, edge.proof)
+            if combined is None:
+                continue
             wave.visits[nxt] = count + 1
             if edge.shortcut:
                 stats["shortcut_hits"] += 1
                 graph.touch(edge)
-            if half is None:
-                combined = edge.proof
-            elif wave.backward:
-                combined = TransitivityStep(edge.proof, half)
-            else:
-                combined = TransitivityStep(half, edge.proof)
             child_depth = depth + 1
             # Goal test at generation: meet the other wave at `nxt`.  The
             # combined chain must stay within max_depth edges, preserving
@@ -467,10 +478,12 @@ class Prover:
                 if other_half is None:
                     full = combined
                 elif wave.backward:
-                    full = TransitivityStep(other_half, combined)
+                    full = _chain(other_half, combined)
                 else:
-                    full = TransitivityStep(combined, other_half)
-                if self._covers(full.conclusion, request, min_tag, now):
+                    full = _chain(combined, other_half)
+                if full is not None and self._covers(
+                    full.conclusion, request, min_tag, now
+                ):
                     return self._cache(full)
             wave.reached.setdefault(nxt, []).append((combined, child_depth))
             wave.queue.append((nxt, combined, child_depth))
@@ -525,11 +538,13 @@ class Prover:
         # public-key signature): the cache exists to avoid exactly this.
         for edge in self.graph.incoming(final_principal):
             if edge.subject == subject and needed_tag.implies(edge.statement.tag):
-                return TransitivityStep(edge.proof, proof_to_issuer)
+                reused = _chain(edge.proof, proof_to_issuer)
+                if reused is not None:
+                    return reused
         closure = self._closures[final_principal]
         minted = closure.delegate(subject, needed_tag, delegation_validity)
         self.add_proof(minted)
-        return TransitivityStep(minted, proof_to_issuer)
+        return _chain(minted, proof_to_issuer)
 
     def _canonical_chain(self, proof: Proof) -> Proof:
         """Right-fold a derived transitivity chain over its leaf sequence.
@@ -583,7 +598,7 @@ class Prover:
         """Record a derived proof as a shortcut edge (Figure 2's dotted
         lines), in canonical chain form (see :meth:`_canonical_chain`) so
         equivalent derivations share structure — and digests — across
-        cache entries, gossip pushes, and drain streams."""
+        cache entries and drain streams."""
         proof = self._canonical_chain(proof)
         if proof.premises:
             self.graph.add(proof, shortcut=True)

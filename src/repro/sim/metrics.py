@@ -119,22 +119,6 @@ class ClusterAggregate:
         mean = self.sum_ms() / len(self._totals)
         return self.makespan_ms() / mean if mean else 1.0
 
-    def busiest(self) -> Tuple[str, float]:
-        """The busiest node and its total — the makespan with a name,
-        so a replica-read report can say *which* node was the hot
-        speaker's cap."""
-        node_id = max(self._totals, key=self._totals.get)
-        return node_id, self._totals[node_id]
-
-    def loaded_nodes(self, threshold_ms: float = 0.0) -> List[str]:
-        """Node ids that did more than ``threshold_ms`` of work — how
-        many replicas a spread speaker actually landed on."""
-        return [
-            node_id
-            for node_id, total in self._totals.items()
-            if total > threshold_ms
-        ]
-
     def throughput(self, requests: int) -> float:
         """Modeled requests per simulated second."""
         makespan = self.makespan_ms()

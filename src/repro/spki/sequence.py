@@ -172,12 +172,16 @@ class SequenceVerifier:
             raise SequenceError(
                 "delegation not permitted: propagate bit unset on the upstream cert"
             )
+        try:
+            validity = earlier.validity.intersect(later.validity)
+        except ValueError:
+            raise SequenceError("validity windows are disjoint")
         stack.append(
             _Frame(
                 later.subject,
                 earlier.issuer,
                 earlier.tag.intersect(later.tag),
-                earlier.validity.intersect(later.validity),
+                validity,
                 later.propagate,
             )
         )

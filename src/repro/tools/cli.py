@@ -196,7 +196,6 @@ def _demo_cluster(args):
     issuer = KeyPrincipal(server.public)
     cluster = AuthCluster(
         node_count=args.nodes,
-        replica_reads=getattr(args, "replica_reads", 1),
         audit_retain=getattr(args, "retain", None),
     )
     sessions = []
@@ -476,9 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fail one node mid-run to exercise failover "
                             "session re-minting")
     stats.add_argument("--indent", type=int, default=2)
-    stats.add_argument("--replica-reads", type=int, default=1,
-                       help="spread hot speakers over this many ring "
-                            "successors (R=1 pins each shard to its owner)")
     stats.set_defaults(func=cmd_stats)
 
     audit = commands.add_parser(
@@ -491,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--seed", type=int, default=7)
     audit.add_argument("--fail-one", action="store_true",
                        help="fail one node mid-run (its trail still merges)")
-    audit.add_argument("--replica-reads", type=int, default=1)
     audit.add_argument("--merge", action="store_true",
                        help="one time-ordered cluster-wide trail instead "
                             "of per-node sections")

@@ -1,4 +1,4 @@
-"""Warm shard handoff and replica-set gossip.
+"""Warm shard handoff.
 
 The protocol under test: a draining node enumerates its warm state
 (proof-cache entries, prover shortcuts, MAC sessions, channel bindings)
@@ -470,83 +470,3 @@ class TestLemmaCitations:
         assert refused == 1
         assert cluster.handoff.stats["records_refused_stale"] == before + 1
 
-
-class TestGossip:
-    HOT_THRESHOLD = 8
-
-    def _hot_world(self, server_kp, alice_kp, rng, replica_reads):
-        world = ClusterWorld(
-            server_kp, alice_kp, rng, nodes=6,
-            replica_reads=replica_reads,
-            hot_threshold=self.HOT_THRESHOLD,
-        )
-        return world
-
-    @pytest.mark.parametrize("replica_reads", [2, 4])
-    def test_hot_speaker_replicas_skip_duplicate_derivations(
-        self, server_kp, alice_kp, rng, replica_reads
-    ):
-        """The acceptance criterion: when a speaker goes hot and spreads
-        over R successors, the owner's gossip push means the R-1 replicas
-        pay *zero* Prover searches — every spread check lands in the
-        handed-off proof-cache entry."""
-        world = self._hot_world(server_kp, alice_kp, rng, replica_reads)
-        cluster = world.cluster
-        for _ in range(8 * self.HOT_THRESHOLD):
-            assert cluster.check(world.request()).granted
-        served = [
-            node for node in cluster.nodes()
-            if node.guard.stats["checks"] > 0
-        ]
-        assert len(served) == replica_reads
-        assert cluster.handoff.stats["gossip_pushes"] == 1
-        assert (
-            cluster.handoff.stats["rederivations_avoided"]
-            == replica_reads - 1
-        )
-        # Exactly one node — the owner — ever ran a Prover search.
-        searchers = [
-            node for node in served if node.prover.stats["searches"] > 0
-        ]
-        assert len(searchers) == 1
-        replicas = [node for node in served if node not in searchers]
-        for replica in replicas:
-            assert replica.prover.stats["searches"] == 0
-            assert replica.guard.stats["cache_hits"] > 0
-
-    def test_gossip_can_be_disabled(self, server_kp, alice_kp, rng):
-        world = ClusterWorld(
-            server_kp, alice_kp, rng, nodes=6, replica_reads=2,
-            hot_threshold=self.HOT_THRESHOLD, gossip=False,
-        )
-        cluster = world.cluster
-        for _ in range(8 * self.HOT_THRESHOLD):
-            assert cluster.check(world.request()).granted
-        assert cluster.handoff.stats["gossip_pushes"] == 0
-        # Without gossip each replica re-derives for itself.
-        searchers = [
-            node for node in cluster.nodes()
-            if node.prover.stats["searches"] > 0
-        ]
-        assert len(searchers) == 2
-
-    def test_hot_mac_session_gossips_by_session_principal(
-        self, server_kp, alice_kp, rng
-    ):
-        world = ClusterWorld(
-            server_kp, alice_kp, rng, nodes=6, replica_reads=2,
-            hot_threshold=self.HOT_THRESHOLD, session_ttl=100.0,
-        )
-        cluster = world.cluster
-        mac_id, mac_key = _mint_session(world, rng)
-        for index in range(8 * self.HOT_THRESHOLD):
-            assert cluster.check(
-                _session_request(world.issuer, mac_id, mac_key, index)
-            ).granted
-        assert cluster.handoff.stats["gossip_pushes"] == 1
-        assert cluster.handoff.stats["rederivations_avoided"] == 1
-        searchers = [
-            node for node in cluster.nodes()
-            if node.prover.stats["searches"] > 0
-        ]
-        assert len(searchers) == 1

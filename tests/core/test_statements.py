@@ -41,9 +41,14 @@ class TestValidity:
         assert v.not_before == 50.0 and v.not_after == 100.0
 
     def test_intersect_disjoint_is_unsatisfiable_for_future(self):
-        v = Validity(0.0, 10.0).intersect(Validity(20.0, 30.0))
-        assert not v.contains(15.0)
-        assert not v.contains(25.0)
+        # Disjoint windows share no instant, so there is no window to
+        # return — not even a single instant at a bound, which would
+        # contain that bound.
+        with pytest.raises(ValueError):
+            Validity(0.0, 10.0).intersect(Validity(20.0, 30.0))
+        assert Validity(0.0, 10.0).intersect(Validity(10.0, 30.0)) == (
+            Validity(10.0, 10.0)
+        )
 
     def test_intersect_with_always(self):
         v = Validity(1.0, 2.0)

@@ -3,7 +3,7 @@
 The tentpole property of the AuthBackend refactor: the http, smtp, and
 rmi/secure-channel integration flows must pass *unchanged* whether the
 transport fronts a single shared :class:`Guard` or an
-:class:`AuthCluster` — tuned to spread hot speakers, or exactly as a
+:class:`AuthCluster` — the smallest that can fail over, or exactly as a
 front end is handed one by default.  Transports own wire framing;
 authorization routing belongs to the backend — so these tests
 parametrize only the backend factory and touch nothing else.
@@ -28,10 +28,9 @@ from repro.smtp import SnowflakeSmtpClient, SnowflakeSmtpServer
 from repro.spki import Certificate
 from repro.tags import parse_tag
 
-#: ``cluster`` spreads a hot speaker over two replicas after four
-#: requests; ``frontend`` is the cluster as a listener fronts it out of
-#: the box (``ServeFleet``, ``bench/server.py``): every knob at its
-#: default, so checks stay pinned to the shard owner.
+#: ``cluster`` is the smallest cluster with somewhere to fail over to;
+#: ``frontend`` is the cluster as a listener fronts it out of the box
+#: (``ServeFleet``, ``bench/server.py``): every knob at its default.
 BACKENDS = ["guard", "cluster", "frontend"]
 
 
@@ -41,9 +40,7 @@ def make_backend(kind, trust, clock=None):
         return default_backend(trust, check_charge=None)
     clock = clock if clock is not None else trust.clock
     if kind == "cluster":
-        return AuthCluster(
-            node_count=3, clock=clock, replica_reads=2, hot_threshold=4
-        )
+        return AuthCluster(node_count=2, clock=clock)
     return AuthCluster(node_count=3, clock=clock)
 
 

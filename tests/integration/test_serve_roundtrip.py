@@ -5,9 +5,9 @@ flows are backend-agnostic *in process*.  This file proves the same
 shapes survive the wire: the http proof-carrying request and the rmi
 challenge → submit-proof → retry conversation each run through a real
 loopback TCP socket into a :class:`ServeListener`, parametrized over
-the same three backends — a single guard, a 3-node cluster tuned to
-spread hot speakers, and one with every knob at its default (what
-``bench/server.py`` puts behind its listener).  Transports own framing;
+the same three backends — a single guard, a 2-node cluster, and a
+3-node one with every knob at its default (what ``bench/server.py``
+puts behind its listener).  Transports own framing;
 authorization routing stays behind ``AuthBackend``, now with a socket
 in between.
 """
@@ -45,9 +45,7 @@ def make_backend(kind, trust):
     if kind == "guard":
         return default_backend(trust, check_charge=None, prover=Prover())
     if kind == "cluster":
-        return AuthCluster(
-            node_count=3, clock=trust.clock, replica_reads=2, hot_threshold=4
-        )
+        return AuthCluster(node_count=2, clock=trust.clock)
     return AuthCluster(node_count=3, clock=trust.clock)
 
 

@@ -7,7 +7,7 @@ returns verifies and concludes exactly the requested (subject, issuer).
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.principals import NamePrincipal, KeyPrincipal
 from repro.core.proofs import PremiseStep, VerificationContext
@@ -43,17 +43,17 @@ edges_strategy = st.lists(
     max_size=12,
 )
 
-# Validity windows and query times.  The times sit strictly inside or
-# outside every window, never on a bound: two disjoint windows intersect
-# to a zero-length instant at a bound (``Validity.intersect``), which is
-# not this property's subject.
+# Validity windows and query times: inside, outside, and on every bound
+# (``[0,10]`` and ``[15,30]`` are disjoint, and ``[0,10]`` and ``[5,20]``
+# share only ``[5,10]``).
 _WINDOWS = [
     Validity.ALWAYS,
     Validity(0, 10),
     Validity(5, 20),
     Validity(15, 30),
 ]
-_TIMES = [None, 2.5, 7.5, 12.5, 17.5, 40.5]
+_BOUNDS = [0, 5, 10, 15, 20, 30]
+_TIMES = [None, 2.5, 7.5, 12.5, 17.5, 40.5] + _BOUNDS
 
 _MIN_TAGS = [
     parse_tag("(tag (web (method GET)))"),
@@ -96,7 +96,18 @@ def _edge_usable(tag, window, request, min_tag, now):
 
 def _reachable(edges, subject_index, issuer_index, request, min_tag=None,
                now=None):
-    """Ground-truth: DFS over edges that individually cover the query."""
+    """Ground-truth: DFS over edges that individually cover the query.
+
+    A timeless query (``now=None``) needs a path that holds at *some*
+    one time.  A path's windows meet in a window whose lower end is one
+    of theirs — a window bound, or unbounded — so trying every bound
+    (unbounded paths hold at any of them) decides it."""
+    if now is None:
+        return any(
+            _reachable(edges, subject_index, issuer_index, request, min_tag,
+                       when)
+            for when in _BOUNDS
+        )
     usable = [
         (s, i) for s, i, t, w in edges
         if s != i
@@ -153,6 +164,12 @@ def _assert_sound(proof, subject, issuer, request, min_tag, now):
                        st.sampled_from(_TIMES)), max_size=3),
 )
 @settings(max_examples=200, deadline=None)
+# ``p0 =[0,10]=> p1 =[15,30]=> p2`` holds at no time: not timeless, and
+# not at the bound 10 after a timeless query had the chance to cache it.
+@example([(0, 1, 0, 1), (1, 2, 0, 3)], (0, 2), (_REQUESTS[0], None),
+         None, [])
+@example([(0, 1, 0, 1), (1, 2, 0, 3)], (0, 2), (_REQUESTS[0], None),
+         10, [((0, 2), (_REQUESTS[0], None), None)])
 def test_prover_finds_iff_path_exists(edges, pair, coverage, now, earlier):
     """``find_proof`` against a reachability oracle, over request tags,
     minimum restriction sets and validity windows — cold, and again with

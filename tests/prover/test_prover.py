@@ -2,15 +2,18 @@
 
 import pytest
 
+from repro.core.errors import ProofError
 from repro.core.principals import KeyPrincipal, NamePrincipal, QuotingPrincipal
 from repro.core.proofs import (
     PremiseStep,
     SignedCertificateStep,
     VerificationContext,
+    proof_from_sexp,
 )
 from repro.core.rules import TransitivityStep
 from repro.core.statements import SpeaksFor, Validity
 from repro.prover import KeyClosure, PremiseClosure, Prover
+from repro.sexp import parse_canonical, to_canonical
 from repro.spki import Certificate
 from repro.tags import Tag, parse_tag
 
@@ -115,6 +118,61 @@ class TestFindProof:
         )
         assert proof is not None
         assert proof.conclusion.tag.matches(["web"])
+
+
+class TestDisjointWindows:
+    """``A =[0,10]=> B`` and ``B =[15,30]=> C`` hold at no common time,
+    so no chain of them may be granted — cold, or after a timeless
+    search had the chance to cache one."""
+
+    @staticmethod
+    def _hops(principals):
+        return (
+            PremiseStep(SpeaksFor(
+                principals["A"], principals["B"], Tag.all(), Validity(0, 10)
+            )),
+            PremiseStep(SpeaksFor(
+                principals["B"], principals["C"], Tag.all(), Validity(15, 30)
+            )),
+        )
+
+    def test_no_time_grants_after_a_timeless_search(self, principals):
+        prover = Prover()
+        for hop in self._hops(principals):
+            prover.add_proof(hop)
+        a, c = principals["A"], principals["C"]
+        assert prover.find_proof(a, c, now=10) is None
+        assert prover.find_proof(a, c) is None
+        assert prover.find_proof(a, c, now=10) is None
+        assert prover.stats["shortcut_cache_size"] == 0
+
+    def test_transitivity_refuses_disjoint_windows(self, principals):
+        with pytest.raises(ProofError):
+            TransitivityStep(*self._hops(principals))
+
+    def test_a_decoded_chain_over_disjoint_windows_fails_closed(
+        self, principals
+    ):
+        # Encode an honest chain, then swap in the disjoint hop and the
+        # single-instant conclusion ``[10,10]`` a point-window
+        # intersection would derive from it.
+        first, second = self._hops(principals)
+        overlapping = PremiseStep(SpeaksFor(
+            principals["B"], principals["C"], Tag.all(), Validity(5, 30)
+        ))
+        honest = TransitivityStep(first, overlapping)
+        instant = SpeaksFor(
+            principals["A"], principals["C"], Tag.all(), Validity(10, 10)
+        )
+        forged = to_canonical(honest.to_sexp())
+        for old, new in (
+            (overlapping.to_sexp(), second.to_sexp()),
+            (honest.conclusion.to_sexp(), instant.to_sexp()),
+        ):
+            assert to_canonical(old) in forged
+            forged = forged.replace(to_canonical(old), to_canonical(new))
+        with pytest.raises(ProofError):
+            proof_from_sexp(parse_canonical(forged))
 
 
 class TestDigestion:

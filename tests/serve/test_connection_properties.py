@@ -298,6 +298,34 @@ def test_shutdown_answers_the_complete_frames_still_buffered():
     assert stats["frames"] == total
 
 
+def test_a_hostile_key_is_answered_and_the_connection_serves_on():
+    # A channel key whose ``(n)`` field carries no value: the codec must
+    # refuse it as a counted ERROR, not let the decode exception take
+    # the connection down unanswered.
+    hostile = (
+        b"(5:check1:1(7:request(7:logical3:web)(10:credential(7:channel"
+        b"(10:public-key(3:rsa(1:e3:\x01\x00\x01)(1:n)))))))"
+    )
+
+    async def scenario():
+        listener = _listener()
+        host, port = await listener.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(encode_frame(hostile))
+        refused = decode_reply(await read_frame(reader))
+        writer.write(encode_frame(encode_ping(2)))
+        after = decode_reply(await read_frame(reader))
+        writer.close()
+        await listener.shutdown()
+        return refused, after, listener
+
+    refused, after, listener = asyncio.run(scenario())
+    assert (refused.status, refused.request_id) == ("error", 0)
+    assert "public key" in refused.message
+    assert listener.metrics.counter("serve.protocol.wire_errors") == 1
+    assert (after.status, after.request_id) == ("pong", 2)
+
+
 def test_one_oversize_reply_costs_its_own_request_only(monkeypatch):
     # A reply past the frame ceiling (here: any stats snapshot, with the
     # ceiling lowered) is answered with a counted ERROR under its own
