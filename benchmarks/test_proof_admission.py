@@ -1,0 +1,150 @@
+"""A presented proof is paid for once, gated on counts (no clock).
+
+K never-seen signed certificates, each for a never-seen request-hash
+subject, go through ``DecodeCache`` + a 4-node ``AuthCluster`` (the path
+a wire check takes) four times each, interleaved.  The first
+presentation of each is parsed and its signature checked; every repeat
+is a digest lookup in the speaker's proof-cache bucket.  Counted:
+
+- ``RsaPublicKey.verify`` calls: K, not 4K;
+- ``proof_from_sexp`` calls on the guard's admission path: K, not 4K;
+- ``Atom`` / ``SList`` nodes built inside the K ``verify_signature``
+  calls: none, because the signed body is joined from bytes the
+  certificate's parts already memoize;
+- a repeat with one signature byte flipped: denied, at exactly one
+  decode and one signature check.
+"""
+
+import random
+
+import repro.guard.pipeline as pipeline
+from repro.cluster import AuthCluster
+from repro.core.principals import HashPrincipal, KeyPrincipal
+from repro.core.proofs import SignedCertificateStep
+from repro.crypto.hashes import HashValue
+from repro.crypto.rsa import RsaPublicKey
+from repro.guard import GuardRequest, ProofCredential
+from repro.serve.protocol import DecodeCache, encode_check
+from repro.sexp import Atom, SList, sexp, to_canonical, to_transport
+from repro.spki import Certificate
+from repro.tags import Tag
+
+K = 64
+REPEATS = 4
+BATCH = 8
+
+
+class _Counts:
+    """Calls to the three operations a presented proof can cost, and the
+    tree nodes built while a certificate's signature is checked."""
+
+    def __init__(self, monkeypatch):
+        self.decodes = self.verifies = self.signature_checks = 0
+        self.nodes_built = 0
+        self._checking = False
+        decode = pipeline.proof_from_sexp
+        verify = RsaPublicKey.verify
+        check = Certificate.verify_signature
+
+        def counted_decode(*args, **kwargs):
+            self.decodes += 1
+            return decode(*args, **kwargs)
+
+        def counted_verify(key, message, signature):
+            self.verifies += 1
+            return verify(key, message, signature)
+
+        def counted_check(certificate):
+            self.signature_checks += 1
+            self._checking = True
+            try:
+                return check(certificate)
+            finally:
+                self._checking = False
+
+        monkeypatch.setattr(pipeline, "proof_from_sexp", counted_decode)
+        monkeypatch.setattr(RsaPublicKey, "verify", counted_verify)
+        monkeypatch.setattr(Certificate, "verify_signature", counted_check)
+        for node_type in (Atom, SList):
+            monkeypatch.setattr(
+                node_type, "__init__", self._counting(node_type.__init__)
+            )
+
+    def _counting(self, init):
+        def counted(node, *args, **kwargs):
+            if self._checking:
+                self.nodes_built += 1
+            init(node, *args, **kwargs)
+
+        return counted
+
+
+def _presentation(request_id, logical, subject, issuer, proof):
+    return encode_check(request_id, GuardRequest(
+        logical, issuer=issuer, transport="http",
+        credential=ProofCredential(subject, wire=to_transport(proof.to_sexp())),
+    ))
+
+
+def _serve(cluster, cache, frames):
+    decisions = []
+    for start in range(0, len(frames), BATCH):
+        requests = [
+            cache.decode(frame, cluster.invalidation_generation).body
+            for frame in frames[start:start + BATCH]
+        ]
+        decisions += cluster.check_many(requests)
+    return decisions
+
+
+def test_a_presented_proof_is_parsed_and_verified_once(keypool, monkeypatch):
+    rng = random.Random(0xAD51)
+    server = keypool[0]
+    issuer = KeyPrincipal(server.public)
+    presented = []
+    for index in range(K):
+        logical = sexp(["web", ["method", "GET"], ["path", "/cold-%d" % index]])
+        subject = HashPrincipal(HashValue.of_bytes(to_canonical(logical)))
+        proof = SignedCertificateStep(
+            Certificate.issue(server, subject, Tag.all(), rng=rng)
+        )
+        presented.append((logical, subject, proof))
+    frames = [
+        _presentation(1 + round_ * K + index, *presented[index][:2], issuer,
+                      presented[index][2])
+        for round_ in range(REPEATS)
+        for index in range(K)
+    ]
+    cluster = AuthCluster(node_count=4)
+    cache = DecodeCache()
+    counts = _Counts(monkeypatch)
+
+    decisions = _serve(cluster, cache, frames)
+    assert all(decision.granted for decision in decisions)
+    print(
+        "\n%d proofs x %d presentations: %d decodes, %d RSA verifies, "
+        "%d tree nodes built in %d signature checks"
+        % (K, REPEATS, counts.decodes, counts.verifies, counts.nodes_built,
+           counts.signature_checks)
+    )
+    assert counts.verifies == K
+    assert counts.decodes == K
+    assert counts.signature_checks == K
+    assert counts.nodes_built == 0
+    dedup = sum(node.guard.cache.stats["dedup_hits"] for node in cluster.nodes())
+    assert dedup == (REPEATS - 1) * K
+
+    # One flipped signature byte is another digest: the full path runs
+    # once and refuses.
+    logical, subject, proof = presented[0]
+    cert = proof.certificate
+    forged = SignedCertificateStep(Certificate(
+        cert.issuer_key, cert.subject, cert.tag, cert.validity, cert.serial,
+        cert.propagate, cert.signature[:-1] + bytes([cert.signature[-1] ^ 1]),
+    ))
+    (decision,) = _serve(cluster, cache, [
+        _presentation(1 + REPEATS * K, logical, subject, issuer, forged)
+    ])
+    assert not decision.granted
+    assert counts.decodes == K + 1
+    assert counts.verifies == K + 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from operator import attrgetter
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 from repro.core.errors import AuthorizationError
 from repro.core.proofs import CitationIndex, Proof, proof_citations
@@ -82,12 +82,25 @@ class ProofCache:
             "imported": 0,
         }
 
-    def add(self, proof: Proof, speaker=None) -> bool:
+    def add(self, proof: Proof, speaker=None,
+            entry: Optional[CachedProof] = None) -> bool:
         """Cache a verified proof for ``speaker`` (defaults to the proof's
         own subject).  Returns False if an identical proof was already
         cached — the memoized canonical digest makes the dedup a dict
-        lookup, not a re-serialization."""
-        return self._place(proof, None, speaker, "insertions")
+        lookup, not a re-serialization.  ``entry`` is the proof's
+        :class:`CachedProof` when the caller already built it (the
+        guard reads its citations before verifying)."""
+        return self._place(proof, entry, speaker, "insertions")
+
+    def lookup(self, speaker, digest: bytes) -> Optional[CachedProof]:
+        """The entry cached for ``speaker`` under ``digest``, touching the
+        LRU, or ``None``.  A hit is a presented proof the cache already
+        holds, so it counts in ``dedup_hits`` exactly as the duplicate
+        ``add`` it replaces would have."""
+        entry = self.bucket(speaker).get(digest)
+        if entry is not None:
+            self.stats["dedup_hits"] += 1
+        return entry
 
     def install(self, entry: CachedProof, speaker=None) -> bool:
         """The warm-handoff import hook: adopt an already-built entry

@@ -8,7 +8,8 @@ them through the same staged pipeline:
 
 1. **admission** (session/MAC fast path): resolve the credential to the
    uttering principal — free for channel-vouched speakers, one HMAC for
-   MAC sessions, one parse+verify for subject-bound proofs;
+   MAC sessions, one digest lookup for a subject-bound proof the cache
+   already holds and one parse+verify for a new one;
 2. **proof cache**: find a cached, digest-deduped, already-verified proof
    connecting the speaker to the resource issuer (the paper's 5 ms
    ``checkAuth`` steady state) — signatures are immutable, so a hit
@@ -32,6 +33,7 @@ The class also exposes the legacy ``SfAuthState`` surface (``check_auth``,
 from __future__ import annotations
 
 from collections import OrderedDict
+from hashlib import sha256
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import (
@@ -56,9 +58,15 @@ from repro.guard.sessions import SessionRegistry
 from repro.crypto.rng import default_rng
 from repro.obs.registry import SIZE_BUCKETS, default_registry
 from repro.obs.trace import Tracer, default_tracer
-from repro.sexp import from_transport, parse_canonical, sexp, to_canonical
+from repro.sexp import (
+    parse_canonical, sexp, to_canonical, transport_to_canonical,
+)
 from repro.sim.costmodel import Meter, maybe_charge
 from repro.tags import Tag
+
+#: What the cost model charges for SPKI handling on every request that
+#: reaches admission with a MAC or a presented proof (Table 1).
+_SPKI_CHARGES = ("sexp_parse", "spki_unmarshal", "sf_overhead")
 
 
 def stage_label(via, stage) -> str:
@@ -272,23 +280,18 @@ class Guard:
         proof: Optional[Proof] = None
         if credential.proof_wire is not None:
             # First request of the session: digest the delegation chain.
-            maybe_charge(self.meter, "sexp_parse")
-            proof = proof_from_sexp(from_transport(credential.proof_wire))
-            maybe_charge(self.meter, "spki_unmarshal")
-            maybe_charge(self.meter, "sf_overhead")
-            proof.verify(self.trust.context())
-            self.stats["credential_verifications"] += 1
-            # A verified non-speaks-for proof is useless but harmless:
-            # ignore it so the client still gets a challenge (not a 403)
-            # on its next request.
-            if isinstance(proof.conclusion, SpeaksFor):
-                self.cache.add(proof, principal)
+            # A chain that does not make the session principal speak for
+            # anyone is useless but harmless: ignore it so the client
+            # still gets a challenge (not a 403) on its next request.
+            proof = self._admit_presented(
+                transport_to_canonical(credential.proof_wire), None,
+                principal,
+            )
         else:
             # Steady state still pays SPKI handling for the request's
             # logical form and the cached proof's tag match (Table 1).
-            maybe_charge(self.meter, "sexp_parse")
-            maybe_charge(self.meter, "spki_unmarshal")
-            maybe_charge(self.meter, "sf_overhead")
+            for operation in _SPKI_CHARGES:
+                maybe_charge(self.meter, operation)
         self.stats["admission_session"] += 1
         return _Admitted(request, principal, proof, "session")
 
@@ -297,30 +300,76 @@ class Guard:
     ) -> _Admitted:
         """A subject-bound proof: verify possession (the hash binding),
         then cache the chain so the authorization stage finds it."""
-        maybe_charge(self.meter, "sexp_parse")
         node = credential.node
         if node is None:
-            node = from_transport(credential.wire)
-        maybe_charge(self.meter, "spki_unmarshal")
+            canonical = transport_to_canonical(credential.wire)
+        else:
+            canonical = to_canonical(node)
+        proof = self._admit_presented(
+            canonical, node, credential.expected_subject
+        )
+        if proof is None:
+            raise AuthorizationError(
+                "proof does not conclude that this request's subject "
+                "speaks for anyone"
+            )
+        self.stats["admission_proof"] += 1
+        return _Admitted(request, proof.conclusion.subject, proof, "proof")
+
+    def _admit_presented(self, canonical: bytes, node,
+                         speaker: Optional[Principal]) -> Optional[Proof]:
+        """The one admission path for a proof a client presents, as the
+        canonical bytes it arrived as (and their parse tree, when the
+        transport already built it).
+
+        Returns the verified proof, cached under ``speaker`` (its own
+        subject when ``speaker`` is ``None``), or ``None`` when it does
+        not conclude ``speaker => someone``.  The bytes are looked up by
+        digest first: a hit is the already-verified proof the cache
+        holds, admitted without a parse, a tree build or a signature
+        check.  That is as safe as verifying again, because
+        - the cache's one write path (``_place``) only receives verified
+          proofs, and every invalidation event purges through the
+          citation index;
+        - ``_authorize`` re-checks validity and premises on every hit;
+        - tampered or non-canonical bytes hash to another digest and
+          take the full path.
+        A live revocation policy re-judges every certificate on every
+        use, so with one there is no lookup: the full path consults it.
+        """
+        # The meter models the paper's server, which parsed every carried
+        # proof: both branches pay the same charges.
+        for operation in _SPKI_CHARGES:
+            maybe_charge(self.meter, operation)
+        if speaker is not None and self.trust.revocation is None:
+            entry = self.cache.lookup(speaker, sha256(canonical).digest())
+            if entry is not None and entry.proof.conclusion.subject == speaker:
+                return entry.proof
+        if node is None:
+            node = parse_canonical(canonical)
         proof = proof_from_sexp(node)
         conclusion = proof.conclusion
         if not isinstance(conclusion, SpeaksFor):
-            raise AuthorizationError("proof must conclude speaks-for")
-        speaker = credential.expected_subject
+            return None
         if speaker is None:
             speaker = conclusion.subject
         elif conclusion.subject != speaker:
-            raise AuthorizationError(
-                "proof subject is not the hash of this request"
+            return None
+        return self._verify_and_cache(proof, speaker)
+
+    def _verify_and_cache(self, proof: Proof, speaker=None) -> Proof:
+        """Admit a proof the cache does not hold: refuse it if it cites
+        anything this guard saw revoked or retracted, verify it, and
+        cache it under ``speaker``."""
+        entry = CachedProof(proof)
+        if self._tombstoned(entry):
+            raise VerificationError(
+                "proof cites a revoked certificate or a retracted delegation"
             )
-        maybe_charge(self.meter, "sf_overhead")
         proof.verify(self.trust.context())
         self.stats["credential_verifications"] += 1
-        # Fresh subject every request: cache, then the authorization
-        # stage finds it (and the speaker LRU ages one-shots out).
-        self.cache.add(proof, speaker)
-        self.stats["admission_proof"] += 1
-        return _Admitted(request, speaker, proof, "proof")
+        self.cache.add(proof, speaker, entry)
+        return proof
 
     # -- stages 2-4: authorize against the issuer -------------------------
 
@@ -599,8 +648,13 @@ class Guard:
         utterance = PremiseStep(
             self._utterance(admitted.speaker, request.logical)
         )
-        derived = DerivedSaysStep(utterance, proof)
-        derived.verify(context)
+        try:
+            derived = DerivedSaysStep(utterance, proof)
+            derived.verify(context)
+        except (ProofError, VerificationError) as exc:
+            # A proof that cannot derive this grant refuses this one
+            # request; ``check_many`` keeps deciding the rest of the batch.
+            raise AuthorizationError("grant not derivable: %s" % exc)
         return self._memoize(self._derived_memo, key, derived)
 
     # -- transport delivery (secure channels, local pipes) ----------------
@@ -766,9 +820,13 @@ class Guard:
         )
         return removed
 
-    #: Bound on each tombstone table (FIFO).  Aging a tombstone out can
-    #: never admit stale state: any import racing an invalidation sees a
-    #: moved generation and pays full re-verification instead.
+    #: Bound on each tombstone table (FIFO).  For imports, aging a
+    #: tombstone out can never admit stale state: any import racing an
+    #: invalidation sees a moved generation and pays full
+    #: re-verification.  A *presented* proof has no generation to
+    #: compare: once its revocation is more than this many events old,
+    #: a still-signed certificate verifies and is admitted again.  A live
+    #: ``trust.revocation`` policy is the durable refusal.
     TOMBSTONE_LIMIT = 4096
 
     def _tombstone(self, table: "OrderedDict[bytes, None]", key: bytes) -> None:
@@ -897,13 +955,20 @@ class Guard:
         self.stats["handoff_installed"] += 1
         return "installed"
 
+    def _tombstoned(self, entry: CachedProof) -> bool:
+        """Whether ``entry`` cites a serial this guard saw revoked or a
+        lemma it saw retracted: a purge only removes what was cached at
+        the time, so both a handed-off record and a presented proof are
+        read against the tombstones before they are admitted."""
+        revoked, retracted = self._revoked_serials, self._retracted_digests
+        return (any(serial in revoked for serial in entry.serials)
+                or any(key in retracted for key in entry.lemma_keys))
+
     def _import_admissible(self, entry: CachedProof, full_verify: bool) -> bool:
         context = self.trust.context()
         if not entry.proof.conclusion.validity.contains(context.now):
             return False
-        if any(serial in self._revoked_serials for serial in entry.serials):
-            return False
-        if any(key in self._retracted_digests for key in entry.lemma_keys):
+        if self._tombstoned(entry):
             return False
         for statement in entry.premises:
             if statement not in context.trusted_premises:
@@ -977,11 +1042,7 @@ class Guard:
         if proof is None:
             proof = proof_from_sexp(parse_canonical(proof_wire))
         maybe_charge(self.meter, "proof_parse_verify")
-        context = self.trust.context()
-        proof.verify(context)
-        self.stats["credential_verifications"] += 1
-        self.cache.add(proof)
-        return proof
+        return self._verify_and_cache(proof)
 
     def cache_proof(self, proof: Proof, speaker: Optional[Principal] = None) -> bool:
         """Cache a verified proof for ``speaker`` (defaults to the proof's

@@ -674,7 +674,7 @@ class Reply:
     """One decoded server reply."""
 
     __slots__ = ("status", "request_id", "via", "stage", "issuer", "tag",
-                 "message", "uptime", "inflight", "window", "data")
+                 "message", "uptime", "data")
 
     def __init__(
         self,
@@ -686,8 +686,6 @@ class Reply:
         tag: Optional[Tag] = None,
         message: Optional[str] = None,
         uptime: Optional[float] = None,
-        inflight: Optional[int] = None,
-        window: Optional[int] = None,
         data=None,
     ):
         self.status = status
@@ -698,8 +696,6 @@ class Reply:
         self.tag = tag
         self.message = message
         self.uptime = uptime      # PONG: listener uptime, seconds
-        self.inflight = inflight  # PONG: queued frames right now
-        self.window = window      # PONG: the in-flight ceiling
         self.data = data          # STATS_OK: the metrics snapshot
 
     @property
@@ -766,10 +762,6 @@ def encode_reply(reply: Reply) -> bytes:
         if reply.uptime is not None:
             items.append(SList([Atom("uptime"),
                                 Atom("%.6f" % reply.uptime)]))
-        if reply.inflight is not None:
-            items.append(SList([Atom("inflight"),
-                                Atom(str(reply.inflight)),
-                                Atom(str(reply.window or 0))]))
     elif reply.status == STATS_OK:
         items.append(value_to_sexp(reply.data))
     return to_canonical(SList(items))
@@ -845,21 +837,17 @@ def decode_reply(payload: bytes) -> Reply:
         message = node.items[2].text() if len(node) > 2 else ""
         return Reply(status, request_id, message=message)
     if status == PONG:
-        uptime = inflight = window = None
+        uptime = None
         for field in node.items[2:]:
             if not isinstance(field, SList) or len(field) < 2:
                 raise WireError("bad pong field %r" % (field,))
             try:
+                # Unknown fields are ignored.
                 if field.head() == "uptime":
                     uptime = float(field.items[1].text())
-                elif field.head() == "inflight":
-                    inflight = int(field.items[1].text())
-                    if len(field) > 2:
-                        window = int(field.items[2].text())
             except (UnicodeDecodeError, ValueError) as exc:
                 raise WireError("pong field rejected: %s" % exc)
-        return Reply(PONG, request_id, uptime=uptime, inflight=inflight,
-                     window=window)
+        return Reply(PONG, request_id, uptime=uptime)
     if status == STATS_OK:
         if len(node) != 3:
             raise WireError("bad (stats-ok id value) form")

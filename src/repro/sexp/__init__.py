@@ -25,6 +25,7 @@ from repro.sexp.encoder import (
     to_transport,
     to_advanced,
     from_transport,
+    transport_to_canonical,
 )
 
 __all__ = [
@@ -40,4 +41,5 @@ __all__ = [
     "to_transport",
     "to_advanced",
     "from_transport",
+    "transport_to_canonical",
 ]

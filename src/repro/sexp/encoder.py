@@ -88,9 +88,11 @@ def to_transport(node: SExp) -> bytes:
     return b"{" + base64.b64encode(to_canonical(node)) + b"}"
 
 
-def from_transport(data) -> SExp:
-    """Decode a transport-form S-expression back into an AST."""
-    from repro.sexp.parser import parse_canonical, SexpParseError
+def transport_to_canonical(data) -> bytes:
+    """The canonical bytes a transport-form S-expression wraps, unparsed:
+    a caller that may already hold what they encode (a proof cache keyed
+    by digest) can look them up before paying for a parse."""
+    from repro.sexp.parser import SexpParseError
 
     if isinstance(data, str):
         data = data.encode("ascii")
@@ -98,10 +100,16 @@ def from_transport(data) -> SExp:
     if not (data.startswith(b"{") and data.endswith(b"}")):
         raise SexpParseError("transport form must be wrapped in braces")
     try:
-        canonical = base64.b64decode(data[1:-1], validate=True)
+        return base64.b64decode(data[1:-1], validate=True)
     except Exception as exc:
         raise SexpParseError("bad base64 in transport form: %s" % exc)
-    return parse_canonical(canonical)
+
+
+def from_transport(data) -> SExp:
+    """Decode a transport-form S-expression back into an AST."""
+    from repro.sexp.parser import parse_canonical
+
+    return parse_canonical(transport_to_canonical(data))
 
 
 def to_advanced(node: SExp) -> str:

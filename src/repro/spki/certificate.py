@@ -84,59 +84,59 @@ class Certificate:
         if serial is None:
             rng = default_rng(rng)
             serial = bytes(rng.getrandbits(8) for _ in range(8))
-        body = cls._body_sexp(
-            issuer.public, subject, tag, validity, serial, propagate,
+        certificate = cls(
+            issuer.public, subject, tag, validity, serial, propagate, b"",
             issuer_name, issuer_via_hash,
         )
-        signature = issuer.sign(to_canonical(body))
-        return cls(
-            issuer.public, subject, tag, validity, serial, propagate,
-            signature, issuer_name, issuer_via_hash,
-        )
+        certificate.signature = issuer.sign(certificate.body_canonical())
+        return certificate
 
-    @staticmethod
-    def _body_sexp(
-        issuer_key: RsaPublicKey,
-        subject: Principal,
-        tag: Tag,
-        validity: Validity,
-        serial: bytes,
-        propagate: bool,
-        issuer_name: Optional[str] = None,
-        issuer_via_hash: bool = False,
-    ) -> SExp:
-        issuer_field = [Atom("issuer"), issuer_key.to_sexp()]
-        if issuer_name is not None:
-            issuer_field.append(SList([Atom("issuer-name"), Atom(issuer_name)]))
-            if issuer_via_hash:
+    def body_sexp(self) -> SExp:
+        issuer_field = [Atom("issuer"), self.issuer_key.to_sexp()]
+        if self.issuer_name is not None:
+            issuer_field.append(
+                SList([Atom("issuer-name"), Atom(self.issuer_name)])
+            )
+            if self.issuer_via_hash:
                 issuer_field.append(SList([Atom("via-hash")]))
         items = [
             Atom("cert"),
             SList(issuer_field),
-            SList([Atom("subject"), subject.to_sexp()]),
-            tag.to_sexp(),
+            SList([Atom("subject"), self.subject.to_sexp()]),
+            self.tag.to_sexp(),
         ]
-        if not validity.is_unbounded():
-            items.append(validity.to_sexp())
-        items.append(SList([Atom("serial"), Atom(serial)]))
-        if propagate:
+        if not self.validity.is_unbounded():
+            items.append(self.validity.to_sexp())
+        items.append(SList([Atom("serial"), Atom(self.serial)]))
+        if self.propagate:
             items.append(SList([Atom("propagate")]))
         return SList(items)
 
-    def body_sexp(self) -> SExp:
-        return self._body_sexp(
-            self.issuer_key,
-            self.subject,
-            self.tag,
-            self.validity,
-            self.serial,
-            self.propagate,
-            self.issuer_name,
-            self.issuer_via_hash,
-        )
+    def body_canonical(self) -> bytes:
+        """:meth:`body_sexp`'s canonical bytes, assembled from what the
+        parts already memoize — the issuer key's node, the subject's
+        ``canonical_key``, the tag's — instead of building a tree to
+        encode and drop."""
+        parts = [b"(4:cert(6:issuer", to_canonical(self.issuer_key.to_sexp())]
+        if self.issuer_name is not None:
+            name = self.issuer_name.encode("utf-8")
+            parts.append(b"(11:issuer-name%d:%s)" % (len(name), name))
+            if self.issuer_via_hash:
+                parts.append(b"(8:via-hash)")
+        parts += [
+            b")(7:subject", self.subject.canonical_key(), b")",
+            self.tag.canonical_key(),
+        ]
+        if not self.validity.is_unbounded():
+            parts.append(self.validity.canonical_key())
+        parts.append(b"(6:serial%d:%s)" % (len(self.serial), self.serial))
+        if self.propagate:
+            parts.append(b"(9:propagate)")
+        parts.append(b")")
+        return b"".join(parts)
 
     def verify_signature(self) -> bool:
-        return self.issuer_key.verify(to_canonical(self.body_sexp()), self.signature)
+        return self.issuer_key.verify(self.body_canonical(), self.signature)
 
     def issuer_principal(self) -> Principal:
         base: Principal = KeyPrincipal(self.issuer_key)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from repro.sexp import Atom, SExp, SList, parse, sexp
+from repro.sexp import Atom, SExp, SList, parse, sexp, to_canonical
 
 
 class TagError(ValueError):
@@ -332,12 +332,16 @@ class Tag:
     True
     """
 
-    __slots__ = ("expr",)
+    # ``_canonical`` memoizes :meth:`canonical_key`: a tag is immutable
+    # once built, and its bytes go into every signature check and every
+    # speaks-for key that carries it.
+    __slots__ = ("expr", "_canonical")
 
     def __init__(self, expr: TagExpr):
         if not isinstance(expr, TagExpr):
             raise TagError("Tag needs a TagExpr, got %r" % (expr,))
         self.expr = expr
+        self._canonical: Optional[bytes] = None
 
     @classmethod
     def all(cls) -> "Tag":
@@ -370,6 +374,13 @@ class Tag:
 
     def to_sexp(self) -> SExp:
         return SList([Atom("tag"), self.expr.to_sexp()])
+
+    def canonical_key(self) -> bytes:
+        """The canonical encoding of :meth:`to_sexp`, computed once."""
+        encoded = self._canonical
+        if encoded is None:
+            encoded = self._canonical = to_canonical(self.to_sexp())
+        return encoded
 
     def matches(self, request) -> bool:
         """Is the concrete request S-expression within this set?"""

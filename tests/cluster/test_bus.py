@@ -8,14 +8,21 @@ that propagates the retraction.
 
 import pytest
 
-from repro.core.errors import NeedAuthorizationError
+from repro.core.errors import AuthorizationError, NeedAuthorizationError
 from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.rules import TransitivityStep
-from repro.core.principals import ChannelPrincipal, KeyPrincipal
+from repro.core.principals import (
+    ChannelPrincipal,
+    HashPrincipal,
+    KeyPrincipal,
+)
 from repro.core.statements import SpeaksFor
-from repro.sexp import to_canonical
+from repro.crypto.hashes import HashValue
+from repro.guard import GuardRequest, ProofCredential
+from repro.sexp import to_canonical, to_transport
 from repro.spki import Certificate
 from repro.tags import Tag
+from tests.cluster.conftest import REQUEST, ClusterWorld
 
 
 def _warm_all_nodes(world):
@@ -165,6 +172,36 @@ class TestRevocation:
         # The onward hop was never retracted: every node keeps it.
         for node in nodes:
             assert onward in node.prover.graph
+
+    def test_a_revoked_certificate_presented_again_is_denied(
+        self, server_kp, alice_kp, rng
+    ):
+        """The revoke purges the owner's cached copy; presenting the
+        same signed certificate again must not re-admit it — whichever
+        node the revocation was published on."""
+        world = ClusterWorld(server_kp, alice_kp, rng, nodes=2)
+        subject = HashPrincipal(HashValue.of_bytes(b"message"))
+        certificate = Certificate.issue(
+            server_kp, subject, Tag.all(), rng=world.rng
+        )
+        wire = to_transport(SignedCertificateStep(certificate).to_sexp())
+
+        def presented():
+            return GuardRequest(
+                REQUEST, issuer=world.issuer, transport="http",
+                credential=ProofCredential(subject, wire=wire),
+            )
+
+        cluster = world.cluster
+        assert cluster.check(presented()).granted
+        owner = cluster.node_for_speaker(subject)
+        (bystander,) = [n for n in cluster.nodes() if n is not owner]
+        cluster.revoke_serial(certificate.serial, via=bystander.node_id)
+        cluster.deliver_invalidations()
+        assert owner.guard.cached_proof_count() == 0
+        with pytest.raises(AuthorizationError):
+            cluster.check(presented())
+        assert owner.guard.cached_proof_count() == 0
 
     def test_unrelated_serial_revocation_is_a_noop(self, world):
         nodes = _warm_all_nodes(world)

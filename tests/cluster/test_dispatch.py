@@ -1,13 +1,13 @@
 """Batch dispatch: stream order, shard batching, and meter amortization."""
 
 from repro.cluster import AuthCluster, routing_key
-from repro.core.errors import AuthorizationError
+from repro.core.errors import AuthorizationError, NeedAuthorizationError
 from repro.core.principals import ChannelPrincipal, KeyPrincipal
 from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.rules import TransitivityStep
 from repro.core.statements import SpeaksFor
-from repro.guard import ChannelCredential, GuardRequest
-from repro.sexp import to_canonical
+from repro.guard import ChannelCredential, GuardRequest, SessionCredential
+from repro.sexp import to_canonical, to_transport
 from repro.spki import Certificate
 from repro.tags import Tag
 
@@ -115,3 +115,29 @@ def test_a_bad_request_does_not_sink_its_batch(server_kp, alice_kp, rng):
     assert decisions[0].granted and decisions[2].granted
     assert not decisions[1].granted
     assert isinstance(decisions[1].error, AuthorizationError)
+
+
+def test_a_session_proof_for_another_subject_does_not_sink_its_batch(
+    server_kp, alice_kp, rng
+):
+    """A MAC session's first request attaching the client's own public
+    delegation — valid, but not about the session — is refused alone."""
+    cluster, channels, request = _world(server_kp, alice_kp, rng)
+    mac_id, mac_key = cluster.mint_session(rng)
+    clients = SignedCertificateStep(Certificate.issue(
+        server_kp, KeyPrincipal(alice_kp.public), Tag.all(), rng=rng
+    ))
+    message = b"GET /doc"
+    evil = GuardRequest(
+        ["web", ["method", "GET"], ["path", "/doc"]],
+        issuer=KeyPrincipal(server_kp.public),
+        credential=SessionCredential(
+            mac_id, mac_key.tag(message), message,
+            proof_wire=to_transport(clients.to_sexp()),
+        ),
+        transport="http",
+    )
+    innocent, refused = cluster.check_many([request(channels[0]), evil])
+    assert innocent.granted
+    assert not refused.granted
+    assert isinstance(refused.error, NeedAuthorizationError)

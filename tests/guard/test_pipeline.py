@@ -1,8 +1,14 @@
 """Unit tests for the transport-agnostic guard pipeline."""
 
+import base64
+
 import pytest
 
-from repro.core.errors import AuthorizationError, NeedAuthorizationError
+from repro.core.errors import (
+    AuthorizationError,
+    NeedAuthorizationError,
+    VerificationError,
+)
 from repro.core.principals import (
     ChannelPrincipal,
     HashPrincipal,
@@ -171,6 +177,145 @@ class TestProofCredential:
         assert guard.cache.stats["dedup_hits"] >= 1
 
 
+def _bound_proof(server_kp, rng):
+    """A one-certificate proof making a message hash speak for the
+    server, and that hash principal."""
+    subject = HashPrincipal(HashValue.of_bytes(b"message"))
+    cert = Certificate.issue(server_kp, subject, Tag.all(), rng=rng)
+    return SignedCertificateStep(cert), subject
+
+
+def _presenting(world, proof, subject):
+    wire = to_transport(proof.to_sexp())
+    return lambda: GuardRequest(
+        REQUEST,
+        issuer=world["issuer"],
+        credential=ProofCredential(subject, wire=wire),
+        transport="http",
+    )
+
+
+def _counting(monkeypatch, owner, name):
+    """Count calls of ``owner.name`` (patched for the test's duration)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestPresentedProofs:
+    """A proof the client presents is parsed and verified once; every
+    repeat of the same bytes is a digest lookup."""
+
+    def test_a_repeat_is_admitted_without_a_parse_or_a_signature_check(
+        self, world, server_kp, rng, monkeypatch
+    ):
+        import repro.guard.pipeline as pipeline
+        from repro.crypto.rsa import RsaPublicKey
+
+        guard = world["guard"]
+        proof, subject = _bound_proof(server_kp, rng)
+        request = _presenting(world, proof, subject)
+        parses = _counting(monkeypatch, pipeline, "proof_from_sexp")
+        verifies = _counting(monkeypatch, RsaPublicKey, "verify")
+        first = guard.check(request())
+        for _ in range(3):
+            repeat = guard.check(request())
+            assert repeat.granted and repeat.via == "proof"
+            assert repeat.stage == "cache" and repeat.speaker == subject
+        assert first.granted
+        assert len(parses) == 1 and len(verifies) == 1
+        assert guard.stats["credential_verifications"] == 1
+        assert guard.cache.stats["dedup_hits"] == 3
+        assert guard.cached_proof_count() == 1
+
+    def test_the_meter_charges_a_repeat_what_it_charges_a_parse(
+        self, world, server_kp, rng
+    ):
+        guard, meter = world["guard"], world["meter"]
+        proof, subject = _bound_proof(server_kp, rng)
+        request = _presenting(world, proof, subject)
+        guard.check(request())
+        first = dict(meter.counts())
+        guard.check(request())
+        second = meter.counts()
+        for operation in ("sexp_parse", "spki_unmarshal", "sf_overhead"):
+            assert second[operation] == 2 * first[operation] == 2
+
+    def test_a_tampered_repeat_takes_the_full_path_and_is_denied(
+        self, world, server_kp, rng
+    ):
+        from repro.core.proofs import proof_from_sexp
+        from repro.sexp import parse_canonical
+
+        guard = world["guard"]
+        proof, subject = _bound_proof(server_kp, rng)
+        assert guard.check(_presenting(world, proof, subject)()).granted
+        cert = proof.certificate
+        forged = Certificate(
+            cert.issuer_key, cert.subject, cert.tag, cert.validity,
+            cert.serial, cert.propagate,
+            cert.signature[:-1] + bytes([cert.signature[-1] ^ 1]),
+        )
+        tampered = SignedCertificateStep(forged)
+        with pytest.raises(AuthorizationError):
+            guard.check(_presenting(world, tampered, subject)())
+        assert guard.stats["credential_verifications"] == 1
+        # A non-canonical encoding of the genuine proof hashes elsewhere
+        # too: it is parsed and verified, not looked up.
+        padded = to_canonical(proof.to_sexp()).replace(
+            b"(5:proof", b"(05:proof", 1
+        )
+        assert proof_from_sexp(parse_canonical(padded)) == proof
+        request = GuardRequest(
+            REQUEST, issuer=world["issuer"], transport="http",
+            credential=ProofCredential(
+                subject, wire=b"{" + base64.b64encode(padded) + b"}"
+            ),
+        )
+        assert guard.check(request).granted
+        assert guard.stats["credential_verifications"] == 2
+
+    def test_a_repeat_for_another_subject_is_refused(
+        self, world, server_kp, rng
+    ):
+        guard = world["guard"]
+        proof, subject = _bound_proof(server_kp, rng)
+        assert guard.check(_presenting(world, proof, subject)()).granted
+        other = HashPrincipal(HashValue.of_bytes(b"other message"))
+        with pytest.raises(AuthorizationError):
+            guard.check(_presenting(world, proof, other)())
+
+    def test_a_revoked_certificate_presented_again_is_denied(
+        self, world, server_kp, rng
+    ):
+        guard = world["guard"]
+        proof, subject = _bound_proof(server_kp, rng)
+        request = _presenting(world, proof, subject)
+        assert guard.check(request()).granted
+        guard.revoke_serial(proof.certificate.serial)
+        assert guard.cached_proof_count() == 0
+        with pytest.raises(AuthorizationError):
+            guard.check(request())
+        with pytest.raises(VerificationError):
+            guard.submit_proof(to_canonical(proof.to_sexp()))
+        assert guard.cached_proof_count() == 0
+
+    def test_a_chain_over_a_retracted_delegation_is_refused(
+        self, world, server_kp, rng
+    ):
+        guard = world["guard"]
+        proof, subject = _bound_proof(server_kp, rng)
+        guard.retract_delegation(proof)
+        with pytest.raises(AuthorizationError):
+            guard.check(_presenting(world, proof, subject)())
+
+
 class TestSessionCredential:
     def test_fast_path_steady_state(self, world, server_kp, rng):
         guard = world["guard"]
@@ -320,6 +465,58 @@ class TestCheckMany:
         assert granted.granted
         assert not denied.granted
         assert isinstance(denied.error, AuthorizationError)
+
+    def test_a_session_proof_for_another_subject_does_not_abort_the_batch(
+        self, world, server_kp, rng
+    ):
+        """A MAC session's first request attaches a valid chain whose
+        subject is someone else (the client's own delegation): it is
+        ignored, not cached for the session, and the batch beside it is
+        decided."""
+        guard = world["guard"]
+        guard.submit_proof(to_canonical(world["chain"].to_sexp()))
+        mac_id, mac_key = guard.sessions.mint(rng)
+        clients = SignedCertificateStep(
+            Certificate.issue(server_kp, world["client"], Tag.all(), rng=rng)
+        )
+        message = b"GET /doc"
+        evil = GuardRequest(
+            REQUEST,
+            issuer=world["issuer"],
+            credential=SessionCredential(
+                mac_id, mac_key.tag(message), message,
+                proof_wire=to_transport(clients.to_sexp()),
+            ),
+            transport="http",
+        )
+        innocent, refused = guard.check_many([channel_request(world), evil])
+        assert innocent.granted
+        assert not refused.granted
+        assert isinstance(refused.error, NeedAuthorizationError)
+        assert guard.cache.bucket(MacPrincipal(mac_key.fingerprint())) == {}
+
+    def test_a_cached_proof_that_cannot_derive_the_grant_denies_one_request(
+        self, world
+    ):
+        """Defence in depth: even a proof cached under a speaker it does
+        not cover refuses that one request instead of raising out of the
+        batch."""
+        guard = world["guard"]
+        guard.submit_proof(to_canonical(world["chain"].to_sexp()))
+        stranger = ChannelPrincipal.of_secret(b"stranger")
+        guard.cache_proof(world["chain"], stranger)
+        innocent, refused = guard.check_many([
+            channel_request(world),
+            GuardRequest(
+                REQUEST,
+                issuer=world["issuer"],
+                credential=ChannelCredential(stranger),
+                transport="rmi",
+            ),
+        ])
+        assert innocent.granted
+        assert not refused.granted
+        assert isinstance(refused.error, AuthorizationError)
 
     def test_batch_audits_each_grant(self, world):
         guard = world["guard"]

@@ -235,11 +235,9 @@ class TestPongVitals:
 
         reply = asyncio.run(scenario())
         assert reply.status == "pong"
+        # There is no queue to report on (a frame is served in the
+        # callback that received it), so a pong carries its uptime alone.
         assert isinstance(reply.uptime, float) and reply.uptime >= 0.0
-        # There is no queue to report on: a frame is served in the
-        # callback that received it.  (The codec still decodes the
-        # optional occupancy field; this listener never sends it.)
-        assert reply.inflight is None and reply.window is None
 
 
 class TestTraceAcrossRetry:

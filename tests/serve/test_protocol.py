@@ -370,15 +370,15 @@ class TestStatsCodec:
 
 
 class TestPongVitalsCodec:
-    def test_pong_round_trips_uptime_and_inflight(self):
-        reply = Reply(PONG, 3, uptime=1.5, inflight=2, window=32)
+    def test_pong_round_trips_uptime_and_ignores_other_fields(self):
+        reply = Reply(PONG, 3, uptime=1.5)
         decoded = decode_reply(encode_reply(reply))
         assert decoded.uptime == pytest.approx(1.5)
-        assert decoded.inflight == 2
-        assert decoded.window == 32
+        # A peer that still sends the retired occupancy field is heard.
+        decoded = decode_reply(b"(4:pong1:3(6:uptime3:1.5)(8:inflight1:22:32))")
+        assert decoded.status == PONG and decoded.request_id == 3
+        assert decoded.uptime == pytest.approx(1.5)
 
     def test_bare_pong_still_decodes(self):
         decoded = decode_reply(encode_reply(Reply(PONG, 4)))
         assert decoded.uptime is None
-        assert decoded.inflight is None
-        assert decoded.window is None

@@ -1,12 +1,23 @@
 """Unit tests for SPKI certificates."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.principals import HashPrincipal, KeyPrincipal, NamePrincipal
 from repro.core.statements import Validity
-from repro.sexp import parse_canonical, to_canonical
+from repro.crypto.rsa import RsaPublicKey
+from repro.sexp import Atom, SList, parse_canonical, to_canonical
 from repro.spki import Certificate
 from repro.tags import Tag, parse_tag
+from repro.tags.tag import (
+    TagAnd,
+    TagAtom,
+    TagList,
+    TagPrefix,
+    TagRange,
+    TagSet,
+    TagStar,
+)
 
 
 class TestIssuance:
@@ -141,3 +152,96 @@ class TestNameCertificates:
         )
         cert.issuer_name = "M"
         assert not cert.verify_signature()
+
+
+_atom = st.binary(max_size=6)
+_tag_expr = st.recursive(
+    st.one_of(
+        st.builds(TagAtom, _atom),
+        st.just(TagStar()),
+        st.builds(TagPrefix, _atom),
+        st.builds(
+            TagRange,
+            st.sampled_from(["alpha", "numeric", "time", "binary", "date"]),
+            st.none() | _atom, st.sampled_from(["g", "ge"]),
+            st.none() | _atom, st.sampled_from(["l", "le"]),
+        ),
+    ),
+    lambda inner: st.one_of(
+        st.builds(TagList, st.lists(inner, max_size=3)),
+        st.builds(TagSet, st.lists(inner, max_size=3)),
+        st.builds(TagAnd, st.lists(inner, min_size=2, max_size=3)),
+    ),
+    max_leaves=6,
+)
+_bound = st.none() | st.integers(0, 10**12) | st.floats(
+    0, 1e9, allow_nan=False, allow_infinity=False
+)
+_key = st.builds(
+    RsaPublicKey, st.integers(2**63, 2**520), st.sampled_from([3, 65537])
+)
+_subject = st.one_of(
+    st.builds(KeyPrincipal, _key),
+    st.builds(HashPrincipal.of_bytes, st.binary(max_size=8)),
+    st.builds(
+        NamePrincipal, st.builds(KeyPrincipal, _key), st.text(max_size=5)
+    ),
+)
+
+
+@st.composite
+def _validity(draw):
+    first, second = draw(_bound), draw(_bound)
+    if first is not None and second is not None and first > second:
+        first, second = second, first
+    return Validity(first, second)
+
+
+class TestAssembledBody:
+    """The signature is checked over bytes joined from what the parts
+    memoize; those bytes must be exactly the body tree's encoding, which
+    is what ``issue`` signs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        issuer_key=_key,
+        subject=_subject,
+        expr=_tag_expr,
+        validity=_validity(),
+        serial=st.binary(max_size=16),
+        propagate=st.booleans(),
+        issuer_name=st.none() | st.text(max_size=6),
+        issuer_via_hash=st.booleans(),
+    )
+    def test_body_bytes_equal_the_encoded_body_tree(
+        self, issuer_key, subject, expr, validity, serial, propagate,
+        issuer_name, issuer_via_hash,
+    ):
+        cert = Certificate(
+            issuer_key, subject, Tag(expr), validity, serial, propagate,
+            b"\x01", issuer_name, issuer_via_hash,
+        )
+        assert cert.body_canonical() == to_canonical(cert.body_sexp())
+
+    def test_a_decoded_certificate_verifies_without_building_a_tree(
+        self, alice_kp, bob_kp, rng, monkeypatch
+    ):
+        cert = Certificate.issue(
+            alice_kp, KeyPrincipal(bob_kp.public), parse_tag("(tag read)"),
+            Validity(0, 99), rng=rng, issuer_name="N",
+        )
+        restored = Certificate.from_sexp(
+            parse_canonical(to_canonical(cert.to_sexp()))
+        )
+        restored.statement().canonical_key()  # what decoding a proof does
+        built = []
+        for node_type in (Atom, SList):
+            original = node_type.__init__
+
+            def counted(self, *args, _original=original, **kwargs):
+                built.append(type(self))
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(node_type, "__init__", counted)
+        assert restored.verify_signature()
+        assert built == []
