@@ -96,9 +96,10 @@ class AuditRecord:
         )
 
 
-#: Records an :class:`AuditLog` keeps in memory — the size of the
-#: tracer's finished-span ring (``Tracer(max_spans=2048)``): a record
-#: whose span has left that ring can no longer be joined to its trace.
+#: Records an :class:`AuditLog` keeps in memory.  It is not the size of
+#: the tracer's span ring and need not be: every record carries its
+#: request's trace id, kept trace or not, so a record joins its spans
+#: whenever that trace was kept and is still in the tracer's ring.
 AUDIT_RETAIN = 2048
 
 

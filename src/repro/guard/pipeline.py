@@ -57,7 +57,7 @@ from repro.guard.request import (
 from repro.guard.sessions import SessionRegistry
 from repro.crypto.rng import default_rng
 from repro.obs.registry import SIZE_BUCKETS, default_registry
-from repro.obs.trace import Tracer, default_tracer
+from repro.obs.trace import NULL_SPAN, Tracer, default_tracer
 from repro.sexp import (
     parse_canonical, sexp, to_canonical, transport_to_canonical,
 )
@@ -402,12 +402,16 @@ class Guard:
         # One span per request, opened un-activated — a batch holds many
         # open spans; each is made current only around its own authorize
         # call (so ``_grant`` stamps the right ids into the audit record).
-        spans = [
-            self.tracer.start_span(
+        # A request without a trace id gets one first, so its audit
+        # record names its trace whether or not the tracer keeps it.
+        tracer = self.tracer
+        spans = []
+        for request in requests:
+            if request.trace is None:
+                request.trace = tracer.mint_trace_id()
+            spans.append(tracer.start_span(
                 "guard.check", trace=request.trace, activate=False
-            )
-            for request in requests
-        ]
+            ))
         admitted_batch: List[Tuple[Optional[_Admitted], Optional[Exception]]] = []
         for request, span in zip(requests, spans):
             try:
@@ -455,7 +459,10 @@ class Guard:
 
     def _admit_timed(self, request: GuardRequest, span) -> _Admitted:
         """Admission plus its observability: duration histogram and span
-        annotations (stage 1 of the per-stage latency story)."""
+        annotations (stage 1 of the per-stage latency story), for a kept
+        trace only — a sampled-out request reads no clock."""
+        if span is NULL_SPAN:
+            return self._admit(request)
         timebase = self.metrics.timebase
         started = timebase.now()
         admitted = self._admit(request)
@@ -468,24 +475,28 @@ class Guard:
     def _authorize_timed(self, admitted: _Admitted, context,
                          span) -> GuardDecision:
         """Authorize plus its observability: the granting stage's label
-        (fastpath / proof_cache / prover) and latency, per request."""
+        (fastpath / proof_cache / prover) counted for every request, its
+        latency observed for the kept traces."""
+        traced = span is not NULL_SPAN
         timebase = self.metrics.timebase
-        started = timebase.now()
+        started = timebase.now() if traced else 0.0
         try:
             decision = self._authorize(admitted, context)
         except (AuthorizationError, NeedAuthorizationError):
-            self.metrics.observe(
-                "guard.stage.refused_ms",
-                (timebase.now() - started) * 1000.0,
-            )
+            if traced:
+                self.metrics.observe(
+                    "guard.stage.refused_ms",
+                    (timebase.now() - started) * 1000.0,
+                )
             raise
-        elapsed_ms = (timebase.now() - started) * 1000.0
         label = stage_label(decision.via, decision.stage)
-        self.metrics.observe("guard.stage.%s_ms" % label, elapsed_ms)
+        if traced:
+            elapsed_ms = (timebase.now() - started) * 1000.0
+            self.metrics.observe("guard.stage.%s_ms" % label, elapsed_ms)
+            span.annotate("stage", label)
+            span.annotate("authorize_ms", elapsed_ms)
+            span.annotate("status", "granted")
         self.metrics.inc("guard.stage.%s" % label)
-        span.annotate("stage", label)
-        span.annotate("authorize_ms", elapsed_ms)
-        span.annotate("status", "granted")
         return decision
 
     def _authorize(self, admitted: _Admitted, context) -> GuardDecision:
@@ -560,15 +571,21 @@ class Guard:
                stage: str) -> GuardDecision:
         request = admitted.request
         derived = self._derived_step(admitted, proof, context)
-        # The current span (activated by check_many around this
-        # request) is the correlation key: its ids go into the record, so
-        # the merged cluster audit trail lines up with the trace store.
+        # The request's trace id (``check_many`` set one) is the
+        # correlation key, so the merged cluster audit trail lines up
+        # with the trace store.  The span id is the guard span
+        # ``check_many`` activated around this request — present only
+        # when the tracer keeps the trace.
         span = self.tracer.current()
         record = AuditRecord(
             request.logical, admitted.speaker, request.issuer, derived,
             context.now, transport=request.transport,
-            trace_id=span.trace_id if span is not None else request.trace,
-            span_id=span.span_id if span is not None else None,
+            trace_id=request.trace,
+            span_id=(
+                span.span_id
+                if span is not None and span.trace_id == request.trace
+                else None
+            ),
         )
         self.audit.record(record)
         self.stats["grants"] += 1

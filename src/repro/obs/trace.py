@@ -20,24 +20,23 @@ opens its own span from the ``trace`` id riding on the
 Finished spans land in a bounded ring (``max_spans``) for inspection —
 enough for tests and the CLI, not an unbounded history.
 
-**Sampling.**  ``Tracer(sample=N)`` captures every Nth trace *root*:
-a ``start_span`` call with no carried trace id and no active parent is
-where a trace is born, and a sampled-out birth returns the shared
-:data:`NULL_SPAN` — no allocation, no lock, no histogram, no retention.
-The decision is made exactly once per trace: a span that *joins* an
-existing trace (the id rode in on the wire, or an active parent is
-current) is always captured, so a RETRY resend of a sampled request
-still lands in the same trace, and tests that mint their own trace ids
-see every span regardless of the sample rate.  Counters and non-span
-histograms are untouched by sampling — only ``span.*_ms`` capture
-thins, which is the exactness guarantee ``docs/observability.md``
-spells out.
+**Sampling.**  ``Tracer(sample=N)`` keeps a trace iff ``N == 1`` or
+``zlib.crc32(trace_id) % N == 0``.  The decision is a function of the
+id alone, so every span of one trace agrees — serve and guard, every
+cluster node, both attempts of a RETRY resend (which carries the same
+id) — and a dropped trace's ``start_span`` returns the shared
+:data:`NULL_SPAN`: no allocation, no lock, no histogram, no retention.
+Callers that time work around a span skip the clock for a
+``NULL_SPAN`` too, so counters count every request and every latency
+histogram is drawn from the kept traces (``docs/observability.md``).
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import threading
+import zlib
 from collections import deque
 from typing import Dict, List, Optional
 
@@ -86,11 +85,11 @@ class Span:
 
 
 class NullSpan:
-    """The zero-cost stand-in for a sampled-out trace root.
+    """The zero-cost stand-in for every span of a sampled-out trace.
 
     Every operation is a no-op: ``annotate`` drops its arguments,
-    ``trace_id``/``span_id`` are ``None`` (so audit records fall back to
-    the request's own trace field), and :meth:`Tracer.finish` returns
+    ``trace_id``/``span_id`` are ``None`` (audit records take the
+    request's own trace field), and :meth:`Tracer.finish` returns
     immediately without touching the registry or the retention ring.
     One shared instance (:data:`NULL_SPAN`) serves every sampled-out
     request — the "zero-allocation" half of the sampling contract.
@@ -187,51 +186,60 @@ class Tracer:
         self,
         registry: Optional[MetricsRegistry] = None,
         rng=None,
-        max_spans: int = 2048,
-        sample: int = 1,
+        max_spans: int = 256,
+        sample: int = 16,
     ):
         if sample < 1:
             raise ValueError("sample must be at least 1 (1 = every trace)")
         self.registry = default_registry(registry)
-        self.rng = rng
-        #: Capture every Nth trace root; joins are always captured.
+        #: Keep the traces whose id hashes to 0 modulo N (see :meth:`keeps`).
         self.sample = sample
         self._lock = threading.Lock()
         self._next_span = 0
-        # Root-birth counter for the 1-in-N decision.  Incremented
-        # without the lock: under the GIL the int += is safe enough,
-        # and a rare race only shifts *which* roots are sampled, never
-        # the counters-stay-exact guarantee.
-        self._roots = 0
+        # Minted ids are one random 64-bit base plus a counter: unique
+        # within the tracer, unpredictable across processes, and no
+        # entropy syscall per request.  ``next`` on a count is atomic
+        # under the GIL.
+        self._trace_base = default_rng(rng).getrandbits(64)
+        self._minted = itertools.count()
         self._finished: "deque[Span]" = deque(maxlen=max_spans)
 
     def current(self) -> Optional[Span]:
         return _CURRENT_SPAN.get()
+
+    def mint_trace_id(self) -> str:
+        """A fresh 64-bit hex trace id for a request that arrived
+        without one."""
+        return "%016x" % (
+            (self._trace_base + next(self._minted)) & 0xFFFFFFFFFFFFFFFF
+        )
+
+    def keeps(self, trace_id: str) -> bool:
+        """Whether this tracer records the spans of ``trace_id`` — the
+        one sampling decision, made by the id alone."""
+        return self.sample == 1 or not (
+            zlib.crc32(trace_id.encode()) % self.sample
+        )
 
     def start_span(
         self, name: str, trace: Optional[str] = None, activate: bool = True
     ) -> Span:
         """Open a span.  ``trace`` joins an existing trace (the id that
         rode in on the wire); ``None`` adopts the current span's trace,
-        or mints a fresh one at a trace root.  ``activate=False`` opens
-        the span without making it current — a batch holds many open
-        spans at once; each is activated around its own work.
+        or mints a fresh one.  ``activate=False`` opens the span without
+        making it current — a batch holds many open spans at once; each
+        is activated around its own work.
 
-        A trace *root* (no carried trace, no active parent) is where the
-        sampling decision lands: with ``sample=N``, N-1 of every N roots
-        return :data:`NULL_SPAN` and cost nothing downstream.  Carried
-        traces and child spans always capture — the decision is made
-        once, where the trace was born."""
+        Every span of a trace that :meth:`keeps` rejects — root, join
+        or child — is :data:`NULL_SPAN` and costs nothing downstream."""
         parent = _CURRENT_SPAN.get()
         if trace is None:
-            if parent is not None:
-                trace = parent.trace_id
-            else:
-                if self.sample > 1:
-                    self._roots += 1
-                    if (self._roots - 1) % self.sample:
-                        return NULL_SPAN
-                trace = new_trace_id(self.rng)
+            trace = (
+                parent.trace_id if parent is not None
+                else self.mint_trace_id()
+            )
+        if not self.keeps(trace):
+            return NULL_SPAN
         parent_id = (
             parent.span_id
             if parent is not None and parent.trace_id == trace

@@ -348,14 +348,16 @@ class _Connection(asyncio.Protocol):
             elif command.op == "proof":
                 replies[slot] = self._submit_proof(command)
             else:
-                # The serve span is the request's root unless the frame
-                # already carries a trace id (a RETRY resend does): then
-                # both attempts become spans of that one trace.
+                # Every check has a trace id before its span opens: the
+                # frame's own (a RETRY resend carries it, so both
+                # attempts share one trace and one sampling decision)
+                # or one minted here, which the guard and the audit
+                # record inherit whether or not the trace is kept.
+                if command.body.trace is None:
+                    command.body.trace = tracer.mint_trace_id()
                 span = tracer.start_span("serve.request",
                                          trace=command.body.trace,
                                          activate=False)
-                if command.body.trace is None:
-                    command.body.trace = span.trace_id
                 checks.append(
                     (slot, command.request_id, command.body, span)
                 )

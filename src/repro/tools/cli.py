@@ -398,7 +398,8 @@ def cmd_metrics(args) -> int:
     from repro.obs import MetricsRegistry, Tracer
 
     registry = MetricsRegistry()
-    tracer = Tracer(registry=registry)
+    # Every trace kept: this command demonstrates the trace surface.
+    tracer = Tracer(registry=registry, sample=1)
     cluster = AuthCluster(
         node_count=args.nodes, metrics=registry, tracer=tracer
     )

@@ -2,6 +2,8 @@
 records, a sink sees every one, and neither can turn a grant into a
 failure."""
 
+import random
+
 import pytest
 
 from repro.core.principals import KeyPrincipal, NamePrincipal
@@ -34,12 +36,46 @@ def _record(issuer, index, transport="http"):
 
 
 class TestRing:
-    def test_default_ring_is_the_tracers(self):
-        log = AuditLog()
-        assert log.retain == AUDIT_RETAIN == 2048
-        # A record whose span left the tracer's ring cannot be joined to
-        # its trace, so the two rings are one size.
-        assert Tracer()._finished.maxlen == AUDIT_RETAIN
+    def test_every_record_joins_its_trace_while_kept(
+        self, server_kp, alice_kp, rng
+    ):
+        assert AuditLog().retain == AUDIT_RETAIN == 2048
+        # The two rings are sized apart: a record carries its trace id
+        # whether or not the trace was kept, so it joins its span
+        # exactly when the trace was kept and is still in the tracer's
+        # ring.
+        metrics = MetricsRegistry()
+        tracer = Tracer(registry=metrics, rng=random.Random(5), sample=4,
+                        max_spans=8)
+        prover = Prover()
+        issuer = KeyPrincipal(server_kp.public)
+        client = KeyPrincipal(alice_kp.public)
+        prover.add_proof(SignedCertificateStep(
+            Certificate.issue(server_kp, client, Tag.all(), rng=rng)
+        ))
+        guard = Guard(TrustEnvironment(), prover=prover, metrics=metrics,
+                      tracer=tracer)
+        for index in range(64):
+            assert guard.check(GuardRequest(
+                ["web", "GET", str(index)], issuer=issuer,
+                credential=ChannelCredential(client), transport="http",
+            )).granted
+        outcomes = []
+        for record in guard.audit.records:
+            assert record.trace_id is not None
+            spans = tracer.spans_for(record.trace_id)
+            if not tracer.keeps(record.trace_id):
+                assert (spans, record.span_id) == ([], None)
+                outcomes.append("dropped")
+            elif spans:
+                assert [span.span_id for span in spans] == [record.span_id]
+                outcomes.append("joined")
+            else:
+                assert record.span_id is not None
+                outcomes.append("left the ring")
+        assert len(outcomes) == 64
+        assert outcomes.count("joined") == 8
+        assert {"dropped", "left the ring"} <= set(outcomes)
 
     def test_eviction_is_oldest_first_and_counted(self, issuer):
         metrics = MetricsRegistry()

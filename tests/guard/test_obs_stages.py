@@ -32,7 +32,8 @@ from repro.tags import Tag
 @pytest.fixture()
 def world(server_kp, rng):
     registry = MetricsRegistry(timebase=SimClock())
-    tracer = Tracer(registry=registry)
+    # Every trace kept, so every request is timed and spanned.
+    tracer = Tracer(registry=registry, sample=1)
     guard = default_backend(
         TrustEnvironment(clock=SimClock()),
         prover=Prover(),
@@ -126,6 +127,35 @@ class TestStageCounters:
             "guard.stage.proof_cache_ms"
         ]
         assert summary["count"] == 2
+
+    def test_a_dropped_trace_is_counted_but_not_timed(self, world):
+        # Counters count every request; the latency histograms and the
+        # span are the kept traces' alone.
+        guard, registry = world["guard"], world["registry"]
+        guard.tracer = Tracer(registry=registry, sample=4)
+        kept, dropped = [], []
+        index = 0
+        while len(kept) < 2 or len(dropped) < 3:
+            request = _session_request(world, index)
+            request.trace = "%016x" % index
+            (kept if guard.tracer.keeps(request.trace) else dropped).append(
+                request
+            )
+            index += 1
+        # The session's first check pays the prover, untimed.
+        assert guard.check(dropped.pop()).granted
+        assert registry.counter("guard.stage.prover") == 1
+        assert "guard.stage.prover_ms" not in registry.snapshot()["histograms"]
+        for request in kept[:2] + dropped[:2]:
+            decision = guard.check(request)
+            assert decision.granted
+            assert decision.record.trace_id == request.trace
+            assert (decision.record.span_id is None) == (request in dropped)
+        assert registry.counter("guard.stage.fastpath") == 4
+        histograms = registry.snapshot()["histograms"]
+        assert histograms["guard.stage.fastpath_ms"]["count"] == 2
+        assert histograms["guard.admission_ms"]["count"] == 2
+        assert histograms["span.guard.check_ms"]["count"] == 2
 
     def test_check_many_observes_batch_size(self, world):
         guard, registry = world["guard"], world["registry"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -13,7 +14,22 @@ from repro.sim import SimClock
 
 def _tracer(clock=None):
     registry = MetricsRegistry(timebase=clock)
-    return Tracer(registry=registry, rng=random.Random(42)), registry
+    return (
+        Tracer(registry=registry, rng=random.Random(42), sample=1),
+        registry,
+    )
+
+
+def _ids(tracer, kept, count=1):
+    """The first ``count`` ids ``tracer`` keeps (or drops)."""
+    found = []
+    for index in range(1 << 16):
+        trace_id = "%016x" % index
+        if tracer.keeps(trace_id) == kept:
+            found.append(trace_id)
+            if len(found) == count:
+                return found
+    raise AssertionError("no such id")
 
 
 class TestTraceIds:
@@ -23,6 +39,16 @@ class TestTraceIds:
         assert first == second
         assert len(first) == 16
         int(first, 16)  # well-formed hex
+
+    def test_minted_ids_are_a_seeded_base_plus_a_counter(self):
+        tracer = Tracer(registry=MetricsRegistry(), rng=random.Random(7))
+        twin = Tracer(registry=MetricsRegistry(), rng=random.Random(7))
+        minted = [tracer.mint_trace_id() for _ in range(1000)]
+        assert minted == [twin.mint_trace_id() for _ in range(1000)]
+        assert len(set(minted)) == 1000
+        assert all(len(trace_id) == 16 for trace_id in minted)
+        assert [int(trace_id, 16) - int(minted[0], 16)
+                for trace_id in minted[:3]] == [0, 1, 2]
 
 
 class TestSpanLifecycle:
@@ -77,7 +103,7 @@ class TestSpanLifecycle:
 
     def test_finished_ring_is_bounded(self):
         registry = MetricsRegistry()
-        tracer = Tracer(registry=registry, max_spans=4)
+        tracer = Tracer(registry=registry, max_spans=4, sample=1)
         spans = [
             tracer.finish(tracer.start_span("s", activate=False))
             for _ in range(10)
@@ -95,20 +121,26 @@ class TestSampling:
 
     def test_one_in_n_roots_is_real_and_the_rest_are_null(self):
         tracer, _ = self._sampled(4)
+        twin, _ = self._sampled(4)
+        minted = [twin.mint_trace_id() for _ in range(64)]
         roots = [
             tracer.start_span("serve.request", activate=False)
-            for _ in range(8)
+            for _ in range(64)
         ]
         for span in roots:
             tracer.finish(span)
         real = [span for span in roots if span is not NULL_SPAN]
         nulls = [span for span in roots if span is NULL_SPAN]
-        # The very first root is captured; then every 4th.
-        assert real == [roots[0], roots[4]]
-        assert len(nulls) == 6
+        # A root is kept by the id it minted, and by nothing else.
+        assert [span.trace_id for span in real] == [
+            trace_id for trace_id in minted
+            if zlib.crc32(trace_id.encode()) % 4 == 0
+        ]
+        assert 8 <= len(real) <= 24
         # Zero allocation: every sampled-out root is the one shared
         # singleton, not a fresh null object.
-        assert all(span is roots[1] for span in nulls[1:])
+        assert all(span is NULL_SPAN for span in nulls)
+        assert len(real) + len(nulls) == 64
 
     def test_sample_one_captures_every_root(self):
         tracer, _ = self._sampled(1)
@@ -118,20 +150,26 @@ class TestSampling:
         ]
         assert all(span is not NULL_SPAN for span in roots)
 
-    def test_carried_trace_is_always_captured(self):
-        tracer, _ = self._sampled(1000)
+    def test_carried_id_gets_one_decision_on_every_span(self):
+        tracer, _ = self._sampled(4)
+        (kept,), (dropped,) = _ids(tracer, True), _ids(tracer, False)
         for _ in range(10):
             span = tracer.start_span(
-                "serve.request", trace="feedfeedfeedfeed", activate=False
+                "serve.request", trace=kept, activate=False
             )
-            assert span is not NULL_SPAN
-            assert span.trace_id == "feedfeedfeedfeed"
+            assert span is not NULL_SPAN and span.trace_id == kept
             tracer.finish(span)
-        assert len(tracer.spans_for("feedfeedfeedfeed")) == 10
+            # A carried id is not forced: the tracer's rate decides.
+            assert tracer.start_span(
+                "serve.request", trace=dropped, activate=False
+            ) is NULL_SPAN
+        assert len(tracer.spans_for(kept)) == 10
+        assert tracer.spans_for(dropped) == []
 
     def test_children_of_a_sampled_root_are_always_captured(self):
         tracer, _ = self._sampled(1000)
-        root = tracer.start_span("serve.request")  # first root: sampled
+        (kept,) = _ids(tracer, True)
+        root = tracer.start_span("serve.request", trace=kept)
         assert root is not NULL_SPAN
         child = tracer.start_span("guard.check")
         assert child is not NULL_SPAN
@@ -142,8 +180,12 @@ class TestSampling:
 
     def test_null_span_operations_are_inert(self):
         tracer, registry = self._sampled(2)
-        tracer.start_span("serve.request", activate=False)  # sampled
-        null = tracer.start_span("serve.request", activate=False)
+        (kept,), (dropped,) = _ids(tracer, True), _ids(tracer, False)
+        tracer.finish(
+            tracer.start_span("serve.request", trace=kept, activate=False)
+        )
+        null = tracer.start_span("serve.request", trace=dropped,
+                                 activate=False)
         assert null is NULL_SPAN
         assert null.annotate("stage", "fastpath") is NULL_SPAN
         assert null.annotations == {}
@@ -156,10 +198,7 @@ class TestSampling:
         # Never retained, never observed into span histograms.
         assert null not in tracer.finished()
         histograms = registry.snapshot()["histograms"]
-        assert (
-            "span.serve.request_ms" not in histograms
-            or histograms["span.serve.request_ms"]["count"] == 1
-        )
+        assert histograms["span.serve.request_ms"]["count"] == 1
 
     def test_sampling_never_thins_counters_or_plain_histograms(self):
         clock = SimClock()
@@ -178,13 +217,23 @@ class TestSampling:
 
         exact, sampled = workload(1), workload(4)
         assert exact["counters"] == sampled["counters"]
-        # Only span.* capture thins; every other histogram is exact.
+        # The tracer thins only its own span.* capture; a histogram its
+        # caller observes is the caller's to time or not.
         assert (
             exact["histograms"]["guard.stage.fastpath_ms"]
             == sampled["histograms"]["guard.stage.fastpath_ms"]
         )
+        twin = Tracer(registry=MetricsRegistry(), rng=random.Random(42),
+                      sample=4)
+        kept = sum(twin.keeps(twin.mint_trace_id()) for _ in range(32))
         assert exact["histograms"]["span.serve.request_ms"]["count"] == 32
-        assert sampled["histograms"]["span.serve.request_ms"]["count"] == 8
+        assert sampled["histograms"]["span.serve.request_ms"]["count"] == kept
+
+    def test_defaults_keep_one_trace_in_sixteen(self):
+        tracer = Tracer(registry=MetricsRegistry(), rng=random.Random(3))
+        assert tracer.sample == 16
+        kept = sum(tracer.keeps(tracer.mint_trace_id()) for _ in range(4096))
+        assert 4096 / 16 * 0.8 <= kept <= 4096 / 16 * 1.2
 
     def test_sample_below_one_is_rejected(self):
         with pytest.raises(ValueError):

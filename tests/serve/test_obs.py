@@ -5,6 +5,8 @@ trace spanning a crash, a RETRY, and the resend that granted.
 from __future__ import annotations
 
 import asyncio
+import random
+from collections import defaultdict
 
 import pytest
 
@@ -23,9 +25,11 @@ from repro.tags import Tag
 
 def _observed_cluster(server_kp, rng, nodes=3, sessions=6, sample=1):
     """The test_server cluster world, with an injected registry/tracer
-    the listener inherits off the backend."""
+    the listener inherits off the backend (seeded ids, a ring large
+    enough to hold every span a test makes)."""
     registry = MetricsRegistry()
-    tracer = Tracer(registry=registry, sample=sample)
+    tracer = Tracer(registry=registry, rng=random.Random(11), sample=sample,
+                    max_spans=4096)
     cluster = AuthCluster(
         node_count=nodes, clock=SimClock(), metrics=registry, tracer=tracer
     )
@@ -169,14 +173,35 @@ class TestStatsWire:
         assert [default_registry().counter(name) for name in names] == before
 
 
+def _spans_by_trace(tracer):
+    """trace id -> the names of its retained spans, in finish order."""
+    traces = defaultdict(list)
+    for span in tracer.finished():
+        traces[span.trace_id].append(span.name)
+    return traces
+
+
+def _assert_all_or_none(tracer, trace_ids):
+    """Every trace in ``trace_ids`` kept whole (one serve and one guard
+    span per attempt) or not at all, and no span of any other trace."""
+    traces = _spans_by_trace(tracer)
+    assert set(traces) <= set(trace_ids)  # no orphan root of its own
+    for trace_id in trace_ids:
+        names = traces.get(trace_id, [])
+        assert names.count("serve.request") == names.count("guard.check")
+        assert set(names) <= {"serve.request", "guard.check"}
+        assert bool(names) == tracer.keeps(trace_id)
+    return sum(1 for trace_id in set(trace_ids) if trace_id in traces)
+
+
 class TestServerSampling:
     def test_counters_stay_exact_while_span_capture_thins(
         self, server_kp, rng
     ):
-        # Server tracer at sample=4, client minting no trace ids at all
-        # (trace_sample far above the request count): every serve root
-        # makes its own sampling decision.  Counters and stage
-        # histograms must count all 8 requests; only span.*_ms thins.
+        # Server tracer at sample=4, client minting a trace id only for
+        # its first request: the server mints the other seven.  Counters
+        # count all 8 requests; spans are kept whole or not at all, by
+        # each trace's id.
         cluster, issuer, minted, registry, tracer = _observed_cluster(
             server_kp, rng, sample=4
         )
@@ -187,7 +212,7 @@ class TestServerSampling:
             client = await ServeClient.connect(
                 host, port, trace_sample=1000
             )
-            requests = [_request(issuer, minted, 0)]  # birth 1: traced
+            requests = [_request(issuer, minted, 0)]  # birth 1: carried
             requests += [
                 _request(issuer, minted, index) for index in range(1, 8)
             ]
@@ -199,7 +224,7 @@ class TestServerSampling:
         replies, traces = asyncio.run(scenario())
         assert all(reply.granted for reply in replies)
         # Only the first client birth minted an id; the other frames
-        # carried none, so the server saw 7 fresh trace roots.
+        # carried none.
         assert traces[0] is not None
         assert all(trace is None for trace in traces[1:])
 
@@ -210,11 +235,112 @@ class TestServerSampling:
             for stage in ("fastpath", "proof_cache", "prover")
         )
         assert stage_counts == 8
-        # Span capture: the carried trace always lands, plus 1-in-4 of
-        # the 7 server-born roots (births 1 and 5) — 3 of 8 requests.
-        spans = snapshot["histograms"]["span.serve.request_ms"]
-        assert spans["count"] == 3
-        assert len(tracer.spans_for(traces[0])) >= 1
+        assert snapshot["counters"]["guard.audit.recorded"] == 8
+        # Every grant names its trace, kept or not; the server-minted
+        # ids are the ones the audit trail carries.
+        trace_ids = [record.trace_id for record in cluster.audit.records]
+        assert len(set(trace_ids)) == 8 and traces[0] in trace_ids
+        kept = _assert_all_or_none(tracer, trace_ids)
+        spans = snapshot["histograms"].get("span.serve.request_ms")
+        assert (spans["count"] if spans else 0) == kept
+
+
+class TestOneDecisionPerTrace:
+    """A request's serve span and guard span are kept or dropped
+    together.  The decision used to be a shared counter of trace roots:
+    a dropped ``serve.request`` root left the request without an id, and
+    ``Guard.check_many`` rolled the counter again for a ``guard.check``
+    root of its own (400 serial requests at ``sample=4`` kept 1 serve
+    span and 200 guard spans, 199 of them orphans)."""
+
+    REQUESTS = 400
+
+    def _serve(self, server_kp, rng, window):
+        cluster, issuer, minted, registry, tracer = _observed_cluster(
+            server_kp, rng, nodes=4, sample=4
+        )
+
+        async def scenario():
+            listener = ServeListener(cluster)
+            host, port = await listener.start()
+            client = await ServeClient.connect(
+                host, port, trace_sample=10 * self.REQUESTS
+            )
+            replies = []
+            for start in range(0, self.REQUESTS, window):
+                requests = [
+                    _request(issuer, minted, index)
+                    for index in range(start, start + window)
+                ]
+                if window == 1:
+                    replies.append(await client.check(requests[0]))
+                else:
+                    replies += await client.check_pipelined(requests)
+            await client.close()
+            await listener.shutdown()
+            return replies, listener.stats
+
+        replies, stats = asyncio.run(scenario())
+        assert len(replies) == self.REQUESTS
+        assert all(reply.granted for reply in replies)
+        assert stats["batches"] == self.REQUESTS // window
+        records = cluster.audit.records
+        assert len(records) == self.REQUESTS
+        trace_ids = [record.trace_id for record in records]
+        assert None not in trace_ids and len(set(trace_ids)) == self.REQUESTS
+        kept = _assert_all_or_none(tracer, trace_ids)
+        assert 0.15 <= kept / self.REQUESTS <= 0.35
+        return tracer, registry
+
+    def test_one_frame_per_recv(self, server_kp, rng):
+        self._serve(server_kp, rng, window=1)
+
+    def test_batches_of_eight(self, server_kp, rng):
+        tracer, registry = self._serve(server_kp, rng, window=8)
+        counters = registry.snapshot()["counters"]
+        assert counters["serve.replies.ok"] == self.REQUESTS
+        histograms = registry.snapshot()["histograms"]
+        # Latency histograms are drawn from the kept traces alone.
+        kept = len(_spans_by_trace(tracer))
+        assert histograms["guard.admission_ms"]["count"] == kept
+        assert histograms["span.guard.check_ms"]["count"] == kept
+
+    def test_a_dropped_id_is_dropped_on_both_attempts_of_a_retry(
+        self, server_kp, rng
+    ):
+        cluster, issuer, minted, _, tracer = _observed_cluster(
+            server_kp, rng, sample=4
+        )
+        mac_id, _ = minted[0]
+        owner = cluster.membership.ring.node_for(session_routing_key(mac_id))
+        dropped = next(
+            trace_id for trace_id in ("%016x" % n for n in range(64))
+            if not tracer.keeps(trace_id)
+        )
+
+        async def scenario():
+            listener = ServeListener(cluster)
+            host, port = await listener.start()
+            client = await ServeClient.connect(host, port)
+            assert (
+                await client.check(_request(issuer, minted, 0))
+            ).granted
+            cluster.crash_node(owner)
+            request = _request(issuer, minted, 0)
+            request.trace = dropped
+            reply = await client.check(request)
+            await client.close()
+            await listener.shutdown()
+            return reply, client.stats, listener.stats
+
+        reply, client_stats, listener_stats = asyncio.run(scenario())
+        assert reply.granted
+        assert client_stats["retries"] == 1 == listener_stats["retries"]
+        # Neither the attempt that met the crash nor the resend left a
+        # span; the grant still names the trace.
+        assert tracer.spans_for(dropped) == []
+        assert [record.trace_id for record in cluster.audit.records
+                if record.trace_id == dropped] == [dropped]
 
 
 class TestPongVitals:
