@@ -1,17 +1,17 @@
 """A sharded, replicated authorization cluster.
 
 The paper's end-to-end model puts one guard in front of one resource;
-this package scales that guard horizontally for the ROADMAP's
+this package shards that guard horizontally for the ROADMAP's
 millions-of-users target.  Requests shard by *speaker fingerprint* on a
 consistent-hash ring (:mod:`repro.cluster.ring`), each shard served by a
 :class:`GuardNode` wrapping its own :class:`~repro.guard.Guard`, session
-registry, prover, and meter.  Membership — join, leave, fail, heartbeat
-sweep — is explicit and clock-injected (:mod:`repro.cluster.membership`);
-an invalidation bus (:mod:`repro.cluster.bus`) broadcasts delegation
-retractions, channel closes, and revocations so no replica's caches
-outlive a justification; and ``AuthCluster.check_many``
-(:mod:`repro.cluster.dispatch`) rides ``Guard.check_many`` so each shard
-pays one premise snapshot and one meter charge per batch.
+registry, and prover; nodes serve real traffic and charge no cost model.
+Membership — join, leave, fail, heartbeat sweep — is explicit and
+clock-injected (:mod:`repro.cluster.membership`); an invalidation bus
+(:mod:`repro.cluster.bus`) broadcasts delegation retractions, channel
+closes, and revocations so no replica's caches outlive a justification;
+and ``AuthCluster.check_many`` (:mod:`repro.cluster.dispatch`) rides
+``Guard.check_many`` so each shard pays one premise snapshot per batch.
 
 The speaks-for model is what makes all of this safe: a proof is valid
 wherever the premise set is held, so whichever node owns a speaker's

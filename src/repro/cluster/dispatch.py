@@ -4,9 +4,9 @@
 ``check_many``: it groups a heterogeneous stream of
 :class:`GuardRequest`\\ s by serving node and rides
 ``Guard.check_many()``, so each shard pays one trusted-premise snapshot
-and one metered ``checkAuth`` charge per batch instead of one per
-request — the cluster-scale version of the batching the guard already
-does for a single process.  A single ``check`` is a batch of one.
+per batch instead of one per request — the cluster-scale version of the
+batching the guard already does for a single process.  A single
+``check`` is a batch of one.
 
 Every check is served by its speaker's shard owner.  The control plane
 owns the shared clock, the membership table, the invalidation bus, the
@@ -91,7 +91,6 @@ class AuthCluster:
         heartbeat_timeout: float = 30.0,
         session_ttl: Optional[float] = None,
         directory_cap: int = 4096,
-        check_charge: Optional[str] = "rmi_checkauth",
         audit_retain: Optional[int] = None,
         audit_sink=None,
         rng=None,
@@ -118,7 +117,6 @@ class AuthCluster:
         )
         self.session_ttl = session_ttl
         self.directory_cap = directory_cap
-        self.check_charge = check_charge
         self.rng = rng
         # One retention knob: ``audit_retain`` sizes each node's ring and
         # caps the merged view; ``audit_sink`` sees every node's records.
@@ -190,7 +188,6 @@ class AuthCluster:
             node_id,
             clock=self.clock,
             session_ttl=self.session_ttl,
-            check_charge=self.check_charge,
             audit=AuditLog(
                 retain=(
                     AUDIT_RETAIN if self.audit_retain is None
@@ -569,10 +566,10 @@ class AuthCluster:
 
     def check_many(self, requests) -> List[GuardDecision]:
         """Batch-dispatch a mixed stream: one ``Guard.check_many`` call —
-        one premise snapshot, one checkAuth charge — per shard owner
-        touched.  Decisions come back in the original stream order, and
-        a failed request never interrupts its batch, so a caller cannot
-        tell how the stream was partitioned — only the meters can."""
+        one premise snapshot — per shard owner touched.  Decisions come
+        back in the original stream order, and a failed request never
+        interrupts its batch, so a caller cannot tell how the stream was
+        partitioned — only the per-node ``batches`` counters can."""
         requests = list(requests)
         groups: Dict[GuardNode, List[int]] = {}
         for index, request in enumerate(requests):
@@ -626,11 +623,11 @@ class AuthCluster:
 
     def submit_proof(self, proof_wire: bytes) -> Proof:
         """The proofRecipient path, cluster-wide: the subject's shard
-        owner pays the one parse+verify charge and memoizes the proof
-        where the subject's checks are decided."""
+        owner verifies the proof once and memoizes it where the
+        subject's checks are decided."""
         # Parse once, here: routing needs the conclusion, and the
         # verifying guard accepts the built proof so nothing is parsed
-        # (or priced) twice.
+        # twice.
         proof = proof_from_sexp(parse_canonical(proof_wire))
         conclusion = proof.conclusion
         if isinstance(conclusion, SpeaksFor):

@@ -31,7 +31,6 @@ from repro.guard.request import (
 from repro.net.trust import TrustEnvironment
 from repro.prover import Prover
 from repro.sexp import to_canonical
-from repro.sim.costmodel import Meter
 
 
 def principal_fingerprint(principal) -> bytes:
@@ -153,24 +152,22 @@ class HashRing:
 
 
 class GuardNode:
-    """One cluster member: a :class:`Guard` plus its own session registry,
-    prover, and meter.
+    """One cluster member: a :class:`Guard` plus its own session registry
+    and prover.
 
-    The node's meter is its simulated CPU: cluster benchmarks read the
-    makespan (the busiest node's total) as the parallel wall-clock.  A
-    shared cluster clock is injected so certificate validity and session
-    TTLs agree across nodes — the one thing replicas must not disagree on.
+    A node serves real traffic, so its guard charges no cost model: the
+    paper's modeled figures build their own guards.  A shared cluster
+    clock is injected so certificate validity and session TTLs agree
+    across nodes — the one thing replicas must not disagree on.
     """
 
     def __init__(
         self,
         node_id: str,
         clock=None,
-        meter: Optional[Meter] = None,
         prover: Optional[Prover] = None,
         trust: Optional[TrustEnvironment] = None,
         session_ttl: Optional[float] = None,
-        check_charge: Optional[str] = "rmi_checkauth",
         max_speakers: int = 4096,
         max_sessions: int = 4096,
         audit=None,
@@ -179,18 +176,15 @@ class GuardNode:
     ):
         self.node_id = node_id
         self.trust = trust if trust is not None else TrustEnvironment(clock=clock)
-        self.meter = meter if meter is not None else Meter()
         self.prover = prover if prover is not None else Prover()
         # Even the cluster's own nodes go through the shared factory:
         # nothing in the tree constructs the default backend any other way.
         self.guard = default_backend(
             self.trust,
-            meter=self.meter,
             prover=self.prover,
             max_speakers=max_speakers,
             max_sessions=max_sessions,
             session_ttl=session_ttl,
-            check_charge=check_charge,
             audit=audit,
             metrics=metrics,
             tracer=tracer,
@@ -207,7 +201,6 @@ class GuardNode:
             "cache": dict(self.guard.cache.stats),
             "sessions": dict(self.guard.sessions.stats),
             "prover": dict(self.prover.stats),
-            "meter_ms": self.meter.total_ms(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -10,8 +10,8 @@ what the *server* does between frames:
 - **Pipelining → batching.** Each connection is served from its own
   ``data_received``: the complete frames of one recv are coalesced
   into one ``check_many`` batch (at most ``max_batch``), so in-flight
-  pipelined requests pay one premise snapshot and one meter charge per
-  batch, not per request, and a batch of one costs one loop wake-up
+  pipelined requests pay one premise snapshot per batch, not per
+  request, and a batch of one costs one loop wake-up
   (:mod:`repro.serve.server`).
 - **Backpressure.** The transport's own: a peer that does not read its
   replies stops being served and stops being read, and the kernel's

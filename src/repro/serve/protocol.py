@@ -408,6 +408,16 @@ def _parse_payload(payload: bytes) -> SList:
     return node
 
 
+def _text(node: SExp, what: str) -> str:
+    """The text of a field that must be one UTF-8 atom."""
+    if not isinstance(node, Atom):
+        raise WireError("%s must be an atom" % what)
+    try:
+        return node.text()
+    except UnicodeDecodeError as exc:
+        raise WireError("%s is not UTF-8: %s" % (what, exc))
+
+
 def _request_id(node: SList) -> int:
     atom = node.items[1]
     if not isinstance(atom, Atom):
@@ -416,7 +426,10 @@ def _request_id(node: SList) -> int:
     # underscores, and would echo the id back in a different spelling.
     if not atom.value.isdigit():
         raise WireError("unreadable request id %r" % (atom,))
-    return int(atom.value)
+    try:
+        return int(atom.value)
+    except ValueError:  # more digits than ``int()`` will convert
+        raise WireError("request id of %d digits" % len(atom.value))
 
 
 def decode_command(payload: bytes) -> Command:
@@ -451,7 +464,8 @@ def _split_id_header(
     Both fields must be ASCII digits and nothing else — exactly what the
     full parser accepts — so the sliced path can never admit a frame
     (``+1:``, ``0_1:``, a signed or blank-padded id) that
-    :func:`decode_command` would reject."""
+    :func:`decode_command` would reject.  An id with more digits than
+    ``int()`` converts is the full parser's ``WireError``, raised here."""
     colon = payload.find(b":", digits_start, digits_start + 11)
     if colon <= digits_start:
         return None
@@ -460,7 +474,10 @@ def _split_id_header(
         id_end = colon + 1 + int(length)
         request_id = payload[colon + 1:id_end]
         if request_id.isdigit():
-            return int(request_id), id_end
+            try:
+                return int(request_id), id_end
+            except ValueError:  # more digits than ``int()`` will convert
+                raise WireError("request id of %d digits" % len(request_id))
     return None
 
 
@@ -648,11 +665,11 @@ def value_from_sexp(node: SExp):
         if head == "false":
             return False
         if head == "int":
-            return int(node.items[1].text())
+            return int(_text(node.items[1], "int value"))
         if head == "num":
-            return float(node.items[1].text())
+            return float(_text(node.items[1], "num value"))
         if head == "str":
-            return node.items[1].text()
+            return _text(node.items[1], "str value")
         if head == "vec":
             return [value_from_sexp(item) for item in node.items[1:]]
         if head == "map":
@@ -660,9 +677,10 @@ def value_from_sexp(node: SExp):
             for field in node.items[1:]:
                 if not isinstance(field, SList) or len(field) != 2:
                     raise WireError("bad map entry %r" % (field,))
-                result[field.head()] = value_from_sexp(field.items[1])
+                key = _text(field.items[0], "map key")
+                result[key] = value_from_sexp(field.items[1])
             return result
-    except (IndexError, UnicodeDecodeError, ValueError) as exc:
+    except (IndexError, ValueError) as exc:
         raise WireError("bad %s value: %s" % (head, exc))
     raise WireError("unknown value tag %r" % head)
 
@@ -805,9 +823,9 @@ def decode_reply(payload: bytes) -> Reply:
             if not isinstance(field, SList) or len(field) != 2:
                 raise WireError("bad ok field %r" % (field,))
             if field.head() == "via":
-                via = field.items[1].text()
+                via = _text(field.items[1], "via")
             elif field.head() == "stage":
-                stage = field.items[1].text()
+                stage = _text(field.items[1], "stage")
         if via is not None and stage is not None:
             # Teach the fast path this (via, stage) pair: the learned
             # key is our own canonical re-encoding, so only frames that
@@ -834,7 +852,10 @@ def decode_reply(payload: bytes) -> Reply:
                 raise WireError("challenge field rejected: %s" % exc)
         return Reply(CHALLENGE, request_id, issuer=issuer, tag=tag)
     if status in (DENIED, RETRY, ERROR):
-        message = node.items[2].text() if len(node) > 2 else ""
+        message = (
+            _text(node.items[2], "%s message" % status)
+            if len(node) > 2 else ""
+        )
         return Reply(status, request_id, message=message)
     if status == PONG:
         uptime = None
@@ -844,15 +865,18 @@ def decode_reply(payload: bytes) -> Reply:
             try:
                 # Unknown fields are ignored.
                 if field.head() == "uptime":
-                    uptime = float(field.items[1].text())
-            except (UnicodeDecodeError, ValueError) as exc:
+                    uptime = float(_text(field.items[1], "uptime"))
+            except ValueError as exc:
                 raise WireError("pong field rejected: %s" % exc)
         return Reply(PONG, request_id, uptime=uptime)
     if status == STATS_OK:
         if len(node) != 3:
             raise WireError("bad (stats-ok id value) form")
-        return Reply(STATS_OK, request_id,
-                     data=value_from_sexp(node.items[2]))
+        try:
+            data = value_from_sexp(node.items[2])
+        except RecursionError:
+            raise WireError("stats value nested too deep")
+        return Reply(STATS_OK, request_id, data=data)
     if status == PROOF_OK:
         return Reply(status, request_id)
     raise WireError("unknown reply status %r" % status)

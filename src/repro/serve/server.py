@@ -6,8 +6,8 @@ whole serving path runs inside its ``data_received``: the bytes of one
 recv go through a :class:`~repro.serve.protocol.FrameBuffer`, and the
 complete frames — at most ``max_batch`` of them — are decoded, checked
 in a single ``check_many`` call, encoded and written before the callback
-returns.  A pipelined client therefore pays one premise snapshot and one
-meter charge per *recv* rather than per request; a serial client (one
+returns.  A pipelined client therefore pays one premise snapshot per
+*recv* rather than per request; a serial client (one
 request in flight) degenerates naturally to batches of one — same code
 path, no mode switch, one loop wake-up.  With frames left over, the
 connection stops reading and takes its next slice on the next loop turn
@@ -385,7 +385,7 @@ class _Connection(asyncio.Protocol):
 
     def _serve_checks(self, checks, replies) -> None:
         """The tentpole hot path: every check in the batch rides one
-        ``check_many`` call — one premise snapshot, one meter charge."""
+        ``check_many`` call — one premise snapshot per guard it reaches."""
         listener = self.listener
         stats = listener.stats
         requests = [request for (_, _, request, _) in checks]

@@ -21,7 +21,6 @@ and per-byte cost, with coefficient-of-variation re-run rules.
 
 from repro.sim.clock import SimClock
 from repro.sim.costmodel import CostModel, Meter, PAPER_COSTS
-from repro.sim.metrics import ClusterAggregate
 from repro.sim.regression import linear_regression, coefficient_of_variation, Experiment
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "CostModel",
     "Meter",
     "PAPER_COSTS",
-    "ClusterAggregate",
     "linear_regression",
     "coefficient_of_variation",
     "Experiment",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 class BarChart:
@@ -68,73 +68,6 @@ class ComparisonTable:
                 "  %-34s %10.1f %10.1f %8s" % (label, paper, measured, err)
             )
         return "\n".join(lines)
-
-
-class ClusterAggregate:
-    """Aggregate view over a cluster's per-node meters.
-
-    Each node's meter is its simulated CPU, so the *makespan* — the
-    busiest node's total — is the parallel wall-clock of the run, while
-    the *sum* is the serial-equivalent work.  Modeled throughput divides
-    requests by makespan; the ratio of two aggregates' throughputs is the
-    scaling figure the cluster benchmark asserts on.
-    """
-
-    def __init__(self, meters: Mapping[str, object]):
-        if not meters:
-            raise ValueError("an aggregate needs at least one meter")
-        self._totals: Dict[str, float] = {
-            node_id: meter.total_ms() for node_id, meter in meters.items()
-        }
-        self._breakdown: Dict[str, float] = {}
-        for meter in meters.values():
-            for operation, cost in meter.breakdown().items():
-                self._breakdown[operation] = (
-                    self._breakdown.get(operation, 0.0) + cost
-                )
-
-    @classmethod
-    def of_nodes(cls, nodes) -> "ClusterAggregate":
-        """Build from GuardNode-shaped objects (``node_id`` + ``meter``)."""
-        return cls({node.node_id: node.meter for node in nodes})
-
-    def totals(self) -> Dict[str, float]:
-        """Per-node simulated milliseconds."""
-        return dict(self._totals)
-
-    def makespan_ms(self) -> float:
-        """The busiest node's total — the parallel wall-clock."""
-        return max(self._totals.values())
-
-    def sum_ms(self) -> float:
-        """Total work across the cluster — the serial-equivalent cost."""
-        return sum(self._totals.values())
-
-    def breakdown(self) -> Dict[str, float]:
-        """Cluster-wide milliseconds per operation (the Table 1 view)."""
-        return dict(self._breakdown)
-
-    def imbalance(self) -> float:
-        """Busiest node over mean load: 1.0 is a perfectly even split."""
-        mean = self.sum_ms() / len(self._totals)
-        return self.makespan_ms() / mean if mean else 1.0
-
-    def throughput(self, requests: int) -> float:
-        """Modeled requests per simulated second."""
-        makespan = self.makespan_ms()
-        if makespan <= 0:
-            raise ValueError("no metered work to divide by")
-        return requests / (makespan / 1000.0)
-
-    @staticmethod
-    def drain_makespan_ms(reports) -> float:
-        """The longest single drain across a sequence of
-        :class:`~repro.cluster.handoff.DrainReport` objects — the
-        topology-change analogue of :meth:`makespan_ms` (a rolling
-        upgrade's wall-clock is bounded by its slowest handoff)."""
-        return max(
-            (report.duration_ms for report in reports), default=0.0
-        )
 
 
 def shape_preserved(

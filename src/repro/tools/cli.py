@@ -183,8 +183,8 @@ def _demo_cluster(args):
     """Drive the deterministic demo workload the ``stats`` and ``audit``
     subcommands share: an :class:`AuthCluster` serving a MAC-session
     request stream, optionally failing one node mid-run.  Returns
-    ``(cluster, all_nodes)`` — ``all_nodes`` includes any failed node so
-    aggregation never understates the work done."""
+    ``(cluster, all_nodes)`` — ``all_nodes`` includes any failed node, so
+    its audit trail still prints."""
     from repro.cluster import AuthCluster
     from repro.core.principals import KeyPrincipal, MacPrincipal
     from repro.core.proofs import SignedCertificateStep
@@ -231,27 +231,11 @@ def _demo_cluster(args):
 
 def cmd_stats(args) -> int:
     """Run a deterministic demo workload on an authorization cluster and
-    dump every guard/prover/session/cluster counter as JSON — the quick
-    way to eyeball what the cluster benchmarks measure."""
-    from repro.sim.metrics import ClusterAggregate
-
-    cluster, all_nodes = _demo_cluster(args)
-    snapshot = cluster.stats_snapshot()
-    # Aggregate over every node that did work, including any failed one:
-    # dropping its meter would overstate throughput.
-    aggregate = ClusterAggregate.of_nodes(all_nodes)
-    snapshot["aggregate"] = {
-        "makespan_ms": aggregate.makespan_ms(),
-        "sum_ms": aggregate.sum_ms(),
-        "imbalance": aggregate.imbalance(),
-        "throughput_rps": aggregate.throughput(args.requests),
-        # Topology-change cost: the slowest warm handoff of the run
-        # (0.0 when no node drained).
-        "drain_makespan_ms": ClusterAggregate.drain_makespan_ms(
-            cluster.handoff.reports
-        ),
-    }
-    print(json.dumps(snapshot, indent=args.indent, sort_keys=True))
+    dump every guard/prover/session/cluster counter as JSON (a drain's
+    wall-clock duration is ``handoff.last_drain_ms``)."""
+    cluster, _ = _demo_cluster(args)
+    print(json.dumps(cluster.stats_snapshot(), indent=args.indent,
+                     sort_keys=True))
     return 0
 
 
@@ -471,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--seed", type=int, default=7)
     stats.add_argument("--drain-one", action="store_true",
                        help="drain one node mid-run (warm handoff: the "
-                            "handoff counters and drain makespan go live)")
+                            "handoff counters and last_drain_ms go live)")
     stats.add_argument("--fail-one", action="store_true",
                        help="fail one node mid-run to exercise failover "
                             "session re-minting")

@@ -1,6 +1,10 @@
-"""Batch dispatch: stream order, shard batching, and meter amortization."""
+"""Batch dispatch: stream order, shard batching, and what a fleet of
+listeners relies on when it is handed one cluster."""
+
+import pytest
 
 from repro.cluster import AuthCluster, routing_key
+from repro.cluster.ring import session_routing_key
 from repro.core.errors import AuthorizationError, NeedAuthorizationError
 from repro.core.principals import ChannelPrincipal, KeyPrincipal
 from repro.core.proofs import PremiseStep, SignedCertificateStep
@@ -10,6 +14,8 @@ from repro.guard import ChannelCredential, GuardRequest, SessionCredential
 from repro.sexp import to_canonical, to_transport
 from repro.spki import Certificate
 from repro.tags import Tag
+
+from tests.cluster.conftest import ClusterWorld
 
 SPEAKERS = 8
 ROUNDS = 3
@@ -62,7 +68,12 @@ def test_decisions_come_back_in_stream_order(server_kp, alice_kp, rng):
         assert decision.speaker == channels[i % SPEAKERS]
 
 
+def _guard_batches(cluster):
+    return sum(node.guard.stats["batches"] for node in cluster.nodes())
+
+
 def test_one_checkauth_charge_per_shard_batch(server_kp, alice_kp, rng):
+    """One ``Guard.check_many`` (the guard's checkAuth) per shard batch."""
     cluster, channels, request = _world(server_kp, alice_kp, rng)
     stream = [
         request(channels[i % SPEAKERS], "/doc-%d" % i)
@@ -71,25 +82,18 @@ def test_one_checkauth_charge_per_shard_batch(server_kp, alice_kp, rng):
     shards_touched = len(
         {cluster.membership.node_for(routing_key(r)).node_id for r in stream}
     )
+    assert shards_touched > 1
     cluster.check_many(stream)
-    charges = sum(
-        node.meter.counts().get("rmi_checkauth", 0)
-        for node in cluster.nodes()
-    )
-    # Batched: one checkAuth per shard batch, not one per request.
-    assert charges == shards_touched
+    # Batched: one guard batch per shard touched, not one per request.
+    assert _guard_batches(cluster) == shards_touched
     dispatch = cluster.stats_snapshot()["dispatch"]
     assert dispatch["shard_batches"] == shards_touched
 
-    # Sequentially, the same stream pays one charge per request.
+    # Sequentially, the same stream is one guard batch per request.
     sequential, channels2, request2 = _world(server_kp, alice_kp, rng)
     for i in range(SPEAKERS * ROUNDS):
         sequential.check(request2(channels2[i % SPEAKERS], "/doc-%d" % i))
-    charges = sum(
-        node.meter.counts().get("rmi_checkauth", 0)
-        for node in sequential.nodes()
-    )
-    assert charges == SPEAKERS * ROUNDS
+    assert _guard_batches(sequential) == SPEAKERS * ROUNDS
 
 
 def test_batch_and_sequential_agree(server_kp, alice_kp, rng):
@@ -141,3 +145,48 @@ def test_a_session_proof_for_another_subject_does_not_sink_its_batch(
     assert innocent.granted
     assert not refused.granted
     assert isinstance(refused.error, NeedAuthorizationError)
+
+
+class TestFleet:
+    """Every front end (http servlet, smtp receiver, rmi skeleton, serve
+    listener) holds the :class:`AuthCluster` itself: one ring and one
+    session escrow however many fronts ask."""
+
+    @pytest.fixture()
+    def world(self, server_kp, alice_kp, rng):
+        return ClusterWorld(server_kp, alice_kp, rng, nodes=4)
+
+    def test_fleet_shares_one_ring(self, world):
+        """Single checks asked by different fronts land on the same
+        shard state: a fleet is N listeners, not N authorization
+        domains."""
+        fronts = ["http-1", "smtp-1", "rmi-1"]
+        for transport in fronts:
+            assert world.cluster.check(
+                world.request(transport=transport)
+            ).granted
+        # One speaker, one owner node — every front's check routed there.
+        served = [
+            node
+            for node in world.cluster.nodes()
+            if node.guard.stats["checks"] > 0
+        ]
+        assert len(served) == 1
+        assert served[0].guard.stats["checks"] == len(fronts)
+        assert served[0].guard.stats["grants"] == len(fronts)
+
+    def test_fleet_sessions_mint_into_the_shared_escrow(self, rng):
+        """A session minted with the cluster's injected rng is cluster
+        state — escrowed for failover and installed on its ring owner —
+        so any front's traffic can reach it."""
+        cluster = AuthCluster(node_count=4, rng=rng)
+        mac_id, _ = cluster.mint_session()
+        assert mac_id in cluster._session_directory
+        owner = cluster.membership.node_for(session_routing_key(mac_id))
+        assert owner.guard.sessions.get(mac_id) is not None
+
+    def test_frontend_audit_is_the_merged_cluster_view(self, world):
+        """A front end reads one trail: the single check's record in the
+        merged view is the serving node's own record."""
+        decision = world.cluster.check(world.request())
+        assert world.cluster.audit.records == [decision.record]

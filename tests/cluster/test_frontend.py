@@ -1,16 +1,11 @@
-"""What a fleet of listeners relies on when it is handed one cluster.
-
-Every front end (http servlet, smtp receiver, rmi skeleton, serve
-listener) holds the :class:`AuthCluster` itself, so these are cluster
-properties: one ring and one session escrow however many fronts ask,
-the membership heartbeat pumping ``SessionRegistry.sweep()``
-cluster-wide, and the merged, time-ordered cluster audit view with its
-retention cap.
+"""Cluster properties every front end relies on: the membership
+heartbeat pumping ``SessionRegistry.sweep()`` cluster-wide, and the
+merged, time-ordered cluster audit view with its retention cap.
 """
 
 import pytest
 
-from repro.cluster import AuthCluster, ClusterAuditView
+from repro.cluster import ClusterAuditView
 from repro.cluster.ring import session_routing_key
 from repro.core.principals import KeyPrincipal
 
@@ -20,43 +15,6 @@ from tests.cluster.conftest import ClusterWorld
 @pytest.fixture()
 def world(server_kp, alice_kp, rng):
     return ClusterWorld(server_kp, alice_kp, rng, nodes=4)
-
-
-class TestFleet:
-    def test_fleet_shares_one_ring(self, world):
-        """Single checks asked by different fronts land on the same
-        shard state: a fleet is N listeners, not N authorization
-        domains."""
-        fronts = ["http-1", "smtp-1", "rmi-1"]
-        for transport in fronts:
-            assert world.cluster.check(
-                world.request(transport=transport)
-            ).granted
-        # One speaker, one owner node — every front's check routed there.
-        served = [
-            node
-            for node in world.cluster.nodes()
-            if node.guard.stats["checks"] > 0
-        ]
-        assert len(served) == 1
-        assert served[0].guard.stats["checks"] == len(fronts)
-        assert served[0].guard.stats["grants"] == len(fronts)
-
-    def test_fleet_sessions_mint_into_the_shared_escrow(self, rng):
-        """A session minted with the cluster's injected rng is cluster
-        state — escrowed for failover and installed on its ring owner —
-        so any front's traffic can reach it."""
-        cluster = AuthCluster(node_count=4, rng=rng)
-        mac_id, _ = cluster.mint_session()
-        assert mac_id in cluster._session_directory
-        owner = cluster.membership.node_for(session_routing_key(mac_id))
-        assert owner.guard.sessions.get(mac_id) is not None
-
-    def test_frontend_audit_is_the_merged_cluster_view(self, world):
-        """A front end reads one trail: the single check's record in the
-        merged view is the serving node's own record."""
-        decision = world.cluster.check(world.request())
-        assert world.cluster.audit.records == [decision.record]
 
 
 class TestHeartbeatSweep:

@@ -111,23 +111,31 @@ class TestStatsCommand:
     def test_dumps_every_counter_family_as_json(self, capsys):
         snapshot = self._snapshot(capsys)
         assert set(snapshot) >= {
-            "cluster", "membership", "dispatch", "bus", "ring", "nodes",
-            "aggregate",
+            "cluster", "membership", "dispatch", "handoff", "bus", "ring",
+            "nodes",
         }
         assert snapshot["cluster"]["sessions_minted"] == 6
         assert snapshot["dispatch"]["requests"] == 24
         assert len(snapshot["nodes"]) == 3
         node = next(iter(snapshot["nodes"].values()))
-        assert set(node) == {"guard", "cache", "sessions", "prover", "meter_ms"}
+        assert set(node) == {"guard", "cache", "sessions", "prover"}
         assert "retract_examined" in node["cache"]
         assert "invalidate_examined" in node["prover"]
-        assert snapshot["aggregate"]["throughput_rps"] > 0
+        assert snapshot["handoff"]["last_drain_ms"] == 0.0
 
     def test_fail_one_exercises_session_reminting(self, capsys):
         snapshot = self._snapshot(capsys, ["--fail-one"])
         assert snapshot["membership"]["failures"] == 1
         assert len(snapshot["nodes"]) == 2
         assert snapshot["cluster"]["sessions_reminted"] > 0
+
+    def test_drain_one_reports_its_duration_in_the_handoff_family(
+        self, capsys
+    ):
+        snapshot = self._snapshot(capsys, ["--drain-one"])
+        assert snapshot["handoff"]["drains"] == 1
+        assert snapshot["handoff"]["last_drain_ms"] > 0.0
+        assert len(snapshot["nodes"]) == 2
 
 
 class TestAuditCommand:

@@ -298,14 +298,10 @@ def test_shutdown_answers_the_complete_frames_still_buffered():
     assert stats["frames"] == total
 
 
-def test_a_hostile_key_is_answered_and_the_connection_serves_on():
-    # A channel key whose ``(n)`` field carries no value: the codec must
-    # refuse it as a counted ERROR, not let the decode exception take
-    # the connection down unanswered.
-    hostile = (
-        b"(5:check1:1(7:request(7:logical3:web)(10:credential(7:channel"
-        b"(10:public-key(3:rsa(1:e3:\x01\x00\x01)(1:n)))))))"
-    )
+def _refused_then_served(hostile: bytes):
+    """Send ``hostile``, then a ping: the codec must refuse the frame as
+    a counted ERROR, not let a decode exception take the connection down
+    unanswered, and the ping must still be served."""
 
     async def scenario():
         listener = _listener()
@@ -321,9 +317,28 @@ def test_a_hostile_key_is_answered_and_the_connection_serves_on():
 
     refused, after, listener = asyncio.run(scenario())
     assert (refused.status, refused.request_id) == ("error", 0)
-    assert "public key" in refused.message
     assert listener.metrics.counter("serve.protocol.wire_errors") == 1
     assert (after.status, after.request_id) == ("pong", 2)
+    return refused
+
+
+def test_a_hostile_key_is_answered_and_the_connection_serves_on():
+    # A channel key whose ``(n)`` field carries no value.
+    refused = _refused_then_served(
+        b"(5:check1:1(7:request(7:logical3:web)(10:credential(7:channel"
+        b"(10:public-key(3:rsa(1:e3:\x01\x00\x01)(1:n)))))))"
+    )
+    assert "public key" in refused.message
+
+
+def test_an_id_beyond_int_digits_is_answered_and_the_connection_serves_on():
+    # More digits than ``int()`` converts: once a ``ValueError`` out of
+    # the decode cache's sliced path.
+    digits = b"1" * 4400
+    refused = _refused_then_served(
+        b"(5:check%d:%s(7:request(7:logical3:web)))" % (len(digits), digits)
+    )
+    assert "request id" in refused.message
 
 
 def test_one_oversize_reply_costs_its_own_request_only(monkeypatch):

@@ -305,6 +305,50 @@ class TestReplyCodec:
             Reply(ERROR, 0, message="junk").raise_for_status()
 
 
+#: Replies a broken or hostile server can send.  Each once escaped
+#: ``decode_reply`` as something other than ``WireError`` (and the map
+#: key decoded silently to ``{None: None}``).
+HOSTILE_REPLIES = {
+    "ok-via-not-an-atom": b"(2:ok1:1(3:via(1:x))(5:stage1:y))",
+    "denied-message-not-an-atom": b"(6:denied1:1(1:x))",
+    "denied-message-not-utf8": b"(6:denied1:11:\xff)",
+    "ok-via-not-utf8": b"(2:ok1:1(3:via1:\xff)(5:stage1:y))",
+    "stats-int-not-an-atom": b"(8:stats-ok1:1(3:int(1:a)))",
+    "pong-uptime-not-an-atom": b"(4:pong1:1(6:uptime(1:a)))",
+    "stats-map-key-not-an-atom": b"(8:stats-ok1:1(3:map((1:a)(3:nil))))",
+    "stats-map-key-not-utf8": b"(8:stats-ok1:1(3:map(1:\xff(3:nil))))",
+    "id-beyond-int-digits": b"(2:ok4400:" + b"1" * 4400 + b")",
+    "stats-value-nested-too-deep": (
+        b"(8:stats-ok1:1" + b"(3:vec" * 5000 + b")" * 5001
+    ),
+}
+
+
+class TestHostileReplies:
+    @pytest.mark.parametrize(
+        "payload", list(HOSTILE_REPLIES.values()), ids=list(HOSTILE_REPLIES)
+    )
+    def test_is_a_wire_error(self, payload):
+        with pytest.raises(WireError):
+            decode_reply(payload)
+
+    def test_an_id_beyond_int_digits_is_a_wire_error_in_a_command(self):
+        """The request id header is shared with the command decoder: a
+        check frame whose id ``int()`` refuses fails closed on both the
+        full parser and the decode cache's sliced path."""
+        digits = b"1" * 4400
+        frame = b"(5:check%d:%s%s)" % (
+            len(digits), digits,
+            to_canonical(guard_request_to_sexp(
+                GuardRequest(LOGICAL, transport="http")
+            )),
+        )
+        with pytest.raises(WireError):
+            decode_command(frame)
+        with pytest.raises(WireError):
+            DecodeCache().decode(frame)
+
+
 class TestTraceField:
     def test_trace_id_rides_the_request_frame(self):
         request = GuardRequest(

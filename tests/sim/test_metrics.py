@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim.costmodel import Meter
-from repro.sim.metrics import (
-    BarChart,
-    ClusterAggregate,
-    ComparisonTable,
-    shape_preserved,
-)
+from repro.sim.metrics import BarChart, ComparisonTable, shape_preserved
 
 
 class TestBarChart:
@@ -44,37 +38,6 @@ class TestComparisonTable:
         table.add("MAC costs", 28.0, 28.0)
         text = table.render()
         assert "MAC costs" in text and "+0%" in text
-
-
-class TestClusterAggregate:
-    def _meters(self):
-        fast, slow = Meter(), Meter()
-        fast.charge("rmi_checkauth")           # 5 ms
-        slow.charge("rmi_checkauth", times=3)  # 15 ms
-        slow.charge("mac_compute")             # 28 ms
-        return {"node-0": fast, "node-1": slow}
-
-    def test_makespan_is_the_busiest_node(self):
-        aggregate = ClusterAggregate(self._meters())
-        assert aggregate.makespan_ms() == pytest.approx(43.0)
-        assert aggregate.sum_ms() == pytest.approx(48.0)
-
-    def test_breakdown_sums_across_nodes(self):
-        breakdown = ClusterAggregate(self._meters()).breakdown()
-        assert breakdown["rmi_checkauth"] == pytest.approx(20.0)
-        assert breakdown["mac_compute"] == pytest.approx(28.0)
-
-    def test_throughput_and_imbalance(self):
-        aggregate = ClusterAggregate(self._meters())
-        # 10 requests over a 43 ms makespan.
-        assert aggregate.throughput(10) == pytest.approx(10 / 0.043)
-        assert aggregate.imbalance() == pytest.approx(43.0 / 24.0)
-
-    def test_empty_and_idle_aggregates_are_errors(self):
-        with pytest.raises(ValueError):
-            ClusterAggregate({})
-        with pytest.raises(ValueError):
-            ClusterAggregate({"node-0": Meter()}).throughput(1)
 
 
 class TestShapePreserved:
