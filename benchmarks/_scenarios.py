@@ -21,7 +21,6 @@ from repro.http.server import Servlet
 from repro.net import Network, SecureChannelClient, TrustEnvironment
 from repro.prover import KeyClosure, Prover
 from repro.rmi import ClientIdentity, Registry, RemoteObject, RemoteStub, RmiServer
-from repro.rmi.auth import SfAuthState
 from repro.rmi.remote import RmiSkeleton
 from repro.sim import Meter, PAPER_COSTS, SimClock
 from repro.sim.costmodel import CostModel

@@ -13,7 +13,7 @@ from repro.net import Network, TrustedHost
 from repro.net.trust import TrustEnvironment
 from repro.prover import KeyClosure, Prover
 from repro.rmi import ClientIdentity, Registry, RemoteObject, RemoteStub, RmiServer
-from repro.rmi.auth import SfAuthState
+from repro.guard import Guard
 from repro.rmi.remote import RmiSkeleton
 from repro.sim import Meter, SimClock
 from repro.spki import Certificate
@@ -49,7 +49,7 @@ def _secure_stub(keypool, rng, meter):
 def _local_stub(keypool, rng, meter):
     object_kp, client_kp = keypool[1], keypool[2]
     trust = TrustEnvironment()
-    skeleton = RmiSkeleton(SfAuthState(trust, meter=meter), meter=meter)
+    skeleton = RmiSkeleton(Guard(trust, meter=meter), meter=meter)
     skeleton.export(
         RemoteObject("obj", KeyPrincipal(object_kp.public), {"ping": lambda: "pong"})
     )
@@ -120,7 +120,7 @@ def test_same_authorization_outcome_either_channel(benchmark, keypool, rng):
         net.connect("svc2"), intruder_kp, host_kp.public, rng=rng
     )
     trust = TrustEnvironment()
-    skeleton = RmiSkeleton(SfAuthState(trust))
+    skeleton = RmiSkeleton(Guard(trust))
     skeleton.export(
         RemoteObject("obj", KeyPrincipal(object_kp.public), {"ping": lambda: "pong"})
     )

@@ -2,9 +2,8 @@
 
 The claim under test is the handoff tentpole: a *planned* topology
 change should be ~free at the request surface, because the departing
-node streams its warm state (proof-cache entries, prover shortcuts,
-MAC sessions) to the inheriting successors before its ring points are
-withdrawn.  A *cold* leave is the control: same ring arithmetic, no
+node streams its warm state (proof-cache entries, MAC sessions) to the
+inheriting successors before its ring points are withdrawn.  A *cold* leave is the control: same ring arithmetic, no
 transfer — every inherited session pays a full Prover search plus real
 RSA verification on its first post-leave check.
 

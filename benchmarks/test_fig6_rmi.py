@@ -61,11 +61,11 @@ def test_server_proof_verification_cost(benchmark, keypool, rng):
     call()
 
     def forced_reverify():
-        extras["server"].auth.forget_proofs()
+        extras["server"].auth.cache.forget()
         return call()
 
     benchmark(forced_reverify)
-    extras["server"].auth.forget_proofs()
+    extras["server"].auth.cache.forget()
     before = dict(meter.breakdown())
     call()
     after = meter.breakdown()

@@ -74,7 +74,7 @@ def test_session_fastpath_10x_over_cold(keypool, rng):
     # experiment), so every request pays the 190 ms parse-and-verify.
     def cold():
         for _ in range(ROUNDS):
-            guard.forget_proofs()
+            guard.cache.forget()
             guard.submit_proof(wire)
             guard.check(guard_request())
 

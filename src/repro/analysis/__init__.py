@@ -26,7 +26,7 @@ from repro.analysis.registry import Rule, all_rules, get_rule, register
 import repro.analysis.rules  # noqa: F401  (registration side effect)
 
 #: Keys the findings cache: bump it when a rule's logic changes.
-__version__ = "1.1"
+__version__ = "1.2"
 
 __all__ = [
     "Baseline",

@@ -12,8 +12,8 @@ _SCOPE = ("repro/guard/pipeline.py",)
 # The public decision surface: anything returning from one of these must
 # have passed an audit emission on its grant paths.  ``check_many`` is
 # the one function that orchestrates the stages; ``check`` (a batch of
-# one) and ``check_auth`` reach the emission through it on the call graph.
-_DECISION_FUNCTIONS = {"check", "check_many", "check_auth"}
+# one) reaches the emission through it on the call graph.
+_DECISION_FUNCTIONS = {"check", "check_many"}
 
 
 def _called_names(func: ast.AST) -> Set[str]:

@@ -1,9 +1,9 @@
 """The cross-node invalidation bus.
 
 Replication creates the one hazard the single-guard design never had:
-derived state (proof-cache entries, prover shortcut edges, vouched
-premises) can outlive its justification *on a different node* than the
-one that learned the justification died.  The bus closes that gap: a
+derived and replicated state (proof-cache entries, replicated delegation
+edges, vouched premises) can outlive its justification *on a different
+node* than the one that learned the justification died.  The bus closes that gap: a
 node that retracts a delegation, closes a channel, or learns a
 revocation publishes an event, and one delivery round later every other
 node has dropped its dependent entries.

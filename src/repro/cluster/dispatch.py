@@ -71,14 +71,14 @@ class AuthCluster:
     - **invalidation**: retractions, channel closes, and revocations are
       applied locally, then broadcast on the bus; one
       ``deliver_invalidations()`` round purges every other node's
-      dependent cache entries and shortcuts;
+      dependent cache entries and delegation edges;
     - **failure**: a failed node's shards reassign by ring arithmetic;
       its MAC sessions re-mint onto the new owners from the cluster
       directory on first miss, carrying their original mint stamp so
       the absolute TTL never restarts;
     - **planned departure**: :meth:`drain` marks the node DRAINING (still
-      serving), streams its warm state — cached proofs, shortcuts, MAC
-      sessions, channel bindings — to the inheriting ring successors via
+      serving), streams its warm state — cached proofs, MAC sessions,
+      channel bindings — to the inheriting ring successors via
       :class:`~repro.cluster.handoff.HandoffCoordinator`, then finalizes
       the leave, so a planned topology change costs ~no re-derivations.
     """

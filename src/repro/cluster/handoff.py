@@ -5,10 +5,10 @@ principles, so successors re-prove and re-mint on first miss — but it is
 not *free*: each inherited speaker pays a full Prover search plus real
 signature verification before its first post-leave grant.  This module
 makes a planned departure cost ~zero re-derivations: the draining node
-enumerates its warm state (proof-cache entries, prover shortcuts, MAC
-sessions, channel bindings), encodes each item as a serializable
-:class:`HandoffRecord`, and streams the records to the ring successors
-that will inherit each shard.
+enumerates its warm state (proof-cache entries, MAC sessions, channel
+bindings), encodes each item as a serializable :class:`HandoffRecord`,
+and streams the records to the ring successors that will inherit each
+shard.
 
 The safety argument is the guard's, not ours: **a handed-off proof is
 never a handed-off decision**.  Every record is re-admitted through the
@@ -49,7 +49,7 @@ from repro.sexp import Atom, SExp, SList, parse_canonical, to_canonical
 
 #: Record kinds, in install order: channel bindings must be vouched
 #: before the cached chains leaning on them re-validate their premises.
-KINDS = ("channel", "session", "proof", "shortcut")
+KINDS = ("channel", "session", "proof")
 
 #: Install-order rank per kind (see KINDS).
 _KIND_RANK = {kind: rank for rank, kind in enumerate(KINDS)}
@@ -77,11 +77,11 @@ class HandoffRecord:
     ``kind`` is one of :data:`KINDS`; ``generation`` is the cluster-wide
     invalidation generation at export time (the receiver compares it to
     its own and escalates to full re-verification on mismatch);
-    ``payload`` is kind-shaped: a :class:`Proof` for ``proof`` and
-    ``shortcut``, a ``(mac_id, MacKey, minted_at)`` triple for
-    ``session``, a :class:`SpeaksFor` binding for ``channel``.  ``proof``
-    records also carry the exporting bucket's speaker (a MAC session's
-    cache bucket is keyed by the MAC principal, not the chain subject).
+    ``payload`` is kind-shaped: a :class:`Proof` for ``proof``, a
+    ``(mac_id, MacKey, minted_at)`` triple for ``session``, a
+    :class:`SpeaksFor` binding for ``channel``.  ``proof`` records also
+    carry the exporting bucket's speaker (a MAC session's cache bucket is
+    keyed by the MAC principal, not the chain subject).
 
     ``cite`` (never serialized) is the sender-side lemma predicate: when
     set, proof payloads are encoded with
@@ -115,7 +115,7 @@ class HandoffRecord:
         ]
         if self.speaker is not None:
             items.append(SList([Atom("speaker"), self.speaker.to_sexp()]))
-        if self.kind in ("proof", "shortcut"):
+        if self.kind == "proof":
             proof: Proof = self.payload
             items.append(SList([Atom("digest"), Atom(proof.digest())]))
             body = (
@@ -156,7 +156,7 @@ class HandoffRecord:
         if "speaker" in fields:
             speaker = principal_from_sexp(fields["speaker"].items[1])
         payload_field = fields["payload"]
-        if kind in ("proof", "shortcut"):
+        if kind == "proof":
             proof = proof_from_sexp(payload_field.items[1], lemmas=lemmas)
             declared = fields["digest"].items[1].value
             if proof.digest() != declared:
@@ -273,7 +273,7 @@ class HandoffCoordinator:
     Owned by :class:`~repro.cluster.dispatch.AuthCluster`; a drain
     enumerates warm state into :class:`HandoffRecord` objects,
     round-trips each through its canonical wire form (the stream is the
-    protocol, not an object-graph shortcut), and installs them on the
+    protocol, not a handed-over object graph), and installs them on the
     receivers through the guard import hooks.
     """
 
@@ -290,7 +290,6 @@ class HandoffCoordinator:
             "records_refused_stale": 0,
             "records_duplicate": 0,
             "proofs_offered": 0,
-            "shortcuts_offered": 0,
             "sessions_offered": 0,
             "channels_offered": 0,
             "drains": 0,
@@ -304,14 +303,10 @@ class HandoffCoordinator:
     def export_node(self, node: GuardNode) -> "OrderedDict[str, List[HandoffRecord]]":
         """Plan a drain: every warm record on ``node``, grouped by the
         ring successor that inherits its shard (install order: channels,
-        then sessions, then proofs, then shortcuts — bindings must be
-        vouched before the chains leaning on them re-validate)."""
+        then sessions, then proofs — bindings must be vouched before the
+        chains leaning on them re-validate)."""
         generation = self.cluster.invalidation_generation
         plan: "OrderedDict[str, List[HandoffRecord]]" = OrderedDict()
-        # Chains already riding a successor's stream, by digest: a proof
-        # record warms both guard stages on install, so a prover shortcut
-        # for the same chain would be pure duplicate bytes.
-        streamed: Dict[str, set] = {}
         # One stream dictionary per inheritor: the first record carries
         # the working set's shared spine in full, every later record
         # cites it by digest (see _StreamCiter).
@@ -321,12 +316,7 @@ class HandoffCoordinator:
             inheritor = self._inheritor(key, node.node_id)
             if inheritor is None:
                 return
-            if record.kind in ("proof", "shortcut"):
-                digests = streamed.setdefault(inheritor, set())
-                digest = record.payload.digest()
-                if record.kind == "shortcut" and digest in digests:
-                    return
-                digests.add(digest)
+            if record.kind == "proof":
                 record.cite = citers.setdefault(
                     inheritor, _StreamCiter(node.guard.replicated_lemma)
                 )
@@ -355,12 +345,6 @@ class HandoffCoordinator:
             assign(
                 shard_key_for(speaker),
                 HandoffRecord("proof", generation, proof, speaker=speaker),
-            )
-        for proof in node.guard.export_shortcuts():
-            self.stats["shortcuts_offered"] += 1
-            assign(
-                shard_key_for(proof.conclusion.subject),
-                HandoffRecord("shortcut", generation, proof),
             )
         for records in plan.values():
             records.sort(key=lambda record: _KIND_RANK[record.kind])
@@ -408,7 +392,7 @@ class HandoffCoordinator:
                 refused += 1
                 continue
             decoded.append(arrived)
-            if arrived.kind in ("proof", "shortcut"):
+            if arrived.kind == "proof":
                 # Grow both halves of the stream dictionary only once the
                 # record landed: a refused record's subtrees stay citable
                 # by nobody, so anything leaning on them refuses too.
@@ -457,13 +441,11 @@ class HandoffCoordinator:
         if record.kind == "session":
             mac_id, mac_key, minted_at = record.payload
             return guard.import_session(mac_id, mac_key, minted_at)
-        if record.kind == "proof":
-            return guard.import_proof_entry(
-                record.payload,
-                speaker=record.speaker,
-                full_verify=full_verify,
-            )
-        return guard.import_shortcut(record.payload, full_verify=full_verify)
+        return guard.import_proof_entry(
+            record.payload,
+            speaker=record.speaker,
+            full_verify=full_verify,
+        )
 
     # -- the drain ------------------------------------------------------------
 

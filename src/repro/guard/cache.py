@@ -2,8 +2,8 @@
 transport.
 
 Before the guard existed the repo grew three separate caches (the RMI
-``SfAuthState`` proof cache, the HTTP servlet's private copy of it, and
-the MAC session table).  They are unified here: verified speaks-for
+server's proof cache, the HTTP servlet's private copy of it, and the MAC
+session table).  They are unified here: verified speaks-for
 proofs keyed by the speaker principal, each speaker holding a bucket
 keyed by the proof's canonical digest, with the speaker set LRU-bounded.
 

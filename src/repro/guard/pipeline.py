@@ -24,10 +24,6 @@ them through the same staged pipeline:
 sweep, one trusted-premise snapshot shared across the batch (and the
 prover's read-only graph views underneath it), and one metered
 ``checkAuth`` charge.
-
-The class also exposes the legacy ``SfAuthState`` surface (``check_auth``,
-``submit_proof``, ``cache_proof``, ...) so existing callers keep working;
-``repro.rmi.auth`` simply re-exports it.
 """
 
 from __future__ import annotations
@@ -755,9 +751,9 @@ class Guard:
     def retract_delegation(self, proof_or_digest) -> int:
         """Withdraw a previously digested delegation by proof or digest.
 
-        Drops the prover edge (cascading into every shortcut derived from
-        it), every cached proof embedding it, and notifies invalidation
-        hooks; returns the number of entries removed locally.
+        Drops the prover edge (cascading into every edge embedding it),
+        every cached proof embedding it, and notifies invalidation hooks;
+        returns the number of entries removed locally.
         """
         digest = (
             proof_or_digest
@@ -854,7 +850,7 @@ class Guard:
 
     # -- warm-state handoff (export / import hooks) -------------------------
     #
-    # A draining cluster node exports its warm state through the three
+    # A draining cluster node exports its warm state through the two
     # ``export_*`` snapshots and the receiver re-admits each record
     # through the ``import_*`` hooks.  The contract is the one invariant
     # the whole protocol hangs on: *a handed-off proof is never a
@@ -873,14 +869,6 @@ class Guard:
             for spk, bucket in self.cache.buckets.items()
             for entry in bucket.values()
         ]
-
-    def export_shortcuts(self) -> List[Proof]:
-        """Snapshot the attached prover's shortcut cache (empty without
-        a prover) — the derived chains a successor would otherwise
-        re-search for."""
-        if self.prover is None:
-            return []
-        return self.prover.export_shortcuts()
 
     def export_sessions(self) -> List[Tuple[str, object, float]]:
         """Snapshot the live MAC sessions as ``(mac_id, key, minted_at)``
@@ -908,29 +896,11 @@ class Guard:
         entry = CachedProof(proof)
         if not self._import_admissible(entry, full_verify):
             return self._refuse_import()
+        # The cache is the one place a handed-off chain lands.  It is
+        # warm state, not a delegation: digesting it into the prover
+        # would make its leaves look replicated to the next drain.
         if not self.cache.install(entry, speaker):
             return "duplicate"
-        if self.prover is not None:
-            # One admitted chain warms both stages: the cache entry
-            # answers repeat checks, and digesting it into the prover's
-            # graph keeps the chain derivable after a cache eviction —
-            # so the sender never streams the same proof twice.
-            self.prover.add_proof(proof)
-        self.stats["handoff_installed"] += 1
-        return "installed"
-
-    def import_shortcut(self, proof: Proof, full_verify: bool = False) -> str:
-        """Admit a handed-off prover shortcut (same re-validation as
-        proof-cache entries; refused without an attached prover)."""
-        if self.prover is None:
-            return self._refuse_import()
-        conclusion = proof.conclusion
-        if not isinstance(conclusion, SpeaksFor):
-            return self._refuse_import()
-        entry = CachedProof(proof)
-        if not self._import_admissible(entry, full_verify):
-            return self._refuse_import()
-        self.prover.add_proof(proof)
         self.stats["handoff_installed"] += 1
         return "installed"
 
@@ -1021,29 +991,7 @@ class Guard:
         self.audit.record(record)
         return record
 
-    # -- the legacy SfAuthState surface ------------------------------------
-
-    def check_auth(
-        self,
-        speaker: Principal,
-        issuer: Principal,
-        request,
-        min_tag: Optional[Tag] = None,
-    ) -> Proof:
-        """Authorize ``request`` uttered by ``speaker`` against ``issuer``
-        (the paper's ``checkAuth()`` prefix).
-
-        Returns the derived ``issuer says request`` proof (recorded in
-        the audit log) or raises :class:`NeedAuthorizationError` carrying
-        the issuer and minimum restriction set for the client's invoker.
-        """
-        decision = self.check(
-            GuardRequest(
-                request, issuer=issuer, min_tag=min_tag,
-                credential=ChannelCredential(speaker), transport="rmi",
-            )
-        )
-        return decision.proof
+    # -- proof submission ---------------------------------------------------
 
     def submit_proof(self, proof_wire: bytes, proof: Optional[Proof] = None) -> Proof:
         """Receive, parse, verify, and cache a proof from a client (the
@@ -1065,19 +1013,6 @@ class Guard:
         """Cache a verified proof for ``speaker`` (defaults to the proof's
         own subject); returns False on digest-level duplicates."""
         return self.cache.add(proof, speaker)
-
-    def forget_proofs(self, speaker: Optional[Principal] = None) -> None:
-        """Drop cached proofs (the paper's 'make the server forget its
-        copy after each use' experiment)."""
-        self.cache.forget(speaker)
-
-    def cached_proof_count(self) -> int:
-        return self.cache.count()
-
-    @property
-    def _proof_cache(self):
-        """Legacy introspection handle (the pre-guard SfAuthState attribute)."""
-        return self.cache.buckets
 
     def context(self, now: Optional[float] = None):
         return self.trust.context(now)

@@ -93,7 +93,7 @@ class ProtectedServlet(Servlet):
             # a local guard, shares its table with) the backend.
             mac_sessions.bind(guard)
         self.guard = guard
-        # Legacy name: the guard subsumes the per-servlet SfAuthState.
+        # Legacy name: the guard subsumes the per-servlet proof cache.
         self.auth = guard
 
     # -- the mapping concrete servlets supply ----------------------------

@@ -2,17 +2,17 @@
 
 Figure 2 of the paper: "Each node represents a principal, and each edge a
 proof."  An edge from subject ``A`` to issuer ``B`` holds a proof that
-``A =T=> B``.  Shortcut edges (the dotted lines of Figure 2) carry derived
-multi-step proofs and "form a cache that eliminates most deep traversals."
+``A =T=> B``.  Every edge is a collected delegation (or a lemma of one).
+Figure 2's dotted edges, derived chains, are not kept here: a derived
+chain is cached once, per speaker, in the guard's proof cache.
 
 The engine internals — dual issuer+subject indexing, tag-aware edge
-buckets, the LRU-bounded shortcut cache, and invalidation generations —
-are documented once, in the :mod:`repro.prover` package docstring.
+buckets, and the invalidation cascade — are documented once, in the
+:mod:`repro.prover` package docstring.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -31,14 +31,13 @@ def _tag_is_universal(tag) -> bool:
 class Edge:
     """One delegation edge: a proof of ``subject =tag=> issuer``."""
 
-    __slots__ = ("proof", "shortcut", "key", "statement")
+    __slots__ = ("proof", "key", "statement")
 
-    def __init__(self, proof: Proof, shortcut: bool = False):
+    def __init__(self, proof: Proof):
         conclusion = proof.conclusion
         if not isinstance(conclusion, SpeaksFor):
             raise ValueError("graph edges must prove speaks-for statements")
         self.proof = proof
-        self.shortcut = shortcut
         self.key = proof.digest()
         self.statement: SpeaksFor = conclusion
 
@@ -68,10 +67,8 @@ class Edge:
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        marker = "~" if self.shortcut else "-"
-        return "Edge[%s %s> %s]" % (
+        return "Edge[%s -> %s]" % (
             self.subject.display(),
-            marker,
             self.issuer.display(),
         )
 
@@ -79,44 +76,32 @@ class Edge:
 class _Bucket:
     """Edges of one index entry, split by how cheaply they can be used."""
 
-    __slots__ = ("shortcuts", "wildcard", "restricted")
+    __slots__ = ("wildcard", "restricted")
 
     def __init__(self):
-        self.shortcuts: List[Edge] = []
         self.wildcard: List[Edge] = []
         self.restricted: List[Edge] = []
 
     def insert(self, edge: Edge) -> None:
-        if edge.shortcut:
-            self.shortcuts.append(edge)
-        elif _tag_is_universal(edge.statement.tag):
+        if _tag_is_universal(edge.statement.tag):
             self.wildcard.append(edge)
         else:
             self.restricted.append(edge)
 
     def discard(self, edge: Edge) -> None:
-        for part in (self.shortcuts, self.wildcard, self.restricted):
-            try:
-                part.remove(edge)
-                return
-            except ValueError:
-                continue
+        if _tag_is_universal(edge.statement.tag):
+            self.wildcard.remove(edge)
+        else:
+            self.restricted.remove(edge)
 
     def __len__(self) -> int:
-        return len(self.shortcuts) + len(self.wildcard) + len(self.restricted)
+        return len(self.wildcard) + len(self.restricted)
 
     def parts(self):
         """Traversal order, the single source shared by views and the
-        search: shortcuts first, newest first (the most recently derived
-        proof is the likeliest prefix of the next query — "shortcuts ...
-        eliminate most deep traversals", §4.4), then wildcard edges (whose
-        universal tag needs no per-request check — the second element
-        flags this), then restricted edges."""
-        return (
-            (reversed(self.shortcuts), False),
-            (self.wildcard, True),
-            (self.restricted, False),
-        )
+        search: wildcard edges (whose universal tag needs no per-request
+        check — the second element flags this), then restricted edges."""
+        return ((self.wildcard, True), (self.restricted, False))
 
     def __iter__(self) -> Iterator[Edge]:
         for part, _ in self.parts():
@@ -126,11 +111,11 @@ class _Bucket:
 class EdgeView(Sequence):
     """A read-only, allocation-free view of one index entry.
 
-    Iteration order is the traversal order (shortcuts newest-first, then
-    wildcard, then restricted edges).  The view resolves its bucket on
-    every access, so it keeps tracking the live graph even across the
-    principal's last edge being removed and re-added; callers that need a
-    frozen copy can ``list()`` it.
+    Iteration order is the traversal order (wildcard, then restricted
+    edges).  The view resolves its bucket on every access, so it keeps
+    tracking the live graph even across the principal's last edge being
+    removed and re-added; callers that need a frozen copy can ``list()``
+    it.
     """
 
     __slots__ = ("_index", "_anchor")
@@ -159,20 +144,17 @@ class EdgeView(Sequence):
 
 
 class DelegationGraph:
-    """Dual-indexed adjacency with an LRU shortcut cache.
+    """Dual-indexed adjacency over collected delegations.
 
-    ``max_shortcuts`` bounds only *derived* (shortcut) edges; collected
-    delegations are never evicted.  ``generation`` increments whenever an
-    edge is invalidated, so holders of derived state can cheaply detect
-    that cached conclusions may have been retracted.
+    An edge stays until it is invalidated; nothing is evicted.
+    ``generation`` increments whenever an invalidation removes an edge.
     """
 
-    def __init__(self, max_shortcuts: int = 1024):
+    def __init__(self):
         self._incoming: Dict[Principal, _Bucket] = {}
         self._outgoing: Dict[Principal, _Bucket] = {}
         self._edges: Dict[bytes, Edge] = {}
         self._degree: Dict[Principal, int] = {}
-        self._shortcut_lru: "OrderedDict[bytes, Edge]" = OrderedDict()
         # What an invalidation event looks up instead of walking every
         # edge: constituent-proof digest -> keys of the composite edges
         # built on it, and certificate serial -> keys of the edges whose
@@ -181,33 +163,18 @@ class DelegationGraph:
         # what to list it under off its proof (``_citations``).
         self._dependents = CitationIndex()
         self._citing_serial = CitationIndex()
-        self.max_shortcuts = max_shortcuts
         self.generation = 0
-        self.evictions = 0
         self.invalidations = 0
-        self._shortcut_count = 0
-        self._basic_count = 0
         self._bounded_count = 0  # edges with a finite not_after
 
     # -- insertion --------------------------------------------------------
 
-    def add(self, proof: Proof, shortcut: bool = False) -> bool:
-        """Insert an edge; returns False if an identical proof is present.
-
-        Re-adding a derived shortcut as a collected delegation *promotes*
-        it to a permanent base edge — collected delegations are never
-        evicted, even when the search happened to derive them first.
-        """
+    def add(self, proof: Proof) -> bool:
+        """Insert an edge; returns False if an identical proof is present."""
         key = proof.digest()
-        existing = self._edges.get(key)
-        if existing is not None:
-            if existing.shortcut:
-                if not shortcut:
-                    self._promote(existing)
-                else:
-                    self._shortcut_lru.move_to_end(key)
+        if key in self._edges:
             return False
-        edge = Edge(proof, shortcut)
+        edge = Edge(proof)
         self._edges[key] = edge
         self._incoming.setdefault(edge.issuer, _Bucket()).insert(edge)
         self._outgoing.setdefault(edge.subject, _Bucket()).insert(edge)
@@ -215,21 +182,13 @@ class DelegationGraph:
             self._degree[principal] = self._degree.get(principal, 0) + 1
         if edge.statement.validity.not_after is not None:
             self._bounded_count += 1
-        # Leaves *and* interior lemmas, shortcut or not: removing any
-        # constituent — another shortcut this proof embeds, a leaf of an
-        # undigested composite stored as a base edge — cascades here.
+        # Leaves *and* interior lemmas: removing any constituent — a leaf
+        # of a digested composite, or of an undigested one — cascades here.
         serials, constituents = self._citations(proof)
         for constituent in constituents:
             self._dependents.add(constituent, key)
         for serial in serials:
             self._citing_serial.add(serial, key)
-        if shortcut:
-            self._shortcut_count += 1
-            self._shortcut_lru[key] = edge
-            if self._shortcut_count > self.max_shortcuts:
-                self._evict_one()
-        else:
-            self._basic_count += 1
         return True
 
     @staticmethod
@@ -243,27 +202,6 @@ class DelegationGraph:
         than kept on every edge."""
         serials, digests, _ = proof_citations(proof)
         return serials, digests[1:]
-
-    def _promote(self, edge: Edge) -> None:
-        """Turn a derived shortcut into a permanent collected edge."""
-        self._shortcut_lru.pop(edge.key, None)
-        for index, anchor in (
-            (self._incoming, edge.issuer),
-            (self._outgoing, edge.subject),
-        ):
-            bucket = index.get(anchor)
-            if bucket is not None:
-                bucket.discard(edge)
-        edge.shortcut = False
-        self._shortcut_count -= 1
-        self._basic_count += 1
-        self._incoming[edge.issuer].insert(edge)
-        self._outgoing[edge.subject].insert(edge)
-
-    def touch(self, edge: Edge) -> None:
-        """Refresh a shortcut's recency after a cache hit."""
-        if edge.shortcut and edge.key in self._shortcut_lru:
-            self._shortcut_lru.move_to_end(edge.key)
 
     # -- removal and invalidation -----------------------------------------
 
@@ -287,29 +225,15 @@ class DelegationGraph:
                 self._degree[principal] = remaining
         if edge.statement.validity.not_after is not None:
             self._bounded_count -= 1
-        if edge.shortcut:
-            self._shortcut_count -= 1
-            self._shortcut_lru.pop(edge.key, None)
-        else:
-            self._basic_count -= 1
         serials, constituents = self._citations(edge.proof)
         for constituent in constituents:
             self._dependents.discard(constituent, edge.key)
         for serial in serials:
             self._citing_serial.discard(serial, edge.key)
 
-    def _evict_one(self) -> None:
-        """Drop the least recently useful shortcut (cache pressure, not
-        invalidation: the generation counter does not move)."""
-        if not self._shortcut_lru:
-            return
-        edge = next(iter(self._shortcut_lru.values()))
-        self._unlink(edge)
-        self.evictions += 1
-
     def remove(self, proof_or_key, cascade: bool = True) -> int:
-        """Invalidate an edge (and, by default, every shortcut derived from
-        it).  Returns the number of edges removed."""
+        """Invalidate an edge (and, by default, every edge whose proof
+        embeds it).  Returns the number of edges removed."""
         key = proof_or_key if isinstance(proof_or_key, bytes) else proof_or_key.digest()
         edge = self._edges.get(key)
         if edge is None:
@@ -334,11 +258,11 @@ class DelegationGraph:
 
     def invalidate_expired(self, now: float) -> int:
         """Remove every edge whose validity window has lapsed at ``now``,
-        cascading into shortcuts derived from the removed delegations.
+        cascading into the composite edges built on them.
 
         Time-aware queries already skip expired edges; this sweep reclaims
         the space and guarantees that *time-oblivious* queries can no
-        longer ride a cached shortcut whose underlying delegation died.
+        longer ride a delegation that died.
         """
         if not self._bounded_count:
             return 0
@@ -415,14 +339,8 @@ class DelegationGraph:
         citation lookups — see ``Prover.lemma``)."""
         return self._edges.get(digest)
 
-    def edge_count(self, include_shortcuts: bool = True) -> int:
-        if include_shortcuts:
-            return self._basic_count + self._shortcut_count
-        return self._basic_count
-
-    @property
-    def shortcut_count(self) -> int:
-        return self._shortcut_count
+    def edge_count(self) -> int:
+        return len(self._edges)
 
     @property
     def bounded_count(self) -> int:

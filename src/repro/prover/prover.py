@@ -15,8 +15,9 @@ node, and a query with no answer ends when either wave runs dry.  The
 search is still deliberately *incomplete* — the paper cites Abadi et al.'s
 result that general access control with conjunction and quoting is
 exponential — but, as in the paper, applications collect delegations in the
-course of naming, so chains are short and the shortcut cache keeps repeat
-queries constant-time.
+course of naming, so chains are short.  A found chain is not stored back
+into the graph: the guard caches it per speaker, so a served repeat never
+reaches the search.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.tags import Tag
 def _chain(left: Proof, right: Proof) -> Optional[Proof]:
     """``left`` then ``right`` by transitivity, or ``None`` when their
     validity windows are disjoint: that chain holds at no time, so it is
-    no search state and never a shortcut."""
+    no search state and never an answer."""
     try:
         return TransitivityStep(left, right)
     except ProofError:
@@ -63,31 +64,17 @@ class _Wave:
 
 
 class Prover:
-    """Collects delegations, caches proofs, and constructs new delegations."""
+    """Collects delegations, finds proofs, and constructs new delegations."""
 
-    def __init__(
-        self,
-        max_depth: int = 16,
-        max_visits: int = 4,
-        max_shortcuts: int = 1024,
-    ):
-        self.graph = DelegationGraph(max_shortcuts=max_shortcuts)
+    def __init__(self, max_depth: int = 16, max_visits: int = 4):
+        self.graph = DelegationGraph()
         self._closures: Dict[Principal, Closure] = {}
         self.max_depth = max_depth
         self.max_visits = max_visits
-        # Canonical-suffix memo for derived transitivity chains, keyed by
-        # the digests of the remaining leaves (see _canonical_chain);
-        # flushed whenever the graph's invalidation generation moves and
-        # cleared on overflow past max_shortcuts.
-        self._suffixes: Dict[Tuple[bytes, ...], Proof] = {}
-        self._suffix_generation = 0
         # Search statistics, reported by the prover-scaling benchmark.
         self.stats = {
             "searches": 0,
             "nodes_expanded": 0,
-            "shortcut_hits": 0,
-            "shortcut_cache_size": 0,
-            "shortcut_evictions": 0,
             "invalidations": 0,
             "invalidate_examined": 0,
             "generation": 0,
@@ -96,44 +83,26 @@ class Prover:
     # -- collection -------------------------------------------------------
 
     def add_proof(self, proof: Proof, digest: bool = True) -> None:
-        """Store a proof; digest multi-step proofs into component edges.
+        """Store a collected proof; digest multi-step proofs into
+        component edges.
 
         "When the Prover receives a delegation that is actually a proof
         involving several steps, the Prover 'digests' the proof into its
-        component parts for storage in the graph.  Whenever it receives or
-        computes a derived proof composed of smaller components, the Prover
-        adds a shortcut edge to the graph to represent the proof."
+        component parts for storage in the graph."  Every speaks-for lemma
+        becomes an edge, the composite ones included, and stays until an
+        invalidation removes it (removing a leaf takes the composites
+        built on it).  A chain the search *derives* is never stored: the
+        guard caches it per speaker.
         """
         if not isinstance(proof.conclusion, SpeaksFor):
             raise ValueError("the graph stores speaks-for proofs")
-        if digest:
-            for lemma in proof.speaks_for_lemmas():
-                self.graph.add(lemma, shortcut=bool(lemma.premises))
-        else:
-            # An undigested proof is *collected*, not derived: store it as
-            # a permanent base edge.  (Marking it an evictable shortcut
-            # would lose its conclusion entirely under cache pressure,
-            # since its component leaves are not in the graph.)
-            self.graph.add(proof)
+        for lemma in proof.speaks_for_lemmas() if digest else (proof,):
+            self.graph.add(lemma)
 
     def add_certificate(self, certificate: Certificate) -> None:
         from repro.core.proofs import SignedCertificateStep
 
         self.add_proof(SignedCertificateStep(certificate))
-
-    def export_shortcuts(self):
-        """Snapshot the shortcut cache as a list of derived proofs.
-
-        Shortcuts are the expensive part of a prover's warm state: base
-        delegations are replicated cluster-wide, but the derived chains
-        a node accumulated are local, and a successor inheriting its
-        shards would re-search for every one.  A draining node exports
-        them here; the receiver re-admits each through its guard's
-        import hook (which re-validates — an exported shortcut is never
-        an exported decision)."""
-        return [
-            edge.proof for edge in list(self.graph.edges()) if edge.shortcut
-        ]
 
     def lemma(self, digest: bytes) -> Optional[Proof]:
         """Resolve a lemma citation: the stored proof with this digest,
@@ -144,15 +113,14 @@ class Prover:
         return edge.proof if edge is not None else None
 
     def replicated(self, proof: Proof) -> bool:
-        """True when ``proof`` is a collected base delegation here.
+        """True when ``proof`` is a collected delegation (or a lemma of
+        one) here.
 
-        Base (non-shortcut) edges are the ones the dispatch layer
-        replicates to every serving node, so a sender may cite them by
-        digest instead of restating them — any serving peer can resolve
-        the citation from its own graph.  Derived shortcuts are local
-        state and must always travel in full."""
-        edge = self.graph.find(proof.digest())
-        return edge is not None and not edge.shortcut
+        On a cluster node the graph is exactly the replicated delegation
+        set — nothing else is ever added to it — so a sender may cite
+        such a proof by digest instead of restating it: any serving peer
+        can resolve the citation from its own graph."""
+        return proof.digest() in self.graph
 
     def control(self, closure: Closure) -> None:
         """Register a principal this application can speak as (it is final)."""
@@ -167,40 +135,40 @@ class Prover:
     # -- invalidation ------------------------------------------------------
 
     def invalidate_proof(self, proof_or_key) -> int:
-        """Retract one delegation (by proof or digest) and every cached
-        shortcut derived from it; returns the number of edges removed.
+        """Retract one delegation (by proof or digest) and every edge
+        embedding it; returns the number of edges removed.
 
         This is the invalidation-bus listener: a retraction broadcast
         names the delegation's digest, and digests are canonical, so the
         same event invalidates the same edge on every replica holding it.
         """
         removed = self.graph.remove(proof_or_key)
-        self._sync_cache_stats()
+        self._sync_stats()
         return removed
 
     def invalidate_serial(self, serial: bytes) -> int:
         """Retract every edge whose proof cites the certificate with
-        ``serial`` (revocation event), cascading into derived shortcuts.
-        Returns the number of edges removed."""
+        ``serial`` (revocation event), cascading into the composites
+        built on them.  Returns the number of edges removed."""
         dead = self.graph.citing_serial(serial)
         self.stats["invalidate_examined"] += len(dead)
         removed = 0
         for key in dead:
             removed += self.graph.remove(key)
-        self._sync_cache_stats()
+        self._sync_stats()
         return removed
 
     def invalidate_expired(self, now: float) -> int:
         """Retract every delegation whose validity lapsed at ``now``, along
-        with any cached shortcut derived from one.  Returns the number of
-        edges removed.
+        with every composite built on one.  Returns the number of edges
+        removed.
 
         This is the only destructive time operation: queries treat their
         ``now`` as a hypothetical (they skip expired edges but never delete
         them), so probing a future time cannot destroy still-valid state.
         Applications with a real clock call this on clock advance."""
         removed = self.graph.invalidate_expired(now)
-        self._sync_cache_stats()
+        self._sync_stats()
         return removed
 
     # -- search -----------------------------------------------------------
@@ -298,7 +266,7 @@ class Prover:
                 sexp(request) if request is not None else None,
                 min_tag, now,
             ):
-                return self._cache(combined)
+                return combined
         return None
 
     def _search(
@@ -315,29 +283,26 @@ class Prover:
             request = sexp(request)
         self.stats["searches"] += 1
         needed_tag = self._needed_tag(request, min_tag)
-        try:
-            # Trivial case: we control the issuer itself.
-            if use_closures and subject != issuer:
-                closure = self._closures.get(issuer)
-                if closure is not None:
-                    minted = closure.delegate(
-                        subject, needed_tag, delegation_validity
-                    )
-                    self.add_proof(minted)
-                    if self._covers(minted.conclusion, request, min_tag, now):
-                        return minted
-            return self._bidirectional(
-                subject,
-                issuer,
-                request,
-                min_tag,
-                now,
-                use_closures,
-                needed_tag,
-                delegation_validity,
-            )
-        finally:
-            self._sync_cache_stats()
+        # Trivial case: we control the issuer itself.
+        if use_closures and subject != issuer:
+            closure = self._closures.get(issuer)
+            if closure is not None:
+                minted = closure.delegate(
+                    subject, needed_tag, delegation_validity
+                )
+                self.add_proof(minted)
+                if self._covers(minted.conclusion, request, min_tag, now):
+                    return minted
+        return self._bidirectional(
+            subject,
+            issuer,
+            request,
+            min_tag,
+            now,
+            use_closures,
+            needed_tag,
+            delegation_validity,
+        )
 
     def _bidirectional(
         self,
@@ -375,9 +340,7 @@ class Prover:
         2. *Walk the cheaper frontier.*  Each step expands the wave whose
            head node has fewer edges to walk (ties go to the backward
            wave), so a session under an issuer with hundreds of direct
-           delegates is proved in ``depth`` expansions from its own side,
-           and a warm repeat query still meets its shortcut edge on the
-           first expansion from whichever end is narrower.
+           delegates is proved in ``depth`` expansions from its own side.
 
         Neither rule can grant more: they end a fruitless search early or
         pick a different chain over the same edges, and the caller still
@@ -427,10 +390,8 @@ class Prover:
         ``subject => principal`` (an edge *appends*).  On a meet the
         forward half always composes before the backward half.
         """
-        graph = self.graph
-        stats = self.stats
         principal, half, depth = wave.queue.popleft()
-        stats["nodes_expanded"] += 1
+        self.stats["nodes_expanded"] += 1
 
         # A final principal on the backward wave: mint the last hop.
         if (
@@ -445,11 +406,11 @@ class Prover:
             if completed is not None and self._covers(
                 completed.conclusion, request, min_tag, now
             ):
-                return self._cache(completed)
+                return completed
 
         if depth >= self.max_depth:
             return None
-        for edge in graph.iter_usable(
+        for edge in self.graph.iter_usable(
             principal, request, min_tag, now, incoming=wave.backward
         ):
             nxt = edge.subject if wave.backward else edge.issuer
@@ -465,9 +426,6 @@ class Prover:
             if combined is None:
                 continue
             wave.visits[nxt] = count + 1
-            if edge.shortcut:
-                stats["shortcut_hits"] += 1
-                graph.touch(edge)
             child_depth = depth + 1
             # Goal test at generation: meet the other wave at `nxt`.  The
             # combined chain must stay within max_depth edges, preserving
@@ -484,20 +442,16 @@ class Prover:
                 if full is not None and self._covers(
                     full.conclusion, request, min_tag, now
                 ):
-                    return self._cache(full)
+                    return full
             wave.reached.setdefault(nxt, []).append((combined, child_depth))
             wave.queue.append((nxt, combined, child_depth))
         return None
 
     # -- helpers ------------------------------------------------------------
 
-    def _sync_cache_stats(self) -> None:
-        graph = self.graph
-        stats = self.stats
-        stats["shortcut_cache_size"] = graph.shortcut_count
-        stats["shortcut_evictions"] = graph.evictions
-        stats["invalidations"] = graph.invalidations
-        stats["generation"] = graph.generation
+    def _sync_stats(self) -> None:
+        self.stats["invalidations"] = self.graph.invalidations
+        self.stats["generation"] = self.graph.generation
 
     @staticmethod
     def _needed_tag(request: Optional[SExp], min_tag: Optional[Tag]) -> Tag:
@@ -545,61 +499,3 @@ class Prover:
         minted = closure.delegate(subject, needed_tag, delegation_validity)
         self.add_proof(minted)
         return _chain(minted, proof_to_issuer)
-
-    def _canonical_chain(self, proof: Proof) -> Proof:
-        """Right-fold a derived transitivity chain over its leaf sequence.
-
-        The bidirectional search composes the same logical chain in
-        whatever association its waves happened to meet at, so two
-        sessions under one delegation spine end up with structurally
-        different trees.  Canonicalizing to the right-nested form —
-        ``(l0 (l1 (l2 l3)))`` — makes every chain over the same upper
-        hops share the suffix subproof *object* (memoized per leaf-digest
-        tuple), which is what lets the handoff plane stream a working
-        set's shared spine once and cite it by digest in every later
-        record.  Transitivity's conclusion is a pure intersection, hence
-        association-independent; if an exotic tag implementation ever
-        intersects unassociatively we fall back to the original tree.
-        """
-        if not isinstance(proof, TransitivityStep):
-            return proof
-        if self._suffix_generation != self.graph.generation:
-            self._suffixes.clear()
-            self._suffix_generation = self.graph.generation
-        leaves: List[Proof] = []
-        stack = [proof]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, TransitivityStep):
-                stack.append(node.premises[0])
-                stack.append(node.premises[1])
-            else:
-                leaves.append(node)
-        leaves.reverse()
-        digests = [leaf.digest() for leaf in leaves]
-        chain = leaves[-1]
-        for index in range(len(leaves) - 2, -1, -1):
-            key = tuple(digests[index:])
-            cached = self._suffixes.get(key)
-            if cached is None:
-                cached = TransitivityStep(leaves[index], chain)
-                # Clear-on-overflow under the shortcut bound: the memo
-                # only buys sharing, and must not keep an evicted
-                # shortcut's proof reachable.
-                if len(self._suffixes) >= self.graph.max_shortcuts:
-                    self._suffixes.clear()
-                self._suffixes[key] = cached
-            chain = cached
-        if chain.conclusion != proof.conclusion:
-            return proof
-        return chain
-
-    def _cache(self, proof: Proof) -> Proof:
-        """Record a derived proof as a shortcut edge (Figure 2's dotted
-        lines), in canonical chain form (see :meth:`_canonical_chain`) so
-        equivalent derivations share structure — and digests — across
-        cache entries and drain streams."""
-        proof = self._canonical_chain(proof)
-        if proof.premises:
-            self.graph.add(proof, shortcut=True)
-        return proof

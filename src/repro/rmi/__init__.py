@@ -16,13 +16,12 @@ Section 5.1.1's machinery, faithfully restaged in Python:
   the client retrieves stubs from.
 """
 
-from repro.rmi.auth import SfAuthState, AuditLog, AuditRecord
+from repro.rmi.auth import AuditLog, AuditRecord
 from repro.rmi.remote import RemoteObject, RmiSkeleton
 from repro.rmi.invoker import RemoteStub, ClientIdentity, identity_scope, current_identity
 from repro.rmi.registry import Registry, RmiServer
 
 __all__ = [
-    "SfAuthState",
     "AuditLog",
     "AuditRecord",
     "RemoteObject",

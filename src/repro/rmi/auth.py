@@ -7,13 +7,12 @@ costs a parse and full verification (190 ms in the paper).
 
 The machinery itself lives in :mod:`repro.guard` now — the same staged
 pipeline serves HTTP, RMI, SMTP, and secure channels, so this module is
-only the RMI-flavoured name for it.  ``SfAuthState`` *is* the guard: the
-legacy surface (``check_auth``, ``submit_proof``, ``cache_proof``,
-``forget_proofs``, the audit log) is part of :class:`repro.guard.Guard`.
+only the RMI-flavoured home of its audit types.  A server's ``checkAuth()``
+is :meth:`repro.guard.Guard.check`, and its proof cache is ``guard.cache``.
 """
 
 from __future__ import annotations
 
-from repro.guard import AuditLog, AuditRecord, AuthBackend, Guard as SfAuthState
+from repro.guard import AuditLog, AuditRecord, AuthBackend
 
-__all__ = ["AuditLog", "AuditRecord", "AuthBackend", "SfAuthState"]
+__all__ = ["AuditLog", "AuditRecord", "AuthBackend"]

@@ -22,7 +22,6 @@ from repro.net.network import Network
 from repro.net.secure import SecureChannelClient, SecureChannelServer
 from repro.net.trust import TrustEnvironment
 from repro.guard import resolve_backend
-from repro.rmi.auth import SfAuthState  # noqa: F401 — legacy re-export
 from repro.rmi.invoker import ClientIdentity, RemoteStub
 from repro.rmi.remote import RemoteObject, RmiSkeleton
 from repro.sim.clock import SimClock

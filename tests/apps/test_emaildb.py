@@ -91,7 +91,7 @@ class TestMailboxIsolation:
         alice.mark_read("alice", rowid)
         alice.delete("alice", rowid)
         # Exactly one proof was ever submitted to the server.
-        assert world["rmi"].auth.cached_proof_count() == 1
+        assert world["rmi"].auth.cache.count() == 1
 
     def test_audit_names_the_mailbox_request(self, world, alice_kp):
         alice = world["client_for"](alice_kp, "alice")

@@ -59,7 +59,7 @@ class TestDelegationRetraction:
         world.cluster.retract_delegation(world.delegation)
         world.cluster.deliver_invalidations()
         for node in nodes:
-            assert node.guard.cached_proof_count() == 0
+            assert node.guard.cache.count() == 0
             assert world.delegation not in node.prover.graph
         bus = world.cluster.bus.stats
         assert bus["published_delegation_retracted"] == 1
@@ -107,7 +107,7 @@ class TestRevocation:
         world.cluster.revoke_serial(world.certificate.serial)
         world.cluster.deliver_invalidations()
         for node in nodes:
-            assert node.guard.cached_proof_count() == 0
+            assert node.guard.cache.count() == 0
             with pytest.raises(NeedAuthorizationError):
                 node.guard.check(world.request())
         assert world.cluster.bus.stats["published_serial_revoked"] == 1
@@ -198,10 +198,10 @@ class TestRevocation:
         (bystander,) = [n for n in cluster.nodes() if n is not owner]
         cluster.revoke_serial(certificate.serial, via=bystander.node_id)
         cluster.deliver_invalidations()
-        assert owner.guard.cached_proof_count() == 0
+        assert owner.guard.cache.count() == 0
         with pytest.raises(AuthorizationError):
             cluster.check(presented())
-        assert owner.guard.cached_proof_count() == 0
+        assert owner.guard.cache.count() == 0
 
     def test_unrelated_serial_revocation_is_a_noop(self, world):
         nodes = _warm_all_nodes(world)

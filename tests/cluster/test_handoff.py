@@ -1,9 +1,9 @@
 """Warm shard handoff.
 
 The protocol under test: a draining node enumerates its warm state
-(proof-cache entries, prover shortcuts, MAC sessions, channel bindings)
-into serializable :class:`HandoffRecord`\\ s and streams them to the
-ring successors inheriting each shard; receivers re-admit every record
+(proof-cache entries, MAC sessions, channel bindings) into serializable
+:class:`HandoffRecord`\\ s and streams them to the ring successors
+inheriting each shard; receivers re-admit every record
 through the guard import hooks, which re-validate against *their own*
 premise snapshot, clock, and invalidation tombstones.  The safety
 property — a handed-off proof is never a handed-off decision — is what
@@ -21,15 +21,23 @@ from repro.cluster.membership import DRAINING, LEFT, UP
 from repro.cluster.ring import session_routing_key
 from repro.core.principals import (
     ChannelPrincipal,
+    HashPrincipal,
     KeyPrincipal,
     MacPrincipal,
 )
 from repro.core.proofs import PremiseStep, ProofError, SignedCertificateStep
 from repro.core.rules import TransitivityStep
 from repro.core.statements import SpeaksFor
-from repro.guard import ChannelCredential, GuardRequest, SessionCredential
+from repro.crypto.hashes import HashValue
+from repro.crypto.rsa import RsaPublicKey
+from repro.guard import (
+    ChannelCredential,
+    GuardRequest,
+    ProofCredential,
+    SessionCredential,
+)
 from repro.guard.audit import AuditRecord
-from repro.sexp import sexp, to_canonical
+from repro.sexp import sexp, to_canonical, to_transport
 from repro.sim import SimClock
 from repro.spki import Certificate
 from repro.tags import Tag
@@ -204,6 +212,58 @@ class TestDrainTransfersWarmState:
         assert report.duration_ms >= 0.0
         assert handoff["last_drain_ms"] == report.duration_ms
         assert handoff["drains"] == 1
+
+    def test_a_presented_chain_survives_a_second_drain(
+        self, server_kp, alice_kp, bob_kp, rng, monkeypatch
+    ):
+        """A chain a client presented is warm state, not a delegation.
+        An import must not turn its leaves into graph edges: the next
+        drain would cite them by digest as if every node held them, and
+        the receiver, which never did, would refuse the record."""
+        world = ClusterWorld(server_kp, alice_kp, rng, nodes=4)
+        cluster = world.cluster
+        middle = KeyPrincipal(bob_kp.public)
+        requests = []
+        for index in range(24):
+            logical = sexp(["web", ["method", "GET"], ["path", "/p-%d" % index]])
+            subject = HashPrincipal(HashValue.of_bytes(to_canonical(logical)))
+            chain = TransitivityStep(
+                SignedCertificateStep(
+                    Certificate.issue(bob_kp, subject, Tag.all(), rng=rng)
+                ),
+                SignedCertificateStep(
+                    Certificate.issue(server_kp, middle, Tag.all(), rng=rng)
+                ),
+            )
+            requests.append(GuardRequest(
+                logical, issuer=world.issuer, transport="http",
+                credential=ProofCredential(
+                    subject, wire=to_transport(chain.to_sexp())
+                ),
+            ))
+        assert all(decision.granted for decision in cluster.check_many(requests))
+
+        first = cluster.drain(cluster.nodes()[0].node_id)
+        assert first.refused == 0
+        fullest = max(cluster.nodes(), key=lambda node: node.guard.cache.count())
+        verifies = []
+        verify = RsaPublicKey.verify
+        monkeypatch.setattr(
+            RsaPublicKey, "verify",
+            lambda key, message, signature: verifies.append(key)
+            or verify(key, message, signature),
+        )
+        second = cluster.drain(fullest.node_id)
+        assert second.offered > 0
+        assert second.refused == 0
+        assert all(decision.granted for decision in cluster.check_many(requests))
+        assert verifies == []
+        # The world's delegation is the cluster's whole replicated set.
+        replicated = {
+            lemma.digest() for lemma in world.delegation.speaks_for_lemmas()
+        }
+        for node in cluster.nodes():
+            assert {edge.key for edge in node.prover.graph.edges()} <= replicated
 
 
 class TestMembershipOrdering:

@@ -137,7 +137,7 @@ class TestStages:
         world["clock"].advance(100.0)
         with pytest.raises(NeedAuthorizationError):
             guard.check(channel_request(world))
-        assert guard.cached_proof_count() == 0
+        assert guard.cache.count() == 0
 
 
 class TestProofCredential:
@@ -173,7 +173,7 @@ class TestProofCredential:
         assert guard.check(request()).granted
         assert guard.check(request()).granted
         # Digest-level dedup: the same proof wire lands in one cache slot.
-        assert guard.cached_proof_count() == 1
+        assert guard.cache.count() == 1
         assert guard.cache.stats["dedup_hits"] >= 1
 
 
@@ -232,7 +232,7 @@ class TestPresentedProofs:
         assert len(parses) == 1 and len(verifies) == 1
         assert guard.stats["credential_verifications"] == 1
         assert guard.cache.stats["dedup_hits"] == 3
-        assert guard.cached_proof_count() == 1
+        assert guard.cache.count() == 1
 
     def test_the_meter_charges_a_repeat_what_it_charges_a_parse(
         self, world, server_kp, rng
@@ -299,12 +299,12 @@ class TestPresentedProofs:
         request = _presenting(world, proof, subject)
         assert guard.check(request()).granted
         guard.revoke_serial(proof.certificate.serial)
-        assert guard.cached_proof_count() == 0
+        assert guard.cache.count() == 0
         with pytest.raises(AuthorizationError):
             guard.check(request())
         with pytest.raises(VerificationError):
             guard.submit_proof(to_canonical(proof.to_sexp()))
-        assert guard.cached_proof_count() == 0
+        assert guard.cache.count() == 0
 
     def test_a_chain_over_a_retracted_delegation_is_refused(
         self, world, server_kp, rng
@@ -565,15 +565,15 @@ class TestLegacySurface:
 
         guard = world["guard"]
         guard.submit_proof(to_canonical(world["chain"].to_sexp()))
-        derived = guard.check_auth(world["channel"], world["issuer"], REQUEST)
+        derived = guard.check(channel_request(world)).proof
         assert derived.conclusion == Says(world["issuer"], sexp(REQUEST))
 
     def test_forget_and_count(self, world):
         guard = world["guard"]
         guard.submit_proof(to_canonical(world["chain"].to_sexp()))
-        assert guard.cached_proof_count() == 1
-        guard.forget_proofs()
-        assert guard.cached_proof_count() == 0
+        assert guard.cache.count() == 1
+        guard.cache.forget()
+        assert guard.cache.count() == 0
 
 
 class TestSharedGuardAdoption:

@@ -86,7 +86,7 @@ class TestNetworkScales:
         from repro.net.secure import SecureChannelClient
         from repro.net.trust import TrustEnvironment
         from repro.rmi import RmiServer, RemoteObject, ClientIdentity
-        from repro.rmi.auth import SfAuthState
+        from repro.guard import Guard
         from repro.rmi.remote import RmiSkeleton
 
         KS = KeyPrincipal(server_kp.public)
@@ -113,7 +113,7 @@ class TestNetworkScales:
 
         # Mechanism 2: local channel on a trusted host.
         trust = TrustEnvironment()
-        skeleton = RmiSkeleton(SfAuthState(trust))
+        skeleton = RmiSkeleton(Guard(trust))
         skeleton.export(RemoteObject("obj", KS, {"ping": lambda: "pong"}))
         host = TrustedHost(rng)
         host.register_service("obj", skeleton, trust)

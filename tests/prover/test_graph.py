@@ -57,13 +57,6 @@ class TestDelegationGraph:
         assert set(graph.principals()) == {A, B, C}
         assert len(graph) == 3
 
-    def test_shortcut_flag(self, A, B):
-        graph = DelegationGraph()
-        graph.add(edge_proof(B, A), shortcut=True)
-        assert graph.incoming(A)[0].shortcut
-        assert graph.edge_count(include_shortcuts=False) == 0
-        assert graph.edge_count() == 1
-
     def test_rejects_says_proofs(self, A):
         graph = DelegationGraph()
         with pytest.raises(ValueError):

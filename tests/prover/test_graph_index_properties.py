@@ -7,7 +7,7 @@ which sits beside the ``digest -> dependents`` index cascades run on.
 The reference below keeps a plain ordered model of the graph and answers
 every removal by reading all of it.  After *every* step of a random
 operation sequence the real graph must agree — same return value, same
-edges, same shortcut flags — and both indexes must be exact: an edge is
+edges in the same order — and both indexes must be exact: an edge is
 listed under a thing exactly while it is in the graph and cites it.
 """
 
@@ -27,43 +27,27 @@ def _embedded(proof):
 
 
 class _ScanGraph:
-    """key -> [proof, is-shortcut] in insertion order, a shortcut LRU,
-    and removals that read every edge."""
+    """key -> proof in insertion order, and removals that read every
+    edge."""
 
-    def __init__(self, max_shortcuts):
+    def __init__(self):
         self.edges = OrderedDict()
-        self.lru = OrderedDict()
-        self.max_shortcuts = max_shortcuts
 
-    def add(self, proof, shortcut):
+    def add(self, proof):
         key = proof.digest()
-        held = self.edges.get(key)
-        if held is not None:
-            if held[1] and not shortcut:
-                held[1] = False
-                del self.lru[key]
-            elif held[1]:
-                self.lru.move_to_end(key)
+        if key in self.edges:
             return False
-        self.edges[key] = [proof, shortcut]
-        if shortcut:
-            self.lru[key] = None
-            if len(self.lru) > self.max_shortcuts:
-                self._unlink(next(iter(self.lru)))
+        self.edges[key] = proof
         return True
-
-    def _unlink(self, key):
-        del self.edges[key]
-        self.lru.pop(key, None)
 
     def remove(self, key, cascade=True):
         if key not in self.edges:
             return 0
-        self._unlink(key)
+        del self.edges[key]
         removed = 1
         if cascade:
             for other in [
-                other for other, (proof, _) in self.edges.items()
+                other for other, proof in self.edges.items()
                 if key in _embedded(proof)
             ]:
                 removed += self.remove(other)
@@ -71,7 +55,7 @@ class _ScanGraph:
 
     def invalidate_expired(self, now):
         dead = [
-            key for key, (proof, _) in self.edges.items()
+            key for key, proof in self.edges.items()
             if proof.conclusion.validity.not_after is not None
             and now > proof.conclusion.validity.not_after
         ]
@@ -79,7 +63,7 @@ class _ScanGraph:
 
     def invalidate_serial(self, serial):
         dead = [
-            key for key, (proof, _) in self.edges.items()
+            key for key, proof in self.edges.items()
             if serial in _serials(proof)
         ]
         return sum(self.remove(key) for key in dead)
@@ -107,7 +91,7 @@ def _assert_indexes_are_exact(graph):
 _proof_ix = st.integers(0, len(PROOFS) - 1)
 
 _operation = st.one_of(
-    st.tuples(st.just("add"), _proof_ix, st.booleans()),
+    st.tuples(st.just("add"), _proof_ix),
     st.tuples(st.just("remove"), _proof_ix, st.booleans()),
     st.tuples(st.just("invalidate_expired"), st.sampled_from([5, 15, 25])),
     st.tuples(st.just("invalidate_serial"), st.sampled_from(SERIALS)),
@@ -115,19 +99,16 @@ _operation = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    max_shortcuts=st.integers(1, 3),
-    operations=st.lists(_operation, max_size=30),
-)
-def test_indexed_invalidation_matches_a_full_walk(max_shortcuts, operations):
-    prover = Prover(max_shortcuts=max_shortcuts)
+@given(operations=st.lists(_operation, max_size=30))
+def test_indexed_invalidation_matches_a_full_walk(operations):
+    prover = Prover()
     graph = prover.graph
-    model = _ScanGraph(max_shortcuts)
+    model = _ScanGraph()
     for operation in operations:
         name, args = operation[0], operation[1:]
         if name == "add":
-            proof, shortcut = PROOFS[args[0]], args[1]
-            assert graph.add(proof, shortcut) == model.add(proof, shortcut)
+            proof = PROOFS[args[0]]
+            assert graph.add(proof) == model.add(proof)
         elif name == "remove":
             key = PROOFS[args[0]].digest()
             assert graph.remove(key, args[1]) == model.remove(key, args[1])
@@ -137,14 +118,12 @@ def test_indexed_invalidation_matches_a_full_walk(max_shortcuts, operations):
         else:
             before = prover.stats["invalidate_examined"]
             cited = sum(
-                args[0] in _serials(proof) for proof, _ in model.edges.values()
+                args[0] in _serials(proof) for proof in model.edges.values()
             )
             got = prover.invalidate_serial(args[0])
             assert got == model.invalidate_serial(args[0])
             # The lookup examined the citing edges and no others.
             assert prover.stats["invalidate_examined"] - before == cited
-        assert [
-            (edge.key, edge.shortcut) for edge in graph.edges()
-        ] == [(key, held[1]) for key, held in model.edges.items()]
-        assert graph.shortcut_count == len(model.lru)
+        assert [edge.key for edge in graph.edges()] == list(model.edges)
+        assert graph.edge_count() == len(model.edges)
         _assert_indexes_are_exact(graph)

@@ -1,10 +1,11 @@
-"""Shortcut-cache invalidation: expired or retracted delegations must not
-keep proving through cached derived edges.
+"""Delegation-graph invalidation: expired or retracted delegations must
+not keep proving through the composite edges built on them.
 
-The engine tracks, for every shortcut edge, the leaf delegations its proof
-was derived from.  Removing a leaf — explicitly or because its ``Validity``
-lapsed — cascades to exactly the dependent shortcuts, bumps the graph
-generation, and leaves independent still-valid shortcuts in place (the
+Digesting a multi-step proof stores every lemma, the composite ones
+included.  The graph lists each composite under the lemmas its proof
+embeds, so removing a leaf — explicitly or because its ``Validity``
+lapsed — cascades to exactly the dependent composites, bumps the graph
+generation, and leaves independent still-valid edges in place (the
 Figure 1 lemma-reuse property).
 """
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.core.principals import KeyPrincipal, NamePrincipal
 from repro.core.proofs import PremiseStep
+from repro.core.rules import TransitivityStep
 from repro.core.statements import SpeaksFor, Validity
 from repro.crypto import generate_keypair
 from repro.prover import DelegationGraph, Prover
@@ -31,6 +33,16 @@ def _edge(subject, issuer, validity=Validity.ALWAYS):
     return PremiseStep(SpeaksFor(subject, issuer, Tag.all(), validity))
 
 
+def _digest_chain(prover, *hops):
+    """Digest ``hops[0] . hops[1] . ...`` as one collected proof: every
+    hop and every composite lemma becomes an edge."""
+    chain = hops[-1]
+    for hop in reversed(hops[:-1]):
+        chain = TransitivityStep(hop, chain)
+    prover.add_proof(chain)
+    return chain
+
+
 class TestExpiredDelegations:
     def test_expired_delegation_stops_proving(self):
         prover = Prover()
@@ -39,22 +51,22 @@ class TestExpiredDelegations:
         assert prover.find_proof(_p("b"), _p("a"), now=50.0) is None
 
     def test_shortcut_derived_from_expired_delegation_dies_with_it(self):
-        """The regression the LRU+generation design exists for: warm the
-        cache over a chain containing a bounded delegation, expire it, and
-        confirm the cached shortcut no longer satisfies queries — even
+        """Digest a chain containing a bounded delegation, expire it, and
+        confirm its composite lemma no longer satisfies queries — even
         time-oblivious ones once the expiry sweep runs."""
         prover = Prover()
-        prover.add_proof(_edge(_p("c"), _p("b"), Validity(0, 10)))
-        prover.add_proof(_edge(_p("b"), _p("a")))
-        # Warm query derives and caches the shortcut c => a.
+        chain = _digest_chain(
+            prover, _edge(_p("c"), _p("b"), Validity(0, 10)),
+            _edge(_p("b"), _p("a")),
+        )
+        assert chain in prover.graph  # the composite c => a is an edge
         assert prover.find_proof(_p("c"), _p("a"), now=5.0) is not None
-        assert prover.stats["shortcut_cache_size"] >= 1
-        # After expiry a time-aware query must refuse the cached shortcut.
+        # After expiry a time-aware query must refuse the composite.
         assert prover.find_proof(_p("c"), _p("a"), now=50.0) is None
-        # The sweep retracts the dead leaf and its dependent shortcut, so
-        # even a time-oblivious query (now=None) cannot ride the stale
-        # cache afterwards.
-        assert prover.invalidate_expired(50.0) >= 2
+        # The sweep retracts the dead leaf and the composite built on it,
+        # so even a time-oblivious query (now=None) cannot ride it.
+        assert prover.invalidate_expired(50.0) == 2
+        assert chain not in prover.graph
         assert prover.find_proof(_p("c"), _p("a")) is None
         assert prover.stats["invalidations"] >= 2
         assert prover.stats["generation"] >= 1
@@ -73,13 +85,15 @@ class TestExpiredDelegations:
 
     def test_explicit_invalidate_expired_sweeps_shortcuts(self):
         prover = Prover()
-        prover.add_proof(_edge(_p("c"), _p("b"), Validity(0, 10)))
-        prover.add_proof(_edge(_p("b"), _p("a")))
-        # Time-oblivious warm-up: the prover never sees a clock.
+        _digest_chain(
+            prover, _edge(_p("c"), _p("b"), Validity(0, 10)),
+            _edge(_p("b"), _p("a")),
+        )
+        # Time-oblivious: the prover never sees a clock.
         assert prover.find_proof(_p("c"), _p("a")) is not None
-        assert prover.graph.shortcut_count >= 1
+        assert prover.graph.edge_count() == 3
         removed = prover.invalidate_expired(50.0)
-        assert removed >= 2  # the bounded leaf plus its derived shortcut
+        assert removed == 2  # the bounded leaf plus the composite on it
         assert prover.find_proof(_p("c"), _p("a")) is None
 
     def test_independent_shortcut_survives_cascade(self):
@@ -92,14 +106,14 @@ class TestExpiredDelegations:
         assert prover.find_proof(_p("c"), _p("a"), now=5.0) is not None
         assert prover.find_proof(_p("z"), _p("x"), now=5.0) is not None
         prover.invalidate_expired(50.0)
-        # The all-unbounded chain and its cached shortcut are untouched.
+        # The all-unbounded chain is untouched, and still two hops.
         before = prover.stats["nodes_expanded"]
         assert prover.find_proof(_p("z"), _p("x")) is not None
-        assert prover.stats["nodes_expanded"] - before <= 2  # still cached
+        assert prover.stats["nodes_expanded"] - before <= 2
 
     def test_validity_bounded_query_never_serves_shortcut_stale(self):
-        """A shortcut derived inside the window is refused outside it even
-        when the underlying edges are still present (no sweep ran)."""
+        """A chain derived inside the window is found again inside it;
+        no sweep ran, and none is needed for an earlier ``now``."""
         prover = Prover()
         prover.add_proof(_edge(_p("c"), _p("b"), Validity(0, 10)))
         prover.add_proof(_edge(_p("b"), _p("a")))
@@ -116,22 +130,18 @@ class TestRemovalCascade:
         leaf_bc = _edge(_p("c"), _p("b"))
         graph.add(leaf_ab)
         graph.add(leaf_bc)
-        from repro.core.rules import TransitivityStep
-
-        shortcut = TransitivityStep(leaf_bc, leaf_ab)
-        graph.add(shortcut, shortcut=True)
-        assert graph.shortcut_count == 1
+        composite = TransitivityStep(leaf_bc, leaf_ab)
+        graph.add(composite)
+        assert graph.edge_count() == 3
         removed = graph.remove(leaf_ab)
-        assert removed == 2  # the leaf and the shortcut riding on it
-        assert graph.shortcut_count == 0
+        assert removed == 2  # the leaf and the composite riding on it
+        assert composite not in graph
         assert graph.generation == 1
         assert leaf_bc in graph  # the other leaf is untouched
 
     def test_remove_composite_cascades_to_embedding_shortcuts(self):
-        """Removing a shortcut must also retract super-shortcuts whose
-        proofs embed it, not just shortcuts built on its leaves."""
-        from repro.core.rules import TransitivityStep
-
+        """Removing a composite must also retract larger composites whose
+        proofs embed it, not just composites built on its leaves."""
         graph = DelegationGraph()
         leaf_cb = _edge(_p("c"), _p("b"))
         leaf_ba = _edge(_p("b"), _p("a"))
@@ -140,8 +150,8 @@ class TestRemovalCascade:
             graph.add(leaf)
         s1 = TransitivityStep(leaf_cb, leaf_ba)          # c => a
         s2 = TransitivityStep(leaf_dc, s1)               # d => a, embeds s1
-        graph.add(s1, shortcut=True)
-        graph.add(s2, shortcut=True)
+        graph.add(s1)
+        graph.add(s2)
         removed = graph.remove(s1)
         assert removed == 2  # s1 and the embedding s2
         assert s2 not in graph
@@ -154,77 +164,22 @@ class TestRemovalCascade:
         assert graph.generation == 0
 
 
-class TestShortcutLru:
-    def test_cache_bounded_and_evictions_counted(self):
-        prover = Prover(max_shortcuts=4)
-        hub = _p("hub")
-        for i in range(12):
-            spoke = _p("s%d" % i)
-            mid = _p("m%d" % i)
-            prover.add_proof(_edge(spoke, mid))
-            prover.add_proof(_edge(mid, hub))
-            assert prover.find_proof(spoke, hub) is not None
-        assert prover.graph.shortcut_count <= 4
-        assert prover.stats["shortcut_cache_size"] <= 4
-        assert prover.stats["shortcut_evictions"] >= 8
-        # Eviction is cache pressure, not invalidation.
-        assert prover.stats["generation"] == 0
-        # Collected delegations are permanent: only shortcuts were evicted.
-        assert prover.graph.edge_count(include_shortcuts=False) == 24
-
-    def test_collected_delegation_promoted_out_of_the_lru(self):
-        """If the search derives a proof first and the application later
-        collects the identical proof, it becomes permanent: cache pressure
-        must never evict a collected delegation."""
-        from repro.core.rules import TransitivityStep
-
-        graph = DelegationGraph(max_shortcuts=1)
-        leaf_cb = _edge(_p("c"), _p("b"))
-        leaf_ba = _edge(_p("b"), _p("a"))
-        graph.add(leaf_cb)
-        graph.add(leaf_ba)
-        derived = TransitivityStep(leaf_cb, leaf_ba)
-        graph.add(derived, shortcut=True)
-        assert graph.shortcut_count == 1
-        # The application now *collects* the same proof.
-        assert not graph.add(derived)  # still a duplicate...
-        assert graph.shortcut_count == 0  # ...but promoted to permanent
-        assert graph.edge_count(include_shortcuts=False) == 3
-        # Pressure from another derivation cannot evict it.
-        graph.add(TransitivityStep(_edge(_p("z"), _p("y")), _edge(_p("y"), _p("x"))),
-                  shortcut=True)
-        graph.add(TransitivityStep(_edge(_p("q"), _p("p")), _edge(_p("p"), _p("o"))),
-                  shortcut=True)
-        assert derived in graph
-
-    def test_evicted_shortcut_still_provable_from_base_edges(self):
-        prover = Prover(max_shortcuts=1)
-        prover.add_proof(_edge(_p("c"), _p("b")))
-        prover.add_proof(_edge(_p("b"), _p("a")))
-        prover.add_proof(_edge(_p("z"), _p("y")))
-        prover.add_proof(_edge(_p("y"), _p("x")))
-        assert prover.find_proof(_p("c"), _p("a")) is not None
-        # The second derivation evicts the first chain's shortcut...
-        assert prover.find_proof(_p("z"), _p("x")) is not None
-        assert prover.graph.shortcut_count == 1
-        # ...but the first chain re-proves from its permanent base edges.
-        assert prover.find_proof(_p("c"), _p("a")) is not None
-
-
 class TestStats:
     def test_stats_report_cache_metrics(self):
         prover = Prover()
-        for key in (
+        assert set(prover.stats) == {
             "searches",
             "nodes_expanded",
-            "shortcut_hits",
-            "shortcut_cache_size",
-            "shortcut_evictions",
             "invalidations",
+            "invalidate_examined",
             "generation",
-        ):
-            assert key in prover.stats
+        }
         prover.add_proof(_edge(_p("c"), _p("b")))
         prover.add_proof(_edge(_p("b"), _p("a")))
         prover.find_proof(_p("c"), _p("a"))
-        assert prover.stats["shortcut_cache_size"] == prover.graph.shortcut_count
+        assert prover.stats["searches"] == 1
+        # A found chain is not stored: the graph holds what was collected.
+        assert prover.graph.edge_count() == 2
+        prover.invalidate_proof(_edge(_p("b"), _p("a")))
+        assert prover.stats["invalidations"] == prover.graph.invalidations == 1
+        assert prover.stats["generation"] == prover.graph.generation == 1

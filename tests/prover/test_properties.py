@@ -165,16 +165,16 @@ def _assert_sound(proof, subject, issuer, request, min_tag, now):
 )
 @settings(max_examples=200, deadline=None)
 # ``p0 =[0,10]=> p1 =[15,30]=> p2`` holds at no time: not timeless, and
-# not at the bound 10 after a timeless query had the chance to cache it.
+# not at the bound 10 after a timeless query ran first.
 @example([(0, 1, 0, 1), (1, 2, 0, 3)], (0, 2), (_REQUESTS[0], None),
          None, [])
 @example([(0, 1, 0, 1), (1, 2, 0, 3)], (0, 2), (_REQUESTS[0], None),
          10, [((0, 2), (_REQUESTS[0], None), None)])
 def test_prover_finds_iff_path_exists(edges, pair, coverage, now, earlier):
     """``find_proof`` against a reachability oracle, over request tags,
-    minimum restriction sets and validity windows — cold, and again with
-    whatever shortcut edges earlier queries and its own first answer
-    left in the graph."""
+    minimum restriction sets and validity windows — cold, and again after
+    earlier queries and its own first answer (a search adds no edge, so
+    the answer must not change)."""
     prover = _timed_prover(edges)
     for (s, i), (request, min_tag), when in earlier:
         if s != i:
@@ -246,7 +246,7 @@ def test_prove_mints_behind_an_exhausted_forward_wave(
 @settings(max_examples=100, deadline=None)
 def test_digestion_preserves_provability(edges, subject_index, issuer_index):
     """Finding a proof, digesting it into a fresh prover, and re-querying
-    must succeed (shortcuts never lose information)."""
+    must succeed (a digested proof never loses information)."""
     request = _REQUESTS[0]
     prover = Prover(max_visits=len(_NODES) + 1)
     for s, i, t in edges:

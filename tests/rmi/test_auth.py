@@ -7,8 +7,8 @@ from repro.core.principals import ChannelPrincipal, KeyPrincipal
 from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.rules import TransitivityStep
 from repro.core.statements import Says, SpeaksFor, Validity
+from repro.guard import ChannelCredential, Guard, GuardRequest
 from repro.net.trust import TrustEnvironment
-from repro.rmi.auth import SfAuthState
 from repro.sexp import sexp, to_canonical
 from repro.sim import SimClock
 from repro.spki import Certificate
@@ -19,7 +19,7 @@ from repro.tags import Tag, parse_tag
 def setup(server_kp, alice_kp, rng):
     clock = SimClock()
     trust = TrustEnvironment(clock=clock)
-    auth = SfAuthState(trust)
+    auth = Guard(trust)
     issuer = KeyPrincipal(server_kp.public)
     channel = ChannelPrincipal.of_secret(b"session")
     client = KeyPrincipal(alice_kp.public)
@@ -41,11 +41,20 @@ def setup(server_kp, alice_kp, rng):
 REQUEST = ["invoke", ["object", "o"], ["method", "m"], ["args"]]
 
 
+def check_auth(guard, speaker, issuer, request):
+    """The RMI ``checkAuth()`` prefix: a channel-vouched check, answered
+    with the derived ``issuer says request`` proof."""
+    return guard.check(GuardRequest(
+        request, issuer=issuer, credential=ChannelCredential(speaker),
+        transport="rmi",
+    )).proof
+
+
 class TestCheckAuth:
     def test_no_proof_raises_challenge(self, setup):
         with pytest.raises(NeedAuthorizationError) as excinfo:
-            setup["auth"].check_auth(
-                setup["channel"], setup["issuer"], REQUEST
+            check_auth(
+                setup["auth"], setup["channel"], setup["issuer"], REQUEST
             )
         assert excinfo.value.issuer == setup["issuer"]
         # The default minimum tag is the singleton request.
@@ -54,44 +63,44 @@ class TestCheckAuth:
     def test_submitted_proof_authorizes(self, setup):
         setup["trust"].vouch(Says(setup["channel"], sexp(REQUEST)))
         setup["auth"].submit_proof(to_canonical(setup["chain"].to_sexp()))
-        derived = setup["auth"].check_auth(
-            setup["channel"], setup["issuer"], REQUEST
+        derived = check_auth(
+            setup["auth"], setup["channel"], setup["issuer"], REQUEST
         )
         assert derived.conclusion == Says(setup["issuer"], sexp(REQUEST))
 
     def test_cached_proof_reused(self, setup):
         setup["trust"].vouch(Says(setup["channel"], sexp(REQUEST)))
         setup["auth"].submit_proof(to_canonical(setup["chain"].to_sexp()))
-        setup["auth"].check_auth(setup["channel"], setup["issuer"], REQUEST)
-        setup["auth"].check_auth(setup["channel"], setup["issuer"], REQUEST)
+        check_auth(setup["auth"], setup["channel"], setup["issuer"], REQUEST)
+        check_auth(setup["auth"], setup["channel"], setup["issuer"], REQUEST)
         assert len(setup["auth"].audit) == 2
-        assert setup["auth"].cached_proof_count() == 1
+        assert setup["auth"].cache.count() == 1
 
     def test_forget_proofs_forces_rechallenge(self, setup):
         setup["trust"].vouch(Says(setup["channel"], sexp(REQUEST)))
         setup["auth"].submit_proof(to_canonical(setup["chain"].to_sexp()))
-        setup["auth"].check_auth(setup["channel"], setup["issuer"], REQUEST)
-        setup["auth"].forget_proofs()
+        check_auth(setup["auth"], setup["channel"], setup["issuer"], REQUEST)
+        setup["auth"].cache.forget()
         with pytest.raises(NeedAuthorizationError):
-            setup["auth"].check_auth(setup["channel"], setup["issuer"], REQUEST)
+            check_auth(setup["auth"], setup["channel"], setup["issuer"], REQUEST)
 
     def test_request_outside_proof_tag_challenged(self, setup):
         setup["auth"].submit_proof(to_canonical(setup["chain"].to_sexp()))
         with pytest.raises(NeedAuthorizationError):
-            setup["auth"].check_auth(
-                setup["channel"], setup["issuer"], ["shutdown"]
+            check_auth(
+                setup["auth"], setup["channel"], setup["issuer"], ["shutdown"]
             )
 
     def test_wrong_issuer_challenged(self, setup, carol_kp):
         setup["auth"].submit_proof(to_canonical(setup["chain"].to_sexp()))
         other = KeyPrincipal(carol_kp.public)
         with pytest.raises(NeedAuthorizationError):
-            setup["auth"].check_auth(setup["channel"], other, REQUEST)
+            check_auth(setup["auth"], setup["channel"], other, REQUEST)
 
     def test_expired_proof_disregarded(self, server_kp, alice_kp, rng):
         clock = SimClock()
         trust = TrustEnvironment(clock=clock)
-        auth = SfAuthState(trust)
+        auth = Guard(trust)
         issuer = KeyPrincipal(server_kp.public)
         channel = ChannelPrincipal.of_secret(b"s2")
         client = KeyPrincipal(alice_kp.public)
@@ -103,19 +112,19 @@ class TestCheckAuth:
         chain = TransitivityStep(PremiseStep(premise), SignedCertificateStep(cert))
         trust.vouch(Says(channel, sexp(REQUEST)))
         auth.submit_proof(to_canonical(chain.to_sexp()))
-        auth.check_auth(channel, issuer, REQUEST)  # fresh: fine
+        check_auth(auth, channel, issuer, REQUEST)  # fresh: fine
         clock.advance(100.0)
         with pytest.raises(NeedAuthorizationError):
-            auth.check_auth(channel, issuer, REQUEST)  # expired: re-prove
+            check_auth(auth, channel, issuer, REQUEST)  # expired: re-prove
         # The lapsed proof is retracted from the cache, not just skipped.
-        assert auth.cached_proof_count() == 0
+        assert auth.cache.count() == 0
 
     def test_duplicate_submissions_cached_once(self, setup):
         wire = to_canonical(setup["chain"].to_sexp())
         setup["auth"].submit_proof(wire)
         setup["auth"].submit_proof(wire)
         setup["auth"].submit_proof(wire)
-        assert setup["auth"].cached_proof_count() == 1
+        assert setup["auth"].cache.count() == 1
 
     def test_speaker_cache_is_bounded(self, setup):
         """One-shot speakers (the HTTP per-request hash principals) age
@@ -123,14 +132,14 @@ class TestCheckAuth:
         from repro.core.principals import ChannelPrincipal
         from repro.core.proofs import PremiseStep
 
-        auth = SfAuthState(setup["trust"], max_speakers=8)
+        auth = Guard(setup["trust"], max_speakers=8)
         for i in range(32):
             speaker = ChannelPrincipal.of_secret(b"one-shot-%d" % i)
             statement = SpeaksFor(speaker, setup["issuer"], Tag.all())
             setup["trust"].vouch(statement)
             auth.cache_proof(PremiseStep(statement))
-        assert len(auth._proof_cache) == 8
-        assert auth.cached_proof_count() == 8
+        assert len(auth.cache.buckets) == 8
+        assert auth.cache.count() == 8
 
 
 class TestSubmitProof:
@@ -168,7 +177,7 @@ class TestAudit:
     def test_records_full_proof_tree(self, setup):
         setup["trust"].vouch(Says(setup["channel"], sexp(REQUEST)))
         setup["auth"].submit_proof(to_canonical(setup["chain"].to_sexp()))
-        setup["auth"].check_auth(setup["channel"], setup["issuer"], REQUEST)
+        check_auth(setup["auth"], setup["channel"], setup["issuer"], REQUEST)
         record = setup["auth"].audit.records[0]
         involved = record.involved_principals()
         assert setup["channel"] in involved
@@ -177,7 +186,7 @@ class TestAudit:
     def test_involving_filter(self, setup, carol_kp):
         setup["trust"].vouch(Says(setup["channel"], sexp(REQUEST)))
         setup["auth"].submit_proof(to_canonical(setup["chain"].to_sexp()))
-        setup["auth"].check_auth(setup["channel"], setup["issuer"], REQUEST)
+        check_auth(setup["auth"], setup["channel"], setup["issuer"], REQUEST)
         assert len(setup["auth"].audit.involving(setup["channel"])) == 1
         stranger = KeyPrincipal(carol_kp.public)
         assert setup["auth"].audit.involving(stranger) == []
@@ -185,6 +194,6 @@ class TestAudit:
     def test_render_is_readable(self, setup):
         setup["trust"].vouch(Says(setup["channel"], sexp(REQUEST)))
         setup["auth"].submit_proof(to_canonical(setup["chain"].to_sexp()))
-        setup["auth"].check_auth(setup["channel"], setup["issuer"], REQUEST)
+        check_auth(setup["auth"], setup["channel"], setup["issuer"], REQUEST)
         text = setup["auth"].audit.records[0].render()
         assert "derived-says" in text and "invoke" in text

@@ -74,11 +74,11 @@ class TestInvocation:
             identity=world["identity"], rng=world["rng"],
         )
         stub.invoke("inc", 1)
-        cached = world["server"].auth.cached_proof_count()
+        cached = world["server"].auth.cache.count()
         assert cached >= 1
         stub.invoke("inc", 1)
         # No new proofs needed for repeat calls within the proven tag.
-        assert world["server"].auth.cached_proof_count() >= cached
+        assert world["server"].auth.cache.count() >= cached
 
     def test_identity_scope_thread_idiom(self, world, alice_kp):
         stub = world["registry"].connect(
@@ -180,14 +180,14 @@ class TestInvocation:
 class TestLocalChannelRmi:
     def test_local_channel_carries_rmi(self, server_kp, alice_kp, rng):
         """Section 5.2: colocated client avoids all public-key work."""
+        from repro.guard import Guard
         from repro.net.trust import TrustEnvironment
-        from repro.rmi.auth import SfAuthState
         from repro.rmi.remote import RmiSkeleton
         from repro.sim import Meter
 
         clock = SimClock()
         trust = TrustEnvironment(clock=clock)
-        auth = SfAuthState(trust)
+        auth = Guard(trust)
         skeleton = RmiSkeleton(auth)
         KS = KeyPrincipal(server_kp.public)
         skeleton.export(RemoteObject("obj", KS, {"ping": lambda: "pong"}))
