@@ -2,8 +2,9 @@
 
 The claim under test is the handoff tentpole: a *planned* topology
 change should be ~free at the request surface, because the departing
-node streams its warm state (proof-cache entries, MAC sessions) to the
-inheriting successors before its ring points are withdrawn.  A *cold* leave is the control: same ring arithmetic, no
+node hands its warm state (proof-cache entries, MAC sessions) to the
+inheriting successors, as objects, before its ring points are
+withdrawn.  A *cold* leave is the control: same ring arithmetic, no
 transfer — every inherited session pays a full Prover search plus real
 RSA verification on its first post-leave check.
 
@@ -14,8 +15,8 @@ working set, while the drain hands the same set over warm.  Each
 session sits at the bottom of a three-deep delegation chain
 (root -> gateway -> host -> MAC, 1024-bit keys), so a cold re-derivation
 pays a real graph search plus three RSA verifies per session, while the
-drain streams the cached chains with replicated premises cited by
-digest (``(lemma <digest>)`` stubs) instead of restated.  Traffic is
+drain hands over the cached chains themselves: no byte is encoded or
+parsed on the way.  Traffic is
 real bytes over 127.0.0.1 through a one-listener :class:`ServeFleet`,
 driven in fixed-size pipelined windows by a client on the same event
 loop; the topology change fires as a loop callback at a window boundary
@@ -28,14 +29,12 @@ falls) and *dip duration* (how long throughput stays below 90% of
 baseline) are the first-class metrics.
 
 The assertions ride counters only: the drained path's survivors pay
-**zero** Prover searches where the cold path pays one per session, no
-handed-off record is refused as stale, and no client sees a RETRY.
-Wall clock is recorded, not asserted.  With the cluster owned by one
-loop the whole drain (~12 ms here) lands inside the first post-change
-window, so the drained worst window sits 0.86-0.97x as deep as the cold
-one (8 repeats, IQR 0.87-0.92), and the self-normalized post-change
-speedup of drain over cold has read 1.04, 1.05 and 0.97 — inside its
-own spread.  What a drain
+**zero** Prover searches where the cold path pays one per session, the
+drain makes **zero** ``parse_canonical`` calls, no handed-off record is
+refused as stale, and no client sees a RETRY.  Wall clock is recorded,
+not asserted: the drain (~1.3 ms for 96 records) still lands inside the
+first post-change window, and ``BENCH_cluster_drain.json`` holds the
+dip depths of both paths.  What a drain
 costs bystanders under paced load is ``churn_paced``'s
 ``cluster.handoff.drain_ms`` and ``loadgen.lat_p99_ms`` (``bench/``).
 
@@ -43,9 +42,11 @@ Results land in ``BENCH_cluster_drain.json``.
 """
 
 import asyncio
+import contextlib
 import gc
 import os
 import statistics
+import sys
 import time
 
 from benchmarks._bench_output import write_bench
@@ -56,7 +57,7 @@ from repro.core.proofs import SignedCertificateStep
 from repro.crypto.rsa import generate_keypair
 from repro.guard import GuardRequest, SessionCredential
 from repro.serve import ServeClient, ServeFleet
-from repro.sexp import sexp, to_canonical
+from repro.sexp import parser, sexp, to_canonical
 from repro.spki import Certificate
 from repro.tags import Tag
 
@@ -71,9 +72,8 @@ DIP_FLOOR = 0.90         # a window below 90% of baseline counts as dipped
 #: Delegation chains in the drain world are this deep and this wide:
 #: the ``root -> gateways -> host`` spine is built of 1024-bit issuers,
 #: so a cold re-derivation pays ``CHAIN_HOPS`` real RSA verifies plus a
-#: deep bidirectional search per session, while a drained record is a
-#: few hundred bytes: the shared spine rides each stream once and every
-#: later record is the per-session hop plus ``(lemma <digest>)`` stubs.
+#: deep bidirectional search per session, while a drained record is the
+#: cached chain object itself, installed without a parse or a verify.
 KEY_BITS = 1024
 CHAIN_HOPS = 4
 
@@ -81,6 +81,31 @@ try:
     CPU_CORES = len(os.sched_getaffinity(0))
 except (AttributeError, OSError):
     CPU_CORES = os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _counting_parses():
+    """Count ``parse_canonical`` calls made inside the block, however a
+    ``repro`` module imported the function.  Yields the call list."""
+    calls = []
+    original = parser.parse_canonical
+
+    def counted(data):
+        calls.append(len(data))
+        return original(data)
+
+    modules = [
+        module for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "repro"
+        and getattr(module, "parse_canonical", None) is original
+    ]
+    for module in modules:
+        module.parse_canonical = counted
+    try:
+        yield calls
+    finally:
+        for module in modules:
+            module.parse_canonical = original
 
 
 def _victim_world(chain_kps, rng):
@@ -188,14 +213,17 @@ def _measure_leave(mode, chain_kps, rng):
         for _ in range(PRE_WINDOWS + POST_WINDOWS)
     ]
     change_ms = []
+    parse_calls = []
 
     def change():
-        start = time.perf_counter()
-        if mode == "drain":
-            cluster.drain(victim)
-        else:
-            cluster.remove_node(victim)
-        change_ms.append((time.perf_counter() - start) * 1000.0)
+        with _counting_parses() as parses:
+            start = time.perf_counter()
+            if mode == "drain":
+                cluster.drain(victim)
+            else:
+                cluster.remove_node(victim)
+            change_ms.append((time.perf_counter() - start) * 1000.0)
+        parse_calls.append(len(parses))
 
     series, retries = asyncio.run(
         _drive(cluster, windows, PRE_WINDOWS, change)
@@ -228,6 +256,7 @@ def _measure_leave(mode, chain_kps, rng):
         "post_elapsed_s": post_elapsed,
         "post_slowdown": post_elapsed / expected,
         "change_ms": change_ms[0],
+        "drain_parse_calls": parse_calls[0],
         "client_retries": retries,
         "survivor_prover_searches": survivor_searches,
         "handoff": dict(cluster.handoff.stats),
@@ -275,6 +304,8 @@ def test_drain_vs_cold_leave_over_loopback(rng):
         assert drain["handoff"]["drains"] == 1
         assert drain["handoff"]["records_installed"] >= SESSIONS
         assert drain["handoff"]["records_refused_stale"] == 0
+        # Records are handed over as objects: nothing is parsed.
+        assert drain["drain_parse_calls"] == 0
         # A planned departure never surfaces as RETRY at the wire.
         assert drain["client_retries"] == 0
 

@@ -14,8 +14,8 @@ _TRANSPORT_PREFIXES = (
     "repro/net/",
     "repro/serve/",
     # The warm-handoff plane moves guard state between nodes, so it is
-    # a transport in the boundary's sense: it must speak the guard's
-    # export/import hooks and the core codecs, never the prover or the
+    # a transport in the boundary's sense: it must hand records over
+    # through the guard's export/import hooks, never the prover or the
     # cache types — otherwise a handoff could smuggle state past the
     # receiver's re-validation.
     "repro/cluster/handoff.py",

@@ -77,7 +77,7 @@ class AuthCluster:
       directory on first miss, carrying their original mint stamp so
       the absolute TTL never restarts;
     - **planned departure**: :meth:`drain` marks the node DRAINING (still
-      serving), streams its warm state — cached proofs, MAC sessions,
+      serving), hands its warm state — cached proofs, MAC sessions,
       channel bindings — to the inheriting ring successors via
       :class:`~repro.cluster.handoff.HandoffCoordinator`, then finalizes
       the leave, so a planned topology change costs ~no re-derivations.
@@ -239,7 +239,7 @@ class AuthCluster:
     def drain(self, node_id: str) -> DrainReport:
         """Planned departure, warm: mark the node DRAINING (it keeps its
         ring points and keeps serving — no wire-level RETRY for a planned
-        leave), stream its warm state to the inheriting successors, then
+        leave), hand its warm state to the inheriting successors, then
         finalize with the ordinary leave.  Returns the transfer report;
         the per-shard flip happens at the final ring update, by which
         point every inheritor already holds the state it needs."""

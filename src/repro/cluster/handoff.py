@@ -6,9 +6,9 @@ not *free*: each inherited speaker pays a full Prover search plus real
 signature verification before its first post-leave grant.  This module
 makes a planned departure cost ~zero re-derivations: the draining node
 enumerates its warm state (proof-cache entries, MAC sessions, channel
-bindings), encodes each item as a serializable :class:`HandoffRecord`,
-and streams the records to the ring successors that will inherit each
-shard.
+bindings) into :class:`HandoffRecord` objects and hands them, as they
+are, to the ring successors that will inherit each shard.  Nothing is
+encoded or parsed: the cluster's nodes share one process and one loop.
 
 The safety argument is the guard's, not ours: **a handed-off proof is
 never a handed-off decision**.  Every record is re-admitted through the
@@ -19,10 +19,10 @@ whole tree is re-verified.  State revoked, retracted, closed, or lapsed
 in transit is refused at install, and the next check for it takes the
 full Prover path.
 
-This module deliberately speaks only the guard's export/import surface
-(plus the core codecs): it never imports the prover or the cache types
-directly, so the transport-boundary lint (ARCH002) holds for the handoff
-plane exactly as it does for the serving plane.
+This module deliberately speaks only the guard's export/import surface:
+it never imports the prover or the cache types directly, so the
+transport-boundary lint (ARCH002) holds for the handoff plane exactly as
+it does for the serving plane.
 """
 
 from __future__ import annotations
@@ -36,16 +36,7 @@ from repro.cluster.ring import (
     principal_fingerprint,
     session_routing_key,
 )
-from repro.core.principals import MacPrincipal, principal_from_sexp
-from repro.core.proofs import (
-    Proof,
-    ProofError,
-    proof_from_sexp,
-    proof_to_lemma_sexp,
-)
-from repro.core.statements import SpeaksFor, statement_from_sexp
-from repro.crypto.mac import MacKey
-from repro.sexp import Atom, SExp, SList, parse_canonical, to_canonical
+from repro.core.principals import MacPrincipal
 
 #: Record kinds, in install order: channel bindings must be vouched
 #: before the cached chains leaning on them re-validate their premises.
@@ -65,14 +56,8 @@ def shard_key_for(speaker) -> bytes:
     return principal_fingerprint(speaker)
 
 
-def _format_stamp(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
-
-
 class HandoffRecord:
-    """One serializable unit of warm state.
+    """One unit of warm state, handed to the inheritor as an object.
 
     ``kind`` is one of :data:`KINDS`; ``generation`` is the cluster-wide
     invalidation generation at export time (the receiver compares it to
@@ -82,153 +67,20 @@ class HandoffRecord:
     :class:`SpeaksFor` binding for ``channel``.  ``proof`` records also
     carry the exporting bucket's speaker (a MAC session's cache bucket is
     keyed by the MAC principal, not the chain subject).
-
-    ``cite`` (never serialized) is the sender-side lemma predicate: when
-    set, proof payloads are encoded with
-    :func:`~repro.core.proofs.proof_to_lemma_sexp`, so subtrees the
-    receiver already holds (base delegations replicated cluster-wide,
-    plus subproofs delivered earlier in the same stream) travel as
-    ``(lemma <digest>)`` stubs instead of full subtrees.  The
-    ``digest`` field always names the *full* form, so the receiver's
-    resolved reconstruction is integrity-checked end to end.
     """
 
-    __slots__ = ("kind", "generation", "speaker", "payload", "cite")
+    __slots__ = ("kind", "generation", "speaker", "payload")
 
-    def __init__(self, kind: str, generation: int, payload, speaker=None,
-                 cite=None):
+    def __init__(self, kind: str, generation: int, payload, speaker=None):
         if kind not in KINDS:
             raise ValueError("unknown handoff record kind %r" % kind)
         self.kind = kind
         self.generation = generation
         self.speaker = speaker
         self.payload = payload
-        self.cite = cite
-
-    # -- codec ---------------------------------------------------------
-
-    def to_sexp(self) -> SExp:
-        items = [
-            Atom("handoff"),
-            SList([Atom("kind"), Atom(self.kind)]),
-            SList([Atom("generation"), Atom(str(self.generation))]),
-        ]
-        if self.speaker is not None:
-            items.append(SList([Atom("speaker"), self.speaker.to_sexp()]))
-        if self.kind == "proof":
-            proof: Proof = self.payload
-            items.append(SList([Atom("digest"), Atom(proof.digest())]))
-            body = (
-                proof_to_lemma_sexp(proof, self.cite)
-                if self.cite is not None
-                else proof.to_sexp()
-            )
-            items.append(SList([Atom("payload"), body]))
-        elif self.kind == "session":
-            mac_id, mac_key, minted_at = self.payload
-            items.append(
-                SList([
-                    Atom("payload"),
-                    Atom(mac_id),
-                    Atom(mac_key.secret),
-                    Atom(_format_stamp(minted_at)),
-                ])
-            )
-        else:  # channel
-            items.append(SList([Atom("payload"), self.payload.to_sexp()]))
-        return SList(items)
-
-    def to_wire(self) -> bytes:
-        return to_canonical(self.to_sexp())
-
-    @classmethod
-    def from_sexp(cls, node: SExp, lemmas=None) -> "HandoffRecord":
-        if not isinstance(node, SList) or node.head() != "handoff":
-            raise ValueError("expected (handoff ...), got %r" % (node,))
-        fields: Dict[str, SExp] = {}
-        for field in node.tail():
-            if not isinstance(field, SList) or len(field) < 2:
-                raise ValueError("bad handoff field %r" % (field,))
-            fields[field.head()] = field
-        kind = fields["kind"].items[1].text()
-        generation = int(fields["generation"].items[1].text())
-        speaker = None
-        if "speaker" in fields:
-            speaker = principal_from_sexp(fields["speaker"].items[1])
-        payload_field = fields["payload"]
-        if kind == "proof":
-            proof = proof_from_sexp(payload_field.items[1], lemmas=lemmas)
-            declared = fields["digest"].items[1].value
-            if proof.digest() != declared:
-                raise ValueError("handoff record digest mismatch")
-            payload = proof
-        elif kind == "session":
-            if len(payload_field) != 4:
-                raise ValueError("bad session payload %r" % (payload_field,))
-            payload = (
-                payload_field.items[1].text(),
-                MacKey(payload_field.items[2].value),
-                float(payload_field.items[3].text()),
-            )
-        elif kind == "channel":
-            premise = statement_from_sexp(payload_field.items[1])
-            if not isinstance(premise, SpeaksFor):
-                raise ValueError("channel records carry speaks-for bindings")
-            payload = premise
-        else:
-            raise ValueError("unknown handoff record kind %r" % kind)
-        return cls(kind, generation, payload, speaker=speaker)
-
-    @classmethod
-    def from_wire(cls, wire: bytes, lemmas=None) -> "HandoffRecord":
-        return cls.from_sexp(parse_canonical(wire), lemmas=lemmas)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "HandoffRecord(%s gen=%d)" % (self.kind, self.generation)
-
-
-class _StreamCiter:
-    """The sender half of a stream's shared proof dictionary.
-
-    A premise is citable when the receiver is guaranteed to hold it:
-    base delegations replicated cluster-wide (``replicated``), plus any
-    subproof of a record already decoded earlier in *this* stream —
-    streams install in order, so the shared spine of a working set
-    (e.g. the common upper hops of every session's chain) travels once
-    and is a ``(lemma <digest>)`` stub in every later record."""
-
-    __slots__ = ("replicated", "sent")
-
-    def __init__(self, replicated):
-        self.replicated = replicated
-        self.sent = set()
-
-    def __call__(self, proof: Proof) -> bool:
-        return proof.digest() in self.sent or self.replicated(proof)
-
-    def register(self, proof: Proof) -> None:
-        for lemma in proof.lemmas():
-            self.sent.add(lemma.digest())
-
-
-class _StreamResolver:
-    """The receiver half: resolve citations against the node's own
-    trusted graph, or against subproofs this stream already delivered
-    (each was digest-checked when its record decoded)."""
-
-    __slots__ = ("resolve", "seen")
-
-    def __init__(self, resolve):
-        self.resolve = resolve
-        self.seen: Dict[bytes, Proof] = {}
-
-    def __call__(self, digest: bytes) -> Optional[Proof]:
-        proof = self.seen.get(digest)
-        return proof if proof is not None else self.resolve(digest)
-
-    def register(self, proof: Proof) -> None:
-        for lemma in proof.lemmas():
-            self.seen[lemma.digest()] = lemma
 
 
 class DrainReport:
@@ -268,13 +120,12 @@ class DrainReport:
 
 
 class HandoffCoordinator:
-    """The cluster's handoff plane: export, stream, re-admit.
+    """The cluster's handoff plane: export, hand over, re-admit.
 
     Owned by :class:`~repro.cluster.dispatch.AuthCluster`; a drain
-    enumerates warm state into :class:`HandoffRecord` objects,
-    round-trips each through its canonical wire form (the stream is the
-    protocol, not a handed-over object graph), and installs them on the
-    receivers through the guard import hooks.
+    enumerates warm state into :class:`HandoffRecord` objects and
+    installs those same objects on the receivers through the guard
+    import hooks.
     """
 
     #: Reports kept for the aggregate view (newest last).
@@ -293,7 +144,6 @@ class HandoffCoordinator:
             "sessions_offered": 0,
             "channels_offered": 0,
             "drains": 0,
-            "bytes_streamed": 0,
             "last_drain_ms": 0.0,
             "drain_ms_total": 0.0,
         }
@@ -307,19 +157,11 @@ class HandoffCoordinator:
         chains leaning on them re-validate)."""
         generation = self.cluster.invalidation_generation
         plan: "OrderedDict[str, List[HandoffRecord]]" = OrderedDict()
-        # One stream dictionary per inheritor: the first record carries
-        # the working set's shared spine in full, every later record
-        # cites it by digest (see _StreamCiter).
-        citers: Dict[str, _StreamCiter] = {}
 
         def assign(key: bytes, record: HandoffRecord) -> None:
             inheritor = self._inheritor(key, node.node_id)
             if inheritor is None:
                 return
-            if record.kind == "proof":
-                record.cite = citers.setdefault(
-                    inheritor, _StreamCiter(node.guard.replicated_lemma)
-                )
             plan.setdefault(inheritor, []).append(record)
             self.stats["records_offered"] += 1
 
@@ -364,46 +206,7 @@ class HandoffCoordinator:
                 return node_id
         return None
 
-    # -- streaming + install ----------------------------------------------
-
-    def _stream(
-        self, records: List[HandoffRecord], resolver=None
-    ) -> Tuple[List[HandoffRecord], int]:
-        """Round-trip records through their canonical wire form — the
-        handoff is a byte protocol, and decoding on the receiving side is
-        what keeps the codec honest in production, not just in tests.
-
-        ``resolver`` is the *receiver's* lemma resolver: citation stubs
-        are resolved against the trusted graph of the node installing the
-        record — plus subproofs delivered earlier in this same stream,
-        each of which was digest-checked when its record decoded.  A
-        record that fails to decode — a cited delegation the receiver no
-        longer holds (revoked in transit), or malformed bytes — is
-        refused, not fatal: returns ``(decoded, refused)``."""
-        decoded: List[HandoffRecord] = []
-        receiver_dict = _StreamResolver(resolver) if resolver is not None else None
-        refused = 0
-        for record in records:
-            wire = record.to_wire()
-            self.stats["bytes_streamed"] += len(wire)
-            try:
-                arrived = HandoffRecord.from_wire(wire, lemmas=receiver_dict)
-            except (ValueError, ProofError):
-                refused += 1
-                continue
-            decoded.append(arrived)
-            if arrived.kind == "proof":
-                # Grow both halves of the stream dictionary only once the
-                # record landed: a refused record's subtrees stay citable
-                # by nobody, so anything leaning on them refuses too.
-                if isinstance(record.cite, _StreamCiter):
-                    record.cite.register(record.payload)
-                if receiver_dict is not None:
-                    receiver_dict.register(arrived.payload)
-        if refused:
-            self.stats["records_refused_stale"] += refused
-            self.metrics.inc("cluster.handoff.refused_stale", refused)
-        return decoded, refused
+    # -- install ----------------------------------------------------------
 
     def install(
         self, receiver: GuardNode, records: List[HandoffRecord]
@@ -464,12 +267,9 @@ class HandoffCoordinator:
             if receiver is None:
                 refused += len(records)
                 continue
-            decoded, undecodable = self._stream(
-                records, receiver.guard.resolve_lemma
-            )
-            got, bad, dup = self.install(receiver, decoded)
+            got, bad, dup = self.install(receiver, records)
             installed += got
-            refused += bad + undecodable
+            refused += bad
             duplicates += dup
         duration_ms = (timebase.now() - started) * 1000.0
         report = DrainReport(

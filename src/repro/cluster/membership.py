@@ -19,7 +19,7 @@ exactly one node, so its premise dies with that node and the client
 reconnects and re-vouches.
 
 *Planned* departures get a warmer deal: a DRAINING node keeps serving
-while :mod:`repro.cluster.handoff` streams its sessions, cached proofs,
+while :mod:`repro.cluster.handoff` hands its sessions, cached proofs,
 and channel bindings to the inheriting successors, so the eventual
 ``leave()`` flips each shard to an owner that re-derives ~nothing.
 
@@ -42,8 +42,8 @@ FAILED = "failed"
 CRASHED = "crashed"
 #: Planned departure in progress: the node is *still serving* — it keeps
 #: its ring points, answers lookups, heartbeats, and receives bus traffic
-#: — while its warm state streams to the inheriting successors shard by
-#: shard.  ``leave()`` finalizes the transition to LEFT.
+#: — while its warm state is handed to the inheriting successors shard
+#: by shard.  ``leave()`` finalizes the transition to LEFT.
 DRAINING = "draining"
 
 #: States whose nodes serve requests (lookups resolve, heartbeats count,
@@ -117,7 +117,7 @@ class ClusterMembership:
     def begin_drain(self, node_id: str) -> GuardNode:
         """Start a planned departure: the node transitions UP → DRAINING
         but keeps its ring points and keeps serving while its warm state
-        streams to the inheriting successors.  :meth:`leave` finalizes
+        is handed to the inheriting successors.  :meth:`leave` finalizes
         the departure (DRAINING → LEFT) once the transfer completes."""
         if self._state.get(node_id) != UP:
             raise ValueError("node %r is not up" % node_id)

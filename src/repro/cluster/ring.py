@@ -123,7 +123,7 @@ class HashRing:
         """Up to ``count`` *distinct* node ids walking clockwise from the
         key's hash.  The first entry is the owner (``node_for``); the
         rest are, in order, the nodes that would inherit the key's shard
-        if those before them left — where a drain streams warm state.
+        if those before them left — where a drain hands warm state.
         Fewer than ``count`` nodes on the ring yields them all."""
         if count < 1:
             raise ValueError("successors needs a count of at least one")

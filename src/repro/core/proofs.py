@@ -78,12 +78,6 @@ class Proof:
 
     rule: str = "abstract"
 
-    #: True for rule steps whose constructor derives the conclusion from
-    #: premises and payload alone — their wire form may omit the
-    #: ``(conclusion ...)`` field (the compact lemma-citation encoding
-    #: does; see :func:`proof_to_lemma_sexp`).
-    conclusion_derivable: bool = False
-
     def __init__(self, conclusion: Statement, premises: Tuple["Proof", ...] = ()):
         if not isinstance(conclusion, Statement):
             raise ProofError("conclusion must be a Statement")
@@ -137,24 +131,20 @@ class Proof:
 
         What a proof memoizes is its canonical *bytes* (:meth:`canonical`)
         — equality, hashing and the digest run on those, and a decoded
-        proof is seeded with the bytes it arrived as.  The tree is for
-        callers that embed or stream it (a drain's handoff export, a
-        client attaching its proof), none of them on the check path.
+        proof is seeded with the bytes it arrived as.  The tree,
+        ``(proof rule [payload] [premises] (conclusion ..))``, is for
+        callers that embed it (a client attaching its proof), none of
+        them on the check path.
         """
-        return self._wire_sexp([p.to_sexp() for p in self._premises])
-
-    def _wire_sexp(self, premises: List[SExp], elide: bool = False) -> SExp:
-        """``(proof rule [payload] [premises] [conclusion])`` around
-        already-encoded premises — the one place the node layout lives
-        (the lemma-citation form differs only in what it is handed)."""
         items: List[SExp] = [Atom("proof"), Atom(self.rule)]
         payload = self._payload_sexp()
         if payload is not None:
             items.append(SList([Atom("payload")] + list(payload)))
-        if premises:
-            items.append(SList([Atom("premises")] + premises))
-        if not elide:
-            items.append(SList([Atom("conclusion"), self._conclusion.to_sexp()]))
+        if self._premises:
+            items.append(
+                SList([Atom("premises")] + [p.to_sexp() for p in self._premises])
+            )
+        items.append(SList([Atom("conclusion"), self._conclusion.to_sexp()]))
         return SList(items)
 
     def _payload_sexp(self) -> Optional[List[SExp]]:
@@ -168,7 +158,7 @@ class Proof:
         edge by this form; memoizing here turns ``DelegationGraph.add``
         from a re-serialization per call into a dict lookup.
 
-        The bytes are assembled in :meth:`_wire_sexp`'s layout from what
+        The bytes are assembled in :meth:`to_sexp`'s layout from what
         the parts already memoize — each premise's ``canonical()``, the
         conclusion's ``canonical_key()`` — so a chain composed over
         known lemmas encodes its own step, not their trees again.
@@ -230,63 +220,14 @@ def register_rule(cls):
     return cls
 
 
-def proof_to_lemma_sexp(proof: Proof, cite) -> SExp:
-    """Wire form that cites shared premises instead of restating them.
-
-    "It is simple to extract lemmas (subproofs) from structured proofs" —
-    and just as simple to *cite* them: a premise for which ``cite(premise)``
-    returns True is emitted as a ``(lemma <digest>)`` stub rather than a
-    full subtree, on the understanding that the receiver already holds the
-    identical proof (e.g. a base delegation replicated cluster-wide) and
-    will resolve the digest against its own trusted copy.  The receiving
-    side is :func:`proof_from_sexp` with a ``lemmas`` resolver; a receiver
-    that cannot resolve a citation refuses the whole proof — fail-closed.
-    """
-    return _lemma_sexp(proof, cite)[0]
-
-
-def _lemma_sexp(proof: Proof, cite) -> Tuple[SExp, bool]:
-    """The citing form of ``proof`` and whether anything under it was
-    cited (a subtree without citations is its ordinary wire form)."""
-    encoded: List[SExp] = []
-    cited = False
-    for premise in proof.premises:
-        if cite(premise):
-            encoded.append(SList([Atom("lemma"), Atom(premise.digest())]))
-            cited = True
-        else:
-            sub, sub_cited = _lemma_sexp(premise, cite)
-            encoded.append(sub)
-            cited = cited or sub_cited
-    # A rule step that derives its conclusion needs no conclusion on the
-    # wire once a premise is cited: the receiver's trusted step
-    # constructor recomputes it, and the caller's digest-of-the-full-form
-    # check pins the result.
-    return (
-        proof._wire_sexp(encoded, elide=cited and proof.conclusion_derivable),
-        cited,
-    )
-
-
-def proof_from_sexp(node: SExp, lemmas=None) -> Proof:
+def proof_from_sexp(node: SExp) -> Proof:
     """Reconstruct a proof tree from the wire.
 
     The step objects come from this local code base (never from the peer),
     so the verification methods are trustworthy even though the proof came
-    from an untrusted party.
-
-    ``lemmas`` (optional) resolves ``(lemma <digest>)`` premise citations
-    (see :func:`proof_to_lemma_sexp`): it is called with the cited digest
-    and must return the locally-held :class:`Proof` or ``None``.  An
-    unresolved citation raises :class:`ProofError` — the peer claimed we
-    hold a lemma we do not, so the proof cannot be admitted.  Without a
-    resolver, citations are rejected outright.
+    from an untrusted party.  Every node must carry its conclusion, and
+    the conclusion must be exactly what the step derives.
     """
-    proof, _ = _proof_from_sexp(node, lemmas)
-    return proof
-
-
-def _proof_from_sexp(node: SExp, lemmas) -> Tuple[Proof, bool]:
     if not isinstance(node, SList) or node.head() != "proof" or len(node) < 3:
         raise ProofError("expected (proof rule ... (conclusion ..))")
     rule_atom = node.items[1]
@@ -299,54 +240,28 @@ def _proof_from_sexp(node: SExp, lemmas) -> Tuple[Proof, bool]:
     payload_field = node.find("payload")
     payload = list(payload_field.tail()) if payload_field is not None else []
     premises_field = node.find("premises")
-    premises: List[Proof] = []
-    cited = False
-    if premises_field is not None:
-        for item in premises_field.tail():
-            if isinstance(item, SList) and item.head() == "lemma":
-                if lemmas is None:
-                    raise ProofError("lemma citation without a resolver")
-                if len(item) != 2 or not isinstance(item.items[1], Atom):
-                    raise ProofError("bad (lemma <digest>) citation")
-                resolved = lemmas(item.items[1].value)
-                if resolved is None:
-                    raise ProofError(
-                        "cited lemma is not held locally (stale or unknown)"
-                    )
-                premises.append(resolved)
-                cited = True
-            else:
-                sub, sub_cited = _proof_from_sexp(item, lemmas)
-                cited = cited or sub_cited
-                premises.append(sub)
+    premises = (
+        [proof_from_sexp(item) for item in premises_field.tail()]
+        if premises_field is not None
+        else []
+    )
     conclusion_field = node.find("conclusion")
-    elided = conclusion_field is None
-    if elided:
-        # The compact lemma-citation form omits derivable conclusions;
-        # anything else must carry one.
-        if not builder.conclusion_derivable:
-            raise ProofError("proof missing conclusion")
-        proof = builder._from_parts(payload, premises, None)
-    else:
-        if len(conclusion_field) != 2:
-            raise ProofError("proof missing conclusion")
-        conclusion = statement_from_sexp(conclusion_field.items[1])
-        proof = builder._from_parts(payload, premises, conclusion)
-        # The claimed conclusion must be exactly what the step derives; a
-        # mismatch is tampering, caught here rather than at verify time so
-        # the object can never exist in an inconsistent state.
-        if proof.conclusion != conclusion:
-            raise ProofError("conclusion does not match rule derivation")
-    if not cited and not elided:
-        # Adopt the bytes the parser consumed as the proof's canonical
-        # form: honest encoders are deterministic, so they equal what
-        # to_sexp would re-encode, and decode → digest → dedup never
-        # serializes.  The bytes, not the parsed node — a kept proof
-        # must not pin its parse tree.  (A tree holding resolved
-        # citations or an elided conclusion must NOT adopt the stubbed
-        # wire form — its digest names the full form.)
-        proof._canonical = to_canonical(node)
-    return proof, cited or elided
+    if conclusion_field is None or len(conclusion_field) != 2:
+        raise ProofError("proof missing conclusion")
+    conclusion = statement_from_sexp(conclusion_field.items[1])
+    proof = builder._from_parts(payload, premises, conclusion)
+    # The claimed conclusion must be exactly what the step derives; a
+    # mismatch is tampering, caught here rather than at verify time so
+    # the object can never exist in an inconsistent state.
+    if proof.conclusion != conclusion:
+        raise ProofError("conclusion does not match rule derivation")
+    # Adopt the bytes the parser consumed as the proof's canonical form:
+    # honest encoders are deterministic, so they equal what to_sexp would
+    # re-encode, and decode → digest → dedup never serializes.  The
+    # bytes, not the parsed node — a kept proof must not pin its parse
+    # tree.
+    proof._canonical = to_canonical(node)
+    return proof
 
 
 @register_rule

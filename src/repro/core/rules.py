@@ -55,7 +55,6 @@ class TransitivityStep(Proof):
     """
 
     rule = "transitivity"
-    conclusion_derivable = True
 
     def __init__(self, left: Proof, right: Proof):
         first = _speaks_for(left, "left")
@@ -179,7 +178,6 @@ class NameMonotonicityStep(Proof):
     """From ``A =T=> B``, conclude ``A·N =T=> B·N`` (Figure 1's rule)."""
 
     rule = "name-monotonicity"
-    conclusion_derivable = True
 
     def __init__(self, premise: Proof, label: str):
         base = _speaks_for(premise, "naming")
@@ -227,7 +225,6 @@ class QuotingLeftMonotonicityStep(Proof):
     """
 
     rule = "quoting-left"
-    conclusion_derivable = True
 
     def __init__(self, premise: Proof, quotee: Principal):
         base = _speaks_for(premise, "quoting")
@@ -269,7 +266,6 @@ class QuotingRightMonotonicityStep(Proof):
     """From ``A =T=> B``, conclude ``C|A =T=> C|B``."""
 
     rule = "quoting-right"
-    conclusion_derivable = True
 
     def __init__(self, premise: Proof, quoter: Principal):
         base = _speaks_for(premise, "quoting")
@@ -348,7 +344,6 @@ class ConjunctionIntroStep(Proof):
     """
 
     rule = "conjunction-intro"
-    conclusion_derivable = True
 
     def __init__(self, left: Proof, right: Proof):
         first = _speaks_for(left, "left")
@@ -569,7 +564,6 @@ class DerivedSaysStep(Proof):
     """
 
     rule = "derived-says"
-    conclusion_derivable = True
 
     def __init__(self, says_proof: Proof, speaks_for_proof: Proof):
         utterance = says_proof.conclusion

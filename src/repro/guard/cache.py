@@ -103,9 +103,9 @@ class ProofCache:
         return entry
 
     def install(self, entry: CachedProof, speaker=None) -> bool:
-        """The warm-handoff import hook: adopt an already-built entry
-        (its premise/lemma/serial citations travel with it) under
-        ``speaker``'s bucket.  The *caller* — the guard's import hook —
+        """The warm-handoff import hook: adopt an entry built from a
+        handed-over proof (its premise/lemma/serial citations already
+        read) under ``speaker``'s bucket.  The *caller* — the guard's import hook —
         is responsible for having re-validated the entry against the
         receiving trust state; the cache only places it.  Returns False
         on digest-level duplicates, so a handoff into a bucket that

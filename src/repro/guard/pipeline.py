@@ -898,26 +898,11 @@ class Guard:
             return self._refuse_import()
         # The cache is the one place a handed-off chain lands.  It is
         # warm state, not a delegation: digesting it into the prover
-        # would make its leaves look replicated to the next drain.
+        # would give this node graph edges the cluster never replicated.
         if not self.cache.install(entry, speaker):
             return "duplicate"
         self.stats["handoff_installed"] += 1
         return "installed"
-
-    def resolve_lemma(self, digest: bytes):
-        """Resolve a ``(lemma <digest>)`` handoff citation against this
-        guard's prover (None without one, or when the digest is unknown
-        — e.g. the delegation was revoked here after the sender cited
-        it, which correctly refuses the citing record)."""
-        if self.prover is None:
-            return None
-        return self.prover.lemma(digest)
-
-    def replicated_lemma(self, proof) -> bool:
-        """Whether ``proof`` may be cited by digest when exporting from
-        this guard: it must be a base delegation every serving peer
-        also holds (see ``Prover.replicated``)."""
-        return self.prover is not None and self.prover.replicated(proof)
 
     def import_session(self, mac_id: str, mac_key, minted_at: float) -> str:
         """Admit a handed-off MAC session; the registry re-judges the

@@ -112,8 +112,8 @@ class SessionRegistry:
     def import_session(
         self, mac_id: str, mac_key: MacKey, minted_at: float
     ) -> bool:
-        """The warm-handoff import hook: adopt a session streamed from a
-        draining peer, preserving its original mint stamp.
+        """The warm-handoff import hook: adopt a session handed over by
+        a draining peer, preserving its original mint stamp.
 
         Unlike :meth:`install`, the receiver re-judges the session
         against *its own* clock before admitting it — a record whose

@@ -334,11 +334,6 @@ class DelegationGraph:
         ``Prover.invalidate_serial``)."""
         return self._citing_serial.holders(serial)
 
-    def find(self, digest: bytes) -> Optional[Edge]:
-        """The edge whose proof has this digest, if present (lemma
-        citation lookups — see ``Prover.lemma``)."""
-        return self._edges.get(digest)
-
     def edge_count(self) -> int:
         return len(self._edges)
 

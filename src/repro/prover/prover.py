@@ -104,24 +104,6 @@ class Prover:
 
         self.add_proof(SignedCertificateStep(certificate))
 
-    def lemma(self, digest: bytes) -> Optional[Proof]:
-        """Resolve a lemma citation: the stored proof with this digest,
-        or None.  Receivers of ``(lemma <digest>)`` handoff stubs call
-        this to substitute their own trusted copy of a shared premise
-        for the subtree the sender elided."""
-        edge = self.graph.find(digest)
-        return edge.proof if edge is not None else None
-
-    def replicated(self, proof: Proof) -> bool:
-        """True when ``proof`` is a collected delegation (or a lemma of
-        one) here.
-
-        On a cluster node the graph is exactly the replicated delegation
-        set — nothing else is ever added to it — so a sender may cite
-        such a proof by digest instead of restating it: any serving peer
-        can resolve the citation from its own graph."""
-        return proof.digest() in self.graph
-
     def control(self, closure: Closure) -> None:
         """Register a principal this application can speak as (it is final)."""
         self._closures[closure.principal] = closure

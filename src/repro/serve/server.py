@@ -32,7 +32,7 @@ the backend's failure sweep, so the client's single retry lands on the
 repaired ring.  RETRY is the *crash* story only: a **planned** departure
 (``AuthCluster.drain``) never surfaces here, because a DRAINING node
 keeps its ring points and keeps serving until its warm state has been
-streamed to the inheriting successors — the ring flips shard owners in
+handed to the inheriting successors — the ring flips shard owners in
 one final leave, and every post-flip lookup resolves to a live,
 already-warm node (see ``docs/serve.md`` and ``docs/cluster.md``).
 

@@ -59,8 +59,8 @@ class _Cursor:
 def parse_canonical(data) -> SExp:
     """Parse one canonical-form S-expression; reject trailing garbage.
 
-    This is the hot decode path (every wire request, every handoff
-    record), so it is iterative over plain ints and slices rather than
+    This is the hot decode path (every wire request), so it is
+    iterative over plain ints and slices rather than
     going through the :class:`_Cursor` methods the advanced parser
     uses.  It also fills each node's memoized canonical encoding from
     the input it just consumed — the mirror of the encoder's memo —

@@ -1,12 +1,10 @@
-"""Cluster properties every front end relies on: the membership
-heartbeat pumping ``SessionRegistry.sweep()`` cluster-wide, and the
-merged, time-ordered cluster audit view with its retention cap.
+"""Cluster properties every front end relies on: the merged,
+time-ordered cluster audit view with its retention cap.
 """
 
 import pytest
 
 from repro.cluster import ClusterAuditView
-from repro.cluster.ring import session_routing_key
 from repro.core.principals import KeyPrincipal
 
 from tests.cluster.conftest import ClusterWorld
@@ -15,66 +13,6 @@ from tests.cluster.conftest import ClusterWorld
 @pytest.fixture()
 def world(server_kp, alice_kp, rng):
     return ClusterWorld(server_kp, alice_kp, rng, nodes=4)
-
-
-class TestHeartbeatSweep:
-    def _world(self, server_kp, alice_kp, rng):
-        return ClusterWorld(
-            server_kp, alice_kp, rng, nodes=3, session_ttl=60.0
-        )
-
-    def test_heartbeat_reaps_expired_sessions_without_a_touch(
-        self, server_kp, alice_kp, rng
-    ):
-        world = self._world(server_kp, alice_kp, rng)
-        cluster = world.cluster
-        for _ in range(6):
-            cluster.mint_session(rng)
-        populated = sum(
-            node.guard.sessions.count() for node in cluster.nodes()
-        )
-        assert populated == 6
-        world.clock.advance(61.0)
-        # Nothing touched the sessions; the heartbeat alone reaps them.
-        reaped = cluster.heartbeat()
-        assert reaped == 6
-        assert all(
-            node.guard.sessions.count() == 0 for node in cluster.nodes()
-        )
-        # The escrow directory lapsed with them: no failover resurrection.
-        assert len(cluster._session_directory) == 0
-        assert cluster.stats["directory_expired"] == 6
-        assert cluster.membership.stats["heartbeats"] >= 3
-
-    def test_single_node_heartbeat_sweeps_that_node(
-        self, server_kp, alice_kp, rng
-    ):
-        world = self._world(server_kp, alice_kp, rng)
-        cluster = world.cluster
-        mac_id, _ = cluster.mint_session(rng)
-        owner = cluster.membership.node_for(session_routing_key(mac_id))
-        world.clock.advance(61.0)
-        assert cluster.heartbeat(owner.node_id) == 1
-        assert owner.guard.sessions.count() == 0
-
-    def test_failure_sweep_also_pumps_session_sweep(
-        self, server_kp, alice_kp, rng
-    ):
-        world = ClusterWorld(
-            server_kp, alice_kp, rng, nodes=3,
-            session_ttl=60.0, heartbeat_timeout=1000.0,
-        )
-        cluster = world.cluster
-        for _ in range(4):
-            cluster.mint_session(rng)
-        world.clock.advance(61.0)
-        lapsed = cluster.sweep_failures()
-        assert lapsed == []  # heartbeat bound is generous; nobody failed
-        # ...but the clock advance still reaped every expired session.
-        assert cluster.stats["sessions_swept"] == 4
-        assert all(
-            node.guard.sessions.count() == 0 for node in cluster.nodes()
-        )
 
 
 class TestMergedAudit:

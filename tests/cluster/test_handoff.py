@@ -1,9 +1,9 @@
 """Warm shard handoff.
 
 The protocol under test: a draining node enumerates its warm state
-(proof-cache entries, MAC sessions, channel bindings) into serializable
-:class:`HandoffRecord`\\ s and streams them to the ring successors
-inheriting each shard; receivers re-admit every record
+(proof-cache entries, MAC sessions, channel bindings) into
+:class:`HandoffRecord`\\ s and hands them, as objects, to the ring
+successors inheriting each shard; receivers re-admit every record
 through the guard import hooks, which re-validate against *their own*
 premise snapshot, clock, and invalidation tombstones.  The safety
 property — a handed-off proof is never a handed-off decision — is what
@@ -13,11 +13,12 @@ install is refused, and the next check pays the full Prover path.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from repro.cluster import AuthCluster
 from repro.cluster.handoff import HandoffRecord, shard_key_for
-from repro.cluster.membership import DRAINING, LEFT, UP
+from repro.cluster.membership import DRAINING, LEFT
 from repro.cluster.ring import session_routing_key
 from repro.core.principals import (
     ChannelPrincipal,
@@ -25,20 +26,14 @@ from repro.core.principals import (
     KeyPrincipal,
     MacPrincipal,
 )
-from repro.core.proofs import PremiseStep, ProofError, SignedCertificateStep
+from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.rules import TransitivityStep
 from repro.core.statements import SpeaksFor
 from repro.crypto.hashes import HashValue
 from repro.crypto.rsa import RsaPublicKey
-from repro.guard import (
-    ChannelCredential,
-    GuardRequest,
-    ProofCredential,
-    SessionCredential,
-)
+from repro.guard import GuardRequest, ProofCredential, SessionCredential
 from repro.guard.audit import AuditRecord
-from repro.sexp import sexp, to_canonical, to_transport
-from repro.sim import SimClock
+from repro.sexp import parser, sexp, to_canonical, to_transport
 from repro.spki import Certificate
 from repro.tags import Tag
 
@@ -66,47 +61,25 @@ def _mint_session(world, rng):
     return mac_id, mac_key
 
 
+def _count_parses(monkeypatch):
+    """Count ``parse_canonical`` calls, however a ``repro`` module
+    imported the function.  Returns the list the calls append to."""
+    calls = []
+    original = parser.parse_canonical
+
+    def counted(data):
+        calls.append(data)
+        return original(data)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and (
+            getattr(module, "parse_canonical", None) is original
+        ):
+            monkeypatch.setattr(module, "parse_canonical", counted)
+    return calls
+
+
 class TestRecordCodec:
-    def test_proof_record_round_trips(self, world):
-        proof = world.delegation
-        record = HandoffRecord("proof", 7, proof, speaker=world.client)
-        decoded = HandoffRecord.from_wire(record.to_wire())
-        assert decoded.kind == "proof"
-        assert decoded.generation == 7
-        assert decoded.speaker == world.client
-        assert decoded.payload.digest() == proof.digest()
-
-    def test_session_record_round_trips(self, world, rng):
-        mac_id, mac_key = world.cluster.mint_session(rng)
-        record = HandoffRecord("session", 3, (mac_id, mac_key, 12.5))
-        decoded = HandoffRecord.from_wire(record.to_wire())
-        got_id, got_key, got_stamp = decoded.payload
-        assert got_id == mac_id
-        assert got_key.secret == mac_key.secret
-        assert got_stamp == 12.5
-
-    def test_channel_record_round_trips(self, world):
-        channel = ChannelPrincipal.of_secret(b"\x05" * 32)
-        premise = SpeaksFor(channel, world.client, Tag.all())
-        record = HandoffRecord("channel", 0, premise)
-        decoded = HandoffRecord.from_wire(record.to_wire())
-        assert decoded.payload == premise
-
-    def test_tampered_proof_payload_is_rejected(self, world):
-        record = HandoffRecord("proof", 1, world.delegation)
-        good = record.to_sexp()
-        # Swap the declared digest for garbage: the decode recomputes
-        # the proof digest and must notice the mismatch.
-        from repro.sexp import Atom, SList
-        items = []
-        for field in good.items:
-            if isinstance(field, SList) and field.head() == "digest":
-                items.append(SList([Atom("digest"), Atom(b"\x00" * 32)]))
-            else:
-                items.append(field)
-        with pytest.raises(ValueError):
-            HandoffRecord.from_sexp(SList(items))
-
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError):
             HandoffRecord("rumor", 0, None)
@@ -180,6 +153,48 @@ class TestDrainTransfersWarmState:
         )
         assert imported_sessions >= 1
 
+    def test_a_drain_parses_and_verifies_nothing(
+        self, server_kp, alice_kp, rng, monkeypatch
+    ):
+        """Records are handed over as objects: no byte is encoded or
+        parsed on the way, no signature is checked again (the export
+        generation still matches), and each inheritor's cache entry
+        holds the very proof the draining node exported."""
+        world = ClusterWorld(server_kp, alice_kp, rng, session_ttl=100.0)
+        cluster = world.cluster
+        for _ in range(4):
+            assert cluster.check(world.request()).granted
+        mac_id, mac_key = _mint_session(world, rng)
+        for index in range(4):
+            assert cluster.check(
+                _session_request(world.issuer, mac_id, mac_key, index)
+            ).granted
+        cluster.open_channel(
+            ChannelPrincipal.of_secret(b"\x0b" * 32), world.client
+        )
+        victim = max(cluster.nodes(), key=lambda node: node.guard.cache.count())
+        exported = victim.guard.export_proof_entries()
+        assert exported
+
+        parses = _count_parses(monkeypatch)
+        verifies = []
+        verify = RsaPublicKey.verify
+        monkeypatch.setattr(
+            RsaPublicKey, "verify",
+            lambda key, message, signature: verifies.append(key)
+            or verify(key, message, signature),
+        )
+        report = cluster.drain(victim.node_id)
+
+        assert report.offered > 0
+        assert report.installed == report.offered
+        assert parses == []
+        assert verifies == []
+        for speaker, proof in exported:
+            owner = cluster.membership.node_for(shard_key_for(speaker))
+            entry = owner.guard.cache.buckets[speaker][proof.digest()]
+            assert entry.proof is proof
+
     def test_node_keeps_serving_while_draining(self, world):
         cluster = world.cluster
         for _ in range(4):
@@ -217,9 +232,9 @@ class TestDrainTransfersWarmState:
         self, server_kp, alice_kp, bob_kp, rng, monkeypatch
     ):
         """A chain a client presented is warm state, not a delegation.
-        An import must not turn its leaves into graph edges: the next
-        drain would cite them by digest as if every node held them, and
-        the receiver, which never did, would refuse the record."""
+        An import must not turn its leaves into graph edges: the graph
+        holds the replicated set only, and a second drain hands the
+        chain on again without a refusal or a signature check."""
         world = ClusterWorld(server_kp, alice_kp, rng, nodes=4)
         cluster = world.cluster
         middle = KeyPrincipal(bob_kp.public)
@@ -432,100 +447,3 @@ class TestRefuseStale:
         assert refused >= 1
         for node in cluster.nodes():
             assert not node.trust.vouches_for(premise)
-
-
-class TestLemmaCitations:
-    """Proof payloads cite replicated premises by digest on the wire.
-
-    Base delegations reach every serving node through
-    ``add_delegation``, so a streamed chain need not restate them: the
-    sender emits ``(lemma <digest>)`` stubs for premises its
-    ``replicated_lemma`` predicate vouches for, and the receiver
-    resolves each stub against *its own* trusted graph — never against
-    bytes the sender shipped.  A citation the receiver cannot resolve
-    (revoked in transit, or simply unknown) refuses the record."""
-
-    def _chain(self, world):
-        """A two-premise chain: a node-local channel binding (travels in
-        full) over the world's replicated base delegation (citable)."""
-        channel = ChannelPrincipal.of_secret(b"\x0b" * 32)
-        chain = TransitivityStep(
-            PremiseStep(SpeaksFor(channel, world.client, Tag.all())),
-            world.delegation,
-        )
-        return channel, chain
-
-    def test_cited_premise_resolves_on_the_receiver(self, world):
-        node = world.cluster.nodes()[0]
-        channel, chain = self._chain(world)
-        full = HandoffRecord("proof", 0, chain, speaker=channel)
-        cited = HandoffRecord(
-            "proof", 0, chain, speaker=channel,
-            cite=node.guard.replicated_lemma,
-        )
-        full_wire = full.to_wire()
-        cited_wire = cited.to_wire()
-        assert b"lemma" in cited_wire
-        assert len(cited_wire) < len(full_wire)
-        decoded = HandoffRecord.from_wire(
-            cited_wire, lemmas=node.guard.resolve_lemma
-        )
-        # The digest field names the *full* form, and the resolved
-        # reconstruction re-derives exactly it — integrity end to end.
-        assert decoded.payload.digest() == chain.digest()
-        assert to_canonical(decoded.payload.to_sexp()) == to_canonical(
-            chain.to_sexp()
-        )
-
-    def test_citation_without_a_resolver_is_refused(self, world):
-        node = world.cluster.nodes()[0]
-        _, chain = self._chain(world)
-        record = HandoffRecord(
-            "proof", 0, chain, cite=node.guard.replicated_lemma
-        )
-        with pytest.raises(ProofError):
-            HandoffRecord.from_wire(record.to_wire())
-
-    def test_node_local_premises_are_never_cited(self, world):
-        """``replicated_lemma`` only vouches for base graph edges; a
-        chain whose premises are all node-local travels in full and
-        decodes without any resolver."""
-        node = world.cluster.nodes()[0]
-        record = HandoffRecord(
-            "proof", 0, world.delegation, speaker=world.client,
-            cite=node.guard.replicated_lemma,
-        )
-        decoded = HandoffRecord.from_wire(record.to_wire())
-        assert decoded.payload.digest() == world.delegation.digest()
-
-    def test_lemma_revoked_in_transit_refuses_the_record(self, world):
-        """The refuse-stale property holds one layer earlier for
-        citations: revoking the cited delegation removes the receiver's
-        graph edge, the resolver returns None, and the stream counts the
-        record refused instead of installing (or crashing)."""
-        cluster = world.cluster
-        node = cluster.nodes()[0]
-        channel, chain = self._chain(world)
-        # Freeze the sender's view at export time: the delegation was
-        # replicated when the record was planned, so it gets cited even
-        # though the revocation lands before the stream is decoded.
-        exported = {world.delegation.digest()}
-        record = HandoffRecord(
-            "proof", cluster.invalidation_generation, chain,
-            speaker=channel, cite=lambda proof: proof.digest() in exported,
-        )
-        wire = record.to_wire()
-        cluster.revoke_serial(world.certificate.serial)
-        cluster.deliver_invalidations()
-        with pytest.raises(ProofError):
-            HandoffRecord.from_wire(wire, lemmas=node.guard.resolve_lemma)
-        # The coordinator's stream turns that refusal into a counted
-        # outcome rather than a crash.
-        before = cluster.handoff.stats["records_refused_stale"]
-        decoded, refused = cluster.handoff._stream(
-            [record], node.guard.resolve_lemma
-        )
-        assert decoded == []
-        assert refused == 1
-        assert cluster.handoff.stats["records_refused_stale"] == before + 1
-

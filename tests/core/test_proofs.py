@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import ProofError, VerificationError
-from repro.core.principals import KeyPrincipal
+from repro.core.principals import KeyPrincipal, NamePrincipal
 from repro.core.proofs import (
     CitationIndex,
     PremiseStep,
@@ -12,7 +12,14 @@ from repro.core.proofs import (
     proof_citations,
     proof_from_sexp,
 )
-from repro.core.rules import TransitivityStep
+from repro.core.rules import (
+    ConjunctionIntroStep,
+    DerivedSaysStep,
+    NameMonotonicityStep,
+    QuotingLeftMonotonicityStep,
+    QuotingRightMonotonicityStep,
+    TransitivityStep,
+)
 from repro.core.statements import Says, SpeaksFor, Validity
 from repro.sexp import Atom, SList, parse_canonical, to_canonical
 from repro.spki.certificate import Certificate
@@ -88,6 +95,29 @@ class TestSignedCertificateStep:
         step.verify(context)  # second call is the cached path
 
 
+def _link(subject, issuer):
+    return PremiseStep(SpeaksFor(subject, issuer, Tag.all()))
+
+
+#: The rule steps whose constructor derives the conclusion from the
+#: premises and payload, built over premise leaves: ``(B, A, N)`` where
+#: ``N`` is a name under ``A``.
+DERIVING_RULES = {
+    "transitivity": lambda B, A, N: TransitivityStep(_link(B, A), _link(A, N)),
+    "name-monotonicity": lambda B, A, N: NameMonotonicityStep(_link(B, A), "n"),
+    "quoting-left": lambda B, A, N: QuotingLeftMonotonicityStep(_link(B, A), N),
+    "quoting-right": lambda B, A, N: QuotingRightMonotonicityStep(
+        _link(B, A), N
+    ),
+    "conjunction-intro": lambda B, A, N: ConjunctionIntroStep(
+        _link(B, A), _link(B, N)
+    ),
+    "derived-says": lambda B, A, N: DerivedSaysStep(
+        PremiseStep(Says(B, "ping")), _link(B, A)
+    ),
+}
+
+
 class TestWireTransfer:
     def test_roundtrip_preserves_structure(self, alice_kp, bob_kp, B, carol_kp, rng):
         C = KeyPrincipal(carol_kp.public)
@@ -111,6 +141,23 @@ class TestWireTransfer:
                 items[index] = SList([Atom("conclusion"), broad.to_sexp()])
         with pytest.raises(ProofError):
             proof_from_sexp(SList(items))
+
+    @pytest.mark.parametrize("rule", sorted(DERIVING_RULES))
+    def test_missing_conclusion_rejected_at_parse(self, rule, A, B):
+        """Every step states its conclusion on the wire, even one the
+        step could re-derive: a decoded proof's digest is the sha256 of
+        the bytes it arrived as, so a shortened encoding would be a
+        second name for the same proof."""
+        proof = DERIVING_RULES[rule](B, A, NamePrincipal(A, "n"))
+        node = proof.to_sexp()
+        assert proof_from_sexp(node) == proof
+        stripped = SList([
+            item for item in node.items
+            if not (isinstance(item, SList) and item.head() == "conclusion")
+        ])
+        assert len(stripped) == len(node) - 1
+        with pytest.raises(ProofError):
+            proof_from_sexp(parse_canonical(to_canonical(stripped)))
 
     def test_unknown_rule_rejected(self):
         from repro.sexp import parse

@@ -315,6 +315,40 @@ class TestPresentedProofs:
         with pytest.raises(AuthorizationError):
             guard.check(_presenting(world, proof, subject)())
 
+    def test_a_proof_without_its_conclusion_is_denied(
+        self, world, server_kp, alice_kp, rng
+    ):
+        """A chain whose outer step leaves out its ``(conclusion ..)``
+        is refused at parse, though the step could derive it: nothing is
+        verified and nothing is cached."""
+        from repro.sexp import SList
+
+        guard = world["guard"]
+        subject = HashPrincipal(HashValue.of_bytes(b"message"))
+        chain = TransitivityStep(
+            SignedCertificateStep(
+                Certificate.issue(alice_kp, subject, Tag.all(), rng=rng)
+            ),
+            SignedCertificateStep(
+                Certificate.issue(server_kp, world["client"], Tag.all(), rng=rng)
+            ),
+        )
+        stripped = SList([
+            item for item in chain.to_sexp().items
+            if not (isinstance(item, SList) and item.head() == "conclusion")
+        ])
+        request = GuardRequest(
+            REQUEST, issuer=world["issuer"], transport="http",
+            credential=ProofCredential(
+                subject,
+                wire=b"{" + base64.b64encode(to_canonical(stripped)) + b"}",
+            ),
+        )
+        with pytest.raises(AuthorizationError, match="missing conclusion"):
+            guard.check(request)
+        assert guard.stats["credential_verifications"] == 0
+        assert guard.cache.count() == 0
+
 
 class TestSessionCredential:
     def test_fast_path_steady_state(self, world, server_kp, rng):

@@ -18,7 +18,8 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.handoff import HandoffRecord
+from repro.cluster import AuthCluster
+from repro.cluster.handoff import shard_key_for
 from repro.core.principals import (
     ConjunctPrincipal,
     KeyPrincipal,
@@ -267,17 +268,28 @@ class TestNonNormalEncoding:
         assert cache.retract_serial(clean.certificate.serial) == 1
         assert cache.count() == 0
 
-    def test_its_rebuilt_tree_is_the_normal_form_so_a_handoff_refuses_it(
+    def test_a_drain_hands_it_over_under_the_digest_it_was_cached_under(
         self, clean_and_spliced
     ):
-        """``to_sexp()`` rebuilds from the decoded fields — the one path
-        every proof's tree comes from — so it yields the normal form,
-        while the digest still names the bytes received.  A handoff
-        record built from it therefore fails the receiver's digest check
-        (fail-closed: the speaker proves again) instead of installing a
-        proof under a digest its bytes do not have."""
-        clean, _, spliced = clean_and_spliced
+        """``to_sexp()`` rebuilds from the decoded fields, so it yields
+        the normal form; a drain never re-encodes, so the inheritor holds
+        the proof under the digest of the bytes it arrived as — the key
+        the draining node cached it under — and a revocation, which names
+        the certificate's serial rather than an encoding, still reaches
+        it there."""
+        clean, wire, spliced = clean_and_spliced
         assert to_canonical(spliced.to_sexp()) == clean.canonical()
-        record = HandoffRecord("proof", 0, spliced)
-        with pytest.raises(ValueError, match="digest mismatch"):
-            HandoffRecord.from_wire(record.to_wire())
+        cluster = AuthCluster(node_count=2)
+        speaker = spliced.conclusion.subject
+        draining = cluster.membership.node_for(shard_key_for(speaker))
+        assert draining.guard.cache.add(spliced)
+
+        report = cluster.drain(draining.node_id)
+        assert report.installed == 1
+        [inheritor] = cluster.nodes()
+        entry = inheritor.guard.cache.buckets[speaker][spliced.digest()]
+        assert entry.proof.canonical() == wire
+        assert inheritor.guard.cache.retract_serial(
+            clean.certificate.serial
+        ) == 1
+        assert inheritor.guard.cache.count() == 0
