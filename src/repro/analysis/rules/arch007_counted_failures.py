@@ -40,8 +40,9 @@ def _counts_inline(node: ast.AST) -> bool:
     """Does this statement/expression tree hit a counting primitive?
 
     Two shapes count: a ``*.inc(...)`` call (the registry counter), and
-    ``<anything>.stats[...] += ...`` / ``stats[...] += ...`` (the legacy
-    per-listener dicts, registered as registry sources).
+    ``<anything>.stats[...] += ...`` / ``stats[...] += ...`` (a
+    component's own counts, which ``(stats <id>)`` serves as a registry
+    source).  An event is counted in one of the two, never both.
     """
     for child in ast.walk(node):
         if isinstance(child, ast.Call):

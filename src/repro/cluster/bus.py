@@ -63,12 +63,7 @@ class InvalidationBus:
     def __init__(self):
         self._subscribers: Dict[str, object] = {}  # node_id -> GuardNode
         self._pending: List[InvalidationEvent] = []
-        self.stats = {
-            "published": 0,
-            "delivered": 0,
-            "dropped_entries": 0,
-            "rounds": 0,
-        }
+        self.stats = {"delivered": 0, "dropped_entries": 0}
         for kind in KINDS:
             self.stats["published_" + kind] = 0
 
@@ -81,7 +76,6 @@ class InvalidationBus:
     def publish(self, kind: str, payload, origin: Optional[str] = None) -> None:
         """Queue an event for the next delivery round."""
         self._pending.append(InvalidationEvent(kind, payload, origin))
-        self.stats["published"] += 1
         self.stats["published_" + kind] += 1
 
     def pending(self) -> int:
@@ -104,5 +98,4 @@ class InvalidationBus:
                 self.stats["dropped_entries"] += node.apply_event(event)
                 deliveries += 1
         self.stats["delivered"] += deliveries
-        self.stats["rounds"] += 1
         return deliveries

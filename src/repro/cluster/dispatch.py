@@ -46,7 +46,7 @@ from repro.crypto.mac import MacKey
 from repro.crypto.rng import default_rng
 from repro.guard.audit import AUDIT_RETAIN, AuditLog
 from repro.guard.pipeline import GuardDecision
-from repro.obs.registry import SIZE_BUCKETS, default_registry
+from repro.obs.registry import default_registry
 from repro.obs.trace import Tracer, default_tracer
 from repro.guard.request import (
     ChannelCredential,
@@ -99,8 +99,8 @@ class AuthCluster:
     ):
         self.clock = clock if clock is not None else SimClock()
         # One registry/tracer pair for the whole subsystem: every node's
-        # guard, the dispatch counters, and (via source registration) the
-        # full ``stats_snapshot`` tree land in the same scrape point.
+        # guard and (via source registration) the full ``stats_snapshot``
+        # tree land in the same scrape point.
         self.metrics = default_registry(metrics)
         if tracer is not None:
             self.tracer = tracer
@@ -157,18 +157,11 @@ class AuthCluster:
             "dispatches": 0, "requests": 0, "shard_batches": 0,
         }
         self.stats = {
-            "deliveries": 0,
-            "proofs_submitted": 0,
             "sessions_minted": 0,
             "sessions_reminted": 0,
             "sessions_unescrowed": 0,
             "sessions_swept": 0,
             "directory_expired": 0,
-            "delegations_added": 0,
-            "delegations_retracted": 0,
-            "serials_revoked": 0,
-            "channels_opened": 0,
-            "channels_closed": 0,
             "channels_revouched": 0,
         }
         for _ in range(node_count):
@@ -306,22 +299,24 @@ class AuthCluster:
         reaped = sum(node.guard.sweep_sessions() for node in nodes)
         self._sweep_directory()
         self.stats["sessions_swept"] += reaped
-        self.metrics.inc("cluster.sessions_swept", reaped)
         return reaped
 
-    def _sweep_directory(self) -> int:
+    def _sweep_directory(self) -> None:
         if self.session_ttl is None:
-            return 0
+            return
         now = self.clock.now()
-        dead = [
-            mac_id
-            for mac_id, (_, minted_at) in self._session_directory.items()
-            if now - minted_at > self.session_ttl
-        ]
-        for mac_id in dead:
-            del self._session_directory[mac_id]
-        self.stats["directory_expired"] += len(dead)
-        return len(dead)
+        for mac_id, (_, minted_at) in list(self._session_directory.items()):
+            self._lapse(mac_id, minted_at, now)
+
+    def _lapse(self, mac_id: str, minted_at: float, now: float) -> bool:
+        """Drop an escrow entry past the cluster TTL, counted — the one
+        way an entry expires, whether a sweep or its next toucher finds
+        it first.  Returns whether it was dropped."""
+        if self.session_ttl is None or now - minted_at <= self.session_ttl:
+            return False
+        del self._session_directory[mac_id]
+        self.stats["directory_expired"] += 1
+        return True
 
     def nodes(self) -> List[GuardNode]:
         return self.membership.alive()
@@ -359,7 +354,6 @@ class AuthCluster:
             self._delegations_embedding.add(lemma_digest, digest)
         for node in self.membership.alive():
             node.guard.digest_delegation(proof)
-        self.stats["delegations_added"] += 1
 
     def _unreplicate(self, digests) -> None:
         """Take delegations out of the replicated set, so a node joining
@@ -404,9 +398,7 @@ class AuthCluster:
         # set: a bad `via` must fail with the cluster state unchanged.
         origin = self._via(via)
         self._unreplicate(self._delegations_embedding.holders(digest))
-        removed = origin.guard.retract_delegation(digest)
-        self.stats["delegations_retracted"] += 1
-        return removed
+        return origin.guard.retract_delegation(digest)
 
     def revoke_serial(self, serial: bytes, via: Optional[str] = None) -> int:
         """Feed a revocation event in at one node; the bus spreads it.
@@ -417,15 +409,12 @@ class AuthCluster:
         """
         origin = self._via(via)
         self._unreplicate(self._delegations_citing_serial.holders(serial))
-        removed = origin.guard.revoke_serial(serial)
-        self.stats["serials_revoked"] += 1
-        return removed
+        return origin.guard.revoke_serial(serial)
 
     def deliver_invalidations(self) -> int:
         """Pump one invalidation-bus round.  (The ``AuthBackend`` protocol
         claims the plain ``deliver`` name for transport delivery, matching
         ``Guard.deliver``.)"""
-        self.metrics.inc("cluster.bus_rounds")
         return self.bus.deliver()
 
     # -- channels and sessions ---------------------------------------------
@@ -443,7 +432,6 @@ class AuthCluster:
         # comes to serve the speaker later is handed the premise on first
         # miss (see ``_ensure_channel``).
         self._channel_directory[fingerprint] = premise
-        self.stats["channels_opened"] += 1
         return premise
 
     def close_channel(self, premise: SpeaksFor) -> None:
@@ -454,7 +442,6 @@ class AuthCluster:
         )
         owner = self.node_for_speaker(premise.subject)
         owner.guard.close_channel(premise)
-        self.stats["channels_closed"] += 1
 
     def channel_bindings(self) -> List[Tuple[bytes, SpeaksFor]]:
         """The live channel directory as ``(fingerprint, premise)`` pairs
@@ -545,11 +532,7 @@ class AuthCluster:
         if entry is None:
             return
         mac_key, minted_at = entry
-        if (
-            self.session_ttl is not None
-            and self.clock.now() - minted_at > self.session_ttl
-        ):
-            del self._session_directory[credential.session_id]
+        if self._lapse(credential.session_id, minted_at, self.clock.now()):
             return
         self._session_directory.move_to_end(credential.session_id)
         node.guard.sessions.install(
@@ -578,17 +561,12 @@ class AuthCluster:
             groups.setdefault(node, []).append(index)
         decisions: List[Optional[GuardDecision]] = [None] * len(requests)
         for node, indices in groups.items():
-            self.metrics.observe(
-                "cluster.shard_batch_size", len(indices),
-                buckets=SIZE_BUCKETS,
-            )
             batch = node.guard.check_many([requests[i] for i in indices])
             for i, decision in zip(indices, batch):
                 decisions[i] = decision
         self.dispatch_stats["dispatches"] += 1
         self.dispatch_stats["requests"] += len(requests)
         self.dispatch_stats["shard_batches"] += len(groups)
-        self.metrics.inc("cluster.dispatches")
         return decisions  # type: ignore[return-value]
 
     def authenticate(self, request: GuardRequest):
@@ -605,9 +583,7 @@ class AuthCluster:
         live where the speaker's checks are decided."""
         owner = self._route(request)
         self._prepare(request, owner)
-        speaker = owner.guard.deliver(request)
-        self.stats["deliveries"] += 1
-        return speaker
+        return owner.guard.deliver(request)
 
     def retract_delivery(self, speaker: Principal, logical) -> None:
         """Withdraw a delivered utterance wherever it was vouched.
@@ -637,9 +613,7 @@ class AuthCluster:
             self._ensure_channel_premise(conclusion.subject, owner)
         else:
             owner = self._via(None)
-        proof = owner.guard.submit_proof(proof_wire, proof=proof)
-        self.stats["proofs_submitted"] += 1
-        return proof
+        return owner.guard.submit_proof(proof_wire, proof=proof)
 
     # -- introspection -----------------------------------------------------
 

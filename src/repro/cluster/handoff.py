@@ -136,16 +136,10 @@ class HandoffCoordinator:
         self.metrics = cluster.metrics
         self.reports: List[DrainReport] = []
         self.stats = {
-            "records_offered": 0,
             "records_installed": 0,
             "records_refused_stale": 0,
-            "records_duplicate": 0,
-            "proofs_offered": 0,
-            "sessions_offered": 0,
-            "channels_offered": 0,
             "drains": 0,
             "last_drain_ms": 0.0,
-            "drain_ms_total": 0.0,
         }
 
     # -- export ----------------------------------------------------------
@@ -163,19 +157,16 @@ class HandoffCoordinator:
             if inheritor is None:
                 return
             plan.setdefault(inheritor, []).append(record)
-            self.stats["records_offered"] += 1
 
         ring = self.cluster.membership.ring
         for fingerprint, premise in self.cluster.channel_bindings():
             if ring.node_for(fingerprint) != node.node_id:
                 continue
-            self.stats["channels_offered"] += 1
             assign(
                 fingerprint,
                 HandoffRecord("channel", generation, premise),
             )
         for mac_id, mac_key, minted_at in node.guard.export_sessions():
-            self.stats["sessions_offered"] += 1
             assign(
                 session_routing_key(mac_id),
                 HandoffRecord(
@@ -183,7 +174,6 @@ class HandoffCoordinator:
                 ),
             )
         for speaker, proof in node.guard.export_proof_entries():
-            self.stats["proofs_offered"] += 1
             assign(
                 shard_key_for(speaker),
                 HandoffRecord("proof", generation, proof, speaker=speaker),
@@ -229,9 +219,6 @@ class HandoffCoordinator:
                 refused += 1
         self.stats["records_installed"] += installed
         self.stats["records_refused_stale"] += refused
-        self.stats["records_duplicate"] += duplicates
-        self.metrics.inc("cluster.handoff.installed", installed)
-        self.metrics.inc("cluster.handoff.refused_stale", refused)
         return installed, refused, duplicates
 
     @staticmethod
@@ -264,9 +251,6 @@ class HandoffCoordinator:
         installed = refused = duplicates = 0
         for successor_id, records in plan.items():
             receiver = self.cluster.membership.get(successor_id)
-            if receiver is None:
-                refused += len(records)
-                continue
             got, bad, dup = self.install(receiver, records)
             installed += got
             refused += bad
@@ -280,6 +264,4 @@ class HandoffCoordinator:
         del self.reports[:-self.REPORT_LIMIT]
         self.stats["drains"] += 1
         self.stats["last_drain_ms"] = duration_ms
-        self.stats["drain_ms_total"] += duration_ms
-        self.metrics.inc("cluster.handoff.drains")
         return report

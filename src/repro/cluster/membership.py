@@ -90,15 +90,9 @@ class ClusterMembership:
         self._state: Dict[str, str] = {}
         self._last_heartbeat: Dict[str, float] = {}
         self.events: List[MembershipEvent] = []
-        self.stats = {
-            "joins": 0,
-            "leaves": 0,
-            "failures": 0,
-            "crashes": 0,
-            "drains": 0,
-            "sweeps": 0,
-            "heartbeats": 0,
-        }
+        # Every transition is in ``events``; ``stats`` tallies only the
+        # failures (either detector) and the heartbeats.
+        self.stats = {"failures": 0, "heartbeats": 0}
 
     # -- transitions -------------------------------------------------------
 
@@ -112,7 +106,6 @@ class ClusterMembership:
         self._state[node.node_id] = UP
         self._last_heartbeat[node.node_id] = self.clock.now()
         self._record("join", node.node_id)
-        self.stats["joins"] += 1
 
     def begin_drain(self, node_id: str) -> GuardNode:
         """Start a planned departure: the node transitions UP → DRAINING
@@ -124,7 +117,6 @@ class ClusterMembership:
         node = self._nodes[node_id]
         self._state[node_id] = DRAINING
         self._record("drain", node_id)
-        self.stats["drains"] += 1
         return node
 
     def leave(self, node_id: str) -> GuardNode:
@@ -142,7 +134,6 @@ class ClusterMembership:
         self.ring.remove(node_id)
         self._state[node_id] = LEFT
         self._record("leave", node_id)
-        self.stats["leaves"] += 1
         return node
 
     def fail(self, node_id: str) -> GuardNode:
@@ -168,7 +159,6 @@ class ClusterMembership:
         node = self._checked_serving(node_id)
         self._state[node_id] = CRASHED
         self._record("crash", node_id)
-        self.stats["crashes"] += 1
         return node
 
     def _checked_serving(self, node_id: str) -> GuardNode:
@@ -212,7 +202,6 @@ class ClusterMembership:
             self._state[node_id] = FAILED
             self._record("fail", node_id)
             self.stats["failures"] += 1
-        self.stats["sweeps"] += 1
         return lapsed + crashed
 
     # -- lookups -----------------------------------------------------------

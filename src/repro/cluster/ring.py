@@ -196,11 +196,13 @@ class GuardNode:
 
     def stats(self) -> Dict[str, object]:
         """The counters the ``stats`` CLI and benchmarks aggregate."""
+        audit = self.guard.audit
         return {
             "guard": dict(self.guard.stats),
             "cache": dict(self.guard.cache.stats),
             "sessions": dict(self.guard.sessions.stats),
             "prover": dict(self.prover.stats),
+            "audit": {"recorded": audit.recorded, "evicted": audit.evicted},
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -133,11 +133,8 @@ class AuditLog:
                 self.sink(record)
             except Exception:  # boundary: an operator's callable
                 self.metrics.inc("guard.audit.sink_errors")
-        if len(self._ring) == self.retain:
-            self.metrics.inc("guard.audit.evicted")
         self._ring.append(record)
         self.recorded += 1
-        self.metrics.inc("guard.audit.recorded")
 
     @property
     def evicted(self) -> int:

@@ -76,7 +76,6 @@ class ProofCache:
             "insertions": 0,
             "dedup_hits": 0,
             "evictions": 0,
-            "retractions": 0,
             "invalidations": 0,
             "retract_examined": 0,
             "imported": 0,
@@ -187,7 +186,7 @@ class ProofCache:
         bucket = self._buckets.get(speaker)
         if bucket is None:
             return
-        self.stats["retractions"] += self._remove(speaker, bucket, keys)
+        self._remove(speaker, bucket, keys)
 
     # -- invalidation-event hooks ------------------------------------------
     #

@@ -210,19 +210,9 @@ class Guard:
             "grants": 0,
             "denials": 0,
             "challenges": 0,
-            "admission_channel": 0,
-            "admission_session": 0,
-            "admission_proof": 0,
             "cache_hits": 0,
-            "prover_hits": 0,
             "credential_verifications": 0,
             "batches": 0,
-            "deliveries": 0,
-            "channels_opened": 0,
-            "channels_closed": 0,
-            "delegations_digested": 0,
-            "delegations_retracted": 0,
-            "serials_revoked": 0,
             "invalidations_applied": 0,
             "handoff_installed": 0,
             "handoff_refused_stale": 0,
@@ -246,7 +236,6 @@ class Guard:
         if credential is None:
             raise AuthorizationError("request carries no credential")
         if isinstance(credential, ChannelCredential):
-            self.stats["admission_channel"] += 1
             return _Admitted(request, credential.speaker, None, "channel")
         try:
             if isinstance(credential, SessionCredential):
@@ -288,7 +277,6 @@ class Guard:
             # logical form and the cached proof's tag match (Table 1).
             for operation in _SPKI_CHARGES:
                 maybe_charge(self.meter, operation)
-        self.stats["admission_session"] += 1
         return _Admitted(request, principal, proof, "session")
 
     def _admit_proof(
@@ -309,7 +297,6 @@ class Guard:
                 "proof does not conclude that this request's subject "
                 "speaks for anyone"
             )
-        self.stats["admission_proof"] += 1
         return _Admitted(request, proof.conclusion.subject, proof, "proof")
 
     def _admit_presented(self, canonical: bytes, node,
@@ -540,9 +527,7 @@ class Guard:
                     found = None
             if found is not None:
                 self.cache.add(found, speaker)
-                decision = self._grant(admitted, found, context, "prover")
-                self.stats["prover_hits"] += 1
-                return decision
+                return self._grant(admitted, found, context, "prover")
         raise NeedAuthorizationError(issuer, request.effective_min_tag())
 
     def _revalidate(self, entry: CachedProof, context) -> bool:
@@ -679,7 +664,6 @@ class Guard:
         connection can retract it on close."""
         premise = SpeaksFor(channel_principal, bound_principal, Tag.all())
         self.trust.vouch(premise)
-        self.stats["channels_opened"] += 1
         return premise
 
     def close_channel(self, premise: SpeaksFor) -> None:
@@ -687,9 +671,8 @@ class Guard:
         cached proofs leaning on it, and notify invalidation hooks so
         peers holding copies drop theirs too."""
         self.trust.retract(premise)
-        self._retract_cached(self.cache.retract_premise, premise)
+        self.cache.retract_premise(premise)
         self._tombstone(self._closed_channels, to_canonical(premise.to_sexp()))
-        self.stats["channels_closed"] += 1
         self.invalidation_generation += 1
         self._notify("channel_closed", premise)
 
@@ -699,7 +682,6 @@ class Guard:
         the speaker for the service layer's authorization check."""
         admitted = self._admit(request)
         self.trust.vouch(Says(admitted.speaker, request.logical))
-        self.stats["deliveries"] += 1
         return admitted.speaker
 
     def retract_delivery(self, speaker: Principal, logical) -> None:
@@ -732,7 +714,6 @@ class Guard:
         if self.prover is None:
             raise AuthorizationError("guard has no prover attached")
         self.prover.add_proof(proof)
-        self.stats["delegations_digested"] += 1
 
     def outgoing_delegations(self, principal: Principal) -> int:
         """How many delegation edges leave ``principal`` in the attached
@@ -761,7 +742,6 @@ class Guard:
             else proof_or_digest.digest()
         )
         removed = self._retract_delegation(digest)
-        self.stats["delegations_retracted"] += 1
         self.invalidation_generation += 1
         self._notify("delegation_retracted", digest)
         return removed
@@ -775,7 +755,6 @@ class Guard:
         purges derived state even on guards running without one.
         """
         removed = self._revoke_serial(serial)
-        self.stats["serials_revoked"] += 1
         self.invalidation_generation += 1
         self._notify("serial_revoked", serial)
         return removed
@@ -787,7 +766,7 @@ class Guard:
             removed = self._retract_delegation(payload)
         elif kind == "channel_closed":
             self.trust.retract(payload)
-            removed = self._retract_cached(self.cache.retract_premise, payload)
+            removed = self.cache.retract_premise(payload)
             self._tombstone(
                 self._closed_channels, to_canonical(payload.to_sexp())
             )
@@ -801,36 +780,16 @@ class Guard:
 
     def _retract_delegation(self, digest: bytes) -> int:
         self._tombstone(self._retracted_digests, digest)
-        removed = self._retract_cached(self.cache.retract_dependents, digest)
+        removed = self.cache.retract_dependents(digest)
         if self.prover is not None:
             removed += self.prover.invalidate_proof(digest)
         return removed
 
     def _revoke_serial(self, serial: bytes) -> int:
         self._tombstone(self._revoked_serials, serial)
-        removed = self._retract_cached(self.cache.retract_serial, serial)
+        removed = self.cache.retract_serial(serial)
         if self.prover is not None:
-            stats = self.prover.stats
-            examined = stats["invalidate_examined"]
             removed += self.prover.invalidate_serial(serial)
-            self.metrics.inc(
-                "prover.invalidate_examined",
-                stats["invalidate_examined"] - examined,
-            )
-        return removed
-
-    def _retract_cached(self, retract, cited) -> int:
-        """Run one proof-cache purge and publish what it had to look at:
-        ``guard.cache.retract_examined`` (and ``prover.invalidate_examined``
-        beside it) count the entries and edges whose predicate an event
-        evaluated — flat in what the node holds, or the index has a hole."""
-        stats = self.cache.stats
-        examined = stats["retract_examined"]
-        removed = retract(cited)
-        self.metrics.inc(
-            "guard.cache.retract_examined",
-            stats["retract_examined"] - examined,
-        )
         return removed
 
     #: Bound on each tombstone table (FIFO).  For imports, aging a

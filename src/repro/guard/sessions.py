@@ -56,14 +56,11 @@ class SessionRegistry:
         self.ttl = ttl
         self.clock = clock
         self.stats = {
-            "minted": 0,
             "installed": 0,
             "evictions": 0,
             "expired": 0,
-            "verified": 0,
             "failures": 0,
             "imported": 0,
-            "refused_expired": 0,
         }
 
     def _now(self) -> float:
@@ -93,7 +90,6 @@ class SessionRegistry:
         mac_key = MacKey.generate(default_rng(rng))
         mac_id = mac_key.fingerprint().digest.hex()
         self._register(mac_id, mac_key)
-        self.stats["minted"] += 1
         return mac_id, mac_key
 
     def install(
@@ -122,7 +118,6 @@ class SessionRegistry:
         """
         if self.ttl is not None and self.clock is not None:
             if self.clock.now() - minted_at > self.ttl:
-                self.stats["refused_expired"] += 1
                 return False
         self._register(mac_id, mac_key, minted_at)
         self.stats["imported"] += 1
@@ -150,7 +145,6 @@ class SessionRegistry:
         if not mac_key.verify(message, tag):
             self.stats["failures"] += 1
             raise AuthorizationError("MAC tag does not match the request")
-        self.stats["verified"] += 1
         return mac_key
 
     def sweep(self) -> int:

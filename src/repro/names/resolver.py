@@ -50,7 +50,6 @@ class NameResolver:
         self.context = context or VerificationContext()
         # name principal -> list of bindings
         self._bindings: Dict[NamePrincipal, List[Binding]] = {}
-        self.stats = {"certificates": 0, "resolutions": 0, "steps": 0}
 
     # -- collection -------------------------------------------------------
 
@@ -66,7 +65,6 @@ class NameResolver:
         self._bindings.setdefault(name, []).append(binding)
         # Collecting authorization in the course of naming (Section 4.4):
         self.prover.add_proof(proof)
-        self.stats["certificates"] += 1
         return binding
 
     def bindings_for(self, name: NamePrincipal) -> List[Binding]:
@@ -76,13 +74,11 @@ class NameResolver:
 
     def resolve(self, name: NamePrincipal) -> List[Binding]:
         """All principals bound to one (possibly nested) name."""
-        self.stats["resolutions"] += 1
         return self._resolve(name, depth=0)
 
     def _resolve(self, name: NamePrincipal, depth: int) -> List[Binding]:
         if depth > 16:
             raise NameResolutionError("name resolution too deep: %s" % name.display())
-        self.stats["steps"] += 1
         results: List[Binding] = []
         results.extend(self._bindings.get(name, ()))
         # The base may itself be a name: resolve it first, then re-anchor.

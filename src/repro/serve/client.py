@@ -69,7 +69,7 @@ class ServeClient(asyncio.Protocol):
         #: of one per request (and lands on the server as one read,
         #: which is what its batcher coalesces).
         self._outbox: List[bytes] = []
-        self.stats = {"sent": 0, "replies": 0, "retries": 0}
+        self.stats = {"sent": 0, "retries": 0}
         #: Replies that matched no pending request (e.g. the server's
         #: id-0 report of an unparseable frame) — kept for inspection.
         self.orphans: List[Reply] = []
@@ -239,7 +239,6 @@ class ServeClient(asyncio.Protocol):
         if future is None:
             self.orphans.append(reply)
             return
-        self.stats["replies"] += 1
         if not future.done():
             future.set_result(reply)
 

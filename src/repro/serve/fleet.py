@@ -40,7 +40,6 @@ class ServeFleet:
         if tracer is None:
             tracer = getattr(backend, "tracer", None)
         self.tracer = default_tracer(tracer)
-        self.metrics.register_source("serve.fleet", self.stats)
         self.listeners: List[ServeListener] = [
             ServeListener(
                 backend,
@@ -68,7 +67,8 @@ class ServeFleet:
         return [listener.address for listener in self.listeners]
 
     def stats(self) -> dict:
-        """Fleet-wide counters: the sum over listeners."""
+        """Fleet-wide counters: the sum over listeners (the registry
+        serves each listener's dict as its own ``serve.<name>`` source)."""
         total: dict = {}
         for listener in self.listeners:
             for key, value in listener.stats.items():

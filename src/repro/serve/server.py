@@ -124,7 +124,6 @@ class ServeListener:
             "challenges": 0,
             "retries": 0,
             "errors": 0,
-            "proofs": 0,
             "pings": 0,
             "stats_requests": 0,
             "paused": 0,
@@ -185,13 +184,11 @@ class ServeListener:
         if callable(sweep):
             sweep()
             self.stats["repairs"] += 1
-            self.metrics.inc("serve.repairs")
 
     def _count(self, reply: Reply) -> Reply:
         counter = _STATUS_COUNTERS.get(reply.status)
         if counter is not None:
             self.stats[counter] += 1
-        self.metrics.inc("serve.replies.%s" % reply.status)
         return reply
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -361,12 +358,8 @@ class _Connection(asyncio.Protocol):
                 checks.append(
                     (slot, command.request_id, command.body, span)
                 )
-        if cache.hits != hits:
-            stats["decode_hits"] += cache.hits - hits
-            metrics.inc("serve.decode.hits", cache.hits - hits)
-        if cache.misses != misses:
-            stats["decode_misses"] += cache.misses - misses
-            metrics.inc("serve.decode.misses", cache.misses - misses)
+        stats["decode_hits"] += cache.hits - hits
+        stats["decode_misses"] += cache.misses - misses
         if checks:
             self._serve_checks(checks, replies)
         for slot, _, _, span in checks:
@@ -427,7 +420,6 @@ class _Connection(asyncio.Protocol):
             return listener._count(
                 Reply(DENIED, command.request_id, message=str(exc))
             )
-        listener.stats["proofs"] += 1
         return Reply(PROOF_OK, command.request_id)
 
     def _write_replies(self, replies: List[Reply]) -> None:

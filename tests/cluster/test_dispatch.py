@@ -1,18 +1,19 @@
 """Batch dispatch: stream order, shard batching, what a fleet of
-listeners relies on when it is handed one cluster, and the membership
-heartbeat pumping ``SessionRegistry.sweep()`` cluster-wide."""
+listeners relies on when it is handed one cluster, the merged audit
+trail across nodes that fail or drain, and the membership heartbeat
+pumping ``SessionRegistry.sweep()`` cluster-wide."""
 
 import pytest
 
 from repro.cluster import AuthCluster, routing_key
 from repro.cluster.ring import session_routing_key
 from repro.core.errors import AuthorizationError, NeedAuthorizationError
-from repro.core.principals import ChannelPrincipal, KeyPrincipal
+from repro.core.principals import ChannelPrincipal, KeyPrincipal, MacPrincipal
 from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.rules import TransitivityStep
 from repro.core.statements import SpeaksFor
 from repro.guard import ChannelCredential, GuardRequest, SessionCredential
-from repro.sexp import to_canonical, to_transport
+from repro.sexp import sexp, to_canonical, to_transport
 from repro.spki import Certificate
 from repro.tags import Tag
 
@@ -193,6 +194,81 @@ class TestFleet:
         assert world.cluster.audit.records == [decision.record]
 
 
+class TestMergedAudit:
+    """The merged view outlives a node's shards, and one retention knob
+    sizes every ring."""
+
+    @pytest.fixture()
+    def world(self, server_kp, alice_kp, rng):
+        return ClusterWorld(server_kp, alice_kp, rng, nodes=4)
+
+    def test_failed_nodes_history_survives_in_the_merge(self, world):
+        cluster = world.cluster
+        assert cluster.check(world.request()).granted
+        owner = [
+            node for node in cluster.nodes() if node.guard.stats["grants"]
+        ][0]
+        cluster.fail_node(owner.node_id)
+        assert len(cluster.audit.records) == 1
+
+    def test_drained_nodes_tail_stays_in_the_merge_in_clock_order(
+        self, world
+    ):
+        """A drain moves a node's shards, not its history: the records it
+        wrote before leaving interleave with its inheritor's by clock."""
+        cluster = world.cluster
+        for index in range(3):
+            world.clock.advance(1.0)
+            assert cluster.check(world.request()).granted
+        (owner,) = [
+            node for node in cluster.nodes() if node.guard.stats["grants"]
+        ]
+        cluster.drain(owner.node_id)
+        assert owner not in cluster.nodes()
+        for index in range(2):
+            world.clock.advance(1.0)
+            assert cluster.check(world.request()).granted
+        merged = cluster.audit.records
+        assert [record.when for record in merged] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert merged[:3] == owner.guard.audit.records
+        assert len(cluster.audit) == 5
+
+    def test_audit_retain_sizes_every_nodes_ring_and_the_view(
+        self, server_kp, alice_kp, rng
+    ):
+        seen = []
+        world = ClusterWorld(
+            server_kp, alice_kp, rng, nodes=2,
+            audit_retain=3, audit_sink=seen.append,
+        )
+        cluster = world.cluster
+        joined = cluster.add_node()  # a later join gets the same ring
+        assert [node.guard.audit.retain for node in cluster.nodes()] == [3] * 3
+        assert joined.guard.audit.sink == seen.append
+        assert cluster.audit.retain == 3
+        for index in range(7):
+            world.clock.advance(1.0)
+            assert cluster.check(world.request()).granted
+        # One speaker, one owner: its ring wrapped; the sink saw all 7.
+        assert [record.when for record in seen] == [1, 2, 3, 4, 5, 6, 7]
+        assert [record.when for record in cluster.audit.records] == [5, 6, 7]
+        assert (cluster.audit.recorded, cluster.audit.evicted) == (7, 4)
+        # Each node's section of the stats tree says the same.
+        assert sum(
+            tallies["audit"]["evicted"]
+            for tallies in cluster.stats_snapshot()["nodes"].values()
+        ) == cluster.audit.evicted
+
+    def test_default_cluster_rings_are_bounded(self, world):
+        from repro.guard.audit import AUDIT_RETAIN
+
+        assert all(
+            node.guard.audit.retain == AUDIT_RETAIN
+            for node in world.cluster.nodes()
+        )
+        assert world.cluster.audit.retain is None  # bounded by the rings
+
+
 class TestHeartbeatSweep:
     def _world(self, server_kp, alice_kp, rng):
         return ClusterWorld(
@@ -232,6 +308,31 @@ class TestHeartbeatSweep:
         world.clock.advance(61.0)
         assert cluster.heartbeat(owner.node_id) == 1
         assert owner.guard.sessions.count() == 0
+
+    def test_an_entry_lapsing_on_first_touch_is_counted(
+        self, server_kp, alice_kp, rng
+    ):
+        """An escrow entry found lapsed by its next check is dropped and
+        counted exactly as the sweep drops and counts it."""
+        world = self._world(server_kp, alice_kp, rng)
+        cluster = world.cluster
+        mac_id, mac_key = cluster.mint_session(rng)
+        cluster.add_delegation(SignedCertificateStep(Certificate.issue(
+            server_kp, MacPrincipal(mac_key.fingerprint()), Tag.all(),
+            rng=rng,
+        )))
+        logical = sexp(["web", ["method", "GET"]])
+        message = to_canonical(logical)
+        request = GuardRequest(
+            logical, issuer=world.issuer,
+            credential=SessionCredential(mac_id, mac_key.tag(message), message),
+            transport="http",
+        )
+        assert cluster.check_many([request])[0].granted
+        world.clock.advance(61.0)
+        assert not cluster.check_many([request])[0].granted
+        assert len(cluster._session_directory) == 0
+        assert cluster.stats["directory_expired"] == 1
 
     def test_failure_sweep_also_pumps_session_sweep(
         self, server_kp, alice_kp, rng

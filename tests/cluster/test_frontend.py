@@ -71,68 +71,6 @@ class TestMergedAudit:
         )
         assert len(view) == 3
 
-    def test_failed_nodes_history_survives_in_the_merge(self, world):
-        cluster = world.cluster
-        assert cluster.check(world.request()).granted
-        owner = [
-            node for node in cluster.nodes() if node.guard.stats["grants"]
-        ][0]
-        cluster.fail_node(owner.node_id)
-        assert len(cluster.audit.records) == 1
-
-    def test_drained_nodes_tail_stays_in_the_merge_in_clock_order(
-        self, world
-    ):
-        """A drain moves a node's shards, not its history: the records it
-        wrote before leaving interleave with its inheritor's by clock."""
-        cluster = world.cluster
-        for index in range(3):
-            world.clock.advance(1.0)
-            assert cluster.check(world.request()).granted
-        (owner,) = [
-            node for node in cluster.nodes() if node.guard.stats["grants"]
-        ]
-        cluster.drain(owner.node_id)
-        assert owner not in cluster.nodes()
-        for index in range(2):
-            world.clock.advance(1.0)
-            assert cluster.check(world.request()).granted
-        merged = cluster.audit.records
-        assert [record.when for record in merged] == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert merged[:3] == owner.guard.audit.records
-        assert len(cluster.audit) == 5
-
-    def test_audit_retain_sizes_every_nodes_ring_and_the_view(
-        self, server_kp, alice_kp, rng
-    ):
-        seen = []
-        world = ClusterWorld(
-            server_kp, alice_kp, rng, nodes=2,
-            audit_retain=3, audit_sink=seen.append,
-        )
-        cluster = world.cluster
-        joined = cluster.add_node()  # a later join gets the same ring
-        assert [node.guard.audit.retain for node in cluster.nodes()] == [3] * 3
-        assert joined.guard.audit.sink == seen.append
-        assert cluster.audit.retain == 3
-        for index in range(7):
-            world.clock.advance(1.0)
-            assert cluster.check(world.request()).granted
-        # One speaker, one owner: its ring wrapped; the sink saw all 7.
-        assert [record.when for record in seen] == [1, 2, 3, 4, 5, 6, 7]
-        assert [record.when for record in cluster.audit.records] == [5, 6, 7]
-        assert (cluster.audit.recorded, cluster.audit.evicted) == (7, 4)
-        assert cluster.metrics.counter("guard.audit.evicted") >= 4
-
-    def test_default_cluster_rings_are_bounded(self, world):
-        from repro.guard.audit import AUDIT_RETAIN
-
-        assert all(
-            node.guard.audit.retain == AUDIT_RETAIN
-            for node in world.cluster.nodes()
-        )
-        assert world.cluster.audit.retain is None  # bounded by the rings
-
     def test_len_does_not_materialise_the_merge(self, world, monkeypatch):
         cluster = world.cluster
         for index in range(4):

@@ -377,7 +377,7 @@ class TestSessionCredential:
         assert first.granted and first.via == "session"
         steady = guard.check(request())
         assert steady.granted and steady.stage == "cache"
-        assert guard.stats["admission_session"] == 2
+        assert steady.via == "session"
 
     def test_bad_tag_denied(self, world, rng):
         guard = world["guard"]

@@ -118,7 +118,11 @@ class TestStatsCommand:
         assert snapshot["dispatch"]["requests"] == 24
         assert len(snapshot["nodes"]) == 3
         node = next(iter(snapshot["nodes"].values()))
-        assert set(node) == {"guard", "cache", "sessions", "prover"}
+        assert set(node) == {"guard", "cache", "sessions", "prover", "audit"}
+        assert sum(
+            tallies["audit"]["recorded"]
+            for tallies in snapshot["nodes"].values()
+        ) == 24
         assert "retract_examined" in node["cache"]
         assert "invalidate_examined" in node["prover"]
         assert snapshot["handoff"]["last_drain_ms"] == 0.0
@@ -216,7 +220,7 @@ class TestMetricsCommand:
         assert "counter guard.stage.prover" in out
         assert "counter guard.stage.fastpath" in out
         assert "histogram span.serve.request_ms" in out
-        assert "source serve.fleet" in out
+        assert "source serve.listener-0" in out
 
     def test_json_snapshot_parses_and_balances(self, capsys):
         import json
@@ -224,7 +228,7 @@ class TestMetricsCommand:
         assert main(["metrics", "--json", *self.ARGS]) == 0
         snapshot = json.loads(capsys.readouterr().out)
         counters = snapshot["counters"]
-        assert counters["serve.replies.ok"] == 16
+        assert snapshot["sources"]["serve.listener-0"]["grants"] == 16
         # Every grant was priced by exactly one stage.
         staged = sum(
             value for name, value in counters.items()

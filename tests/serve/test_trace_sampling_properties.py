@@ -4,8 +4,9 @@ The same check frames, cut into the same recv chunks, are served twice
 by identically built clusters: once under ``Tracer(sample=1)`` and once
 under ``Tracer(sample=N)``.  Whatever the chunking and whichever frames
 carry their own trace id, the replies are byte-identical, every counter
-(``guard.stage.*`` included) is equal, every audit record names its
-trace, and every trace's spans are kept whole or not at all.
+(``guard.stage.*`` and the listener's ``stats`` included) is equal,
+every audit record names its trace, and every trace's spans are kept
+whole or not at all.
 
 A connection is driven through ``data_received`` on a transport that
 only records writes, so a chunk is exactly one recv; chunks never exceed
@@ -140,7 +141,9 @@ def test_sampling_never_changes_a_reply_or_a_counter(keypool, data):
 
     snapshots = [world[2].snapshot() for world in (reference, sampled)]
     assert snapshots[0]["counters"] == snapshots[1]["counters"]
-    grants = snapshots[0]["counters"].get("serve.replies.ok", 0)
+    listeners = [snapshot["sources"]["serve.listener"] for snapshot in snapshots]
+    assert listeners[0] == listeners[1]
+    grants = listeners[0]["grants"]
     assert grants == sum(1 for spec in specs if spec[0] < SESSIONS - 1)
 
     for cluster, _, _, tracer in (reference, sampled):
