@@ -3,7 +3,8 @@
 A count gate, no clock.  ``K`` repeated MAC check frames are pipelined
 over loopback into a warmed ``AuthCluster(node_count=4)`` whose audit
 rings (``audit_retain=16``) are already full.  Every frame hits the
-listener's decode LRU and every check is a fast-path grant.  Every other
+listener's question memo (a hit walks no field, so it counts nothing on
+the registry) and every check is a fast-path grant.  Every other
 tally of such a request — its reply, its decode hit, its dispatch, its
 audit record and that record's eviction — is held once, by a ``stats``
 dict or by the ``AuditLog``, so:

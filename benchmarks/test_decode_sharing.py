@@ -1,13 +1,15 @@
-"""Field-granular decode, gated on counts that repeat exactly.
+"""Question-memo decode, gated on counts that repeat exactly.
 
 A seeded tape shaped like deployment traffic — 256 sessions of zipf(1.1)
 popularity asking 64 paths of one issuer, a unique id per frame — goes
-through ``DecodeCache``.  Two things are counted, neither with a clock,
-so neither needs a noise margin:
+through ``DecodeCache``.  Three things are counted, none with a clock,
+so none needs a noise margin:
 
-- the bytes handed to ``parse_canonical``: a whole-request LRU alone
-  re-parses every byte of every frame it misses; with the field memo a
-  miss parses only the fields that are new (the credential);
+- question hits: every frame but each question's first sighting, since
+  the MAC tag makes frames unique but not what they ask;
+- the bytes handed to ``parse_canonical``: a question's fields on its
+  first sighting, and nothing after it — the credential is read by its
+  length prefixes, with no tree;
 - the distinct ``logical`` / ``issuer`` objects the decoded requests
   hold: one per distinct value, however many sessions ask.
 """
@@ -60,27 +62,28 @@ def _tape(keypool):
 
 
 def _parsed_bytes(monkeypatch, decode, frames):
-    """Run ``frames`` through ``decode``; returns the commands and how
-    many bytes the codec handed to ``parse_canonical`` on the way."""
+    """Run ``frames`` through ``decode``; returns the commands and the
+    byte count the codec handed to ``parse_canonical`` for each frame."""
     handed = []
     parse = protocol.parse_canonical
 
     def counting(data):
-        handed.append(len(data))
+        handed[-1] += len(data)
         return parse(data)
 
+    commands = []
     with monkeypatch.context() as patch:
         patch.setattr(protocol, "parse_canonical", counting)
-        commands = [decode(frame) for frame in frames]
-    return commands, sum(handed)
+        for frame in frames:
+            handed.append(0)
+            commands.append(decode(frame))
+    return commands, handed
 
 
-def test_a_miss_parses_what_changed_and_shares_what_repeats(
-    keypool, monkeypatch
-):
+def test_a_question_is_parsed_once_and_shared(keypool, monkeypatch):
     frames = _tape(keypool)
     reference, full_bytes = _parsed_bytes(monkeypatch, decode_command, frames)
-    assert full_bytes == sum(map(len, frames))
+    assert full_bytes == list(map(len, frames))
     cache = DecodeCache()
     commands, cache_bytes = _parsed_bytes(monkeypatch, cache.decode, frames)
     assert [c.request_id for c in commands] == list(range(1, FRAMES + 1))
@@ -89,17 +92,30 @@ def test_a_miss_parses_what_changed_and_shares_what_repeats(
             want.request_id, want.body
         )
 
+    # Transport and issuer are the same on every frame: a question is
+    # its path.
+    asked = set()
+    first_sightings = set()
+    for index, command in enumerate(commands):
+        question = to_canonical(command.body.logical)
+        if question not in asked:
+            asked.add(question)
+            first_sightings.add(index)
     print(
-        "\n%d frames, LRU hit ratio %.2f: parse_canonical took %.0f B/frame "
-        "through DecodeCache, %.0f B/frame decoding every frame in full, "
-        "%.0f B/frame re-parsing every LRU miss in full"
-        % (FRAMES, cache.hits / FRAMES, cache_bytes / FRAMES,
-           full_bytes / FRAMES, full_bytes / FRAMES * cache.misses / FRAMES)
+        "\n%d frames, %d distinct questions: %d question hits; "
+        "parse_canonical took %d B through DecodeCache (all on first "
+        "sightings), %d B decoding every frame in full"
+        % (FRAMES, len(asked), cache.hits, sum(cache_bytes),
+           sum(full_bytes))
     )
-    # The traffic is deployment-like, not byte-identical frames: the
-    # whole-request LRU misses about as often as it hits.
-    assert 0.3 < cache.hits / FRAMES < 0.7
-    assert cache_bytes * 2 <= full_bytes
+    assert len(asked) == PATHS
+    assert cache.hits == FRAMES - PATHS
+    assert cache.misses == PATHS
+    assert all(
+        count == 0
+        for index, count in enumerate(cache_bytes)
+        if index not in first_sightings
+    )
 
     logicals = {id(c.body.logical): c.body.logical for c in commands}
     issuers = {id(c.body.issuer) for c in commands}

@@ -90,8 +90,7 @@ def _serve(cluster, cache, frames):
     decisions = []
     for start in range(0, len(frames), BATCH):
         requests = [
-            cache.decode(frame, cluster.invalidation_generation).body
-            for frame in frames[start:start + BATCH]
+            cache.decode(frame).body for frame in frames[start:start + BATCH]
         ]
         decisions += cluster.check_many(requests)
     return decisions

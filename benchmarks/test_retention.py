@@ -42,8 +42,7 @@ def _serve(cluster, cache, frames):
     granted = 0
     for start in range(0, len(frames), BATCH):
         requests = [
-            cache.decode(frame, cluster.invalidation_generation).body
-            for frame in frames[start:start + BATCH]
+            cache.decode(frame).body for frame in frames[start:start + BATCH]
         ]
         granted += sum(d.granted for d in cluster.check_many(requests))
     return granted

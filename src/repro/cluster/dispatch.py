@@ -207,8 +207,8 @@ class AuthCluster:
         """The cluster-wide invalidation generation: the sum of every
         live guard's counter plus a base term that absorbs departures.
         Any retraction, revocation, channel close, or membership change
-        moves it, so a wire decode cache stamped with one generation can
-        never serve bytes decoded under an older trust state."""
+        moves it, so a handoff record exported under one generation is
+        fully re-verified when installed under another."""
         total = self._generation_base
         for node in self.membership.alive():
             total += node.guard.invalidation_generation

@@ -190,9 +190,9 @@ class Guard:
         self.invalidation_hooks: List = []
         # Monotonic invalidation generation: bumped by every event that
         # retracts derived authorization state (channel close, delegation
-        # retraction, serial revocation — local or bus-delivered).  Wire
-        # layers stamp their decode caches with it, so a cached decode
-        # can never outlive the justification it was parsed under.
+        # retraction, serial revocation — local or bus-delivered).  A
+        # drain's handoff records carry the cluster-wide sum, so a record
+        # exported before an invalidation is fully re-verified at install.
         self.invalidation_generation = 0
         # Invalidation tombstones: the serials, lemma digests, and channel
         # premises this guard has seen retracted.  Purging derived state

@@ -57,10 +57,9 @@ class ServeClient(asyncio.Protocol):
         self.rng = rng  # trace-id entropy; None uses the default RNG
         self.metrics = default_registry(metrics)
         #: Mint a trace id for 1 in N requests that arrive without one.
-        #: Untraced requests carry no ``(trace ...)`` field at all, so
-        #: their frame bytes repeat across requests — which is what lets
-        #: the server's decode cache hit.  The server still traces them
-        #: at its own sample rate; the ids just will not be client-known.
+        #: Untraced requests carry no ``(trace ...)`` field at all.  The
+        #: server still traces them at its own sample rate; the ids just
+        #: will not be client-known.
         self.trace_sample = trace_sample
         self._trace_births = 0
         #: Frames staged since the last flush.  ``_dispatch`` only

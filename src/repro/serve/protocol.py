@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import (
@@ -455,6 +454,24 @@ def decode_command(payload: bytes) -> Command:
 # -- decode fast path ------------------------------------------------------
 
 
+def _atom_at(
+    data: bytes, pos: int, limit: int
+) -> Optional[Tuple[bytes, int]]:
+    """``(value, end)`` of the plain ``<len>:<bytes>`` atom at ``pos``
+    when it ends by ``limit``; ``None`` for anything else — a list, a
+    display hint, a leading-zero length, an overrun."""
+    colon = data.find(b":", pos, pos + 11)
+    if colon <= pos:
+        return None
+    length = data[pos:colon]
+    if not length.isdigit() or (length[0] == 48 and colon - pos > 1):
+        return None
+    end = colon + 1 + int(length)
+    if end > limit:
+        return None
+    return data[colon + 1:end], end
+
+
 def _split_id_header(
     payload: bytes, digits_start: int
 ) -> Optional[Tuple[int, int]]:
@@ -466,64 +483,113 @@ def _split_id_header(
     (``+1:``, ``0_1:``, a signed or blank-padded id) that
     :func:`decode_command` would reject.  An id with more digits than
     ``int()`` converts is the full parser's ``WireError``, raised here."""
-    colon = payload.find(b":", digits_start, digits_start + 11)
-    if colon <= digits_start:
+    read = _atom_at(payload, digits_start, len(payload))
+    if read is None or not read[0].isdigit():
         return None
-    length = payload[digits_start:colon]
-    if length.isdigit():
-        id_end = colon + 1 + int(length)
-        request_id = payload[colon + 1:id_end]
-        if request_id.isdigit():
-            try:
-                return int(request_id), id_end
-            except ValueError:  # more digits than ``int()`` will convert
-                raise WireError("request id of %d digits" % len(request_id))
-    return None
+    try:
+        return int(read[0]), read[1]
+    except ValueError:  # more digits than ``int()`` will convert
+        raise WireError("request id of %d digits" % len(read[0]))
 
 
-#: Entries a :class:`DecodeCache` keeps before evicting the least
-#: recently used.
-DECODE_CACHE_CAPACITY = 1024
-
-#: Decoded fields a :class:`DecodeCache` memoises before it clears the
-#: memo and lets it refill.
+#: Decoded fields, and decoded questions, a :class:`DecodeCache`
+#: memoises before it clears that memo and lets it refill.
 FIELD_MEMO_CAPACITY = 1024
 
-#: Neither the LRU nor the field memo keys on more bytes than this (the
-#: benchmark's frames are 330 B and 1 051 B).  Larger requests and
-#: fields decode uncached, so what a peer can pin is capacity times this
-#: and not capacity times ``MAX_FRAME``.
+#: Neither memo keys on more bytes than this (the benchmark's frames are
+#: 330 B and 1 051 B).  Larger questions and fields decode uncached, so
+#: what a peer can pin is capacity times this and not capacity times
+#: ``MAX_FRAME``.
 CACHED_BYTES_CEILING = 4096
+
+#: Where a request's credential field starts: the request bytes before
+#: it are the *question* :class:`DecodeCache` memoises.
+_CREDENTIAL_FIELD = b"(10:credential("
+
+
+def _read_tail(
+    payload: bytes, pos: int
+) -> Optional[Tuple[Credential, Optional[str]]]:
+    """``(credential, trace)`` from the credential field at ``pos`` to
+    the end of a check frame, read by length prefixes alone.
+
+    Reads ``(credential (session id tag message [proof]))`` or
+    ``(credential (proof wire))``, then an optional ``(trace hex)``, then
+    the request's and the frame's closing ``))``.  Anything else — a
+    channel, a ``(subject ...)``, a non-ASCII id, a further field —
+    returns ``None`` for the field walk to decode."""
+    # Each atom here is followed by at least its own list's ")" and the
+    # request's and the frame's, so none may reach the last three bytes.
+    limit = len(payload) - 3
+    pos += len(_CREDENTIAL_FIELD)
+    if payload.startswith(b"7:session", pos):
+        pos += 9
+        atoms = []
+        while len(atoms) < 4 and pos < limit and payload[pos] != 41:  # ")"
+            read = _atom_at(payload, pos, limit)
+            if read is None:
+                return None
+            atoms.append(read[0])
+            pos = read[1]
+        if len(atoms) < 3 or not atoms[0].isascii():
+            return None
+        credential: Credential = SessionCredential(
+            atoms[0].decode("ascii"), atoms[1], atoms[2],
+            proof_wire=atoms[3] if len(atoms) == 4 else None,
+        )
+    elif payload.startswith(b"5:proof", pos):
+        read = _atom_at(payload, pos + 7, limit)
+        if read is None:
+            return None
+        credential = ProofCredential(None, wire=read[0])
+        pos = read[1]
+    else:
+        return None
+    if not payload.startswith(b"))", pos):
+        return None
+    pos += 2
+    trace = None
+    if payload.startswith(b"(5:trace", pos):
+        read = _atom_at(payload, pos + 8, limit)
+        if read is None or payload[read[1]] != 41 or not read[0].isascii():
+            return None
+        trace = read[0].decode("ascii")
+        pos = read[1] + 1
+    if pos != len(payload) - 2:
+        return None
+    return credential, trace
 
 
 class DecodeCache:
-    """Decode reuse for check frames, at two granularities.
+    """Decode reuse for check frames: a question memo over a field memo.
 
     Decoding a check frame — sexp parse, principal reconstruction,
     credential validation — dominates the listener's per-request Python
-    cost, and real clients repeat themselves.  Both layers key on exact
-    bytes, after the request id has been sliced off by byte arithmetic:
+    cost.  Real clients repeat their *questions* (which path, of which
+    issuer) far more often than their frames, which a MAC tag and a
+    trace id make unique.  After the request id has been sliced off by
+    byte arithmetic:
 
-    - an **LRU on the request subtree**: the same session re-asking the
-      same question skips the codec whatever id it rides under;
+    - a **question memo** keys on the request bytes from just after
+      ``(7:request`` up to the first ``(10:credential(``, and holds the
+      decoded ``transport`` / ``logical`` / ``issuer`` / ``min-tag``
+      fields.  The credential and trace after the question are read by
+      their length prefixes (:func:`_read_tail`), with no tree built;
     - a **field memo** on the bytes of each ``transport`` / ``logical``
-      / ``issuer`` / ``min-tag`` field: an LRU miss walks the
-      ``(request ...)`` subtree field by field
-      (:func:`~repro.sexp.parser.canonical_extent`) and parses only the
-      fields that are new — in practice the credential and the trace
-      id — so every request naming one path or one issuer shares one
-      decoded object.
+      / ``issuer`` / ``min-tag`` field: a question miss walks the
+      request field by field (:func:`~repro.sexp.parser.canonical_extent`)
+      and parses only the fields that are new, so every request naming
+      one path or one issuer shares one decoded object.  The same walk
+      decodes a tail :func:`_read_tail` declines.
 
-    Memo keys are only ever bytes the full parser consumed as one
-    complete expression, and canonical parsing is prefix-deterministic,
-    so equal bytes at a field position decode to the equal value.  *A
-    memoised field is a parsed value, never a verified one*: it holds no
-    trust state and needs no generation stamp, and the pipeline still
-    runs MAC / proof / session verification on every request, so a hit
-    in either layer can never turn a deny into a grant.  LRU entries are
-    nonetheless stamped with the backend's ``invalidation_generation``
-    as defense in depth — any revocation, retraction, channel close, or
-    membership change strands every prior entry.
+    A question is stored only after a walk lands exactly on the
+    credential field.  Canonical form is self-delimiting, so a later
+    frame with equal bytes there holds the same complete fields, and the
+    offset is a field boundary wherever the marker bytes came from.
+    *A memoised question is a parsed value, never a verified one*: it
+    holds no trust state, and the pipeline still runs MAC / proof /
+    session verification on every request, so a hit can never turn a
+    deny into a grant.
 
     The byte path only ever *succeeds*: non-check frames go straight to
     :func:`decode_command`, and so does any check frame it could not
@@ -533,9 +599,7 @@ class DecodeCache:
     """
 
     def __init__(self):
-        self._entries: (
-            "OrderedDict[bytes, Tuple[int, Dict[str, object]]]"
-        ) = OrderedDict()
+        self._questions: Dict[bytes, Dict[str, object]] = {}
         self._fields: Dict[bytes, Tuple[str, object]] = {}
         self.hits = 0
         self.misses = 0
@@ -543,60 +607,65 @@ class DecodeCache:
         #: listener that owns the cache points it at its own registry.
         self.metrics = default_registry()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def decode(self, payload: bytes, generation: int = 0) -> Command:
-        """Decode one frame, through the cache when it is a check."""
+    def decode(self, payload: bytes) -> Command:
+        """Decode one frame, through the memos when it is a check."""
         if payload.startswith(b"(5:check"):
             try:
-                return self._decode_check(payload, generation)
+                return self._decode_check(payload)
             except WireError:
                 self.metrics.inc("serve.protocol.decode_fallbacks")
         return decode_command(payload)
 
-    def _decode_check(self, payload: bytes, generation: int) -> Command:
+    def _decode_check(self, payload: bytes) -> Command:
         header = _split_id_header(payload, 8)
-        if header is None or not payload.endswith(b")"):
+        if (
+            header is None
+            or not payload.startswith(b"(7:request", header[1])
+            or not payload.endswith(b"))")
+        ):
             raise WireError("irregular check frame")
         request_id, id_end = header
-        request_bytes = payload[id_end:-1]
-        entry = self._entries.get(request_bytes)
-        if entry is not None:
-            if entry[0] == generation:
-                self._entries.move_to_end(request_bytes)
-                self.hits += 1
-                return Command(
-                    "check", request_id, GuardRequest(**entry[1])
-                )
-            # Stale trust state: drop it and re-decode below.
-            del self._entries[request_bytes]
-        self.misses += 1
-        fields = self._decode_fields(request_bytes)
-        command = Command("check", request_id, _request_from_fields(fields))
-        if len(request_bytes) <= CACHED_BYTES_CEILING:
-            # The dict, not the request: the serve layer mutates
-            # ``trace`` (and the pipeline fills ``channel``) in place,
-            # so every hit builds its own GuardRequest around the
-            # shared, immutable field values.
-            self._entries[request_bytes] = (generation, fields)
-            if len(self._entries) > DECODE_CACHE_CAPACITY:
-                self._entries.popitem(last=False)
-        return command
+        start = id_end + 10
+        last = len(payload) - 2
+        cut = payload.find(_CREDENTIAL_FIELD, start)
+        question = payload[start:cut] if cut >= 0 else None
+        known = self._questions.get(question)
+        if known is not None:
+            self.hits += 1
+            # A copy: this frame's credential and trace join it below.
+            fields = dict(known)
+            pos = cut
+        else:
+            self.misses += 1
+            fields = {}
+            pos = self._walk(payload, start, last if cut < 0 else cut, fields)
+            if pos == cut and len(question) <= CACHED_BYTES_CEILING:
+                questions = self._questions
+                if len(questions) >= FIELD_MEMO_CAPACITY:
+                    questions.clear()
+                questions[question] = dict(fields)
+        if pos == cut:
+            tail = _read_tail(payload, cut)
+            if tail is not None:
+                fields["credential"] = tail[0]
+                if tail[1] is not None:
+                    fields["trace"] = tail[1]
+                pos = last
+        if pos != last and self._walk(payload, pos, last, fields) != last:
+            raise WireError("irregular request field")
+        return Command("check", request_id, _request_from_fields(fields))
 
-    def _decode_fields(self, data: bytes) -> Dict[str, object]:
-        """Decode ``(request <field>...)`` bytes field by field."""
-        last = len(data) - 1
-        if not data.startswith(b"(7:request") or data[last] != 41:  # ")"
-            raise WireError("irregular request subtree")
+    def _walk(
+        self, data: bytes, pos: int, stop: int, fields: Dict[str, object]
+    ) -> int:
+        """Decode whole request fields from ``pos`` into ``fields`` while
+        each ends by ``stop``; returns the offset the walk reached."""
         memo = self._fields
-        fields: Dict[str, object] = {}
         hits = parsed = 0
-        pos = 10
-        while pos < last:
+        while pos < stop:
             end = canonical_extent(data, pos)
-            if end is None or end > last:
-                raise WireError("irregular request field")
+            if end is None or end > stop:
+                break
             field_bytes = data[pos:end]
             pair = memo.get(field_bytes)
             if pair is not None:
@@ -615,7 +684,7 @@ class DecodeCache:
             pos = end
         self.metrics.inc("serve.decode.field_hits", hits)
         self.metrics.inc("serve.decode.field_misses", parsed)
-        return fields
+        return pos
 
 
 # -- value codec -----------------------------------------------------------

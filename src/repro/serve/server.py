@@ -318,16 +318,11 @@ class _Connection(asyncio.Protocol):
                         buckets=SIZE_BUCKETS)
         replies: List[Optional[Reply]] = [None] * len(payloads)
         checks = []  # (slot, request_id, GuardRequest, span)
-        # One generation read per batch: every cached decode this batch
-        # serves is vouched for by the trust state as of *now*.  (Hits
-        # are transparent anyway — the pipeline re-verifies — but the
-        # stamp means a revocation also strands the stale bytes.)
         cache = listener.decode_cache
-        generation = getattr(listener.backend, "invalidation_generation", 0)
         hits, misses = cache.hits, cache.misses
         for slot, payload in enumerate(payloads):
             try:
-                command = cache.decode(payload, generation)
+                command = cache.decode(payload)
             except WireError as exc:
                 metrics.inc("serve.protocol.wire_errors")
                 replies[slot] = listener._count(

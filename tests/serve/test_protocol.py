@@ -196,19 +196,30 @@ class TestCommandCodec:
 MALFORMED_ID_HEADERS = [b"+1:7", b"0_1:7", b"2:-7", b"2: 7"]
 
 
+def _session_request(logical, index, issuer=None):
+    return GuardRequest(
+        logical,
+        issuer=issuer,
+        credential=SessionCredential(
+            "session-%d" % index, b"tag-%d" % index, to_canonical(logical)
+        ),
+        transport="http",
+    )
+
+
 class TestDecodeCache:
     @pytest.mark.parametrize("header", MALFORMED_ID_HEADERS)
     def test_warm_cache_rejects_what_the_full_parser_rejects(self, header):
         """The sliced hit path may not be laxer than ``decode_command``:
         a malformed length prefix or id fails closed even when the
-        request bytes behind it are already cached."""
-        request = GuardRequest(LOGICAL, transport="http")
+        question behind it is already memoised."""
         cache = DecodeCache()
-        cache.decode(encode_check(7, request))
-        cache.decode(encode_check(8, request))
-        assert cache.hits == 1
+        cache.decode(encode_check(7, _session_request(LOGICAL, 1)))
+        cache.decode(encode_check(8, _session_request(LOGICAL, 2)))
+        assert (cache.hits, cache.misses) == (1, 1)
         frame = b"(5:check%s%s)" % (
-            header, to_canonical(guard_request_to_sexp(request))
+            header,
+            to_canonical(guard_request_to_sexp(_session_request(LOGICAL, 3))),
         )
         with pytest.raises(WireError):
             cache.decode(frame)
@@ -217,38 +228,34 @@ class TestDecodeCache:
             decode_command(frame)
 
     def test_oversize_requests_decode_uncached(self):
-        """Neither layer may key on a peer-sized blob: 1 024 distinct
+        """Neither memo may key on a peer-sized blob: 1 024 distinct
         ``(logical <1 MiB atom>)`` frames used to pin a gigabyte."""
         cache = DecodeCache()
         for index in range(8):
             blob = b"%04d" % index + b"x" * CACHED_BYTES_CEILING
             command = cache.decode(
-                encode_check(index, GuardRequest(sexp(["web", blob])))
+                encode_check(index, _session_request(sexp(["web", blob]), 1))
             )
             assert command.body.logical.items[1].value == blob
-        retained = sum(map(len, cache._entries)) + sum(map(len, cache._fields))
-        assert retained < CACHED_BYTES_CEILING
+            assert command.body.credential.session_id == "session-1"
+        assert not cache._questions
+        assert sum(map(len, cache._fields)) < CACHED_BYTES_CEILING
         # The small fields of those same frames are still shared.
         assert len(cache._fields) == 1
 
     def test_equal_fields_decode_to_shared_objects(self, alice_kp):
         """Two sessions asking one path of one issuer get the same
-        ``logical`` and ``issuer`` objects, not equal copies."""
+        ``logical`` and ``issuer`` objects, not equal copies: the second
+        frame's question is a memo hit."""
         issuer = KeyPrincipal(alice_kp.public)
-        message = to_canonical(LOGICAL)
         cache = DecodeCache()
         first, second = (
-            cache.decode(encode_check(index, GuardRequest(
-                LOGICAL,
-                issuer=issuer,
-                credential=SessionCredential(
-                    "session-%d" % index, b"tag", message
-                ),
-                transport="http",
-            ))).body
+            cache.decode(encode_check(
+                index, _session_request(LOGICAL, index, issuer)
+            )).body
             for index in (1, 2)
         )
-        assert cache.hits == 0 and cache.misses == 2
+        assert cache.hits == 1 and cache.misses == 1
         assert first is not second
         assert first.logical is second.logical
         assert first.issuer is second.issuer

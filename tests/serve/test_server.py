@@ -19,6 +19,7 @@ from repro.core.principals import KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.guard import GuardRequest, SessionCredential, default_backend
 from repro.net.trust import TrustEnvironment
+from repro.obs import MetricsRegistry
 from repro.prover import Prover
 from repro.serve import ServeClient, ServeFleet, ServeListener
 from repro.serve.protocol import (
@@ -268,14 +269,13 @@ class TestRevocationOnTheWire:
     def test_revoked_speaker_replaying_identical_bytes_is_denied(
         self, server_kp, bob_kp, rng
     ):
-        # The decode cache serves byte-identical frames, and fields it
-        # has seen before, without re-parsing — but a cached *decode*
-        # must never become a cached *decision*.  Two sessions hang off
-        # one group certificate.  Grant, revoke that certificate, then
-        # (a) replay the first session's exact frame bytes and (b) send
-        # the second session's frame for the same path — new to the
-        # LRU, every field but the credential served from the memo.
-        # Either cache may hit; neither grant may stand.
+        # The decode cache serves a question it has seen before without
+        # re-parsing — but a cached *decode* must never become a cached
+        # *decision*.  Two sessions hang off one group certificate.
+        # Grant, revoke that certificate, then (a) replay the first
+        # session's exact frame bytes and (b) send the second session's
+        # frame for the same path.  Both questions are memo hits; neither
+        # grant may stand.
         cluster = AuthCluster(node_count=3, clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
         group = Certificate.issue(
@@ -296,36 +296,37 @@ class TestRevocationOnTheWire:
             return encode_frame(encode_check(request_id, request))
 
         async def scenario():
-            listener = ServeListener(cluster)
+            listener = ServeListener(cluster, metrics=MetricsRegistry())
             host, port = await listener.start()
             reader, writer = await asyncio.open_connection(host, port)
             async def send(payload):
                 writer.write(payload)
                 await writer.drain()
                 return decode_reply(await read_frame(reader))
+            def fields():
+                return tuple(
+                    listener.metrics.counter("serve.decode.field_" + name)
+                    for name in ("hits", "misses")
+                )
+
             first = await send(frame(7, 0, 0))
-            # Warm the decode cache: an identical replay while still
-            # authorized is granted (and served from the LRU).
+            # An identical replay while still authorized is granted.
             warm = await send(frame(7, 0, 0))
-            # The other session's chain works too (a different path, so
-            # its frame for path 0 stays new to the LRU).
+            # The other session's chain works too, on a new question.
             other = await send(frame(8, 1, 1))
-            field_hits = listener.metrics.counter("serve.decode.field_hits")
+            before = fields()
             cluster.revoke_serial(group.serial)
             cluster.deliver_invalidations()
             second = await send(frame(7, 0, 0))
             sibling = await send(frame(9, 1, 0))
-            field_hits = (
-                listener.metrics.counter("serve.decode.field_hits")
-                - field_hits
-            )
+            after = fields()
             writer.close()
             await writer.wait_closed()
             stats = listener.stats.copy()
             await listener.shutdown()
-            return first, warm, other, second, sibling, stats, field_hits
+            return first, warm, other, second, sibling, stats, before, after
 
-        first, warm, other, second, sibling, stats, field_hits = (
+        first, warm, other, second, sibling, stats, before, after = (
             asyncio.run(scenario())
         )
         assert first.granted and warm.granted and other.granted
@@ -334,11 +335,15 @@ class TestRevocationOnTheWire:
         assert second.status == CHALLENGE
         assert sibling.status == CHALLENGE
         assert stats["grants"] == 3 and stats["challenges"] == 2
-        # The warm replay was served from the LRU; the revocation moved
-        # the generation, so both later decodes missed it — and found
-        # transport, logical and issuer in the field memo.
-        assert stats["decode_hits"] == 1 and stats["decode_misses"] == 4
-        assert field_hits == 6
+        # Two questions, path 0 and path 1, each walked once: path 0's
+        # transport, logical and issuer parsed; path 1's logical parsed
+        # and the other two found in the field memo.  Every later frame
+        # hit its question, the post-revoke ones included, and read its
+        # credential by length prefix: no field was walked after the
+        # revocation.
+        assert stats["decode_hits"] == 3 and stats["decode_misses"] == 2
+        assert before == (2, 4)
+        assert after == before
 
     def test_sessions_share_decoded_fields_down_to_the_audit_log(
         self, server_kp, rng
