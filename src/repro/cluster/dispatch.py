@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.audit import ClusterAuditView
 from repro.cluster.bus import InvalidationBus
 from repro.cluster.handoff import DrainReport, HandoffCoordinator
-from repro.cluster.membership import ClusterMembership
+from repro.cluster.membership import UP, ClusterMembership
 from repro.cluster.ring import (
     GuardNode,
     HashRing,
@@ -76,11 +76,11 @@ class AuthCluster:
       its MAC sessions re-mint onto the new owners from the cluster
       directory on first miss, carrying their original mint stamp so
       the absolute TTL never restarts;
-    - **planned departure**: :meth:`drain` marks the node DRAINING (still
-      serving), hands its warm state — cached proofs, MAC sessions,
-      channel bindings — to the inheriting ring successors via
-      :class:`~repro.cluster.handoff.HandoffCoordinator`, then finalizes
-      the leave, so a planned topology change costs ~no re-derivations.
+    - **planned departure**: :meth:`drain` runs a bus round, hands the
+      node's warm state — channel bindings, MAC sessions, cached
+      proofs — to the inheriting ring successors via
+      :class:`~repro.cluster.handoff.HandoffCoordinator`, then leaves,
+      so a planned topology change costs ~no re-derivations.
     """
 
     def __init__(
@@ -126,10 +126,6 @@ class AuthCluster:
         # The handoff plane: warm-state transfer for planned departures.
         self.handoff = HandoffCoordinator(self)
         self._next_node = 0
-        # Base term of ``invalidation_generation``: compensates for node
-        # departures (a departing guard's counter leaves the sum) so the
-        # cluster-wide generation never revisits an earlier value.
-        self._generation_base = 0
         # The replicated set (digest -> delegation, replayed to a joining
         # node in arrival order), and what a revocation or a retraction
         # looks up in it: certificate serial / lemma digest -> digests of
@@ -202,23 +198,6 @@ class AuthCluster:
         self.membership.join(node)
         return node
 
-    @property
-    def invalidation_generation(self) -> int:
-        """The cluster-wide invalidation generation: the sum of every
-        live guard's counter plus a base term that absorbs departures.
-        Any retraction, revocation, channel close, or membership change
-        moves it, so a handoff record exported under one generation is
-        fully re-verified when installed under another."""
-        total = self._generation_base
-        for node in self.membership.alive():
-            total += node.guard.invalidation_generation
-        return total
-
-    def _absorb_departure(self, node: GuardNode) -> None:
-        """Fold a departing node's counter into the base (+1 so the
-        membership change itself reads as a new generation)."""
-        self._generation_base += node.guard.invalidation_generation + 1
-
     def remove_node(self, node_id: str) -> GuardNode:
         """Graceful leave: shards reassign; the departing node stops
         receiving bus traffic.  Called on an UP node this is the *cold*
@@ -226,19 +205,20 @@ class AuthCluster:
         warm path, and calls here to finalize."""
         node = self.membership.leave(node_id)
         self.bus.unsubscribe(node_id)
-        self._absorb_departure(node)
         return node
 
     def drain(self, node_id: str) -> DrainReport:
-        """Planned departure, warm: mark the node DRAINING (it keeps its
-        ring points and keeps serving — no wire-level RETRY for a planned
-        leave), hand its warm state to the inheriting successors, then
-        finalize with the ordinary leave.  Returns the transfer report;
-        the per-shard flip happens at the final ring update, by which
-        point every inheritor already holds the state it needs."""
-        self.membership.begin_drain(node_id)
-        node = self.membership.get(node_id)
-        report = self.handoff.drain(node)
+        """Planned departure, warm: one bus round, then the node's warm
+        state into the inheriting successors' import hooks, then the
+        ordinary leave.  The round comes first so that the draining node
+        has applied every invalidation any node published, and hands
+        over nothing one of them reached; this call runs on the
+        cluster's one loop, so nothing is published before the leave.
+        Returns the transfer report."""
+        if self.membership.state_of(node_id) != UP:
+            raise ValueError("node %r is not up" % node_id)
+        self.bus.deliver()
+        report = self.handoff.drain(self.membership.get(node_id))
         self.remove_node(node_id)
         return report
 
@@ -247,7 +227,6 @@ class AuthCluster:
         the detector-driven path)."""
         node = self.membership.fail(node_id)
         self.bus.unsubscribe(node_id)
-        self._absorb_departure(node)
         return node
 
     def crash_node(self, node_id: str) -> GuardNode:

@@ -1,23 +1,24 @@
-"""Warm shard handoff: planned topology changes without re-derivation storms.
+"""Warm shard handoff: planned departures without re-derivation storms.
 
 A cold ``leave()`` is *correct* — every grant is re-derivable from first
 principles, so successors re-prove and re-mint on first miss — but it is
 not *free*: each inherited speaker pays a full Prover search plus real
-signature verification before its first post-leave grant.  This module
-makes a planned departure cost ~zero re-derivations: the draining node
-enumerates its warm state (proof-cache entries, MAC sessions, channel
-bindings) into :class:`HandoffRecord` objects and hands them, as they
-are, to the ring successors that will inherit each shard.  Nothing is
-encoded or parsed: the cluster's nodes share one process and one loop.
+signature verification before its first post-leave grant.  A drain
+makes a planned departure cost ~zero re-derivations: the draining
+node's channel bindings, MAC sessions and cached chains are handed, as
+objects, to the guard import hooks of the ring successors that inherit
+each shard.  Nothing is encoded or parsed: the cluster's nodes share one
+process and one loop.
 
-The safety argument is the guard's, not ours: **a handed-off proof is
-never a handed-off decision**.  Every record is re-admitted through the
-receiving guard's import hooks, which re-validate against the receiver's
-own premise snapshot, clock, and invalidation tombstones — and when the
-cluster's invalidation generation moved between export and install, the
-whole tree is re-verified.  State revoked, retracted, closed, or lapsed
-in transit is refused at install, and the next check for it takes the
-full Prover path.
+The invariant: **a drain hands over only state that has seen every
+published invalidation.**  ``AuthCluster.drain`` runs one bus round
+before the hand-over, so the draining node has applied every
+revocation, retraction and channel close any node published and holds
+nothing they reached.  The drain is one synchronous call on the
+cluster's loop, so nothing is published between that round and the last
+import.  The import hooks still re-validate each item against the
+receiver's own tombstones, clock and premise snapshot: *a handed-off
+proof is never a handed-off decision*.
 
 This module deliberately speaks only the guard's export/import surface:
 it never imports the prover or the cache types directly, so the
@@ -27,8 +28,7 @@ it does for the serving plane.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cluster.membership import UP
 from repro.cluster.ring import (
@@ -37,13 +37,6 @@ from repro.cluster.ring import (
     session_routing_key,
 )
 from repro.core.principals import MacPrincipal
-
-#: Record kinds, in install order: channel bindings must be vouched
-#: before the cached chains leaning on them re-validate their premises.
-KINDS = ("channel", "session", "proof")
-
-#: Install-order rank per kind (see KINDS).
-_KIND_RANK = {kind: rank for rank, kind in enumerate(KINDS)}
 
 
 def shard_key_for(speaker) -> bytes:
@@ -54,33 +47,6 @@ def shard_key_for(speaker) -> bytes:
     if isinstance(speaker, MacPrincipal):
         return session_routing_key(speaker.mac_id.digest.hex())
     return principal_fingerprint(speaker)
-
-
-class HandoffRecord:
-    """One unit of warm state, handed to the inheritor as an object.
-
-    ``kind`` is one of :data:`KINDS`; ``generation`` is the cluster-wide
-    invalidation generation at export time (the receiver compares it to
-    its own and escalates to full re-verification on mismatch);
-    ``payload`` is kind-shaped: a :class:`Proof` for ``proof``, a
-    ``(mac_id, MacKey, minted_at)`` triple for ``session``, a
-    :class:`SpeaksFor` binding for ``channel``.  ``proof`` records also
-    carry the exporting bucket's speaker (a MAC session's cache bucket is
-    keyed by the MAC principal, not the chain subject).
-    """
-
-    __slots__ = ("kind", "generation", "speaker", "payload")
-
-    def __init__(self, kind: str, generation: int, payload, speaker=None):
-        if kind not in KINDS:
-            raise ValueError("unknown handoff record kind %r" % kind)
-        self.kind = kind
-        self.generation = generation
-        self.speaker = speaker
-        self.payload = payload
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "HandoffRecord(%s gen=%d)" % (self.kind, self.generation)
 
 
 class DrainReport:
@@ -120,21 +86,13 @@ class DrainReport:
 
 
 class HandoffCoordinator:
-    """The cluster's handoff plane: export, hand over, re-admit.
-
-    Owned by :class:`~repro.cluster.dispatch.AuthCluster`; a drain
-    enumerates warm state into :class:`HandoffRecord` objects and
-    installs those same objects on the receivers through the guard
-    import hooks.
-    """
-
-    #: Reports kept for the aggregate view (newest last).
-    REPORT_LIMIT = 64
+    """The cluster's handoff plane: a draining node's warm state, in one
+    pass, into the inheritors' guard import hooks — and its tallies.
+    Owned by :class:`~repro.cluster.dispatch.AuthCluster`, whose
+    ``drain`` runs the bus round before and the leave after."""
 
     def __init__(self, cluster):
         self.cluster = cluster
-        self.metrics = cluster.metrics
-        self.reports: List[DrainReport] = []
         self.stats = {
             "records_installed": 0,
             "records_refused_stale": 0,
@@ -142,51 +100,56 @@ class HandoffCoordinator:
             "last_drain_ms": 0.0,
         }
 
-    # -- export ----------------------------------------------------------
+    def drain(self, node: GuardNode) -> DrainReport:
+        """Hand ``node``'s warm state to the successors inheriting each
+        shard: channel bindings first (the chains leaning on them
+        re-validate their premises on import), then MAC sessions, then
+        cached chains."""
+        timebase = self.cluster.metrics.timebase
+        started = timebase.now()
+        outcomes = {"installed": 0, "refused": 0, "duplicate": 0}
+        successors: List[str] = []
 
-    def export_node(self, node: GuardNode) -> "OrderedDict[str, List[HandoffRecord]]":
-        """Plan a drain: every warm record on ``node``, grouped by the
-        ring successor that inherits its shard (install order: channels,
-        then sessions, then proofs — bindings must be vouched before the
-        chains leaning on them re-validate)."""
-        generation = self.cluster.invalidation_generation
-        plan: "OrderedDict[str, List[HandoffRecord]]" = OrderedDict()
-
-        def assign(key: bytes, record: HandoffRecord) -> None:
-            inheritor = self._inheritor(key, node.node_id)
-            if inheritor is None:
-                return
-            plan.setdefault(inheritor, []).append(record)
+        def heir(key: bytes):
+            node_id = self._inheritor(key, node.node_id)
+            if node_id is None:
+                return None
+            if node_id not in successors:
+                successors.append(node_id)
+            return self.cluster.membership.get(node_id).guard
 
         ring = self.cluster.membership.ring
         for fingerprint, premise in self.cluster.channel_bindings():
             if ring.node_for(fingerprint) != node.node_id:
                 continue
-            assign(
-                fingerprint,
-                HandoffRecord("channel", generation, premise),
-            )
+            guard = heir(fingerprint)
+            if guard is not None:
+                outcomes[guard.import_channel(premise)] += 1
         for mac_id, mac_key, minted_at in node.guard.export_sessions():
-            assign(
-                session_routing_key(mac_id),
-                HandoffRecord(
-                    "session", generation, (mac_id, mac_key, minted_at)
-                ),
-            )
+            guard = heir(session_routing_key(mac_id))
+            if guard is not None:
+                outcomes[guard.import_session(mac_id, mac_key, minted_at)] += 1
         for speaker, proof in node.guard.export_proof_entries():
-            assign(
-                shard_key_for(speaker),
-                HandoffRecord("proof", generation, proof, speaker=speaker),
-            )
-        for records in plan.values():
-            records.sort(key=lambda record: _KIND_RANK[record.kind])
-        return plan
+            guard = heir(shard_key_for(speaker))
+            if guard is not None:
+                outcomes[guard.import_proof_entry(proof, speaker=speaker)] += 1
+
+        duration_ms = (timebase.now() - started) * 1000.0
+        self.stats["records_installed"] += outcomes["installed"]
+        self.stats["records_refused_stale"] += outcomes["refused"]
+        self.stats["drains"] += 1
+        self.stats["last_drain_ms"] = duration_ms
+        return DrainReport(
+            node.node_id, sum(outcomes.values()), outcomes["installed"],
+            outcomes["refused"], outcomes["duplicate"], successors,
+            duration_ms,
+        )
 
     def _inheritor(self, key: bytes, draining_id: str) -> Optional[str]:
         """Who inherits ``key`` once ``draining_id`` leaves: the first
         serving successor that is not the departing node.  (For state the
         node holds on someone else's shard — left from an older ring
-        layout — that is simply the owner; the install dedups.)"""
+        layout — that is simply the owner; the import dedups.)"""
         membership = self.cluster.membership
         ring = membership.ring
         for node_id in ring.successors(key, len(ring)):
@@ -195,73 +158,3 @@ class HandoffCoordinator:
             if membership.state_of(node_id) == UP:
                 return node_id
         return None
-
-    # -- install ----------------------------------------------------------
-
-    def install(
-        self, receiver: GuardNode, records: List[HandoffRecord]
-    ) -> Tuple[int, int, int]:
-        """Re-admit records on ``receiver`` through its guard's import
-        hooks; returns ``(installed, refused, duplicates)``.  A record
-        whose export generation differs from the cluster's current one
-        is re-verified in full — the tombstones catch known-stale state,
-        the generation escalation catches anything they aged out."""
-        current = self.cluster.invalidation_generation
-        installed = refused = duplicates = 0
-        for record in records:
-            full_verify = record.generation != current
-            outcome = self._install_one(receiver, record, full_verify)
-            if outcome == "installed":
-                installed += 1
-            elif outcome == "duplicate":
-                duplicates += 1
-            else:
-                refused += 1
-        self.stats["records_installed"] += installed
-        self.stats["records_refused_stale"] += refused
-        return installed, refused, duplicates
-
-    @staticmethod
-    def _install_one(
-        receiver: GuardNode, record: HandoffRecord, full_verify: bool
-    ) -> str:
-        guard = receiver.guard
-        if record.kind == "channel":
-            return guard.import_channel(record.payload)
-        if record.kind == "session":
-            mac_id, mac_key, minted_at = record.payload
-            return guard.import_session(mac_id, mac_key, minted_at)
-        return guard.import_proof_entry(
-            record.payload,
-            speaker=record.speaker,
-            full_verify=full_verify,
-        )
-
-    # -- the drain ------------------------------------------------------------
-
-    def drain(self, node: GuardNode) -> DrainReport:
-        """Transfer a draining node's warm state to the inheriting
-        successors, shard by shard.  The node is still serving while this
-        runs (membership holds it DRAINING); the caller finalizes with
-        ``leave()`` once the report returns."""
-        timebase = self.metrics.timebase
-        started = timebase.now()
-        plan = self.export_node(node)
-        offered = sum(len(records) for records in plan.values())
-        installed = refused = duplicates = 0
-        for successor_id, records in plan.items():
-            receiver = self.cluster.membership.get(successor_id)
-            got, bad, dup = self.install(receiver, records)
-            installed += got
-            refused += bad
-            duplicates += dup
-        duration_ms = (timebase.now() - started) * 1000.0
-        report = DrainReport(
-            node.node_id, offered, installed, refused, duplicates,
-            list(plan.keys()), duration_ms,
-        )
-        self.reports.append(report)
-        del self.reports[:-self.REPORT_LIMIT]
-        self.stats["drains"] += 1
-        self.stats["last_drain_ms"] = duration_ms
-        return report

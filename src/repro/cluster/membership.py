@@ -18,11 +18,11 @@ premises are the deliberate exception — a connection terminates at
 exactly one node, so its premise dies with that node and the client
 reconnects and re-vouches.
 
-*Planned* departures get a warmer deal: a DRAINING node keeps serving
-while :mod:`repro.cluster.handoff` hands its sessions, cached proofs,
-and channel bindings to the inheriting successors, so the eventual
-``leave()`` flips each shard to an owner that re-derives ~nothing.
-
+*Planned* departures get a warmer deal, but no state of their own: a
+drain is one synchronous call on the cluster's loop that hands the
+node's sessions, cached proofs, and channel bindings to the inheriting
+successors (:mod:`repro.cluster.handoff`) and then calls ``leave()``,
+so the event log shows it as its one ``leave``.
 """
 
 from __future__ import annotations
@@ -40,17 +40,6 @@ FAILED = "failed"
 #: Died without a leave: still holds its ring points until the next
 #: sweep, so lookups that land on it raise ``NodeUnavailableError``.
 CRASHED = "crashed"
-#: Planned departure in progress: the node is *still serving* — it keeps
-#: its ring points, answers lookups, heartbeats, and receives bus traffic
-#: — while its warm state is handed to the inheriting successors shard
-#: by shard.  ``leave()`` finalizes the transition to LEFT.
-DRAINING = "draining"
-
-#: States whose nodes serve requests (lookups resolve, heartbeats count,
-#: delegations replicate).  A draining node serves until the instant its
-#: ring points are withdrawn — that is what makes a planned departure
-#: RETRY-free at the wire, unlike a crash.
-SERVING = (UP, DRAINING)
 
 
 class MembershipEvent:
@@ -60,7 +49,7 @@ class MembershipEvent:
 
     def __init__(self, when: float, action: str, node_id: str):
         self.when = when
-        self.action = action  # "join" | "drain" | "leave" | "fail" | "crash"
+        self.action = action  # "join" | "leave" | "fail" | "crash"
         self.node_id = node_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -99,7 +88,7 @@ class ClusterMembership:
     def join(self, node: GuardNode) -> None:
         """Admit a node: it takes its ring points and starts heartbeating.
         A previously left or failed id may rejoin (fresh caches)."""
-        if self._state.get(node.node_id) in SERVING:
+        if self._state.get(node.node_id) == UP:
             raise ValueError("node %r is already up" % node.node_id)
         self.ring.add(node.node_id)
         self._nodes[node.node_id] = node
@@ -107,29 +96,14 @@ class ClusterMembership:
         self._last_heartbeat[node.node_id] = self.clock.now()
         self._record("join", node.node_id)
 
-    def begin_drain(self, node_id: str) -> GuardNode:
-        """Start a planned departure: the node transitions UP → DRAINING
-        but keeps its ring points and keeps serving while its warm state
-        is handed to the inheriting successors.  :meth:`leave` finalizes
-        the departure (DRAINING → LEFT) once the transfer completes."""
-        if self._state.get(node_id) != UP:
-            raise ValueError("node %r is not up" % node_id)
-        node = self._nodes[node_id]
-        self._state[node_id] = DRAINING
-        self._record("drain", node_id)
-        return node
-
     def leave(self, node_id: str) -> GuardNode:
         """Graceful departure: the node's shards reassign deterministically
         to the ring successors; its state is returned to the caller.
 
-        When a drain is in progress (state DRAINING), this *is* the drain
-        path's final step: the node's sessions, cached proofs, and channel
-        bindings have already been handed to the inheriting successors
-        (see :mod:`repro.cluster.handoff`), so withdrawing the ring points
-        flips each shard to an already-warm owner.  A plain leave from UP
-        is the cold path — successors re-mint sessions lazily from the
-        escrow directory and re-derive proofs on first miss."""
+        After a drain this flips each shard to an owner already holding
+        the node's warm state (see :mod:`repro.cluster.handoff`).  A plain
+        leave is the cold path — successors re-mint sessions lazily from
+        the escrow directory and re-derive proofs on first miss."""
         node = self._checked_serving(node_id)
         self.ring.remove(node_id)
         self._state[node_id] = LEFT
@@ -162,7 +136,7 @@ class ClusterMembership:
         return node
 
     def _checked_serving(self, node_id: str) -> GuardNode:
-        if self._state.get(node_id) not in SERVING:
+        if self._state.get(node_id) != UP:
             raise ValueError("node %r is not up" % node_id)
         return self._nodes[node_id]
 
@@ -187,7 +161,7 @@ class ClusterMembership:
         lapsed = [
             node_id
             for node_id, state in self._state.items()
-            if state in SERVING
+            if state == UP
             and now - self._last_heartbeat[node_id] > self.heartbeat_timeout
         ]
         for node_id in lapsed:
@@ -216,7 +190,7 @@ class ClusterMembership:
         the ring points in the same step that flips the state, so a
         lookup never finds a cleanly-left node on the ring."""
         node_id = self.ring.node_for(key)
-        if self._state.get(node_id) not in SERVING:
+        if self._state.get(node_id) != UP:
             raise NodeUnavailableError(node_id)
         return self._nodes[node_id]
 
@@ -232,11 +206,9 @@ class ClusterMembership:
         return self._state.get(node_id)
 
     def alive(self) -> List[GuardNode]:
-        """The serving nodes — UP plus DRAINING: a draining node still
-        answers checks, so it must keep receiving delegations and bus
-        traffic until the moment it leaves."""
+        """The serving (UP) nodes."""
         return [
             self._nodes[node_id]
             for node_id, state in self._state.items()
-            if state in SERVING
+            if state == UP
         ]

@@ -188,20 +188,11 @@ class Guard:
         # payload)`` after this guard retracts state that other caches may
         # also hold (a cluster node forwards them onto its bus).
         self.invalidation_hooks: List = []
-        # Monotonic invalidation generation: bumped by every event that
-        # retracts derived authorization state (channel close, delegation
-        # retraction, serial revocation — local or bus-delivered).  A
-        # drain's handoff records carry the cluster-wide sum, so a record
-        # exported before an invalidation is fully re-verified at install.
-        self.invalidation_generation = 0
         # Invalidation tombstones: the serials, lemma digests, and channel
         # premises this guard has seen retracted.  Purging derived state
-        # is not enough once warm state can *arrive* from a peer — a
-        # handoff record exported before a revocation must be refused at
-        # install, and the tombstones are how the import hooks recognize
-        # it.  Bounded FIFO: under churn an aged-out tombstone only costs
-        # a full re-verification (the generation check forces one), never
-        # a stale admit.
+        # only removes what was held at the time; warm state handed over
+        # by a draining peer and proofs presented again are read against
+        # the tombstones before they are admitted (see TOMBSTONE_LIMIT).
         self._revoked_serials: "OrderedDict[bytes, None]" = OrderedDict()
         self._retracted_digests: "OrderedDict[bytes, None]" = OrderedDict()
         self._closed_channels: "OrderedDict[bytes, None]" = OrderedDict()
@@ -673,7 +664,6 @@ class Guard:
         self.trust.retract(premise)
         self.cache.retract_premise(premise)
         self._tombstone(self._closed_channels, to_canonical(premise.to_sexp()))
-        self.invalidation_generation += 1
         self._notify("channel_closed", premise)
 
     def deliver(self, request: GuardRequest) -> Principal:
@@ -742,7 +732,6 @@ class Guard:
             else proof_or_digest.digest()
         )
         removed = self._retract_delegation(digest)
-        self.invalidation_generation += 1
         self._notify("delegation_retracted", digest)
         return removed
 
@@ -755,7 +744,6 @@ class Guard:
         purges derived state even on guards running without one.
         """
         removed = self._revoke_serial(serial)
-        self.invalidation_generation += 1
         self._notify("serial_revoked", serial)
         return removed
 
@@ -775,7 +763,6 @@ class Guard:
         else:
             raise ValueError("unknown invalidation kind %r" % kind)
         self.stats["invalidations_applied"] += 1
-        self.invalidation_generation += 1
         return removed
 
     def _retract_delegation(self, digest: bytes) -> int:
@@ -793,11 +780,12 @@ class Guard:
         return removed
 
     #: Bound on each tombstone table (FIFO).  For imports, aging a
-    #: tombstone out can never admit stale state: any import racing an
-    #: invalidation sees a moved generation and pays full
-    #: re-verification.  A *presented* proof has no generation to
-    #: compare: once its revocation is more than this many events old,
-    #: a still-signed certificate verifies and is admitted again.  A live
+    #: tombstone out can never admit stale state: a drain runs a bus
+    #: round before it hands anything over, so the draining node has
+    #: purged every chain an invalidation reached, wherever it was
+    #: published.  A *presented* proof has no such round behind it: once
+    #: its revocation is more than this many events old, a still-signed
+    #: certificate verifies and is admitted again.  A live
     #: ``trust.revocation`` policy is the durable refusal.
     TOMBSTONE_LIMIT = 4096
 
@@ -810,14 +798,13 @@ class Guard:
     # -- warm-state handoff (export / import hooks) -------------------------
     #
     # A draining cluster node exports its warm state through the two
-    # ``export_*`` snapshots and the receiver re-admits each record
-    # through the ``import_*`` hooks.  The contract is the one invariant
-    # the whole protocol hangs on: *a handed-off proof is never a
-    # handed-off decision*.  Every import re-validates against the
+    # ``export_*`` snapshots and the receiver re-admits each item
+    # through the ``import_*`` hooks.  *A handed-off proof is never a
+    # handed-off decision*: every import re-validates against the
     # receiving guard's own premise snapshot, clock, and invalidation
-    # tombstones; anything revoked, retracted, closed, or lapsed between
-    # export and install is refused, and the next check for it pays the
-    # full Prover path.
+    # tombstones; anything lapsed, or that this guard saw revoked,
+    # retracted or closed, is refused, and the next check for it pays
+    # the full Prover path.
 
     def export_proof_entries(self) -> List[Tuple[object, Proof]]:
         """Snapshot the proof cache as ``(speaker, proof)`` pairs, every
@@ -834,26 +821,22 @@ class Guard:
         triples (expired sessions are excluded at the source)."""
         return self.sessions.live_sessions()
 
-    def import_proof_entry(
-        self, proof: Proof, speaker=None, full_verify: bool = False
-    ) -> str:
+    def import_proof_entry(self, proof: Proof, speaker=None) -> str:
         """Admit a handed-off proof-cache entry after re-validation.
 
         Checks run against *this* guard's state: the validity window on
-        this clock, the invalidation tombstones (a serial revoked or a
-        delegation retracted between export and install refuses the
-        record), and the premise snapshot (a chain leaning on a channel
-        binding this guard does not vouch is refused).  ``full_verify``
-        additionally re-verifies the whole tree — the coordinator sets
-        it when the cluster generation moved between export and install,
-        covering invalidations the bounded tombstones may have aged out.
-        Returns ``"installed"``, ``"duplicate"``, or ``"refused"``.
+        this clock, the invalidation tombstones (a chain citing a serial
+        this guard saw revoked or a lemma it saw retracted is refused),
+        and the premise snapshot (a chain leaning on a channel binding
+        this guard does not vouch is refused).  Signatures are not
+        checked again: the exporting guard verified them.  Returns
+        ``"installed"``, ``"duplicate"``, or ``"refused"``.
         """
         conclusion = proof.conclusion
         if not isinstance(conclusion, SpeaksFor):
             return self._refuse_import()
         entry = CachedProof(proof)
-        if not self._import_admissible(entry, full_verify):
+        if not self._import_admissible(entry):
             return self._refuse_import()
         # The cache is the one place a handed-off chain lands.  It is
         # warm state, not a delegation: digesting it into the prover
@@ -895,21 +878,16 @@ class Guard:
         return (any(serial in revoked for serial in entry.serials)
                 or any(key in retracted for key in entry.lemma_keys))
 
-    def _import_admissible(self, entry: CachedProof, full_verify: bool) -> bool:
+    def _import_admissible(self, entry: CachedProof) -> bool:
         context = self.trust.context()
         if not entry.proof.conclusion.validity.contains(context.now):
             return False
         if self._tombstoned(entry):
             return False
-        for statement in entry.premises:
-            if statement not in context.trusted_premises:
-                return False
-        if full_verify:
-            try:
-                entry.proof.verify(context)
-            except VerificationError:
-                return False
-        return True
+        return all(
+            statement in context.trusted_premises
+            for statement in entry.premises
+        )
 
     def _refuse_import(self) -> str:
         self.stats["handoff_refused_stale"] += 1

@@ -30,11 +30,10 @@ A batch that routes onto a crashed cluster node raises
 The listener answers every check in that batch with RETRY and triggers
 the backend's failure sweep, so the client's single retry lands on the
 repaired ring.  RETRY is the *crash* story only: a **planned** departure
-(``AuthCluster.drain``) never surfaces here, because a DRAINING node
-keeps its ring points and keeps serving until its warm state has been
-handed to the inheriting successors — the ring flips shard owners in
-one final leave, and every post-flip lookup resolves to a live,
-already-warm node (see ``docs/serve.md`` and ``docs/cluster.md``).
+(``AuthCluster.drain``) never surfaces here.  It is one call on this
+same loop that hands the node's warm state to the inheriting successors
+and then leaves, so every check lands either before it, on the node, or
+after it, on a live, already-warm owner (see ``docs/cluster.md``).
 
 Graceful shutdown closes the listening socket first (new connects are
 refused), then lets each connection serve the complete frames it has

@@ -18,6 +18,7 @@ from repro.spki import Certificate
 from repro.tags import Tag
 
 REQUEST = ["web", ["method", "GET"], ["path", "/doc"]]
+REQUESTS = 64
 
 
 class ClusterWorld:
@@ -43,6 +44,17 @@ class ClusterWorld:
             ),
             transport=transport,
         )
+
+    def requests(self, speaker=None, count=REQUESTS):
+        """``count`` checks by ``speaker`` (the client by default), one
+        path each."""
+        return [
+            self.request(
+                speaker,
+                ["web", ["method", "GET"], ["path", "/doc-%d" % index]],
+            )
+            for index in range(count)
+        ]
 
 
 @pytest.fixture()

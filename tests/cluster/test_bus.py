@@ -66,6 +66,16 @@ class TestDelegationRetraction:
         assert bus["delivered"] == len(nodes) - 1  # origin excluded
         assert bus["dropped_entries"] > 0
 
+    def test_retracted_delegation_denied_through_owner_routing(self, world):
+        cluster = world.cluster
+        for request in world.requests():
+            assert cluster.check(request).granted
+        cluster.retract_delegation(world.delegation)
+        cluster.deliver_invalidations()
+        for request in world.requests():
+            with pytest.raises(NeedAuthorizationError):
+                cluster.check(request)
+
     def test_origin_does_not_reapply_its_own_event(self, world):
         nodes = _warm_all_nodes(world)
         origin = nodes[0]
@@ -111,6 +121,25 @@ class TestRevocation:
             with pytest.raises(NeedAuthorizationError):
                 node.guard.check(world.request())
         assert world.cluster.bus.stats["published_serial_revoked"] == 1
+
+    def test_revoked_serial_denied_on_every_node_after_one_round(self, world):
+        cluster = world.cluster
+        for request in world.requests():
+            assert cluster.check(request).granted
+
+        cluster.revoke_serial(world.certificate.serial)
+        assert cluster.deliver_invalidations() > 0
+
+        # Every node — the origin, the owner, the bystanders — now
+        # denies the speaker, checked directly so routing cannot dodge a
+        # stale node.
+        for node in cluster.nodes():
+            with pytest.raises(NeedAuthorizationError):
+                node.guard.check(world.request())
+        # And through the cluster's own routing as well.
+        for request in world.requests():
+            with pytest.raises(NeedAuthorizationError):
+                cluster.check(request)
 
     def test_a_purge_says_what_it_examined(self, world):
         """One edge and one cached proof per node cite the serial; the

@@ -11,7 +11,7 @@ from repro.core.errors import AuthorizationError, NeedAuthorizationError
 from repro.core.principals import ChannelPrincipal, KeyPrincipal, MacPrincipal
 from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.rules import TransitivityStep
-from repro.core.statements import SpeaksFor
+from repro.core.statements import Says, SpeaksFor
 from repro.guard import ChannelCredential, GuardRequest, SessionCredential
 from repro.sexp import sexp, to_canonical, to_transport
 from repro.spki import Certificate
@@ -335,6 +335,64 @@ class TestMergedAudit:
             for node in world.cluster.nodes()
         )
         assert world.cluster.audit.retain is None  # bounded by the rings
+
+
+def _move_owner(cluster, speaker):
+    """Join nodes until ``speaker``'s shard changes owner."""
+    owner = cluster.node_for_speaker(speaker)
+    for _ in range(32):
+        cluster.add_node()
+        if cluster.node_for_speaker(speaker) is not owner:
+            return
+    raise AssertionError("no join moved the speaker's shard")
+
+
+class TestRingChange:
+    def test_channel_binding_follows_the_traffic_after_a_join(self, world):
+        """The ring can change under a live channel: the new owner is
+        handed the binding from the channel directory, so a resubmitted
+        chain verifies there instead of failing against a node that
+        never saw the handshake."""
+        cluster = world.cluster
+        channel = ChannelPrincipal.of_secret(b"\x07" * 32)
+        cluster.open_channel(channel, world.client)
+        chain = TransitivityStep(
+            PremiseStep(SpeaksFor(channel, world.client, Tag.all())),
+            world.delegation,
+        )
+        wire = to_canonical(chain.to_sexp())
+        cluster.submit_proof(wire)
+        for request in world.requests(channel):
+            assert cluster.check(request).granted
+
+        _move_owner(cluster, channel)
+        # The new owner holds neither the premise nor the cached chain:
+        # the directory re-vouches the premise, so the worst case is a
+        # re-challenge, and resubmitting the chain (the client's normal
+        # response) must verify.
+        cluster.submit_proof(wire)
+        assert cluster.stats["channels_revouched"] == 1
+        for request in world.requests(channel):
+            assert cluster.check(request).granted
+
+    def test_retract_delivery_reaches_the_node_that_vouched(self, world):
+        """A delivered utterance is vouched on the owner *at delivery
+        time*; the retraction at teardown must find it after the ring
+        changed in between (today's owner lookup would miss)."""
+        cluster = world.cluster
+        request = world.request()
+        cluster.deliver(request)
+        uttered = Says(world.client, request.logical)
+        vouchers = [
+            node for node in cluster.nodes()
+            if node.trust.vouches_for(uttered)
+        ]
+        assert vouchers == [cluster.node_for_speaker(world.client)]
+        _move_owner(cluster, world.client)
+        cluster.retract_delivery(world.client, request.logical)
+        assert not any(
+            node.trust.vouches_for(uttered) for node in cluster.nodes()
+        )
 
 
 class TestHeartbeatSweep:

@@ -1,14 +1,13 @@
 """Warm shard handoff.
 
-The protocol under test: a draining node enumerates its warm state
-(proof-cache entries, MAC sessions, channel bindings) into
-:class:`HandoffRecord`\\ s and hands them, as objects, to the ring
-successors inheriting each shard; receivers re-admit every record
-through the guard import hooks, which re-validate against *their own*
-premise snapshot, clock, and invalidation tombstones.  The safety
-property — a handed-off proof is never a handed-off decision — is what
-the refuse-stale tests pin down: state revoked between export and
-install is refused, and the next check pays the full Prover path.
+The protocol under test: a drain runs one invalidation-bus round, then
+hands the draining node's warm state (channel bindings, MAC sessions,
+proof-cache entries), as objects, to the import hooks of the ring
+successors inheriting each shard, then leaves.  The refuse-stale tests
+pin the bus-round-first invariant: a revocation published anywhere
+before the drain never rides it into an inheritor's cache.  The import
+hooks' own refusals are driven on one guard in
+``tests/guard/test_import_hooks.py``.
 """
 
 from __future__ import annotations
@@ -17,18 +16,18 @@ import sys
 
 import pytest
 
-from repro.cluster.handoff import HandoffRecord, shard_key_for
-from repro.cluster.membership import DRAINING, LEFT
+from repro.cluster.handoff import shard_key_for
+from repro.cluster.membership import LEFT, UP
 from repro.cluster.ring import session_routing_key
+from repro.core.errors import NeedAuthorizationError
 from repro.core.principals import (
     ChannelPrincipal,
     HashPrincipal,
     KeyPrincipal,
     MacPrincipal,
 )
-from repro.core.proofs import PremiseStep, SignedCertificateStep
+from repro.core.proofs import SignedCertificateStep
 from repro.core.rules import TransitivityStep
-from repro.core.statements import SpeaksFor
 from repro.crypto.hashes import HashValue
 from repro.crypto.rsa import RsaPublicKey
 from repro.guard import GuardRequest, ProofCredential, SessionCredential
@@ -80,10 +79,6 @@ def _count_parses(monkeypatch):
 
 
 class TestRecordCodec:
-    def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError):
-            HandoffRecord("rumor", 0, None)
-
     def test_mac_speaker_shards_by_session_id(self, world, rng):
         """A MAC speaker's warm state must follow its *requests*, which
         route by session id — not by principal fingerprint."""
@@ -157,9 +152,9 @@ class TestDrainTransfersWarmState:
         self, server_kp, alice_kp, rng, monkeypatch
     ):
         """Records are handed over as objects: no byte is encoded or
-        parsed on the way, no signature is checked again (the export
-        generation still matches), and each inheritor's cache entry
-        holds the very proof the draining node exported."""
+        parsed on the way, no signature is checked again, and each
+        inheritor's cache entry holds the very proof the draining node
+        exported."""
         world = ClusterWorld(server_kp, alice_kp, rng, session_ttl=100.0)
         cluster = world.cluster
         for _ in range(4):
@@ -194,25 +189,6 @@ class TestDrainTransfersWarmState:
             owner = cluster.membership.node_for(shard_key_for(speaker))
             entry = owner.guard.cache.buckets[speaker][proof.digest()]
             assert entry.proof is proof
-
-    def test_node_keeps_serving_while_draining(self, world):
-        cluster = world.cluster
-        for _ in range(4):
-            assert cluster.check(world.request()).granted
-        victim = next(
-            node for node in cluster.nodes()
-            if node.guard.stats["checks"] > 0
-        )
-        cluster.membership.begin_drain(victim.node_id)
-        assert cluster.membership.state_of(victim.node_id) == DRAINING
-        # Still on the ring, still serving — a planned departure is
-        # invisible at the request surface until the final leave.
-        assert cluster.check(world.request()).granted
-        assert victim in cluster.membership.alive()
-        report = cluster.handoff.drain(victim)
-        cluster.remove_node(victim.node_id)
-        assert report.offered == report.installed + report.duplicates
-        assert cluster.check(world.request()).granted
 
     def test_drain_report_feeds_the_aggregate_makespan(self, world):
         """A drain's measured duration is what the stats snapshot (the
@@ -283,9 +259,9 @@ class TestDrainTransfersWarmState:
 
 class TestMembershipOrdering:
     def test_drain_then_leave_event_ordering(self, world):
-        """Satellite: the membership event log shows DRAINING -> LEFT as
-        ``drain`` then ``leave`` for the departing node, with the drain
-        strictly before the ring update."""
+        """A drain has no state of its own: the membership event log
+        shows the departing node's ``join`` and then its one ``leave``,
+        and ``handoff.drains`` counts the drain."""
         cluster = world.cluster
         victim = cluster.nodes()[0].node_id
         cluster.drain(victim)
@@ -294,156 +270,96 @@ class TestMembershipOrdering:
             for event in cluster.membership.events
             if event.node_id == victim
         ]
-        assert actions == [("join", victim), ("drain", victim), ("leave", victim)]
+        assert actions == [("join", victim), ("leave", victim)]
         assert cluster.membership.state_of(victim) == LEFT
-
-    def test_leave_finalizes_a_drain_in_progress(self, world):
-        """The ``leave()`` docstring's old promise, now real: a draining
-        node's leave is the drain path's final step, not an error."""
-        membership = world.cluster.membership
-        victim = world.cluster.nodes()[0].node_id
-        membership.begin_drain(victim)
-        assert membership.state_of(victim) == DRAINING
-        membership.leave(victim)  # must not raise
-        assert membership.state_of(victim) == LEFT
-
-    def test_begin_drain_requires_an_up_node(self, world):
-        membership = world.cluster.membership
-        victim = world.cluster.nodes()[0].node_id
-        membership.begin_drain(victim)
+        assert cluster.handoff.stats["drains"] == 1
         with pytest.raises(ValueError):
-            membership.begin_drain(victim)  # already draining
-        membership.leave(victim)
-        with pytest.raises(ValueError):
-            membership.begin_drain(victim)  # already left
+            cluster.drain(victim)  # already left: nothing is handed over
+        assert cluster.handoff.stats["drains"] == 1
 
-    def test_draining_node_still_heartbeats_and_sweeps_clean(self, world):
-        membership = world.cluster.membership
-        victim = world.cluster.nodes()[0].node_id
-        membership.begin_drain(victim)
-        membership.heartbeat(victim)  # must not raise
-        assert membership.sweep() == []  # a fresh drain never lapses
-        assert membership.state_of(victim) == DRAINING
+
+def _heir(cluster, speaker, victim_id):
+    """The node inheriting ``speaker``'s shard when ``victim_id``
+    drains: the first UP ring successor of its key other than the
+    victim."""
+    membership = cluster.membership
+    key = shard_key_for(speaker)
+    return next(
+        membership.get(node_id)
+        for node_id in membership.ring.successors(key, len(membership.ring))
+        if node_id != victim_id and membership.state_of(node_id) == UP
+    )
+
+
+def _cached_serials(cluster):
+    return {
+        serial
+        for node in cluster.nodes()
+        for bucket in node.guard.cache.buckets.values()
+        for entry in bucket.values()
+        for serial in entry.serials
+    }
 
 
 class TestRefuseStale:
-    def test_serial_revoked_between_export_and_install_is_refused(
-        self, server_kp, alice_kp, rng
+    def test_a_revoke_the_heir_forgot_does_not_ride_the_drain(
+        self, world, monkeypatch
     ):
-        """Satellite: the race the tombstones exist for.  A proof-cache
-        entry exported from the draining node cites a serial that is
-        revoked before the successor installs it: the import hook must
-        refuse the record, and the next check for the speaker must take
-        the full Prover path (over an independently-derivable chain) and
-        leave a correct audit record."""
-        world = ClusterWorld(server_kp, alice_kp, rng)
+        """The revoke is applied at the heir, its origin, and has not
+        reached the owner; the heir's tombstone then ages out with no
+        bus round in between.  Were the owner's cached chain handed over
+        before a bus round, it would re-validate clean on the heir, and
+        the speaker would be granted from that cache after the drain."""
+        cluster = world.cluster
+        assert cluster.check(world.request()).granted
+        victim = cluster.node_for_speaker(world.client)
+        heir = _heir(cluster, world.client, victim.node_id)
+        cluster.revoke_serial(world.certificate.serial, via=heir.node_id)
+        monkeypatch.setattr(heir.guard, "TOMBSTONE_LIMIT", 1)
+        cluster.revoke_serial(b"unrelated-serial", via=heir.node_id)
+
+        cluster.drain(victim.node_id)
+        cluster.deliver_invalidations()
+
+        with pytest.raises(NeedAuthorizationError):
+            cluster.check(world.request())
+        assert world.certificate.serial not in _cached_serials(cluster)
+
+    def test_a_revoke_still_on_the_bus_is_applied_before_the_hand_over(
+        self, world, rng
+    ):
+        """Bus lag: the revoke is applied at a bystander (neither the
+        owner nor the heir) and the drain starts before any bus round.
+        Nothing citing the serial lands in any cache, and the next
+        check is granted only by an independent chain, through the
+        Prover, with a correct audit record."""
         cluster = world.cluster
         for _ in range(4):
             assert cluster.check(world.request()).granted
-        victim = next(
-            node for node in cluster.nodes()
-            if node.guard.cache.count() > 0
+        victim = cluster.node_for_speaker(world.client)
+        heir = _heir(cluster, world.client, victim.node_id)
+        bystander = next(
+            node for node in cluster.nodes() if node not in (victim, heir)
         )
-
-        # Export first (records now reference the original certificate's
-        # serial), *then* revoke it and pump the bus so every receiver
-        # tombstones the serial before install.
-        plan = cluster.handoff.export_node(victim)
-        cluster.revoke_serial(world.certificate.serial)
-        cluster.deliver_invalidations()
-        # An independent grant path with a fresh serial: the client is
-        # still authorized — just not through the handed-off chain.
+        cluster.revoke_serial(world.certificate.serial, via=bystander.node_id)
         replacement = Certificate.issue(
             world.server_kp, world.client, Tag.all(), rng=rng
         )
         cluster.add_delegation(SignedCertificateStep(replacement))
 
-        installed = refused = 0
-        receivers = []
-        for successor_id, records in plan.items():
-            receiver = cluster.membership.get(successor_id)
-            receivers.append(receiver)
-            got, bad, _ = cluster.handoff.install(receiver, records)
-            installed += got
-            refused += bad
-        assert refused >= 1
-        assert cluster.handoff.stats["records_refused_stale"] == refused
-        assert sum(
-            receiver.guard.stats["handoff_refused_stale"]
-            for receiver in receivers
-        ) == refused
-        # Nothing citing the dead serial landed in any receiver cache.
-        for receiver in receivers:
-            for _, bucket in receiver.guard.cache.buckets.items():
-                for entry in bucket.values():
-                    assert world.certificate.serial not in entry.serials
+        report = cluster.drain(victim.node_id)
 
-        # Finalize the departure cold and check again: the successor
-        # pays a real Prover search over the replacement chain and the
-        # grant leaves a uniform audit record.
-        cluster.remove_node(victim.node_id)
+        assert report.refused == 0
+        assert world.certificate.serial not in _cached_serials(cluster)
         owner = cluster.node_for_speaker(world.client)
+        assert owner is heir
         searches_before = owner.prover.stats["searches"]
         decision = cluster.check(world.request())
         assert decision.granted
         assert decision.stage == "prover"
         assert owner.prover.stats["searches"] == searches_before + 1
+        assert world.certificate.serial not in _cached_serials(cluster)
         record = decision.record
         assert isinstance(record, AuditRecord)
         assert record.speaker == world.client
         assert record.issuer == world.issuer
-
-    def test_expired_session_is_refused_not_resurrected(
-        self, server_kp, alice_kp, rng
-    ):
-        world = ClusterWorld(server_kp, alice_kp, rng, session_ttl=50.0)
-        cluster = world.cluster
-        mac_id, mac_key = _mint_session(world, rng)
-        assert cluster.check(
-            _session_request(world.issuer, mac_id, mac_key)
-        ).granted
-        victim = cluster.membership.node_for(session_routing_key(mac_id))
-        plan = cluster.handoff.export_node(victim)
-        # The session lapses in transit: the receiver's clock-based TTL
-        # check must refuse it at install.
-        world.clock.advance(60.0)
-        refused = 0
-        for successor_id, records in plan.items():
-            receiver = cluster.membership.get(successor_id)
-            _, bad, _ = cluster.handoff.install(receiver, records)
-            refused += bad
-        assert refused >= 1
-        for node in cluster.nodes():
-            if node is victim:
-                continue
-            assert node.guard.sessions.get(mac_id) is None
-
-    def test_closed_channel_binding_is_refused(
-        self, server_kp, alice_kp, rng
-    ):
-        world = ClusterWorld(server_kp, alice_kp, rng)
-        cluster = world.cluster
-        channel = ChannelPrincipal.of_secret(b"\x09" * 32)
-        premise = cluster.open_channel(channel, world.client)
-        # A cached chain over the binding, so the drain carries both a
-        # channel record and a dependent proof record.
-        chain = TransitivityStep(
-            PremiseStep(SpeaksFor(channel, world.client, Tag.all())),
-            world.delegation,
-        )
-        cluster.submit_proof(to_canonical(chain.to_sexp()))
-        victim = cluster.node_for_speaker(channel)
-        plan = cluster.handoff.export_node(victim)
-        # Channel closes between export and install; the bus round
-        # tombstones the canonical binding on every node.
-        cluster.close_channel(premise)
-        cluster.deliver_invalidations()
-        refused = 0
-        for successor_id, records in plan.items():
-            receiver = cluster.membership.get(successor_id)
-            _, bad, _ = cluster.handoff.install(receiver, records)
-            refused += bad
-        # Both the binding and every chain leaning on it are refused.
-        assert refused >= 1
-        for node in cluster.nodes():
-            assert not node.trust.vouches_for(premise)
