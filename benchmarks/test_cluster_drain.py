@@ -2,9 +2,9 @@
 
 The claim under test is the handoff tentpole: a *planned* topology
 change should be ~free at the request surface, because the departing
-node hands its warm state (proof-cache entries, MAC sessions) to the
-inheriting successors, as objects, before its ring points are
-withdrawn.  A *cold* leave is the control: same ring arithmetic, no
+node hands its cached chains to the inheriting successors, as objects,
+before its ring points are withdrawn (the MAC sessions themselves live
+once, in the cluster's session table, and never move).  A *cold* leave is the control: same ring arithmetic, no
 transfer — every inherited session pays a full Prover search plus real
 RSA verification on its first post-leave check.
 
@@ -32,7 +32,7 @@ The assertions ride counters only: the drained path's survivors pay
 **zero** Prover searches where the cold path pays one per session, the
 drain makes **zero** ``parse_canonical`` calls, no handed-off record is
 refused as stale, and no client sees a RETRY.  Wall clock is recorded,
-not asserted: the drain (~1.3 ms for 96 records) still lands inside the
+not asserted: the drain (~1.3 ms for 48 records) still lands inside the
 first post-change window, and ``BENCH_cluster_drain.json`` holds the
 dip depths of both paths.  What a drain
 costs bystanders under paced load is ``churn_paced``'s

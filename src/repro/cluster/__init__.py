@@ -4,8 +4,11 @@ The paper's end-to-end model puts one guard in front of one resource;
 this package shards that guard horizontally for the ROADMAP's
 millions-of-users target.  Requests shard by *speaker fingerprint* on a
 consistent-hash ring (:mod:`repro.cluster.ring`), each shard served by a
-:class:`GuardNode` wrapping its own :class:`~repro.guard.Guard`, session
-registry, and prover; nodes serve real traffic and charge no cost model.
+:class:`GuardNode` wrapping a :class:`~repro.guard.Guard` and its own
+proof cache and prover; nodes serve real traffic and charge no cost
+model.  Authority — vouched premises and session secrets — lives once,
+in the cluster: every node's guard decides against one premise set and
+one session table, so a ring change moves work, never authority.
 Membership — join, leave, fail, heartbeat sweep — is explicit and
 clock-injected (:mod:`repro.cluster.membership`); an invalidation bus
 (:mod:`repro.cluster.bus`) broadcasts delegation retractions, channel
@@ -14,9 +17,9 @@ and ``AuthCluster.check_many`` (:mod:`repro.cluster.dispatch`) rides
 ``Guard.check_many`` so each shard pays one premise snapshot per batch.
 
 The speaks-for model is what makes all of this safe: a proof is valid
-wherever the premise set is held, so whichever node owns a speaker's
-shard — before or after a ring change — decides its requests the same
-way; see ``docs/cluster.md``.
+wherever the premise set is held, and every node holds the one premise
+set, so whichever node owns a speaker's shard — before or after a ring
+change — decides its requests the same way; see ``docs/cluster.md``.
 
 The cluster implements the full :class:`~repro.guard.backend.AuthBackend`
 protocol, so transports front it exactly as they front a single guard

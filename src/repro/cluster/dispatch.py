@@ -10,8 +10,8 @@ batching the guard already does for a single process.  A single
 
 Every check is served by its speaker's shard owner.  The control plane
 owns the shared clock, the membership table, the invalidation bus, the
-replicated delegation set, and the session directory used to re-mint a
-failed node's sessions onto their new owners on first miss.  It
+replicated delegation set, and the cluster's authority: one premise set
+and one session table that every node's guard decides against.  It
 implements the full :class:`~repro.guard.backend.AuthBackend` protocol,
 so every transport that can front a single :class:`Guard` can front a
 cluster unchanged.
@@ -19,7 +19,6 @@ cluster unchanged.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.audit import ClusterAuditView
@@ -31,39 +30,43 @@ from repro.cluster.ring import (
     HashRing,
     principal_fingerprint,
     routing_key,
-    session_routing_key,
 )
 from repro.core.errors import AuthorizationError
-from repro.core.principals import Principal, QuotingPrincipal
+from repro.core.principals import Principal
 from repro.core.proofs import (
     CitationIndex,
     Proof,
     proof_citations,
     proof_from_sexp,
 )
-from repro.core.statements import SpeaksFor
+from repro.core.statements import Says, SpeaksFor
 from repro.crypto.mac import MacKey
 from repro.crypto.rng import default_rng
 from repro.guard.audit import AUDIT_RETAIN, AuditLog
 from repro.guard.pipeline import GuardDecision
+from repro.guard.request import GuardRequest
+from repro.guard.sessions import SessionRegistry
+from repro.net.trust import TrustEnvironment
 from repro.obs.registry import default_registry
 from repro.obs.trace import Tracer, default_tracer
-from repro.guard.request import (
-    ChannelCredential,
-    GuardRequest,
-    SessionCredential,
-)
-from repro.sexp import parse_canonical
+from repro.sexp import parse_canonical, sexp
 from repro.sim.clock import SimClock
 
 
 class AuthCluster:
     """A sharded, replicated authorization cluster (an ``AuthBackend``).
 
-    - **sharding**: requests route by speaker fingerprint on a
-      consistent-hash ring, and the shard owner serves every check; each
-      node's guard keeps local caches exactly as a single-process guard
-      would;
+    The invariant: **authority — vouched premises and session secrets —
+    lives once, in the cluster; a ring change moves work, never
+    authority.**  The cluster builds one :class:`TrustEnvironment` and one
+    :class:`SessionRegistry` and hands both to every node, so each node's
+    guard decides against the same premise set and the same session
+    table.  A node keeps only what it derives from them: its proof cache
+    and its prover graph.
+
+    - **sharding**: requests route by speaker fingerprint (a session by
+      its id) on a consistent-hash ring, and the shard owner serves every
+      check, so a speaker's cache bucket lives on one node;
     - **replication**: delegations added through the cluster are digested
       into *every* node's prover (the speaks-for model makes any node
       able to verify any proof), and new nodes receive the current set at
@@ -72,13 +75,12 @@ class AuthCluster:
       applied locally, then broadcast on the bus; one
       ``deliver_invalidations()`` round purges every other node's
       dependent cache entries and delegation edges;
-    - **failure**: a failed node's shards reassign by ring arithmetic;
-      its MAC sessions re-mint onto the new owners from the cluster
-      directory on first miss, carrying their original mint stamp so
-      the absolute TTL never restarts;
-    - **planned departure**: :meth:`drain` runs a bus round, hands the
-      node's warm state — channel bindings, MAC sessions, cached
-      proofs — to the inheriting ring successors via
+    - **departure**: every departure — leave, failure, drain — starts
+      with one bus round, so no shard moves onto a node that has not
+      applied every published invalidation; a failed node's shards then
+      reassign by ring arithmetic and re-derive on first miss;
+    - **planned departure**: :meth:`drain` hands the node's cached
+      chains to the inheriting ring successors via
       :class:`~repro.cluster.handoff.HandoffCoordinator`, then leaves,
       so a planned topology change costs ~no re-derivations.
     """
@@ -90,7 +92,6 @@ class AuthCluster:
         vnodes: int = 64,
         heartbeat_timeout: float = 30.0,
         session_ttl: Optional[float] = None,
-        directory_cap: int = 4096,
         audit_retain: Optional[int] = None,
         audit_sink=None,
         rng=None,
@@ -115,8 +116,9 @@ class AuthCluster:
             ring=HashRing(vnodes=vnodes),
             heartbeat_timeout=heartbeat_timeout,
         )
-        self.session_ttl = session_ttl
-        self.directory_cap = directory_cap
+        # The cluster's authority, held once and shared by every node.
+        self.trust = TrustEnvironment(clock=self.clock)
+        self.sessions = SessionRegistry(ttl=session_ttl, clock=self.clock)
         self.rng = rng
         # One retention knob: ``audit_retain`` sizes each node's ring and
         # caps the merged view; ``audit_sink`` sees every node's records.
@@ -133,50 +135,32 @@ class AuthCluster:
         self._delegations: Dict[bytes, Proof] = {}
         self._delegations_citing_serial = CitationIndex()
         self._delegations_embedding = CitationIndex()
-        # channel fingerprint -> vouched premise, for live channels only
-        # (entries die at close).  The channel analogue of the session
-        # escrow: a node that comes to serve a channel speaker — after a
-        # ring change, or for a quoting speaker that routes by its
-        # compound fingerprint — is handed the binding on first miss.
-        self._channel_directory: Dict[bytes, SpeaksFor] = {}
-        # mac_id -> (secret, mint stamp); LRU-bounded by directory_cap.
-        # The directory is the failover escrow, not an authority grant:
-        # entries expire on the cluster TTL exactly as registry entries
-        # do, so a re-mint can never outlive the original session.
-        self._session_directory: "OrderedDict[str, Tuple[MacKey, float]]" = (
-            OrderedDict()
-        )
         # The data plane's own tallies (the ``dispatch`` section of
         # ``stats_snapshot``): ``check_many`` calls, requests routed, and
         # per-node batches handed to a guard.
         self.dispatch_stats = {
             "dispatches": 0, "requests": 0, "shard_batches": 0,
         }
-        self.stats = {
-            "sessions_minted": 0,
-            "sessions_reminted": 0,
-            "sessions_unescrowed": 0,
-            "sessions_swept": 0,
-            "directory_expired": 0,
-            "channels_revouched": 0,
-        }
+        self.stats = {"sessions_minted": 0, "sessions_swept": 0}
         for _ in range(node_count):
             self.add_node()
 
     # -- membership --------------------------------------------------------
 
     def add_node(self, node_id: Optional[str] = None) -> GuardNode:
-        """Join a fresh node: wire it to the bus, replay the replicated
+        """Join a fresh node: hand it the cluster's premise set and
+        session table, wire it to the bus, replay the replicated
         delegation set into its prover, and take its ring points.  This
         is the whole "adding a node" recipe — shards move to it by ring
-        arithmetic on the next request."""
+        arithmetic on the next request.  A join needs no bus round: it
+        only moves shards onto a node that holds nothing stale."""
         if node_id is None:
             node_id = "node-%d" % self._next_node
             self._next_node += 1
         node = GuardNode(
             node_id,
-            clock=self.clock,
-            session_ttl=self.session_ttl,
+            trust=self.trust,
+            sessions=self.sessions,
             audit=AuditLog(
                 retain=(
                     AUDIT_RETAIN if self.audit_retain is None
@@ -199,17 +183,21 @@ class AuthCluster:
         return node
 
     def remove_node(self, node_id: str) -> GuardNode:
-        """Graceful leave: shards reassign; the departing node stops
-        receiving bus traffic.  Called on an UP node this is the *cold*
-        path — successors re-derive on first miss; :meth:`drain` is the
-        warm path, and calls here to finalize."""
+        """Graceful leave: one bus round, then shards reassign and the
+        departing node stops receiving bus traffic.  The round comes
+        first so that every inheritor has applied every published
+        invalidation before it serves the shards it takes over.  Called
+        on an UP node this is the *cold* path — successors re-derive on
+        first miss; :meth:`drain` is the warm path, and calls here to
+        finalize."""
+        self.bus.deliver()
         node = self.membership.leave(node_id)
         self.bus.unsubscribe(node_id)
         return node
 
     def drain(self, node_id: str) -> DrainReport:
-        """Planned departure, warm: one bus round, then the node's warm
-        state into the inheriting successors' import hooks, then the
+        """Planned departure, warm: one bus round, then the node's cached
+        chains into the inheriting successors' import hook, then the
         ordinary leave.  The round comes first so that the draining node
         has applied every invalidation any node published, and hands
         over nothing one of them reached; this call runs on the
@@ -224,7 +212,9 @@ class AuthCluster:
 
     def fail_node(self, node_id: str) -> GuardNode:
         """Declare a node dead (operator-driven; the heartbeat sweep is
-        the detector-driven path)."""
+        the detector-driven path).  Like every departure it starts with
+        one bus round."""
+        self.bus.deliver()
         node = self.membership.fail(node_id)
         self.bus.unsubscribe(node_id)
         return node
@@ -243,24 +233,24 @@ class AuthCluster:
     def heartbeat(self, node_id: Optional[str] = None) -> int:
         """Record heartbeats (every live node when ``node_id`` is None)
         and pump the session sweep on the beat: the heartbeat is the
-        cluster's clock-advance signal, so expired MAC sessions — and
-        lapsed escrow-directory entries — are reaped *now*, not on their
-        next unlucky toucher.  Returns the number of sessions reaped."""
+        cluster's clock-advance signal, so expired MAC sessions are
+        reaped *now*, not on their next unlucky toucher.  Returns the
+        number of sessions reaped."""
         if node_id is None:
             for node in self.membership.alive():
                 self.membership.heartbeat(node.node_id)
-            return self.sweep_sessions()
-        node = self.membership.get(node_id)
-        if node is None:
+        elif self.membership.get(node_id) is None:
             raise LookupError("unknown node %r" % node_id)
-        self.membership.heartbeat(node.node_id)
-        return self._reap([node])
+        else:
+            self.membership.heartbeat(node_id)
+        return self.sweep_sessions()
 
     def sweep_failures(self) -> List[str]:
-        """Run the heartbeat failure detector; unsubscribe the lapsed.
-        The sweep is also a clock-advance signal, so survivor session
-        registries and the escrow directory are reaped in the same
-        pass."""
+        """Run the heartbeat failure detector after one bus round (the
+        lapsed nodes' shards move, as on every departure); unsubscribe
+        the lapsed.  The sweep is also a clock-advance signal, so the
+        session table is reaped in the same pass."""
+        self.bus.deliver()
         lapsed = self.membership.sweep()
         for node_id in lapsed:
             self.bus.unsubscribe(node_id)
@@ -268,34 +258,10 @@ class AuthCluster:
         return lapsed
 
     def sweep_sessions(self) -> int:
-        """The backend-protocol sweep: reap expired sessions on every
-        live node and in the escrow directory."""
-        return self._reap(self.membership.alive())
-
-    def _reap(self, nodes: List[GuardNode]) -> int:
-        """The one sweep-accounting block: reap the given registries,
-        lapse the escrow directory, count what fell."""
-        reaped = sum(node.guard.sweep_sessions() for node in nodes)
-        self._sweep_directory()
+        """The backend-protocol sweep: reap the expired sessions."""
+        reaped = self.sessions.sweep()
         self.stats["sessions_swept"] += reaped
         return reaped
-
-    def _sweep_directory(self) -> None:
-        if self.session_ttl is None:
-            return
-        now = self.clock.now()
-        for mac_id, (_, minted_at) in list(self._session_directory.items()):
-            self._lapse(mac_id, minted_at, now)
-
-    def _lapse(self, mac_id: str, minted_at: float, now: float) -> bool:
-        """Drop an escrow entry past the cluster TTL, counted — the one
-        way an entry expires, whether a sweep or its next toucher finds
-        it first.  Returns whether it was dropped."""
-        if self.session_ttl is None or now - minted_at <= self.session_ttl:
-            return False
-        del self._session_directory[mac_id]
-        self.stats["directory_expired"] += 1
-        return True
 
     def nodes(self) -> List[GuardNode]:
         return self.membership.alive()
@@ -401,123 +367,34 @@ class AuthCluster:
     def open_channel(
         self, channel_principal: Principal, bound_principal: Principal
     ) -> SpeaksFor:
-        """Vouch a completed key exchange on the channel's owning node.
-        Close retracts on the owner and the bus round clears the rest."""
-        fingerprint = principal_fingerprint(channel_principal)
-        premise = self.membership.node_for(fingerprint).guard.open_channel(
-            channel_principal, bound_principal
-        )
-        # Remember the binding for the channel's lifetime: a node that
-        # comes to serve the speaker later is handed the premise on first
-        # miss (see ``_ensure_channel``).
-        self._channel_directory[fingerprint] = premise
-        return premise
+        """Vouch a completed key exchange in the cluster's premise set,
+        through the channel's owning node.  Close retracts it there and
+        the bus round purges the rest of the cluster's caches."""
+        owner = self.node_for_speaker(channel_principal)
+        return owner.guard.open_channel(channel_principal, bound_principal)
 
     def close_channel(self, premise: SpeaksFor) -> None:
         """Close on the current owner; the broadcast reaches any node
-        that held dependent state under an older ring layout."""
-        self._channel_directory.pop(
-            principal_fingerprint(premise.subject), None
-        )
+        that cached chains over the binding under an older ring
+        layout."""
         owner = self.node_for_speaker(premise.subject)
         owner.guard.close_channel(premise)
 
-    def channel_bindings(self) -> List[Tuple[bytes, SpeaksFor]]:
-        """The live channel directory as ``(fingerprint, premise)`` pairs
-        — what the handoff plane enumerates when a draining node's channel
-        shards move to their inheritors."""
-        return list(self._channel_directory.items())
-
     def mint_session(self, rng=None) -> Tuple[str, MacKey]:
-        """Mint a MAC session on its owning node and escrow the secret in
-        the cluster directory (the failover source of truth)."""
-        mac_key = MacKey.generate(
+        """Mint a MAC session in the cluster's session table."""
+        minted = self.sessions.mint(
             default_rng(rng if rng is not None else self.rng)
         )
-        mac_id = mac_key.fingerprint().digest.hex()
-        minted_at = self.clock.now()
-        owner = self.membership.node_for(session_routing_key(mac_id))
-        owner.guard.sessions.install(mac_id, mac_key, minted_at=minted_at)
-        self._escrow(mac_id, mac_key, minted_at)
         self.stats["sessions_minted"] += 1
-        return mac_id, mac_key
+        return minted
 
     def install_session(
         self, mac_id: str, mac_key: MacKey, minted_at: Optional[float] = None
     ) -> None:
-        """Adopt an externally minted session: install it on its ring
-        owner and escrow it for failover.  ``minted_at`` preserves the
-        original stamp so a handover never extends the absolute TTL."""
-        minted_at = self.clock.now() if minted_at is None else minted_at
-        owner = self.membership.node_for(session_routing_key(mac_id))
-        owner.guard.sessions.install(mac_id, mac_key, minted_at=minted_at)
-        self._escrow(mac_id, mac_key, minted_at)
-
-    def _escrow(self, mac_id: str, mac_key: MacKey, minted_at: float) -> None:
-        self._session_directory[mac_id] = (mac_key, minted_at)
-        self._session_directory.move_to_end(mac_id)
-        while len(self._session_directory) > self.directory_cap:
-            # A capped-out escrow entry may cover a still-valid session:
-            # that session keeps working on its owner but can no longer
-            # fail over.  The counter makes an undersized cap visible.
-            self._session_directory.popitem(last=False)
-            self.stats["sessions_unescrowed"] += 1
-
-    def _prepare(self, request: GuardRequest, node: GuardNode) -> None:
-        """Everything a serving node may be missing before a decision:
-        a session secret (from the escrow directory) or a live channel
-        binding (from the channel directory)."""
-        self._ensure_session(request, node)
-        self._ensure_channel(request, node)
-
-    def _ensure_channel(self, request: GuardRequest, node: GuardNode) -> None:
-        """Hand a live channel's binding to the node about to serve it.
-
-        ``open_channel`` vouches on the owner of the moment, but the
-        ring can change under a live connection (a join, a failure)
-        and a quoting speaker (``KCH|C``) routes by the *compound*
-        fingerprint, not the channel's — either way the serving node may
-        lack the premise every chain over the channel needs.  The
-        directory keeps one entry per live channel, so the premise
-        follows the traffic exactly as session secrets do."""
-        credential = request.credential
-        if not isinstance(credential, ChannelCredential):
-            return
-        self._ensure_channel_premise(credential.speaker, node)
-
-    def _ensure_channel_premise(self, speaker, node: GuardNode) -> None:
-        while isinstance(speaker, QuotingPrincipal):
-            speaker = speaker.quoter
-        premise = self._channel_directory.get(principal_fingerprint(speaker))
-        if premise is None or node.trust.vouches_for(premise):
-            return
-        node.trust.vouch(premise)
-        self.stats["channels_revouched"] += 1
-
-    def _ensure_session(self, request: GuardRequest, node: GuardNode) -> None:
-        """Re-mint a directory session onto the node about to serve it on
-        first miss — the lazy half of failure rebalancing.  The re-mint
-        carries the original mint stamp, so the session's absolute TTL
-        holds across any number of serving nodes."""
-        credential = request.credential
-        if not isinstance(credential, SessionCredential):
-            return
-        # Steady state short-circuits on the serving node's registry
-        # alone; the escrow directory is only consulted on a miss (mint,
-        # failover, rebalance, or a genuinely unknown id).
-        if node.guard.sessions.get(credential.session_id) is not None:
-            return
-        entry = self._session_directory.get(credential.session_id)
-        if entry is None:
-            return
-        mac_key, minted_at = entry
-        if self._lapse(credential.session_id, minted_at, self.clock.now()):
-            return
-        self._session_directory.move_to_end(credential.session_id)
-        node.guard.sessions.install(
-            credential.session_id, mac_key, minted_at=minted_at
-        )
-        self.stats["sessions_reminted"] += 1
+        """Adopt an externally minted session into the cluster's session
+        table.  ``minted_at`` preserves the original stamp so a handover
+        never extends the absolute TTL."""
+        self.sessions.install(mac_id, mac_key, minted_at=minted_at)
 
     # -- the data plane ----------------------------------------------------
 
@@ -535,9 +412,7 @@ class AuthCluster:
         requests = list(requests)
         groups: Dict[GuardNode, List[int]] = {}
         for index, request in enumerate(requests):
-            node = self._route(request)
-            self._prepare(request, node)
-            groups.setdefault(node, []).append(index)
+            groups.setdefault(self._route(request), []).append(index)
         decisions: List[Optional[GuardDecision]] = [None] * len(requests)
         for node, indices in groups.items():
             batch = node.guard.check_many([requests[i] for i in indices])
@@ -552,29 +427,18 @@ class AuthCluster:
         """Resolve a request's credential to its speaker on its shard
         owner (so a session credential's chain is digested where its
         checks will land)."""
-        node = self._route(request)
-        self._prepare(request, node)
-        return node.guard.authenticate(request)
+        return self._route(request).guard.authenticate(request)
 
     def deliver(self, request: GuardRequest) -> Principal:
-        """Post-handshake transport delivery on the shard owner: delivery
-        *vouches* the utterance (mutable premise state), and premises
-        live where the speaker's checks are decided."""
-        owner = self._route(request)
-        self._prepare(request, owner)
-        return owner.guard.deliver(request)
+        """Post-handshake transport delivery on the shard owner, which
+        admits the credential and *vouches* the utterance in the
+        cluster's premise set."""
+        return self._route(request).guard.deliver(request)
 
     def retract_delivery(self, speaker: Principal, logical) -> None:
-        """Withdraw a delivered utterance wherever it was vouched.
-
-        The vouching node was the speaker's owner *at delivery time*; a
-        ring change since then means today's owner lookup would miss it
-        and strand the premise.  Retraction is a discard — a no-op on
-        nodes that never held the utterance — so sweeping every live
-        node is both correct and cheap, mirroring how the bus handles
-        channel closes under older ring layouts."""
-        for node in self.membership.alive():
-            node.guard.retract_delivery(speaker, logical)
+        """Withdraw a delivered utterance from the cluster's premise
+        set, wherever the ring has moved its speaker since."""
+        self.trust.retract(Says(speaker, sexp(logical)))
 
     def submit_proof(self, proof_wire: bytes) -> Proof:
         """The proofRecipient path, cluster-wide: the subject's shard
@@ -587,9 +451,6 @@ class AuthCluster:
         conclusion = proof.conclusion
         if isinstance(conclusion, SpeaksFor):
             owner = self.node_for_speaker(conclusion.subject)
-            # A chain over a live channel needs the binding premise
-            # where it verifies — hand it over exactly as checks do.
-            self._ensure_channel_premise(conclusion.subject, owner)
         else:
             owner = self._via(None)
         return owner.guard.submit_proof(proof_wire, proof=proof)
@@ -597,10 +458,9 @@ class AuthCluster:
     # -- introspection -----------------------------------------------------
 
     def context(self, now: Optional[float] = None):
-        """A verification context on the cluster clock.  Suitable for
-        checking standalone delegation chains (signatures + validity);
-        per-node premise sets are deliberately not merged here."""
-        return self._via(None).guard.context(now)
+        """A verification context on the cluster clock over the
+        cluster's premise set."""
+        return self.trust.context(now)
 
     def audit_authentication(self, logical, proof, transport: str = "unknown"):
         """Record a verified authentication on the authenticated
@@ -621,6 +481,7 @@ class AuthCluster:
         ``repro.tools stats`` command dumps this)."""
         return {
             "cluster": dict(self.stats),
+            "sessions": dict(self.sessions.stats),
             "membership": dict(self.membership.stats),
             "dispatch": dict(self.dispatch_stats),
             "handoff": dict(self.handoff.stats),

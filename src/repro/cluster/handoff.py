@@ -1,14 +1,16 @@
 """Warm shard handoff: planned departures without re-derivation storms.
 
 A cold ``leave()`` is *correct* — every grant is re-derivable from first
-principles, so successors re-prove and re-mint on first miss — but it is
-not *free*: each inherited speaker pays a full Prover search plus real
+principles, so successors re-prove on first miss — but it is not
+*free*: each inherited speaker pays a full Prover search plus real
 signature verification before its first post-leave grant.  A drain
 makes a planned departure cost ~zero re-derivations: the draining
-node's channel bindings, MAC sessions and cached chains are handed, as
-objects, to the guard import hooks of the ring successors that inherit
-each shard.  Nothing is encoded or parsed: the cluster's nodes share one
-process and one loop.
+node's cached chains are handed, as objects, to the guard import hook of
+the ring successors that inherit each shard.  Nothing is encoded or
+parsed: the cluster's nodes share one process and one loop.  Nothing
+else moves, because nothing else is the node's own: channel bindings
+and MAC sessions live once, in the cluster, and a ring change moves
+work, never authority.
 
 The invariant: **a drain hands over only state that has seen every
 published invalidation.**  ``AuthCluster.drain`` runs one bus round
@@ -16,7 +18,7 @@ before the hand-over, so the draining node has applied every
 revocation, retraction and channel close any node published and holds
 nothing they reached.  The drain is one synchronous call on the
 cluster's loop, so nothing is published between that round and the last
-import.  The import hooks still re-validate each item against the
+import.  The import hook still re-validates each chain against the
 receiver's own tombstones, clock and premise snapshot: *a handed-off
 proof is never a handed-off decision*.
 
@@ -86,8 +88,8 @@ class DrainReport:
 
 
 class HandoffCoordinator:
-    """The cluster's handoff plane: a draining node's warm state, in one
-    pass, into the inheritors' guard import hooks — and its tallies.
+    """The cluster's handoff plane: a draining node's cached chains, in
+    one pass, into the inheritors' guard import hook — and its tallies.
     Owned by :class:`~repro.cluster.dispatch.AuthCluster`, whose
     ``drain`` runs the bus round before and the leave after."""
 
@@ -101,38 +103,20 @@ class HandoffCoordinator:
         }
 
     def drain(self, node: GuardNode) -> DrainReport:
-        """Hand ``node``'s warm state to the successors inheriting each
-        shard: channel bindings first (the chains leaning on them
-        re-validate their premises on import), then MAC sessions, then
-        cached chains."""
+        """Hand ``node``'s cached chains to the successors inheriting
+        each shard."""
         timebase = self.cluster.metrics.timebase
         started = timebase.now()
         outcomes = {"installed": 0, "refused": 0, "duplicate": 0}
         successors: List[str] = []
-
-        def heir(key: bytes):
-            node_id = self._inheritor(key, node.node_id)
-            if node_id is None:
-                return None
-            if node_id not in successors:
-                successors.append(node_id)
-            return self.cluster.membership.get(node_id).guard
-
-        ring = self.cluster.membership.ring
-        for fingerprint, premise in self.cluster.channel_bindings():
-            if ring.node_for(fingerprint) != node.node_id:
-                continue
-            guard = heir(fingerprint)
-            if guard is not None:
-                outcomes[guard.import_channel(premise)] += 1
-        for mac_id, mac_key, minted_at in node.guard.export_sessions():
-            guard = heir(session_routing_key(mac_id))
-            if guard is not None:
-                outcomes[guard.import_session(mac_id, mac_key, minted_at)] += 1
         for speaker, proof in node.guard.export_proof_entries():
-            guard = heir(shard_key_for(speaker))
-            if guard is not None:
-                outcomes[guard.import_proof_entry(proof, speaker=speaker)] += 1
+            heir = self._inheritor(shard_key_for(speaker), node.node_id)
+            if heir is None:
+                continue
+            if heir not in successors:
+                successors.append(heir)
+            guard = self.cluster.membership.get(heir).guard
+            outcomes[guard.import_proof_entry(proof, speaker=speaker)] += 1
 
         duration_ms = (timebase.now() - started) * 1000.0
         self.stats["records_installed"] += outcomes["installed"]

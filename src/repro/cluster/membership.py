@@ -10,19 +10,17 @@ and benchmarks.
 
 Rebalancing is a property of the consistent-hash ring, not a procedure:
 removing a node's points reassigns exactly its shards to the surviving
-successors, and no state is copied at failure time.  What a failed
-node's shards lose is re-established lazily on first miss by the
-dispatch layer: MAC sessions re-mint from the cluster directory and
-cached proofs re-derive from the replicated delegation graph.  Channel
-premises are the deliberate exception — a connection terminates at
-exactly one node, so its premise dies with that node and the client
-reconnects and re-vouches.
+successors, and no state is copied at failure time.  Nothing a node
+loses is authority: channel premises and MAC sessions live once, in the
+cluster, and every node decides against them.  What a failed node's
+shards lose is derived state — cached proofs — which re-derives lazily
+on first miss from the replicated delegation graph.
 
 *Planned* departures get a warmer deal, but no state of their own: a
 drain is one synchronous call on the cluster's loop that hands the
-node's sessions, cached proofs, and channel bindings to the inheriting
-successors (:mod:`repro.cluster.handoff`) and then calls ``leave()``,
-so the event log shows it as its one ``leave``.
+node's cached proofs to the inheriting successors
+(:mod:`repro.cluster.handoff`) and then calls ``leave()``, so the event
+log shows it as its one ``leave``.
 """
 
 from __future__ import annotations
@@ -102,8 +100,8 @@ class ClusterMembership:
 
         After a drain this flips each shard to an owner already holding
         the node's warm state (see :mod:`repro.cluster.handoff`).  A plain
-        leave is the cold path — successors re-mint sessions lazily from
-        the escrow directory and re-derive proofs on first miss."""
+        leave is the cold path — successors re-derive proofs on first
+        miss."""
         node = self._checked_serving(node_id)
         self.ring.remove(node_id)
         self._state[node_id] = LEFT
@@ -113,7 +111,7 @@ class ClusterMembership:
     def fail(self, node_id: str) -> GuardNode:
         """Declare a node dead.  Identical ring effect to a leave — the
         difference is bookkeeping (and that nothing could be handed over:
-        the dead node's sessions re-mint on first miss)."""
+        the dead node's cached proofs re-derive on first miss)."""
         node = self._checked_serving(node_id)
         self.ring.remove(node_id)
         self._state[node_id] = FAILED

@@ -1,12 +1,13 @@
 """Consistent-hash sharding of authorization work across guard nodes.
 
-The speaks-for model makes horizontal partitioning safe: any node holding
-the premise set can verify any proof, so the ring is free to place a
-speaker wherever its fingerprint lands — correctness never depends on
-which node answers, only performance does.  Sharding by *speaker* (rather
-than by resource) keeps each speaker's hot state — MAC session, proof
-cache bucket, channel premise — on exactly one node, so the per-speaker
-caches behave exactly as they do in a single-guard deployment.
+The speaks-for model makes horizontal partitioning safe: every node
+holds the cluster's one premise set, so any node can verify any proof,
+and the ring is free to place a speaker wherever its fingerprint lands —
+correctness never depends on which node answers, only performance does.
+Sharding by *speaker* (rather than by resource) keeps each speaker's
+derived state — its proof-cache bucket — on exactly one node, so the
+per-speaker caches behave exactly as they do in a single-guard
+deployment.
 
 The ring is the classic consistent-hash construction: each node projects
 ``vnodes`` points onto a 2^64 circle, and a key is owned by the first
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.guard import default_backend
 from repro.guard.request import (
@@ -28,6 +29,7 @@ from repro.guard.request import (
     ProofCredential,
     SessionCredential,
 )
+from repro.guard.sessions import SessionRegistry
 from repro.net.trust import TrustEnvironment
 from repro.prover import Prover
 from repro.sexp import to_canonical
@@ -152,39 +154,33 @@ class HashRing:
 
 
 class GuardNode:
-    """One cluster member: a :class:`Guard` plus its own session registry
-    and prover.
+    """One cluster member: a :class:`Guard` deciding against the
+    cluster's premise set and session table, plus what it derives from
+    them — its proof cache and its prover graph.
 
     A node serves real traffic, so its guard charges no cost model: the
-    paper's modeled figures build their own guards.  A shared cluster
-    clock is injected so certificate validity and session TTLs agree
-    across nodes — the one thing replicas must not disagree on.
+    paper's modeled figures build their own guards.  The shared trust
+    environment carries the cluster clock, so certificate validity and
+    session TTLs agree across nodes.
     """
 
     def __init__(
         self,
         node_id: str,
-        clock=None,
-        prover: Optional[Prover] = None,
-        trust: Optional[TrustEnvironment] = None,
-        session_ttl: Optional[float] = None,
-        max_speakers: int = 4096,
-        max_sessions: int = 4096,
+        trust: TrustEnvironment,
+        sessions: SessionRegistry,
         audit=None,
         metrics=None,
         tracer=None,
     ):
         self.node_id = node_id
-        self.trust = trust if trust is not None else TrustEnvironment(clock=clock)
-        self.prover = prover if prover is not None else Prover()
+        self.prover = Prover()
         # Even the cluster's own nodes go through the shared factory:
         # nothing in the tree constructs the default backend any other way.
         self.guard = default_backend(
-            self.trust,
+            trust,
             prover=self.prover,
-            max_speakers=max_speakers,
-            max_sessions=max_sessions,
-            session_ttl=session_ttl,
+            sessions=sessions,
             audit=audit,
             metrics=metrics,
             tracer=tracer,
@@ -200,7 +196,6 @@ class GuardNode:
         return {
             "guard": dict(self.guard.stats),
             "cache": dict(self.guard.cache.stats),
-            "sessions": dict(self.guard.sessions.stats),
             "prover": dict(self.prover.stats),
             "audit": {"recorded": audit.recorded, "evicted": audit.evicted},
         }

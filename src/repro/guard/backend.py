@@ -16,8 +16,9 @@ The surface, grouped the way transports consume it:
 - **channel delivery** — ``open_channel``, ``close_channel``,
   ``deliver``, ``retract_delivery`` (secure-channel listeners);
 - **sessions** — ``mint_session``, ``install_session``,
-  ``sweep_sessions`` (the HTTP MAC framing mints through these so a
-  cluster backend escrows the secret for failover);
+  ``sweep_sessions``, and a ``sessions`` attribute: the backend's one
+  :class:`~repro.guard.sessions.SessionRegistry` (a cluster's nodes
+  share theirs), which the HTTP MAC framing adopts;
 - **proof intake** — ``submit_proof``, ``digest_delegation``,
   ``outgoing_delegations`` (the RMI proofRecipient and the quoting
   gateway);
@@ -44,8 +45,9 @@ class AuthBackend(Protocol):
     """The authorization surface shared by ``Guard`` and ``AuthCluster``.
 
     Implementations also expose an ``audit`` attribute (records /
-    involving / by_transport) and a ``stats`` counter dict; those are
-    data members, so :func:`isinstance` checks only the methods below.
+    involving / by_transport), a ``sessions`` registry and a ``stats``
+    counter dict; those are data members, so :func:`isinstance` checks
+    only the methods below.
     """
 
     # -- decisions --------------------------------------------------------

@@ -188,14 +188,15 @@ class Guard:
         # payload)`` after this guard retracts state that other caches may
         # also hold (a cluster node forwards them onto its bus).
         self.invalidation_hooks: List = []
-        # Invalidation tombstones: the serials, lemma digests, and channel
-        # premises this guard has seen retracted.  Purging derived state
-        # only removes what was held at the time; warm state handed over
-        # by a draining peer and proofs presented again are read against
-        # the tombstones before they are admitted (see TOMBSTONE_LIMIT).
+        # Invalidation tombstones: the serials and lemma digests this
+        # guard has seen revoked or retracted.  Purging derived state only
+        # removes what was held at the time; chains handed over by a
+        # draining peer and proofs presented again are read against the
+        # tombstones before they are admitted (see TOMBSTONE_LIMIT).  A
+        # closed channel needs none: its premise is gone from the premise
+        # set, which every admission re-checks.
         self._revoked_serials: "OrderedDict[bytes, None]" = OrderedDict()
         self._retracted_digests: "OrderedDict[bytes, None]" = OrderedDict()
-        self._closed_channels: "OrderedDict[bytes, None]" = OrderedDict()
         self.stats = {
             "checks": 0,
             "grants": 0,
@@ -663,7 +664,6 @@ class Guard:
         peers holding copies drop theirs too."""
         self.trust.retract(premise)
         self.cache.retract_premise(premise)
-        self._tombstone(self._closed_channels, to_canonical(premise.to_sexp()))
         self._notify("channel_closed", premise)
 
     def deliver(self, request: GuardRequest) -> Principal:
@@ -755,9 +755,6 @@ class Guard:
         elif kind == "channel_closed":
             self.trust.retract(payload)
             removed = self.cache.retract_premise(payload)
-            self._tombstone(
-                self._closed_channels, to_canonical(payload.to_sexp())
-            )
         elif kind == "serial_revoked":
             removed = self._revoke_serial(payload)
         else:
@@ -797,14 +794,14 @@ class Guard:
 
     # -- warm-state handoff (export / import hooks) -------------------------
     #
-    # A draining cluster node exports its warm state through the two
-    # ``export_*`` snapshots and the receiver re-admits each item
-    # through the ``import_*`` hooks.  *A handed-off proof is never a
-    # handed-off decision*: every import re-validates against the
-    # receiving guard's own premise snapshot, clock, and invalidation
-    # tombstones; anything lapsed, or that this guard saw revoked,
-    # retracted or closed, is refused, and the next check for it pays
-    # the full Prover path.
+    # A draining cluster node exports its cached chains through
+    # ``export_proof_entries`` and the receiver re-admits each through
+    # ``import_proof_entry``.  *A handed-off proof is never a handed-off
+    # decision*: every import re-validates against the receiving guard's
+    # own premise snapshot, clock, and invalidation tombstones; anything
+    # lapsed, or that this guard saw revoked or retracted, or that leans
+    # on a premise it does not vouch, is refused, and the next check for
+    # it pays the full Prover path.
 
     def export_proof_entries(self) -> List[Tuple[object, Proof]]:
         """Snapshot the proof cache as ``(speaker, proof)`` pairs, every
@@ -815,11 +812,6 @@ class Guard:
             for spk, bucket in self.cache.buckets.items()
             for entry in bucket.values()
         ]
-
-    def export_sessions(self) -> List[Tuple[str, object, float]]:
-        """Snapshot the live MAC sessions as ``(mac_id, key, minted_at)``
-        triples (expired sessions are excluded at the source)."""
-        return self.sessions.live_sessions()
 
     def import_proof_entry(self, proof: Proof, speaker=None) -> str:
         """Admit a handed-off proof-cache entry after re-validation.
@@ -843,29 +835,6 @@ class Guard:
         # would give this node graph edges the cluster never replicated.
         if not self.cache.install(entry, speaker):
             return "duplicate"
-        self.stats["handoff_installed"] += 1
-        return "installed"
-
-    def import_session(self, mac_id: str, mac_key, minted_at: float) -> str:
-        """Admit a handed-off MAC session; the registry re-judges the
-        absolute TTL on this guard's clock (a session that lapsed in
-        transit is refused, never resurrected)."""
-        if self.sessions.import_session(mac_id, mac_key, minted_at):
-            self.stats["handoff_installed"] += 1
-            return "installed"
-        return self._refuse_import()
-
-    def import_channel(self, premise: SpeaksFor) -> str:
-        """Admit a handed-off channel binding — unless this guard saw the
-        channel close (tombstoned), in which case the binding is refused
-        and any chain leaning on it fails its premise re-validation."""
-        if not isinstance(premise, SpeaksFor):
-            return self._refuse_import()
-        if to_canonical(premise.to_sexp()) in self._closed_channels:
-            return self._refuse_import()
-        if self.trust.vouches_for(premise):
-            return "duplicate"
-        self.trust.vouch(premise)
         self.stats["handoff_installed"] += 1
         return "installed"
 

@@ -60,7 +60,6 @@ class SessionRegistry:
             "evictions": 0,
             "expired": 0,
             "failures": 0,
-            "imported": 0,
         }
 
     def _now(self) -> float:
@@ -98,30 +97,12 @@ class SessionRegistry:
         mac_key: MacKey,
         minted_at: Optional[float] = None,
     ) -> None:
-        """Register an externally minted session under ``mac_id`` (cluster
-        failover re-mints a session onto its new owner through this).
-        ``minted_at`` preserves the original mint stamp so re-homing a
-        session never extends its absolute lifetime."""
+        """Register an externally minted session under ``mac_id`` (a front
+        that minted before binding to its backend hands its table over
+        through this).  ``minted_at`` preserves the original mint stamp
+        so re-homing a session never extends its absolute lifetime."""
         self._register(mac_id, mac_key, minted_at)
         self.stats["installed"] += 1
-
-    def import_session(
-        self, mac_id: str, mac_key: MacKey, minted_at: float
-    ) -> bool:
-        """The warm-handoff import hook: adopt a session handed over by
-        a draining peer, preserving its original mint stamp.
-
-        Unlike :meth:`install`, the receiver re-judges the session
-        against *its own* clock before admitting it — a record whose
-        absolute TTL lapsed in transit is refused, not resurrected.
-        Returns True when the session was installed.
-        """
-        if self.ttl is not None and self.clock is not None:
-            if self.clock.now() - minted_at > self.ttl:
-                return False
-        self._register(mac_id, mac_key, minted_at)
-        self.stats["imported"] += 1
-        return True
 
     def get(self, mac_id: str) -> Optional[MacKey]:
         session = self._sessions.get(mac_id)
@@ -190,16 +171,6 @@ class SessionRegistry:
             )
             self._sessions.move_to_end(mac_id)
         self._bound()
-
-    def live_sessions(self) -> List[Tuple[str, MacKey, float]]:
-        """Snapshot of the non-expired sessions as ``(mac_id, key,
-        minted_at)`` triples — what a front hands over when it re-binds
-        to a different backend."""
-        return [
-            (mac_id, session.mac_key, session.minted_at)
-            for mac_id, session in self._sessions.items()
-            if not self._expired(session)
-        ]
 
     def count(self) -> int:
         return len(self._sessions)

@@ -57,7 +57,6 @@ class MacSessionManager:
         self._rng = default_rng(rng)
         self.registry = registry if registry is not None else SessionRegistry()
         self.backend = None
-        self._granted = 0
         if backend is not None:
             self.bind(backend)
 
@@ -66,24 +65,16 @@ class MacSessionManager:
     def bind(self, backend) -> None:
         """Point this manager at the servlet's authorization backend.
 
-        A local :class:`~repro.guard.Guard` exposes its ``sessions``
-        registry: the manager adopts any sessions it already minted into
-        that one shared table and re-points itself, so outstanding
-        grants keep verifying.  A cluster-style backend keeps no single
-        registry; live sessions are handed over via
-        ``install_session`` (escrowed for failover) and every future
-        mint goes through ``backend.mint_session``.
+        Every backend exposes its one ``sessions`` registry (a cluster's
+        is shared by all its nodes): the manager adopts any sessions it
+        already minted into that table and re-points itself, so
+        outstanding grants keep verifying.
         """
         if backend is self.backend:
             return
-        registry = getattr(backend, "sessions", None)
-        if registry is not None:
-            if registry is not self.registry:
-                registry.adopt(self.registry)
-                self.registry = registry
-        else:
-            for mac_id, mac_key, minted_at in self.registry.live_sessions():
-                backend.install_session(mac_id, mac_key, minted_at=minted_at)
+        if backend.sessions is not self.registry:
+            backend.sessions.adopt(self.registry)
+            self.registry = backend.sessions
         self.backend = backend
 
     # -- session establishment -------------------------------------------
@@ -100,7 +91,6 @@ class MacSessionManager:
             mac_id, mac_key = self.backend.mint_session(self._rng)
         else:
             mac_id, mac_key = self.registry.mint(self._rng)
-        self._granted += 1
         sealed = mac_key.sealed_for(client_key)
         response.headers.set(MAC_GRANT_HEADER, "%s %x" % (mac_id, sealed))
 
@@ -123,14 +113,9 @@ class MacSessionManager:
         )
 
     def session_count(self) -> int:
-        """Live sessions when this front shares its backend's registry
-        (a local guard, or no backend); with a cluster-style backend the
-        table lives across the ring, so the honest local answer is the
-        number of grants this front has issued."""
-        registry = getattr(self.backend, "sessions", None)
-        if self.backend is None or registry is self.registry:
-            return self.registry.count()
-        return self._granted
+        """Sessions in the table this front verifies against: its
+        backend's once bound (a cluster's is shared by every node)."""
+        return self.registry.count()
 
 
 def unseal_grant(header_value: str, private_key) -> MacKey:

@@ -457,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drain one node mid-run (warm handoff: the "
                             "handoff counters and last_drain_ms go live)")
     stats.add_argument("--fail-one", action="store_true",
-                       help="fail one node mid-run to exercise failover "
-                            "session re-minting")
+                       help="fail one node mid-run: its shards move to the "
+                            "survivors, which verify the same sessions")
     stats.add_argument("--indent", type=int, default=2)
     stats.set_defaults(func=cmd_stats)
 

@@ -57,6 +57,17 @@ class ClusterWorld:
         ]
 
 
+def move_owner(cluster, speaker):
+    """Join nodes until ``speaker``'s shard changes owner; returns the
+    new owner."""
+    owner = cluster.node_for_speaker(speaker)
+    for _ in range(32):
+        cluster.add_node()
+        if cluster.node_for_speaker(speaker) is not owner:
+            return cluster.node_for_speaker(speaker)
+    raise AssertionError("no join moved the speaker's shard")
+
+
 @pytest.fixture()
 def world(server_kp, alice_kp, rng):
     return ClusterWorld(server_kp, alice_kp, rng)

@@ -22,7 +22,7 @@ from repro.guard import GuardRequest, ProofCredential
 from repro.sexp import to_canonical, to_transport
 from repro.spki import Certificate
 from repro.tags import Tag
-from tests.cluster.conftest import REQUEST, ClusterWorld
+from tests.cluster.conftest import REQUEST, ClusterWorld, move_owner
 
 
 def _warm_all_nodes(world):
@@ -94,19 +94,48 @@ class TestChannelClose:
         )
         wire = to_canonical(chain.to_sexp())
         nodes = world.cluster.nodes()
-        # Two replicas hold the binding and a cached chain over it (the
-        # shard moved mid-connection, say).
+        # Two replicas hold a cached chain over the binding (the shard
+        # moved mid-connection, say).
+        world.cluster.trust.vouch(premise)
         for node in nodes[:2]:
-            node.trust.vouch(premise)
             node.guard.submit_proof(wire)
             assert node.guard.check(world.request(speaker=channel)).granted
 
         world.cluster.close_channel(premise)
         world.cluster.deliver_invalidations()
+        assert not world.cluster.trust.vouches_for(premise)
         for node in nodes[:2]:
-            assert not node.trust.vouches_for(premise)
+            assert node.guard.cache.count() == 0
             with pytest.raises(NeedAuthorizationError):
                 node.guard.check(world.request(speaker=channel))
+
+    def test_a_closed_channel_stays_closed_on_every_node(
+        self, server_kp, alice_kp, rng
+    ):
+        """A channel's shard moves to a joiner, the channel closes there,
+        and the joiner leaves with no bus round in between: the shard
+        returns to the first owner, which still caches a chain over the
+        binding.  The binding is gone from the one premise set, so that
+        chain fails its premise re-check and the check is refused."""
+        world = ClusterWorld(server_kp, alice_kp, rng, nodes=2)
+        cluster = world.cluster
+        channel = ChannelPrincipal.of_secret(b"\x09" * 32)
+        premise = cluster.open_channel(channel, world.client)
+        wire = to_canonical(
+            TransitivityStep(PremiseStep(premise), world.delegation).to_sexp()
+        )
+        cluster.submit_proof(wire)
+        assert cluster.check(world.request(speaker=channel)).granted
+
+        heir = move_owner(cluster, channel)
+        cluster.submit_proof(wire)
+        assert cluster.check(world.request(speaker=channel)).granted
+
+        cluster.close_channel(premise)
+        cluster.remove_node(heir.node_id)
+        (decision,) = cluster.check_many([world.request(speaker=channel)])
+        assert not decision.granted
+        assert decision.stage is None
 
 
 class TestRevocation:
@@ -225,6 +254,29 @@ class TestRevocation:
         with pytest.raises(AuthorizationError):
             cluster.check(presented())
         assert owner.guard.cache.count() == 0
+
+    @pytest.mark.parametrize("departure", ["remove_node", "fail_node"])
+    def test_a_departure_does_not_undo_a_revocation(self, world, departure):
+        """A shard moves only onto nodes that have applied every
+        published invalidation.  The speaker's chain is cached on its
+        first owner and on the joiner its shard moved to; the serial is
+        revoked on the joiner, which then departs with no bus round in
+        between.  The first owner gets the shard back and must not
+        grant from its cache."""
+        cluster = world.cluster
+        assert cluster.check(world.request()).granted
+        heir = move_owner(cluster, world.client)
+        decision = cluster.check(world.request())
+        assert decision.granted and decision.stage == "prover"
+
+        cluster.revoke_serial(world.certificate.serial, via=heir.node_id)
+        with pytest.raises(NeedAuthorizationError):
+            cluster.check(world.request())
+
+        getattr(cluster, departure)(heir.node_id)
+        (decision,) = cluster.check_many([world.request()])
+        assert not decision.granted
+        assert isinstance(decision.error, NeedAuthorizationError)
 
     def test_unrelated_serial_revocation_is_a_noop(self, world):
         nodes = _warm_all_nodes(world)

@@ -1,7 +1,9 @@
 """Batch dispatch: stream order, shard batching, what a fleet of
-listeners relies on when it is handed one cluster, the merged audit
-trail across nodes that fail or drain, and the membership heartbeat
-pumping ``SessionRegistry.sweep()`` cluster-wide."""
+listeners relies on when it is handed one cluster, every check served by
+its speaker's shard owner, the one premise set and session table every
+node decides against, the merged audit trail across nodes that fail or
+drain, and the membership heartbeat pumping ``SessionRegistry.sweep()``
+on the cluster's one session table."""
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.sexp import sexp, to_canonical, to_transport
 from repro.spki import Certificate
 from repro.tags import Tag
 
-from tests.cluster.conftest import ClusterWorld
+from tests.cluster.conftest import ClusterWorld, move_owner
 
 SPEAKERS = 8
 ROUNDS = 3
@@ -37,9 +39,8 @@ def _world(server_kp, alice_kp, rng, nodes=4):
     for index in range(SPEAKERS):
         channel = ChannelPrincipal.of_secret(b"conn-%d" % index)
         premise = SpeaksFor(channel, client, Tag.all())
-        owner = cluster.node_for_speaker(channel)
-        owner.trust.vouch(premise)
-        owner.guard.submit_proof(
+        cluster.trust.vouch(premise)
+        cluster.node_for_speaker(channel).guard.submit_proof(
             to_canonical(
                 TransitivityStep(PremiseStep(premise), delegation).to_sexp()
             )
@@ -152,7 +153,7 @@ def test_a_session_proof_for_another_subject_does_not_sink_its_batch(
 class TestFleet:
     """Every front end (http servlet, smtp receiver, rmi skeleton, serve
     listener) holds the :class:`AuthCluster` itself: one ring and one
-    session escrow however many fronts ask."""
+    session table however many fronts ask."""
 
     @pytest.fixture()
     def world(self, server_kp, alice_kp, rng):
@@ -179,13 +180,28 @@ class TestFleet:
 
     def test_fleet_sessions_mint_into_the_shared_escrow(self, rng):
         """A session minted with the cluster's injected rng is cluster
-        state — escrowed for failover and installed on its ring owner —
-        so any front's traffic can reach it."""
+        state — held once, in the table every node's guard verifies
+        against — so any front's traffic can reach it, whichever node
+        serves it."""
         cluster = AuthCluster(node_count=4, rng=rng)
-        mac_id, _ = cluster.mint_session()
-        assert mac_id in cluster._session_directory
-        owner = cluster.membership.node_for(session_routing_key(mac_id))
-        assert owner.guard.sessions.get(mac_id) is not None
+        mac_id, mac_key = cluster.mint_session()
+        assert cluster.sessions.get(mac_id) is mac_key
+        for node in cluster.nodes():
+            assert node.guard.sessions.get(mac_id) is mac_key
+
+    def test_every_node_shares_the_clusters_authority(self, rng):
+        """One premise set and one session table, handed to every node —
+        a later joiner included; a node derives only its own proof cache
+        and prover graph."""
+        cluster = AuthCluster(node_count=3, rng=rng)
+        cluster.add_node()
+        nodes = cluster.nodes()
+        for node in nodes:
+            assert node.guard.trust is cluster.trust
+            assert node.guard.sessions is cluster.sessions
+            assert node.guard.prover is node.prover
+        assert len({id(node.guard.cache) for node in nodes}) == len(nodes)
+        assert len({id(node.prover) for node in nodes}) == len(nodes)
 
     def test_frontend_audit_is_the_merged_cluster_view(self, world):
         """A front end reads one trail: the single check's record in the
@@ -337,22 +353,12 @@ class TestMergedAudit:
         assert world.cluster.audit.retain is None  # bounded by the rings
 
 
-def _move_owner(cluster, speaker):
-    """Join nodes until ``speaker``'s shard changes owner."""
-    owner = cluster.node_for_speaker(speaker)
-    for _ in range(32):
-        cluster.add_node()
-        if cluster.node_for_speaker(speaker) is not owner:
-            return
-    raise AssertionError("no join moved the speaker's shard")
-
-
 class TestRingChange:
     def test_channel_binding_follows_the_traffic_after_a_join(self, world):
-        """The ring can change under a live channel: the new owner is
-        handed the binding from the channel directory, so a resubmitted
-        chain verifies there instead of failing against a node that
-        never saw the handshake."""
+        """The ring can change under a live channel: the new owner
+        decides against the same premise set, so the binding still holds
+        there and a resubmitted chain verifies instead of failing
+        against a node that never saw the handshake."""
         cluster = world.cluster
         channel = ChannelPrincipal.of_secret(b"\x07" * 32)
         cluster.open_channel(channel, world.client)
@@ -365,33 +371,33 @@ class TestRingChange:
         for request in world.requests(channel):
             assert cluster.check(request).granted
 
-        _move_owner(cluster, channel)
-        # The new owner holds neither the premise nor the cached chain:
-        # the directory re-vouches the premise, so the worst case is a
+        heir = move_owner(cluster, channel)
+        # The new owner holds no cached chain, so the worst case is a
         # re-challenge, and resubmitting the chain (the client's normal
-        # response) must verify.
+        # response) must verify there.
+        premise = SpeaksFor(channel, world.client, Tag.all())
+        assert heir.guard.trust.vouches_for(premise)
+        assert heir.guard.cache.count() == 0
         cluster.submit_proof(wire)
-        assert cluster.stats["channels_revouched"] == 1
         for request in world.requests(channel):
             assert cluster.check(request).granted
 
     def test_retract_delivery_reaches_the_node_that_vouched(self, world):
-        """A delivered utterance is vouched on the owner *at delivery
-        time*; the retraction at teardown must find it after the ring
-        changed in between (today's owner lookup would miss)."""
+        """A delivered utterance is vouched by the owner *at delivery
+        time*; the retraction at teardown must withdraw it everywhere
+        after the ring changed in between."""
         cluster = world.cluster
         request = world.request()
         cluster.deliver(request)
         uttered = Says(world.client, request.logical)
-        vouchers = [
-            node for node in cluster.nodes()
-            if node.trust.vouches_for(uttered)
-        ]
-        assert vouchers == [cluster.node_for_speaker(world.client)]
-        _move_owner(cluster, world.client)
+        assert all(
+            node.guard.trust.vouches_for(uttered) for node in cluster.nodes()
+        )
+        move_owner(cluster, world.client)
         cluster.retract_delivery(world.client, request.logical)
+        assert not cluster.trust.vouches_for(uttered)
         assert not any(
-            node.trust.vouches_for(uttered) for node in cluster.nodes()
+            node.guard.trust.vouches_for(uttered) for node in cluster.nodes()
         )
 
 
@@ -408,10 +414,7 @@ class TestHeartbeatSweep:
         cluster = world.cluster
         for _ in range(6):
             cluster.mint_session(rng)
-        populated = sum(
-            node.guard.sessions.count() for node in cluster.nodes()
-        )
-        assert populated == 6
+        assert cluster.sessions.count() == 6
         world.clock.advance(61.0)
         # Nothing touched the sessions; the heartbeat alone reaps them.
         reaped = cluster.heartbeat()
@@ -419,9 +422,9 @@ class TestHeartbeatSweep:
         assert all(
             node.guard.sessions.count() == 0 for node in cluster.nodes()
         )
-        # The escrow directory lapsed with them: no failover resurrection.
-        assert len(cluster._session_directory) == 0
-        assert cluster.stats["directory_expired"] == 6
+        # Reaped once, in the one table: no node can resurrect them.
+        assert cluster.sessions.stats["expired"] == 6
+        assert cluster.stats_snapshot()["sessions"]["expired"] == 6
         assert cluster.membership.stats["heartbeats"] >= 3
 
     def test_single_node_heartbeat_sweeps_that_node(
@@ -438,7 +441,7 @@ class TestHeartbeatSweep:
     def test_an_entry_lapsing_on_first_touch_is_counted(
         self, server_kp, alice_kp, rng
     ):
-        """An escrow entry found lapsed by its next check is dropped and
+        """A session found lapsed by its next check is dropped and
         counted exactly as the sweep drops and counts it."""
         world = self._world(server_kp, alice_kp, rng)
         cluster = world.cluster
@@ -457,8 +460,9 @@ class TestHeartbeatSweep:
         assert cluster.check_many([request])[0].granted
         world.clock.advance(61.0)
         assert not cluster.check_many([request])[0].granted
-        assert len(cluster._session_directory) == 0
-        assert cluster.stats["directory_expired"] == 1
+        assert cluster.sessions.get(mac_id) is None
+        assert cluster.sessions.count() == 0
+        assert cluster.sessions.stats["expired"] == 1
 
     def test_failure_sweep_also_pumps_session_sweep(
         self, server_kp, alice_kp, rng
@@ -478,3 +482,51 @@ class TestHeartbeatSweep:
         assert all(
             node.guard.sessions.count() == 0 for node in cluster.nodes()
         )
+
+
+def _served(cluster):
+    return [node for node in cluster.nodes() if node.guard.stats["checks"]]
+
+
+class TestSpreading:
+    """One speaker, one node: delegations are replicated, so any node
+    *could* decide a speaker's checks, yet each one goes to the
+    speaker's shard owner, single or batched.
+
+    (The class name dates from when a hot speaker's checks could spread
+    over its shard's ring successors; the test ids are kept.)"""
+
+    @pytest.fixture()
+    def world(self, server_kp, alice_kp, rng):
+        return ClusterWorld(server_kp, alice_kp, rng, nodes=4)
+
+    def test_cold_speaker_stays_pinned_to_its_owner(self, world):
+        cluster = world.cluster
+        for request in world.requests():
+            assert cluster.check(request).granted
+        assert _served(cluster) == [cluster.node_for_speaker(world.client)]
+
+    def test_replicas_disabled_at_r1(self, world):
+        cluster = world.cluster
+        decisions = cluster.check_many(world.requests())
+        assert all(decision.granted for decision in decisions)
+        assert _served(cluster) == [cluster.node_for_speaker(world.client)]
+        assert cluster.dispatch_stats["shard_batches"] == 1
+
+    def test_channel_premise_vouched_onto_replica_set(self, world):
+        """A channel speaker: the binding premise is vouched at open and
+        a submitted chain over it is memoized on the owner, so every
+        check grants there; close plus one bus round denies."""
+        cluster = world.cluster
+        channel = ChannelPrincipal.of_secret(b"\x07" * 32)
+        premise = cluster.open_channel(channel, world.client)
+        chain = TransitivityStep(PremiseStep(premise), world.delegation)
+        cluster.submit_proof(to_canonical(chain.to_sexp()))
+        for request in world.requests(channel):
+            assert cluster.check(request).granted
+        assert _served(cluster) == [cluster.node_for_speaker(channel)]
+        cluster.close_channel(premise)
+        cluster.deliver_invalidations()
+        for request in world.requests(channel):
+            with pytest.raises(NeedAuthorizationError):
+                cluster.check(request)

@@ -1,12 +1,13 @@
 """Warm shard handoff.
 
 The protocol under test: a drain runs one invalidation-bus round, then
-hands the draining node's warm state (channel bindings, MAC sessions,
-proof-cache entries), as objects, to the import hooks of the ring
-successors inheriting each shard, then leaves.  The refuse-stale tests
+hands the draining node's cached chains, as objects, to the import hook
+of the ring successors inheriting each shard, then leaves.  Channel
+bindings and MAC sessions are the cluster's, held once, so they need no
+hand-over.  The refuse-stale tests
 pin the bus-round-first invariant: a revocation published anywhere
 before the drain never rides it into an inheritor's cache.  The import
-hooks' own refusals are driven on one guard in
+hook's own refusals are driven on one guard in
 ``tests/guard/test_import_hooks.py``.
 """
 
@@ -19,7 +20,7 @@ import pytest
 from repro.cluster.handoff import shard_key_for
 from repro.cluster.membership import LEFT, UP
 from repro.cluster.ring import session_routing_key
-from repro.core.errors import NeedAuthorizationError
+from repro.core.errors import AuthorizationError, NeedAuthorizationError
 from repro.core.principals import (
     ChannelPrincipal,
     HashPrincipal,
@@ -92,6 +93,10 @@ class TestDrainTransfersWarmState:
     def test_drain_hands_over_proofs_sessions_and_channels(
         self, server_kp, alice_kp, rng
     ):
+        """A drain hands over cached chains; a MAC session and a channel
+        binding are the cluster's, so they hold across it untouched —
+        the session still grants, and still dies at its original mint
+        time plus the TTL."""
         world = ClusterWorld(server_kp, alice_kp, rng, session_ttl=100.0)
         cluster = world.cluster
 
@@ -106,7 +111,7 @@ class TestDrainTransfersWarmState:
                 _session_request(world.issuer, mac_id, mac_key, index)
             ).granted
         channel = ChannelPrincipal.of_secret(b"\x07" * 32)
-        cluster.open_channel(channel, world.client)
+        premise = cluster.open_channel(channel, world.client)
 
         victim = next(
             node for node in cluster.nodes()
@@ -134,7 +139,7 @@ class TestDrainTransfersWarmState:
             ).granted
         for node in cluster.nodes():
             assert node.prover.stats["searches"] == baseline[node.node_id]
-        # The import hooks did the installing, and counted it.
+        # The import hook did the installing, and counted it.
         installed = sum(
             node.guard.stats["handoff_installed"] for node in cluster.nodes()
         )
@@ -142,11 +147,14 @@ class TestDrainTransfersWarmState:
         imported_entries = sum(
             node.guard.cache.stats["imported"] for node in cluster.nodes()
         )
-        assert imported_entries > 0
-        imported_sessions = sum(
-            node.guard.sessions.stats["imported"] for node in cluster.nodes()
-        )
-        assert imported_sessions >= 1
+        assert imported_entries == report.installed
+        # Nothing else moved, because nothing else was the node's own.
+        assert cluster.trust.vouches_for(premise)
+        assert cluster.sessions.get(mac_id) is mac_key
+
+        world.clock.advance(101.0)  # past the original mint + TTL
+        with pytest.raises(AuthorizationError, match="unknown MAC session"):
+            cluster.check(_session_request(world.issuer, mac_id, mac_key))
 
     def test_a_drain_parses_and_verifies_nothing(
         self, server_kp, alice_kp, rng, monkeypatch

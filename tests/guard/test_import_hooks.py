@@ -1,16 +1,17 @@
-"""The guard's import hooks refuse what the receiver knows is stale.
+"""The guard's import hook refuses what the receiver knows is stale.
 
-A drain hands warm state to an inheritor's ``import_channel``,
-``import_session`` and ``import_proof_entry`` hooks.  Each hook
-re-validates against the receiving guard's own tombstones, clock,
-premise snapshot and session TTL: a handed-off proof is never a
-handed-off decision.  These tests drive the hooks on one ``Guard``;
+A drain hands cached chains to an inheritor's ``import_proof_entry``
+hook, which re-validates each against the receiving guard's own
+tombstones, clock and premise snapshot: a handed-off proof is never a
+handed-off decision.  These tests drive the hook on one ``Guard``;
 every refusal answers ``"refused"``, installs nothing and counts once
-in ``stats["handoff_refused_stale"]``.
+in ``stats["handoff_refused_stale"]``.  Sessions have no hook: one
+handed over keeps its mint stamp, and so its absolute TTL.
 """
 
 import pytest
 
+from repro.core.errors import AuthorizationError
 from repro.core.principals import ChannelPrincipal, KeyPrincipal
 from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.rules import TransitivityStep
@@ -62,17 +63,18 @@ def hooks(server_kp, alice_kp, bob_kp, rng):
 
 
 def test_fresh_state_is_installed(hooks):
-    """The control: with nothing stale, each hook installs, and a
-    second offer of the same item is a duplicate, not a refusal."""
+    """The control: with nothing stale, a chain installs — one over a
+    vouched binding too — and a second offer of the same chain is a
+    duplicate, not a refusal."""
     guard = hooks.guard
-    mac_key = MacKey.generate(hooks.rng)
-    assert guard.import_channel(hooks.binding) == "installed"
-    assert guard.import_session("s-1", mac_key, hooks.clock.now()) == "installed"
+    premise = guard.open_channel(hooks.channel, hooks.client)
+    over_binding = TransitivityStep(PremiseStep(premise), hooks.chain)
     assert guard.import_proof_entry(hooks.chain) == "installed"
+    assert guard.import_proof_entry(over_binding) == "installed"
     assert guard.import_proof_entry(hooks.chain) == "duplicate"
-    assert guard.import_channel(hooks.binding) == "duplicate"
-    assert guard.stats["handoff_installed"] == 3
+    assert guard.stats["handoff_installed"] == 2
     assert guard.stats["handoff_refused_stale"] == 0
+    assert guard.cache.count() == 2
 
 
 def test_a_tombstoned_serial_is_refused(hooks):
@@ -102,23 +104,23 @@ def test_an_unvouched_premise_is_refused(hooks):
 
 
 def test_a_lapsed_session_is_refused_not_resurrected(hooks):
+    """A session handed over with its original mint stamp — the one
+    intake, ``install_session`` — stays dead once its TTL lapsed."""
     minted_at = hooks.clock.now()
     hooks.clock.advance(SESSION_TTL + 10.0)
-    outcome = hooks.guard.import_session(
-        "s-1", MacKey.generate(hooks.rng), minted_at
-    )
-    assert hooks.refused(outcome)
+    mac_key = MacKey.generate(hooks.rng)
+    hooks.guard.install_session("s-1", mac_key, minted_at=minted_at)
     assert hooks.guard.sessions.get("s-1") is None
+    with pytest.raises(AuthorizationError, match="unknown MAC session"):
+        hooks.guard.sessions.verify_tag("s-1", b"m", mac_key.tag(b"m"))
 
 
 def test_a_closed_channel_is_refused(hooks):
-    """The binding and every chain leaning on it: the close tombstones
-    the binding and retracts its premise."""
+    """Every chain leaning on a closed binding: the close retracts its
+    premise, which the hook's premise snapshot re-checks."""
     guard = hooks.guard
     premise = guard.open_channel(hooks.channel, hooks.client)
     guard.close_channel(premise)
-    assert hooks.refused(guard.import_channel(premise))
     assert not hooks.trust.vouches_for(premise)
     chain = TransitivityStep(PremiseStep(premise), hooks.chain)
-    assert guard.import_proof_entry(chain) == "refused"
-    assert guard.stats["handoff_refused_stale"] == 2
+    assert hooks.refused(guard.import_proof_entry(chain))
