@@ -1,8 +1,8 @@
 """Count each event once: a fast-path grant makes one registry call.
 
 A count gate, no clock.  ``K`` repeated MAC check frames are pipelined
-over loopback into a warmed ``AuthCluster(node_count=4)`` whose audit
-rings (``audit_retain=16``) are already full.  Every frame hits the
+over loopback into a warmed ``AuthCluster(node_count=4)`` whose one
+audit ring (``audit_retain=16``) is already full.  Every frame hits the
 listener's question memo (a hit walks no field, so it counts nothing on
 the registry) and every check is a fast-path grant.  Every other
 tally of such a request — its reply, its decode hit, its dispatch, its
@@ -74,7 +74,7 @@ def test_a_fast_path_grant_makes_one_registry_call(keypool, rng, monkeypatch):
         host, port = await listener.start()
         # No client-minted trace ids: repeated frames are identical bytes.
         client = await ServeClient.connect(host, port, trace_sample=10 * K)
-        warm = await client.check_pipelined(window())  # fills every ring
+        warm = await client.check_pipelined(window())  # fills the ring
         assert all(reply.granted for reply in warm)
         hits = listener.stats["decode_hits"]
         monkeypatch.setattr(MetricsRegistry, "inc", counted)
@@ -86,10 +86,7 @@ def test_a_fast_path_grant_makes_one_registry_call(keypool, rng, monkeypatch):
         await listener.shutdown()
 
     asyncio.run(scenario())
-    assert all(
-        node.guard.audit.evicted > 0
-        for node in cluster.nodes() if node.guard.audit.recorded
-    )
+    assert cluster.audit.evicted > 0
     print("registry inc calls for %d fast-path grants: %d %s" % (
         K, sum(calls.values()), dict(calls),
     ))

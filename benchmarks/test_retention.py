@@ -143,9 +143,8 @@ def test_a_warm_session_serves_without_growing_the_heap(keypool):
         assert _serve(cluster, cache, frames) == AUDIT_RETAIN
         del frames
         sizes.append(_tracked())
-    (owner,) = [node for node in cluster.nodes() if len(node.guard.audit)]
-    assert owner.guard.audit.recorded == 3 * AUDIT_RETAIN
-    assert owner.guard.audit.evicted == 2 * AUDIT_RETAIN
+    assert cluster.audit.recorded == 3 * AUDIT_RETAIN
+    assert cluster.audit.evicted == 2 * AUDIT_RETAIN
     print(
         "\ngc-tracked objects after each block of %d warm requests: %s"
         % (AUDIT_RETAIN, sizes)

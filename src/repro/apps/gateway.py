@@ -95,7 +95,7 @@ class QuotingGateway(Servlet):
             # A single-process gateway cannot work without a delegation
             # graph to digest into; an injected shared guard adopts this
             # identity's.  (A cluster backend has no ``prover`` attribute
-            # — its delegation set is replicated to every node's prover.)
+            # — its nodes' provers search the cluster's one graph.)
             guard.prover = identity.prover
         self.guard = guard
         self._db_issuer: Optional[Principal] = None

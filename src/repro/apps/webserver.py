@@ -103,7 +103,7 @@ class ProtectedWebServer:
         )
         # The servlet's backend is the application's authorization state:
         # audit records and stats live there, uniform with the other apps
-        # (and, for a cluster backend, merged across its nodes).
+        # (and, for a cluster backend, the one log its nodes share).
         self.guard = self.servlet.guard
         self.http = HttpServer(meter=meter)
         self.http.mount("/", self.servlet)

@@ -1,12 +1,13 @@
 """The cross-node invalidation bus.
 
-Replication creates the one hazard the single-guard design never had:
-derived and replicated state (proof-cache entries, replicated delegation
-edges, vouched premises) can outlive its justification *on a different
-node* than the one that learned the justification died.  The bus closes that gap: a
-node that retracts a delegation, closes a channel, or learns a
-revocation publishes an event, and one delivery round later every other
-node has dropped its dependent entries.
+Sharding creates the one hazard the single-guard design never had:
+derived state — a proof-cache entry — can outlive its justification *on
+a different node* than the one that learned the justification died.
+What the cluster holds once (premises, delegation edges) dies for every
+node as the publishing node applies the event; the bus closes the gap
+for the caches: a node that retracts a delegation, closes a channel, or
+learns a revocation publishes an event, and one delivery round later
+every other node has dropped its dependent cache entries.
 
 Semantics, deliberately minimal and deterministic:
 
@@ -24,8 +25,8 @@ Semantics, deliberately minimal and deterministic:
 
 Events are not acknowledged and the bus keeps no history: a node that
 joins after a retraction never sees the event, which is safe because it
-also never held the retracted state — replication of delegations flows
-through membership, not through this bus.
+joins with an empty cache and the cluster's graph, which already lost
+the retracted state.
 """
 
 from __future__ import annotations

@@ -9,19 +9,19 @@ batching the guard already does for a single process.  A single
 ``check`` is a batch of one.
 
 Every check is served by its speaker's shard owner.  The control plane
-owns the shared clock, the membership table, the invalidation bus, the
-replicated delegation set, and the cluster's authority: one premise set
-and one session table that every node's guard decides against.  It
-implements the full :class:`~repro.guard.backend.AuthBackend` protocol,
-so every transport that can front a single :class:`Guard` can front a
-cluster unchanged.
+owns the shared clock, the membership table, the invalidation bus, and
+everything the cluster knows, held once: one premise set, one session
+table and one delegation graph that every node's guard decides against,
+and one audit log every node's guard records into.  It implements the
+full :class:`~repro.guard.backend.AuthBackend` protocol, so every
+transport that can front a single :class:`Guard` can front a cluster
+unchanged.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.audit import ClusterAuditView
 from repro.cluster.bus import InvalidationBus
 from repro.cluster.handoff import DrainReport, HandoffCoordinator
 from repro.cluster.membership import UP, ClusterMembership
@@ -33,12 +33,7 @@ from repro.cluster.ring import (
 )
 from repro.core.errors import AuthorizationError
 from repro.core.principals import Principal
-from repro.core.proofs import (
-    CitationIndex,
-    Proof,
-    proof_citations,
-    proof_from_sexp,
-)
+from repro.core.proofs import Proof, proof_from_sexp
 from repro.core.statements import Says, SpeaksFor
 from repro.crypto.mac import MacKey
 from repro.crypto.rng import default_rng
@@ -49,32 +44,35 @@ from repro.guard.sessions import SessionRegistry
 from repro.net.trust import TrustEnvironment
 from repro.obs.registry import default_registry
 from repro.obs.trace import Tracer, default_tracer
+from repro.prover import DelegationGraph
 from repro.sexp import parse_canonical, sexp
 from repro.sim.clock import SimClock
 
 
 class AuthCluster:
-    """A sharded, replicated authorization cluster (an ``AuthBackend``).
+    """A sharded authorization cluster (an ``AuthBackend``).
 
-    The invariant: **authority — vouched premises and session secrets —
-    lives once, in the cluster; a ring change moves work, never
-    authority.**  The cluster builds one :class:`TrustEnvironment` and one
-    :class:`SessionRegistry` and hands both to every node, so each node's
-    guard decides against the same premise set and the same session
-    table.  A node keeps only what it derives from them: its proof cache
-    and its prover graph.
+    The invariant: **a node holds only its shard's proof-cache buckets;
+    everything else the cluster knows — premises, sessions, delegations,
+    grants — it holds once.**  The cluster builds one
+    :class:`TrustEnvironment`, one :class:`SessionRegistry`, one
+    :class:`DelegationGraph` and one :class:`AuditLog` and hands all four
+    to every node, so each node's guard decides against the same premise
+    set, session table and delegation graph and records into the same
+    trail; a ring change moves work, never authority.
 
     - **sharding**: requests route by speaker fingerprint (a session by
       its id) on a consistent-hash ring, and the shard owner serves every
       check, so a speaker's cache bucket lives on one node;
-    - **replication**: delegations added through the cluster are digested
-      into *every* node's prover (the speaks-for model makes any node
-      able to verify any proof), and new nodes receive the current set at
-      join;
+    - **delegations**: :meth:`add_delegation` digests a proof once into
+      ``graph``, which every node's prover searches (the speaks-for model
+      makes any node able to verify any proof), so a node that joins
+      later holds what the incumbents hold;
     - **invalidation**: retractions, channel closes, and revocations are
-      applied locally, then broadcast on the bus; one
-      ``deliver_invalidations()`` round purges every other node's
-      dependent cache entries and delegation edges;
+      applied at the publishing node — which takes them out of the one
+      premise set or graph for every node at once — then broadcast on
+      the bus; one ``deliver_invalidations()`` round purges every other
+      node's dependent cache entries;
     - **departure**: every departure — leave, failure, drain — starts
       with one bus round, so no shard moves onto a node that has not
       applied every published invalidation; a failed node's shards then
@@ -116,25 +114,19 @@ class AuthCluster:
             ring=HashRing(vnodes=vnodes),
             heartbeat_timeout=heartbeat_timeout,
         )
-        # The cluster's authority, held once and shared by every node.
+        # Everything the cluster knows, held once and shared by every
+        # node: a node holds only its shard's proof-cache buckets.
         self.trust = TrustEnvironment(clock=self.clock)
         self.sessions = SessionRegistry(ttl=session_ttl, clock=self.clock)
+        self.graph = DelegationGraph()
+        self.audit = AuditLog(
+            retain=AUDIT_RETAIN if audit_retain is None else audit_retain,
+            sink=audit_sink, metrics=self.metrics,
+        )
         self.rng = rng
-        # One retention knob: ``audit_retain`` sizes each node's ring and
-        # caps the merged view; ``audit_sink`` sees every node's records.
-        self.audit_retain = audit_retain
-        self.audit_sink = audit_sink
-        self.audit = ClusterAuditView(self.membership, retain=audit_retain)
         # The handoff plane: warm-state transfer for planned departures.
         self.handoff = HandoffCoordinator(self)
         self._next_node = 0
-        # The replicated set (digest -> delegation, replayed to a joining
-        # node in arrival order), and what a revocation or a retraction
-        # looks up in it: certificate serial / lemma digest -> digests of
-        # the replicated delegations embedding it.
-        self._delegations: Dict[bytes, Proof] = {}
-        self._delegations_citing_serial = CitationIndex()
-        self._delegations_embedding = CitationIndex()
         # The data plane's own tallies (the ``dispatch`` section of
         # ``stats_snapshot``): ``check_many`` calls, requests routed, and
         # per-node batches handed to a guard.
@@ -148,12 +140,11 @@ class AuthCluster:
     # -- membership --------------------------------------------------------
 
     def add_node(self, node_id: Optional[str] = None) -> GuardNode:
-        """Join a fresh node: hand it the cluster's premise set and
-        session table, wire it to the bus, replay the replicated
-        delegation set into its prover, and take its ring points.  This
-        is the whole "adding a node" recipe — shards move to it by ring
-        arithmetic on the next request.  A join needs no bus round: it
-        only moves shards onto a node that holds nothing stale."""
+        """Join a fresh node: hand it what the cluster holds once, wire it
+        to the bus, and take its ring points.  This is the whole "adding
+        a node" recipe — shards move to it by ring arithmetic on the next
+        request.  A join needs no bus round: it only moves shards onto a
+        node that holds nothing stale."""
         if node_id is None:
             node_id = "node-%d" % self._next_node
             self._next_node += 1
@@ -161,13 +152,8 @@ class AuthCluster:
             node_id,
             trust=self.trust,
             sessions=self.sessions,
-            audit=AuditLog(
-                retain=(
-                    AUDIT_RETAIN if self.audit_retain is None
-                    else self.audit_retain
-                ),
-                sink=self.audit_sink, metrics=self.metrics,
-            ),
+            graph=self.graph,
+            audit=self.audit,
             metrics=self.metrics,
             tracer=self.tracer,
         )
@@ -177,8 +163,6 @@ class AuthCluster:
             )
         )
         self.bus.subscribe(node)
-        for proof in self._delegations.values():
-            node.guard.digest_delegation(proof)
         self.membership.join(node)
         return node
 
@@ -284,77 +268,40 @@ class AuthCluster:
         """The serving node of a request: its speaker's shard owner."""
         return self.membership.node_for(routing_key(request))
 
-    # -- replicated delegations and invalidation ---------------------------
+    # -- delegations and invalidation --------------------------------------
 
     def add_delegation(self, proof: Proof) -> None:
-        """Digest a delegation into every live node's prover.  Any node
-        can then complete proofs over it — the property that makes
-        speaker-sharding safe."""
-        digest = proof.digest()
-        self._delegations[digest] = proof
-        serials, lemma_digests, _ = proof_citations(proof)
-        for serial in serials:
-            self._delegations_citing_serial.add(serial, digest)
-        for lemma_digest in lemma_digests:
-            self._delegations_embedding.add(lemma_digest, digest)
-        for node in self.membership.alive():
-            node.guard.digest_delegation(proof)
-
-    def _unreplicate(self, digests) -> None:
-        """Take delegations out of the replicated set, so a node joining
-        later is not handed them (or anything they embed) at replay."""
-        for digest in digests:
-            serials, lemma_digests, _ = proof_citations(
-                self._delegations.pop(digest)
-            )
-            for serial in serials:
-                self._delegations_citing_serial.discard(serial, digest)
-            for lemma_digest in lemma_digests:
-                self._delegations_embedding.discard(lemma_digest, digest)
+        """Digest a delegation into the cluster's one graph.  Every node's
+        prover searches it, so any node can complete proofs over it — the
+        property that makes speaker-sharding safe."""
+        self.graph.digest(proof)
 
     def digest_delegation(self, proof: Proof) -> None:
-        """The backend-protocol name for :meth:`add_delegation`: a
-        delegation digested into the cluster is replicated, full stop."""
+        """The backend-protocol name for :meth:`add_delegation`."""
         self.add_delegation(proof)
 
     def outgoing_delegations(self, principal: Principal) -> int:
-        """Delegation edges leaving ``principal`` — answered by any live
-        node, since the delegation set is replicated to all of them."""
-        nodes = self.membership.alive()
-        if not nodes:
-            raise LookupError("the cluster has no live nodes")
-        return nodes[0].guard.outgoing_delegations(principal)
+        """Delegation edges leaving ``principal`` in the cluster's graph."""
+        return len(self.graph.outgoing(principal))
 
     def retract_delegation(self, proof_or_digest, via: Optional[str] = None) -> int:
-        """Retract a delegation *on one node*; the node's invalidation
-        hook broadcasts it, and the next bus round purges the rest of the
-        cluster.  Returns entries dropped on the originating node.
-
-        Every replicated delegation embedding the retracted lemma leaves
-        the replicated set with it: digesting such a chain at a later
-        join would re-add the lemma itself.
-        """
+        """Retract a delegation *through one node*: the edge (and every
+        edge embedding it) leaves the cluster's graph at once, and the
+        node's invalidation hook broadcasts the event, so the next bus
+        round purges the other nodes' cached chains.  Returns entries
+        dropped on the originating node."""
         digest = (
             proof_or_digest
             if isinstance(proof_or_digest, bytes)
             else proof_or_digest.digest()
         )
-        # Resolve the originating node before touching the replicated
-        # set: a bad `via` must fail with the cluster state unchanged.
-        origin = self._via(via)
-        self._unreplicate(self._delegations_embedding.holders(digest))
-        return origin.guard.retract_delegation(digest)
+        return self._via(via).guard.retract_delegation(digest)
 
     def revoke_serial(self, serial: bytes, via: Optional[str] = None) -> int:
-        """Feed a revocation event in at one node; the bus spreads it.
-
-        The revoked authority also leaves the replicated delegation set,
-        so a node joining after the revocation is not handed it back at
-        replay.
-        """
-        origin = self._via(via)
-        self._unreplicate(self._delegations_citing_serial.holders(serial))
-        return origin.guard.revoke_serial(serial)
+        """Feed a revocation event in at one node: every edge citing the
+        serial leaves the cluster's graph at once, and the bus spreads
+        the cache purge."""
+        return self._via(via).guard.revoke_serial(serial)
 
     def deliver_invalidations(self) -> int:
         """Pump one invalidation-bus round.  (The ``AuthBackend`` protocol
@@ -482,6 +429,15 @@ class AuthCluster:
         return {
             "cluster": dict(self.stats),
             "sessions": dict(self.sessions.stats),
+            "graph": {
+                "edges": self.graph.edge_count(),
+                "invalidations": self.graph.invalidations,
+                "generation": self.graph.generation,
+            },
+            "audit": {
+                "recorded": self.audit.recorded,
+                "evicted": self.audit.evicted,
+            },
             "membership": dict(self.membership.stats),
             "dispatch": dict(self.dispatch_stats),
             "handoff": dict(self.handoff.stats),

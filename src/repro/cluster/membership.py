@@ -14,7 +14,7 @@ successors, and no state is copied at failure time.  Nothing a node
 loses is authority: channel premises and MAC sessions live once, in the
 cluster, and every node decides against them.  What a failed node's
 shards lose is derived state — cached proofs — which re-derives lazily
-on first miss from the replicated delegation graph.
+on first miss from the cluster's one delegation graph.
 
 *Planned* departures get a warmer deal, but no state of their own: a
 drain is one synchronous call on the cluster's loop that hands the

@@ -1,9 +1,10 @@
 """Consistent-hash sharding of authorization work across guard nodes.
 
 The speaks-for model makes horizontal partitioning safe: every node
-holds the cluster's one premise set, so any node can verify any proof,
-and the ring is free to place a speaker wherever its fingerprint lands —
-correctness never depends on which node answers, only performance does.
+decides against the cluster's one premise set and one delegation graph,
+so any node can verify any proof, and the ring is free to place a
+speaker wherever its fingerprint lands — correctness never depends on
+which node answers, only performance does.
 Sharding by *speaker* (rather than by resource) keeps each speaker's
 derived state — its proof-cache bucket — on exactly one node, so the
 per-speaker caches behave exactly as they do in a single-guard
@@ -23,6 +24,7 @@ from bisect import bisect_right
 from typing import Dict, List, Tuple
 
 from repro.guard import default_backend
+from repro.guard.audit import AuditLog
 from repro.guard.request import (
     ChannelCredential,
     GuardRequest,
@@ -31,7 +33,7 @@ from repro.guard.request import (
 )
 from repro.guard.sessions import SessionRegistry
 from repro.net.trust import TrustEnvironment
-from repro.prover import Prover
+from repro.prover import DelegationGraph, Prover
 from repro.sexp import to_canonical
 
 
@@ -154,9 +156,11 @@ class HashRing:
 
 
 class GuardNode:
-    """One cluster member: a :class:`Guard` deciding against the
-    cluster's premise set and session table, plus what it derives from
-    them — its proof cache and its prover graph.
+    """One cluster member: a proof-cache shard.  Its :class:`Guard`
+    decides against the cluster's premise set, session table and
+    delegation graph, and records into the cluster's audit log; the node
+    holds only its shard's proof-cache buckets, and its prover's own
+    search counters.
 
     A node serves real traffic, so its guard charges no cost model: the
     paper's modeled figures build their own guards.  The shared trust
@@ -169,12 +173,13 @@ class GuardNode:
         node_id: str,
         trust: TrustEnvironment,
         sessions: SessionRegistry,
-        audit=None,
+        graph: DelegationGraph,
+        audit: AuditLog,
         metrics=None,
         tracer=None,
     ):
         self.node_id = node_id
-        self.prover = Prover()
+        self.prover = Prover(graph=graph)
         # Even the cluster's own nodes go through the shared factory:
         # nothing in the tree constructs the default backend any other way.
         self.guard = default_backend(
@@ -192,12 +197,10 @@ class GuardNode:
 
     def stats(self) -> Dict[str, object]:
         """The counters the ``stats`` CLI and benchmarks aggregate."""
-        audit = self.guard.audit
         return {
             "guard": dict(self.guard.stats),
             "cache": dict(self.guard.cache.stats),
             "prover": dict(self.prover.stats),
-            "audit": {"recorded": audit.recorded, "evicted": audit.evicted},
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -340,8 +340,7 @@ def proof_citations(
     These are the three things an invalidation event can name — a
     revoked serial, a retracted delegation's digest, a closed channel's
     binding — so this is the one definition of "cites" that the proof
-    cache, the delegation graph and the cluster's replicated set index
-    by.  A thing cited twice is listed twice; the indexes do not mind.
+    cache and the delegation graph index by.  A thing cited twice is listed twice; the indexes do not mind.
     """
     serials: List[bytes] = []
     digests: List[bytes] = []

@@ -57,8 +57,8 @@ class AuditRecord:
         self.when = when
         self.transport = transport
         # The trace/span that produced this grant (see repro.obs.trace):
-        # the correlation key between the merged cluster audit trail and
-        # the serving layer's spans.
+        # the correlation key between the cluster's audit trail and the
+        # serving layer's spans.
         self.trace_id = trace_id
         self.span_id = span_id
 

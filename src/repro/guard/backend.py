@@ -24,9 +24,8 @@ The surface, grouped the way transports consume it:
   gateway);
 - **invalidation** — ``retract_delegation``, ``revoke_serial``;
 - **introspection** — ``context``, ``audit_authentication``, and an
-  ``audit`` attribute (an :class:`~repro.guard.audit.AuditLog` or a
-  merged cluster view with the same ``records`` / ``involving`` /
-  ``by_transport`` shape).
+  ``audit`` attribute: the backend's one
+  :class:`~repro.guard.audit.AuditLog` (a cluster's nodes share theirs).
 
 No transport or app module constructs a :class:`Guard` directly any
 more: they accept an injected backend or fall back to
@@ -103,7 +102,7 @@ def default_backend(trust, **kwargs):
     This is the *only* sanctioned way for a transport or app module to
     end up with a Guard it did not receive — keyword arguments pass
     straight through (``meter``, ``prover``, ``rng``, ``check_charge``,
-    ``sessions``, ``session_ttl``, ...), and the guard inherits the
+    ``sessions``, ``cache``, ...), and the guard inherits the
     trust environment's clock, so an injected clock or RNG is honored
     uniformly across every transport.
     """

@@ -125,9 +125,6 @@ class Guard:
         trust,
         meter: Optional[Meter] = None,
         prover=None,
-        max_speakers: int = 4096,
-        max_sessions: int = 4096,
-        session_ttl: Optional[float] = None,
         cache: Optional[ProofCache] = None,
         sessions: Optional[SessionRegistry] = None,
         audit: Optional[AuditLog] = None,
@@ -154,18 +151,11 @@ class Guard:
         # secrets-backed default at mint time.  Injected for determinism
         # the same way the clock rides in on ``trust``.
         self.rng = rng
-        self.cache = cache if cache is not None else ProofCache(max_speakers)
-        if sessions is not None:
-            if session_ttl is not None:
-                raise ValueError(
-                    "session_ttl only applies to a guard-built registry; "
-                    "set ttl on the injected SessionRegistry instead"
-                )
-            self.sessions = sessions
-        else:
-            self.sessions = SessionRegistry(
-                max_sessions, ttl=session_ttl, clock=trust.clock
-            )
+        self.cache = cache if cache is not None else ProofCache()
+        self.sessions = (
+            sessions if sessions is not None
+            else SessionRegistry(clock=trust.clock)
+        )
         self.audit = (
             audit if audit is not None else AuditLog(metrics=self.metrics)
         )
@@ -545,8 +535,8 @@ class Guard:
         request = admitted.request
         derived = self._derived_step(admitted, proof, context)
         # The request's trace id (``check_many`` set one) is the
-        # correlation key, so the merged cluster audit trail lines up
-        # with the trace store.  The span id is the guard span
+        # correlation key, so the cluster's audit trail lines up with
+        # the trace store.  The span id is the guard span
         # ``check_many`` activated around this request — present only
         # when the tracer keeps the trace.
         span = self.tracer.current()
@@ -832,7 +822,8 @@ class Guard:
             return self._refuse_import()
         # The cache is the one place a handed-off chain lands.  It is
         # warm state, not a delegation: digesting it into the prover
-        # would give this node graph edges the cluster never replicated.
+        # would put a derived chain into a graph that holds collected
+        # delegations only.
         if not self.cache.install(entry, speaker):
             return "duplicate"
         self.stats["handoff_installed"] += 1

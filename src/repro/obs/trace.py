@@ -8,8 +8,8 @@ serve layer opens a ``serve.request`` span per frame, and the guard
 pipeline opens a ``guard.check`` span per decision, annotated with the
 stage that granted it (fast-path / proof-cache / prover) and its
 per-stage durations.  Span ids are stamped into every
-:class:`~repro.guard.audit.AuditRecord`, which is what makes the merged
-cluster audit trail correlatable with traces.
+:class:`~repro.guard.audit.AuditRecord`, which is what makes the
+cluster's audit trail correlatable with traces.
 
 Propagation is via a :mod:`contextvars` context variable — natural for
 asyncio.  One deliberate exception: a serve batch carries many

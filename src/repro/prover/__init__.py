@@ -70,9 +70,11 @@ serialization and a SHA-256 digest of it; the graph keys edges and the
 citation indexes by that digest, so inserting an already-known proof is
 a dict lookup rather than a re-serialization.
 
-``Prover.stats`` reports ``searches``, ``nodes_expanded``,
-``invalidations``, ``invalidate_examined``, and the current
-``generation``.
+``Prover.stats`` reports the prover's own work: ``searches``,
+``nodes_expanded`` and ``invalidate_examined``.  What the graph holds is
+counted once, on the graph (``edge_count()``, ``invalidations``,
+``generation``), since several provers may search one graph — every
+node of an ``AuthCluster`` searches the cluster's.
 """
 
 from repro.prover.graph import DelegationGraph, Edge

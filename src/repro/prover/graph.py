@@ -191,6 +191,22 @@ class DelegationGraph:
             self._citing_serial.add(serial, key)
         return True
 
+    def digest(self, proof: Proof) -> None:
+        """Store a collected proof, digested into its component edges.
+
+        "When the Prover receives a delegation that is actually a proof
+        involving several steps, the Prover 'digests' the proof into its
+        component parts for storage in the graph."  Every speaks-for lemma
+        becomes an edge, the composite ones included, and stays until an
+        invalidation removes it (removing a leaf takes the composites
+        built on it).  A chain the search *derives* is never stored: the
+        guard caches it per speaker.
+        """
+        if not isinstance(proof.conclusion, SpeaksFor):
+            raise ValueError("the graph stores speaks-for proofs")
+        for lemma in proof.speaks_for_lemmas():
+            self.add(lemma)
+
     @staticmethod
     def _citations(
         proof: Proof,

@@ -66,38 +66,32 @@ class _Wave:
 class Prover:
     """Collects delegations, finds proofs, and constructs new delegations."""
 
-    def __init__(self, max_depth: int = 16, max_visits: int = 4):
-        self.graph = DelegationGraph()
+    def __init__(
+        self,
+        max_depth: int = 16,
+        max_visits: int = 4,
+        graph: Optional[DelegationGraph] = None,
+    ):
+        # A prover searches ``graph`` — shared, in a cluster, by every
+        # node's prover — or a graph of its own.
+        self.graph = graph if graph is not None else DelegationGraph()
         self._closures: Dict[Principal, Closure] = {}
         self.max_depth = max_depth
         self.max_visits = max_visits
-        # Search statistics, reported by the prover-scaling benchmark.
+        # This prover's own work, reported by the prover-scaling
+        # benchmark; what the graph holds is counted on the graph.
         self.stats = {
             "searches": 0,
             "nodes_expanded": 0,
-            "invalidations": 0,
             "invalidate_examined": 0,
-            "generation": 0,
         }
 
     # -- collection -------------------------------------------------------
 
-    def add_proof(self, proof: Proof, digest: bool = True) -> None:
-        """Store a collected proof; digest multi-step proofs into
-        component edges.
-
-        "When the Prover receives a delegation that is actually a proof
-        involving several steps, the Prover 'digests' the proof into its
-        component parts for storage in the graph."  Every speaks-for lemma
-        becomes an edge, the composite ones included, and stays until an
-        invalidation removes it (removing a leaf takes the composites
-        built on it).  A chain the search *derives* is never stored: the
-        guard caches it per speaker.
-        """
-        if not isinstance(proof.conclusion, SpeaksFor):
-            raise ValueError("the graph stores speaks-for proofs")
-        for lemma in proof.speaks_for_lemmas() if digest else (proof,):
-            self.graph.add(lemma)
+    def add_proof(self, proof: Proof) -> None:
+        """Store a collected proof, digested into component edges (see
+        :meth:`DelegationGraph.digest`)."""
+        self.graph.digest(proof)
 
     def add_certificate(self, certificate: Certificate) -> None:
         from repro.core.proofs import SignedCertificateStep
@@ -122,11 +116,10 @@ class Prover:
 
         This is the invalidation-bus listener: a retraction broadcast
         names the delegation's digest, and digests are canonical, so the
-        same event invalidates the same edge on every replica holding it.
+        same event names the same edge wherever it is applied; applied
+        again to a graph that already lost the edge, it removes nothing.
         """
-        removed = self.graph.remove(proof_or_key)
-        self._sync_stats()
-        return removed
+        return self.graph.remove(proof_or_key)
 
     def invalidate_serial(self, serial: bytes) -> int:
         """Retract every edge whose proof cites the certificate with
@@ -137,7 +130,6 @@ class Prover:
         removed = 0
         for key in dead:
             removed += self.graph.remove(key)
-        self._sync_stats()
         return removed
 
     def invalidate_expired(self, now: float) -> int:
@@ -149,9 +141,7 @@ class Prover:
         ``now`` as a hypothetical (they skip expired edges but never delete
         them), so probing a future time cannot destroy still-valid state.
         Applications with a real clock call this on clock advance."""
-        removed = self.graph.invalidate_expired(now)
-        self._sync_stats()
-        return removed
+        return self.graph.invalidate_expired(now)
 
     # -- search -----------------------------------------------------------
 
@@ -430,10 +420,6 @@ class Prover:
         return None
 
     # -- helpers ------------------------------------------------------------
-
-    def _sync_stats(self) -> None:
-        self.stats["invalidations"] = self.graph.invalidations
-        self.stats["generation"] = self.graph.generation
 
     @staticmethod
     def _needed_tag(request: Optional[SExp], min_tag: Optional[Tag]) -> Tag:

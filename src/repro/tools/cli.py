@@ -182,9 +182,8 @@ def cmd_tag(args) -> int:
 def _demo_cluster(args):
     """Drive the deterministic demo workload the ``stats`` and ``audit``
     subcommands share: an :class:`AuthCluster` serving a MAC-session
-    request stream, optionally failing one node mid-run.  Returns
-    ``(cluster, all_nodes)`` — ``all_nodes`` includes any failed node, so
-    its audit trail still prints."""
+    request stream, optionally failing or draining one node mid-run.
+    Returns the cluster."""
     from repro.cluster import AuthCluster
     from repro.core.principals import KeyPrincipal, MacPrincipal
     from repro.core.proofs import SignedCertificateStep
@@ -218,7 +217,6 @@ def _demo_cluster(args):
             transport="http",
         )
 
-    all_nodes = list(cluster.nodes())
     half = args.requests // 2
     cluster.check_many([request(i) for i in range(half)])
     if args.fail_one and len(cluster.nodes()) > 1:
@@ -226,55 +224,32 @@ def _demo_cluster(args):
     if getattr(args, "drain_one", False) and len(cluster.nodes()) > 1:
         cluster.drain(cluster.nodes()[0].node_id)
     cluster.check_many([request(i) for i in range(half, args.requests)])
-    return cluster, all_nodes
+    return cluster
 
 
 def cmd_stats(args) -> int:
     """Run a deterministic demo workload on an authorization cluster and
     dump every guard/prover/session/cluster counter as JSON (a drain's
     wall-clock duration is ``handoff.last_drain_ms``)."""
-    cluster, _ = _demo_cluster(args)
+    cluster = _demo_cluster(args)
     print(json.dumps(cluster.stats_snapshot(), indent=args.indent,
                      sort_keys=True))
     return 0
 
 
 def cmd_audit(args) -> int:
-    """Run the demo cluster workload and print its audit trail.
-
-    ``--merge`` prints the cluster-wide, time-ordered merged view (the
-    per-node logs interleaved on the shared clock, capped by
-    ``--retain``); without it, each node's local log prints under its
-    own heading — the disjoint trails the merge exists to fix.
-    """
-    cluster, all_nodes = _demo_cluster(args)
-    if args.merge:
-        # The cluster's own merged view — built with ``--retain`` as its
-        # retention cap by ``_demo_cluster``.
-        records = cluster.audit.records
-        print(
-            "# merged cluster audit: %d record%s across %d node%s"
-            % (
-                len(records), "" if len(records) == 1 else "s",
-                len(all_nodes), "" if len(all_nodes) == 1 else "s",
-            )
-        )
-        _print_trail(cluster.audit, records)
-        return 0
-    for node in all_nodes:
-        # ``--retain`` already sized each node's ring (``audit_retain``).
-        records = node.guard.audit.records
-        print("# %s: %d record(s)" % (node.node_id, len(records)))
-        _print_trail(node.guard.audit, records)
-    return 0
-
-
-def _print_trail(log, records) -> None:
-    """One audit trail: what the ring no longer holds, then what it does."""
+    """Run the demo cluster workload and print its audit trail: the
+    cluster's one log, every node's grants in grant order (``--retain``
+    sizes its ring).  What the ring no longer holds is said first."""
+    log = _demo_cluster(args).audit
+    records = log.records
+    print("# cluster audit: %d record%s"
+          % (len(records), "" if len(records) == 1 else "s"))
     if log.evicted > 0:
         print("# %d earlier records evicted" % log.evicted)
     for record in records:
         print(record.render())
+    return 0
 
 
 def _drive_fleet(args, cluster):
@@ -464,21 +439,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = commands.add_parser(
         "audit",
-        help="run the demo cluster workload and print its audit trail",
+        help="run the demo cluster workload and print the cluster's one "
+             "audit trail",
     )
     audit.add_argument("--nodes", type=int, default=4)
     audit.add_argument("--sessions", type=int, default=16)
     audit.add_argument("--requests", type=int, default=64)
     audit.add_argument("--seed", type=int, default=7)
     audit.add_argument("--fail-one", action="store_true",
-                       help="fail one node mid-run (its trail still merges)")
-    audit.add_argument("--merge", action="store_true",
-                       help="one time-ordered cluster-wide trail instead "
-                            "of per-node sections")
+                       help="fail one node mid-run (its grants stay in the "
+                            "trail)")
     audit.add_argument("--retain", type=int, default=None,
-                       help="keep only the most recent N records (per node, "
-                            "and in the merged view); the default is each "
-                            "guard's 2048-record ring")
+                       help="keep only the most recent N records in the "
+                            "cluster's one audit ring (default 2048)")
     audit.set_defaults(func=cmd_audit)
 
     serve = commands.add_parser(

@@ -1,8 +1,8 @@
-"""Shared cluster-test helpers: a small replicated world.
+"""Shared cluster-test helpers: a small cluster world.
 
 ``cluster_world`` builds an :class:`AuthCluster` plus one delegation —
-``client => issuer`` signed by the server key and digested into every
-node — so any node can authorize the client's requests.
+``client => issuer`` signed by the server key and digested into the
+cluster's one graph — so any node can authorize the client's requests.
 """
 
 from __future__ import annotations

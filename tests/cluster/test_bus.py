@@ -2,8 +2,11 @@
 
 The acceptance property: a delegation retracted on ONE node is denied on
 EVERY node after one bus round — and, just as important, the other nodes
-still grant *before* the round, proving it is the bus (not shared state)
-that propagates the retraction.
+still grant from their caches *before* the round, proving it is the bus
+that purges cached chains.  What the cluster holds once — the premise
+set and the delegation graph — loses the retracted state at once, so no
+node re-derives through it, and a late joiner decides as the incumbents
+and a single guard do.
 """
 
 import pytest
@@ -18,7 +21,9 @@ from repro.core.principals import (
 )
 from repro.core.statements import SpeaksFor
 from repro.crypto.hashes import HashValue
-from repro.guard import GuardRequest, ProofCredential
+from repro.guard import Guard, GuardRequest, ProofCredential
+from repro.net.trust import TrustEnvironment
+from repro.prover import Prover
 from repro.sexp import to_canonical, to_transport
 from repro.spki import Certificate
 from repro.tags import Tag
@@ -44,7 +49,7 @@ class TestDelegationRetraction:
         # The origin denies immediately...
         with pytest.raises(NeedAuthorizationError):
             origin.guard.check(world.request())
-        # ...but the replicas still grant: their caches are untouched
+        # ...but the other nodes still grant: their caches are untouched
         # until the bus round runs.
         for node in nodes[1:]:
             assert node.guard.check(world.request()).granted
@@ -76,6 +81,27 @@ class TestDelegationRetraction:
             with pytest.raises(NeedAuthorizationError):
                 cluster.check(request)
 
+    @pytest.mark.parametrize("invalidation", ["retract", "revoke"])
+    def test_no_node_rederives_through_it_before_the_round(
+        self, world, invalidation
+    ):
+        """The graph is the cluster's, so an invalidation published on a
+        bystander leaves it at once: the owner, whose cache never held
+        the chain, has nothing to re-derive it from, bus round or not."""
+        cluster = world.cluster
+        owner = cluster.node_for_speaker(world.client)
+        via = next(
+            node.node_id for node in cluster.nodes() if node is not owner
+        )
+        if invalidation == "retract":
+            cluster.retract_delegation(world.delegation, via=via)
+        else:
+            cluster.revoke_serial(world.certificate.serial, via=via)
+        assert cluster.bus.pending() == 1
+        with pytest.raises(NeedAuthorizationError):
+            cluster.check(world.request())
+        assert owner.prover.stats["searches"] == 1
+
     def test_origin_does_not_reapply_its_own_event(self, world):
         nodes = _warm_all_nodes(world)
         origin = nodes[0]
@@ -94,7 +120,7 @@ class TestChannelClose:
         )
         wire = to_canonical(chain.to_sexp())
         nodes = world.cluster.nodes()
-        # Two replicas hold a cached chain over the binding (the shard
+        # Two nodes hold a cached chain over the binding (the shard
         # moved mid-connection, say).
         world.cluster.trust.vouch(premise)
         for node in nodes[:2]:
@@ -171,21 +197,32 @@ class TestRevocation:
                 cluster.check(request)
 
     def test_a_purge_says_what_it_examined(self, world):
-        """One edge and one cached proof per node cite the serial; the
-        per-node tallies say so, in ``repro.tools stats`` and under
+        """One edge in the cluster's one graph and one cached proof per
+        node cite the serial: the publisher's prover examines the edge,
+        every other prover finds it gone, and each node's cache examines
+        its own copy — in ``repro.tools stats`` and under
         ``sources.cluster.nodes`` in ``(stats <id>)`` alike."""
-        _warm_all_nodes(world)
-        world.cluster.revoke_serial(world.certificate.serial)
+        nodes = _warm_all_nodes(world)
+        world.cluster.revoke_serial(
+            world.certificate.serial, via=nodes[0].node_id
+        )
         world.cluster.deliver_invalidations()
         served = world.cluster.metrics.snapshot()["sources"]["cluster"]
         assert served["nodes"] == world.cluster.stats_snapshot()["nodes"]
+        examined = [
+            served["nodes"][node.node_id]["prover"]["invalidate_examined"]
+            for node in nodes
+        ]
+        assert examined == [1] + [0] * (len(nodes) - 1)
         for tallies in served["nodes"].values():
-            assert tallies["prover"]["invalidate_examined"] == 1
             assert tallies["cache"]["retract_examined"] == 1
+        assert served["graph"]["edges"] == 0
+        assert served["graph"]["invalidations"] == 1
 
     def test_late_joiner_is_not_handed_revoked_authority(self, world):
-        """The delegation-replay at join must not resurrect authority a
-        revocation already killed cluster-wide."""
+        """A node that joins after a revocation searches the cluster's
+        one graph, which lost the revoked authority when the revocation
+        was published: nothing is replayed that could resurrect it."""
         _warm_all_nodes(world)
         world.cluster.revoke_serial(world.certificate.serial)
         world.cluster.deliver_invalidations()
@@ -197,10 +234,9 @@ class TestRevocation:
     def test_late_joiner_is_not_handed_retracted_delegation(
         self, world, alice_kp, bob_kp
     ):
-        """A retraction names a lemma, and a replicated chain embedding
-        that lemma re-adds it when digested — so the replay set must
-        lose every delegation built on the retracted one, not just the
-        entry stored under its own digest."""
+        """A retraction names a lemma, and the graph drops every edge
+        built on it, not just the edge stored under its own digest; a
+        node that joins afterwards searches that same graph."""
         bob = KeyPrincipal(bob_kp.public)
         onward = SignedCertificateStep(
             Certificate.issue(alice_kp, bob, Tag.all(), rng=world.rng)
@@ -224,6 +260,46 @@ class TestRevocation:
         # The onward hop was never retracted: every node keeps it.
         for node in nodes:
             assert onward in node.prover.graph
+
+    @pytest.mark.parametrize("invalidation", ["retract", "revoke"])
+    def test_a_late_joiner_decides_as_the_incumbents_and_a_single_guard_do(
+        self, world, server_kp, bob_kp, carol_kp, invalidation
+    ):
+        """``server <- mid <- client`` arrives as one digested chain, and
+        its second hop dies.  The surviving hop still lets ``mid`` speak
+        for the server — on every incumbent, on a node that joins
+        afterwards, through the cluster's routing once the shard moves
+        onto a joiner, and on a single guard fed the same steps."""
+        mid = KeyPrincipal(bob_kp.public)
+        client = KeyPrincipal(carol_kp.public)
+        first = SignedCertificateStep(
+            Certificate.issue(server_kp, mid, Tag.all(), rng=world.rng)
+        )
+        second = SignedCertificateStep(
+            Certificate.issue(bob_kp, client, Tag.all(), rng=world.rng)
+        )
+        chain = TransitivityStep(second, first)
+        single = Guard(TrustEnvironment(clock=world.clock), prover=Prover())
+        cluster = world.cluster
+        for backend in (cluster, single):
+            backend.digest_delegation(chain)
+            if invalidation == "retract":
+                backend.retract_delegation(second.digest())
+            else:
+                backend.revoke_serial(second.certificate.serial)
+        cluster.deliver_invalidations()
+        late = cluster.add_node()
+        guards = [node.guard for node in cluster.nodes()] + [single]
+        assert late.guard in guards
+        for guard in guards:
+            decision = guard.check(world.request(speaker=mid))
+            assert decision.granted and decision.stage == "prover"
+            with pytest.raises(NeedAuthorizationError):
+                guard.check(world.request(speaker=client))
+        move_owner(cluster, mid)
+        assert cluster.check(world.request(speaker=mid)).granted
+        with pytest.raises(NeedAuthorizationError):
+            cluster.check(world.request(speaker=client))
 
     def test_a_revoked_certificate_presented_again_is_denied(
         self, server_kp, alice_kp, rng

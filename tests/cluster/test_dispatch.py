@@ -1,13 +1,14 @@
 """Batch dispatch: stream order, shard batching, what a fleet of
 listeners relies on when it is handed one cluster, every check served by
-its speaker's shard owner, the one premise set and session table every
-node decides against, the merged audit trail across nodes that fail or
-drain, and the membership heartbeat pumping ``SessionRegistry.sweep()``
-on the cluster's one session table."""
+its speaker's shard owner, the one premise set, session table and
+delegation graph every node decides against, the one audit trail every
+node records into (kept across nodes that fail or drain), and the
+membership heartbeat pumping ``SessionRegistry.sweep()`` on the
+cluster's one session table."""
 
 import pytest
 
-from repro.cluster import AuthCluster, ClusterAuditView, routing_key
+from repro.cluster import AuthCluster, routing_key
 from repro.cluster.ring import session_routing_key
 from repro.core.errors import AuthorizationError, NeedAuthorizationError
 from repro.core.principals import ChannelPrincipal, KeyPrincipal, MacPrincipal
@@ -27,7 +28,8 @@ ROUNDS = 3
 
 def _world(server_kp, alice_kp, rng, nodes=4):
     """A cluster with SPEAKERS channels, each provably bound to the
-    client and replicated so any shard can verify any of them."""
+    client and digested into the cluster's one graph so any shard can
+    verify any of them."""
     cluster = AuthCluster(node_count=nodes)
     issuer = KeyPrincipal(server_kp.public)
     client = KeyPrincipal(alice_kp.public)
@@ -190,9 +192,10 @@ class TestFleet:
             assert node.guard.sessions.get(mac_id) is mac_key
 
     def test_every_node_shares_the_clusters_authority(self, rng):
-        """One premise set and one session table, handed to every node —
-        a later joiner included; a node derives only its own proof cache
-        and prover graph."""
+        """One premise set, one session table, one delegation graph and
+        one audit log, handed to every node — a later joiner included; a
+        node holds only its own proof cache (and its prover's search
+        counters)."""
         cluster = AuthCluster(node_count=3, rng=rng)
         cluster.add_node()
         nodes = cluster.nodes()
@@ -200,19 +203,22 @@ class TestFleet:
             assert node.guard.trust is cluster.trust
             assert node.guard.sessions is cluster.sessions
             assert node.guard.prover is node.prover
+            assert node.prover.graph is cluster.graph
+            assert node.guard.audit is cluster.audit
         assert len({id(node.guard.cache) for node in nodes}) == len(nodes)
         assert len({id(node.prover) for node in nodes}) == len(nodes)
 
     def test_frontend_audit_is_the_merged_cluster_view(self, world):
         """A front end reads one trail: the single check's record in the
-        merged view is the serving node's own record."""
+        cluster's log is the serving node's own record."""
         decision = world.cluster.check(world.request())
         assert world.cluster.audit.records == [decision.record]
 
 
 class TestMergedAudit:
-    """The merged, time-ordered view every front end reads: it outlives
-    a node's shards, and one retention knob sizes every ring."""
+    """The cluster's one audit log, which every node records into and
+    every front end reads: grant order is clock order, it outlives a
+    node's shards, and one retention knob sizes its one ring."""
 
     @pytest.fixture()
     def world(self, server_kp, alice_kp, rng):
@@ -246,45 +252,24 @@ class TestMergedAudit:
             world.clock.advance(1.0)
             assert cluster.check(world.request(speaker=speaker)).granted
         contributing = [
-            node
-            for node in cluster.nodes()
-            if len(node.guard.audit.records) > 0
+            node for node in cluster.nodes() if node.guard.stats["grants"]
         ]
-        assert len(contributing) >= 2  # the merge had real work to do
+        assert len(contributing) >= 2  # several nodes wrote the one trail
         merged = cluster.audit.records
         assert len(merged) == 2 * len(all_speakers)
         stamps = [record.when for record in merged]
         assert stamps == sorted(stamps)
 
-    def test_retention_cap_keeps_most_recent(self, world):
+    def test_retention_cap_keeps_most_recent(self, server_kp, alice_kp, rng):
+        world = ClusterWorld(server_kp, alice_kp, rng, nodes=4,
+                             audit_retain=3)
         cluster = world.cluster
         for index in range(8):
             world.clock.advance(1.0)
             assert cluster.check(world.request()).granted
-        view = ClusterAuditView(cluster.membership, retain=3)
-        records = view.records
-        assert len(records) == 3
-        assert records[-1].when == max(
-            record.when for record in cluster.audit.records
-        )
-        assert len(view) == 3
-
-    def test_len_does_not_materialise_the_merge(self, world, monkeypatch):
-        cluster = world.cluster
-        for index in range(4):
-            world.clock.advance(1.0)
-            assert cluster.check(world.request()).granted
-
-        def no_merge(self):
-            raise AssertionError("len() merged the logs")
-
-        monkeypatch.setattr(ClusterAuditView, "_merged", no_merge)
-        assert len(cluster.audit) == 4
-        assert len(ClusterAuditView(cluster.membership, retain=3)) == 3
-
-    def test_view_is_read_only(self, world):
-        with pytest.raises(TypeError):
-            world.cluster.audit.record(object())
+        assert [record.when for record in cluster.audit.records] == [6, 7, 8]
+        assert len(cluster.audit) == 3
+        assert (cluster.audit.recorded, cluster.audit.evicted) == (8, 5)
 
     def test_failed_nodes_history_survives_in_the_merge(self, world):
         cluster = world.cluster
@@ -299,11 +284,13 @@ class TestMergedAudit:
         self, world
     ):
         """A drain moves a node's shards, not its history: the records it
-        wrote before leaving interleave with its inheritor's by clock."""
+        wrote before leaving stay in the one log, ahead of its
+        inheritor's, in clock order."""
         cluster = world.cluster
+        before, after = [], []
         for index in range(3):
             world.clock.advance(1.0)
-            assert cluster.check(world.request()).granted
+            before.append(cluster.check(world.request()).record)
         (owner,) = [
             node for node in cluster.nodes() if node.guard.stats["grants"]
         ]
@@ -311,11 +298,11 @@ class TestMergedAudit:
         assert owner not in cluster.nodes()
         for index in range(2):
             world.clock.advance(1.0)
-            assert cluster.check(world.request()).granted
-        merged = cluster.audit.records
-        assert [record.when for record in merged] == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert merged[:3] == owner.guard.audit.records
-        assert len(cluster.audit) == 5
+            after.append(cluster.check(world.request()).record)
+        assert cluster.audit.records == before + after
+        assert [record.when for record in cluster.audit.records] == [
+            1.0, 2.0, 3.0, 4.0, 5.0
+        ]
 
     def test_audit_retain_sizes_every_nodes_ring_and_the_view(
         self, server_kp, alice_kp, rng
@@ -326,31 +313,37 @@ class TestMergedAudit:
             audit_retain=3, audit_sink=seen.append,
         )
         cluster = world.cluster
-        joined = cluster.add_node()  # a later join gets the same ring
-        assert [node.guard.audit.retain for node in cluster.nodes()] == [3] * 3
-        assert joined.guard.audit.sink == seen.append
+        cluster.add_node()  # a later join writes the same ring
+        assert all(node.guard.audit is cluster.audit for node in cluster.nodes())
         assert cluster.audit.retain == 3
+        assert cluster.audit.sink == seen.append
         for index in range(7):
+            # The speaker's shard moves between grants: every owner
+            # writes the one ring.
+            if index == 3:
+                move_owner(cluster, world.client)
             world.clock.advance(1.0)
             assert cluster.check(world.request()).granted
-        # One speaker, one owner: its ring wrapped; the sink saw all 7.
+        assert sum(
+            1 for node in cluster.nodes() if node.guard.stats["grants"]
+        ) == 2
+        # The one ring wrapped; the sink saw all 7.
         assert [record.when for record in seen] == [1, 2, 3, 4, 5, 6, 7]
         assert [record.when for record in cluster.audit.records] == [5, 6, 7]
         assert (cluster.audit.recorded, cluster.audit.evicted) == (7, 4)
-        # Each node's section of the stats tree says the same.
-        assert sum(
-            tallies["audit"]["evicted"]
-            for tallies in cluster.stats_snapshot()["nodes"].values()
-        ) == cluster.audit.evicted
+        # The stats tree says the same, once.
+        assert cluster.stats_snapshot()["audit"] == {
+            "recorded": 7, "evicted": 4,
+        }
 
     def test_default_cluster_rings_are_bounded(self, world):
         from repro.guard.audit import AUDIT_RETAIN
 
+        assert world.cluster.audit.retain == AUDIT_RETAIN
         assert all(
-            node.guard.audit.retain == AUDIT_RETAIN
+            node.guard.audit is world.cluster.audit
             for node in world.cluster.nodes()
         )
-        assert world.cluster.audit.retain is None  # bounded by the rings
 
 
 class TestRingChange:
@@ -489,8 +482,8 @@ def _served(cluster):
 
 
 class TestSpreading:
-    """One speaker, one node: delegations are replicated, so any node
-    *could* decide a speaker's checks, yet each one goes to the
+    """One speaker, one node: every node searches the cluster's one
+    graph, so any node *could* decide a speaker's checks, yet each one goes to the
     speaker's shard owner, single or batched.
 
     (The class name dates from when a hot speaker's checks could spread

@@ -217,8 +217,9 @@ class TestDrainTransfersWarmState:
     ):
         """A chain a client presented is warm state, not a delegation.
         An import must not turn its leaves into graph edges: the graph
-        holds the replicated set only, and a second drain hands the
-        chain on again without a refusal or a signature check."""
+        holds the delegations handed to ``add_delegation`` only, and a
+        second drain hands the chain on again without a refusal or a
+        signature check."""
         world = ClusterWorld(server_kp, alice_kp, rng, nodes=4)
         cluster = world.cluster
         middle = KeyPrincipal(bob_kp.public)
@@ -257,12 +258,11 @@ class TestDrainTransfersWarmState:
         assert second.refused == 0
         assert all(decision.granted for decision in cluster.check_many(requests))
         assert verifies == []
-        # The world's delegation is the cluster's whole replicated set.
-        replicated = {
+        # The world's delegation is all the cluster was handed.
+        delegated = {
             lemma.digest() for lemma in world.delegation.speaks_for_lemmas()
         }
-        for node in cluster.nodes():
-            assert {edge.key for edge in node.prover.graph.edges()} <= replicated
+        assert {edge.key for edge in cluster.graph.edges()} <= delegated
 
 
 class TestMembershipOrdering:

@@ -39,7 +39,7 @@ class TestTransitions:
     def test_late_joiner_receives_the_replicated_delegations(self, world):
         late = world.cluster.add_node()
         # The new node can authorize without ever having seen the
-        # delegation arrive: it was replayed at join.
+        # delegation arrive: its prover searches the cluster's one graph.
         decision = late.guard.check(world.request())
         assert decision.granted and decision.stage == "prover"
 
@@ -89,8 +89,8 @@ class TestSessionFailover:
     ):
         """A session survives its owner's failure and still grants: the
         successor verifies the MAC against the cluster's one session
-        table and re-derives the chain once from the replicated
-        delegations."""
+        table and re-derives the chain once from the cluster's one
+        delegation graph."""
         world = ClusterWorld(server_kp, alice_kp, rng, nodes=3)
         cluster = world.cluster
         mac_id, mac_key = self._mint(world, rng)
@@ -166,7 +166,7 @@ class TestSessionFailover:
             world.cluster.retract_delegation(
                 world.delegation, via="no-such-node"
             )
-        # The failed call must not have desynced replication: a late
-        # joiner still receives the delegation.
+        # The failed call changed nothing: a late joiner still grants
+        # over the delegation.
         late = world.cluster.add_node()
         assert late.guard.check(world.request()).granted

@@ -17,7 +17,7 @@ from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.rules import TransitivityStep
 from repro.core.statements import SpeaksFor, Validity
 from repro.crypto.mac import MacKey
-from repro.guard import Guard
+from repro.guard import Guard, SessionRegistry
 from repro.net.trust import TrustEnvironment
 from repro.sim import SimClock
 from repro.spki import Certificate
@@ -35,7 +35,10 @@ class HookWorld:
         self.server_kp = server_kp
         self.clock = SimClock()
         self.trust = TrustEnvironment(clock=self.clock)
-        self.guard = Guard(self.trust, session_ttl=SESSION_TTL)
+        self.guard = Guard(
+            self.trust,
+            sessions=SessionRegistry(ttl=SESSION_TTL, clock=self.clock),
+        )
         self.client = KeyPrincipal(alice_kp.public)
         middle = KeyPrincipal(bob_kp.public)
         self.leaf = SignedCertificateStep(

@@ -122,18 +122,11 @@ class TestAdopt:
 class TestGuardWiring:
     def test_guard_session_ttl_rides_the_trust_clock(self):
         clock = SimClock()
-        guard = Guard(TrustEnvironment(clock=clock), session_ttl=60.0)
+        guard = Guard(
+            TrustEnvironment(clock=clock),
+            sessions=SessionRegistry(ttl=60.0, clock=clock),
+        )
         mac_id, _ = guard.sessions.mint()
         clock.advance(61.0)
         assert guard.sessions.get(mac_id) is None
         assert guard.sessions.stats["expired"] == 1
-
-    def test_session_ttl_with_an_injected_registry_is_rejected(self):
-        """The ttl knob only shapes a guard-built registry; silently
-        ignoring it on an injected one would fake expiry."""
-        with pytest.raises(ValueError):
-            Guard(
-                TrustEnvironment(),
-                sessions=SessionRegistry(),
-                session_ttl=60.0,
-            )

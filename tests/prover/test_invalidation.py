@@ -68,8 +68,8 @@ class TestExpiredDelegations:
         assert prover.invalidate_expired(50.0) == 2
         assert chain not in prover.graph
         assert prover.find_proof(_p("c"), _p("a")) is None
-        assert prover.stats["invalidations"] >= 2
-        assert prover.stats["generation"] >= 1
+        assert prover.graph.invalidations >= 2
+        assert prover.graph.generation >= 1
 
     def test_queries_with_future_now_never_destroy_state(self):
         """A query's ``now`` is a hypothetical: probing a future time (e.g.
@@ -81,7 +81,7 @@ class TestExpiredDelegations:
         assert prover.find_proof(_p("b"), _p("a"), now=200.0) is None
         # Still provable at the real (earlier) time — nothing was swept.
         assert prover.find_proof(_p("b"), _p("a"), now=10.0) is not None
-        assert prover.stats["invalidations"] == 0
+        assert prover.graph.invalidations == 0
 
     def test_explicit_invalidate_expired_sweeps_shortcuts(self):
         prover = Prover()
@@ -166,13 +166,13 @@ class TestRemovalCascade:
 
 class TestStats:
     def test_stats_report_cache_metrics(self):
+        """A prover counts its own work; what the graph holds is counted
+        once, on the graph, because several provers may search it."""
         prover = Prover()
         assert set(prover.stats) == {
             "searches",
             "nodes_expanded",
-            "invalidations",
             "invalidate_examined",
-            "generation",
         }
         prover.add_proof(_edge(_p("c"), _p("b")))
         prover.add_proof(_edge(_p("b"), _p("a")))
@@ -181,5 +181,16 @@ class TestStats:
         # A found chain is not stored: the graph holds what was collected.
         assert prover.graph.edge_count() == 2
         prover.invalidate_proof(_edge(_p("b"), _p("a")))
-        assert prover.stats["invalidations"] == prover.graph.invalidations == 1
-        assert prover.stats["generation"] == prover.graph.generation == 1
+        assert prover.graph.invalidations == 1
+        assert prover.graph.generation == 1
+
+    def test_provers_sharing_a_graph_count_their_own_searches(self):
+        graph = DelegationGraph()
+        first, second = Prover(graph=graph), Prover(graph=graph)
+        first.add_proof(_edge(_p("b"), _p("a")))
+        assert second.find_proof(_p("b"), _p("a")) is not None
+        assert (first.stats["searches"], second.stats["searches"]) == (0, 1)
+        assert second.invalidate_proof(_edge(_p("b"), _p("a"))) == 1
+        # Applied again, through the other prover, it finds nothing.
+        assert first.invalidate_proof(_edge(_p("b"), _p("a"))) == 0
+        assert first.find_proof(_p("b"), _p("a")) is None

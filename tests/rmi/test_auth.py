@@ -7,7 +7,7 @@ from repro.core.principals import ChannelPrincipal, KeyPrincipal
 from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.rules import TransitivityStep
 from repro.core.statements import Says, SpeaksFor, Validity
-from repro.guard import ChannelCredential, Guard, GuardRequest
+from repro.guard import ChannelCredential, Guard, GuardRequest, ProofCache
 from repro.net.trust import TrustEnvironment
 from repro.sexp import sexp, to_canonical
 from repro.sim import SimClock
@@ -132,7 +132,7 @@ class TestCheckAuth:
         from repro.core.principals import ChannelPrincipal
         from repro.core.proofs import PremiseStep
 
-        auth = Guard(setup["trust"], max_speakers=8)
+        auth = Guard(setup["trust"], cache=ProofCache(8))
         for i in range(32):
             speaker = ChannelPrincipal.of_secret(b"one-shot-%d" % i)
             statement = SpeaksFor(speaker, setup["issuer"], Tag.all())

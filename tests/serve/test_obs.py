@@ -407,8 +407,8 @@ class TestTraceAcrossRetry:
         assert first.annotations["retry"] is True
         assert second.annotations["status"] == "ok"
 
-        # The grant's audit record — read through the merged cluster
-        # view — carries the same trace id, so trail and trace join.
+        # The grant's audit record — read through the cluster's one
+        # log — carries the same trace id, so trail and trace join.
         stamped = [
             record
             for record in cluster.audit.records
