@@ -141,11 +141,11 @@ def _revocation_world(bystanders):
 
 @pytest.mark.parametrize("bystanders", [256, 2048])
 def test_revocation_cost_is_flat_in_what_the_cluster_holds(bystanders):
-    """A count gate, not a timing: one revocation and its bus round look
-    up 1 edge (the revoked delegation) in the cluster's one graph and 1
-    cached proof on each of 4 nodes — whether the graph holds 256
-    delegations or 2 048 — and every bystander is still answered from
-    its cache."""
+    """A count gate, not a timing: one revocation, applied on every
+    node, looks up 1 edge (the revoked delegation) in the cluster's one
+    graph and 1 cached proof on each of 4 nodes — whether the graph holds
+    256 delegations or 2 048 — and every bystander is still answered
+    from its cache."""
     cluster, serial, victim_request, bystander_requests = _revocation_world(
         bystanders
     )
@@ -155,7 +155,6 @@ def test_revocation_cost_is_flat_in_what_the_cluster_holds(bystanders):
     assert cached == bystanders + len(nodes)
 
     cluster.revoke_serial(serial)
-    assert cluster.deliver_invalidations() == len(nodes) - 1
 
     assert sum(
         node.prover.stats["invalidate_examined"] for node in nodes

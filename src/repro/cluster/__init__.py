@@ -11,10 +11,10 @@ knows — premises, sessions, delegations, grants — it holds once: every
 node's guard decides against one premise set, one session table and one
 delegation graph, and records into one audit log, so a ring change moves
 work, never authority.  Membership — join, leave, fail, heartbeat sweep
-— is explicit and clock-injected (:mod:`repro.cluster.membership`); an
-invalidation bus (:mod:`repro.cluster.bus`) broadcasts delegation
-retractions, channel closes, and revocations so no node's cached chains
-outlive a justification; and ``AuthCluster.check_many``
+— is explicit and clock-injected (:mod:`repro.cluster.membership`); a
+delegation retraction, channel close or revocation is applied on every
+serving node before the call that publishes it returns, so no node's
+cached chains outlive a justification; and ``AuthCluster.check_many``
 (:mod:`repro.cluster.dispatch`) rides ``Guard.check_many`` so each shard
 pays one premise snapshot per batch.
 
@@ -30,7 +30,6 @@ protocol, so transports front it exactly as they front a single guard
 check is served by its speaker's shard owner.
 """
 
-from repro.cluster.bus import InvalidationBus, InvalidationEvent
 from repro.cluster.dispatch import AuthCluster
 from repro.cluster.membership import (
     CRASHED,
@@ -56,8 +55,6 @@ __all__ = [
     "LEFT",
     "FAILED",
     "CRASHED",
-    "InvalidationBus",
-    "InvalidationEvent",
     "GuardNode",
     "HashRing",
     "principal_fingerprint",

@@ -9,20 +9,18 @@ batching the guard already does for a single process.  A single
 ``check`` is a batch of one.
 
 Every check is served by its speaker's shard owner.  The control plane
-owns the shared clock, the membership table, the invalidation bus, and
-everything the cluster knows, held once: one premise set, one session
-table and one delegation graph that every node's guard decides against,
-and one audit log every node's guard records into.  It implements the
-full :class:`~repro.guard.backend.AuthBackend` protocol, so every
-transport that can front a single :class:`Guard` can front a cluster
-unchanged.
+owns the shared clock, the membership table, and everything the cluster
+knows, held once: one premise set, one session table and one delegation
+graph that every node's guard decides against, and one audit log every
+node's guard records into.  It implements the full
+:class:`~repro.guard.backend.AuthBackend` protocol, so every transport
+that can front a single :class:`Guard` can front a cluster unchanged.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.bus import InvalidationBus
 from repro.cluster.handoff import DrainReport, HandoffCoordinator
 from repro.cluster.membership import UP, ClusterMembership
 from repro.cluster.ring import (
@@ -68,15 +66,16 @@ class AuthCluster:
       ``graph``, which every node's prover searches (the speaks-for model
       makes any node able to verify any proof), so a node that joins
       later holds what the incumbents hold;
-    - **invalidation**: retractions, channel closes, and revocations are
-      applied at the publishing node — which takes them out of the one
-      premise set or graph for every node at once — then broadcast on
-      the bus; one ``deliver_invalidations()`` round purges every other
-      node's dependent cache entries;
-    - **departure**: every departure — leave, failure, drain — starts
-      with one bus round, so no shard moves onto a node that has not
-      applied every published invalidation; a failed node's shards then
-      reassign by ring arithmetic and re-derive on first miss;
+    - **invalidation**: **an invalidation is applied on every serving
+      node before the call that publishes it returns.**
+      :meth:`retract_delegation`, :meth:`revoke_serial` and
+      :meth:`close_channel` hand the event to every serving node's guard
+      in one call: the first application takes it out of the one graph
+      or premise set, and each application purges that node's cached
+      chains and tombstones what died, so no later check — on any node,
+      after any ring change — is granted over it;
+    - **departure**: a failed node's shards reassign by ring arithmetic
+      and re-derive on first miss;
     - **planned departure**: :meth:`drain` hands the node's cached
       chains to the inheriting ring successors via
       :class:`~repro.cluster.handoff.HandoffCoordinator`, then leaves,
@@ -108,7 +107,6 @@ class AuthCluster:
         else:
             self.tracer = default_tracer()
         self.metrics.register_source("cluster", self.stats_snapshot)
-        self.bus = InvalidationBus()
         self.membership = ClusterMembership(
             clock=self.clock,
             ring=HashRing(vnodes=vnodes),
@@ -134,16 +132,25 @@ class AuthCluster:
             "dispatches": 0, "requests": 0, "shard_batches": 0,
         }
         self.stats = {"sessions_minted": 0, "sessions_swept": 0}
+        # The invalidation fan-out's tallies: node applications, entries
+        # they removed, and events published per kind.  They keep the
+        # ``bus`` name in ``stats_snapshot`` for ``bench/layers.py``.
+        self.invalidation_stats = {
+            "delivered": 0,
+            "dropped_entries": 0,
+            "published_delegation_retracted": 0,
+            "published_channel_closed": 0,
+            "published_serial_revoked": 0,
+        }
         for _ in range(node_count):
             self.add_node()
 
     # -- membership --------------------------------------------------------
 
     def add_node(self, node_id: Optional[str] = None) -> GuardNode:
-        """Join a fresh node: hand it what the cluster holds once, wire it
-        to the bus, and take its ring points.  This is the whole "adding
-        a node" recipe — shards move to it by ring arithmetic on the next
-        request.  A join needs no bus round: it only moves shards onto a
+        """Join a fresh node: hand it what the cluster holds once and take
+        its ring points.  This is the whole "adding a node" recipe —
+        shards move to it by ring arithmetic on the next request, onto a
         node that holds nothing stale."""
         if node_id is None:
             node_id = "node-%d" % self._next_node
@@ -157,51 +164,32 @@ class AuthCluster:
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        node.guard.invalidation_hooks.append(
-            lambda kind, payload, _origin=node_id: self.bus.publish(
-                kind, payload, origin=_origin
-            )
-        )
-        self.bus.subscribe(node)
         self.membership.join(node)
         return node
 
     def remove_node(self, node_id: str) -> GuardNode:
-        """Graceful leave: one bus round, then shards reassign and the
-        departing node stops receiving bus traffic.  The round comes
-        first so that every inheritor has applied every published
-        invalidation before it serves the shards it takes over.  Called
-        on an UP node this is the *cold* path — successors re-derive on
-        first miss; :meth:`drain` is the warm path, and calls here to
+        """Graceful leave: the node's shards reassign.  Called on an UP
+        node this is the *cold* path — successors re-derive on first
+        miss; :meth:`drain` is the warm path, and calls here to
         finalize."""
-        self.bus.deliver()
-        node = self.membership.leave(node_id)
-        self.bus.unsubscribe(node_id)
-        return node
+        return self.membership.leave(node_id)
 
     def drain(self, node_id: str) -> DrainReport:
-        """Planned departure, warm: one bus round, then the node's cached
-        chains into the inheriting successors' import hook, then the
-        ordinary leave.  The round comes first so that the draining node
-        has applied every invalidation any node published, and hands
-        over nothing one of them reached; this call runs on the
-        cluster's one loop, so nothing is published before the leave.
-        Returns the transfer report."""
+        """Planned departure, warm: the node's cached chains into the
+        inheriting successors' import hook, then the ordinary leave.
+        Every invalidation was applied on the draining node when it was
+        published, so it hands over nothing one reached.  Returns the
+        transfer report."""
         if self.membership.state_of(node_id) != UP:
             raise ValueError("node %r is not up" % node_id)
-        self.bus.deliver()
         report = self.handoff.drain(self.membership.get(node_id))
         self.remove_node(node_id)
         return report
 
     def fail_node(self, node_id: str) -> GuardNode:
         """Declare a node dead (operator-driven; the heartbeat sweep is
-        the detector-driven path).  Like every departure it starts with
-        one bus round."""
-        self.bus.deliver()
-        node = self.membership.fail(node_id)
-        self.bus.unsubscribe(node_id)
-        return node
+        the detector-driven path)."""
+        return self.membership.fail(node_id)
 
     def crash_node(self, node_id: str) -> GuardNode:
         """Kill a node without repairing the ring: its points linger, so
@@ -210,9 +198,7 @@ class AuthCluster:
         :meth:`sweep_failures` (or the serving layer's repair path) runs.
         This is the mid-connection failure mode ``fail_node`` cannot
         model, because ``fail_node`` reassigns the shards atomically."""
-        node = self.membership.crash(node_id)
-        self.bus.unsubscribe(node_id)
-        return node
+        return self.membership.crash(node_id)
 
     def heartbeat(self, node_id: Optional[str] = None) -> int:
         """Record heartbeats (every live node when ``node_id`` is None)
@@ -230,14 +216,10 @@ class AuthCluster:
         return self.sweep_sessions()
 
     def sweep_failures(self) -> List[str]:
-        """Run the heartbeat failure detector after one bus round (the
-        lapsed nodes' shards move, as on every departure); unsubscribe
-        the lapsed.  The sweep is also a clock-advance signal, so the
-        session table is reaped in the same pass."""
-        self.bus.deliver()
+        """Run the heartbeat failure detector (the lapsed nodes' shards
+        move).  The sweep is also a clock-advance signal, so the session
+        table is reaped in the same pass."""
         lapsed = self.membership.sweep()
-        for node_id in lapsed:
-            self.bus.unsubscribe(node_id)
         self.sweep_sessions()
         return lapsed
 
@@ -253,16 +235,11 @@ class AuthCluster:
     def node_for_speaker(self, principal: Principal) -> GuardNode:
         return self.membership.node_for(principal_fingerprint(principal))
 
-    def _via(self, node_id: Optional[str]) -> GuardNode:
-        if node_id is None:
-            nodes = self.membership.alive()
-            if not nodes:
-                raise LookupError("the cluster has no live nodes")
-            return nodes[0]
-        node = self.membership.get(node_id)
-        if node is None:
-            raise LookupError("unknown node %r" % node_id)
-        return node
+    def _serving(self) -> List[GuardNode]:
+        nodes = self.membership.alive()
+        if not nodes:
+            raise LookupError("the cluster has no live nodes")
+        return nodes
 
     def _route(self, request: GuardRequest) -> GuardNode:
         """The serving node of a request: its speaker's shard owner."""
@@ -284,30 +261,38 @@ class AuthCluster:
         """Delegation edges leaving ``principal`` in the cluster's graph."""
         return len(self.graph.outgoing(principal))
 
-    def retract_delegation(self, proof_or_digest, via: Optional[str] = None) -> int:
-        """Retract a delegation *through one node*: the edge (and every
-        edge embedding it) leaves the cluster's graph at once, and the
-        node's invalidation hook broadcasts the event, so the next bus
-        round purges the other nodes' cached chains.  Returns entries
-        dropped on the originating node."""
-        digest = (
-            proof_or_digest
-            if isinstance(proof_or_digest, bytes)
-            else proof_or_digest.digest()
-        )
-        return self._via(via).guard.retract_delegation(digest)
+    def _invalidate(self, kind: str, apply) -> int:
+        """Apply one invalidation to every serving node's guard, now.
+        The first application takes it out of the one graph or premise
+        set (later ones find it gone there); every application purges
+        and tombstones on its own node.  Returns the entries removed."""
+        nodes = self._serving()
+        removed = sum(apply(node.guard) for node in nodes)
+        tally = self.invalidation_stats
+        tally["published_" + kind] += 1
+        tally["delivered"] += len(nodes)
+        tally["dropped_entries"] += removed
+        return removed
 
-    def revoke_serial(self, serial: bytes, via: Optional[str] = None) -> int:
-        """Feed a revocation event in at one node: every edge citing the
-        serial leaves the cluster's graph at once, and the bus spreads
-        the cache purge."""
-        return self._via(via).guard.revoke_serial(serial)
+    def retract_delegation(self, proof_or_digest) -> int:
+        """Retract a delegation (by proof or digest, and every edge
+        embedding it) on every serving node."""
+        return self._invalidate(
+            "delegation_retracted",
+            lambda guard: guard.retract_delegation(proof_or_digest),
+        )
+
+    def revoke_serial(self, serial: bytes) -> int:
+        """Apply a revocation on every serving node: every edge and
+        cached proof citing the serial goes."""
+        return self._invalidate(
+            "serial_revoked", lambda guard: guard.revoke_serial(serial)
+        )
 
     def deliver_invalidations(self) -> int:
-        """Pump one invalidation-bus round.  (The ``AuthBackend`` protocol
-        claims the plain ``deliver`` name for transport delivery, matching
-        ``Guard.deliver``.)"""
-        return self.bus.deliver()
+        """Kept for ``bench/`` (its ``revoke`` command calls it) until the
+        rig is re-pointed: nothing is ever pending, so it returns 0."""
+        return 0
 
     # -- channels and sessions ---------------------------------------------
 
@@ -315,17 +300,17 @@ class AuthCluster:
         self, channel_principal: Principal, bound_principal: Principal
     ) -> SpeaksFor:
         """Vouch a completed key exchange in the cluster's premise set,
-        through the channel's owning node.  Close retracts it there and
-        the bus round purges the rest of the cluster's caches."""
+        through the channel's owning node."""
         owner = self.node_for_speaker(channel_principal)
         return owner.guard.open_channel(channel_principal, bound_principal)
 
-    def close_channel(self, premise: SpeaksFor) -> None:
-        """Close on the current owner; the broadcast reaches any node
-        that cached chains over the binding under an older ring
-        layout."""
-        owner = self.node_for_speaker(premise.subject)
-        owner.guard.close_channel(premise)
+    def close_channel(self, premise: SpeaksFor) -> int:
+        """Retract the binding on every serving node, so a node that
+        cached chains over it under an older ring layout drops them
+        too."""
+        return self._invalidate(
+            "channel_closed", lambda guard: guard.close_channel(premise)
+        )
 
     def mint_session(self, rng=None) -> Tuple[str, MacKey]:
         """Mint a MAC session in the cluster's session table."""
@@ -399,7 +384,7 @@ class AuthCluster:
         if isinstance(conclusion, SpeaksFor):
             owner = self.node_for_speaker(conclusion.subject)
         else:
-            owner = self._via(None)
+            owner = self._serving()[0]
         return owner.guard.submit_proof(proof_wire, proof=proof)
 
     # -- introspection -----------------------------------------------------
@@ -441,7 +426,7 @@ class AuthCluster:
             "membership": dict(self.membership.stats),
             "dispatch": dict(self.dispatch_stats),
             "handoff": dict(self.handoff.stats),
-            "bus": dict(self.bus.stats),
+            "bus": dict(self.invalidation_stats),
             "ring": {
                 "nodes": self.membership.ring.nodes(),
                 "vnodes": self.membership.ring.vnodes,

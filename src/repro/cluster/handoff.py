@@ -13,14 +13,14 @@ and MAC sessions live once, in the cluster, and a ring change moves
 work, never authority.
 
 The invariant: **a drain hands over only state that has seen every
-published invalidation.**  ``AuthCluster.drain`` runs one bus round
-before the hand-over, so the draining node has applied every
-revocation, retraction and channel close any node published and holds
-nothing they reached.  The drain is one synchronous call on the
-cluster's loop, so nothing is published between that round and the last
-import.  The import hook still re-validates each chain against the
-receiver's own tombstones, clock and premise snapshot: *a handed-off
-proof is never a handed-off decision*.
+published invalidation.**  ``AuthCluster`` applies every revocation,
+retraction and channel close on every serving node before the call that
+publishes it returns, so the draining node holds nothing one reached,
+and the drain is one synchronous call on the cluster's loop, so nothing
+is published between its first export and its last import.  The import
+hook still re-validates each chain against the receiver's own
+tombstones, clock and premise snapshot: *a handed-off proof is never a
+handed-off decision*.
 
 This module deliberately speaks only the guard's export/import surface:
 it never imports the prover or the cache types directly, so the
@@ -91,7 +91,7 @@ class HandoffCoordinator:
     """The cluster's handoff plane: a draining node's cached chains, in
     one pass, into the inheritors' guard import hook — and its tallies.
     Owned by :class:`~repro.cluster.dispatch.AuthCluster`, whose
-    ``drain`` runs the bus round before and the leave after."""
+    ``drain`` runs the leave after."""
 
     def __init__(self, cluster):
         self.cluster = cluster

@@ -191,10 +191,6 @@ class GuardNode:
             tracer=tracer,
         )
 
-    def apply_event(self, event) -> int:
-        """Bus delivery: apply a remote invalidation to local caches."""
-        return self.guard.apply_invalidation(event.kind, event.payload)
-
     def stats(self) -> Dict[str, object]:
         """The counters the ``stats`` CLI and benchmarks aggregate."""
         return {

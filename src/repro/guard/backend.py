@@ -61,7 +61,7 @@ class AuthBackend(Protocol):
 
     def open_channel(self, channel_principal, bound_principal): ...
 
-    def close_channel(self, premise) -> None: ...
+    def close_channel(self, premise) -> int: ...
 
     def deliver(self, request): ...
 

@@ -174,10 +174,6 @@ class Guard:
         # shares their memoized canonical encodings.
         self._session_principals: Dict[object, MacPrincipal] = {}
         self._says_memo: Dict[Tuple[bytes, bytes], Says] = {}
-        # Invalidation-event hooks: callables invoked as ``hook(kind,
-        # payload)`` after this guard retracts state that other caches may
-        # also hold (a cluster node forwards them onto its bus).
-        self.invalidation_hooks: List = []
         # Invalidation tombstones: the serials and lemma digests this
         # guard has seen revoked or retracted.  Purging derived state only
         # removes what was held at the time; chains handed over by a
@@ -195,7 +191,6 @@ class Guard:
             "cache_hits": 0,
             "credential_verifications": 0,
             "batches": 0,
-            "invalidations_applied": 0,
             "handoff_installed": 0,
             "handoff_refused_stale": 0,
         }
@@ -648,13 +643,11 @@ class Guard:
         self.trust.vouch(premise)
         return premise
 
-    def close_channel(self, premise: SpeaksFor) -> None:
-        """Withdraw a channel binding: retract the premise, eagerly drop
-        cached proofs leaning on it, and notify invalidation hooks so
-        peers holding copies drop theirs too."""
+    def close_channel(self, premise: SpeaksFor) -> int:
+        """Withdraw a channel binding: retract the premise and eagerly
+        drop cached proofs leaning on it; returns the entries removed."""
         self.trust.retract(premise)
-        self.cache.retract_premise(premise)
-        self._notify("channel_closed", premise)
+        return self.cache.retract_premise(premise)
 
     def deliver(self, request: GuardRequest) -> Principal:
         """Post-handshake delivery: the transport hands a decrypted
@@ -705,61 +698,32 @@ class Guard:
 
     # -- invalidation events ------------------------------------------------
 
-    def _notify(self, kind: str, payload) -> None:
-        for hook in list(self.invalidation_hooks):
-            hook(kind, payload)
-
     def retract_delegation(self, proof_or_digest) -> int:
         """Withdraw a previously digested delegation by proof or digest.
 
-        Drops the prover edge (cascading into every edge embedding it),
-        every cached proof embedding it, and notifies invalidation hooks;
-        returns the number of entries removed locally.
+        Drops the prover edge (cascading into every edge embedding it)
+        and every cached proof embedding it, and tombstones the digest;
+        returns the number of entries removed.
         """
         digest = (
             proof_or_digest
             if isinstance(proof_or_digest, bytes)
             else proof_or_digest.digest()
         )
-        removed = self._retract_delegation(digest)
-        self._notify("delegation_retracted", digest)
-        return removed
-
-    def revoke_serial(self, serial: bytes) -> int:
-        """A certificate landed on a revocation list: drop every cached
-        proof and prover edge citing its serial, and notify hooks.
-
-        This is the event-driven complement to ``trust.revocation``:
-        a live policy re-checks the tree per cache hit, while the event
-        purges derived state even on guards running without one.
-        """
-        removed = self._revoke_serial(serial)
-        self._notify("serial_revoked", serial)
-        return removed
-
-    def apply_invalidation(self, kind: str, payload) -> int:
-        """Consume a remote invalidation event (no hook re-notification,
-        so bus deliveries cannot echo).  Returns entries removed."""
-        if kind == "delegation_retracted":
-            removed = self._retract_delegation(payload)
-        elif kind == "channel_closed":
-            self.trust.retract(payload)
-            removed = self.cache.retract_premise(payload)
-        elif kind == "serial_revoked":
-            removed = self._revoke_serial(payload)
-        else:
-            raise ValueError("unknown invalidation kind %r" % kind)
-        self.stats["invalidations_applied"] += 1
-        return removed
-
-    def _retract_delegation(self, digest: bytes) -> int:
         self._tombstone(self._retracted_digests, digest)
         removed = self.cache.retract_dependents(digest)
         if self.prover is not None:
             removed += self.prover.invalidate_proof(digest)
         return removed
 
-    def _revoke_serial(self, serial: bytes) -> int:
+    def revoke_serial(self, serial: bytes) -> int:
+        """A certificate landed on a revocation list: drop every cached
+        proof and prover edge citing its serial, and tombstone it.
+
+        This is the event-driven complement to ``trust.revocation``:
+        a live policy re-checks the tree per cache hit, while the event
+        purges derived state even on guards running without one.
+        """
         self._tombstone(self._revoked_serials, serial)
         removed = self.cache.retract_serial(serial)
         if self.prover is not None:
@@ -767,11 +731,11 @@ class Guard:
         return removed
 
     #: Bound on each tombstone table (FIFO).  For imports, aging a
-    #: tombstone out can never admit stale state: a drain runs a bus
-    #: round before it hands anything over, so the draining node has
-    #: purged every chain an invalidation reached, wherever it was
-    #: published.  A *presented* proof has no such round behind it: once
-    #: its revocation is more than this many events old, a still-signed
+    #: tombstone out can never admit stale state: a cluster applies every
+    #: invalidation on every serving node before the publishing call
+    #: returns, so a draining node has already purged every chain one
+    #: reached.  A *presented* proof is not cached state: once its
+    #: revocation is more than this many events old, a still-signed
     #: certificate verifies and is admitted again.  A live
     #: ``trust.revocation`` policy is the durable refusal.
     TOMBSTONE_LIMIT = 4096
@@ -890,11 +854,6 @@ class Guard:
             proof = proof_from_sexp(parse_canonical(proof_wire))
         maybe_charge(self.meter, "proof_parse_verify")
         return self._verify_and_cache(proof)
-
-    def cache_proof(self, proof: Proof, speaker: Optional[Principal] = None) -> bool:
-        """Cache a verified proof for ``speaker`` (defaults to the proof's
-        own subject); returns False on digest-level duplicates."""
-        return self.cache.add(proof, speaker)
 
     def context(self, now: Optional[float] = None):
         return self.trust.context(now)

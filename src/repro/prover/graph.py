@@ -353,10 +353,6 @@ class DelegationGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    @property
-    def bounded_count(self) -> int:
-        return self._bounded_count
-
     def __len__(self) -> int:
         return len(self._degree)
 

@@ -114,10 +114,10 @@ class Prover:
         """Retract one delegation (by proof or digest) and every edge
         embedding it; returns the number of edges removed.
 
-        This is the invalidation-bus listener: a retraction broadcast
-        names the delegation's digest, and digests are canonical, so the
-        same event names the same edge wherever it is applied; applied
-        again to a graph that already lost the edge, it removes nothing.
+        A retraction names the delegation's digest, and digests are
+        canonical, so the same event names the same edge wherever it is
+        applied; applied again to a graph that already lost the edge (a
+        cluster applies it once a node), it removes nothing.
         """
         return self.graph.remove(proof_or_key)
 

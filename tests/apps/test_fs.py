@@ -101,7 +101,7 @@ class TestGuardedFileSystem:
         alice = KeyPrincipal(alice_kp.public)
         guard = Guard(TrustEnvironment(), check_charge=None)
         # The owner grants Alice read access under /pub only.
-        guard.cache_proof(
+        guard.cache.add(
             SignedCertificateStep(
                 Certificate.issue(
                     server_kp, alice, fs_subtree_tag("read", "/pub"), rng=rng

@@ -1,12 +1,12 @@
-"""The invalidation bus: one round makes local retractions global.
+"""Cluster-wide invalidation: one call, every node.
 
-The acceptance property: a delegation retracted on ONE node is denied on
-EVERY node after one bus round — and, just as important, the other nodes
-still grant from their caches *before* the round, proving it is the bus
-that purges cached chains.  What the cluster holds once — the premise
-set and the delegation graph — loses the retracted state at once, so no
-node re-derives through it, and a late joiner decides as the incumbents
-and a single guard do.
+The acceptance property: an invalidation is applied on every serving
+node before the call that publishes it returns.  A delegation retracted
+or a serial revoked through the cluster is denied on EVERY node at once,
+each node's cached chains included.  What the cluster holds once — the
+premise set and the delegation graph — loses the retracted state at the
+first application, so no node re-derives through it, and a late joiner
+decides as the incumbents and a single guard do.
 """
 
 import pytest
@@ -40,43 +40,31 @@ def _warm_all_nodes(world):
 
 class TestDelegationRetraction:
     def test_retraction_on_one_node_denies_on_all_after_one_round(self, world):
+        """Every node held a cached chain; the one retraction call is
+        all it takes for every node to deny at once."""
         nodes = _warm_all_nodes(world)
-        origin = nodes[0]
 
-        world.cluster.retract_delegation(
-            world.delegation, via=origin.node_id
-        )
-        # The origin denies immediately...
-        with pytest.raises(NeedAuthorizationError):
-            origin.guard.check(world.request())
-        # ...but the other nodes still grant: their caches are untouched
-        # until the bus round runs.
-        for node in nodes[1:]:
-            assert node.guard.check(world.request()).granted
-
-        assert world.cluster.deliver_invalidations() > 0
+        assert world.cluster.retract_delegation(world.delegation) > 0
         for node in nodes:
             with pytest.raises(NeedAuthorizationError):
                 node.guard.check(world.request())
 
     def test_retraction_purges_caches_shortcuts_and_counts(self, world):
         nodes = _warm_all_nodes(world)
-        world.cluster.retract_delegation(world.delegation)
-        world.cluster.deliver_invalidations()
+        removed = world.cluster.retract_delegation(world.delegation)
         for node in nodes:
             assert node.guard.cache.count() == 0
             assert world.delegation not in node.prover.graph
-        bus = world.cluster.bus.stats
+        bus = world.cluster.stats_snapshot()["bus"]
         assert bus["published_delegation_retracted"] == 1
-        assert bus["delivered"] == len(nodes) - 1  # origin excluded
-        assert bus["dropped_entries"] > 0
+        assert bus["delivered"] == len(nodes)  # one application a node
+        assert bus["dropped_entries"] == removed > 0
 
     def test_retracted_delegation_denied_through_owner_routing(self, world):
         cluster = world.cluster
         for request in world.requests():
             assert cluster.check(request).granted
         cluster.retract_delegation(world.delegation)
-        cluster.deliver_invalidations()
         for request in world.requests():
             with pytest.raises(NeedAuthorizationError):
                 cluster.check(request)
@@ -85,30 +73,27 @@ class TestDelegationRetraction:
     def test_no_node_rederives_through_it_before_the_round(
         self, world, invalidation
     ):
-        """The graph is the cluster's, so an invalidation published on a
-        bystander leaves it at once: the owner, whose cache never held
-        the chain, has nothing to re-derive it from, bus round or not."""
+        """The graph is the cluster's, so an invalidation leaves it at
+        once: the owner, whose cache never held the chain, has nothing to
+        re-derive it from."""
         cluster = world.cluster
         owner = cluster.node_for_speaker(world.client)
-        via = next(
-            node.node_id for node in cluster.nodes() if node is not owner
-        )
         if invalidation == "retract":
-            cluster.retract_delegation(world.delegation, via=via)
+            cluster.retract_delegation(world.delegation)
         else:
-            cluster.revoke_serial(world.certificate.serial, via=via)
-        assert cluster.bus.pending() == 1
+            cluster.revoke_serial(world.certificate.serial)
         with pytest.raises(NeedAuthorizationError):
             cluster.check(world.request())
         assert owner.prover.stats["searches"] == 1
 
     def test_origin_does_not_reapply_its_own_event(self, world):
+        """The first node an event reaches applies it once, like every
+        other serving node: one application, one purged chain, a node."""
         nodes = _warm_all_nodes(world)
-        origin = nodes[0]
-        before = origin.guard.stats["invalidations_applied"]
-        world.cluster.retract_delegation(world.delegation, via=origin.node_id)
-        world.cluster.deliver_invalidations()
-        assert origin.guard.stats["invalidations_applied"] == before
+        world.cluster.retract_delegation(world.delegation)
+        assert world.cluster.stats_snapshot()["bus"]["delivered"] == len(nodes)
+        for node in nodes:
+            assert node.guard.cache.stats["invalidations"] == 1
 
 
 class TestChannelClose:
@@ -127,8 +112,7 @@ class TestChannelClose:
             node.guard.submit_proof(wire)
             assert node.guard.check(world.request(speaker=channel)).granted
 
-        world.cluster.close_channel(premise)
-        world.cluster.deliver_invalidations()
+        assert world.cluster.close_channel(premise) == 2
         assert not world.cluster.trust.vouches_for(premise)
         for node in nodes[:2]:
             assert node.guard.cache.count() == 0
@@ -138,11 +122,11 @@ class TestChannelClose:
     def test_a_closed_channel_stays_closed_on_every_node(
         self, server_kp, alice_kp, rng
     ):
-        """A channel's shard moves to a joiner, the channel closes there,
-        and the joiner leaves with no bus round in between: the shard
-        returns to the first owner, which still caches a chain over the
-        binding.  The binding is gone from the one premise set, so that
-        chain fails its premise re-check and the check is refused."""
+        """A channel's shard moves to a joiner, the channel closes, and
+        the joiner leaves: the shard returns to the first owner, which
+        cached a chain over the binding under the older ring layout.
+        The close purged that chain and the binding is gone from the one
+        premise set, so the check is refused."""
         world = ClusterWorld(server_kp, alice_kp, rng, nodes=2)
         cluster = world.cluster
         channel = ChannelPrincipal.of_secret(b"\x09" * 32)
@@ -170,22 +154,21 @@ class TestRevocation:
         the serial's derived state everywhere."""
         nodes = _warm_all_nodes(world)
         world.cluster.revoke_serial(world.certificate.serial)
-        world.cluster.deliver_invalidations()
         for node in nodes:
             assert node.guard.cache.count() == 0
             with pytest.raises(NeedAuthorizationError):
                 node.guard.check(world.request())
-        assert world.cluster.bus.stats["published_serial_revoked"] == 1
+        bus = world.cluster.stats_snapshot()["bus"]
+        assert bus["published_serial_revoked"] == 1
 
     def test_revoked_serial_denied_on_every_node_after_one_round(self, world):
         cluster = world.cluster
         for request in world.requests():
             assert cluster.check(request).granted
 
-        cluster.revoke_serial(world.certificate.serial)
-        assert cluster.deliver_invalidations() > 0
+        assert cluster.revoke_serial(world.certificate.serial) > 0
 
-        # Every node — the origin, the owner, the bystanders — now
+        # Every node — the first reached, the owner, the bystanders —
         # denies the speaker, checked directly so routing cannot dodge a
         # stale node.
         for node in cluster.nodes():
@@ -198,15 +181,12 @@ class TestRevocation:
 
     def test_a_purge_says_what_it_examined(self, world):
         """One edge in the cluster's one graph and one cached proof per
-        node cite the serial: the publisher's prover examines the edge,
+        node cite the serial: the first node's prover examines the edge,
         every other prover finds it gone, and each node's cache examines
         its own copy — in ``repro.tools stats`` and under
         ``sources.cluster.nodes`` in ``(stats <id>)`` alike."""
         nodes = _warm_all_nodes(world)
-        world.cluster.revoke_serial(
-            world.certificate.serial, via=nodes[0].node_id
-        )
-        world.cluster.deliver_invalidations()
+        world.cluster.revoke_serial(world.certificate.serial)
         served = world.cluster.metrics.snapshot()["sources"]["cluster"]
         assert served["nodes"] == world.cluster.stats_snapshot()["nodes"]
         examined = [
@@ -225,7 +205,6 @@ class TestRevocation:
         was published: nothing is replayed that could resurrect it."""
         _warm_all_nodes(world)
         world.cluster.revoke_serial(world.certificate.serial)
-        world.cluster.deliver_invalidations()
         late = world.cluster.add_node()
         assert world.delegation not in late.prover.graph
         with pytest.raises(NeedAuthorizationError):
@@ -248,7 +227,6 @@ class TestRevocation:
         for node in nodes:
             assert node.guard.check(world.request(speaker=bob)).granted
         world.cluster.retract_delegation(world.delegation)
-        world.cluster.deliver_invalidations()
         for node in nodes:
             with pytest.raises(NeedAuthorizationError):
                 node.guard.check(world.request(speaker=bob))
@@ -287,7 +265,6 @@ class TestRevocation:
                 backend.retract_delegation(second.digest())
             else:
                 backend.revoke_serial(second.certificate.serial)
-        cluster.deliver_invalidations()
         late = cluster.add_node()
         guards = [node.guard for node in cluster.nodes()] + [single]
         assert late.guard in guards
@@ -305,8 +282,8 @@ class TestRevocation:
         self, server_kp, alice_kp, rng
     ):
         """The revoke purges the owner's cached copy; presenting the
-        same signed certificate again must not re-admit it — whichever
-        node the revocation was published on."""
+        same signed certificate again must not re-admit it: the owner
+        tombstoned the serial when the revoke was applied there."""
         world = ClusterWorld(server_kp, alice_kp, rng, nodes=2)
         subject = HashPrincipal(HashValue.of_bytes(b"message"))
         certificate = Certificate.issue(
@@ -323,29 +300,29 @@ class TestRevocation:
         cluster = world.cluster
         assert cluster.check(presented()).granted
         owner = cluster.node_for_speaker(subject)
-        (bystander,) = [n for n in cluster.nodes() if n is not owner]
-        cluster.revoke_serial(certificate.serial, via=bystander.node_id)
-        cluster.deliver_invalidations()
+        cluster.revoke_serial(certificate.serial)
         assert owner.guard.cache.count() == 0
         with pytest.raises(AuthorizationError):
             cluster.check(presented())
         assert owner.guard.cache.count() == 0
 
-    @pytest.mark.parametrize("departure", ["remove_node", "fail_node"])
+    @pytest.mark.parametrize(
+        "departure", ["remove_node", "fail_node", "drain"]
+    )
     def test_a_departure_does_not_undo_a_revocation(self, world, departure):
         """A shard moves only onto nodes that have applied every
         published invalidation.  The speaker's chain is cached on its
         first owner and on the joiner its shard moved to; the serial is
-        revoked on the joiner, which then departs with no bus round in
-        between.  The first owner gets the shard back and must not
-        grant from its cache."""
+        revoked, and the joiner departs.  The first owner gets the shard
+        back and must not grant from its cache, nor be handed a chain
+        that cites the serial."""
         cluster = world.cluster
         assert cluster.check(world.request()).granted
         heir = move_owner(cluster, world.client)
         decision = cluster.check(world.request())
         assert decision.granted and decision.stage == "prover"
 
-        cluster.revoke_serial(world.certificate.serial, via=heir.node_id)
+        cluster.revoke_serial(world.certificate.serial)
         with pytest.raises(NeedAuthorizationError):
             cluster.check(world.request())
 
@@ -356,7 +333,20 @@ class TestRevocation:
 
     def test_unrelated_serial_revocation_is_a_noop(self, world):
         nodes = _warm_all_nodes(world)
-        world.cluster.revoke_serial(b"\x00" * 8)
-        world.cluster.deliver_invalidations()
+        assert world.cluster.revoke_serial(b"\x00" * 8) == 0
         for node in nodes:
             assert node.guard.check(world.request()).granted
+
+    def test_with_no_serving_node_a_revocation_raises_and_changes_nothing(
+        self, server_kp, alice_kp, rng
+    ):
+        """No node is there to apply it, so the call refuses rather than
+        report success: the delegation stays in the one graph, and a
+        node that joins afterwards still grants over it."""
+        world = ClusterWorld(server_kp, alice_kp, rng, nodes=1)
+        (only,) = world.cluster.nodes()
+        world.cluster.remove_node(only.node_id)
+        with pytest.raises(LookupError):
+            world.cluster.revoke_serial(world.certificate.serial)
+        late = world.cluster.add_node()
+        assert late.guard.check(world.request()).granted

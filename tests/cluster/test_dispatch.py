@@ -509,7 +509,7 @@ class TestSpreading:
     def test_channel_premise_vouched_onto_replica_set(self, world):
         """A channel speaker: the binding premise is vouched at open and
         a submitted chain over it is memoized on the owner, so every
-        check grants there; close plus one bus round denies."""
+        check grants there; close denies."""
         cluster = world.cluster
         channel = ChannelPrincipal.of_secret(b"\x07" * 32)
         premise = cluster.open_channel(channel, world.client)
@@ -519,7 +519,6 @@ class TestSpreading:
             assert cluster.check(request).granted
         assert _served(cluster) == [cluster.node_for_speaker(channel)]
         cluster.close_channel(premise)
-        cluster.deliver_invalidations()
         for request in world.requests(channel):
             with pytest.raises(NeedAuthorizationError):
                 cluster.check(request)

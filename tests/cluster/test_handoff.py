@@ -1,13 +1,12 @@
 """Warm shard handoff.
 
-The protocol under test: a drain runs one invalidation-bus round, then
-hands the draining node's cached chains, as objects, to the import hook
-of the ring successors inheriting each shard, then leaves.  Channel
-bindings and MAC sessions are the cluster's, held once, so they need no
-hand-over.  The refuse-stale tests
-pin the bus-round-first invariant: a revocation published anywhere
-before the drain never rides it into an inheritor's cache.  The import
-hook's own refusals are driven on one guard in
+The protocol under test: a drain hands the draining node's cached
+chains, as objects, to the import hook of the ring successors inheriting
+each shard, then leaves.  Channel bindings and MAC sessions are the
+cluster's, held once, so they need no hand-over.  The refuse-stale tests
+pin that a revocation published before the drain — applied on every
+node when it was published — never rides it into an inheritor's cache.
+The import hook's own refusals are driven on one guard in
 ``tests/guard/test_import_hooks.py``.
 """
 
@@ -313,21 +312,20 @@ class TestRefuseStale:
     def test_a_revoke_the_heir_forgot_does_not_ride_the_drain(
         self, world, monkeypatch
     ):
-        """The revoke is applied at the heir, its origin, and has not
-        reached the owner; the heir's tombstone then ages out with no
-        bus round in between.  Were the owner's cached chain handed over
-        before a bus round, it would re-validate clean on the heir, and
-        the speaker would be granted from that cache after the drain."""
+        """The revoke is applied on every node, and the heir's tombstone
+        then ages out before the drain.  Had the owner still held its
+        cached chain, it would re-validate clean on the heir, and the
+        speaker would be granted from that cache after the drain: the
+        revoke purged the owner's copy when it was applied there."""
         cluster = world.cluster
         assert cluster.check(world.request()).granted
         victim = cluster.node_for_speaker(world.client)
         heir = _heir(cluster, world.client, victim.node_id)
-        cluster.revoke_serial(world.certificate.serial, via=heir.node_id)
+        cluster.revoke_serial(world.certificate.serial)
         monkeypatch.setattr(heir.guard, "TOMBSTONE_LIMIT", 1)
-        cluster.revoke_serial(b"unrelated-serial", via=heir.node_id)
+        cluster.revoke_serial(b"unrelated-serial")
 
         cluster.drain(victim.node_id)
-        cluster.deliver_invalidations()
 
         with pytest.raises(NeedAuthorizationError):
             cluster.check(world.request())
@@ -336,9 +334,8 @@ class TestRefuseStale:
     def test_a_revoke_still_on_the_bus_is_applied_before_the_hand_over(
         self, world, rng
     ):
-        """Bus lag: the revoke is applied at a bystander (neither the
-        owner nor the heir) and the drain starts before any bus round.
-        Nothing citing the serial lands in any cache, and the next
+        """The revoke is published and the drain starts on the very next
+        call.  Nothing citing the serial lands in any cache, and the next
         check is granted only by an independent chain, through the
         Prover, with a correct audit record."""
         cluster = world.cluster
@@ -346,10 +343,7 @@ class TestRefuseStale:
             assert cluster.check(world.request()).granted
         victim = cluster.node_for_speaker(world.client)
         heir = _heir(cluster, world.client, victim.node_id)
-        bystander = next(
-            node for node in cluster.nodes() if node not in (victim, heir)
-        )
-        cluster.revoke_serial(world.certificate.serial, via=bystander.node_id)
+        cluster.revoke_serial(world.certificate.serial)
         replacement = Certificate.issue(
             world.server_kp, world.client, Tag.all(), rng=rng
         )

@@ -160,13 +160,3 @@ class TestSessionFailover:
         world.clock.advance(20.0)  # 65 s after the original mint
         with pytest.raises(AuthorizationError, match="unknown MAC session"):
             cluster.check(self._session_request(world, mac_id, mac_key))
-
-    def test_bad_via_leaves_the_replicated_set_untouched(self, world):
-        with pytest.raises(LookupError):
-            world.cluster.retract_delegation(
-                world.delegation, via="no-such-node"
-            )
-        # The failed call changed nothing: a late joiner still grants
-        # over the delegation.
-        late = world.cluster.add_node()
-        assert late.guard.check(world.request()).granted

@@ -290,3 +290,48 @@ def test_guard_checks_counts_requests_decided(keypool):
     )
     assert world.backend.stats["checks"] == 3
     assert world.backend.stats["batches"] == 2
+
+
+@pytest.mark.parametrize("invalidation", ["revoke", "retract"])
+@pytest.mark.parametrize("kind", ["guard", "cluster2", "cluster3"])
+def test_an_invalidation_refuses_the_next_check(
+    kind, invalidation, server_kp, rng
+):
+    """The backend call that publishes an invalidation is all a caller
+    makes: the next check by the speaker it reached is refused, on a
+    single guard and on a cluster whose speaker is served off
+    ``nodes()[0]`` alike."""
+    if kind == "guard":
+        backend = default_backend(
+            TrustEnvironment(clock=SimClock()), prover=Prover()
+        )
+        speaker = HashPrincipal(HashValue.of_bytes(b"speaker"))
+    else:
+        backend = AuthCluster(node_count=int(kind[-1]))
+        speaker = next(
+            candidate
+            for candidate in (
+                HashPrincipal(HashValue.of_bytes(b"speaker-%d" % index))
+                for index in range(64)
+            )
+            if backend.node_for_speaker(candidate) is not backend.nodes()[0]
+        )
+    issuer = KeyPrincipal(server_kp.public)
+    certificate = Certificate.issue(server_kp, speaker, Tag.all(), rng=rng)
+    delegation = SignedCertificateStep(certificate)
+    backend.digest_delegation(delegation)
+    request = GuardRequest(
+        LOGICAL, issuer=issuer, credential=ChannelCredential(speaker),
+        transport="rmi",
+    )
+    assert backend.check(request).stage == "prover"
+    assert backend.check(request).stage == "cache"
+
+    if invalidation == "revoke":
+        backend.revoke_serial(certificate.serial)
+    else:
+        backend.retract_delegation(delegation)
+
+    (decision,) = backend.check_many([request])
+    assert not decision.granted, decision.stage
+    assert isinstance(decision.error, NeedAuthorizationError)

@@ -538,7 +538,7 @@ class TestCheckMany:
         guard = world["guard"]
         guard.submit_proof(to_canonical(world["chain"].to_sexp()))
         stranger = ChannelPrincipal.of_secret(b"stranger")
-        guard.cache_proof(world["chain"], stranger)
+        guard.cache.add(world["chain"], stranger)
         innocent, refused = guard.check_many([
             channel_request(world),
             GuardRequest(

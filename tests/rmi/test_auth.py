@@ -137,7 +137,7 @@ class TestCheckAuth:
             speaker = ChannelPrincipal.of_secret(b"one-shot-%d" % i)
             statement = SpeaksFor(speaker, setup["issuer"], Tag.all())
             setup["trust"].vouch(statement)
-            auth.cache_proof(PremiseStep(statement))
+            auth.cache.add(PremiseStep(statement))
         assert len(auth.cache.buckets) == 8
         assert auth.cache.count() == 8
 

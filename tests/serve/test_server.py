@@ -272,19 +272,24 @@ class TestRevocationOnTheWire:
         # The decode cache serves a question it has seen before without
         # re-parsing — but a cached *decode* must never become a cached
         # *decision*.  Two sessions hang off one group certificate.
-        # Grant, revoke that certificate, then (a) replay the first
-        # session's exact frame bytes and (b) send the second session's
-        # frame for the same path.  Both questions are memo hits; neither
-        # grant may stand.
+        # Grant, revoke that certificate — nothing else runs before the
+        # next frame — then (a) replay the first session's exact frame
+        # bytes and (b) send the second session's frame for the same
+        # path.  Both questions are memo hits; neither grant may stand.
         cluster = AuthCluster(node_count=3, clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
         group = Certificate.issue(
             server_kp, KeyPrincipal(bob_kp.public), Tag.all(), rng=rng
         )
         cluster.add_delegation(SignedCertificateStep(group))
+        # Both sessions are served off ``nodes()[0]``: the revoke must
+        # reach every node's cache, not only the first one it lands on.
         minted = []
-        for _ in range(2):
+        while len(minted) < 2:
             mac_id, mac_key = cluster.mint_session(rng)
+            owner = cluster.membership.node_for(session_routing_key(mac_id))
+            if owner is cluster.nodes()[0]:
+                continue
             cluster.add_delegation(SignedCertificateStep(Certificate.issue(
                 bob_kp, MacPrincipal(mac_key.fingerprint()), Tag.all(),
                 rng=rng,
@@ -316,7 +321,6 @@ class TestRevocationOnTheWire:
             other = await send(frame(8, 1, 1))
             before = fields()
             cluster.revoke_serial(group.serial)
-            cluster.deliver_invalidations()
             second = await send(frame(7, 0, 0))
             sibling = await send(frame(9, 1, 0))
             after = fields()
