@@ -1,22 +1,23 @@
 """Planned drain vs cold leave, measured through real loopback sockets.
 
-The claim under test is the handoff tentpole: a *planned* topology
-change should be ~free at the request surface, because the departing
-node hands its cached chains to the inheriting successors, as objects,
-before its ring points are withdrawn (the MAC sessions themselves live
-once, in the cluster's session table, and never move).  A *cold* leave is the control: same ring arithmetic, no
-transfer — every inherited session pays a full Prover search plus real
+The claim under test: a *planned* topology change should be ~free at
+the request surface, because a drain forgets nothing — the departing
+node's speakers keep their cached chains in the cluster's one proof
+cache (the MAC sessions themselves live once, in the cluster's session
+table, and never move).  A *cold* leave is the control: same ring
+arithmetic, but the departing node's speakers' cached chains are
+forgotten — every inherited session pays a full Prover search plus real
 RSA verification on its first post-leave check.
 
 The harness makes the contrast sharp by construction: every MAC session
 is minted onto ONE victim node (mint-and-keep until the ring agrees),
 so the cold leave forces a re-derivation storm covering the whole
-working set, while the drain hands the same set over warm.  Each
+working set, while the drain keeps the same set warm.  Each
 session sits at the bottom of a three-deep delegation chain
 (root -> gateway -> host -> MAC, 1024-bit keys), so a cold re-derivation
 pays a real graph search plus three RSA verifies per session, while the
-drain hands over the cached chains themselves: no byte is encoded or
-parsed on the way.  Traffic is
+drain keeps the cached chains themselves: no byte is encoded or parsed.
+Traffic is
 real bytes over 127.0.0.1 through a one-listener :class:`ServeFleet`,
 driven in fixed-size pipelined windows by a client on the same event
 loop; the topology change fires as a loop callback at a window boundary
@@ -28,13 +29,12 @@ the post-change windows measure checks/s through the flip — *dip depth*
 falls) and *dip duration* (how long throughput stays below 90% of
 baseline) are the first-class metrics.
 
-The assertions ride counters only: the drained path's survivors pay
-**zero** Prover searches where the cold path pays one per session, the
-drain makes **zero** ``parse_canonical`` calls, no handed-off record is
-refused as stale, and no client sees a RETRY.  Wall clock is recorded,
-not asserted: the drain (~1.3 ms for 48 records) still lands inside the
-first post-change window, and ``BENCH_cluster_drain.json`` holds the
-dip depths of both paths.  What a drain
+The assertions ride counters only: after a drain the cluster's prover
+runs **zero** searches where after a cold leave it runs one per session,
+the drain makes **zero** ``parse_canonical`` calls, nothing is refused
+as stale, and no client sees a RETRY.  Wall clock is recorded, not
+asserted, and ``BENCH_cluster_drain.json`` holds the dip depths of both
+paths.  What a drain
 costs bystanders under paced load is ``churn_paced``'s
 ``cluster.handoff.drain_ms`` and ``loadgen.lat_p99_ms`` (``bench/``).
 
@@ -72,8 +72,8 @@ DIP_FLOOR = 0.90         # a window below 90% of baseline counts as dipped
 #: Delegation chains in the drain world are this deep and this wide:
 #: the ``root -> gateways -> host`` spine is built of 1024-bit issuers,
 #: so a cold re-derivation pays ``CHAIN_HOPS`` real RSA verifies plus a
-#: deep bidirectional search per session, while a drained record is the
-#: cached chain object itself, installed without a parse or a verify.
+#: deep bidirectional search per session, while a drain keeps the cached
+#: chain object itself, without a parse or a verify.
 KEY_BITS = 1024
 CHAIN_HOPS = 4
 
@@ -204,9 +204,7 @@ def _measure_leave(mode, chain_kps, rng):
     # a measured window.
     gc.collect()
     cluster, issuer, victim, sessions = _victim_world(chain_kps, rng)
-    survivors = [
-        node for node in cluster.nodes() if node.node_id != victim
-    ]
+    prover = cluster.guard.prover
     logicals = _logicals()
     windows = [
         _window(issuer, sessions, logicals)
@@ -214,8 +212,10 @@ def _measure_leave(mode, chain_kps, rng):
     ]
     change_ms = []
     parse_calls = []
+    searches_before = []
 
     def change():
+        searches_before.append(prover.stats["searches"])
         with _counting_parses() as parses:
             start = time.perf_counter()
             if mode == "drain":
@@ -238,9 +238,9 @@ def _measure_leave(mode, chain_kps, rng):
         index for index, value in enumerate(post)
         if value < DIP_FLOOR * baseline
     ]
-    survivor_searches = sum(
-        node.prover.stats["searches"] for node in survivors
-    )
+    # The searches the survivors ran for the victim's sessions: the
+    # change in the one prover's count across the topology change.
+    survivor_searches = prover.stats["searches"] - searches_before[0]
     post_elapsed = sum(elapsed for _, elapsed in series[PRE_WINDOWS:])
     # What the warm baseline predicts the post windows should take; the
     # slowdown factor is the run's self-normalized topology-change cost.
@@ -259,7 +259,7 @@ def _measure_leave(mode, chain_kps, rng):
         "drain_parse_calls": parse_calls[0],
         "client_retries": retries,
         "survivor_prover_searches": survivor_searches,
-        "handoff": dict(cluster.handoff.stats),
+        "handoff": cluster.stats_snapshot()["handoff"],
     }
 
 
@@ -293,7 +293,7 @@ def test_drain_vs_cold_leave_over_loopback(rng):
 
     # The deterministic core, asserted for every run: the drained
     # survivors re-derive *nothing* (every inherited check lands in a
-    # handed-off cache entry), the cold survivors re-derive the entire
+    # kept cache entry), the cold survivors re-derive the entire
     # working set.
     for cold, drain in pairs:
         assert drain["survivor_prover_searches"] == 0, (
@@ -304,7 +304,7 @@ def test_drain_vs_cold_leave_over_loopback(rng):
         assert drain["handoff"]["drains"] == 1
         assert drain["handoff"]["records_installed"] >= SESSIONS
         assert drain["handoff"]["records_refused_stale"] == 0
-        # Records are handed over as objects: nothing is parsed.
+        # Nothing moves, so nothing is parsed.
         assert drain["drain_parse_calls"] == 0
         # A planned departure never surfaces as RETRY at the wire.
         assert drain["client_retries"] == 0

@@ -102,8 +102,7 @@ def test_a_fresh_proof_costs_its_bytes_not_its_parse_tree(keypool):
 
     entries = [
         entry
-        for node in cluster.nodes()
-        for bucket in node.guard.cache.buckets.values()
+        for bucket in cluster.guard.cache.buckets.values()
         for entry in bucket.values()
     ]
     assert len(entries) == FRESH + len(warm)

@@ -13,11 +13,10 @@ _TRANSPORT_PREFIXES = (
     "repro/smtp/",
     "repro/net/",
     "repro/serve/",
-    # The warm-handoff plane moves guard state between nodes, so it is
-    # a transport in the boundary's sense: it must hand records over
-    # through the guard's export/import hooks, never the prover or the
-    # cache types — otherwise a handoff could smuggle state past the
-    # receiver's re-validation.
+    # A cluster holds one guard, so nothing moves guard state between
+    # nodes; the old handoff plane's path stays in scope so that such a
+    # module cannot come back reaching for the prover or the cache types
+    # past the guard's admission checks.
     "repro/cluster/handoff.py",
 )
 

@@ -1,33 +1,26 @@
-"""A sharded authorization cluster.
+"""An authorization cluster: one guard, and a ring of owners.
 
-The paper's end-to-end model puts one guard in front of one resource;
-this package shards that guard horizontally for the ROADMAP's
-millions-of-users target.  Requests shard by *speaker fingerprint* on a
-consistent-hash ring (:mod:`repro.cluster.ring`), each shard served by a
-:class:`GuardNode` wrapping a :class:`~repro.guard.Guard` and its own
-proof cache; nodes serve real traffic and charge no cost model.  A node
-holds only its shard's proof-cache buckets; everything else the cluster
-knows — premises, sessions, delegations, grants — it holds once: every
-node's guard decides against one premise set, one session table and one
-delegation graph, and records into one audit log, so a ring change moves
-work, never authority.  Membership — join, leave, fail, heartbeat sweep
-— is explicit and clock-injected (:mod:`repro.cluster.membership`); a
-delegation retraction, channel close or revocation is applied on every
-serving node before the call that publishes it returns, so no node's
-cached chains outlive a justification; and ``AuthCluster.check_many``
-(:mod:`repro.cluster.dispatch`) rides ``Guard.check_many`` so each shard
-pays one premise snapshot per batch.
+The paper's end-to-end model puts one guard in front of one resource.
+In one process on one loop, a cluster is that guard
+(:class:`~repro.guard.Guard`, built once over the cluster's one premise
+set, session table, delegation graph, audit log and proof cache) plus a
+membership table (:mod:`repro.cluster.membership`) whose consistent-hash
+ring (:mod:`repro.cluster.ring`) names each speaker's owner.  A node is
+a ring member with an id.
 
-The speaks-for model is what makes all of this safe: a proof is valid
-wherever its premises and delegations are held, and every node holds the
-one premise set and the one graph, so whichever node owns a speaker's
-shard — before or after a ring change — decides its requests the same
-way; see ``docs/cluster.md``.
+Every call asks the ring for the owner first, so a crashed owner raises
+the retryable ``NodeUnavailableError`` the serving layer turns into a
+wire-level RETRY; then the one guard decides
+(:mod:`repro.cluster.dispatch`).  A batch is one ``Guard.check_many``,
+and an invalidation is one guard call whose tombstone is kept for good,
+so no ring change can re-admit what it refused.  The ring decides only
+what a departure loses: a leave, failure or crash forgets the cached
+chains of the speakers the node owned, a drain forgets nothing, and a
+join moves nothing; see ``docs/cluster.md``.
 
 The cluster implements the full :class:`~repro.guard.backend.AuthBackend`
 protocol, so transports front it exactly as they front a single guard
-(every listener of a fleet is handed the cluster itself), and every
-check is served by its speaker's shard owner.
+(every listener of a fleet is handed the cluster itself).
 """
 
 from repro.cluster.dispatch import AuthCluster

@@ -1,40 +1,38 @@
-"""Shard-aware dispatch: one mixed request stream, one batch per shard.
+"""The cluster facade: one guard behind a ring of owners.
 
-``AuthCluster`` is the subsystem's facade.  Its data plane is
-``check_many``: it groups a heterogeneous stream of
-:class:`GuardRequest`\\ s by serving node and rides
-``Guard.check_many()``, so each shard pays one trusted-premise snapshot
-per batch instead of one per request — the cluster-scale version of the
-batching the guard already does for a single process.  A single
-``check`` is a batch of one.
+``AuthCluster`` is the subsystem's facade and a full
+:class:`~repro.guard.backend.AuthBackend`, so every transport that can
+front a single :class:`Guard` can front a cluster unchanged.  It holds
+one :class:`Guard` — built once, through ``default_backend``, over the
+cluster's one premise set, session table, delegation graph and audit
+log — and a membership table whose ring names each speaker's owner.
 
-Every check is served by its speaker's shard owner.  The control plane
-owns the shared clock, the membership table, and everything the cluster
-knows, held once: one premise set, one session table and one delegation
-graph that every node's guard decides against, and one audit log every
-node's guard records into.  It implements the full
-:class:`~repro.guard.backend.AuthBackend` protocol, so every transport
-that can front a single :class:`Guard` can front a cluster unchanged.
+Every call asks the ring for the owner first, so a crashed owner raises
+the retryable ``NodeUnavailableError``; then the one guard decides.  A
+batch is one ``Guard.check_many`` call, one premise snapshot, and an
+invalidation is one guard call.  The ring decides only what a departure
+loses: a leave, failure or crash forgets the cached chains of the
+speakers the node owned; a drain forgets nothing; a join moves nothing.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.handoff import DrainReport, HandoffCoordinator
-from repro.cluster.membership import UP, ClusterMembership
+from repro.cluster.membership import ClusterMembership
 from repro.cluster.ring import (
     GuardNode,
     HashRing,
     principal_fingerprint,
     routing_key,
+    shard_key_for,
 )
-from repro.core.errors import AuthorizationError
 from repro.core.principals import Principal
 from repro.core.proofs import Proof, proof_from_sexp
 from repro.core.statements import Says, SpeaksFor
 from repro.crypto.mac import MacKey
 from repro.crypto.rng import default_rng
+from repro.guard import default_backend
 from repro.guard.audit import AUDIT_RETAIN, AuditLog
 from repro.guard.pipeline import GuardDecision
 from repro.guard.request import GuardRequest
@@ -42,44 +40,49 @@ from repro.guard.sessions import SessionRegistry
 from repro.net.trust import TrustEnvironment
 from repro.obs.registry import default_registry
 from repro.obs.trace import Tracer, default_tracer
-from repro.prover import DelegationGraph
+from repro.prover import DelegationGraph, Prover
 from repro.sexp import parse_canonical, sexp
 from repro.sim.clock import SimClock
 
 
+class DrainReport:
+    """What one drain kept warm, and how long it took.  A drain forgets
+    nothing, so ``installed`` counts the cached chains of the speakers
+    the departing node owned — still in the one cache when their new
+    owner is asked."""
+
+    __slots__ = ("node_id", "installed", "duration_ms")
+
+    def __init__(self, node_id: str, installed: int, duration_ms: float):
+        self.node_id = node_id
+        self.installed = installed
+        self.duration_ms = duration_ms
+
+    def as_dict(self) -> Dict[str, object]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
 class AuthCluster:
-    """A sharded authorization cluster (an ``AuthBackend``).
+    """An authorization cluster (an ``AuthBackend``): one guard, and a
+    ring that names each speaker's owner.
 
-    The invariant: **a node holds only its shard's proof-cache buckets;
-    everything else the cluster knows — premises, sessions, delegations,
-    grants — it holds once.**  The cluster builds one
-    :class:`TrustEnvironment`, one :class:`SessionRegistry`, one
-    :class:`DelegationGraph` and one :class:`AuditLog` and hands all four
-    to every node, so each node's guard decides against the same premise
-    set, session table and delegation graph and records into the same
-    trail; a ring change moves work, never authority.
+    The invariant: **the cluster holds its authority, and its derived
+    state, once.**  One :class:`TrustEnvironment`, one
+    :class:`SessionRegistry`, one :class:`DelegationGraph`, one
+    :class:`AuditLog` and one proof cache, all in ``guard``; a node is a
+    ring member with an id.
 
-    - **sharding**: requests route by speaker fingerprint (a session by
-      its id) on a consistent-hash ring, and the shard owner serves every
-      check, so a speaker's cache bucket lives on one node;
-    - **delegations**: :meth:`add_delegation` digests a proof once into
-      ``graph``, which every node's prover searches (the speaks-for model
-      makes any node able to verify any proof), so a node that joins
-      later holds what the incumbents hold;
-    - **invalidation**: **an invalidation is applied on every serving
-      node before the call that publishes it returns.**
-      :meth:`retract_delegation`, :meth:`revoke_serial` and
-      :meth:`close_channel` hand the event to every serving node's guard
-      in one call: the first application takes it out of the one graph
-      or premise set, and each application purges that node's cached
-      chains and tombstones what died, so no later check — on any node,
-      after any ring change — is granted over it;
-    - **departure**: a failed node's shards reassign by ring arithmetic
-      and re-derive on first miss;
-    - **planned departure**: :meth:`drain` hands the node's cached
-      chains to the inheriting ring successors via
-      :class:`~repro.cluster.handoff.HandoffCoordinator`, then leaves,
-      so a planned topology change costs ~no re-derivations.
+    - **ownership**: requests route by speaker fingerprint (a session by
+      its id) on a consistent-hash ring, and every call asks the owner
+      first, so a crashed owner refuses retryably until the sweep;
+    - **invalidation**: :meth:`retract_delegation`, :meth:`revoke_serial`
+      and :meth:`close_channel` are one guard call each: the event leaves
+      the one graph or premise set, purges the one cache, and is
+      tombstoned for good, so no later check — after any ring change — is
+      granted over it;
+    - **departure**: a leave, failure or crash forgets the departing
+      node's speakers' cached chains, which re-derive on first miss; a
+      drain forgets nothing; a join moves nothing.
     """
 
     def __init__(
@@ -96,9 +99,9 @@ class AuthCluster:
         tracer=None,
     ):
         self.clock = clock if clock is not None else SimClock()
-        # One registry/tracer pair for the whole subsystem: every node's
-        # guard and (via source registration) the full ``stats_snapshot``
-        # tree land in the same scrape point.
+        # One registry/tracer pair for the whole subsystem: the guard and
+        # (via source registration) the full ``stats_snapshot`` tree land
+        # in the same scrape point.
         self.metrics = default_registry(metrics)
         if tracer is not None:
             self.tracer = tracer
@@ -112,8 +115,6 @@ class AuthCluster:
             ring=HashRing(vnodes=vnodes),
             heartbeat_timeout=heartbeat_timeout,
         )
-        # Everything the cluster knows, held once and shared by every
-        # node: a node holds only its shard's proof-cache buckets.
         self.trust = TrustEnvironment(clock=self.clock)
         self.sessions = SessionRegistry(ttl=session_ttl, clock=self.clock)
         self.graph = DelegationGraph()
@@ -121,20 +122,28 @@ class AuthCluster:
             retain=AUDIT_RETAIN if audit_retain is None else audit_retain,
             sink=audit_sink, metrics=self.metrics,
         )
+        # The cluster serves real traffic, so its guard charges no cost
+        # model: the paper's modeled figures build their own guards.
+        self.guard = default_backend(
+            self.trust,
+            prover=Prover(graph=self.graph),
+            sessions=self.sessions,
+            audit=self.audit,
+            metrics=self.metrics,
+            tracer=self.tracer,
+        )
         self.rng = rng
-        # The handoff plane: warm-state transfer for planned departures.
-        self.handoff = HandoffCoordinator(self)
         self._next_node = 0
         # The data plane's own tallies (the ``dispatch`` section of
         # ``stats_snapshot``): ``check_many`` calls, requests routed, and
-        # per-node batches handed to a guard.
+        # guard batches (one a call; ``bench/layers.py`` reads it).
         self.dispatch_stats = {
             "dispatches": 0, "requests": 0, "shard_batches": 0,
         }
         self.stats = {"sessions_minted": 0, "sessions_swept": 0}
-        # The invalidation fan-out's tallies: node applications, entries
-        # they removed, and events published per kind.  They keep the
-        # ``bus`` name in ``stats_snapshot`` for ``bench/layers.py``.
+        # Invalidation tallies: guard applications, entries they removed,
+        # and events published per kind.  They keep the ``bus`` name in
+        # ``stats_snapshot`` for ``bench/layers.py``.
         self.invalidation_stats = {
             "delivered": 0,
             "dropped_entries": 0,
@@ -142,62 +151,83 @@ class AuthCluster:
             "published_channel_closed": 0,
             "published_serial_revoked": 0,
         }
+        # Drain tallies, under the ``handoff`` name ``bench/`` reads:
+        # ``records_installed`` counts the cached chains drains kept warm;
+        # nothing is refused, so ``records_refused_stale`` stays 0.
+        self.drain_stats = {
+            "records_installed": 0,
+            "records_refused_stale": 0,
+            "drains": 0,
+            "last_drain_ms": 0.0,
+        }
         for _ in range(node_count):
             self.add_node()
 
     # -- membership --------------------------------------------------------
 
     def add_node(self, node_id: Optional[str] = None) -> GuardNode:
-        """Join a fresh node: hand it what the cluster holds once and take
-        its ring points.  This is the whole "adding a node" recipe —
-        shards move to it by ring arithmetic on the next request, onto a
-        node that holds nothing stale."""
+        """Join a fresh node: it takes its ring points.  Nothing moves:
+        a speaker whose shard it takes keeps its cached chains."""
         if node_id is None:
             node_id = "node-%d" % self._next_node
             self._next_node += 1
-        node = GuardNode(
-            node_id,
-            trust=self.trust,
-            sessions=self.sessions,
-            graph=self.graph,
-            audit=self.audit,
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
+        node = GuardNode(node_id)
         self.membership.join(node)
         return node
 
+    def _owned(self, node_id: str) -> List[object]:
+        """The cached speakers ``node_id`` owns on the ring as it stands:
+        one pass over the one cache."""
+        ring = self.membership.ring
+        return [
+            speaker for speaker in self.guard.cache.buckets
+            if ring.node_for(shard_key_for(speaker)) == node_id
+        ]
+
+    def _forget_owned(self, node_id: str) -> None:
+        """What a departure loses: the cached chains of the speakers the
+        node owned, forgotten before its ring points go."""
+        for speaker in self._owned(node_id):
+            self.guard.cache.forget(speaker)
+
     def remove_node(self, node_id: str) -> GuardNode:
-        """Graceful leave: the node's shards reassign.  Called on an UP
-        node this is the *cold* path — successors re-derive on first
-        miss; :meth:`drain` is the warm path, and calls here to
-        finalize."""
+        """Graceful leave, cold: the node's speakers' cached chains are
+        forgotten and re-derive on first miss (:meth:`drain` keeps them)."""
+        self._forget_owned(node_id)
         return self.membership.leave(node_id)
 
     def drain(self, node_id: str) -> DrainReport:
-        """Planned departure, warm: the node's cached chains into the
-        inheriting successors' import hook, then the ordinary leave.
-        Every invalidation was applied on the draining node when it was
-        published, so it hands over nothing one reached.  Returns the
-        transfer report."""
-        if self.membership.state_of(node_id) != UP:
-            raise ValueError("node %r is not up" % node_id)
-        report = self.handoff.drain(self.membership.get(node_id))
-        self.remove_node(node_id)
-        return report
+        """Planned departure, warm: the ordinary leave, forgetting
+        nothing, so the node's speakers are answered from the one cache
+        by their new owners.  Returns what stayed warm."""
+        timebase = self.metrics.timebase
+        started = timebase.now()
+        buckets = self.guard.cache.buckets
+        kept = sum(len(buckets[speaker]) for speaker in self._owned(node_id))
+        self.membership.leave(node_id)
+        duration_ms = (timebase.now() - started) * 1000.0
+        tally = self.drain_stats
+        tally["records_installed"] += kept
+        tally["drains"] += 1
+        tally["last_drain_ms"] = duration_ms
+        return DrainReport(node_id, kept, duration_ms)
 
     def fail_node(self, node_id: str) -> GuardNode:
         """Declare a node dead (operator-driven; the heartbeat sweep is
-        the detector-driven path)."""
+        the detector-driven path): its speakers' cached chains are
+        forgotten."""
+        self._forget_owned(node_id)
         return self.membership.fail(node_id)
 
     def crash_node(self, node_id: str) -> GuardNode:
-        """Kill a node without repairing the ring: its points linger, so
-        requests that route onto the corpse raise
+        """Kill a node without repairing the ring: its speakers' cached
+        chains are forgotten, and its points linger, so requests that
+        route onto the corpse raise
         :class:`~repro.core.errors.NodeUnavailableError` until
         :meth:`sweep_failures` (or the serving layer's repair path) runs.
         This is the mid-connection failure mode ``fail_node`` cannot
         model, because ``fail_node`` reassigns the shards atomically."""
+        self._forget_owned(node_id)
         return self.membership.crash(node_id)
 
     def heartbeat(self, node_id: Optional[str] = None) -> int:
@@ -216,9 +246,12 @@ class AuthCluster:
         return self.sweep_sessions()
 
     def sweep_failures(self) -> List[str]:
-        """Run the heartbeat failure detector (the lapsed nodes' shards
-        move).  The sweep is also a clock-advance signal, so the session
-        table is reaped in the same pass."""
+        """Run the heartbeat failure detector: a lapsed node fails as
+        :meth:`fail_node` fails it, and a crashed node's points go.  The
+        sweep is also a clock-advance signal, so the session table is
+        reaped in the same pass."""
+        for node_id in self.membership.lapsed():
+            self._forget_owned(node_id)
         lapsed = self.membership.sweep()
         self.sweep_sessions()
         return lapsed
@@ -235,22 +268,19 @@ class AuthCluster:
     def node_for_speaker(self, principal: Principal) -> GuardNode:
         return self.membership.node_for(principal_fingerprint(principal))
 
-    def _serving(self) -> List[GuardNode]:
-        nodes = self.membership.alive()
-        if not nodes:
+    def _serving(self) -> None:
+        """Refuse (``LookupError``) when no node serves."""
+        if not self.membership.alive():
             raise LookupError("the cluster has no live nodes")
-        return nodes
 
     def _route(self, request: GuardRequest) -> GuardNode:
-        """The serving node of a request: its speaker's shard owner."""
+        """The owner of a request: its speaker's, asked on every call."""
         return self.membership.node_for(routing_key(request))
 
     # -- delegations and invalidation --------------------------------------
 
     def add_delegation(self, proof: Proof) -> None:
-        """Digest a delegation into the cluster's one graph.  Every node's
-        prover searches it, so any node can complete proofs over it — the
-        property that makes speaker-sharding safe."""
+        """Digest a delegation into the cluster's one graph."""
         self.graph.digest(proof)
 
     def digest_delegation(self, proof: Proof) -> None:
@@ -262,29 +292,30 @@ class AuthCluster:
         return len(self.graph.outgoing(principal))
 
     def _invalidate(self, kind: str, apply) -> int:
-        """Apply one invalidation to every serving node's guard, now.
-        The first application takes it out of the one graph or premise
-        set (later ones find it gone there); every application purges
-        and tombstones on its own node.  Returns the entries removed."""
-        nodes = self._serving()
-        removed = sum(apply(node.guard) for node in nodes)
+        """Apply one invalidation to the cluster's guard, now: it leaves
+        the one graph or premise set, the one cache is purged, and the
+        guard tombstones it.  With no serving node it raises
+        ``LookupError`` and changes nothing.  Returns the entries
+        removed."""
+        self._serving()
+        removed = apply(self.guard)
         tally = self.invalidation_stats
         tally["published_" + kind] += 1
-        tally["delivered"] += len(nodes)
+        tally["delivered"] += 1
         tally["dropped_entries"] += removed
         return removed
 
     def retract_delegation(self, proof_or_digest) -> int:
         """Retract a delegation (by proof or digest, and every edge
-        embedding it) on every serving node."""
+        embedding it)."""
         return self._invalidate(
             "delegation_retracted",
             lambda guard: guard.retract_delegation(proof_or_digest),
         )
 
     def revoke_serial(self, serial: bytes) -> int:
-        """Apply a revocation on every serving node: every edge and
-        cached proof citing the serial goes."""
+        """Apply a revocation: every edge and cached proof citing the
+        serial goes."""
         return self._invalidate(
             "serial_revoked", lambda guard: guard.revoke_serial(serial)
         )
@@ -300,14 +331,12 @@ class AuthCluster:
         self, channel_principal: Principal, bound_principal: Principal
     ) -> SpeaksFor:
         """Vouch a completed key exchange in the cluster's premise set,
-        through the channel's owning node."""
-        owner = self.node_for_speaker(channel_principal)
-        return owner.guard.open_channel(channel_principal, bound_principal)
+        once the channel's owner is up."""
+        self.node_for_speaker(channel_principal)
+        return self.guard.open_channel(channel_principal, bound_principal)
 
     def close_channel(self, premise: SpeaksFor) -> int:
-        """Retract the binding on every serving node, so a node that
-        cached chains over it under an older ring layout drops them
-        too."""
+        """Retract the binding and purge the chains cached over it."""
         return self._invalidate(
             "channel_closed", lambda guard: guard.close_channel(premise)
         )
@@ -331,61 +360,54 @@ class AuthCluster:
     # -- the data plane ----------------------------------------------------
 
     def check(self, request: GuardRequest) -> GuardDecision:
-        """Decide one request — a batch of one, routed to its shard
-        owner — raising exactly as ``Guard.check`` does."""
+        """Decide one request — a batch of one — raising exactly as
+        ``Guard.check`` does."""
         return self.check_many([request])[0].granted_or_raise()
 
     def check_many(self, requests) -> List[GuardDecision]:
-        """Batch-dispatch a mixed stream: one ``Guard.check_many`` call —
-        one premise snapshot — per shard owner touched.  Decisions come
-        back in the original stream order, and a failed request never
-        interrupts its batch, so a caller cannot tell how the stream was
-        partitioned — only the per-node ``batches`` counters can."""
+        """Decide a mixed stream in one ``Guard.check_many`` call — one
+        premise snapshot.  Every request's owner is asked first, so a
+        stream reaching a crashed owner raises ``NodeUnavailableError``
+        before anything is decided."""
         requests = list(requests)
-        groups: Dict[GuardNode, List[int]] = {}
-        for index, request in enumerate(requests):
-            groups.setdefault(self._route(request), []).append(index)
-        decisions: List[Optional[GuardDecision]] = [None] * len(requests)
-        for node, indices in groups.items():
-            batch = node.guard.check_many([requests[i] for i in indices])
-            for i, decision in zip(indices, batch):
-                decisions[i] = decision
-        self.dispatch_stats["dispatches"] += 1
-        self.dispatch_stats["requests"] += len(requests)
-        self.dispatch_stats["shard_batches"] += len(groups)
-        return decisions  # type: ignore[return-value]
+        for request in requests:
+            self._route(request)
+        tally = self.dispatch_stats
+        tally["dispatches"] += 1
+        tally["requests"] += len(requests)
+        tally["shard_batches"] += 1
+        return self.guard.check_many(requests)
 
     def authenticate(self, request: GuardRequest):
-        """Resolve a request's credential to its speaker on its shard
-        owner (so a session credential's chain is digested where its
-        checks will land)."""
-        return self._route(request).guard.authenticate(request)
+        """Resolve a request's credential to its speaker, once its owner
+        is up."""
+        self._route(request)
+        return self.guard.authenticate(request)
 
     def deliver(self, request: GuardRequest) -> Principal:
-        """Post-handshake transport delivery on the shard owner, which
-        admits the credential and *vouches* the utterance in the
-        cluster's premise set."""
-        return self._route(request).guard.deliver(request)
+        """Post-handshake transport delivery: admit the credential and
+        *vouch* the utterance in the cluster's premise set, once the
+        speaker's owner is up."""
+        self._route(request)
+        return self.guard.deliver(request)
 
     def retract_delivery(self, speaker: Principal, logical) -> None:
         """Withdraw a delivered utterance from the cluster's premise
-        set, wherever the ring has moved its speaker since."""
+        set."""
         self.trust.retract(Says(speaker, sexp(logical)))
 
     def submit_proof(self, proof_wire: bytes) -> Proof:
-        """The proofRecipient path, cluster-wide: the subject's shard
-        owner verifies the proof once and memoizes it where the
-        subject's checks are decided."""
-        # Parse once, here: routing needs the conclusion, and the
-        # verifying guard accepts the built proof so nothing is parsed
-        # twice.
+        """The proofRecipient path: once the subject's owner is up, the
+        guard verifies the proof once and caches it for the subject."""
+        # Parse once, here: routing needs the conclusion, and the guard
+        # accepts the built proof so nothing is parsed twice.
         proof = proof_from_sexp(parse_canonical(proof_wire))
         conclusion = proof.conclusion
         if isinstance(conclusion, SpeaksFor):
-            owner = self.node_for_speaker(conclusion.subject)
+            self.node_for_speaker(conclusion.subject)
         else:
-            owner = self._serving()[0]
-        return owner.guard.submit_proof(proof_wire, proof=proof)
+            self._serving()
+        return self.guard.submit_proof(proof_wire, proof=proof)
 
     # -- introspection -----------------------------------------------------
 
@@ -395,22 +417,21 @@ class AuthCluster:
         return self.trust.context(now)
 
     def audit_authentication(self, logical, proof, transport: str = "unknown"):
-        """Record a verified authentication on the authenticated
-        client's shard (the proof's issuer), keeping a client's trail
-        colocated with its decisions."""
+        """Record a verified authentication, once the authenticated
+        client's (the proof's issuer's) owner is up."""
         conclusion = proof.conclusion
-        if not isinstance(conclusion, SpeaksFor):
-            raise AuthorizationError(
-                "authentication proofs conclude speaks-for"
-            )
-        owner = self.node_for_speaker(conclusion.issuer)
-        return owner.guard.audit_authentication(
+        if isinstance(conclusion, SpeaksFor):
+            self.node_for_speaker(conclusion.issuer)
+        return self.guard.audit_authentication(
             logical, proof, transport=transport
         )
 
     def stats_snapshot(self) -> Dict[str, object]:
         """Every counter in the subsystem, one JSON-friendly tree (the
-        ``repro.tools stats`` command dumps this)."""
+        ``repro.tools stats`` command dumps this).  ``nodes`` has one
+        entry, the one guard's, because ``bench/layers.py`` sums over
+        it."""
+        guard = self.guard
         return {
             "cluster": dict(self.stats),
             "sessions": dict(self.sessions.stats),
@@ -425,14 +446,17 @@ class AuthCluster:
             },
             "membership": dict(self.membership.stats),
             "dispatch": dict(self.dispatch_stats),
-            "handoff": dict(self.handoff.stats),
+            "handoff": dict(self.drain_stats),
             "bus": dict(self.invalidation_stats),
             "ring": {
                 "nodes": self.membership.ring.nodes(),
                 "vnodes": self.membership.ring.vnodes,
             },
             "nodes": {
-                node.node_id: node.stats()
-                for node in self.membership.alive()
+                "guard": {
+                    "guard": dict(guard.stats),
+                    "cache": dict(guard.cache.stats),
+                    "prover": dict(guard.prover.stats),
+                },
             },
         }

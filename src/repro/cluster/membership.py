@@ -10,17 +10,12 @@ and benchmarks.
 
 Rebalancing is a property of the consistent-hash ring, not a procedure:
 removing a node's points reassigns exactly its shards to the surviving
-successors, and no state is copied at failure time.  Nothing a node
-loses is authority: channel premises and MAC sessions live once, in the
-cluster, and every node decides against them.  What a failed node's
-shards lose is derived state — cached proofs — which re-derives lazily
-on first miss from the cluster's one delegation graph.
-
-*Planned* departures get a warmer deal, but no state of their own: a
-drain is one synchronous call on the cluster's loop that hands the
-node's cached proofs to the inheriting successors
-(:mod:`repro.cluster.handoff`) and then calls ``leave()``, so the event
-log shows it as its one ``leave``.
+successors.  Nothing a node loses is authority: the cluster's one guard
+holds every premise, session and delegation.  What a departure loses is
+derived state — the cached proofs of the speakers the node owned, which
+``AuthCluster`` forgets before the points go and which re-derive on
+first miss.  A drain is a leave that forgets nothing, so the event log
+shows it as its one ``leave``.
 """
 
 from __future__ import annotations
@@ -85,7 +80,7 @@ class ClusterMembership:
 
     def join(self, node: GuardNode) -> None:
         """Admit a node: it takes its ring points and starts heartbeating.
-        A previously left or failed id may rejoin (fresh caches)."""
+        A previously left or failed id may rejoin."""
         if self._state.get(node.node_id) == UP:
             raise ValueError("node %r is already up" % node.node_id)
         self.ring.add(node.node_id)
@@ -96,12 +91,7 @@ class ClusterMembership:
 
     def leave(self, node_id: str) -> GuardNode:
         """Graceful departure: the node's shards reassign deterministically
-        to the ring successors; its state is returned to the caller.
-
-        After a drain this flips each shard to an owner already holding
-        the node's warm state (see :mod:`repro.cluster.handoff`).  A plain
-        leave is the cold path — successors re-derive proofs on first
-        miss."""
+        to the ring successors; the node is returned to the caller."""
         node = self._checked_serving(node_id)
         self.ring.remove(node_id)
         self._state[node_id] = LEFT
@@ -110,8 +100,7 @@ class ClusterMembership:
 
     def fail(self, node_id: str) -> GuardNode:
         """Declare a node dead.  Identical ring effect to a leave — the
-        difference is bookkeeping (and that nothing could be handed over:
-        the dead node's cached proofs re-derive on first miss)."""
+        difference is bookkeeping."""
         node = self._checked_serving(node_id)
         self.ring.remove(node_id)
         self._state[node_id] = FAILED
@@ -150,18 +139,22 @@ class ClusterMembership:
         self._last_heartbeat[node_id] = self.clock.now()
         self.stats["heartbeats"] += 1
 
-    def sweep(self) -> List[str]:
-        """Fail every up node whose heartbeat lapsed — and finalize every
-        crashed node, whose heartbeat is by definition never coming:
-        their lingering ring points are removed so their shards reassign
-        to the survivors.  Returns the ids declared failed."""
+    def lapsed(self) -> List[str]:
+        """The up nodes whose last heartbeat is older than the timeout."""
         now = self.clock.now()
-        lapsed = [
+        return [
             node_id
             for node_id, state in self._state.items()
             if state == UP
             and now - self._last_heartbeat[node_id] > self.heartbeat_timeout
         ]
+
+    def sweep(self) -> List[str]:
+        """Fail every up node whose heartbeat lapsed — and finalize every
+        crashed node, whose heartbeat is by definition never coming:
+        their lingering ring points are removed so their shards reassign
+        to the survivors.  Returns the ids declared failed."""
+        lapsed = self.lapsed()
         for node_id in lapsed:
             self.fail(node_id)
         crashed = [
@@ -191,11 +184,6 @@ class ClusterMembership:
         if self._state.get(node_id) != UP:
             raise NodeUnavailableError(node_id)
         return self._nodes[node_id]
-
-    def known(self) -> List[GuardNode]:
-        """Every node ever admitted, in join order — including the left
-        and the failed, whose audit trails must outlive their shards."""
-        return list(self._nodes.values())
 
     def get(self, node_id: str) -> Optional[GuardNode]:
         return self._nodes.get(node_id)

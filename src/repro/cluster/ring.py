@@ -1,14 +1,12 @@
-"""Consistent-hash sharding of authorization work across guard nodes.
+"""The consistent-hash ring: which node owns a speaker.
 
-The speaks-for model makes horizontal partitioning safe: every node
-decides against the cluster's one premise set and one delegation graph,
-so any node can verify any proof, and the ring is free to place a
-speaker wherever its fingerprint lands — correctness never depends on
-which node answers, only performance does.
-Sharding by *speaker* (rather than by resource) keeps each speaker's
-derived state — its proof-cache bucket — on exactly one node, so the
-per-speaker caches behave exactly as they do in a single-guard
-deployment.
+A cluster decides every check with its one guard, so the ring no longer
+places work; it places *ownership*.  Requests shard by speaker — a
+session by its id, a channel or subject-bound proof by the principal's
+fingerprint — and the owner is asked first on every call: a crashed
+owner raises the retryable ``NodeUnavailableError``, and a node that
+leaves, fails or crashes takes the proof-cache buckets of the speakers
+it owned with it (:func:`shard_key_for` names a bucket's owner).
 
 The ring is the classic consistent-hash construction: each node projects
 ``vnodes`` points onto a 2^64 circle, and a key is owned by the first
@@ -21,19 +19,15 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.guard import default_backend
-from repro.guard.audit import AuditLog
+from repro.core.principals import MacPrincipal
 from repro.guard.request import (
     ChannelCredential,
     GuardRequest,
     ProofCredential,
     SessionCredential,
 )
-from repro.guard.sessions import SessionRegistry
-from repro.net.trust import TrustEnvironment
-from repro.prover import DelegationGraph, Prover
 from repro.sexp import to_canonical
 
 
@@ -68,6 +62,15 @@ def routing_key(request: GuardRequest) -> bytes:
         if credential.expected_subject is not None:
             return principal_fingerprint(credential.expected_subject)
     return hashlib.sha256(to_canonical(request.logical)).digest()
+
+
+def shard_key_for(speaker) -> bytes:
+    """The ring key of a proof-cache bucket's speaker, which agrees with
+    how the speaker's *requests* route: MAC principals route by session
+    id, everything else by principal fingerprint."""
+    if isinstance(speaker, MacPrincipal):
+        return session_routing_key(speaker.mac_id.digest.hex())
+    return principal_fingerprint(speaker)
 
 
 def _point(data: bytes) -> int:
@@ -123,28 +126,6 @@ class HashRing:
             index = 0
         return points[index][1]
 
-    def successors(self, key: bytes, count: int = 1) -> List[str]:
-        """Up to ``count`` *distinct* node ids walking clockwise from the
-        key's hash.  The first entry is the owner (``node_for``); the
-        rest are, in order, the nodes that would inherit the key's shard
-        if those before them left — where a drain hands warm state.
-        Fewer than ``count`` nodes on the ring yields them all."""
-        if count < 1:
-            raise ValueError("successors needs a count of at least one")
-        point_keys, points = self._index
-        if not points:
-            raise LookupError("the ring has no nodes")
-        index = bisect_right(point_keys, _point(key))
-        result: List[str] = []
-        total = len(points)
-        for step in range(total):
-            node_id = points[(index + step) % total][1]
-            if node_id not in result:
-                result.append(node_id)
-                if len(result) == count:
-                    break
-        return result
-
     def nodes(self) -> List[str]:
         return list(self._node_ids)
 
@@ -156,48 +137,15 @@ class HashRing:
 
 
 class GuardNode:
-    """One cluster member: a proof-cache shard.  Its :class:`Guard`
-    decides against the cluster's premise set, session table and
-    delegation graph, and records into the cluster's audit log; the node
-    holds only its shard's proof-cache buckets, and its prover's own
-    search counters.
+    """One cluster member: a ring member with an id.  In one process a
+    node holds nothing of its own: the cluster's one guard decides every
+    check, and the node's ring points say whose proof-cache buckets a
+    departure of it forgets."""
 
-    A node serves real traffic, so its guard charges no cost model: the
-    paper's modeled figures build their own guards.  The shared trust
-    environment carries the cluster clock, so certificate validity and
-    session TTLs agree across nodes.
-    """
+    __slots__ = ("node_id",)
 
-    def __init__(
-        self,
-        node_id: str,
-        trust: TrustEnvironment,
-        sessions: SessionRegistry,
-        graph: DelegationGraph,
-        audit: AuditLog,
-        metrics=None,
-        tracer=None,
-    ):
+    def __init__(self, node_id: str):
         self.node_id = node_id
-        self.prover = Prover(graph=graph)
-        # Even the cluster's own nodes go through the shared factory:
-        # nothing in the tree constructs the default backend any other way.
-        self.guard = default_backend(
-            trust,
-            prover=self.prover,
-            sessions=sessions,
-            audit=audit,
-            metrics=metrics,
-            tracer=tracer,
-        )
-
-    def stats(self) -> Dict[str, object]:
-        """The counters the ``stats`` CLI and benchmarks aggregate."""
-        return {
-            "guard": dict(self.guard.stats),
-            "cache": dict(self.guard.cache.stats),
-            "prover": dict(self.prover.stats),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "GuardNode(%s)" % self.node_id

@@ -2,13 +2,13 @@
 
 The paper's argument is that one proof-checking logic should sit behind
 every interface.  :class:`~repro.guard.pipeline.Guard` is that logic for
-one process; :class:`~repro.cluster.dispatch.AuthCluster` is the same
-logic sharded over a ring of guard nodes.  A transport should not care
-which one it is talking to — it frames requests and maps exceptions onto
-its wire, and *routing* the decision is the backend's business.  This
-module names the contract both implementations satisfy, so every
-transport (http, rmi, smtp, secure channels) and every app (gateway,
-webserver, emaildb, guarded fs) can accept any backend.
+one process; :class:`~repro.cluster.dispatch.AuthCluster` is one such
+guard behind a ring that names each speaker's owner.  A transport should
+not care which one it is talking to — it frames requests and maps
+exceptions onto its wire, and *routing* the decision is the backend's
+business.  This module names the contract both implementations satisfy,
+so every transport (http, rmi, smtp, secure channels) and every app
+(gateway, webserver, emaildb, guarded fs) can accept any backend.
 
 The surface, grouped the way transports consume it:
 
@@ -17,15 +17,15 @@ The surface, grouped the way transports consume it:
   ``deliver``, ``retract_delivery`` (secure-channel listeners);
 - **sessions** — ``mint_session``, ``install_session``,
   ``sweep_sessions``, and a ``sessions`` attribute: the backend's one
-  :class:`~repro.guard.sessions.SessionRegistry` (a cluster's nodes
-  share theirs), which the HTTP MAC framing adopts;
+  :class:`~repro.guard.sessions.SessionRegistry` (a cluster's is its
+  guard's), which the HTTP MAC framing adopts;
 - **proof intake** — ``submit_proof``, ``digest_delegation``,
   ``outgoing_delegations`` (the RMI proofRecipient and the quoting
   gateway);
 - **invalidation** — ``retract_delegation``, ``revoke_serial``;
 - **introspection** — ``context``, ``audit_authentication``, and an
   ``audit`` attribute: the backend's one
-  :class:`~repro.guard.audit.AuditLog` (a cluster's nodes share theirs).
+  :class:`~repro.guard.audit.AuditLog` (a cluster's is its guard's).
 
 No transport or app module constructs a :class:`Guard` directly any
 more: they accept an injected backend or fall back to

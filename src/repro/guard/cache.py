@@ -78,7 +78,6 @@ class ProofCache:
             "evictions": 0,
             "invalidations": 0,
             "retract_examined": 0,
-            "imported": 0,
         }
 
     def add(self, proof: Proof, speaker=None,
@@ -88,34 +87,11 @@ class ProofCache:
         cached — the memoized canonical digest makes the dedup a dict
         lookup, not a re-serialization.  ``entry`` is the proof's
         :class:`CachedProof` when the caller already built it (the
-        guard reads its citations before verifying)."""
-        return self._place(proof, entry, speaker, "insertions")
+        guard reads its citations before verifying).
 
-    def lookup(self, speaker, digest: bytes) -> Optional[CachedProof]:
-        """The entry cached for ``speaker`` under ``digest``, touching the
-        LRU, or ``None``.  A hit is a presented proof the cache already
-        holds, so it counts in ``dedup_hits`` exactly as the duplicate
-        ``add`` it replaces would have."""
-        entry = self.bucket(speaker).get(digest)
-        if entry is not None:
-            self.stats["dedup_hits"] += 1
-        return entry
-
-    def install(self, entry: CachedProof, speaker=None) -> bool:
-        """The warm-handoff import hook: adopt an entry built from a
-        handed-over proof (its premise/lemma/serial citations already
-        read) under ``speaker``'s bucket.  The *caller* — the guard's import hook —
-        is responsible for having re-validated the entry against the
-        receiving trust state; the cache only places it.  Returns False
-        on digest-level duplicates, so a handoff into a bucket that
-        already derived the same proof is a no-op, not a double-entry.
-        """
-        return self._place(entry.proof, entry, speaker, "imported")
-
-    def _place(self, proof: Proof, entry, speaker, counter: str) -> bool:
-        """The one way in: find or open the speaker's bucket, dedup on
-        the digest, list the speaker under everything the entry cites,
-        then age out the oldest speakers past the bound."""
+        The one way in: find or open the speaker's bucket, dedup on the
+        digest, list the speaker under everything the entry cites, then
+        age out the oldest speakers past the bound."""
         conclusion = proof.conclusion
         if not isinstance(conclusion, SpeaksFor):
             raise AuthorizationError("cached proofs must conclude speaks-for")
@@ -136,12 +112,22 @@ class ProofCache:
         for index, cites in self._citing:
             for cited in cites(entry):
                 index.add(cited, speaker)
-        self.stats[counter] += 1
+        self.stats["insertions"] += 1
         while len(self._buckets) > self.max_speakers:
             oldest, aged = self._buckets.popitem(last=False)
             self._unlist(oldest, aged.values(), ())
             self.stats["evictions"] += 1
         return True
+
+    def lookup(self, speaker, digest: bytes) -> Optional[CachedProof]:
+        """The entry cached for ``speaker`` under ``digest``, touching the
+        LRU, or ``None``.  A hit is a presented proof the cache already
+        holds, so it counts in ``dedup_hits`` exactly as the duplicate
+        ``add`` it replaces would have."""
+        entry = self.bucket(speaker).get(digest)
+        if entry is not None:
+            self.stats["dedup_hits"] += 1
+        return entry
 
     def _unlist(self, speaker, gone, kept) -> None:
         """The one way out of the index: ``gone`` entries just left
@@ -193,7 +179,7 @@ class ProofCache:
     # Each hook retracts every entry citing the thing the event names and
     # returns the number removed.  The invariant that makes a lookup as
     # good as a sweep: a speaker is listed under a thing exactly while
-    # its bucket holds an entry citing it — ``_place`` lists, ``_unlist``
+    # its bucket holds an entry citing it — ``add`` lists, ``_unlist``
     # is the only way a listing goes, and every removal (drop, retract,
     # LRU eviction, forget) passes through it.  The listing is a hint,
     # never a decision: the event's predicate is re-read on each entry of

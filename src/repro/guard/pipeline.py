@@ -28,9 +28,8 @@ prover's read-only graph views underneath it), and one metered
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from hashlib import sha256
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.errors import (
     AuthorizationError,
@@ -137,7 +136,7 @@ class Guard:
         self.meter = meter
         self.prover = prover
         # The metrics registry and tracer ride in together (a cluster
-        # passes one pair to every node).  An injected registry without
+        # passes its own pair).  An injected registry without
         # a tracer gets a private tracer bound to it, so span-duration
         # histograms land beside the counters they explain.
         self.metrics = default_registry(metrics)
@@ -175,14 +174,15 @@ class Guard:
         self._session_principals: Dict[object, MacPrincipal] = {}
         self._says_memo: Dict[Tuple[bytes, bytes], Says] = {}
         # Invalidation tombstones: the serials and lemma digests this
-        # guard has seen revoked or retracted.  Purging derived state only
-        # removes what was held at the time; chains handed over by a
-        # draining peer and proofs presented again are read against the
-        # tombstones before they are admitted (see TOMBSTONE_LIMIT).  A
-        # closed channel needs none: its premise is gone from the premise
-        # set, which every admission re-checks.
-        self._revoked_serials: "OrderedDict[bytes, None]" = OrderedDict()
-        self._retracted_digests: "OrderedDict[bytes, None]" = OrderedDict()
+        # guard has seen revoked or retracted, kept for good, as a CRL
+        # keeps its entries (a serial names no one certificate, so no
+        # expiry can retire it).  Purging derived state only removes what
+        # was held at the time; a proof presented again is read against
+        # the tombstones before it is admitted.  A closed channel needs
+        # none: its premise is gone from the premise set, which every
+        # admission re-checks.
+        self._revoked_serials: Set[bytes] = set()
+        self._retracted_digests: Set[bytes] = set()
         self.stats = {
             "checks": 0,
             "grants": 0,
@@ -191,8 +191,6 @@ class Guard:
             "cache_hits": 0,
             "credential_verifications": 0,
             "batches": 0,
-            "handoff_installed": 0,
-            "handoff_refused_stale": 0,
         }
 
     # -- stage 1: admission (session/MAC fast path) ----------------------
@@ -288,7 +286,7 @@ class Guard:
         digest first: a hit is the already-verified proof the cache
         holds, admitted without a parse, a tree build or a signature
         check.  That is as safe as verifying again, because
-        - the cache's one write path (``_place``) only receives verified
+        - the cache's one write path (``add``) only receives verified
           proofs, and every invalidation event purges through the
           citation index;
         - ``_authorize`` re-checks validity and premises on every hit;
@@ -710,7 +708,7 @@ class Guard:
             if isinstance(proof_or_digest, bytes)
             else proof_or_digest.digest()
         )
-        self._tombstone(self._retracted_digests, digest)
+        self._retracted_digests.add(digest)
         removed = self.cache.retract_dependents(digest)
         if self.prover is not None:
             removed += self.prover.invalidate_proof(digest)
@@ -724,98 +722,20 @@ class Guard:
         a live policy re-checks the tree per cache hit, while the event
         purges derived state even on guards running without one.
         """
-        self._tombstone(self._revoked_serials, serial)
+        self._revoked_serials.add(serial)
         removed = self.cache.retract_serial(serial)
         if self.prover is not None:
             removed += self.prover.invalidate_serial(serial)
         return removed
 
-    #: Bound on each tombstone table (FIFO).  For imports, aging a
-    #: tombstone out can never admit stale state: a cluster applies every
-    #: invalidation on every serving node before the publishing call
-    #: returns, so a draining node has already purged every chain one
-    #: reached.  A *presented* proof is not cached state: once its
-    #: revocation is more than this many events old, a still-signed
-    #: certificate verifies and is admitted again.  A live
-    #: ``trust.revocation`` policy is the durable refusal.
-    TOMBSTONE_LIMIT = 4096
-
-    def _tombstone(self, table: "OrderedDict[bytes, None]", key: bytes) -> None:
-        table[key] = None
-        table.move_to_end(key)
-        while len(table) > self.TOMBSTONE_LIMIT:
-            table.popitem(last=False)
-
-    # -- warm-state handoff (export / import hooks) -------------------------
-    #
-    # A draining cluster node exports its cached chains through
-    # ``export_proof_entries`` and the receiver re-admits each through
-    # ``import_proof_entry``.  *A handed-off proof is never a handed-off
-    # decision*: every import re-validates against the receiving guard's
-    # own premise snapshot, clock, and invalidation tombstones; anything
-    # lapsed, or that this guard saw revoked or retracted, or that leans
-    # on a premise it does not vouch, is refused, and the next check for
-    # it pays the full Prover path.
-
-    def export_proof_entries(self) -> List[Tuple[object, Proof]]:
-        """Snapshot the proof cache as ``(speaker, proof)`` pairs, every
-        bucket.  Pure read: no LRU touches, so enumerating warm state
-        does not reorder it."""
-        return [
-            (spk, entry.proof)
-            for spk, bucket in self.cache.buckets.items()
-            for entry in bucket.values()
-        ]
-
-    def import_proof_entry(self, proof: Proof, speaker=None) -> str:
-        """Admit a handed-off proof-cache entry after re-validation.
-
-        Checks run against *this* guard's state: the validity window on
-        this clock, the invalidation tombstones (a chain citing a serial
-        this guard saw revoked or a lemma it saw retracted is refused),
-        and the premise snapshot (a chain leaning on a channel binding
-        this guard does not vouch is refused).  Signatures are not
-        checked again: the exporting guard verified them.  Returns
-        ``"installed"``, ``"duplicate"``, or ``"refused"``.
-        """
-        conclusion = proof.conclusion
-        if not isinstance(conclusion, SpeaksFor):
-            return self._refuse_import()
-        entry = CachedProof(proof)
-        if not self._import_admissible(entry):
-            return self._refuse_import()
-        # The cache is the one place a handed-off chain lands.  It is
-        # warm state, not a delegation: digesting it into the prover
-        # would put a derived chain into a graph that holds collected
-        # delegations only.
-        if not self.cache.install(entry, speaker):
-            return "duplicate"
-        self.stats["handoff_installed"] += 1
-        return "installed"
-
     def _tombstoned(self, entry: CachedProof) -> bool:
         """Whether ``entry`` cites a serial this guard saw revoked or a
         lemma it saw retracted: a purge only removes what was cached at
-        the time, so both a handed-off record and a presented proof are
-        read against the tombstones before they are admitted."""
+        the time, so a presented proof is read against the tombstones
+        before it is admitted."""
         revoked, retracted = self._revoked_serials, self._retracted_digests
         return (any(serial in revoked for serial in entry.serials)
                 or any(key in retracted for key in entry.lemma_keys))
-
-    def _import_admissible(self, entry: CachedProof) -> bool:
-        context = self.trust.context()
-        if not entry.proof.conclusion.validity.contains(context.now):
-            return False
-        if self._tombstoned(entry):
-            return False
-        return all(
-            statement in context.trusted_premises
-            for statement in entry.premises
-        )
-
-    def _refuse_import(self) -> str:
-        self.stats["handoff_refused_stale"] += 1
-        return "refused"
 
     # -- audit helpers ------------------------------------------------------
 

@@ -114,7 +114,7 @@ class MacSessionManager:
 
     def session_count(self) -> int:
         """Sessions in the table this front verifies against: its
-        backend's once bound (a cluster's is shared by every node)."""
+        backend's once bound (a cluster's is its one guard's)."""
         return self.registry.count()
 
 

@@ -239,7 +239,7 @@ def cmd_stats(args) -> int:
 
 def cmd_audit(args) -> int:
     """Run the demo cluster workload and print its audit trail: the
-    cluster's one log, every node's grants in grant order (``--retain``
+    cluster's one log, every grant in grant order (``--retain``
     sizes its ring).  What the ring no longer holds is said first."""
     log = _demo_cluster(args).audit
     records = log.records
@@ -429,8 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--requests", type=int, default=64)
     stats.add_argument("--seed", type=int, default=7)
     stats.add_argument("--drain-one", action="store_true",
-                       help="drain one node mid-run (warm handoff: the "
-                            "handoff counters and last_drain_ms go live)")
+                       help="drain one node mid-run (it keeps its speakers' "
+                            "cached chains; the handoff counters and "
+                            "last_drain_ms go live)")
     stats.add_argument("--fail-one", action="store_true",
                        help="fail one node mid-run: its shards move to the "
                             "survivors, which verify the same sessions")

@@ -1,10 +1,9 @@
-"""Batch dispatch: stream order, shard batching, what a fleet of
-listeners relies on when it is handed one cluster, every check served by
-its speaker's shard owner, the one premise set, session table and
-delegation graph every node decides against, the one audit trail every
-node records into (kept across nodes that fail or drain), and the
-membership heartbeat pumping ``SessionRegistry.sweep()`` on the
-cluster's one session table."""
+"""The cluster's data plane: stream order, one guard batch per stream,
+what a fleet of listeners relies on when it is handed one cluster, every
+check asking its speaker's owner, the one guard that holds the premise
+set, session table, delegation graph and audit trail (kept across nodes
+that fail or drain), and the membership heartbeat pumping
+``SessionRegistry.sweep()`` on the cluster's one session table."""
 
 import pytest
 
@@ -28,8 +27,7 @@ ROUNDS = 3
 
 def _world(server_kp, alice_kp, rng, nodes=4):
     """A cluster with SPEAKERS channels, each provably bound to the
-    client and digested into the cluster's one graph so any shard can
-    verify any of them."""
+    client, its chain submitted and cached."""
     cluster = AuthCluster(node_count=nodes)
     issuer = KeyPrincipal(server_kp.public)
     client = KeyPrincipal(alice_kp.public)
@@ -42,7 +40,7 @@ def _world(server_kp, alice_kp, rng, nodes=4):
         channel = ChannelPrincipal.of_secret(b"conn-%d" % index)
         premise = SpeaksFor(channel, client, Tag.all())
         cluster.trust.vouch(premise)
-        cluster.node_for_speaker(channel).guard.submit_proof(
+        cluster.submit_proof(
             to_canonical(
                 TransitivityStep(PremiseStep(premise), delegation).to_sexp()
             )
@@ -74,11 +72,12 @@ def test_decisions_come_back_in_stream_order(server_kp, alice_kp, rng):
 
 
 def _guard_batches(cluster):
-    return sum(node.guard.stats["batches"] for node in cluster.nodes())
+    return cluster.guard.stats["batches"]
 
 
 def test_one_checkauth_charge_per_shard_batch(server_kp, alice_kp, rng):
-    """One ``Guard.check_many`` (the guard's checkAuth) per shard batch."""
+    """One ``Guard.check_many`` (the guard's checkAuth) per stream, however
+    many shards it touches."""
     cluster, channels, request = _world(server_kp, alice_kp, rng)
     stream = [
         request(channels[i % SPEAKERS], "/doc-%d" % i)
@@ -89,10 +88,10 @@ def test_one_checkauth_charge_per_shard_batch(server_kp, alice_kp, rng):
     )
     assert shards_touched > 1
     cluster.check_many(stream)
-    # Batched: one guard batch per shard touched, not one per request.
-    assert _guard_batches(cluster) == shards_touched
+    # Batched: one guard batch, not one per shard or per request.
+    assert _guard_batches(cluster) == 1
     dispatch = cluster.stats_snapshot()["dispatch"]
-    assert dispatch["shard_batches"] == shards_touched
+    assert dispatch["shard_batches"] == 1
 
     # Sequentially, the same stream is one guard batch per request.
     sequential, channels2, request2 = _world(server_kp, alice_kp, rng)
@@ -163,50 +162,41 @@ class TestFleet:
 
     def test_fleet_shares_one_ring(self, world):
         """Single checks asked by different fronts land on the same
-        shard state: a fleet is N listeners, not N authorization
-        domains."""
+        state: a fleet is N listeners, not N authorization domains."""
         fronts = ["http-1", "smtp-1", "rmi-1"]
-        for transport in fronts:
-            assert world.cluster.check(
-                world.request(transport=transport)
-            ).granted
-        # One speaker, one owner node — every front's check routed there.
-        served = [
-            node
-            for node in world.cluster.nodes()
-            if node.guard.stats["checks"] > 0
+        stages = [
+            world.cluster.check(world.request(transport=transport)).stage
+            for transport in fronts
         ]
-        assert len(served) == 1
-        assert served[0].guard.stats["checks"] == len(fronts)
-        assert served[0].guard.stats["grants"] == len(fronts)
+        # The first front's check derived the chain; the others found it.
+        assert stages == ["prover", "cache", "cache"]
+        guard = world.cluster.guard
+        assert guard.stats["checks"] == guard.stats["grants"] == len(fronts)
 
     def test_fleet_sessions_mint_into_the_shared_escrow(self, rng):
         """A session minted with the cluster's injected rng is cluster
-        state — held once, in the table every node's guard verifies
-        against — so any front's traffic can reach it, whichever node
-        serves it."""
+        state — held once, in the table the guard verifies against — so
+        any front's traffic can reach it, whichever node owns it."""
         cluster = AuthCluster(node_count=4, rng=rng)
         mac_id, mac_key = cluster.mint_session()
         assert cluster.sessions.get(mac_id) is mac_key
-        for node in cluster.nodes():
-            assert node.guard.sessions.get(mac_id) is mac_key
+        assert cluster.guard.sessions.get(mac_id) is mac_key
 
     def test_every_node_shares_the_clusters_authority(self, rng):
-        """One premise set, one session table, one delegation graph and
-        one audit log, handed to every node — a later joiner included; a
-        node holds only its own proof cache (and its prover's search
-        counters)."""
+        """One premise set, one session table, one delegation graph, one
+        audit log and one proof cache, all in the cluster's one guard; a
+        node, a later joiner included, is a ring member with an id."""
         cluster = AuthCluster(node_count=3, rng=rng)
+        guard, cache = cluster.guard, cluster.guard.cache
         cluster.add_node()
-        nodes = cluster.nodes()
-        for node in nodes:
-            assert node.guard.trust is cluster.trust
-            assert node.guard.sessions is cluster.sessions
-            assert node.guard.prover is node.prover
-            assert node.prover.graph is cluster.graph
-            assert node.guard.audit is cluster.audit
-        assert len({id(node.guard.cache) for node in nodes}) == len(nodes)
-        assert len({id(node.prover) for node in nodes}) == len(nodes)
+        assert guard.trust is cluster.trust
+        assert guard.sessions is cluster.sessions
+        assert guard.prover.graph is cluster.graph
+        assert guard.audit is cluster.audit
+        assert cluster.guard is guard and guard.cache is cache
+        for node in cluster.nodes():
+            assert not hasattr(node, "guard")
+            assert not hasattr(node, "prover")
 
     def test_frontend_audit_is_the_merged_cluster_view(self, world):
         """A front end reads one trail: the single check's record in the
@@ -251,10 +241,11 @@ class TestMergedAudit:
         for speaker in all_speakers * 2:
             world.clock.advance(1.0)
             assert cluster.check(world.request(speaker=speaker)).granted
-        contributing = [
-            node for node in cluster.nodes() if node.guard.stats["grants"]
-        ]
-        assert len(contributing) >= 2  # several nodes wrote the one trail
+        owners = {
+            cluster.node_for_speaker(speaker).node_id
+            for speaker in all_speakers
+        }
+        assert len(owners) >= 2  # several nodes' speakers wrote the trail
         merged = cluster.audit.records
         assert len(merged) == 2 * len(all_speakers)
         stamps = [record.when for record in merged]
@@ -274,9 +265,7 @@ class TestMergedAudit:
     def test_failed_nodes_history_survives_in_the_merge(self, world):
         cluster = world.cluster
         assert cluster.check(world.request()).granted
-        owner = [
-            node for node in cluster.nodes() if node.guard.stats["grants"]
-        ][0]
+        owner = cluster.node_for_speaker(world.client)
         cluster.fail_node(owner.node_id)
         assert len(cluster.audit.records) == 1
 
@@ -291,9 +280,7 @@ class TestMergedAudit:
         for index in range(3):
             world.clock.advance(1.0)
             before.append(cluster.check(world.request()).record)
-        (owner,) = [
-            node for node in cluster.nodes() if node.guard.stats["grants"]
-        ]
+        owner = cluster.node_for_speaker(world.client)
         cluster.drain(owner.node_id)
         assert owner not in cluster.nodes()
         for index in range(2):
@@ -314,19 +301,19 @@ class TestMergedAudit:
         )
         cluster = world.cluster
         cluster.add_node()  # a later join writes the same ring
-        assert all(node.guard.audit is cluster.audit for node in cluster.nodes())
+        assert cluster.guard.audit is cluster.audit
         assert cluster.audit.retain == 3
         assert cluster.audit.sink == seen.append
+        owners = set()
         for index in range(7):
-            # The speaker's shard moves between grants: every owner
-            # writes the one ring.
+            # The speaker's shard moves between grants: every owner's
+            # checks write the one ring.
             if index == 3:
                 move_owner(cluster, world.client)
+            owners.add(cluster.node_for_speaker(world.client).node_id)
             world.clock.advance(1.0)
             assert cluster.check(world.request()).granted
-        assert sum(
-            1 for node in cluster.nodes() if node.guard.stats["grants"]
-        ) == 2
+        assert len(owners) == 2
         # The one ring wrapped; the sink saw all 7.
         assert [record.when for record in seen] == [1, 2, 3, 4, 5, 6, 7]
         assert [record.when for record in cluster.audit.records] == [5, 6, 7]
@@ -340,18 +327,15 @@ class TestMergedAudit:
         from repro.guard.audit import AUDIT_RETAIN
 
         assert world.cluster.audit.retain == AUDIT_RETAIN
-        assert all(
-            node.guard.audit is world.cluster.audit
-            for node in world.cluster.nodes()
-        )
+        assert world.cluster.guard.audit is world.cluster.audit
 
 
 class TestRingChange:
     def test_channel_binding_follows_the_traffic_after_a_join(self, world):
-        """The ring can change under a live channel: the new owner
-        decides against the same premise set, so the binding still holds
-        there and a resubmitted chain verifies instead of failing
-        against a node that never saw the handshake."""
+        """The ring can change under a live channel: the binding is in
+        the cluster's one premise set and the chain in its one cache, so
+        the new owner's checks are answered from the cache, and a
+        resubmitted chain is a duplicate, not a failure."""
         cluster = world.cluster
         channel = ChannelPrincipal.of_secret(b"\x07" * 32)
         cluster.open_channel(channel, world.client)
@@ -364,34 +348,29 @@ class TestRingChange:
         for request in world.requests(channel):
             assert cluster.check(request).granted
 
-        heir = move_owner(cluster, channel)
-        # The new owner holds no cached chain, so the worst case is a
-        # re-challenge, and resubmitting the chain (the client's normal
-        # response) must verify there.
+        move_owner(cluster, channel)
         premise = SpeaksFor(channel, world.client, Tag.all())
-        assert heir.guard.trust.vouches_for(premise)
-        assert heir.guard.cache.count() == 0
-        cluster.submit_proof(wire)
+        assert cluster.trust.vouches_for(premise)
         for request in world.requests(channel):
-            assert cluster.check(request).granted
+            decision = cluster.check(request)
+            assert decision.granted and decision.stage == "cache"
+        dedup = cluster.guard.cache.stats["dedup_hits"]
+        cluster.submit_proof(wire)
+        assert cluster.guard.cache.stats["dedup_hits"] == dedup + 1
 
     def test_retract_delivery_reaches_the_node_that_vouched(self, world):
-        """A delivered utterance is vouched by the owner *at delivery
-        time*; the retraction at teardown must withdraw it everywhere
+        """A delivered utterance is vouched in the cluster's premise set
+        *at delivery time*; the retraction at teardown must withdraw it
         after the ring changed in between."""
         cluster = world.cluster
         request = world.request()
         cluster.deliver(request)
         uttered = Says(world.client, request.logical)
-        assert all(
-            node.guard.trust.vouches_for(uttered) for node in cluster.nodes()
-        )
+        assert cluster.guard.trust.vouches_for(uttered)
         move_owner(cluster, world.client)
         cluster.retract_delivery(world.client, request.logical)
         assert not cluster.trust.vouches_for(uttered)
-        assert not any(
-            node.guard.trust.vouches_for(uttered) for node in cluster.nodes()
-        )
+        assert not cluster.guard.trust.vouches_for(uttered)
 
 
 class TestHeartbeatSweep:
@@ -412,9 +391,7 @@ class TestHeartbeatSweep:
         # Nothing touched the sessions; the heartbeat alone reaps them.
         reaped = cluster.heartbeat()
         assert reaped == 6
-        assert all(
-            node.guard.sessions.count() == 0 for node in cluster.nodes()
-        )
+        assert cluster.guard.sessions.count() == 0
         # Reaped once, in the one table: no node can resurrect them.
         assert cluster.sessions.stats["expired"] == 6
         assert cluster.stats_snapshot()["sessions"]["expired"] == 6
@@ -429,7 +406,7 @@ class TestHeartbeatSweep:
         owner = cluster.membership.node_for(session_routing_key(mac_id))
         world.clock.advance(61.0)
         assert cluster.heartbeat(owner.node_id) == 1
-        assert owner.guard.sessions.count() == 0
+        assert cluster.sessions.count() == 0
 
     def test_an_entry_lapsing_on_first_touch_is_counted(
         self, server_kp, alice_kp, rng
@@ -472,19 +449,22 @@ class TestHeartbeatSweep:
         assert lapsed == []  # heartbeat bound is generous; nobody failed
         # ...but the clock advance still reaped every expired session.
         assert cluster.stats["sessions_swept"] == 4
-        assert all(
-            node.guard.sessions.count() == 0 for node in cluster.nodes()
-        )
+        assert cluster.guard.sessions.count() == 0
 
 
-def _served(cluster):
-    return [node for node in cluster.nodes() if node.guard.stats["checks"]]
+def _crash_all_but_the_owner(cluster, speaker):
+    """Crash every node but ``speaker``'s owner, so that only the owner
+    being up decides whether the speaker's checks are served."""
+    owner = cluster.node_for_speaker(speaker)
+    for node in cluster.nodes():
+        if node is not owner:
+            cluster.crash_node(node.node_id)
+    assert cluster.nodes() == [owner]
 
 
 class TestSpreading:
-    """One speaker, one node: every node searches the cluster's one
-    graph, so any node *could* decide a speaker's checks, yet each one goes to the
-    speaker's shard owner, single or batched.
+    """One speaker, one owner: every check asks the speaker's owner,
+    single or batched, and needs no other node up.
 
     (The class name dates from when a hot speaker's checks could spread
     over its shard's ring successors; the test ids are kept.)"""
@@ -497,27 +477,31 @@ class TestSpreading:
         cluster = world.cluster
         for request in world.requests():
             assert cluster.check(request).granted
-        assert _served(cluster) == [cluster.node_for_speaker(world.client)]
+        _crash_all_but_the_owner(cluster, world.client)
+        for request in world.requests():
+            assert cluster.check(request).granted
 
     def test_replicas_disabled_at_r1(self, world):
         cluster = world.cluster
         decisions = cluster.check_many(world.requests())
         assert all(decision.granted for decision in decisions)
-        assert _served(cluster) == [cluster.node_for_speaker(world.client)]
-        assert cluster.dispatch_stats["shard_batches"] == 1
+        _crash_all_but_the_owner(cluster, world.client)
+        decisions = cluster.check_many(world.requests())
+        assert all(decision.granted for decision in decisions)
+        assert cluster.dispatch_stats["shard_batches"] == 2
 
     def test_channel_premise_vouched_onto_replica_set(self, world):
         """A channel speaker: the binding premise is vouched at open and
-        a submitted chain over it is memoized on the owner, so every
-        check grants there; close denies."""
+        a submitted chain over it is cached, so every check grants while
+        the owner is up; close denies."""
         cluster = world.cluster
         channel = ChannelPrincipal.of_secret(b"\x07" * 32)
         premise = cluster.open_channel(channel, world.client)
         chain = TransitivityStep(PremiseStep(premise), world.delegation)
         cluster.submit_proof(to_canonical(chain.to_sexp()))
+        _crash_all_but_the_owner(cluster, channel)
         for request in world.requests(channel):
             assert cluster.check(request).granted
-        assert _served(cluster) == [cluster.node_for_speaker(channel)]
         cluster.close_channel(premise)
         for request in world.requests(channel):
             with pytest.raises(NeedAuthorizationError):

@@ -1,18 +1,19 @@
-"""Membership: joins, failures, the heartbeat sweep, and failover of
-MAC sessions, which live once, in the cluster's session table."""
+"""Membership: joins, failures, the heartbeat sweep, what a topology
+change keeps of the cluster's one proof cache, and failover of MAC
+sessions, which live once, in the cluster's session table."""
 
 import pytest
 
 from repro.cluster import FAILED, LEFT, UP, session_routing_key
 from repro.core.errors import AuthorizationError
-from repro.core.principals import MacPrincipal
+from repro.core.principals import ChannelPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.guard import GuardRequest, SessionCredential
 from repro.sexp import sexp, to_canonical
 from repro.spki import Certificate
 from repro.tags import Tag
 
-from tests.cluster.conftest import ClusterWorld
+from tests.cluster.conftest import ClusterWorld, move_owner
 
 
 class TestTransitions:
@@ -37,10 +38,11 @@ class TestTransitions:
             world.cluster.fail_node(node_id)
 
     def test_late_joiner_receives_the_replicated_delegations(self, world):
-        late = world.cluster.add_node()
-        # The new node can authorize without ever having seen the
-        # delegation arrive: its prover searches the cluster's one graph.
-        decision = late.guard.check(world.request())
+        # A node that joins and takes the client's shard never saw the
+        # delegation arrive: the cluster's one guard searches its one
+        # graph for the new owner's first check.
+        move_owner(world.cluster, world.client)
+        decision = world.cluster.check(world.request())
         assert decision.granted and decision.stage == "prover"
 
 
@@ -88,9 +90,10 @@ class TestSessionFailover:
         self, server_kp, alice_kp, rng
     ):
         """A session survives its owner's failure and still grants: the
-        successor verifies the MAC against the cluster's one session
-        table and re-derives the chain once from the cluster's one
-        delegation graph."""
+        failure forgot the session's cached chain, so its first check
+        under the successor verifies the MAC against the cluster's one
+        session table and re-derives the chain once from the cluster's
+        one delegation graph."""
         world = ClusterWorld(server_kp, alice_kp, rng, nodes=3)
         cluster = world.cluster
         mac_id, mac_key = self._mint(world, rng)
@@ -103,7 +106,7 @@ class TestSessionFailover:
         cluster.fail_node(owner.node_id)
         successor = cluster.membership.node_for(session_routing_key(mac_id))
         assert successor.node_id != owner.node_id
-        assert successor.guard.sessions.get(mac_id) is mac_key
+        assert cluster.sessions.get(mac_id) is mac_key
 
         first = cluster.check(
             self._session_request(world, mac_id, mac_key, "/doc2")
@@ -160,3 +163,57 @@ class TestSessionFailover:
         world.clock.advance(20.0)  # 65 s after the original mint
         with pytest.raises(AuthorizationError, match="unknown MAC session"):
             cluster.check(self._session_request(world, mac_id, mac_key))
+
+
+
+@pytest.mark.parametrize(
+    "change",
+    ["join", "remove_node", "fail_node", "crash_node", "lapse", "drain"],
+)
+def test_what_a_topology_change_keeps(server_kp, alice_kp, rng, change):
+    """A join moves nothing, so a speaker whose shard moves is answered
+    from the cache with no new search; a leave, failure, lapsed heartbeat
+    or crash (once swept) forgets the cached chains of the speakers the
+    departing node owned, which re-derive, while a speaker on another
+    node stays cached; a drain forgets nothing."""
+    world = ClusterWorld(server_kp, alice_kp, rng, nodes=3)
+    cluster = world.cluster
+    owner = cluster.node_for_speaker(world.client)
+    bystander = next(
+        candidate
+        for candidate in (
+            ChannelPrincipal.of_secret(b"bystander-%d" % index)
+            for index in range(64)
+        )
+        if cluster.node_for_speaker(candidate) is not owner
+    )
+    cluster.add_delegation(SignedCertificateStep(Certificate.issue(
+        server_kp, bystander, Tag.all(), rng=rng
+    )))
+    for speaker in (world.client, bystander):
+        decision = cluster.check(world.request(speaker=speaker))
+        assert decision.granted and decision.stage == "prover"
+    prover = cluster.guard.prover
+    searches = prover.stats["searches"]
+
+    if change == "join":
+        move_owner(cluster, world.client)
+    elif change == "lapse":
+        world.clock.advance(31.0)  # past the 30 s default timeout
+        for node in cluster.nodes():
+            if node is not owner:
+                cluster.heartbeat(node.node_id)
+        assert cluster.sweep_failures() == [owner.node_id]
+    else:
+        getattr(cluster, change)(owner.node_id)
+        if change == "crash_node":
+            assert cluster.sweep_failures() == [owner.node_id]
+    assert cluster.node_for_speaker(world.client) is not owner
+
+    forgets = change in ("remove_node", "fail_node", "crash_node", "lapse")
+    decision = cluster.check(world.request())
+    assert decision.granted
+    assert decision.stage == ("prover" if forgets else "cache")
+    decision = cluster.check(world.request(speaker=bystander))
+    assert decision.granted and decision.stage == "cache"
+    assert prover.stats["searches"] == searches + forgets

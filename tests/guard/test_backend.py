@@ -1,9 +1,9 @@
 """The AuthBackend protocol: one surface, two implementations.
 
-``Guard`` (one process) and ``AuthCluster`` (a ring of guards) must
-both satisfy the protocol every transport programs against —
-conformance is what lets the http/rmi/smtp/secure integration tests run
-unchanged against either — and on both a single ``check`` is
+``Guard`` (one process) and ``AuthCluster`` (one guard behind a ring of
+owners) must both satisfy the protocol every transport programs against
+— conformance is what lets the http/rmi/smtp/secure integration tests
+run unchanged against either — and on both a single ``check`` is
 ``check_many`` over a batch of one.
 """
 
@@ -36,6 +36,7 @@ from repro.sexp import sexp, to_canonical, to_transport
 from repro.sim import SimClock
 from repro.spki import Certificate
 from repro.tags import Tag
+from tests.cluster.conftest import move_owner
 
 PROTOCOL_METHODS = [
     "check",
@@ -166,10 +167,10 @@ class _World:
             self.backend = default_backend(
                 TrustEnvironment(clock=SimClock()), prover=Prover()
             )
-            self.guards = [self.backend]
+            self.guard = self.backend
         else:
             self.backend = AuthCluster(node_count=3)
-            self.guards = [node.guard for node in self.backend.nodes()]
+            self.guard = self.backend.guard
         self.mac_id, self.mac_key = self.backend.mint_session(rng)
         self.orphan_id, self.orphan_key = self.backend.mint_session(rng)
         for subject in (
@@ -231,7 +232,7 @@ class _World:
         return len(self.backend.audit.records)
 
     def decided(self):
-        return sum(guard.stats["checks"] for guard in self.guards)
+        return self.guard.stats["checks"]
 
 
 @pytest.mark.parametrize("outcome", sorted(OUTCOMES))
@@ -335,3 +336,61 @@ def test_an_invalidation_refuses_the_next_check(
     (decision,) = backend.check_many([request])
     assert not decision.granted, decision.stage
     assert isinstance(decision.error, NeedAuthorizationError)
+
+
+#: A revocation outlives the state it purged: the probes present the
+#: revoked proof again after a join moved its subject's shard onto a node
+#: that joined later, or after 4 097 unrelated revocations.
+PROBES = [
+    (kind, invalidation, case)
+    for kind in ("guard", "cluster2", "cluster3")
+    for invalidation in ("revoke", "retract")
+    for case in ("joiner", "aging")
+    if not (kind == "guard" and case == "joiner")
+]
+
+
+@pytest.mark.parametrize("kind,invalidation,case", PROBES)
+def test_a_revoked_proof_presented_again_stays_refused(
+    kind, invalidation, case, server_kp, rng
+):
+    """A hash subject's self-contained certificate, presented as a proof
+    credential, is granted; once it is revoked (or its delegation
+    retracted) it is refused, and it stays refused after the subject's
+    shard moves onto a node that joined later, and after 4 097 unrelated
+    revocations of serials nothing holds."""
+    if kind == "guard":
+        backend = default_backend(
+            TrustEnvironment(clock=SimClock()), prover=Prover()
+        )
+    else:
+        backend = AuthCluster(node_count=int(kind[-1]))
+    issuer = KeyPrincipal(server_kp.public)
+    subject = HashPrincipal(HashValue.of_bytes(b"message"))
+    certificate = Certificate.issue(server_kp, subject, Tag.all(), rng=rng)
+    step = SignedCertificateStep(certificate)
+    wire = to_transport(step.to_sexp())
+
+    def presented():
+        (decision,) = backend.check_many([GuardRequest(
+            LOGICAL, issuer=issuer, transport="http",
+            credential=ProofCredential(subject, wire=wire),
+        )])
+        return decision
+
+    assert presented().granted
+    if invalidation == "revoke":
+        backend.revoke_serial(certificate.serial)
+    else:
+        backend.retract_delegation(step)
+    assert not presented().granted
+
+    if case == "joiner":
+        move_owner(backend, subject)
+    else:
+        for index in range(4097):
+            backend.revoke_serial(b"unrelated-%d" % index)
+
+    decision = presented()
+    assert not decision.granted, decision.stage
+    assert isinstance(decision.error, AuthorizationError)

@@ -131,7 +131,7 @@ _speaker = st.sampled_from(_SPEAKERS)
 
 _operation = st.one_of(
     st.tuples(st.just("add"), _proof_ix, _speaker),
-    st.tuples(st.just("install"), _proof_ix, _speaker),
+    st.tuples(st.just("add_entry"), _proof_ix, _speaker),
     st.tuples(st.just("touch"), st.sampled_from(_SPEAKERS[1:])),
     st.tuples(
         st.just("drop"), st.sampled_from(_SPEAKERS[1:]),
@@ -157,9 +157,9 @@ def test_indexed_purges_match_a_full_sweep(max_speakers, operations):
         if name == "add":
             proof, speaker = PROOFS[args[0]], args[1]
             assert cache.add(proof, speaker) == model.place(proof, speaker)
-        elif name == "install":
+        elif name == "add_entry":
             proof, speaker = PROOFS[args[0]], args[1]
-            got = cache.install(CachedProof(proof), speaker)
+            got = cache.add(proof, speaker, CachedProof(proof))
             assert got == model.place(proof, speaker)
         elif name == "touch":
             cache.bucket(args[0])

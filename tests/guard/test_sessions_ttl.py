@@ -5,9 +5,12 @@ them: a leaked MAC secret stayed good for the life of the server.  The
 TTL bounds each session's absolute lifetime on the injected sim clock.
 """
 
+import random
+
 import pytest
 
 from repro.core.errors import AuthorizationError
+from repro.crypto.mac import MacKey
 from repro.guard import Guard, SessionRegistry
 from repro.net.trust import TrustEnvironment
 from repro.sim import SimClock
@@ -117,6 +120,22 @@ class TestAdopt:
         assert shared.get(mac_id) is mac_key
         clock.advance(3601.0)
         assert shared.get(mac_id) is None
+
+    def test_a_lapsed_session_is_refused_not_resurrected(self):
+        """A session installed with its original mint stamp — the one
+        intake, ``install_session`` — stays dead once its TTL lapsed."""
+        clock = SimClock()
+        guard = Guard(
+            TrustEnvironment(clock=clock),
+            sessions=SessionRegistry(ttl=50.0, clock=clock),
+        )
+        minted_at = clock.now()
+        clock.advance(60.0)
+        mac_key = MacKey.generate(random.Random(5))
+        guard.install_session("s-1", mac_key, minted_at=minted_at)
+        assert guard.sessions.get("s-1") is None
+        with pytest.raises(AuthorizationError, match="unknown MAC session"):
+            guard.sessions.verify_tag("s-1", b"m", mac_key.tag(b"m"))
 
 
 class TestGuardWiring:

@@ -117,9 +117,11 @@ class TestStatsCommand:
         assert snapshot["cluster"]["sessions_minted"] == 6
         assert snapshot["sessions"]["failures"] == 0
         assert snapshot["dispatch"]["requests"] == 24
-        assert len(snapshot["nodes"]) == 3
-        node = next(iter(snapshot["nodes"].values()))
+        assert snapshot["ring"]["nodes"] == ["node-0", "node-1", "node-2"]
+        # One guard decides for the cluster: ``nodes`` has its one entry.
+        (node,) = snapshot["nodes"].values()
         assert set(node) == {"guard", "cache", "prover"}
+        assert node["guard"]["checks"] == 24
         # What the cluster holds once is reported once.
         assert snapshot["audit"] == {"recorded": 24, "evicted": 0}
         assert snapshot["graph"] == {
@@ -136,10 +138,10 @@ class TestStatsCommand:
         and every request after the failure is granted."""
         snapshot = self._snapshot(capsys, ["--fail-one"])
         assert snapshot["membership"]["failures"] == 1
-        assert len(snapshot["nodes"]) == 2
+        assert len(snapshot["ring"]["nodes"]) == 2
         assert snapshot["sessions"]["failures"] == 0
-        for tallies in snapshot["nodes"].values():
-            assert tallies["guard"]["grants"] == tallies["guard"]["checks"]
+        (tallies,) = snapshot["nodes"].values()
+        assert tallies["guard"]["grants"] == tallies["guard"]["checks"] == 24
 
     def test_drain_one_reports_its_duration_in_the_handoff_family(
         self, capsys
@@ -147,7 +149,8 @@ class TestStatsCommand:
         snapshot = self._snapshot(capsys, ["--drain-one"])
         assert snapshot["handoff"]["drains"] == 1
         assert snapshot["handoff"]["last_drain_ms"] > 0.0
-        assert len(snapshot["nodes"]) == 2
+        assert snapshot["handoff"]["records_refused_stale"] == 0
+        assert len(snapshot["ring"]["nodes"]) == 2
 
 
 class TestAuditCommand:

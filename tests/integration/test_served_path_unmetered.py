@@ -2,7 +2,7 @@
 
 The paper's Table 1 and Figures 6–8 price a 2000-era server with a
 ``Meter``; those reproductions build their own metered guards and
-transports.  A cluster node serves real traffic, so no credential path —
+transports.  A cluster serves real traffic, so no credential path —
 single or batched, in process or through a loopback listener — may reach
 ``Meter.charge``.
 """
@@ -136,4 +136,4 @@ def test_no_served_request_charges_a_meter(
     replies = asyncio.run(over_the_wire())
     assert [reply.status for reply in replies] == ["ok"] * 6
     assert charges == []
-    assert all(node.guard.meter is None for node in cluster.nodes())
+    assert cluster.guard.meter is None

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import AuthCluster
-from repro.cluster.handoff import shard_key_for
+from repro.cluster.ring import shard_key_for
 from repro.core.principals import (
     ConjunctPrincipal,
     KeyPrincipal,
@@ -272,9 +272,9 @@ class TestNonNormalEncoding:
         self, clean_and_spliced
     ):
         """``to_sexp()`` rebuilds from the decoded fields, so it yields
-        the normal form; a drain never re-encodes, so the inheritor holds
-        the proof under the digest of the bytes it arrived as — the key
-        the draining node cached it under — and a revocation, which names
+        the normal form; a drain never re-encodes, so the new owner is
+        answered from the entry under the digest of the bytes it arrived
+        as — the key it was cached under — and a revocation, which names
         the certificate's serial rather than an encoding, still reaches
         it there."""
         clean, wire, spliced = clean_and_spliced
@@ -282,14 +282,12 @@ class TestNonNormalEncoding:
         cluster = AuthCluster(node_count=2)
         speaker = spliced.conclusion.subject
         draining = cluster.membership.node_for(shard_key_for(speaker))
-        assert draining.guard.cache.add(spliced)
+        cache = cluster.guard.cache
+        assert cache.add(spliced)
 
         report = cluster.drain(draining.node_id)
         assert report.installed == 1
-        [inheritor] = cluster.nodes()
-        entry = inheritor.guard.cache.buckets[speaker][spliced.digest()]
+        entry = cache.buckets[speaker][spliced.digest()]
         assert entry.proof.canonical() == wire
-        assert inheritor.guard.cache.retract_serial(
-            clean.certificate.serial
-        ) == 1
-        assert inheritor.guard.cache.count() == 0
+        assert cluster.revoke_serial(clean.certificate.serial) == 1
+        assert cache.count() == 0
