@@ -7,7 +7,8 @@ presentation of each is parsed and its signature checked; every repeat
 is a digest lookup in the speaker's proof-cache bucket.  Counted:
 
 - ``RsaPublicKey.verify`` calls: K, not 4K;
-- ``proof_from_sexp`` calls on the guard's admission path: K, not 4K;
+- ``proof_from_canonical`` calls, the guard's one decode entry for
+  presented bytes: K, not 4K;
 - ``Atom`` / ``SList`` nodes built inside the K ``verify_signature``
   calls: none, because the signed body is joined from bytes the
   certificate's parts already memoize;
@@ -42,7 +43,7 @@ class _Counts:
         self.decodes = self.verifies = self.signature_checks = 0
         self.nodes_built = 0
         self._checking = False
-        decode = pipeline.proof_from_sexp
+        decode = pipeline.proof_from_canonical
         verify = RsaPublicKey.verify
         check = Certificate.verify_signature
 
@@ -62,7 +63,7 @@ class _Counts:
             finally:
                 self._checking = False
 
-        monkeypatch.setattr(pipeline, "proof_from_sexp", counted_decode)
+        monkeypatch.setattr(pipeline, "proof_from_canonical", counted_decode)
         monkeypatch.setattr(RsaPublicKey, "verify", counted_verify)
         monkeypatch.setattr(Certificate, "verify_signature", counted_check)
         for node_type in (Atom, SList):

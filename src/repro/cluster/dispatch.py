@@ -28,7 +28,7 @@ from repro.cluster.ring import (
     shard_key_for,
 )
 from repro.core.principals import Principal
-from repro.core.proofs import Proof, proof_from_sexp
+from repro.core.proofs import Proof, proof_from_canonical
 from repro.core.statements import Says, SpeaksFor
 from repro.crypto.mac import MacKey
 from repro.crypto.rng import default_rng
@@ -41,7 +41,7 @@ from repro.net.trust import TrustEnvironment
 from repro.obs.registry import default_registry
 from repro.obs.trace import Tracer, default_tracer
 from repro.prover import DelegationGraph, Prover
-from repro.sexp import parse_canonical, sexp
+from repro.sexp import sexp
 from repro.sim.clock import SimClock
 
 
@@ -399,9 +399,9 @@ class AuthCluster:
     def submit_proof(self, proof_wire: bytes) -> Proof:
         """The proofRecipient path: once the subject's owner is up, the
         guard verifies the proof once and caches it for the subject."""
-        # Parse once, here: routing needs the conclusion, and the guard
-        # accepts the built proof so nothing is parsed twice.
-        proof = proof_from_sexp(parse_canonical(proof_wire))
+        # Decode once, here: routing needs the conclusion, and the guard
+        # accepts the built proof so nothing is decoded twice.
+        proof = proof_from_canonical(proof_wire, self.metrics)
         conclusion = proof.conclusion
         if isinstance(conclusion, SpeaksFor):
             self.node_for_speaker(conclusion.subject)

@@ -39,8 +39,10 @@ def principal_fingerprint(principal) -> bytes:
 
 def session_routing_key(mac_id: str) -> bytes:
     """The ring key of a MAC session id (used at mint and per request,
-    so a session and its traffic agree on an owner)."""
-    return hashlib.sha256(mac_id.encode("ascii")).digest()
+    so a session and its traffic agree on an owner).  UTF-8, so any id a
+    client sends routes — an id no session has is then refused alone —
+    and an ASCII id keeps the key it always had."""
+    return hashlib.sha256(mac_id.encode("utf-8")).digest()
 
 
 def routing_key(request: GuardRequest) -> bytes:

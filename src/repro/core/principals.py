@@ -391,7 +391,11 @@ def _principal_from_sexp(node: SExp) -> Principal:
     if head == "conjunct":
         return ConjunctPrincipal(principal_from_sexp(item) for item in node.tail())
     if head == "threshold":
-        if len(node) < 5 or not isinstance(node.items[1], Atom):
+        if (
+            len(node) < 5
+            or not isinstance(node.items[1], Atom)
+            or not isinstance(node.items[2], Atom)
+        ):
             raise ValueError("bad (threshold k n members...) form")
         k = int(node.items[1].text())
         declared_n = int(node.items[2].text())

@@ -27,14 +27,26 @@ import hashlib as _hashlib
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import ProofError, VerificationError
+from repro.core.principals import principal_from_sexp
 from repro.core.statements import (
     Says,
     SpeaksFor,
     Statement,
+    Validity,
     statement_from_sexp,
 )
-from repro.sexp import Atom, SExp, SList, to_canonical
+from repro.crypto.rsa import RsaPublicKey
+from repro.sexp import (
+    Atom,
+    SExp,
+    SList,
+    canonical_atom_at,
+    parse_canonical,
+    parse_canonical_prefix,
+    to_canonical,
+)
 from repro.spki.certificate import Certificate
+from repro.tags import Tag
 
 
 class VerificationContext:
@@ -262,6 +274,135 @@ def proof_from_sexp(node: SExp) -> Proof:
     # tree.
     proof._canonical = to_canonical(node)
     return proof
+
+
+# -- reading a presented proof from its bytes --------------------------------
+
+#: What :meth:`Proof.canonical` writes before the first field the reader
+#: decodes, for the two steps a client presents: a signed certificate
+#: (up to its issuer key) and a transitivity step (up to its premises).
+_SIGNED_STEP = (
+    b"(5:proof18:signed-certificate(7:payload(11:signed-cert(4:cert(6:issuer"
+)
+_TRANSITIVE_STEP = b"(5:proof12:transitivity(8:premises"
+
+
+class _Decline(ValueError):
+    """The bytes leave the encoder's layout: the tree path decides them."""
+
+
+def proof_from_canonical(data: bytes, metrics=None) -> Proof:
+    """Decode a presented proof from its canonical bytes in one pass.
+
+    ``signed-certificate`` and ``transitivity`` steps laid out exactly
+    as :meth:`Proof.canonical` writes them are read by length prefixes:
+    skeleton atoms are matched as bytes, the issuer key is looked up by
+    its bytes among the keys decoded before, and only the subject, tag
+    and validity subtrees are parsed, each through the decoder the tree
+    path uses.  The claimed conclusion is never decoded: the step's own
+    is encoded and compared with the bytes in place, and the proof
+    adopts the bytes consumed as its ``canonical()``.
+
+    Invariant: this returns a proof equal to
+    ``proof_from_sexp(parse_canonical(data))`` — the same
+    ``canonical()``, conclusion and certificate fields — or it declines
+    to exactly that call, which owns every error and the language
+    accepted.  It declines on another rule or a name certificate, a
+    field missing or out of the encoder's order, a display hint or a
+    leading-zero length, trailing bytes, and a claimed conclusion that
+    differs.  A decline is counted in ``core.proofs.reader_declines`` on
+    ``metrics`` (the caller's registry) when one is given.
+    """
+    try:
+        proof, end = _read_step(data, 0)
+        if end == len(data):
+            return proof
+    except (ValueError, ProofError):
+        pass
+    if metrics is not None:
+        metrics.inc("core.proofs.reader_declines")
+    return proof_from_sexp(parse_canonical(data))
+
+
+def _read_step(data: bytes, start: int) -> Tuple[Proof, int]:
+    if data.startswith(_SIGNED_STEP, start):
+        certificate, pos = _read_certificate(data, start + len(_SIGNED_STEP))
+        proof: Proof = SignedCertificateStep(certificate)
+        pos = _expect(data, pos, b")")
+    else:
+        pos = _expect(data, start, _TRANSITIVE_STEP)
+        left, pos = _read_step(data, pos)
+        right, pos = _read_step(data, pos)
+        pos = _expect(data, pos, b")")
+        proof = _RULE_REGISTRY["transitivity"](left, right)
+    end = _expect(
+        data, pos, b"(10:conclusion%s))" % proof.conclusion.canonical_key()
+    )
+    proof._canonical = data[start:end]
+    return proof, end
+
+
+def _read_certificate(data: bytes, pos: int) -> Tuple[Certificate, int]:
+    """A ``(signed-cert ..)`` without an issuer name, in
+    :meth:`Certificate.to_sexp`'s field order, from its issuer key on."""
+    # Canonical form is prefix-free: if the bytes up to the subject field
+    # are a key decoded before, they are the whole expression at ``pos``.
+    end = data.find(b")(7:subject", pos)
+    issuer_key = RsaPublicKey.interned(data[pos:end]) if end > pos else None
+    if issuer_key is None:
+        node, end = _leaf(data, pos)
+        issuer_key = RsaPublicKey.from_sexp(node)
+    node, pos = _leaf(data, _expect(data, end, b")(7:subject"))
+    subject = principal_from_sexp(node)
+    pos = _expect(data, pos, b")")
+    if not data.startswith(b"(3:tag", pos):
+        raise _Decline("no tag at byte %d" % pos)
+    node, pos = _leaf(data, pos)
+    tag = Tag.from_sexp(node)
+    validity = Validity.ALWAYS
+    if data.startswith(b"(5:valid", pos):
+        node, pos = _leaf(data, pos)
+        validity = Validity.from_sexp(node)
+    serial, pos = _atom(data, _expect(data, pos, b"(6:serial"))
+    pos = _expect(data, pos, b")")
+    propagate = data.startswith(b"(9:propagate)", pos)
+    if propagate:
+        pos += len(b"(9:propagate)")
+    signature, pos = _atom(data, _expect(data, pos, b")(9:signature"))
+    certificate = Certificate(
+        issuer_key, subject, tag, validity, serial, propagate, signature
+    )
+    return certificate, _expect(data, pos, b"))")
+
+
+def _expect(data: bytes, pos: int, literal: bytes) -> int:
+    if not data.startswith(literal, pos):
+        raise _Decline("not the encoder's layout at byte %d" % pos)
+    return pos + len(literal)
+
+
+def _atom(data: bytes, pos: int) -> Tuple[bytes, int]:
+    read = canonical_atom_at(data, pos, len(data))
+    if read is None:
+        raise _Decline("no plain atom at byte %d" % pos)
+    return read
+
+
+def _leaf(data: bytes, pos: int) -> Tuple[SExp, int]:
+    """The subtree at ``pos`` and its end, for a node decoder: only when
+    its bytes are verbatim canonical and carry no display hint, the two
+    things a decoded value does not re-encode."""
+    node, end = parse_canonical_prefix(data, pos)
+    if node._canonical is None:
+        raise _Decline("leading-zero length in the subtree at byte %d" % pos)
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, SList):
+            stack.extend(item.items)
+        elif item.hint is not None:
+            raise _Decline("display hint in the subtree at byte %d" % pos)
+    return node, end
 
 
 @register_rule

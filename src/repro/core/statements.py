@@ -13,6 +13,7 @@ Two statement forms carry the whole system:
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.core.principals import Principal, principal_from_sexp
@@ -91,10 +92,16 @@ class Validity:
             raise ValueError("expected (valid ...), got %r" % (node,))
         not_before = not_after = None
         for field in node.tail():
-            if not isinstance(field, SList) or len(field) != 2:
+            if (
+                not isinstance(field, SList)
+                or len(field) != 2
+                or not isinstance(field.items[1], Atom)
+            ):
                 raise ValueError("bad validity field %r" % (field,))
             label = field.head()
             value = float(field.items[1].text())
+            if not math.isfinite(value):
+                raise ValueError("validity bound %r is not finite" % value)
             if label == "not-before":
                 not_before = value
             elif label == "not-after":

@@ -107,6 +107,13 @@ class RsaPublicKey:
         _DECODED_KEYS[wire] = key
         return key
 
+    @staticmethod
+    def interned(wire: bytes) -> Optional["RsaPublicKey"]:
+        """The key :meth:`from_sexp` decoded earlier from exactly these
+        canonical bytes, or ``None``: a byte reader finds a known issuer
+        without building its node."""
+        return _DECODED_KEYS.get(wire)
+
     def fingerprint(self) -> HashValue:
         """The SPKI name of this key: hash of its canonical S-expression."""
         if self._hash_cache is None:

@@ -9,7 +9,7 @@ them through the same staged pipeline:
 1. **admission** (session/MAC fast path): resolve the credential to the
    uttering principal — free for channel-vouched speakers, one HMAC for
    MAC sessions, one digest lookup for a subject-bound proof the cache
-   already holds and one parse+verify for a new one;
+   already holds and one byte read + verify for a new one;
 2. **proof cache**: find a cached, digest-deduped, already-verified proof
    connecting the speaker to the resource issuer (the paper's 5 ms
    ``checkAuth`` steady state) — signatures are immutable, so a hit
@@ -38,7 +38,7 @@ from repro.core.errors import (
     VerificationError,
 )
 from repro.core.principals import MacPrincipal, Principal
-from repro.core.proofs import PremiseStep, Proof, proof_from_sexp
+from repro.core.proofs import PremiseStep, Proof, proof_from_canonical
 from repro.core.rules import DerivedSaysStep
 from repro.core.statements import Says, SpeaksFor
 from repro.guard.audit import AuditLog, AuditRecord
@@ -53,9 +53,7 @@ from repro.guard.sessions import SessionRegistry
 from repro.crypto.rng import default_rng
 from repro.obs.registry import SIZE_BUCKETS, default_registry
 from repro.obs.trace import NULL_SPAN, Tracer, default_tracer
-from repro.sexp import (
-    parse_canonical, sexp, to_canonical, transport_to_canonical,
-)
+from repro.sexp import sexp, to_canonical, transport_to_canonical
 from repro.sim.costmodel import Meter, maybe_charge
 from repro.tags import Tag
 
@@ -96,6 +94,15 @@ class GuardDecision:
         if not self.granted:
             raise self.error
         return self
+
+
+def _detached(exc: Exception) -> Exception:
+    """``exc`` as a decision keeps it: its type and message, without its
+    traceback or the exception it was raised from, whose frames hold the
+    batch being decided — the requests, the context snapshot, every
+    decision — in a cycle only the cyclic GC frees."""
+    exc.__cause__ = exc.__context__ = None
+    return exc.with_traceback(None)
 
 
 class _Admitted:
@@ -244,8 +251,7 @@ class Guard:
             # anyone is useless but harmless: ignore it so the client
             # still gets a challenge (not a 403) on its next request.
             proof = self._admit_presented(
-                transport_to_canonical(credential.proof_wire), None,
-                principal,
+                transport_to_canonical(credential.proof_wire), principal
             )
         else:
             # Steady state still pays SPKI handling for the request's
@@ -259,14 +265,11 @@ class Guard:
     ) -> _Admitted:
         """A subject-bound proof: verify possession (the hash binding),
         then cache the chain so the authorization stage finds it."""
-        node = credential.node
-        if node is None:
+        if credential.node is None:
             canonical = transport_to_canonical(credential.wire)
         else:
-            canonical = to_canonical(node)
-        proof = self._admit_presented(
-            canonical, node, credential.expected_subject
-        )
+            canonical = to_canonical(credential.node)
+        proof = self._admit_presented(canonical, credential.expected_subject)
         if proof is None:
             raise AuthorizationError(
                 "proof does not conclude that this request's subject "
@@ -274,11 +277,10 @@ class Guard:
             )
         return _Admitted(request, proof.conclusion.subject, proof, "proof")
 
-    def _admit_presented(self, canonical: bytes, node,
+    def _admit_presented(self, canonical: bytes,
                          speaker: Optional[Principal]) -> Optional[Proof]:
         """The one admission path for a proof a client presents, as the
-        canonical bytes it arrived as (and their parse tree, when the
-        transport already built it).
+        canonical bytes it arrived as.
 
         Returns the verified proof, cached under ``speaker`` (its own
         subject when ``speaker`` is ``None``), or ``None`` when it does
@@ -292,8 +294,11 @@ class Guard:
         - ``_authorize`` re-checks validity and premises on every hit;
         - tampered or non-canonical bytes hash to another digest and
           take the full path.
-        A live revocation policy re-judges every certificate on every
-        use, so with one there is no lookup: the full path consults it.
+        A miss reads the bytes in one pass (:func:`proof_from_canonical`:
+        anything outside the encoder's layout declines to the parse-tree
+        decoder).  A live revocation policy re-judges every certificate
+        on every use, so with one there is no lookup: the full path
+        consults it.
         """
         # The meter models the paper's server, which parsed every carried
         # proof: both branches pay the same charges.
@@ -303,9 +308,7 @@ class Guard:
             entry = self.cache.lookup(speaker, sha256(canonical).digest())
             if entry is not None and entry.proof.conclusion.subject == speaker:
                 return entry.proof
-        if node is None:
-            node = parse_canonical(canonical)
-        proof = proof_from_sexp(node)
+        proof = proof_from_canonical(canonical, self.metrics)
         conclusion = proof.conclusion
         if not isinstance(conclusion, SpeaksFor):
             return None
@@ -376,7 +379,7 @@ class Guard:
                 admitted = self._admit_timed(request, span)
             except (AuthorizationError, NeedAuthorizationError, ValueError) as exc:
                 span.annotate("status", "denied")
-                admitted_batch.append((None, exc))
+                admitted_batch.append((None, _detached(exc)))
                 continue
             admitted_batch.append((admitted, None))
         # One context snapshot shared by the whole batch (and the
@@ -410,7 +413,8 @@ class Guard:
                         span.annotate("status", "denied")
                     decisions.append(
                         GuardDecision(False, via=admitted.via,
-                                      speaker=admitted.speaker, error=exc)
+                                      speaker=admitted.speaker,
+                                      error=_detached(exc))
                     )
             self.tracer.finish(span)
         return decisions
@@ -771,7 +775,7 @@ class Guard:
         the work — and the charge — happens exactly once.
         """
         if proof is None:
-            proof = proof_from_sexp(parse_canonical(proof_wire))
+            proof = proof_from_canonical(proof_wire, self.metrics)
         maybe_charge(self.meter, "proof_parse_verify")
         return self._verify_and_cache(proof)
 

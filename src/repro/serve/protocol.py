@@ -76,6 +76,7 @@ from repro.sexp import (
     SExp,
     SList,
     SexpParseError,
+    canonical_atom_at,
     canonical_extent,
     parse_canonical,
     to_canonical,
@@ -454,24 +455,6 @@ def decode_command(payload: bytes) -> Command:
 # -- decode fast path ------------------------------------------------------
 
 
-def _atom_at(
-    data: bytes, pos: int, limit: int
-) -> Optional[Tuple[bytes, int]]:
-    """``(value, end)`` of the plain ``<len>:<bytes>`` atom at ``pos``
-    when it ends by ``limit``; ``None`` for anything else — a list, a
-    display hint, a leading-zero length, an overrun."""
-    colon = data.find(b":", pos, pos + 11)
-    if colon <= pos:
-        return None
-    length = data[pos:colon]
-    if not length.isdigit() or (length[0] == 48 and colon - pos > 1):
-        return None
-    end = colon + 1 + int(length)
-    if end > limit:
-        return None
-    return data[colon + 1:end], end
-
-
 def _split_id_header(
     payload: bytes, digits_start: int
 ) -> Optional[Tuple[int, int]]:
@@ -483,7 +466,7 @@ def _split_id_header(
     (``+1:``, ``0_1:``, a signed or blank-padded id) that
     :func:`decode_command` would reject.  An id with more digits than
     ``int()`` converts is the full parser's ``WireError``, raised here."""
-    read = _atom_at(payload, digits_start, len(payload))
+    read = canonical_atom_at(payload, digits_start, len(payload))
     if read is None or not read[0].isdigit():
         return None
     try:
@@ -526,7 +509,7 @@ def _read_tail(
         pos += 9
         atoms = []
         while len(atoms) < 4 and pos < limit and payload[pos] != 41:  # ")"
-            read = _atom_at(payload, pos, limit)
+            read = canonical_atom_at(payload, pos, limit)
             if read is None:
                 return None
             atoms.append(read[0])
@@ -538,7 +521,7 @@ def _read_tail(
             proof_wire=atoms[3] if len(atoms) == 4 else None,
         )
     elif payload.startswith(b"5:proof", pos):
-        read = _atom_at(payload, pos + 7, limit)
+        read = canonical_atom_at(payload, pos + 7, limit)
         if read is None:
             return None
         credential = ProofCredential(None, wire=read[0])
@@ -550,7 +533,7 @@ def _read_tail(
     pos += 2
     trace = None
     if payload.startswith(b"(5:trace", pos):
-        read = _atom_at(payload, pos + 8, limit)
+        read = canonical_atom_at(payload, pos + 8, limit)
         if read is None or payload[read[1]] != 41 or not read[0].isascii():
             return None
         trace = read[0].decode("ascii")

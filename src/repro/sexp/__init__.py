@@ -16,9 +16,11 @@ optionally carrying a display hint) and lists, with three encodings:
 from repro.sexp.ast import SExp, Atom, SList, sexp
 from repro.sexp.parser import (
     SexpParseError,
+    canonical_atom_at,
     canonical_extent,
     parse,
     parse_canonical,
+    parse_canonical_prefix,
 )
 from repro.sexp.encoder import (
     to_canonical,
@@ -35,6 +37,8 @@ __all__ = [
     "sexp",
     "parse",
     "parse_canonical",
+    "parse_canonical_prefix",
+    "canonical_atom_at",
     "canonical_extent",
     "SexpParseError",
     "to_canonical",

@@ -72,7 +72,7 @@ def parse_canonical(data) -> SExp:
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    node, pos = _parse_canonical_prefix(data, 0)
+    node, pos = parse_canonical_prefix(data, 0)
     if pos != len(data):
         raise SexpParseError("trailing bytes after canonical expression")
     return node
@@ -87,7 +87,14 @@ _NEW_SLIST = SList.__new__
 _SET = object.__setattr__
 
 
-def _parse_canonical_prefix(data: bytes, pos: int) -> Tuple[SExp, int]:
+def parse_canonical_prefix(data: bytes, pos: int) -> Tuple[SExp, int]:
+    """``(node, end)`` for the one canonical expression starting at
+    ``pos``; the bytes after ``end`` are left for the caller.
+
+    A byte reader uses this for the subtrees it hands to a node decoder.
+    ``node._canonical`` is ``None`` when the consumed bytes were not
+    verbatim canonical (a leading-zero length), so ``data[pos:end]`` is
+    the node's encoding exactly when it is set."""
     size = len(data)
     # One frame per open list: [items, start offset, canonical-clean].
     stack: list = []
@@ -154,6 +161,24 @@ def _verbatim_at(data: bytes, pos: int) -> Tuple[bytes, int, bool]:
     # consumed bytes equal the node's canonical encoding verbatim.
     clean = data[start] != 48 or pos - start == 1
     return data[pos + 1 : end], end, clean
+
+
+def canonical_atom_at(
+    data: bytes, pos: int, limit: int
+) -> Optional[Tuple[bytes, int]]:
+    """``(value, end)`` of the plain ``<len>:<bytes>`` atom at ``pos``
+    when it ends by ``limit``; ``None`` for anything else — a list, a
+    display hint, a leading-zero length, an overrun."""
+    colon = data.find(b":", pos, pos + 11)
+    if colon <= pos:
+        return None
+    length = data[pos:colon]
+    if not length.isdigit() or (length[0] == 48 and colon - pos > 1):
+        return None
+    end = colon + 1 + int(length)
+    if end > limit:
+        return None
+    return data[colon + 1:end], end
 
 
 def canonical_extent(data: bytes, pos: int = 0) -> Optional[int]:

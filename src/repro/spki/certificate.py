@@ -24,6 +24,14 @@ from repro.sexp import Atom, SExp, SList, to_canonical
 from repro.tags import Tag
 
 
+def _atom_value(field: SList) -> bytes:
+    """The bytes of a ``(<name> <atom>)`` field; any other shape is a
+    malformed certificate, refused as such."""
+    if len(field) != 2 or not isinstance(field.items[1], Atom):
+        raise ValueError("certificate field %r needs one atom" % field.head())
+    return field.items[1].value
+
+
 class Certificate:
     """An issued, signed delegation.
 
@@ -193,13 +201,17 @@ class Certificate:
             if validity_field is not None
             else Validity.ALWAYS
         )
+        if len(issuer_field) < 2 or len(subject_field) < 2:
+            raise ValueError("certificate issuer/subject field is empty")
         issuer_key = RsaPublicKey.from_sexp(issuer_field.items[1])
         name_field = issuer_field.find("issuer-name")
         issuer_name = (
-            name_field.items[1].text() if name_field is not None else None
+            _atom_value(name_field).decode("utf-8")
+            if name_field is not None
+            else None
         )
         issuer_via_hash = issuer_field.find("via-hash") is not None
-        serial = serial_field.items[1].value if serial_field is not None else b""
+        serial = _atom_value(serial_field) if serial_field is not None else b""
         propagate = body.find("propagate") is not None
         return cls(
             issuer_key,
@@ -208,7 +220,7 @@ class Certificate:
             validity,
             serial,
             propagate,
-            sig_field.items[1].value,
+            _atom_value(sig_field),
             issuer_name,
             issuer_via_hash,
         )

@@ -172,3 +172,11 @@ class TestParsingErrors:
 
         with pytest.raises(ValueError):
             principal_from_sexp(parse("(quoting (pseudo))"))
+
+    def test_threshold_member_count_must_be_an_atom(self):
+        from repro.sexp import parse
+
+        with pytest.raises(ValueError):
+            principal_from_sexp(
+                parse("(threshold 1 (x) (pseudo) (pseudo) (pseudo))")
+            )

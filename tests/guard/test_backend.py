@@ -338,6 +338,48 @@ def test_an_invalidation_refuses_the_next_check(
     assert isinstance(decision.error, NeedAuthorizationError)
 
 
+def _session_backend(kind, server_kp):
+    """A guard or a cluster holding one MAC session whose principal the
+    server delegated to; the same seeds build the same backend."""
+    rng = random.Random(11)
+    if kind == "guard":
+        backend = default_backend(
+            TrustEnvironment(clock=SimClock()), prover=Prover()
+        )
+    else:
+        backend = AuthCluster(node_count=int(kind[-1]))
+    mac_id, mac_key = backend.mint_session(rng)
+    backend.digest_delegation(SignedCertificateStep(Certificate.issue(
+        server_kp, MacPrincipal(mac_key.fingerprint()), Tag.all(), rng=rng,
+    )))
+    message = to_canonical(LOGICAL)
+    good = GuardRequest(
+        LOGICAL, issuer=KeyPrincipal(server_kp.public), transport="http",
+        credential=SessionCredential(mac_id, mac_key.tag(message), message),
+    )
+    return backend, good
+
+
+@pytest.mark.parametrize("kind", ["guard", "cluster2", "cluster3"])
+def test_a_non_ascii_session_id_is_refused_alone(kind, server_kp):
+    """A session id no session has — here one that is not ASCII — is
+    denied on its own; the check beside it in the batch is decided as
+    it would be alone."""
+    alone, good = _session_backend(kind, server_kp)
+    (expected,) = alone.check_many([good])
+    backend, good = _session_backend(kind, server_kp)
+    message = to_canonical(LOGICAL)
+    bad = GuardRequest(
+        LOGICAL, issuer=KeyPrincipal(server_kp.public), transport="http",
+        credential=SessionCredential("s\u00e9ance", bytes(32), message),
+    )
+    decided, refused = backend.check_many([good, bad])
+    assert expected.granted and decided.granted
+    assert (decided.via, decided.stage) == (expected.via, expected.stage)
+    assert not refused.granted
+    assert isinstance(refused.error, AuthorizationError)
+
+
 #: A revocation outlives the state it purged: the probes present the
 #: revoked proof again after a join moved its subject's shard onto a node
 #: that joined later, or after 4 097 unrelated revocations.

@@ -221,7 +221,7 @@ class TestPresentedProofs:
         guard = world["guard"]
         proof, subject = _bound_proof(server_kp, rng)
         request = _presenting(world, proof, subject)
-        parses = _counting(monkeypatch, pipeline, "proof_from_sexp")
+        parses = _counting(monkeypatch, pipeline, "proof_from_canonical")
         verifies = _counting(monkeypatch, RsaPublicKey, "verify")
         first = guard.check(request())
         for _ in range(3):
@@ -551,6 +551,47 @@ class TestCheckMany:
         assert innocent.granted
         assert not refused.granted
         assert isinstance(refused.error, AuthorizationError)
+
+    def test_refusals_leave_nothing_for_the_cyclic_gc(
+        self, world, server_kp, rng
+    ):
+        """A refused check keeps its error, not the frames it was raised
+        in: with the cyclic GC off, a batch holding a challenged check
+        and a denied one is freed by reference counting alone once its
+        decisions are dropped."""
+        import gc
+
+        guard = world["guard"]
+        proof, subject = _bound_proof(server_kp, rng)
+        cert = proof.certificate
+        forged = SignedCertificateStep(Certificate(
+            cert.issuer_key, cert.subject, cert.tag, cert.validity,
+            cert.serial, cert.propagate,
+            cert.signature[:-1] + bytes([cert.signature[-1] ^ 1]),
+        ))
+        stranger = ChannelPrincipal.of_secret(b"unproven")
+
+        def batch():
+            return [
+                GuardRequest(
+                    REQUEST, issuer=world["issuer"],
+                    credential=ChannelCredential(stranger), transport="rmi",
+                ),
+                _presenting(world, forged, subject)(),
+            ]
+
+        guard.check_many(batch())  # warm every memo the batch touches
+        gc.collect()
+        gc.disable()
+        try:
+            challenged, denied = guard.check_many(batch())
+            assert isinstance(challenged.error, NeedAuthorizationError)
+            assert isinstance(denied.error, AuthorizationError)
+            assert "bad signature" in str(denied.error)
+            del challenged, denied
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_batch_audits_each_grant(self, world):
         guard = world["guard"]

@@ -15,22 +15,29 @@ import asyncio
 import pytest
 
 from repro.cluster import AuthCluster, session_routing_key
-from repro.core.principals import KeyPrincipal, MacPrincipal
+from repro.core.principals import HashPrincipal, KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
-from repro.guard import GuardRequest, SessionCredential, default_backend
+from repro.crypto.hashes import HashValue
+from repro.guard import (
+    GuardRequest,
+    ProofCredential,
+    SessionCredential,
+    default_backend,
+)
 from repro.net.trust import TrustEnvironment
 from repro.obs import MetricsRegistry
 from repro.prover import Prover
 from repro.serve import ServeClient, ServeFleet, ServeListener
 from repro.serve.protocol import (
     CHALLENGE,
+    DENIED,
     encode_check,
     encode_frame,
     encode_ping,
     read_frame,
     decode_reply,
 )
-from repro.sexp import sexp, to_canonical
+from repro.sexp import parse_canonical, sexp, to_canonical, to_transport
 from repro.sim import SimClock
 from repro.spki import Certificate
 from repro.tags import Tag
@@ -240,6 +247,48 @@ class TestWireErrors:
         assert error.request_id == 0
         assert pong.status == "pong"
         assert stats["errors"] == 1
+
+    def test_a_malformed_certificate_is_denied_alone(self, server_kp, rng):
+        """A presented proof whose certificate carries ``(signature (x))``
+        — a list where the signature atom belongs — is DENIED on its
+        own: the checks pipelined beside it are answered and the
+        connection keeps serving."""
+        backend, issuer, minted = _guard_world(server_kp, rng)
+        logical = sexp(["web", ["method", "GET"], ["path", "/malformed"]])
+        subject = HashPrincipal(HashValue.of_bytes(to_canonical(logical)))
+        cert = Certificate.issue(server_kp, subject, Tag.all(), rng=rng)
+        wire = SignedCertificateStep(cert).canonical()
+        signature = b"(9:signature%d:%s)" % (
+            len(cert.signature), cert.signature
+        )
+        assert wire.count(signature) == 1
+        malformed = GuardRequest(
+            logical, issuer=issuer, transport="http",
+            credential=ProofCredential(subject, wire=to_transport(
+                parse_canonical(
+                    wire.replace(signature, b"(9:signature(1:x))")
+                )
+            )),
+        )
+
+        async def scenario():
+            listener = ServeListener(backend)
+            host, port = await listener.start()
+            client = await ServeClient.connect(host, port)
+            replies = await asyncio.wait_for(client.check_pipelined([
+                _request(issuer, minted, 0), malformed,
+                _request(issuer, minted, 1),
+            ]), timeout=10)
+            pong = await asyncio.wait_for(client.ping(), timeout=10)
+            await client.close()
+            await listener.shutdown()
+            return replies, pong
+
+        (first, refused, second), pong = asyncio.run(scenario())
+        assert first.granted and second.granted
+        assert refused.status == DENIED
+        assert "signature" in refused.message
+        assert pong.status == "pong"
 
     def test_oversize_frame_errors_and_closes(self, server_kp, rng):
         backend, issuer, minted = _guard_world(server_kp, rng)

@@ -114,6 +114,50 @@ class TestWireForm:
         with pytest.raises(ValueError):
             Certificate.from_sexp(parse("(signed-cert (cert))"))
 
+    @pytest.mark.parametrize("head,replacement", [
+        ("signature", "(signature (x))"),
+        ("serial", "(serial (x))"),
+        ("issuer-name", "(issuer-name (x))"),
+        ("not-before", "(not-before (x))"),
+        ("not-after", "(not-after (x))"),
+        ("not-after", "(not-after inf)"),
+        ("issuer", "(issuer)"),
+        ("subject", "(subject)"),
+    ])
+    def test_a_malformed_field_is_a_value_error(
+        self, alice_kp, bob_kp, rng, head, replacement
+    ):
+        """A list where an atom belongs, a bound no window can hold, an
+        empty field: each refuses the certificate with ``ValueError``,
+        which a guard turns into a denial of that one request."""
+        from repro.sexp import parse
+
+        cert = Certificate.issue(
+            alice_kp, KeyPrincipal(bob_kp.public), parse_tag("(tag read)"),
+            Validity(0, 99), rng=rng, issuer_name="N",
+        )
+        node = _replace_first(cert.to_sexp(), head, parse(replacement))
+        with pytest.raises(ValueError):
+            Certificate.from_sexp(node).statement().canonical_key()
+
+
+def _replace_first(node, head, replacement):
+    """``node`` with its first list headed ``head`` (depth first)
+    replaced by ``replacement``."""
+    done = []
+
+    def walk(item):
+        if not isinstance(item, SList) or done:
+            return item
+        if item.head() == head:
+            done.append(item)
+            return replacement
+        return SList([walk(child) for child in item.items])
+
+    rebuilt = walk(node)
+    assert done, head
+    return rebuilt
+
 
 class TestNameCertificates:
     def test_issuer_is_compound_name(self, alice_kp, server_kp, rng):
