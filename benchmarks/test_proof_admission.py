@@ -14,8 +14,15 @@ is a digest lookup in the speaker's proof-cache bucket.  Counted:
   certificate's parts already memoize;
 - a repeat with one signature byte flipped: denied, at exactly one
   decode and one signature check.
+
+And what the K kept proofs hold, when every certificate carries one tag
+shape: one ``Tag`` object for all of them (decoded tags are interned by
+their bytes) and K subject principals, not 2K (the kept proof's subject
+is the speaker the frame decoded), and the proof reader declines none
+of them to the tree path.
 """
 
+import gc
 import random
 
 import repro.guard.pipeline as pipeline
@@ -25,10 +32,11 @@ from repro.core.proofs import SignedCertificateStep
 from repro.crypto.hashes import HashValue
 from repro.crypto.rsa import RsaPublicKey
 from repro.guard import GuardRequest, ProofCredential
+from repro.obs import MetricsRegistry
 from repro.serve.protocol import DecodeCache, encode_check
 from repro.sexp import Atom, SList, sexp, to_canonical, to_transport
 from repro.spki import Certificate
-from repro.tags import Tag
+from repro.tags import Tag, parse_tag
 
 K = 64
 REPEATS = 4
@@ -148,3 +156,55 @@ def test_a_presented_proof_is_parsed_and_verified_once(keypool, monkeypatch):
     assert not decision.granted
     assert counts.decodes == K + 1
     assert counts.verifies == K + 1
+
+
+def _reachable(root, kind):
+    """Distinct ``kind`` objects reachable from ``root``."""
+    found, seen, stack = 0, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kind):
+            found += 1
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_kept_proofs_share_their_tag_and_subject(keypool):
+    rng = random.Random(0xAD52)
+    server = keypool[0]
+    issuer = KeyPrincipal(server.public)
+    tag = parse_tag("(tag (web))")
+    frames = []
+    for index in range(K):
+        logical = sexp(["web", ["method", "GET"], ["path", "/cold-%d" % index]])
+        subject = HashPrincipal(HashValue.of_bytes(to_canonical(logical)))
+        proof = SignedCertificateStep(
+            Certificate.issue(server, subject, tag, rng=rng)
+        )
+        frames.append(_presentation(1 + index, logical, subject, issuer, proof))
+    metrics = MetricsRegistry()
+    cluster = AuthCluster(node_count=4, metrics=metrics)
+    decoder = DecodeCache()
+    decoder.metrics = metrics
+    decisions = _serve(cluster, decoder, frames)
+    assert all(decision.granted for decision in decisions)
+
+    cache = cluster.guard.cache
+    subjects = set()
+    for speaker, bucket in cache.buckets.items():
+        subjects.add(id(speaker))
+        for entry in bucket.values():
+            subjects.add(id(entry.proof.conclusion.subject))
+            subjects.add(id(entry.proof.certificate.subject))
+    tags = _reachable(cache, Tag)
+    print(
+        "\n%d fresh credentials: %d Tag objects and %d subject principals "
+        "reachable from the cache" % (K, tags, len(subjects))
+    )
+    assert tags == 1
+    assert len(subjects) == K
+    assert metrics.counter("serve.protocol.decode_fallbacks") == 0
+    assert metrics.counter("core.proofs.reader_declines") == 0

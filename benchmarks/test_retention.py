@@ -33,8 +33,10 @@ BATCH = 8
 #: Tracked objects a cached fresh proof may cost.  Measured: 152.4 when
 #: decoders adopted parse trees, 33.4 with bytes adopted, decoded issuer
 #: keys interned, and no tree memo left on proofs, statements or
-#: principals.  The count repeats exactly under ``PYTHONHASHSEED=0``;
-#: the margin is for interpreter versions that track differently.
+#: principals; 25.0 with decoded tags interned too and the proof's
+#: subject the speaker the frame decoded.  The count repeats exactly
+#: under ``PYTHONHASHSEED=0``; the margin is for interpreter versions
+#: that track differently.
 OBJECTS_PER_FRESH_PROOF = 50
 
 

@@ -41,6 +41,7 @@ from repro.sexp import (
     SExp,
     SList,
     canonical_atom_at,
+    canonical_extent,
     parse_canonical,
     parse_canonical_prefix,
     to_canonical,
@@ -291,17 +292,23 @@ class _Decline(ValueError):
     """The bytes leave the encoder's layout: the tree path decides them."""
 
 
-def proof_from_canonical(data: bytes, metrics=None) -> Proof:
+def proof_from_canonical(data: bytes, metrics=None, subject=None) -> Proof:
     """Decode a presented proof from its canonical bytes in one pass.
 
     ``signed-certificate`` and ``transitivity`` steps laid out exactly
     as :meth:`Proof.canonical` writes them are read by length prefixes:
-    skeleton atoms are matched as bytes, the issuer key is looked up by
-    its bytes among the keys decoded before, and only the subject, tag
-    and validity subtrees are parsed, each through the decoder the tree
-    path uses.  The claimed conclusion is never decoded: the step's own
-    is encoded and compared with the bytes in place, and the proof
-    adopts the bytes consumed as its ``canonical()``.
+    skeleton atoms are matched as bytes, the issuer key and the tag are
+    looked up by their bytes among those decoded before, and only the
+    subject, validity and never-seen key and tag subtrees are parsed,
+    each through the decoder the tree path uses.  ``subject`` is the
+    principal the caller already decoded for the chain's speaker: when
+    the first certificate's subject bytes are its ``canonical_key()``,
+    that object is the certificate's subject (canonical form is
+    injective, so it is the principal the decoder would build), and a
+    kept proof holds one subject, not two equal ones.  The claimed
+    conclusion is never decoded: the step's own is encoded and compared
+    with the bytes in place, and the proof adopts the bytes consumed as
+    its ``canonical()``.
 
     Invariant: this returns a proof equal to
     ``proof_from_sexp(parse_canonical(data))`` — the same
@@ -309,12 +316,13 @@ def proof_from_canonical(data: bytes, metrics=None) -> Proof:
     to exactly that call, which owns every error and the language
     accepted.  It declines on another rule or a name certificate, a
     field missing or out of the encoder's order, a display hint or a
-    leading-zero length, trailing bytes, and a claimed conclusion that
-    differs.  A decline is counted in ``core.proofs.reader_declines`` on
-    ``metrics`` (the caller's registry) when one is given.
+    leading-zero length in a subtree it parses, trailing bytes, and a
+    claimed conclusion that differs.  A decline is counted in
+    ``core.proofs.reader_declines`` on ``metrics`` (the caller's
+    registry) when one is given.
     """
     try:
-        proof, end = _read_step(data, 0)
+        proof, end = _read_step(data, 0, subject)
         if end == len(data):
             return proof
     except (ValueError, ProofError):
@@ -324,15 +332,20 @@ def proof_from_canonical(data: bytes, metrics=None) -> Proof:
     return proof_from_sexp(parse_canonical(data))
 
 
-def _read_step(data: bytes, start: int) -> Tuple[Proof, int]:
+def _read_step(data: bytes, start: int, subject) -> Tuple[Proof, int]:
+    """One step at ``start`` and its end; ``subject`` is the caller's
+    principal for the step's subject, or ``None``."""
     if data.startswith(_SIGNED_STEP, start):
-        certificate, pos = _read_certificate(data, start + len(_SIGNED_STEP))
+        certificate, pos = _read_certificate(
+            data, start + len(_SIGNED_STEP), subject
+        )
         proof: Proof = SignedCertificateStep(certificate)
         pos = _expect(data, pos, b")")
     else:
         pos = _expect(data, start, _TRANSITIVE_STEP)
-        left, pos = _read_step(data, pos)
-        right, pos = _read_step(data, pos)
+        # The chain's subject is its first premise's subject.
+        left, pos = _read_step(data, pos, subject)
+        right, pos = _read_step(data, pos, None)
         pos = _expect(data, pos, b")")
         proof = _RULE_REGISTRY["transitivity"](left, right)
     end = _expect(
@@ -342,9 +355,13 @@ def _read_step(data: bytes, start: int) -> Tuple[Proof, int]:
     return proof, end
 
 
-def _read_certificate(data: bytes, pos: int) -> Tuple[Certificate, int]:
+def _read_certificate(
+    data: bytes, pos: int, subject
+) -> Tuple[Certificate, int]:
     """A ``(signed-cert ..)`` without an issuer name, in
-    :meth:`Certificate.to_sexp`'s field order, from its issuer key on."""
+    :meth:`Certificate.to_sexp`'s field order, from its issuer key on;
+    ``subject`` is adopted when its ``canonical_key()`` is the subject's
+    bytes."""
     # Canonical form is prefix-free: if the bytes up to the subject field
     # are a key decoded before, they are the whole expression at ``pos``.
     end = data.find(b")(7:subject", pos)
@@ -352,13 +369,24 @@ def _read_certificate(data: bytes, pos: int) -> Tuple[Certificate, int]:
     if issuer_key is None:
         node, end = _leaf(data, pos)
         issuer_key = RsaPublicKey.from_sexp(node)
-    node, pos = _leaf(data, _expect(data, end, b")(7:subject"))
-    subject = principal_from_sexp(node)
+    pos = _expect(data, end, b")(7:subject")
+    # Prefix-free again: bytes starting with a whole expression's
+    # encoding hold exactly that expression.
+    known = subject.canonical_key() if subject is not None else None
+    if known is not None and data.startswith(known, pos):
+        pos += len(known)
+    else:
+        node, pos = _leaf(data, pos)
+        subject = principal_from_sexp(node)
     pos = _expect(data, pos, b")")
     if not data.startswith(b"(3:tag", pos):
         raise _Decline("no tag at byte %d" % pos)
-    node, pos = _leaf(data, pos)
-    tag = Tag.from_sexp(node)
+    end = canonical_extent(data, pos)
+    tag = Tag.interned(data[pos:end]) if end is not None else None
+    if tag is None:
+        node, end = _leaf(data, pos)
+        tag = Tag.from_sexp(node)
+    pos = end
     validity = Validity.ALWAYS
     if data.startswith(b"(5:valid", pos):
         node, pos = _leaf(data, pos)

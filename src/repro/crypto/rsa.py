@@ -10,22 +10,21 @@ block so that malleability tests have something real to attack.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.crypto import numtheory
 from repro.crypto.rng import default_rng
 from repro.crypto.hashes import HashValue, _ALGORITHMS
 from repro.sexp import Atom, SExp, SList, to_canonical
+from repro.sexp.intern import InternTable
 
 DEFAULT_BITS = 1024
 DEFAULT_EXPONENT = 65537
 _SIG_HASH = "sha256"
 
 
-#: Bound on the decoded-key intern table (see ``RsaPublicKey.from_sexp``):
-#: what a peer showing ever-new keys can pin is this many keys.
-DECODED_KEYS_LIMIT = 4096
-_DECODED_KEYS: Dict[bytes, "RsaPublicKey"] = {}
+#: Decoded keys by their canonical bytes (see ``RsaPublicKey.from_sexp``).
+_DECODED_KEYS: InternTable["RsaPublicKey"] = InternTable()
 
 
 def _key_number(body: SList, name: str) -> int:
@@ -80,7 +79,7 @@ class RsaPublicKey:
         A server sees the same few issuer keys in every certificate it
         is shown, and every kept proof keeps its certificate's key — so
         decoded keys are interned by the canonical bytes of ``node``
-        (bounded: a full table is cleared and refills).  Keys are value
+        (:class:`~repro.sexp.intern.InternTable`).  Keys are value
         objects, so sharing one only shares its memoized node and
         fingerprint; equal bytes decode to the equal key, so a hit is
         exactly what the decode below would have built."""
@@ -102,10 +101,7 @@ class RsaPublicKey:
         # canonical bytes the parser already memoized) is the encoding
         # this key would rebuild; decoded keys never re-serialize.
         key._node = node
-        if len(_DECODED_KEYS) >= DECODED_KEYS_LIMIT:
-            _DECODED_KEYS.clear()
-        _DECODED_KEYS[wire] = key
-        return key
+        return _DECODED_KEYS.add(wire, key)
 
     @staticmethod
     def interned(wire: bytes) -> Optional["RsaPublicKey"]:

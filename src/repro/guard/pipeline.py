@@ -296,9 +296,10 @@ class Guard:
           take the full path.
         A miss reads the bytes in one pass (:func:`proof_from_canonical`:
         anything outside the encoder's layout declines to the parse-tree
-        decoder).  A live revocation policy re-judges every certificate
-        on every use, so with one there is no lookup: the full path
-        consults it.
+        decoder), handing it ``speaker`` so the kept proof's subject is
+        that one object.  A live revocation policy re-judges every
+        certificate on every use, so with one there is no lookup: the
+        full path consults it.
         """
         # The meter models the paper's server, which parsed every carried
         # proof: both branches pay the same charges.
@@ -308,7 +309,7 @@ class Guard:
             entry = self.cache.lookup(speaker, sha256(canonical).digest())
             if entry is not None and entry.proof.conclusion.subject == speaker:
                 return entry.proof
-        proof = proof_from_canonical(canonical, self.metrics)
+        proof = proof_from_canonical(canonical, self.metrics, speaker)
         conclusion = proof.conclusion
         if not isinstance(conclusion, SpeaksFor):
             return None

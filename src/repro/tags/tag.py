@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from repro.sexp import Atom, SExp, SList, parse, sexp, to_canonical
+from repro.sexp.intern import InternTable
 
 
 class TagError(ValueError):
@@ -267,10 +268,23 @@ def _coerce_bound(value) -> Optional[bytes]:
     raise TagError("bad range bound %r" % (value,))
 
 
+def _plain(atom: Atom) -> Atom:
+    """``atom``, refused when it carries a display hint: no tag form
+    keeps one, so a hinted atom would decode to a tag that does not
+    re-encode to the bytes it came from (``([x]* foo)`` would read as a
+    plain list and write ``(* foo)``)."""
+    if atom.hint is not None:
+        raise TagError("display hint [%r] in a tag" % (atom.hint,))
+    return atom
+
+
 def parse_tag_expr(node: SExp) -> TagExpr:
-    """Parse the body of a tag (everything inside ``(tag ...)``)."""
+    """Parse the body of a tag (everything inside ``(tag ...)``).
+
+    A display hint anywhere in the body is a :class:`TagError`, so a
+    decoded tag re-encodes without losing what it was decoded from."""
     if isinstance(node, Atom):
-        return TagAtom(node.value)
+        return TagAtom(_plain(node).value)
     if not isinstance(node, SList):
         raise TagError("not an S-expression: %r" % (node,))
     if node.items and node.items[0] == Atom("*"):
@@ -284,7 +298,7 @@ def _parse_star_form(node: SList) -> TagExpr:
     kind_atom = node.items[1]
     if not isinstance(kind_atom, Atom):
         raise TagError("(* ...) kind must be an atom")
-    kind = kind_atom.text()
+    kind = _plain(kind_atom).text()
     rest = node.items[2:]
     if kind == "set":
         return TagSet(parse_tag_expr(item) for item in rest)
@@ -293,7 +307,7 @@ def _parse_star_form(node: SList) -> TagExpr:
     if kind == "prefix":
         if len(rest) != 1 or not isinstance(rest[0], Atom):
             raise TagError("(* prefix ...) needs one atom")
-        return TagPrefix(rest[0].value)
+        return TagPrefix(_plain(rest[0]).value)
     if kind == "range":
         return _parse_range(rest)
     raise TagError("unknown (* %s ...) form" % kind)
@@ -302,7 +316,7 @@ def _parse_star_form(node: SList) -> TagExpr:
 def _parse_range(rest: Tuple[SExp, ...]) -> TagRange:
     if not rest or not isinstance(rest[0], Atom):
         raise TagError("(* range ...) needs an ordering atom")
-    ordering = rest[0].text()
+    ordering = _plain(rest[0]).text()
     lower = upper = None
     lower_op, upper_op = "ge", "le"
     for bound in rest[1:]:
@@ -313,8 +327,8 @@ def _parse_range(rest: Tuple[SExp, ...]) -> TagRange:
             or not isinstance(bound.items[1], Atom)
         ):
             raise TagError("range bound must be (op value)")
-        op = bound.items[0].text()
-        value = bound.items[1].value
+        op = _plain(bound.items[0]).text()
+        value = _plain(bound.items[1]).value
         if op in ("g", "ge"):
             lower, lower_op = value, op
         elif op in ("l", "le"):
@@ -322,6 +336,11 @@ def _parse_range(rest: Tuple[SExp, ...]) -> TagRange:
         else:
             raise TagError("unknown range bound op %r" % op)
     return TagRange(ordering, lower, lower_op, upper, upper_op)
+
+
+#: Decoded tags by the canonical bytes they were decoded from (see
+#: :meth:`Tag.from_sexp`).
+_DECODED_TAGS: InternTable["Tag"] = InternTable()
 
 
 class Tag:
@@ -364,13 +383,33 @@ class Tag:
 
     @classmethod
     def from_sexp(cls, node: SExp) -> "Tag":
+        """Decode a tag, sharing one instance per distinct encoding.
+
+        The certificates an issuer signs for one kind of access carry
+        the same tag bytes, and every kept proof keeps its certificate's
+        tag — so decoded tags are interned by the canonical bytes of
+        ``node`` (:class:`~repro.sexp.intern.InternTable`), as decoded
+        issuer keys are.  A tag is an
+        immutable value and equal bytes decode to an equal tag, so a hit
+        is exactly what the decode below would have built."""
         if (
             not isinstance(node, SList)
             or node.head() != "tag"
             or len(node) != 2
         ):
             raise TagError("expected (tag <expr>), got %r" % (node,))
-        return cls(parse_tag_expr(node.items[1]))
+        wire = to_canonical(node)
+        known = _DECODED_TAGS.get(wire)
+        if known is not None:
+            return known
+        return _DECODED_TAGS.add(wire, cls(parse_tag_expr(node.items[1])))
+
+    @staticmethod
+    def interned(wire: bytes) -> Optional["Tag"]:
+        """The tag :meth:`from_sexp` decoded earlier from exactly these
+        canonical bytes, or ``None``: a byte reader finds a known tag
+        without building its node."""
+        return _DECODED_TAGS.get(wire)
 
     def to_sexp(self) -> SExp:
         return SList([Atom("tag"), self.expr.to_sexp()])

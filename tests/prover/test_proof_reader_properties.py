@@ -1,13 +1,15 @@
 """Property-based tests: the one-pass proof reader agrees with the tree.
 
-Invariant (``proof_from_canonical``'s docstring): on any bytes, the
-reader returns a proof equal to ``proof_from_sexp(parse_canonical(b))``
-or it declines to that call.  So on honest proofs and on every byte
-mutation of them, either both raise, or both return proofs with equal
-``canonical()``, equal conclusion bytes, and equal certificate fields
-lemma by lemma.  Honest ``signed-certificate`` / ``transitivity`` bytes
-are read without a decline; any other rule or a name certificate in the
-tree declines, and the tree path decides.
+Invariant (``proof_from_canonical``'s docstring): on any bytes, and
+whatever subject the caller hands it, the reader returns a proof equal
+to ``proof_from_sexp(parse_canonical(b))`` or it declines to that call.
+So on honest proofs and on every byte mutation of them, either both
+raise, or both return proofs with equal ``canonical()``, equal
+conclusion bytes, and equal certificate fields lemma by lemma.  Honest
+``signed-certificate`` / ``transitivity`` bytes are read without a
+decline; any other rule or a name certificate in the tree declines, and
+the tree path decides.  A given subject equal to the chain's is the
+object the read proof keeps.
 """
 
 import random
@@ -15,7 +17,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import repro.crypto.rsa as rsa
-from repro.core.principals import HashPrincipal, KeyPrincipal, NamePrincipal
+from repro.core.principals import (
+    HashPrincipal,
+    KeyPrincipal,
+    NamePrincipal,
+    principal_from_sexp,
+)
 from repro.core.proofs import (
     PremiseStep,
     SignedCertificateStep,
@@ -30,6 +37,7 @@ from repro.obs import MetricsRegistry
 from repro.sexp import SList, parse_canonical, to_canonical
 from repro.spki import Certificate
 from repro.tags import parse_tag
+from repro.tags import tag as tag_module
 
 _KEYS = [generate_keypair(384, random.Random(0x5EED + i)) for i in range(5)]
 _TAGS = [
@@ -216,27 +224,54 @@ def _outcome(decode, data):
         return ("raised", type(exc).__name__)
 
 
-def _agree(data, cold):
-    if cold:
-        # The reader meets an issuer key it never decoded: no intern hit.
-        rsa._DECODED_KEYS.clear()
-    read = _outcome(proof_from_canonical, data)
+#: What a caller may hand the reader as the chain's subject: nothing,
+#: one of the subjects built here, or one decoded from its bytes (as the
+#: wire codec decodes a credential's subject).
+_GIVEN_SUBJECTS = st.sampled_from(
+    [None]
+    + _SUBJECTS
+    + [principal_from_sexp(parse_canonical(s.canonical_key()))
+       for s in _SUBJECTS]
+)
+
+
+def _agree(data, cold, subject=None):
     tree = _outcome(lambda b: proof_from_sexp(parse_canonical(b)), data)
-    if tree[0] == "raised":
-        assert read[0] == "raised", data
-    else:
-        assert read == tree, data
+    for given in (None, subject):
+        if cold:
+            # The reader meets an issuer key and a tag it never decoded
+            # (the tree decode above interned them): no intern hit.
+            rsa._DECODED_KEYS.clear()
+            tag_module._DECODED_TAGS.clear()
+        read = _outcome(lambda b: proof_from_canonical(b, None, given), data)
+        if tree[0] == "raised":
+            assert read[0] == "raised", data
+        else:
+            assert read == tree, data
 
 
-@given(honest, st.booleans())
+@given(honest, st.booleans(), _GIVEN_SUBJECTS)
 @settings(max_examples=150, deadline=None)
-def test_honest_proofs_read_as_the_tree_decodes_them(proof, cold):
+def test_honest_proofs_read_as_the_tree_decodes_them(proof, cold, subject):
     data = proof.canonical()
-    _agree(data, cold)
+    _agree(data, cold, subject)
     registry = MetricsRegistry()
-    read = proof_from_canonical(data, registry)
+    read = proof_from_canonical(data, registry, subject)
     assert read.canonical() == data
     assert read.conclusion == proof.conclusion
+    # A given subject equal to the chain's is the one object it keeps.
+    first = next(
+        lemma for lemma in read.lemmas()
+        if isinstance(lemma, (PremiseStep, SignedCertificateStep))
+    )
+    if (
+        subject == proof.conclusion.subject
+        and isinstance(first, SignedCertificateStep)
+        and first.certificate.issuer_name is None
+        and not registry.counter("core.proofs.reader_declines")
+    ):
+        assert first.certificate.subject is subject
+        assert read.conclusion.subject is subject
     declined = any(
         isinstance(lemma, PremiseStep)
         or (isinstance(lemma, SignedCertificateStep)
@@ -246,12 +281,12 @@ def test_honest_proofs_read_as_the_tree_decodes_them(proof, cold):
     assert registry.counter("core.proofs.reader_declines") == int(declined)
 
 
-@given(mutated(), st.booleans())
+@given(mutated(), st.booleans(), _GIVEN_SUBJECTS)
 @settings(max_examples=400, deadline=None)
 def test_mutated_bytes_are_refused_or_read_as_the_tree_reads_them(
-    data, cold
+    data, cold, subject
 ):
-    _agree(data, cold)
+    _agree(data, cold, subject)
 
 
 def test_a_conclusion_the_step_does_not_derive_is_declined():
@@ -268,23 +303,37 @@ def test_a_conclusion_the_step_does_not_derive_is_declined():
     assert registry.counter("core.proofs.reader_declines") == 1
 
 
+#: A tag with a display hint in its body, and the claim its hint-less
+#: reading would give.
+_HINTED_TAGS = [
+    # A hinted ``*`` is not ``*``: the tag would read as a plain list and
+    # write ``(* foo)``, which does not decode.
+    (b"(3:tag([1:x]1:*3:foo))", b"(3:tag(1:*3:foo))"),
+    # A dropped hint: the tag would read as ``(foo)`` and match this
+    # claim, and the signature be checked over bytes without the hint.
+    (b"(3:tag([1:x]3:foo))", b"(3:tag(3:foo))"),
+]
+
+
 def test_a_display_hint_declines():
-    """Why a hinted leaf declines: a hint makes ``[x]*`` an atom that is
-    not ``*``, so the certificate's tag decodes as a plain list whose
-    encoding, ``(* foo)``, the tree path cannot decode as a claimed
-    conclusion.  Read without the hint check, these bytes would be
-    accepted; the tree path refuses them."""
+    """A certificate whose tag carries a display hint, claiming the
+    conclusion the hint-less tag would give: the reader declines (a hint
+    in a subtree it parses) and the tree path refuses the tag, for both
+    forms a hint could take."""
     proof = _chain([(1, 0, True, 3)], _SUBJECTS[0], False, False)
-    data, web = proof.canonical(), b"(3:tag(3:web))"
-    assert data.count(web) == 2
-    cert_at, claim_at = data.index(web), data.rindex(web)
-    data = (
-        data[:cert_at] + b"(3:tag([1:x]1:*3:foo))"
-        + data[cert_at + len(web):claim_at] + b"(3:tag(1:*3:foo))"
-        + data[claim_at + len(web):]
-    )
-    registry = MetricsRegistry()
-    read = _outcome(lambda b: proof_from_canonical(b, registry), data)
-    assert read == ("raised", "TagError")
-    assert read == _outcome(lambda b: proof_from_sexp(parse_canonical(b)), data)
-    assert registry.counter("core.proofs.reader_declines") == 1
+    honest, web = proof.canonical(), b"(3:tag(3:web))"
+    assert honest.count(web) == 2
+    cert_at, claim_at = honest.index(web), honest.rindex(web)
+    for hinted, claimed in _HINTED_TAGS:
+        data = (
+            honest[:cert_at] + hinted
+            + honest[cert_at + len(web):claim_at] + claimed
+            + honest[claim_at + len(web):]
+        )
+        registry = MetricsRegistry()
+        read = _outcome(lambda b: proof_from_canonical(b, registry), data)
+        assert read == ("raised", "TagError"), hinted
+        assert read == _outcome(
+            lambda b: proof_from_sexp(parse_canonical(b)), data
+        )
+        assert registry.counter("core.proofs.reader_declines") == 1

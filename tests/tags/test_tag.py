@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sexp import parse, sexp
+from repro.sexp import parse, parse_canonical, sexp
+from repro.sexp.intern import INTERN_LIMIT
+from repro.tags import tag as tag_module
 from repro.tags import (
     Tag,
     TagAtom,
@@ -172,3 +174,53 @@ class TestTagHelpers:
     def test_is_empty_on_lists_with_empty_member(self):
         tag = Tag(TagList([TagAtom("web"), TagSet()]))
         assert tag.is_empty()
+
+
+class TestDecodedTags:
+    """A decoded tag re-encodes to the bytes it was decoded from, or the
+    decode is refused; and one distinct encoding decodes to one object."""
+
+    # ``([x]* foo)``: a hinted ``*`` is not ``*``, so it would read as a
+    # plain list and write ``(* foo)``, which does not decode.
+    # ``([x]foo)``: the hint would be dropped, and a certificate's
+    # signature checked over bytes without it.
+    HINTED = [b"(3:tag([1:x]1:*3:foo))", b"(3:tag([1:x]3:foo))"]
+
+    @pytest.mark.parametrize("wire", HINTED)
+    def test_a_display_hint_in_the_body_is_refused(self, wire):
+        with pytest.raises(TagError):
+            Tag.from_sexp(parse_canonical(wire))
+
+    @pytest.mark.parametrize(
+        "text", ["(tag ([x]* foo))", "(tag ([x]foo))"]
+    )
+    def test_a_display_hint_in_advanced_form_is_refused(self, text):
+        with pytest.raises(TagError):
+            parse_tag(text)
+
+    @pytest.mark.parametrize("text", [
+        "(tag (* [x]prefix /a))",
+        "(tag (* prefix [x]/a))",
+        "(tag (* range [x]alpha (ge a)))",
+        "(tag (* range alpha ([x]ge a)))",
+        "(tag (* range alpha (ge [x]a)))",
+        "(tag (* set a (b [x]c)))",
+    ])
+    def test_a_display_hint_inside_a_star_form_is_refused(self, text):
+        with pytest.raises(TagError):
+            parse_tag(text)
+
+    def test_equal_bytes_decode_to_one_tag(self):
+        wire = b"(3:tag(3:web(6:method3:GET)))"
+        first = Tag.from_sexp(parse_canonical(wire))
+        assert Tag.from_sexp(parse_canonical(wire)) is first
+        assert Tag.interned(wire) is first
+        assert first.canonical_key() == wire
+        assert Tag.interned(b"(3:tag(12:never-parsed))") is None
+
+    def test_the_intern_table_is_bounded(self):
+        for index in range(INTERN_LIMIT + 3):
+            Tag.from_sexp(parse_canonical(
+                b"(3:tag(4:path%d:%d))" % (len(str(index)), index)
+            ))
+            assert len(tag_module._DECODED_TAGS) <= INTERN_LIMIT
