@@ -1,8 +1,8 @@
 """Count each event once: a fast-path grant makes one registry call.
 
 A count gate, no clock.  ``K`` repeated MAC check frames are pipelined
-over loopback into a warmed ``AuthCluster(node_count=4)`` whose one
-audit ring (``audit_retain=16``) is already full.  Every frame hits the
+over loopback into a warmed :class:`~repro.guard.Guard` whose audit
+ring (``retain=16``) is already full.  Every frame hits the
 listener's question memo (a hit walks no field, so it counts nothing on
 the registry) and every check is a fast-path grant.  Every other
 tally of such a request — its reply, its decode hit, its dispatch, its
@@ -18,11 +18,13 @@ dict or by the ``AuditLog``, so:
 import asyncio
 from collections import Counter
 
-from repro.cluster import AuthCluster
 from repro.core.principals import KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
-from repro.guard import GuardRequest, SessionCredential
+from repro.guard import GuardRequest, SessionCredential, default_backend
+from repro.guard.audit import AuditLog
+from repro.net.trust import TrustEnvironment
 from repro.obs import MetricsRegistry
+from repro.prover import Prover
 from repro.serve import ServeClient, ServeListener
 from repro.sexp import sexp, to_canonical
 from repro.sim import SimClock
@@ -47,13 +49,15 @@ def _request(issuer, sessions, index):
 
 def test_a_fast_path_grant_makes_one_registry_call(keypool, rng, monkeypatch):
     registry = MetricsRegistry()
-    cluster = AuthCluster(node_count=4, clock=SimClock(), metrics=registry,
-                          audit_retain=RETAIN)
+    guard = default_backend(
+        TrustEnvironment(clock=SimClock()), prover=Prover(), metrics=registry,
+        audit=AuditLog(retain=RETAIN, metrics=registry),
+    )
     issuer = KeyPrincipal(keypool[0].public)
     sessions = []
     for _ in range(SESSIONS):
-        mac_id, mac_key = cluster.mint_session(rng)
-        cluster.add_delegation(SignedCertificateStep(Certificate.issue(
+        mac_id, mac_key = guard.mint_session(rng)
+        guard.digest_delegation(SignedCertificateStep(Certificate.issue(
             keypool[0], MacPrincipal(mac_key.fingerprint()), Tag.all(),
             rng=rng,
         )))
@@ -70,7 +74,7 @@ def test_a_fast_path_grant_makes_one_registry_call(keypool, rng, monkeypatch):
         return inc(self, name, by)
 
     async def scenario():
-        listener = ServeListener(cluster)
+        listener = ServeListener(guard)
         host, port = await listener.start()
         # No client-minted trace ids: repeated frames are identical bytes.
         client = await ServeClient.connect(host, port, trace_sample=10 * K)
@@ -86,7 +90,7 @@ def test_a_fast_path_grant_makes_one_registry_call(keypool, rng, monkeypatch):
         await listener.shutdown()
 
     asyncio.run(scenario())
-    assert cluster.audit.evicted > 0
+    assert guard.audit.evicted > 0
     print("registry inc calls for %d fast-path grants: %d %s" % (
         K, sum(calls.values()), dict(calls),
     ))

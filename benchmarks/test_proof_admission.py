@@ -1,8 +1,8 @@
 """A presented proof is paid for once, gated on counts (no clock).
 
 K never-seen signed certificates, each for a never-seen request-hash
-subject, go through ``DecodeCache`` + a 4-node ``AuthCluster`` (the path
-a wire check takes) four times each, interleaved.  The first
+subject, go through ``DecodeCache`` + a :class:`~repro.guard.Guard` (the
+path a wire check takes) four times each, interleaved.  The first
 presentation of each is parsed and its signature checked; every repeat
 is a digest lookup in the speaker's proof-cache bucket.  Counted:
 
@@ -26,13 +26,14 @@ import gc
 import random
 
 import repro.guard.pipeline as pipeline
-from repro.cluster import AuthCluster
 from repro.core.principals import HashPrincipal, KeyPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.crypto.hashes import HashValue
 from repro.crypto.rsa import RsaPublicKey
-from repro.guard import GuardRequest, ProofCredential
+from repro.guard import GuardRequest, ProofCredential, default_backend
+from repro.net.trust import TrustEnvironment
 from repro.obs import MetricsRegistry
+from repro.prover import Prover
 from repro.serve.protocol import DecodeCache, encode_check
 from repro.sexp import Atom, SList, sexp, to_canonical, to_transport
 from repro.spki import Certificate
@@ -95,13 +96,13 @@ def _presentation(request_id, logical, subject, issuer, proof):
     ))
 
 
-def _serve(cluster, cache, frames):
+def _serve(guard, cache, frames):
     decisions = []
     for start in range(0, len(frames), BATCH):
         requests = [
             cache.decode(frame).body for frame in frames[start:start + BATCH]
         ]
-        decisions += cluster.check_many(requests)
+        decisions += guard.check_many(requests)
     return decisions
 
 
@@ -123,11 +124,11 @@ def test_a_presented_proof_is_parsed_and_verified_once(keypool, monkeypatch):
         for round_ in range(REPEATS)
         for index in range(K)
     ]
-    cluster = AuthCluster(node_count=4)
+    guard = default_backend(TrustEnvironment(), prover=Prover())
     cache = DecodeCache()
     counts = _Counts(monkeypatch)
 
-    decisions = _serve(cluster, cache, frames)
+    decisions = _serve(guard, cache, frames)
     assert all(decision.granted for decision in decisions)
     print(
         "\n%d proofs x %d presentations: %d decodes, %d RSA verifies, "
@@ -139,7 +140,7 @@ def test_a_presented_proof_is_parsed_and_verified_once(keypool, monkeypatch):
     assert counts.decodes == K
     assert counts.signature_checks == K
     assert counts.nodes_built == 0
-    dedup = cluster.guard.cache.stats["dedup_hits"]
+    dedup = guard.cache.stats["dedup_hits"]
     assert dedup == (REPEATS - 1) * K
 
     # One flipped signature byte is another digest: the full path runs
@@ -150,7 +151,7 @@ def test_a_presented_proof_is_parsed_and_verified_once(keypool, monkeypatch):
         cert.issuer_key, cert.subject, cert.tag, cert.validity, cert.serial,
         cert.propagate, cert.signature[:-1] + bytes([cert.signature[-1] ^ 1]),
     ))
-    (decision,) = _serve(cluster, cache, [
+    (decision,) = _serve(guard, cache, [
         _presentation(1 + REPEATS * K, logical, subject, issuer, forged)
     ])
     assert not decision.granted
@@ -186,13 +187,14 @@ def test_kept_proofs_share_their_tag_and_subject(keypool):
         )
         frames.append(_presentation(1 + index, logical, subject, issuer, proof))
     metrics = MetricsRegistry()
-    cluster = AuthCluster(node_count=4, metrics=metrics)
+    guard = default_backend(TrustEnvironment(), prover=Prover(),
+                            metrics=metrics)
     decoder = DecodeCache()
     decoder.metrics = metrics
-    decisions = _serve(cluster, decoder, frames)
+    decisions = _serve(guard, decoder, frames)
     assert all(decision.granted for decision in decisions)
 
-    cache = cluster.guard.cache
+    cache = guard.cache
     subjects = set()
     for speaker, bucket in cache.buckets.items():
         subjects.add(id(speaker))

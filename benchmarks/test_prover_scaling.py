@@ -13,12 +13,16 @@ import random
 
 import pytest
 
-from repro.cluster import AuthCluster
 from repro.core.principals import NamePrincipal, KeyPrincipal
 from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.statements import SpeaksFor
 from repro.crypto import generate_keypair
-from repro.guard import ChannelCredential, Guard, GuardRequest
+from repro.guard import (
+    ChannelCredential,
+    Guard,
+    GuardRequest,
+    default_backend,
+)
 from repro.net.trust import TrustEnvironment
 from repro.obs.registry import MetricsRegistry
 from repro.prover import Prover
@@ -107,12 +111,13 @@ def test_cold_grant_expands_depth_not_fan_in():
 
 
 def _revocation_world(bystanders):
-    """A 4-node cluster whose graph holds ``bystanders`` one-hop delegations
-    plus one two-hop chain (``session => victim => issuer``), every
-    speaker's proof derived and cached in the cluster's one proof
-    cache."""
+    """A guard whose graph holds ``bystanders`` one-hop delegations plus
+    one two-hop chain (``session => victim => issuer``), every speaker's
+    proof derived and cached in its proof cache."""
     rng = random.Random(0xD1E)
-    cluster = AuthCluster(node_count=4, metrics=MetricsRegistry())
+    guard = default_backend(
+        TrustEnvironment(), prover=Prover(), metrics=MetricsRegistry()
+    )
     victim_kp = generate_keypair(384, rng)
     victim = KeyPrincipal(victim_kp.public)
     session = NamePrincipal(victim, "session")
@@ -124,7 +129,7 @@ def _revocation_world(bystanders):
         Certificate.issue(_BASE_KP, holder, Tag.all(), rng=rng)
         for holder in holders
     ]:
-        cluster.add_delegation(SignedCertificateStep(certificate))
+        guard.digest_delegation(SignedCertificateStep(certificate))
 
     def ask(speaker):
         return GuardRequest(
@@ -132,34 +137,34 @@ def _revocation_world(bystanders):
             credential=ChannelCredential(speaker), transport="rmi",
         )
 
-    assert cluster.check(ask(session)).granted
+    assert guard.check(ask(session)).granted
     bystander_requests = [ask(holder) for holder in holders]
-    assert all(d.granted for d in cluster.check_many(bystander_requests))
-    return cluster, revoked.serial, ask(session), bystander_requests
+    assert all(d.granted for d in guard.check_many(bystander_requests))
+    return guard, revoked.serial, ask(session), bystander_requests
 
 
 @pytest.mark.parametrize("bystanders", [256, 2048])
-def test_revocation_cost_is_flat_in_what_the_cluster_holds(bystanders):
+def test_revocation_cost_is_flat_in_what_the_guard_holds(bystanders):
     """A count gate, not a timing: one revocation looks up 1 edge (the
-    revoked delegation) in the cluster's one graph and 1 cached proof in
-    its one cache, in total — whether the graph holds 256 delegations or
-    2 048 — and every bystander is still answered from its cache."""
-    cluster, serial, victim_request, bystander_requests = _revocation_world(
+    revoked delegation) in the guard's graph and 1 cached proof in its
+    cache, in total — whether the graph holds 256 delegations or 2 048 —
+    and every bystander is still answered from its cache."""
+    guard, serial, victim_request, bystander_requests = _revocation_world(
         bystanders
     )
-    guard = cluster.guard
-    edges = cluster.graph.edge_count()
+    graph = guard.prover.graph
+    edges = graph.edge_count()
     assert guard.cache.count() == bystanders + 1
 
-    cluster.revoke_serial(serial)
+    guard.revoke_serial(serial)
 
     assert guard.prover.stats["invalidate_examined"] == 1
     assert guard.cache.stats["retract_examined"] == 1
     # Only the victim's state went: the revoked edge and its cached
     # chain; the onward hop cites another serial.
-    assert cluster.graph.edge_count() == edges - 1
+    assert graph.edge_count() == edges - 1
     assert guard.cache.count() == bystanders
-    assert not cluster.check_many([victim_request])[0].granted
+    assert not guard.check_many([victim_request])[0].granted
     searches = guard.prover.stats["searches"]
-    assert all(d.granted for d in cluster.check_many(bystander_requests))
+    assert all(d.granted for d in guard.check_many(bystander_requests))
     assert guard.prover.stats["searches"] == searches

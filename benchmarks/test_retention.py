@@ -1,8 +1,8 @@
 """What a guard keeps per request, gated on counts (no clock).
 
 Run with ``PYTHONHASHSEED=0`` so dict and set layouts repeat.  Two
-workloads through ``DecodeCache`` + a 4-node ``AuthCluster``, the path a
-wire check takes:
+workloads through ``DecodeCache`` + a :class:`~repro.guard.Guard`, the
+path a wire check takes:
 
 - **fresh proofs** — every request carries a never-seen signed
   certificate for a never-seen subject, so each one adds a proof-cache
@@ -16,13 +16,19 @@ wire check takes:
 import gc
 import random
 
-from repro.cluster import AuthCluster
 from repro.core.principals import HashPrincipal, KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.crypto.hashes import HashValue
 from repro.crypto.rsa import RsaPublicKey
-from repro.guard import GuardRequest, ProofCredential, SessionCredential
+from repro.guard import (
+    GuardRequest,
+    ProofCredential,
+    SessionCredential,
+    default_backend,
+)
 from repro.guard.audit import AUDIT_RETAIN
+from repro.net.trust import TrustEnvironment
+from repro.prover import Prover
 from repro.serve.protocol import DecodeCache, encode_check
 from repro.sexp import SList, sexp, to_canonical, to_transport
 from repro.spki import Certificate
@@ -40,13 +46,13 @@ BATCH = 8
 OBJECTS_PER_FRESH_PROOF = 50
 
 
-def _serve(cluster, cache, frames):
+def _serve(guard, cache, frames):
     granted = 0
     for start in range(0, len(frames), BATCH):
         requests = [
             cache.decode(frame).body for frame in frames[start:start + BATCH]
         ]
-        granted += sum(d.granted for d in cluster.check_many(requests))
+        granted += sum(d.granted for d in guard.check_many(requests))
     return granted
 
 
@@ -92,19 +98,19 @@ def test_a_fresh_proof_costs_its_bytes_not_its_parse_tree(keypool):
     rng = random.Random(0x2E7A)
     server = keypool[0]
     issuer = KeyPrincipal(server.public)
-    cluster = AuthCluster(node_count=4)
+    guard = default_backend(TrustEnvironment(), prover=Prover())
     cache = DecodeCache()
     warm = _fresh_frames(server, issuer, rng, 1, 64)
     frames = _fresh_frames(server, issuer, rng, 65, FRESH)
-    assert _serve(cluster, cache, warm) == len(warm)
+    assert _serve(guard, cache, warm) == len(warm)
 
     before = _tracked()
-    assert _serve(cluster, cache, frames) == FRESH
+    assert _serve(guard, cache, frames) == FRESH
     per_proof = (_tracked() - before) / FRESH
 
     entries = [
         entry
-        for bucket in cluster.guard.cache.buckets.values()
+        for bucket in guard.cache.buckets.values()
         for entry in bucket.values()
     ]
     assert len(entries) == FRESH + len(warm)
@@ -122,9 +128,9 @@ def test_a_warm_session_serves_without_growing_the_heap(keypool):
     rng = random.Random(0x2E7B)
     server = keypool[0]
     issuer = KeyPrincipal(server.public)
-    cluster = AuthCluster(node_count=4)
-    mac_id, mac_key = cluster.mint_session(rng)
-    cluster.add_delegation(SignedCertificateStep(Certificate.issue(
+    guard = default_backend(TrustEnvironment(), prover=Prover())
+    mac_id, mac_key = guard.mint_session(rng)
+    guard.digest_delegation(SignedCertificateStep(Certificate.issue(
         server, MacPrincipal(mac_key.fingerprint()), Tag.all(), rng=rng
     )))
     logical = sexp(["web", ["method", "GET"], ["path", "/doc-0"]])
@@ -141,11 +147,11 @@ def test_a_warm_session_serves_without_growing_the_heap(keypool):
             encode_check(request_id, request)
             for request_id in range(first, first + AUDIT_RETAIN)
         ]
-        assert _serve(cluster, cache, frames) == AUDIT_RETAIN
+        assert _serve(guard, cache, frames) == AUDIT_RETAIN
         del frames
         sizes.append(_tracked())
-    assert cluster.audit.recorded == 3 * AUDIT_RETAIN
-    assert cluster.audit.evicted == 2 * AUDIT_RETAIN
+    assert guard.audit.recorded == 3 * AUDIT_RETAIN
+    assert guard.audit.evicted == 2 * AUDIT_RETAIN
     print(
         "\ngc-tracked objects after each block of %d warm requests: %s"
         % (AUDIT_RETAIN, sizes)

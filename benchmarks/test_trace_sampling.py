@@ -2,7 +2,7 @@
 
 Counts that repeat exactly (every id is seeded), so the gate needs no
 clock: ``K`` warm MAC checks cross ``ServeListener`` →
-``AuthCluster(node_count=4)`` → ``Guard.check_many`` over loopback,
+``Guard.check_many`` over loopback,
 one in flight at a time, under a ``Tracer`` left at its defaults
 (``sample=16``) with a seeded ``rng``.  Half the requests carry a
 client-minted trace id, half arrive without one and are stamped by the
@@ -22,14 +22,15 @@ import asyncio
 import random
 from collections import Counter, defaultdict
 
-from repro.cluster import AuthCluster
 from repro.core.principals import KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.core.timebase import MonotonicTimebase
-from repro.guard import GuardRequest, SessionCredential
+from repro.guard import GuardRequest, SessionCredential, default_backend
 from repro.guard.pipeline import Guard
+from repro.net.trust import TrustEnvironment
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs import trace as trace_module
+from repro.prover import Prover
 from repro.serve import ServeClient, ServeListener
 from repro.sexp import sexp, to_canonical
 from repro.sim import SimClock
@@ -55,17 +56,19 @@ def _world(keypool, rng):
     timebase = CountingTimebase()
     registry = MetricsRegistry(timebase=timebase)
     tracer = Tracer(registry=registry, rng=random.Random(16))
-    cluster = AuthCluster(node_count=4, clock=SimClock(), metrics=registry,
-                          tracer=tracer)
+    backend = default_backend(
+        TrustEnvironment(clock=SimClock()), prover=Prover(), metrics=registry,
+        tracer=tracer,
+    )
     sessions = []
     for _ in range(SESSIONS):
-        mac_id, mac_key = cluster.mint_session(rng)
-        cluster.add_delegation(SignedCertificateStep(Certificate.issue(
+        mac_id, mac_key = backend.mint_session(rng)
+        backend.digest_delegation(SignedCertificateStep(Certificate.issue(
             keypool[0], MacPrincipal(mac_key.fingerprint()), Tag.all(),
             rng=rng,
         )))
         sessions.append((mac_id, mac_key))
-    return cluster, sessions, registry, tracer, timebase
+    return backend, sessions, registry, tracer, timebase
 
 
 def _request(issuer, sessions, index):
@@ -80,7 +83,7 @@ def _request(issuer, sessions, index):
 
 
 def test_a_dropped_trace_costs_no_span_and_no_clock(keypool, rng, monkeypatch):
-    cluster, sessions, registry, tracer, timebase = _world(keypool, rng)
+    backend, sessions, registry, tracer, timebase = _world(keypool, rng)
     issuer = KeyPrincipal(keypool[0].public)
 
     spans = []
@@ -109,7 +112,7 @@ def test_a_dropped_trace_costs_no_span_and_no_clock(keypool, rng, monkeypatch):
     monkeypatch.setattr(Guard, "check_many", counted)
 
     async def scenario():
-        listener = ServeListener(cluster)
+        listener = ServeListener(backend)
         host, port = await listener.start()
         carried = await ServeClient.connect(host, port,
                                             rng=random.Random(61))

@@ -1,7 +1,7 @@
 """The archlint command line: ``python -m repro.analysis`` / ``repro.tools lint``.
 
-Exit codes: 0 clean (baselined/suppressed findings do not fail the run),
-1 actionable findings or stale baseline entries, 2 usage errors.
+Exit codes: 0 clean (suppressed findings do not fail the run), 1 any
+finding, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -11,13 +11,9 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import DEFAULT_CACHE_NAME
 from repro.analysis.engine import run
 from repro.analysis.registry import select_rules
 from repro.analysis.report import render_json, render_rules, render_text
-
-DEFAULT_BASELINE_NAME = "archlint-baseline.json"
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -31,33 +27,12 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         dest="output_format", help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file of grandfathered findings (default: "
-             "./%s when it exists)" % DEFAULT_BASELINE_NAME,
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="grandfather the current findings into the baseline file "
-             "and exit 0",
-    )
-    parser.add_argument(
         "--rules", default=None, metavar="IDS",
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="findings cache file (default: ./%s)" % DEFAULT_CACHE_NAME,
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the findings cache"
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="also show baselined findings and cache statistics",
     )
 
 
@@ -88,29 +63,12 @@ def run_lint(args) -> int:
         except KeyError as exc:
             print("repro.analysis: %s" % exc.args[0], file=sys.stderr)
             return 2
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(DEFAULT_BASELINE_NAME):
-        baseline_path = DEFAULT_BASELINE_NAME
-    try:
-        baseline = Baseline.load(baseline_path)
-    except ValueError as exc:
-        print("repro.analysis: %s" % exc, file=sys.stderr)
-        return 2
-    cache_path = None if args.no_cache else (args.cache or DEFAULT_CACHE_NAME)
-    result = run(paths, rules=rules, baseline=baseline, cache_path=cache_path)
-    if args.write_baseline:
-        target = baseline_path or DEFAULT_BASELINE_NAME
-        count = Baseline.write(target, result.findings + result.baselined)
-        print("wrote %d baseline entr%s to %s"
-              % (count, "y" if count == 1 else "ies", target))
-        return 0
+    result = run(paths, rules=rules)
     if args.output_format == "json":
         print(render_json(result))
     else:
-        print(render_text(result, verbose=args.verbose))
-    if result.findings or result.stale_baseline:
-        return 1
-    return 0
+        print(render_text(result))
+    return 0 if result.ok else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

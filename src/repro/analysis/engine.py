@@ -1,8 +1,9 @@
 """The lint engine: discover files, parse once, run rules, filter.
 
-Per file: read bytes -> (cache hit? done) -> parse one AST shared by
-every rule -> run the rules scoped to the file -> drop suppressed
-findings -> cache.  Across files: sort, subtract the baseline, report.
+Per file: read -> parse one AST shared by every rule -> run the rules
+scoped to the file -> drop suppressed findings.  Across files: sort and
+report.  Every finding fails the run; ``# archlint: ignore[...]`` is the
+one escape hatch.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import ast
 import os
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import FindingsCache, content_key, rules_signature
 from repro.analysis.findings import Finding
 from repro.analysis.suppress import scan, split_suppressed
 
@@ -26,8 +25,8 @@ class SourceFile:
 
     ``rel`` is the path from the enclosing ``repro`` package root
     (``repro/http/proxy.py``) when the file lives under one, else the
-    bare filename — rules scope on it, and findings/baselines key on it,
-    so results are independent of where the checkout lives.
+    bare filename — rules scope on it, and findings name it, so results
+    are independent of where the checkout lives.
     """
 
     def __init__(self, path: str, source: str):
@@ -92,13 +91,9 @@ class LintResult:
     """Everything one run learned, pre-rendered-report."""
 
     def __init__(self):
-        self.findings: List[Finding] = []     # actionable: fail the run
-        self.baselined: List[Finding] = []    # matched a baseline entry
+        self.findings: List[Finding] = []     # every one fails the run
         self.suppressed = 0                   # silenced by # archlint: ignore
-        self.stale_baseline: List[dict] = []  # baseline entries matching nothing
         self.files = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     @property
     def ok(self) -> bool:
@@ -108,11 +103,7 @@ class LintResult:
         return {
             "files": self.files,
             "findings": len(self.findings),
-            "baselined": len(self.baselined),
             "suppressed": self.suppressed,
-            "stale_baseline": len(self.stale_baseline),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
         }
 
 
@@ -136,48 +127,21 @@ def lint_source(source: SourceFile, rules) -> (List[Finding]):
     return findings
 
 
-def run(
-    paths: Iterable[str],
-    rules=None,
-    baseline: Optional[Baseline] = None,
-    cache_path: Optional[str] = None,
-) -> LintResult:
+def run(paths: Iterable[str], rules=None) -> LintResult:
     """Lint ``paths`` (files or directories) and return a
-    :class:`LintResult`; pass ``cache_path`` to reuse and update the
-    content-hash findings cache."""
-    from repro.analysis import __version__
+    :class:`LintResult`."""
     from repro.analysis.registry import all_rules
 
     if rules is None:
         rules = all_rules()
-    cache = FindingsCache(cache_path, rules_signature(rules, __version__))
     result = LintResult()
-    collected: List[Finding] = []
     for path in iter_python_files(paths):
         result.files += 1
         with open(path, "rb") as handle:
-            data = handle.read()
-        key = content_key(data)
-        cached = cache.get(key)
-        if cached is not None:
-            findings, suppressed = cached
-        else:
-            source = SourceFile(path, data.decode("utf-8"))
-            raw = lint_source(source, rules)
-            findings, dropped = split_suppressed(raw, scan(source.source))
-            suppressed = len(dropped)
-            cache.put(key, findings, suppressed)
-        collected.extend(findings)
-        result.suppressed += suppressed
-    cache.save()
-    result.cache_hits = cache.hits
-    result.cache_misses = cache.misses
-    collected.sort(key=Finding.sort_key)
-    if baseline is not None:
-        kept, baselined, stale = baseline.apply(collected)
-        result.findings = kept
-        result.baselined = baselined
-        result.stale_baseline = stale
-    else:
-        result.findings = collected
+            source = SourceFile(path, handle.read().decode("utf-8"))
+        raw = lint_source(source, rules)
+        findings, dropped = split_suppressed(raw, scan(source.source))
+        result.findings.extend(findings)
+        result.suppressed += len(dropped)
+    result.findings.sort(key=Finding.sort_key)
     return result

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class Finding:
@@ -10,9 +10,7 @@ class Finding:
 
     ``path`` is the package-relative posix path (``repro/http/proxy.py``)
     so findings are stable across checkouts; ``snippet`` is the stripped
-    source line, which anchors the baseline fingerprint to the *code*
-    rather than the line number — baselined findings survive unrelated
-    edits above them.
+    source line the report prints under the finding.
     """
 
     __slots__ = ("rule", "path", "line", "col", "message", "snippet",
@@ -29,12 +27,8 @@ class Finding:
         self.snippet = snippet
         # Last physical line of the offending node — a suppression
         # comment anywhere in the span silences the finding.  Not part of
-        # the serialized form (suppression runs before caching).
+        # the serialized form.
         self.end_line = end_line if end_line is not None else line
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-free identity used by the baseline."""
-        return (self.rule, self.path, self.snippet)
 
     def sort_key(self):
         return (self.path, self.line, self.col, self.rule)
@@ -48,13 +42,6 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            data["rule"], data["path"], data["line"], data["col"],
-            data["message"], data.get("snippet", ""),
-        )
 
     def render(self) -> str:
         return "%s:%d:%d: %s %s" % (

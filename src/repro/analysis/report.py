@@ -7,47 +7,26 @@ import json
 from repro.analysis.registry import all_rules
 
 
-def render_text(result, verbose: bool = False) -> str:
+def render_text(result) -> str:
     """The human report: one line per finding, then a summary."""
     lines = []
     for finding in result.findings:
         lines.append(finding.render())
         if finding.snippet:
             lines.append("    %s" % finding.snippet)
-    for entry in result.stale_baseline:
-        lines.append(
-            "stale baseline entry: %s %s %r (matched nothing — remove it)"
-            % (entry["rule"], entry["path"], entry["snippet"])
-        )
-    if verbose and result.baselined:
-        lines.append("baselined findings:")
-        for finding in result.baselined:
-            lines.append("  %s" % finding.render())
     summary = result.summary()
     lines.append(
-        "%d file(s): %d finding(s), %d baselined, %d suppressed"
-        % (
-            summary["files"], summary["findings"],
-            summary["baselined"], summary["suppressed"],
-        )
-        + (
-            ", %d/%d cache hits" % (
-                summary["cache_hits"],
-                summary["cache_hits"] + summary["cache_misses"],
-            )
-            if verbose else ""
-        )
+        "%d file(s): %d finding(s), %d suppressed"
+        % (summary["files"], summary["findings"], summary["suppressed"])
     )
     return "\n".join(lines)
 
 
 def render_json(result, indent: int = 2) -> str:
-    """The machine report CI consumes: findings + baseline health +
-    summary in one document."""
+    """The machine report CI consumes: findings and summary in one
+    document."""
     payload = {
         "findings": [finding.to_dict() for finding in result.findings],
-        "baselined": [finding.to_dict() for finding in result.baselined],
-        "stale_baseline": result.stale_baseline,
         "summary": result.summary(),
         "ok": result.ok,
     }

@@ -25,7 +25,7 @@ class GuardFactoryRule(Rule):
     rationale = (
         "default_backend/resolve_backend (repro.guard.backend) is the only "
         "sanctioned Guard construction; everything else takes an injected "
-        "AuthBackend so a deployment can swap in a cluster unchanged."
+        "AuthBackend, so a deployment swaps its backend in one argument."
     )
 
     def applies_to(self, rel: str) -> bool:

@@ -13,11 +13,6 @@ _TRANSPORT_PREFIXES = (
     "repro/smtp/",
     "repro/net/",
     "repro/serve/",
-    # A cluster holds one guard, so nothing moves guard state between
-    # nodes; the old handoff plane's path stays in scope so that such a
-    # module cannot come back reaching for the prover or the cache types
-    # past the guard's admission checks.
-    "repro/cluster/handoff.py",
 )
 
 # Off-limits to transports: the prover package wholesale, and the guard's
@@ -32,9 +27,9 @@ _FORBIDDEN_NAMES = {"ProofCache", "CachedProof"}
 class BackendBoundaryRule(Rule):
     """Flag transport modules importing ``Prover``/``ProofCache``.
 
-    PR 4 routed every transport through the ``AuthBackend`` protocol so a
-    single guard and a sharded cluster are one constructor argument
-    apart.  A transport that reaches for the prover
+    Every transport goes through the ``AuthBackend`` protocol, so the
+    backend it serves is one constructor argument.  A transport that
+    reaches for the prover
     or the proof cache directly re-couples wire framing to one backend.
     Client-side proof *assembly* (a proxy building its own chains) is the
     legitimate exception — suppress it inline with a reason.
@@ -44,8 +39,7 @@ class BackendBoundaryRule(Rule):
     title = "transport imports guard/prover internals"
     rationale = (
         "Transports own wire framing only; authorization state lives behind "
-        "AuthBackend so cluster and single-guard deployments are "
-        "interchangeable."
+        "AuthBackend so any backend is one constructor argument away."
     )
 
     def applies_to(self, rel: str) -> bool:

@@ -28,7 +28,7 @@ _BLOCKING_PREFIXES = (
 # Builtins that suspend the thread on the filesystem or the terminal.
 _BLOCKING_BUILTINS = {"open", "input"}
 
-# The concurrency model (docs/serve.md): a cluster is touched only by
+# The concurrency model (docs/serve.md): a backend is touched only by
 # the event loop that serves it.  Anything that starts a thread, or
 # hands a call to one, breaks that by construction.
 _THREAD_MODULES = ("threading", "concurrent.futures")
@@ -43,7 +43,7 @@ class AsyncReadyRule(Rule):
     ``repro.cluster`` / ``repro.serve``.
 
     These packages run on the listener's event loop, which is the only
-    thread of control allowed to touch a cluster.  A synchronous sleep,
+    thread of control allowed to touch the backend.  A synchronous sleep,
     socket operation, subprocess, or file read there blocks the whole
     loop; a ``threading`` / ``concurrent.futures`` import or a
     ``run_in_executor`` / ``run_coroutine_threadsafe`` / ``to_thread``
@@ -75,7 +75,7 @@ class AsyncReadyRule(Rule):
                 for module in self._thread_imports(node):
                     yield self.finding(
                         source, node,
-                        "import of %s in single-owner code — a cluster is "
+                        "import of %s in single-owner code — a backend is "
                         "touched only by the event loop that serves it"
                         % module,
                     )

@@ -11,8 +11,7 @@ from repro.analysis.registry import Rule, register
 # (to RETRY/DENIED/ERROR replies) or absorbed (a vanished peer) instead
 # of propagating, and therefore the one place an uncounted handler makes
 # a failure class invisible to operators.
-_FILE_SCOPE = ("repro/cluster/dispatch.py",)
-_PREFIX_SCOPE = ("repro/serve/",)
+_SCOPE = ("repro/serve/",)
 
 # Flow-control signals: catching these is how asyncio queues and task
 # teardown are *used*, not a failure being swallowed.
@@ -116,7 +115,7 @@ class CountedFailuresRule(Rule):
     )
 
     def applies_to(self, rel: str) -> bool:
-        return rel in _FILE_SCOPE or rel.startswith(_PREFIX_SCOPE)
+        return rel.startswith(_SCOPE)
 
     def check(self, source):
         tree = source.parse()

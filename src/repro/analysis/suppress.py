@@ -7,8 +7,8 @@ comment's line:
 
 ``ignore[ARCH002,ARCH006]`` silences several rules; a bare ``ignore``
 (no bracket) silences every rule on that line.  Anything after the
-bracket is a free-form reason — **write one**; un-justified suppressions
-are what the baseline is for.
+bracket is a free-form reason — **write one**: a suppression is the one
+way to keep a finding, so it says why the finding is acceptable.
 
 Comments are found with :mod:`tokenize`, not a regex over lines, so the
 marker inside a string literal is never honored.

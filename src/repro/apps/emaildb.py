@@ -105,8 +105,8 @@ class EmailDatabaseServer:
     def guard(self):
         """The RMI server's shared authorization backend — every access
         decision for this database runs through its pipeline (a single
-        guard by default; a cluster when the server was built with an
-        injected ``backend``)."""
+        guard by default, or the ``backend`` the server was built
+        with)."""
         return self.rmi_server.auth
 
     @property

@@ -183,8 +183,8 @@ class GuardedFileSystem:
     pipe); the operation becomes a :class:`~repro.guard.GuardRequest`
     and rides the shared pipeline, so delegation, caching, challenge,
     and audit behave exactly as on the network transports.  ``guard``
-    is any :class:`~repro.guard.AuthBackend` — a local guard or a
-    cluster — this wrapper never constructs one itself.
+    is any :class:`~repro.guard.AuthBackend` — this wrapper never
+    constructs one itself.
     """
 
     def __init__(self, fs: "InMemoryFileSystem", issuer, guard,

@@ -94,8 +94,7 @@ class QuotingGateway(Servlet):
         elif getattr(guard, "prover", False) is None:
             # A single-process gateway cannot work without a delegation
             # graph to digest into; an injected shared guard adopts this
-            # identity's.  (A cluster backend has no ``prover`` attribute
-            # — its nodes' provers search the cluster's one graph.)
+            # identity's.
             guard.prover = identity.prover
         self.guard = guard
         self._db_issuer: Optional[Principal] = None

@@ -102,8 +102,7 @@ class ProtectedWebServer:
             guard=guard,
         )
         # The servlet's backend is the application's authorization state:
-        # audit records and stats live there, uniform with the other apps
-        # (and, for a cluster backend, its one guard's log).
+        # audit records and stats live there, uniform with the other apps.
         self.guard = self.servlet.guard
         self.http = HttpServer(meter=meter)
         self.http.mount("/", self.servlet)

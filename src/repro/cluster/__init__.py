@@ -1,56 +1,131 @@
-"""An authorization cluster: one guard, and a ring of owners.
+"""The front the benchmark's server still serves: one guard, a list of names.
 
-The paper's end-to-end model puts one guard in front of one resource.
-In one process on one loop, a cluster is that guard
-(:class:`~repro.guard.Guard`, built once over the cluster's one premise
-set, session table, delegation graph, audit log and proof cache) plus a
-membership table (:mod:`repro.cluster.membership`) whose consistent-hash
-ring (:mod:`repro.cluster.ring`) names each speaker's owner.  A node is
-a ring member with an id.
+The paper's end-to-end model puts one guard in front of one resource,
+and one process is one failure domain, so a single
+:class:`~repro.guard.Guard` is the whole authorization service; every
+transport, tool and test serves one.  :class:`AuthCluster` stays only
+because the frozen rig (``bench/server.py``) constructs it and
+``bench/layers.py`` reads its ``cluster`` stats source.  It *composes*
+one guard, so the rig's ``cluster.dispatch.check_many`` span keeps
+measuring the front's own time apart from ``guard.pipeline.check_many``.
 
-Every call asks the ring for the owner first, so a crashed owner raises
-the retryable ``NodeUnavailableError`` the serving layer turns into a
-wire-level RETRY; then the one guard decides
-(:mod:`repro.cluster.dispatch`).  A batch is one ``Guard.check_many``,
-and an invalidation is one guard call whose tombstone is kept for good,
-so no ring change can re-admit what it refused.  The ring decides only
-what a departure loses: a leave, failure or crash forgets the cached
-chains of the speakers the node owned, a drain forgets nothing, and a
-join moves nothing; see ``docs/cluster.md``.
+Its members are a plain list of names.  A drain or a join changes that
+list and nothing else: no cached chain is forgotten or moved, because
+the one guard holds them all.
 
-The cluster implements the full :class:`~repro.guard.backend.AuthBackend`
-protocol, so transports front it exactly as they front a single guard
-(every listener of a fleet is handed the cluster itself).
+This module goes when the benchmark rig is pointed at ``Guard``.
 """
 
-from repro.cluster.dispatch import AuthCluster
-from repro.cluster.membership import (
-    CRASHED,
-    FAILED,
-    LEFT,
-    UP,
-    ClusterMembership,
-    MembershipEvent,
-)
-from repro.cluster.ring import (
-    GuardNode,
-    HashRing,
-    principal_fingerprint,
-    routing_key,
-    session_routing_key,
-)
+from __future__ import annotations
 
-__all__ = [
-    "AuthCluster",
-    "ClusterMembership",
-    "MembershipEvent",
-    "UP",
-    "LEFT",
-    "FAILED",
-    "CRASHED",
-    "GuardNode",
-    "HashRing",
-    "principal_fingerprint",
-    "routing_key",
-    "session_routing_key",
-]
+from typing import Dict, List, NamedTuple
+
+from repro.guard import default_backend
+from repro.net.trust import TrustEnvironment
+from repro.prover import Prover
+
+
+class Member(NamedTuple):
+    """A name on the member list (the rig's ``join`` reads its id)."""
+
+    node_id: str
+
+
+class DrainReport(NamedTuple):
+    """What one drain kept: it forgets nothing, so ``installed`` counts
+    every chain the guard has cached."""
+
+    node_id: str
+    installed: int
+    duration_ms: float
+
+    def as_dict(self) -> Dict[str, object]:
+        return self._asdict()
+
+
+class AuthCluster:
+    """One :class:`~repro.guard.Guard` behind ``node_count`` member
+    names, with the calls and the stats tree the benchmark rig uses."""
+
+    def __init__(self, node_count: int = 1):
+        self.guard = default_backend(TrustEnvironment(), prover=Prover())
+        self.members: List[str] = []
+        self._joined = 0
+        self._drains = {
+            "records_installed": 0,
+            "records_refused_stale": 0,
+            "drains": 0,
+            "last_drain_ms": 0.0,
+        }
+        for _ in range(node_count):
+            self.add_node()
+        self.guard.metrics.register_source("cluster", self.stats_snapshot)
+
+    # -- the calls the rig makes ---------------------------------------------
+
+    def check_many(self, requests):
+        return self.guard.check_many(requests)
+
+    def submit_proof(self, proof_wire: bytes):
+        return self.guard.submit_proof(proof_wire)
+
+    def install_session(self, mac_id, mac_key, minted_at=None) -> None:
+        self.guard.install_session(mac_id, mac_key, minted_at=minted_at)
+
+    def add_delegation(self, proof) -> None:
+        self.guard.digest_delegation(proof)
+
+    def revoke_serial(self, serial: bytes) -> int:
+        return self.guard.revoke_serial(serial)
+
+    def deliver_invalidations(self) -> int:
+        """Nothing is ever pending: an invalidation is applied by the
+        call that publishes it.  Returns 0."""
+        return 0
+
+    # -- members -------------------------------------------------------------
+
+    def add_node(self) -> Member:
+        """Add the next ``node-<n>`` name; nothing moves."""
+        node_id = "node-%d" % self._joined
+        self._joined += 1
+        self.members.append(node_id)
+        return Member(node_id)
+
+    def drain(self, node_id: str) -> DrainReport:
+        """Take ``node_id`` off the member list; nothing is forgotten."""
+        timebase = self.guard.metrics.timebase
+        started = timebase.now()
+        self.members.remove(node_id)
+        kept = self.guard.cache.count()
+        duration_ms = (timebase.now() - started) * 1000.0
+        tally = self._drains
+        tally["records_installed"] += kept
+        tally["drains"] += 1
+        tally["last_drain_ms"] = duration_ms
+        return DrainReport(node_id, kept, duration_ms)
+
+    # -- the stats tree bench/layers.py reads --------------------------------
+
+    def stats_snapshot(self) -> Dict[str, object]:
+        """``nodes`` holds the one guard's counters; ``dispatch`` counts
+        its batches; ``bus.delivered`` the delegation edges its
+        invalidations removed; ``handoff`` the drains."""
+        guard = self.guard
+        batches = guard.stats["batches"]
+        return {
+            "nodes": {
+                "guard": {
+                    "guard": dict(guard.stats),
+                    "cache": dict(guard.cache.stats),
+                    "prover": dict(guard.prover.stats),
+                },
+            },
+            "dispatch": {
+                "dispatches": batches,
+                "requests": guard.stats["checks"],
+                "shard_batches": batches,
+            },
+            "bus": {"delivered": guard.prover.graph.invalidations},
+            "handoff": dict(self._drains),
+        }

@@ -24,26 +24,20 @@ class AuthorizationError(SnowflakeError):
 
 
 class NodeUnavailableError(SnowflakeError, LookupError):
-    """A request routed to a cluster node that is not serving.
+    """The backend that should decide a request is not serving right now.
 
-    Raised by the membership table when the consistent-hash ring still
-    resolves a key to a node that has *crashed* — died without a
-    graceful leave, so its ring points linger until the failure sweep
-    notices.  The condition is retryable, not a denial: one membership
-    sweep reassigns the dead node's shards to its ring successors, and
-    the identical request then routes to a live node.  The serving layer
-    maps this onto its wire-level RETRY code so clients can resubmit
-    against the re-swept ring.
+    The condition is retryable, not a denial: the serving layer maps it
+    onto its wire-level RETRY code, and the client resends the identical
+    request once.  A single :class:`~repro.guard.Guard` never raises it;
+    a backend that fronts something that can crash (a remote guard, a
+    fault-injecting test wrapper) does.
     """
 
     def __init__(self, node_id=None):
         if node_id is None:
             message = "no serving node is available for this key"
         else:
-            message = (
-                "node %r is not serving (crashed, awaiting failure sweep)"
-                % node_id
-            )
+            message = "node %r is not serving" % node_id
         super().__init__(message)
         self.node_id = node_id
 

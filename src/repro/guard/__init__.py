@@ -7,9 +7,9 @@ construct :class:`GuardRequest` objects and delegate to a shared
 :class:`Guard` pipeline — session/MAC fast path, digest-deduped proof
 cache, full Prover verification, and a uniform end-to-end audit record
 per grant.  Transports program against the :class:`AuthBackend`
-protocol (``repro.guard.backend``) — satisfied by :class:`Guard` and by
-``repro.cluster.AuthCluster`` alike — and obtain the single-process
-default only through :func:`default_backend` / :func:`resolve_backend`.
+protocol (``repro.guard.backend``), which :class:`Guard` satisfies, and
+obtain the single-process default only through :func:`default_backend` /
+:func:`resolve_backend`.
 See ``docs/guard.md`` for the architecture and how to add a new
 transport.
 """

@@ -57,7 +57,7 @@ class AuditRecord:
         self.when = when
         self.transport = transport
         # The trace/span that produced this grant (see repro.obs.trace):
-        # the correlation key between the cluster's audit trail and the
+        # the correlation key between the guard's audit trail and the
         # serving layer's spans.
         self.trace_id = trace_id
         self.span_id = span_id

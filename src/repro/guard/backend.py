@@ -2,13 +2,13 @@
 
 The paper's argument is that one proof-checking logic should sit behind
 every interface.  :class:`~repro.guard.pipeline.Guard` is that logic for
-one process; :class:`~repro.cluster.dispatch.AuthCluster` is one such
-guard behind a ring that names each speaker's owner.  A transport should
-not care which one it is talking to — it frames requests and maps
-exceptions onto its wire, and *routing* the decision is the backend's
-business.  This module names the contract both implementations satisfy,
-so every transport (http, rmi, smtp, secure channels) and every app
-(gateway, webserver, emaildb, guarded fs) can accept any backend.
+one process, and one process is one failure domain, so one guard is the
+whole authorization service.  A transport should not care what object
+it is talking to — it frames requests and maps exceptions onto its wire.
+This module names the contract, so every transport (http, rmi, smtp,
+secure channels) and every app (gateway, webserver, emaildb, guarded fs)
+can accept any backend: a guard shared with other transports, or a test
+wrapper around one.
 
 The surface, grouped the way transports consume it:
 
@@ -17,20 +17,20 @@ The surface, grouped the way transports consume it:
   ``deliver``, ``retract_delivery`` (secure-channel listeners);
 - **sessions** — ``mint_session``, ``install_session``,
   ``sweep_sessions``, and a ``sessions`` attribute: the backend's one
-  :class:`~repro.guard.sessions.SessionRegistry` (a cluster's is its
-  guard's), which the HTTP MAC framing adopts;
+  :class:`~repro.guard.sessions.SessionRegistry`, which the HTTP MAC
+  framing adopts;
 - **proof intake** — ``submit_proof``, ``digest_delegation``,
   ``outgoing_delegations`` (the RMI proofRecipient and the quoting
   gateway);
 - **invalidation** — ``retract_delegation``, ``revoke_serial``;
 - **introspection** — ``context``, ``audit_authentication``, and an
   ``audit`` attribute: the backend's one
-  :class:`~repro.guard.audit.AuditLog` (a cluster's is its guard's).
+  :class:`~repro.guard.audit.AuditLog`.
 
 No transport or app module constructs a :class:`Guard` directly any
 more: they accept an injected backend or fall back to
 :func:`default_backend` — the one place the single-process default is
-built, so swapping a deployment onto a cluster means passing a different
+built, so swapping a deployment's backend means passing a different
 object, never editing a transport.
 """
 
@@ -41,7 +41,7 @@ from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 @runtime_checkable
 class AuthBackend(Protocol):
-    """The authorization surface shared by ``Guard`` and ``AuthCluster``.
+    """The authorization surface a transport programs against.
 
     Implementations also expose an ``audit`` attribute (records /
     involving / by_transport), a ``sessions`` registry and a ``stats``

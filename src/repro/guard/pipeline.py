@@ -142,8 +142,8 @@ class Guard:
         self.trust = trust
         self.meter = meter
         self.prover = prover
-        # The metrics registry and tracer ride in together (a cluster
-        # passes its own pair).  An injected registry without
+        # The metrics registry and tracer ride in together (a caller
+        # may pass its own pair).  An injected registry without
         # a tracer gets a private tracer bound to it, so span-duration
         # histograms land beside the counters they explain.
         self.metrics = default_registry(metrics)
@@ -533,7 +533,7 @@ class Guard:
         request = admitted.request
         derived = self._derived_step(admitted, proof, context)
         # The request's trace id (``check_many`` set one) is the
-        # correlation key, so the cluster's audit trail lines up with
+        # correlation key, so the guard's audit trail lines up with
         # the trace store.  The span id is the guard span
         # ``check_many`` activated around this request — present only
         # when the tracer keeps the trace.
@@ -764,19 +764,16 @@ class Guard:
 
     # -- proof submission ---------------------------------------------------
 
-    def submit_proof(self, proof_wire: bytes, proof: Optional[Proof] = None) -> Proof:
+    def submit_proof(self, proof_wire: bytes) -> Proof:
         """Receive, parse, verify, and cache a proof from a client (the
         proofRecipient object).
 
         This is the 190 ms path of Section 7.2: "the server spends 190 ms
         parsing and verifying the proof from the client" — the single
         charge below covers parse, unmarshal, and verification together,
-        as the paper's figure does.  A caller that already parsed the
-        wire (the cluster routes on the conclusion) passes ``proof`` so
-        the work — and the charge — happens exactly once.
+        as the paper's figure does.
         """
-        if proof is None:
-            proof = proof_from_canonical(proof_wire, self.metrics)
+        proof = proof_from_canonical(proof_wire, self.metrics)
         maybe_charge(self.meter, "proof_parse_verify")
         return self._verify_and_cache(proof)
 

@@ -78,8 +78,8 @@ class ProtectedServlet(Servlet):
         if guard is None:
             # HTTP meters its own SPKI handling; no per-check RMI charge.
             # The only sanctioned default construction: the shared
-            # backend factory (any AuthBackend may be injected instead —
-            # a shared Guard, an AuthCluster).
+            # backend factory (any AuthBackend may be injected instead,
+            # such as a Guard shared with other transports).
             guard = default_backend(
                 trust,
                 meter=meter,

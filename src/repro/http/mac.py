@@ -65,8 +65,8 @@ class MacSessionManager:
     def bind(self, backend) -> None:
         """Point this manager at the servlet's authorization backend.
 
-        Every backend exposes its one ``sessions`` registry (a cluster's
-        is shared by all its nodes): the manager adopts any sessions it
+        Every backend exposes its one ``sessions`` registry: the
+        manager adopts any sessions it
         already minted into that table and re-points itself, so
         outstanding grants keep verifying.
         """
@@ -114,7 +114,7 @@ class MacSessionManager:
 
     def session_count(self) -> int:
         """Sessions in the table this front verifies against: its
-        backend's once bound (a cluster's is its one guard's)."""
+        backend's once bound."""
         return self.registry.count()
 
 

@@ -176,8 +176,7 @@ class SecureChannelServer(ServerFactory):
         # Channel bindings and post-handshake delivery route through the
         # shared backend pipeline (servers that also authorize — the RMI
         # stack — pass their authorization backend so state is one
-        # object; a cluster backend pins each connection's premise to the
-        # channel's shard).  The default honors the injected meter, RNG,
+        # object).  The default honors the injected meter, RNG,
         # and the trust environment's clock the same way HTTP does.
         self.guard = resolve_backend(
             guard, trust, meter=meter, check_charge=None, rng=rng

@@ -11,8 +11,7 @@ assertable in benchmarks:
   :class:`~repro.core.timebase` so SimClock tests stay deterministic;
 - :mod:`repro.obs.trace` — :class:`Trace`/:class:`Span` context born at
   the serve listener's connection (or ``Guard.check`` entry for in-process
-  callers), flowing through cluster dispatch → the guard
-  pipeline, stamping each request with the stage that granted it and
+  callers), flowing through the guard pipeline, stamping each request with the stage that granted it and
   writing span ids into every :class:`AuditRecord`.
 
 Exposition: the serve protocol's ``STATS`` wire command,

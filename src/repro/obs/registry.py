@@ -15,8 +15,7 @@ single sink every subsystem's counters land in.  Three primitive kinds:
 Subsystems with existing ad-hoc stats dicts do not copy values over;
 they ``register_source(name, fn)`` and the registry pulls a live
 snapshot at exposition time.  That keeps today's ``ServeListener.stats``
-/ ``AuthCluster.stats_snapshot()`` / ``Prover.stats`` surfaces the
-source of truth while giving operators one scrape point.
+/ ``ProofCache.stats`` / ``Prover.stats`` surfaces the source of truth while giving operators one scrape point.
 
 Exposition: ``snapshot()`` (a JSON-able tree), ``render_text()`` (human
 lines), and ``render_prometheus()`` (the text exposition format, with

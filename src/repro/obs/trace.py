@@ -9,7 +9,7 @@ pipeline opens a ``guard.check`` span per decision, annotated with the
 stage that granted it (fast-path / proof-cache / prover) and its
 per-stage durations.  Span ids are stamped into every
 :class:`~repro.guard.audit.AuditRecord`, which is what makes the
-cluster's audit trail correlatable with traces.
+guard's audit trail correlatable with traces.
 
 Propagation is via a :mod:`contextvars` context variable — natural for
 asyncio.  One deliberate exception: a serve batch carries many
@@ -22,9 +22,8 @@ enough for tests and the CLI, not an unbounded history.
 
 **Sampling.**  ``Tracer(sample=N)`` keeps a trace iff ``N == 1`` or
 ``zlib.crc32(trace_id) % N == 0``.  The decision is a function of the
-id alone, so every span of one trace agrees — serve and guard, every
-cluster node, both attempts of a RETRY resend (which carries the same
-id) — and a dropped trace's ``start_span`` returns the shared
+id alone, so every span of one trace agrees — serve and guard, and
+both attempts of a RETRY resend (which carries the same id) — and a dropped trace's ``start_span`` returns the shared
 :data:`NULL_SPAN`: no allocation, no lock, no histogram, no retention.
 Callers that time work around a span skip the clock for a
 ``NULL_SPAN`` too, so counters count every request and every latency

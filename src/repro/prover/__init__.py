@@ -73,8 +73,7 @@ a dict lookup rather than a re-serialization.
 ``Prover.stats`` reports the prover's own work: ``searches``,
 ``nodes_expanded`` and ``invalidate_examined``.  What the graph holds is
 counted once, on the graph (``edge_count()``, ``invalidations``,
-``generation``), since several provers may search one graph — every
-node of an ``AuthCluster`` searches the cluster's.
+``generation``), since several provers may search one graph.
 """
 
 from repro.prover.graph import DelegationGraph, Edge

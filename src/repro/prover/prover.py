@@ -72,8 +72,8 @@ class Prover:
         max_visits: int = 4,
         graph: Optional[DelegationGraph] = None,
     ):
-        # A prover searches ``graph`` — shared, in a cluster, by every
-        # node's prover — or a graph of its own.
+        # A prover searches ``graph`` (which other provers may share)
+        # or a graph of its own.
         self.graph = graph if graph is not None else DelegationGraph()
         self._closures: Dict[Principal, Closure] = {}
         self.max_depth = max_depth
@@ -116,8 +116,8 @@ class Prover:
 
         A retraction names the delegation's digest, and digests are
         canonical, so the same event names the same edge wherever it is
-        applied; applied again to a graph that already lost the edge (a
-        cluster applies it once a node), it removes nothing.
+        applied; applied again to a graph that already lost the edge, it
+        removes nothing.
         """
         return self.graph.remove(proof_or_key)
 

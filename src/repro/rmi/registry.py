@@ -80,10 +80,10 @@ class Registry:
 class RmiServer:
     """The assembled server stack: trust + auth + skeleton + listener.
 
-    ``backend`` injects any :class:`~repro.guard.AuthBackend` — a shared
-    guard or an :class:`~repro.cluster.AuthCluster` — as the
-    server's authorization state; the default is one guard per server
-    process via the shared backend factory.
+    ``backend`` injects any :class:`~repro.guard.AuthBackend` (a guard
+    shared with other transports, say) as the server's authorization
+    state; the default is one guard per server process via the shared
+    backend factory.
     """
 
     def __init__(

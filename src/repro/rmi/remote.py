@@ -83,7 +83,7 @@ class RmiSkeleton(SecureChannelService):
 
     def __init__(self, auth: AuthBackend, meter: Optional[Meter] = None):
         # ``auth`` is any AuthBackend: the skeleton only needs ``check``
-        # and ``submit_proof``, so a cluster serves it as well as a guard.
+        # and ``submit_proof``.
         self.auth = auth
         self.meter = meter
         self._objects: Dict[str, RemoteObject] = {}

@@ -16,14 +16,13 @@ what the *server* does between frames:
 - **Backpressure.** The transport's own: a peer that does not read its
   replies stops being served and stops being read, and the kernel's
   TCP window pushes back on its writes.
-- **Failure mapping.** A batch that routes onto a crashed cluster node
+- **Failure mapping.** A backend that cannot decide a batch right now
   raises :class:`~repro.core.errors.NodeUnavailableError`; the server
-  triggers the failure sweep and answers RETRY, and the client
-  resubmits once against the repaired ring
+  answers RETRY and decides nothing, and the client resubmits once
   (:mod:`repro.serve.client`).
 - **One owner.** The listener calls its backend directly on its event
   loop, and that loop is the only thread of control that touches the
-  backend; control-plane calls (revoke, drain, join) run on the same
+  backend; control-plane calls (revoke, re-grant) run on the same
   loop, so invalidation-versus-check order is loop order
   ("Concurrency model" in ``docs/serve.md``).
 

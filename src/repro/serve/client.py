@@ -11,11 +11,11 @@ model of what any consumer of this protocol must do:
   Server-side, those in-flight frames are what coalesce into
   ``check_many`` batches — pipelining is the *client's* half of the
   batching optimisation.
-- **Crash retry.** A RETRY reply means the serving node crashed and
-  the server has already re-swept the ring.  The client resends the
-  stored frame for that id exactly once; a second RETRY for the same
-  id resolves as the failure it is (one sweep reassigns the shards, so
-  a second crash on the same request is not a blip worth hiding).
+- **Crash retry.** A RETRY reply means the backend could not decide
+  the request and decided nothing.  The client resends the stored
+  frame for that id exactly once; a second RETRY for the same id
+  resolves as the failure it is (a blip is worth one resend, not a
+  loop).
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class ServeClient(asyncio.Protocol):
             and request_id in self._sent_frames
             and request_id not in self._retried
         ):
-            # The server re-swept the ring; resend this frame once.
+            # The backend decided nothing; resend this frame once.
             self._retried.add(request_id)
             self.stats["retries"] += 1
             self.transport.write(self._sent_frames[request_id])

@@ -1,11 +1,11 @@
-"""A fleet of listeners sharing one backend (and one ring).
+"""A fleet of listeners sharing one backend.
 
 N listening sockets, one authorization state, one event loop: every
 listener runs on the *caller's* loop, which is therefore the single
 owner of the backend ("Concurrency model" in ``docs/serve.md``).  Every
-listener is handed the backend the fleet was given — a bare guard or an
-:class:`~repro.cluster.AuthCluster` alike; per-listener traffic shows
-up in each listener's own ``stats``.
+listener is handed the backend the fleet was given (by default one
+:class:`~repro.guard.Guard`); per-listener traffic shows up in each
+listener's own ``stats``.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class ServeFleet:
         if listeners < 1:
             raise ValueError("a fleet needs at least one listener")
         self.backend = backend
-        # One registry/tracer per fleet: the backend's (so guard, cluster
-        # and listener counters merge) unless the caller injects one.
+        # One registry/tracer per fleet: the backend's (so guard and
+        # listener counters merge) unless the caller injects one.
         if metrics is None:
             metrics = getattr(backend, "metrics", None)
         self.metrics = default_registry(metrics)

@@ -38,8 +38,8 @@ Server replies:
   form of :class:`NeedAuthorizationError`: prove you speak for *issuer*
   regarding *tag*, then retry;
 - ``(denied <id> <message>)`` — :class:`AuthorizationError`;
-- ``(retry <id> <message>)`` — the serving node crashed mid-connection;
-  the server has re-swept the ring, resubmit the identical request once;
+- ``(retry <id> <message>)`` — the backend could not decide the
+  request and decided nothing: resubmit the identical request once;
 - ``(error <id> <message>)`` — the frame could not be served (malformed
   command, oversize payload); ``<id>`` is 0 when the id itself was
   unreadable;

@@ -25,15 +25,13 @@ loop is the only thread of control that touches it: a batch is decoded,
 checked and answered inside one callback, so nothing else observes the
 backend mid-batch ("Concurrency model" in ``docs/serve.md``).
 
-A batch that routes onto a crashed cluster node raises
-:class:`~repro.core.errors.NodeUnavailableError` out of ``check_many``.
-The listener answers every check in that batch with RETRY and triggers
-the backend's failure sweep, so the client's single retry lands on the
-repaired ring.  RETRY is the *crash* story only: a **planned** departure
-(``AuthCluster.drain``) never surfaces here.  It is one call on this
-same loop that hands the node's warm state to the inheriting successors
-and then leaves, so every check lands either before it, on the node, or
-after it, on a live, already-warm owner (see ``docs/cluster.md``).
+A backend that cannot decide a batch right now raises
+:class:`~repro.core.errors.NodeUnavailableError` out of ``check_many``
+(or ``submit_proof``).  The listener answers every check in that batch
+with RETRY and decides nothing, and the client resends once with the
+same trace id ("Graceful shutdown and crash retry" in
+``docs/serve.md``).  A single :class:`~repro.guard.Guard` never raises
+it, so over the default backend RETRY never appears on the wire.
 
 Graceful shutdown closes the listening socket first (new connects are
 refused), then lets each connection serve the complete frames it has
@@ -126,7 +124,6 @@ class ServeListener:
             "pings": 0,
             "stats_requests": 0,
             "paused": 0,
-            "repairs": 0,
             "decode_hits": 0,
             "decode_misses": 0,
         }
@@ -175,14 +172,6 @@ class ServeListener:
         if self._drained is not None and not self._connections:
             self._drained.set_result(None)
             self._drained = None
-
-    def repair(self) -> None:
-        """A batch routed onto a corpse: run the backend's failure sweep
-        so the dead node's shards reassign before the client retries."""
-        sweep = getattr(self.backend, "sweep_failures", None)
-        if callable(sweep):
-            sweep()
-            self.stats["repairs"] += 1
 
     def _count(self, reply: Reply) -> Reply:
         counter = _STATUS_COUNTERS.get(reply.status)
@@ -382,15 +371,13 @@ class _Connection(asyncio.Protocol):
         try:
             decisions = listener.backend.check_many(requests)
         except NodeUnavailableError as exc:
-            listener.repair()
             for slot, request_id, _, _ in checks:
                 replies[slot] = listener._count(
                     Reply(RETRY, request_id, message=str(exc))
                 )
             return
         except (SnowflakeError, ValueError) as exc:
-            # A whole-batch refusal (e.g. a routing error the cluster
-            # raises before dispatch): every check learns the reason.
+            # A whole-batch refusal: every check learns the reason.
             for slot, request_id, _, _ in checks:
                 replies[slot] = listener._count(
                     Reply(DENIED, request_id, message=str(exc))
@@ -406,7 +393,6 @@ class _Connection(asyncio.Protocol):
         try:
             listener.backend.submit_proof(command.body)
         except NodeUnavailableError as exc:
-            listener.repair()
             return listener._count(
                 Reply(RETRY, command.request_id, message=str(exc))
             )

@@ -314,28 +314,39 @@ def _parse_star_form(node: SList) -> TagExpr:
 
 
 def _parse_range(rest: Tuple[SExp, ...]) -> TagRange:
+    """Read ``ordering [lower] [upper]``: at most one lower bound, then
+    at most one upper bound, in the order :meth:`TagRange.to_sexp`
+    writes them.  Any other spelling is refused, because it would
+    re-encode to bytes its issuer never signed."""
     if not rest or not isinstance(rest[0], Atom):
         raise TagError("(* range ...) needs an ordering atom")
     ordering = _plain(rest[0]).text()
+    bounds = [_range_bound(bound) for bound in rest[1:]]
     lower = upper = None
     lower_op, upper_op = "ge", "le"
-    for bound in rest[1:]:
-        if (
-            not isinstance(bound, SList)
-            or len(bound) != 2
-            or not isinstance(bound.items[0], Atom)
-            or not isinstance(bound.items[1], Atom)
-        ):
-            raise TagError("range bound must be (op value)")
-        op = _plain(bound.items[0]).text()
-        value = _plain(bound.items[1]).value
-        if op in ("g", "ge"):
-            lower, lower_op = value, op
-        elif op in ("l", "le"):
-            upper, upper_op = value, op
-        else:
-            raise TagError("unknown range bound op %r" % op)
+    if bounds and bounds[0][0] in ("g", "ge"):
+        lower_op, lower = bounds.pop(0)
+    if bounds and bounds[0][0] in ("l", "le"):
+        upper_op, upper = bounds.pop(0)
+    if bounds:
+        raise TagError(
+            "range bounds must be one lower, then one upper: %r" % (rest,)
+        )
     return TagRange(ordering, lower, lower_op, upper, upper_op)
+
+
+def _range_bound(bound: SExp) -> Tuple[str, bytes]:
+    if (
+        not isinstance(bound, SList)
+        or len(bound) != 2
+        or not isinstance(bound.items[0], Atom)
+        or not isinstance(bound.items[1], Atom)
+    ):
+        raise TagError("range bound must be (op value)")
+    op = _plain(bound.items[0]).text()
+    if op not in ("g", "ge", "l", "le"):
+        raise TagError("unknown range bound op %r" % op)
+    return op, _plain(bound.items[1]).value
 
 
 #: Decoded tags by the canonical bytes they were decoded from (see

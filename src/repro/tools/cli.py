@@ -179,31 +179,35 @@ def cmd_tag(args) -> int:
     return 0
 
 
-def _demo_cluster(args):
-    """Drive the deterministic demo workload the ``stats`` and ``audit``
-    subcommands share: an :class:`AuthCluster` serving a MAC-session
-    request stream, optionally failing or draining one node mid-run.
-    Returns the cluster."""
-    from repro.cluster import AuthCluster
+def _demo_guard(**kwargs):
+    """The backend the demo subcommands serve: the one
+    :class:`~repro.guard.Guard` ``default_backend`` builds, with a
+    prover over its delegation graph."""
+    from repro.guard import default_backend
+    from repro.net.trust import TrustEnvironment
+    from repro.prover import Prover
+
+    return default_backend(TrustEnvironment(), prover=Prover(), **kwargs)
+
+
+def _demo_sessions(args, guard):
+    """Mint ``args.sessions`` MAC sessions on ``guard``, each delegated
+    the whole tag by a seeded server key; returns ``request(index)``,
+    which builds the ``index``-th check of the demo workload."""
     from repro.core.principals import KeyPrincipal, MacPrincipal
-    from repro.core.proofs import SignedCertificateStep
     from repro.guard import GuardRequest, SessionCredential
     from repro.sexp import sexp
 
     rng = random.Random(args.seed)
     server = generate_keypair(512, rng)
     issuer = KeyPrincipal(server.public)
-    cluster = AuthCluster(
-        node_count=args.nodes,
-        audit_retain=getattr(args, "retain", None),
-    )
     sessions = []
     for _ in range(args.sessions):
-        mac_id, mac_key = cluster.mint_session(rng)
+        mac_id, mac_key = guard.mint_session(rng)
         certificate = Certificate.issue(
             server, MacPrincipal(mac_key.fingerprint()), Tag.all(), rng=rng
         )
-        cluster.add_delegation(SignedCertificateStep(certificate))
+        guard.digest_delegation(SignedCertificateStep(certificate))
         sessions.append((mac_id, mac_key))
 
     def request(index: int) -> GuardRequest:
@@ -217,33 +221,53 @@ def _demo_cluster(args):
             transport="http",
         )
 
-    half = args.requests // 2
-    cluster.check_many([request(i) for i in range(half)])
-    if args.fail_one and len(cluster.nodes()) > 1:
-        cluster.fail_node(cluster.nodes()[0].node_id)
-    if getattr(args, "drain_one", False) and len(cluster.nodes()) > 1:
-        cluster.drain(cluster.nodes()[0].node_id)
-    cluster.check_many([request(i) for i in range(half, args.requests)])
-    return cluster
+    return request
+
+
+def _demo_run(args, **kwargs):
+    """Drive the deterministic demo workload the ``stats`` and ``audit``
+    subcommands share — a MAC-session request stream, one batch — on a
+    fresh guard, and return the guard."""
+    guard = _demo_guard(**kwargs)
+    request = _demo_sessions(args, guard)
+    guard.check_many([request(i) for i in range(args.requests)])
+    return guard
 
 
 def cmd_stats(args) -> int:
-    """Run a deterministic demo workload on an authorization cluster and
-    dump every guard/prover/session/cluster counter as JSON (a drain's
-    wall-clock duration is ``handoff.last_drain_ms``)."""
-    cluster = _demo_cluster(args)
-    print(json.dumps(cluster.stats_snapshot(), indent=args.indent,
-                     sort_keys=True))
+    """Run a deterministic demo workload on a guard and dump every
+    guard/cache/prover/session/graph/audit counter as JSON."""
+    guard = _demo_run(args)
+    graph = guard.prover.graph
+    snapshot = {
+        "guard": dict(guard.stats),
+        "cache": dict(guard.cache.stats),
+        "prover": dict(guard.prover.stats),
+        "sessions": dict(guard.sessions.stats),
+        "graph": {
+            "edges": graph.edge_count(),
+            "invalidations": graph.invalidations,
+            "generation": graph.generation,
+        },
+        "audit": {
+            "recorded": guard.audit.recorded,
+            "evicted": guard.audit.evicted,
+        },
+    }
+    print(json.dumps(snapshot, indent=args.indent, sort_keys=True))
     return 0
 
 
 def cmd_audit(args) -> int:
-    """Run the demo cluster workload and print its audit trail: the
-    cluster's one log, every grant in grant order (``--retain``
-    sizes its ring).  What the ring no longer holds is said first."""
-    log = _demo_cluster(args).audit
+    """Run the demo workload and print the guard's audit trail, every
+    grant in grant order (``--retain`` sizes its ring).  What the ring
+    no longer holds is said first."""
+    from repro.guard.audit import AUDIT_RETAIN, AuditLog
+
+    retain = AUDIT_RETAIN if args.retain is None else args.retain
+    log = _demo_run(args, audit=AuditLog(retain=retain)).audit
     records = log.records
-    print("# cluster audit: %d record%s"
+    print("# audit: %d record%s"
           % (len(records), "" if len(records) == 1 else "s"))
     if log.evicted > 0:
         print("# %d earlier records evicted" % log.evicted)
@@ -252,48 +276,23 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def _drive_fleet(args, cluster):
-    """Mint MAC sessions on ``cluster``, serve ``args.requests`` checks
+def _drive_fleet(args, guard):
+    """Mint MAC sessions on ``guard``, serve ``args.requests`` checks
     through a real loopback listener fleet, and return ``(chunks,
     elapsed, stats)`` — the workload the ``serve`` and ``metrics``
     subcommands share."""
     import asyncio
 
-    from repro.core.principals import KeyPrincipal, MacPrincipal
     from repro.core.timebase import default_timebase
-    from repro.guard import GuardRequest, SessionCredential
     from repro.serve import ServeClient, ServeFleet
-    from repro.sexp import sexp
 
-    rng = random.Random(args.seed)
-    server = generate_keypair(512, rng)
-    issuer = KeyPrincipal(server.public)
-    sessions = []
-    for _ in range(args.sessions):
-        mac_id, mac_key = cluster.mint_session(rng)
-        certificate = Certificate.issue(
-            server, MacPrincipal(mac_key.fingerprint()), Tag.all(), rng=rng
-        )
-        cluster.add_delegation(SignedCertificateStep(certificate))
-        sessions.append((mac_id, mac_key))
-
-    def request(index: int) -> GuardRequest:
-        mac_id, mac_key = sessions[index % len(sessions)]
-        logical = sexp(["web", ["method", "GET"], ["path", "/doc-%d" % index]])
-        message = to_canonical(logical)
-        return GuardRequest(
-            logical,
-            issuer=issuer,
-            credential=SessionCredential(mac_id, mac_key.tag(message), message),
-            transport="http",
-        )
-
+    request = _demo_sessions(args, guard)
     # Real RPS over real sockets needs the wall clock — taken through
     # the injected-timebase seam, not an ambient perf_counter() read.
     timebase = default_timebase()
 
     async def drive():
-        fleet = ServeFleet(cluster, listeners=args.listeners)
+        fleet = ServeFleet(guard, listeners=args.listeners)
         addresses = await fleet.start()
         clients = [
             await ServeClient.connect(*address) for address in addresses
@@ -321,20 +320,16 @@ def _drive_fleet(args, cluster):
 
 
 def cmd_serve(args) -> int:
-    """Serve the demo cluster workload over real loopback sockets and
-    print measured requests/sec as JSON (a smoke, not a measurement:
-    the client shares the process — ``bench/run.py`` is the benchmark)."""
-    from repro.cluster import AuthCluster
-
-    cluster = AuthCluster(node_count=args.nodes)
-    chunks, elapsed, stats = _drive_fleet(args, cluster)
+    """Serve the demo workload over real loopback sockets and print
+    measured requests/sec as JSON (a smoke, not a measurement: the
+    client shares the process — ``bench/run.py`` is the benchmark)."""
+    chunks, elapsed, stats = _drive_fleet(args, _demo_guard())
     replies = [reply for chunk in chunks for reply in chunk]
     granted = sum(1 for reply in replies if reply.granted)
     print(
         json.dumps(
             {
                 "listeners": args.listeners,
-                "nodes": args.nodes,
                 "requests": args.requests,
                 "granted": granted,
                 "real_rps": args.requests / elapsed if elapsed else None,
@@ -353,16 +348,14 @@ def cmd_metrics(args) -> int:
     """Drive the scripted serve-fleet workload against a private
     :class:`MetricsRegistry` and print it — text by default, ``--json``
     for the snapshot, ``--prom`` for Prometheus exposition."""
-    from repro.cluster import AuthCluster
     from repro.obs import MetricsRegistry, Tracer
 
     registry = MetricsRegistry()
     # Every trace kept: this command demonstrates the trace surface.
     tracer = Tracer(registry=registry, sample=1)
-    cluster = AuthCluster(
-        node_count=args.nodes, metrics=registry, tracer=tracer
+    chunks, _, _ = _drive_fleet(
+        args, _demo_guard(metrics=registry, tracer=tracer)
     )
-    chunks, _, _ = _drive_fleet(args, cluster)
     granted = sum(
         1 for chunk in chunks for reply in chunk if reply.granted
     )
@@ -422,37 +415,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = commands.add_parser(
         "stats",
-        help="run a demo cluster workload and dump all counters as JSON",
+        help="run a demo workload on a guard and dump all counters as JSON",
     )
-    stats.add_argument("--nodes", type=int, default=4)
     stats.add_argument("--sessions", type=int, default=16)
     stats.add_argument("--requests", type=int, default=64)
     stats.add_argument("--seed", type=int, default=7)
-    stats.add_argument("--drain-one", action="store_true",
-                       help="drain one node mid-run (it keeps its speakers' "
-                            "cached chains; the handoff counters and "
-                            "last_drain_ms go live)")
-    stats.add_argument("--fail-one", action="store_true",
-                       help="fail one node mid-run: its shards move to the "
-                            "survivors, which verify the same sessions")
     stats.add_argument("--indent", type=int, default=2)
     stats.set_defaults(func=cmd_stats)
 
     audit = commands.add_parser(
         "audit",
-        help="run the demo cluster workload and print the cluster's one "
-             "audit trail",
+        help="run the demo workload on a guard and print its audit trail",
     )
-    audit.add_argument("--nodes", type=int, default=4)
     audit.add_argument("--sessions", type=int, default=16)
     audit.add_argument("--requests", type=int, default=64)
     audit.add_argument("--seed", type=int, default=7)
-    audit.add_argument("--fail-one", action="store_true",
-                       help="fail one node mid-run (its grants stay in the "
-                            "trail)")
     audit.add_argument("--retain", type=int, default=None,
                        help="keep only the most recent N records in the "
-                            "cluster's one audit ring (default 2048)")
+                            "guard's audit ring (default 2048)")
     audit.set_defaults(func=cmd_audit)
 
     serve = commands.add_parser(
@@ -460,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the demo workload over real loopback sockets and "
              "print measured requests/sec",
     )
-    serve.add_argument("--nodes", type=int, default=4)
     serve.add_argument("--sessions", type=int, default=16)
     serve.add_argument("--requests", type=int, default=64)
     serve.add_argument("--listeners", type=int, default=2)
@@ -473,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive the serve-fleet workload against a private metrics "
              "registry and print it (text, --json, or --prom)",
     )
-    metrics.add_argument("--nodes", type=int, default=4)
     metrics.add_argument("--sessions", type=int, default=16)
     metrics.add_argument("--requests", type=int, default=64)
     metrics.add_argument("--listeners", type=int, default=2)

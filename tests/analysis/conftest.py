@@ -12,23 +12,18 @@ import textwrap
 
 import pytest
 
-from repro.analysis import Baseline, run
+from repro.analysis import run
 
 
 @pytest.fixture()
 def lint(tmp_path):
     """``lint(rel, source, ...)`` -> list of findings for one snippet."""
 
-    def _lint(rel, source, rules=None, baseline=None, cache_path=None):
+    def _lint(rel, source, rules=None):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-        result = run(
-            [str(path)], rules=rules,
-            baseline=baseline if baseline is not None else Baseline(),
-            cache_path=cache_path,
-        )
-        return result
+        return run([str(path)], rules=rules)
 
     return _lint
 

@@ -1,9 +1,8 @@
-"""The command-line surface: exit codes, formats, baseline workflow."""
+"""The command-line surface: exit codes, formats, rule selection."""
 
 from __future__ import annotations
 
 import json
-import os
 import textwrap
 
 import pytest
@@ -24,8 +23,7 @@ _CLEAN = "def mint(rng):\n    return rng.getrandbits(64)\n"
 
 @pytest.fixture()
 def scratch(tmp_path, monkeypatch):
-    """A repro-shaped scratch tree; cwd moved there so default baseline
-    and cache paths stay inside the sandbox."""
+    """A repro-shaped scratch tree, with cwd moved there."""
     package = tmp_path / "repro" / "net"
     package.mkdir(parents=True)
     monkeypatch.chdir(tmp_path)
@@ -34,50 +32,31 @@ def scratch(tmp_path, monkeypatch):
 
 def test_clean_run_exits_zero(scratch, capsys):
     (scratch / "mod.py").write_text(_CLEAN)
-    assert main([str(scratch), "--no-cache"]) == 0
+    assert main([str(scratch)]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
 
 
 def test_findings_exit_one_with_rule_id(scratch, capsys):
     (scratch / "mod.py").write_text(_VIOLATION)
-    assert main([str(scratch), "--no-cache"]) == 1
+    assert main([str(scratch)]) == 1
     out = capsys.readouterr().out
     assert "ARCH003" in out and "mod.py" in out
 
 
 def test_json_format(scratch, capsys):
     (scratch / "mod.py").write_text(_VIOLATION)
-    assert main([str(scratch), "--format", "json", "--no-cache"]) == 1
+    assert main([str(scratch), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
     assert payload["findings"][0]["rule"] == "ARCH003"
     assert payload["summary"]["files"] == 1
 
 
-def test_write_baseline_then_clean(scratch, capsys):
-    (scratch / "mod.py").write_text(_VIOLATION)
-    baseline = str(scratch.parent / "baseline.json")
-    assert main([str(scratch), "--baseline", baseline, "--write-baseline",
-                 "--no-cache"]) == 0
-    assert main([str(scratch), "--baseline", baseline, "--no-cache"]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
-
-
-def test_stale_baseline_fails_the_run(scratch):
-    (scratch / "mod.py").write_text(_VIOLATION)
-    baseline = str(scratch.parent / "baseline.json")
-    assert main([str(scratch), "--baseline", baseline, "--write-baseline",
-                 "--no-cache"]) == 0
-    (scratch / "mod.py").write_text(_CLEAN)  # fixed: entry now stale
-    assert main([str(scratch), "--baseline", baseline, "--no-cache"]) == 1
-
-
 def test_rule_selection(scratch):
     (scratch / "mod.py").write_text(_VIOLATION)
-    assert main([str(scratch), "--rules", "arch006", "--no-cache"]) == 0
-    assert main([str(scratch), "--rules", "ARCH003", "--no-cache"]) == 1
-    assert main([str(scratch), "--rules", "NOPE", "--no-cache"]) == 2
+    assert main([str(scratch), "--rules", "arch006"]) == 0
+    assert main([str(scratch), "--rules", "ARCH003"]) == 1
+    assert main([str(scratch), "--rules", "NOPE"]) == 2
 
 
 def test_list_rules(capsys):
@@ -90,19 +69,10 @@ def test_list_rules(capsys):
 
 def test_missing_path_exits_two(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(["definitely/not/here", "--no-cache"]) == 2
-
-
-def test_default_cache_file_written_and_reused(scratch, capsys):
-    (scratch / "mod.py").write_text(_VIOLATION)
-    assert main([str(scratch)]) == 1
-    assert os.path.exists(".archlint-cache.json")
-    capsys.readouterr()
-    assert main([str(scratch), "-v"]) == 1
-    assert "1/1 cache hits" in capsys.readouterr().out
+    assert main(["definitely/not/here"]) == 2
 
 
 def test_repro_tools_lint_subcommand(scratch, capsys):
     (scratch / "mod.py").write_text(_VIOLATION)
-    assert tools_main(["lint", str(scratch), "--no-cache"]) == 1
+    assert tools_main(["lint", str(scratch)]) == 1
     assert "ARCH003" in capsys.readouterr().out

@@ -1,10 +1,8 @@
-"""Engine mechanics: suppressions, baseline round trip, cache, paths."""
+"""Engine mechanics: suppressions, paths, the directory walk."""
 
 from __future__ import annotations
 
-import json
-
-from repro.analysis import Baseline, run
+from repro.analysis import run
 from repro.analysis.engine import PARSE_ERROR_RULE, package_relpath
 from tests.analysis.conftest import rule_ids
 
@@ -77,98 +75,9 @@ class TestSuppressions:
         assert rule_ids(result) == []
 
 
-class TestBaseline:
-    def test_round_trip(self, lint, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        source = _VIOLATION.format(comment="")
-        # First run: one finding; grandfather it.
-        result = lint("repro/net/scratch.py", source)
-        assert rule_ids(result) == ["ARCH003"]
-        Baseline.write(str(baseline_path), result.findings)
-        # Second run against the written baseline: clean, one baselined.
-        result = lint(
-            "repro/net/scratch.py", source,
-            baseline=Baseline.load(str(baseline_path)),
-        )
-        assert result.ok
-        assert [f.rule for f in result.baselined] == ["ARCH003"]
-        assert result.stale_baseline == []
-
-    def test_fixed_finding_goes_stale(self, lint, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        result = lint("repro/net/scratch.py", _VIOLATION.format(comment=""))
-        Baseline.write(str(baseline_path), result.findings)
-        clean = lint(
-            "repro/net/scratch.py",
-            "def mint(rng):\n    return rng.getrandbits(64)\n",
-            baseline=Baseline.load(str(baseline_path)),
-        )
-        assert clean.findings == []
-        assert len(clean.stale_baseline) == 1
-        assert clean.stale_baseline[0]["rule"] == "ARCH003"
-
-    def test_baseline_is_line_number_free(self, lint, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        result = lint("repro/net/scratch.py", _VIOLATION.format(comment=""))
-        Baseline.write(str(baseline_path), result.findings)
-        # Shift the violation down ten lines: still baselined.
-        shifted = ("\n" * 10) + _VIOLATION.format(comment="")
-        result = lint(
-            "repro/net/scratch.py", shifted,
-            baseline=Baseline.load(str(baseline_path)),
-        )
-        assert result.ok and len(result.baselined) == 1
-
-    def test_duplicate_findings_need_matching_counts(self, lint, tmp_path):
-        source = """
-        import random
-
-        def a(rng=None):
-            rng = rng or random.SystemRandom()
-            return rng
-
-        def b(rng=None):
-            rng = rng or random.SystemRandom()
-            return rng
-        """
-        baseline_path = tmp_path / "baseline.json"
-        result = lint("repro/net/scratch.py", source)
-        assert len(result.findings) == 2
-        Baseline.write(str(baseline_path), result.findings)
-        data = json.loads(baseline_path.read_text())
-        assert data["findings"][0]["count"] == 2  # collapsed, counted
-        result = lint(
-            "repro/net/scratch.py", source,
-            baseline=Baseline.load(str(baseline_path)),
-        )
-        assert result.ok and len(result.baselined) == 2
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(str(tmp_path / "absent.json"))
-        assert baseline.entries == []
-
-
 class TestCacheAndPaths:
-    def test_cache_second_run_hits(self, lint, tmp_path):
-        cache_path = str(tmp_path / "cache.json")
-        source = _VIOLATION.format(comment="")
-        first = lint("repro/net/scratch.py", source, cache_path=cache_path)
-        assert first.cache_misses == 1 and first.cache_hits == 0
-        second = lint("repro/net/scratch.py", source, cache_path=cache_path)
-        assert second.cache_hits == 1 and second.cache_misses == 0
-        assert rule_ids(second) == ["ARCH003"]
-
-    def test_cache_invalidated_by_content_change(self, lint, tmp_path):
-        cache_path = str(tmp_path / "cache.json")
-        lint("repro/net/scratch.py", _VIOLATION.format(comment=""),
-             cache_path=cache_path)
-        changed = lint(
-            "repro/net/scratch.py",
-            "def mint(rng):\n    return rng.getrandbits(64)\n",
-            cache_path=cache_path,
-        )
-        assert changed.cache_misses == 1
-        assert changed.findings == []
+    """Package-relative paths, parse errors, and a directory walk that
+    skips ``__pycache__``."""
 
     def test_package_relpath(self):
         assert package_relpath("/a/b/src/repro/http/proxy.py") \
@@ -188,6 +97,6 @@ class TestCacheAndPaths:
         cachedir = package / "__pycache__"
         cachedir.mkdir()
         (cachedir / "junk.py").write_text("import random\nrandom.random()\n")
-        result = run([str(tmp_path)], baseline=Baseline())
+        result = run([str(tmp_path)])
         assert result.files == 1
         assert result.ok

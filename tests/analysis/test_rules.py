@@ -90,28 +90,25 @@ class TestArch002BackendBoundary:
         )
         assert rule_ids(result) == []
 
-    def test_handoff_plane_prover_import_flagged(self, lint):
-        """The warm-handoff module is in the boundary's scope: state it
-        moves must re-enter through the guard's import hooks, never by
-        touching the prover or the cache types directly."""
+    def test_serving_layer_prover_import_flagged(self, lint):
         result = lint(
-            "repro/cluster/handoff.py",
+            "repro/serve/server.py",
             "from repro.prover import Prover\n",
         )
         assert rule_ids(result) == ["ARCH002"]
 
-    def test_handoff_plane_cache_type_flagged(self, lint):
+    def test_guard_cache_submodule_import_flagged(self, lint):
         result = lint(
-            "repro/cluster/handoff.py",
+            "repro/serve/server.py",
             "from repro.guard.cache import CachedProof\n",
         )
         assert rule_ids(result) == ["ARCH002"]
 
     def test_other_cluster_modules_stay_exempt(self, lint):
-        # Only the handoff plane is scoped in: the dispatch layer builds
-        # nodes (prover included) and legitimately imports it.
+        # The cluster front is no transport: it composes a guard, and
+        # building one (prover included) is its business.
         result = lint(
-            "repro/cluster/scratch.py",
+            "repro/cluster/__init__.py",
             "from repro.prover import Prover\n",
         )
         assert rule_ids(result) == []
@@ -144,12 +141,12 @@ class TestArch003InjectedEntropy:
         assert rule_ids(result) == ["ARCH003"]
         assert "clock" in result.findings[0].message
 
-    def test_wall_clock_in_handoff_flagged(self, lint):
+    def test_wall_clock_in_cluster_front_flagged(self, lint):
         """Drain timing must ride the registry's injected timebase: a
-        naked wall-clock read in the handoff plane would make drain
-        makespans non-deterministic under simulation."""
+        naked wall-clock read in the cluster front would make drain
+        durations non-deterministic under simulation."""
         result = lint(
-            "repro/cluster/handoff.py",
+            "repro/cluster/__init__.py",
             """
             import time
 
@@ -403,7 +400,7 @@ class TestArch005AsyncReady:
 
 
     def test_thread_use_in_single_owner_code_flagged(self, lint):
-        # The concurrency model: a cluster is touched only by the event
+        # The concurrency model: a backend is touched only by the event
         # loop that serves it — no thread may be started or handed work.
         result = lint(
             "repro/serve/scratch.py",
@@ -661,15 +658,15 @@ class TestArch007CountedFailures:
         )
         assert rule_ids(result) == []
 
-    def test_cluster_dispatch_is_in_scope(self, lint):
+    def test_the_cluster_front_is_out_of_scope(self, lint):
         result = lint(
-            "repro/cluster/dispatch.py",
+            "repro/cluster/__init__.py",
             """
-            def route(self, batch):
+            def check_many(self, batch):
                 try:
-                    return self.owner.check_many(batch)
+                    return self.guard.check_many(batch)
                 except ValueError:
                     return []
             """,
         )
-        assert rule_ids(result) == ["ARCH007"]
+        assert rule_ids(result) == []

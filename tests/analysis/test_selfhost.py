@@ -9,32 +9,40 @@ the right rule id.
 from __future__ import annotations
 
 import pathlib
+import re
 import shutil
 
 import pytest
 
-from repro.analysis import Baseline, all_rules, run
+from repro.analysis import all_rules, run
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "archlint-baseline.json"
+RULES = SRC_REPRO / "analysis" / "rules"
 
 
 def test_src_repro_is_archlint_clean():
-    result = run([str(SRC_REPRO)], baseline=Baseline.load(str(BASELINE)))
-    assert result.ok, "non-baselined findings:\n%s" % "\n".join(
+    result = run([str(SRC_REPRO)])
+    assert result.ok, "findings:\n%s" % "\n".join(
         finding.render() for finding in result.findings
     )
-    assert result.stale_baseline == [], (
-        "baseline entries matching nothing: %r" % result.stale_baseline
+
+
+def test_rule_scopes_name_only_live_files():
+    """A rule scoped to a deleted module checks nothing: every
+    ``repro/....py`` path a rule names is a file in the tree."""
+    named = {
+        literal
+        for path in RULES.glob("*.py")
+        for literal in re.findall(r"[\"'](repro/[\w/]+\.py)[\"']",
+                                  path.read_text())
+    }
+    assert named, "no scoped rule found"
+    missing = sorted(
+        literal for literal in named
+        if not (SRC_REPRO.parent / literal).is_file()
     )
-
-
-def test_committed_baseline_is_empty():
-    # The healthy steady state: every invariant holds outright (or is
-    # suppressed inline with a reason).  Grandfathering new debt must be
-    # a deliberate, reviewed act.
-    assert Baseline.load(str(BASELINE)).entries == []
+    assert missing == []
 
 
 def test_all_seven_rules_are_registered():
@@ -90,6 +98,6 @@ def test_injected_violation_turns_the_run_red(rule_id, tmp_path):
         target.write_text(target.read_text() + source)
     else:
         target.write_text(source)
-    result = run([str(tree)], baseline=Baseline.load(str(BASELINE)))
+    result = run([str(tree)])
     assert not result.ok
     assert rule_id in {finding.rule for finding in result.findings}

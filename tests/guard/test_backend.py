@@ -1,22 +1,16 @@
-"""The AuthBackend protocol: one surface, two implementations.
+"""The AuthBackend protocol, and the guard that implements it.
 
-``Guard`` (one process) and ``AuthCluster`` (one guard behind a ring of
-owners) must both satisfy the protocol every transport programs against
-— conformance is what lets the http/rmi/smtp/secure integration tests
-run unchanged against either — and on both a single ``check`` is
-``check_many`` over a batch of one.
+``Guard`` must satisfy the protocol every transport programs against —
+conformance is what lets the http/rmi/smtp/secure integration tests run
+against any injected backend — and a single ``check`` is ``check_many``
+over a batch of one.  Invalidations outlive the state they purged.
 """
 
 import random
 
 import pytest
 
-from repro.cluster import AuthCluster, routing_key
-from repro.core.errors import (
-    AuthorizationError,
-    NeedAuthorizationError,
-    NodeUnavailableError,
-)
+from repro.core.errors import AuthorizationError, NeedAuthorizationError
 from repro.core.principals import HashPrincipal, KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.crypto.hashes import HashValue
@@ -32,11 +26,10 @@ from repro.guard import (
 )
 from repro.net.trust import TrustEnvironment
 from repro.prover import KeyClosure, Prover
-from repro.sexp import sexp, to_canonical, to_transport
+from repro.sexp import parse_canonical, sexp, to_canonical, to_transport
 from repro.sim import SimClock
 from repro.spki import Certificate
-from repro.tags import Tag
-from tests.cluster.conftest import move_owner
+from repro.tags import Tag, TagError
 
 PROTOCOL_METHODS = [
     "check",
@@ -59,14 +52,9 @@ PROTOCOL_METHODS = [
 ]
 
 
-def _backends():
-    return [Guard(TrustEnvironment()), AuthCluster(node_count=2)]
-
-
 class TestConformance:
-    @pytest.mark.parametrize("index", [0, 1], ids=["guard", "cluster"])
-    def test_every_protocol_method_present(self, index):
-        backend = _backends()[index]
+    def test_every_protocol_method_present(self):
+        backend = Guard(TrustEnvironment())
         for name in PROTOCOL_METHODS:
             assert callable(getattr(backend, name)), (
                 "%s lacks %s" % (type(backend).__name__, name)
@@ -75,16 +63,14 @@ class TestConformance:
         assert hasattr(backend, "audit")
         assert hasattr(backend, "stats")
 
-    @pytest.mark.parametrize("index", [0, 1], ids=["guard", "cluster"])
-    def test_runtime_isinstance(self, index):
-        assert isinstance(_backends()[index], AuthBackend)
+    def test_runtime_isinstance(self):
+        assert isinstance(Guard(TrustEnvironment()), AuthBackend)
 
     def test_audit_views_share_the_log_surface(self):
-        for backend in _backends():
-            audit = backend.audit
-            assert hasattr(audit, "records")
-            assert callable(audit.involving)
-            assert callable(audit.by_transport)
+        audit = Guard(TrustEnvironment()).audit
+        assert hasattr(audit, "records")
+        assert callable(audit.involving)
+        assert callable(audit.by_transport)
 
 
 class TestFactory:
@@ -99,8 +85,8 @@ class TestFactory:
 
     def test_resolve_returns_injected_backend_unchanged(self):
         trust = TrustEnvironment()
-        cluster = AuthCluster(node_count=1)
-        assert resolve_backend(cluster, trust) is cluster
+        injected = default_backend(TrustEnvironment(), prover=Prover())
+        assert resolve_backend(injected, trust) is injected
         built = resolve_backend(None, trust, check_charge=None)
         assert isinstance(built, Guard)
 
@@ -132,15 +118,15 @@ class TestGuardSurface:
         guard = default_backend(TrustEnvironment())
         assert guard.outgoing_delegations(KeyPrincipal(alice_kp.public)) == 0
 
-    def test_cluster_outgoing_delegations_sees_replicated_set(
+    def test_outgoing_delegations_counts_digested_edges(
         self, server_kp, alice_kp, rng
     ):
-        cluster = AuthCluster(node_count=3)
+        guard = default_backend(TrustEnvironment(), prover=Prover())
         alice = KeyPrincipal(alice_kp.public)
-        assert cluster.outgoing_delegations(alice) == 0
+        assert guard.outgoing_delegations(alice) == 0
         certificate = Certificate.issue(server_kp, alice, Tag.all(), rng=rng)
-        cluster.digest_delegation(SignedCertificateStep(certificate))
-        assert cluster.outgoing_delegations(alice) == 1
+        guard.digest_delegation(SignedCertificateStep(certificate))
+        assert guard.outgoing_delegations(alice) == 1
 
 
 LOGICAL = sexp(["web", ["method", "GET"], ["path", "/doc"]])
@@ -153,24 +139,19 @@ OUTCOMES = {
 
 
 class _World:
-    """One backend plus everything needed to ask it any of the nine
+    """One guard plus everything needed to ask it any of the nine
     (credential kind × outcome) questions.  Built from fixed seeds, so
-    two worlds are the same backend in the same state."""
+    two worlds are the same guard in the same state."""
 
-    def __init__(self, kind, keypool):
+    def __init__(self, keypool):
         alice_kp, _, carol_kp, server_kp = keypool[:4]
         rng = random.Random(7)
         self.issuer = KeyPrincipal(server_kp.public)
         self.alice = KeyPrincipal(alice_kp.public)
         self.stranger = KeyPrincipal(carol_kp.public)
-        if kind == "guard":
-            self.backend = default_backend(
-                TrustEnvironment(clock=SimClock()), prover=Prover()
-            )
-            self.guard = self.backend
-        else:
-            self.backend = AuthCluster(node_count=3)
-            self.guard = self.backend.guard
+        self.backend = default_backend(
+            TrustEnvironment(clock=SimClock()), prover=Prover()
+        )
         self.mac_id, self.mac_key = self.backend.mint_session(rng)
         self.orphan_id, self.orphan_key = self.backend.mint_session(rng)
         for subject in (
@@ -232,17 +213,14 @@ class _World:
         return len(self.backend.audit.records)
 
     def decided(self):
-        return self.guard.stats["checks"]
+        return self.backend.stats["checks"]
 
 
 @pytest.mark.parametrize("outcome", sorted(OUTCOMES))
 @pytest.mark.parametrize("credential", CREDENTIALS)
-@pytest.mark.parametrize("kind", ["guard", "cluster"])
 class TestCheckIsABatchOfOne:
-    def test_check_agrees_with_check_many(
-        self, kind, credential, outcome, keypool
-    ):
-        batched, single = _World(kind, keypool), _World(kind, keypool)
+    def test_check_agrees_with_check_many(self, credential, outcome, keypool):
+        batched, single = _World(keypool), _World(keypool)
         (expected,) = batched.backend.check_many(
             [batched.request(credential, outcome)]
         )
@@ -262,29 +240,14 @@ class TestCheckIsABatchOfOne:
             assert type(raised.value) is type(expected.error)
             assert str(raised.value) == str(expected.error)
             assert single.audited() == 0
-        # Either way the serving guard decided exactly one request.
+        # Either way the guard decided exactly one request.
         assert single.decided() == batched.decided() == 1
-
-
-@pytest.mark.parametrize("credential", CREDENTIALS)
-def test_crashed_serving_node_raises_from_both_entry_points(
-    credential, keypool
-):
-    world = _World("cluster", keypool)
-    request = world.request(credential, "grant")
-    owner = world.backend.membership.node_for(routing_key(request))
-    world.backend.crash_node(owner.node_id)
-    with pytest.raises(NodeUnavailableError):
-        world.backend.check_many([request])
-    with pytest.raises(NodeUnavailableError):
-        world.backend.check(request)
-    assert world.audited() == 0
 
 
 def test_guard_checks_counts_requests_decided(keypool):
     """``stats["checks"]`` is per request, not per call: harnesses find
     the serving node of a batch by it."""
-    world = _World("guard", keypool)
+    world = _World(keypool)
     world.backend.check(world.request("channel", "grant"))
     world.backend.check_many(
         [world.request("session", "grant"), world.request("proof", "denial")]
@@ -294,29 +257,14 @@ def test_guard_checks_counts_requests_decided(keypool):
 
 
 @pytest.mark.parametrize("invalidation", ["revoke", "retract"])
-@pytest.mark.parametrize("kind", ["guard", "cluster2", "cluster3"])
-def test_an_invalidation_refuses_the_next_check(
-    kind, invalidation, server_kp, rng
-):
+def test_an_invalidation_refuses_the_next_check(invalidation, server_kp, rng):
     """The backend call that publishes an invalidation is all a caller
-    makes: the next check by the speaker it reached is refused, on a
-    single guard and on a cluster whose speaker is served off
-    ``nodes()[0]`` alike."""
-    if kind == "guard":
-        backend = default_backend(
-            TrustEnvironment(clock=SimClock()), prover=Prover()
-        )
-        speaker = HashPrincipal(HashValue.of_bytes(b"speaker"))
-    else:
-        backend = AuthCluster(node_count=int(kind[-1]))
-        speaker = next(
-            candidate
-            for candidate in (
-                HashPrincipal(HashValue.of_bytes(b"speaker-%d" % index))
-                for index in range(64)
-            )
-            if backend.node_for_speaker(candidate) is not backend.nodes()[0]
-        )
+    makes: the next check by the speaker it reached is refused, though
+    its chain was cached."""
+    backend = default_backend(
+        TrustEnvironment(clock=SimClock()), prover=Prover()
+    )
+    speaker = HashPrincipal(HashValue.of_bytes(b"speaker"))
     issuer = KeyPrincipal(server_kp.public)
     certificate = Certificate.issue(server_kp, speaker, Tag.all(), rng=rng)
     delegation = SignedCertificateStep(certificate)
@@ -338,16 +286,13 @@ def test_an_invalidation_refuses_the_next_check(
     assert isinstance(decision.error, NeedAuthorizationError)
 
 
-def _session_backend(kind, server_kp):
-    """A guard or a cluster holding one MAC session whose principal the
-    server delegated to; the same seeds build the same backend."""
+def _session_backend(server_kp):
+    """A guard holding one MAC session whose principal the server
+    delegated to; the same seeds build the same guard."""
     rng = random.Random(11)
-    if kind == "guard":
-        backend = default_backend(
-            TrustEnvironment(clock=SimClock()), prover=Prover()
-        )
-    else:
-        backend = AuthCluster(node_count=int(kind[-1]))
+    backend = default_backend(
+        TrustEnvironment(clock=SimClock()), prover=Prover()
+    )
     mac_id, mac_key = backend.mint_session(rng)
     backend.digest_delegation(SignedCertificateStep(Certificate.issue(
         server_kp, MacPrincipal(mac_key.fingerprint()), Tag.all(), rng=rng,
@@ -360,14 +305,13 @@ def _session_backend(kind, server_kp):
     return backend, good
 
 
-@pytest.mark.parametrize("kind", ["guard", "cluster2", "cluster3"])
-def test_a_non_ascii_session_id_is_refused_alone(kind, server_kp):
+def test_a_non_ascii_session_id_is_refused_alone(server_kp):
     """A session id no session has — here one that is not ASCII — is
     denied on its own; the check beside it in the batch is decided as
     it would be alone."""
-    alone, good = _session_backend(kind, server_kp)
+    alone, good = _session_backend(server_kp)
     (expected,) = alone.check_many([good])
-    backend, good = _session_backend(kind, server_kp)
+    backend, good = _session_backend(server_kp)
     message = to_canonical(LOGICAL)
     bad = GuardRequest(
         LOGICAL, issuer=KeyPrincipal(server_kp.public), transport="http",
@@ -380,33 +324,17 @@ def test_a_non_ascii_session_id_is_refused_alone(kind, server_kp):
     assert isinstance(refused.error, AuthorizationError)
 
 
-#: A revocation outlives the state it purged: the probes present the
-#: revoked proof again after a join moved its subject's shard onto a node
-#: that joined later, or after 4 097 unrelated revocations.
-PROBES = [
-    (kind, invalidation, case)
-    for kind in ("guard", "cluster2", "cluster3")
-    for invalidation in ("revoke", "retract")
-    for case in ("joiner", "aging")
-    if not (kind == "guard" and case == "joiner")
-]
-
-
-@pytest.mark.parametrize("kind,invalidation,case", PROBES)
+@pytest.mark.parametrize("invalidation", ["revoke", "retract"])
 def test_a_revoked_proof_presented_again_stays_refused(
-    kind, invalidation, case, server_kp, rng
+    invalidation, server_kp, rng
 ):
     """A hash subject's self-contained certificate, presented as a proof
     credential, is granted; once it is revoked (or its delegation
-    retracted) it is refused, and it stays refused after the subject's
-    shard moves onto a node that joined later, and after 4 097 unrelated
+    retracted) it is refused, and it stays refused after 4 097 unrelated
     revocations of serials nothing holds."""
-    if kind == "guard":
-        backend = default_backend(
-            TrustEnvironment(clock=SimClock()), prover=Prover()
-        )
-    else:
-        backend = AuthCluster(node_count=int(kind[-1]))
+    backend = default_backend(
+        TrustEnvironment(clock=SimClock()), prover=Prover()
+    )
     issuer = KeyPrincipal(server_kp.public)
     subject = HashPrincipal(HashValue.of_bytes(b"message"))
     certificate = Certificate.issue(server_kp, subject, Tag.all(), rng=rng)
@@ -427,12 +355,51 @@ def test_a_revoked_proof_presented_again_stays_refused(
         backend.retract_delegation(step)
     assert not presented().granted
 
-    if case == "joiner":
-        move_owner(backend, subject)
-    else:
-        for index in range(4097):
-            backend.revoke_serial(b"unrelated-%d" % index)
+    for index in range(4097):
+        backend.revoke_serial(b"unrelated-%d" % index)
 
     decision = presented()
     assert not decision.granted, decision.stage
     assert isinstance(decision.error, AuthorizationError)
+
+
+@pytest.mark.parametrize("signed,respelled", [
+    (b"(2:ge1:A)(2:le1:Z)", b"(2:le1:Z)(2:ge1:A)"),
+    (b"(2:ge1:A)", b"(2:ge1:0)(2:ge1:A)"),
+])
+def test_a_retracted_certificate_respelled_stays_refused(
+    signed, respelled, server_kp, rng
+):
+    """A certificate whose range tag is spelled another way is other
+    bytes under the same signature: it must not decode, or it would be a
+    delegation whose digest the retraction's tombstone does not name."""
+    backend = default_backend(
+        TrustEnvironment(clock=SimClock()), prover=Prover()
+    )
+    subject = HashPrincipal(HashValue.of_bytes(b"message"))
+    tag = Tag.from_sexp(parse_canonical(
+        b"(3:tag(3:web(6:method(1:*5:range5:alpha%s))))" % signed
+    ))
+    step = SignedCertificateStep(
+        Certificate.issue(server_kp, subject, tag, rng=rng)
+    )
+    wire = to_canonical(step.to_sexp())
+    assert signed in wire
+
+    def presented(canonical):
+        (decision,) = backend.check_many([GuardRequest(
+            LOGICAL, issuer=KeyPrincipal(server_kp.public), transport="http",
+            credential=ProofCredential(
+                subject, wire=to_transport(parse_canonical(canonical))
+            ),
+        )])
+        return decision
+
+    assert presented(wire).granted
+    backend.retract_delegation(step)
+    assert not presented(wire).granted
+    # Re-spelled inside the signed certificate only: the claimed
+    # conclusion keeps the spelling the certificate re-encodes to.
+    decision = presented(wire.replace(signed, respelled, 1))
+    assert not decision.granted, decision.stage
+    assert isinstance(decision.error, TagError)

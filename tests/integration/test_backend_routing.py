@@ -1,17 +1,14 @@
-"""Every transport, any backend: the end-to-end argument, clustered.
+"""Every transport, one injected backend: the end-to-end argument.
 
-The tentpole property of the AuthBackend refactor: the http, smtp, and
-rmi/secure-channel integration flows must pass *unchanged* whether the
-transport fronts a single shared :class:`Guard` or an
-:class:`AuthCluster` — the smallest that can fail over, or exactly as a
-front end is handed one by default.  Transports own wire framing;
-authorization routing belongs to the backend — so these tests
-parametrize only the backend factory and touch nothing else.
+The http, smtp, and rmi/secure-channel integration flows pass with the
+transport fronting a :class:`Guard` it was handed rather than one it
+built.  Transports own wire framing; authorization belongs to the
+backend — so these tests vary only where the backend comes from and
+touch nothing else.
 """
 
 import pytest
 
-from repro.cluster import AuthCluster
 from repro.core.errors import AuthorizationError, NeedAuthorizationError
 from repro.core.principals import HashPrincipal, KeyPrincipal, MacPrincipal
 from repro.guard import default_backend
@@ -28,20 +25,9 @@ from repro.smtp import SnowflakeSmtpClient, SnowflakeSmtpServer
 from repro.spki import Certificate
 from repro.tags import parse_tag
 
-#: ``cluster`` is the smallest cluster with somewhere to fail over to;
-#: ``frontend`` is the cluster as a listener fronts it out of the box
-#: (``ServeFleet``, ``bench/server.py``): every knob at its default.
-BACKENDS = ["guard", "cluster", "frontend"]
-
-
-def make_backend(kind, trust, clock=None):
-    """The only thing these tests vary."""
-    if kind == "guard":
-        return default_backend(trust, check_charge=None)
-    clock = clock if clock is not None else trust.clock
-    if kind == "cluster":
-        return AuthCluster(node_count=2, clock=clock)
-    return AuthCluster(node_count=3, clock=clock)
+def make_backend(trust):
+    """The backend every transport here is handed."""
+    return default_backend(trust, check_charge=None)
 
 
 class _DocServlet(ProtectedServlet):
@@ -67,15 +53,14 @@ def _alice_prover(alice_kp, server_kp, rng, tag="(tag (web))"):
     return prover
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
 class TestHttpSnowflake:
     def test_challenge_then_signed_request_grants(
-        self, kind, server_kp, alice_kp, rng
+        self, server_kp, alice_kp, rng
     ):
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
         servlet = _DocServlet(
-            issuer, b"svc", trust, guard=make_backend(kind, trust)
+            issuer, b"svc", trust, guard=make_backend(trust)
         )
         assert servlet.service(HttpRequest("GET", "/doc")).status == 401
 
@@ -92,12 +77,12 @@ class TestHttpSnowflake:
         # (or single guard) served it.
         assert len(servlet.guard.audit.by_transport("http")) == 1
 
-    def test_bad_proof_is_a_403_everywhere(self, kind, server_kp, carol_kp,
+    def test_bad_proof_is_a_403_everywhere(self, server_kp, carol_kp,
                                            alice_kp, rng):
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
         servlet = _DocServlet(
-            issuer, b"svc", trust, guard=make_backend(kind, trust)
+            issuer, b"svc", trust, guard=make_backend(trust)
         )
         # Carol has no delegation: her self-signed chain cannot reach
         # the issuer, so the proof she *can* build is for the wrong
@@ -109,7 +94,6 @@ class TestHttpSnowflake:
         assert servlet.service(request).status == 403
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
 class TestHttpMacSessions:
     def _grant_session(self, servlet, alice_kp):
         request = HttpRequest("GET", "/doc")
@@ -137,10 +121,10 @@ class TestHttpMacSessions:
         )
         return request
 
-    def test_mac_session_lifecycle(self, kind, server_kp, alice_kp, rng):
+    def test_mac_session_lifecycle(self, server_kp, alice_kp, rng):
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
-        backend = make_backend(kind, trust)
+        backend = make_backend(trust)
         manager = MacSessionManager(trust, rng)
         servlet = _DocServlet(
             issuer, b"svc", trust, mac_sessions=manager, guard=backend
@@ -159,46 +143,9 @@ class TestHttpMacSessions:
             steady = self._mac_request("/doc", mac_key)
             assert servlet.service(steady).status == 200
 
-    def test_session_survives_owner_failure_via_escrow(
-        self, kind, server_kp, alice_kp, rng
-    ):
-        if kind == "guard":
-            pytest.skip("failover is a cluster property")
-        trust = TrustEnvironment(clock=SimClock())
-        issuer = KeyPrincipal(server_kp.public)
-        backend = make_backend(kind, trust)
-        cluster = backend if isinstance(backend, AuthCluster) else backend.cluster
-        manager = MacSessionManager(trust, rng)
-        servlet = _DocServlet(
-            issuer, b"svc", trust, mac_sessions=manager, guard=backend
-        )
-        mac_key = self._grant_session(servlet, alice_kp)
-        prover = _alice_prover(alice_kp, server_kp, rng)
-        proof = prover.prove(
-            MacPrincipal(mac_key.fingerprint()), issuer,
-            min_tag=parse_tag("(tag (web))"),
-        )
-        assert servlet.service(self._mac_request("/doc", mac_key, proof)).status == 200
 
-        # Kill the session's owner node; the new ring owner verifies the
-        # MAC against the cluster's one session table, so the client
-        # only sees a 401 re-challenge for its proof chain (the dead
-        # node's proof cache died with it), never a 403.
-        mac_id = mac_key.fingerprint().digest.hex()
-        from repro.cluster.ring import session_routing_key
-
-        owner = cluster.membership.node_for(session_routing_key(mac_id))
-        cluster.fail_node(owner.node_id)
-        retry = servlet.service(self._mac_request("/doc", mac_key))
-        assert retry.status == 401
-        assert servlet.service(self._mac_request("/doc", mac_key, proof)).status == 200
-        assert servlet.service(self._mac_request("/doc", mac_key)).status == 200
-        assert cluster.sessions.stats["failures"] == 0
-
-
-@pytest.mark.parametrize("kind", BACKENDS)
 class TestSmtp:
-    def test_delivery_roundtrip(self, kind, server_kp, alice_kp, rng):
+    def test_delivery_roundtrip(self, server_kp, alice_kp, rng):
         net = Network()
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
@@ -206,7 +153,7 @@ class TestSmtp:
             "mail.example",
             lambda mailbox: issuer if mailbox == "bob" else None,
             trust,
-            guard=make_backend(kind, trust),
+            guard=make_backend(trust),
         )
         net.listen("mail.example", server)
         prover = _alice_prover(
@@ -221,7 +168,7 @@ class TestSmtp:
         ]
         assert len(server.guard.audit.by_transport("smtp")) == 1
 
-    def test_stranger_refused(self, kind, server_kp, carol_kp, rng):
+    def test_stranger_refused(self, server_kp, carol_kp, rng):
         net = Network()
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
@@ -229,7 +176,7 @@ class TestSmtp:
             "mail.example",
             lambda mailbox: issuer if mailbox == "bob" else None,
             trust,
-            guard=make_backend(kind, trust),
+            guard=make_backend(trust),
         )
         net.listen("mail.example", server)
         stranger = Prover()
@@ -241,22 +188,16 @@ class TestSmtp:
         assert "bob" not in server.mailboxes
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
 class TestRmiOverSecureChannels:
-    def test_full_figure4_flow(self, kind, host_kp, server_kp, alice_kp, rng):
+    def test_full_figure4_flow(self, host_kp, server_kp, alice_kp, rng):
         """Connect, get challenged, submit the proof, invoke — over a
         secure channel whose bindings and checkAuth both live in the
-        parametrized backend."""
+        injected backend."""
         net = Network()
         clock = SimClock()
         trust_clockholder = TrustEnvironment(clock=clock)
-        backend = (
-            None
-            if kind == "guard"
-            else make_backend(kind, trust_clockholder, clock=clock)
-        )
         server = RmiServer(net, "svc.addr", host_kp, clock=clock,
-                           backend=backend)
+                           backend=make_backend(trust_clockholder))
         KS = KeyPrincipal(server_kp.public)
         state = {"count": 0}
 
@@ -278,18 +219,13 @@ class TestRmiOverSecureChannels:
         assert len(server.auth.audit.by_transport("rmi")) == 2
 
     def test_unauthorized_invocation_refused(
-        self, kind, host_kp, server_kp, carol_kp, rng
+        self, host_kp, server_kp, carol_kp, rng
     ):
         net = Network()
         clock = SimClock()
         trust_clockholder = TrustEnvironment(clock=clock)
-        backend = (
-            None
-            if kind == "guard"
-            else make_backend(kind, trust_clockholder, clock=clock)
-        )
         server = RmiServer(net, "svc.addr", host_kp, clock=clock,
-                           backend=backend)
+                           backend=make_backend(trust_clockholder))
         KS = KeyPrincipal(server_kp.public)
         server.export(RemoteObject("counter", KS, {"read": lambda: 0}))
         registry = Registry()
@@ -301,6 +237,6 @@ class TestRmiOverSecureChannels:
             identity=ClientIdentity(stranger, carol_kp), rng=rng,
         )
         # The challenge cannot be satisfied: it surfaces as the unmet
-        # need-auth, identically for every backend.
+        # need-auth.
         with pytest.raises(NeedAuthorizationError):
             stub.invoke("read")

@@ -6,9 +6,9 @@ rows of ``BENCHMARK.json``.  ``bench/run.py --selfcheck`` fails only on a
 there without complaint.  This test serves the rig's shape — one default
 ``ServeListener`` over ``AuthCluster(node_count=4)``, as
 ``bench/server.py`` builds it — on loopback, brackets pipelined repeated
-MAC checks, one revocation and one drain of a warm node between
-two wire snapshots, and requires every row that traffic exercises to
-read positive.
+MAC checks, one revocation and one drain (``drain node-1``, as
+``churn_paced`` sends it) between two wire snapshots, and requires every
+row that traffic exercises to read positive.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import asyncio
 import importlib.util
 import os
 
-from repro.cluster import AuthCluster, session_routing_key
+from repro.cluster import AuthCluster
 from repro.core.principals import KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.guard import GuardRequest, SessionCredential
@@ -57,7 +57,7 @@ def test_every_exercised_row_reads_positive(server_kp, rng):
     issuer = KeyPrincipal(server_kp.public)
     sessions = []
     for _ in range(SESSIONS):
-        mac_id, mac_key = cluster.mint_session(rng)
+        mac_id, mac_key = cluster.guard.mint_session(rng)
         certificate = Certificate.issue(
             server_kp, MacPrincipal(mac_key.fingerprint()), Tag.all(), rng=rng
         )
@@ -91,10 +91,7 @@ def test_every_exercised_row_reads_positive(server_kp, rng):
             )
             assert all(reply.granted for reply in replies)
         assert cluster.revoke_serial(sessions[0][2]) > 0
-        warm_node = cluster.membership.node_for(
-            session_routing_key(sessions[1][0])
-        )
-        assert cluster.drain(warm_node.node_id).installed > 0
+        assert cluster.drain("node-1").installed > 0
         after = (await client.stats_snapshot()).data
         await client.close()
         await listener.shutdown()

@@ -93,15 +93,13 @@ class TestIssueShowVerify:
 
 
 class TestStatsCommand:
-    def _snapshot(self, capsys, extra=()):
+    def _snapshot(self, capsys):
         assert main(
             [
                 "stats",
-                "--nodes", "3",
                 "--sessions", "6",
                 "--requests", "24",
                 "--seed", "11",
-                *extra,
             ]
         ) == 0
         import json
@@ -110,57 +108,30 @@ class TestStatsCommand:
 
     def test_dumps_every_counter_family_as_json(self, capsys):
         snapshot = self._snapshot(capsys)
-        assert set(snapshot) >= {
-            "cluster", "sessions", "membership", "dispatch", "handoff", "bus",
-            "ring", "nodes", "audit", "graph",
+        assert set(snapshot) == {
+            "guard", "cache", "prover", "sessions", "audit", "graph",
         }
-        assert snapshot["cluster"]["sessions_minted"] == 6
         assert snapshot["sessions"]["failures"] == 0
-        assert snapshot["dispatch"]["requests"] == 24
-        assert snapshot["ring"]["nodes"] == ["node-0", "node-1", "node-2"]
-        # One guard decides for the cluster: ``nodes`` has its one entry.
-        (node,) = snapshot["nodes"].values()
-        assert set(node) == {"guard", "cache", "prover"}
-        assert node["guard"]["checks"] == 24
-        # What the cluster holds once is reported once.
+        assert snapshot["guard"]["checks"] == 24
+        assert snapshot["guard"]["batches"] == 1
         assert snapshot["audit"] == {"recorded": 24, "evicted": 0}
         assert snapshot["graph"] == {
             "edges": 6, "invalidations": 0, "generation": 0,
         }
-        assert "retract_examined" in node["cache"]
-        assert set(node["prover"]) == {
+        assert "retract_examined" in snapshot["cache"]
+        assert set(snapshot["prover"]) == {
             "searches", "nodes_expanded", "invalidate_examined",
         }
-        assert snapshot["handoff"]["last_drain_ms"] == 0.0
-
-    def test_fail_one_exercises_session_reminting(self, capsys):
-        """The failed node's sessions keep verifying on the survivors,
-        and every request after the failure is granted."""
-        snapshot = self._snapshot(capsys, ["--fail-one"])
-        assert snapshot["membership"]["failures"] == 1
-        assert len(snapshot["ring"]["nodes"]) == 2
-        assert snapshot["sessions"]["failures"] == 0
-        (tallies,) = snapshot["nodes"].values()
-        assert tallies["guard"]["grants"] == tallies["guard"]["checks"] == 24
-
-    def test_drain_one_reports_its_duration_in_the_handoff_family(
-        self, capsys
-    ):
-        snapshot = self._snapshot(capsys, ["--drain-one"])
-        assert snapshot["handoff"]["drains"] == 1
-        assert snapshot["handoff"]["last_drain_ms"] > 0.0
-        assert snapshot["handoff"]["records_refused_stale"] == 0
-        assert len(snapshot["ring"]["nodes"]) == 2
 
 
 class TestAuditCommand:
-    ARGS = ["--nodes", "3", "--sessions", "4", "--requests", "12", "--seed", "11"]
+    ARGS = ["--sessions", "4", "--requests", "12", "--seed", "11"]
 
-    def test_merged_trail_is_time_ordered(self, capsys):
-        """Every node's grants, in the one trail, in clock order."""
+    def test_trail_is_time_ordered(self, capsys):
+        """Every grant, in the one trail, in clock order."""
         assert main(["audit", *self.ARGS]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("# cluster audit: 12 records\n")
+        assert out.startswith("# audit: 12 records\n")
         stamps = [
             float(line.split()[0])
             for line in out.splitlines()
@@ -174,28 +145,20 @@ class TestAuditCommand:
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert "5 records" in lines[0]
-        # What the rings no longer hold is said, not silently dropped.
+        # What the ring no longer holds is said, not silently dropped.
         assert lines[1] == "# 7 earlier records evicted"
 
     def test_nothing_evicted_says_nothing(self, capsys):
         assert main(["audit", *self.ARGS]) == 0
         assert "evicted" not in capsys.readouterr().out
 
-    def test_per_node_rings_report_their_own_evictions(self, capsys):
-        """Three nodes write one ring: ``--retain 1`` keeps one record
-        and says the other 11 were evicted."""
+    def test_retain_one_keeps_one_record(self, capsys):
+        """``--retain 1`` keeps one record and says the other 11 were
+        evicted."""
         assert main(["audit", "--retain", "1", *self.ARGS]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[:2] == [
-            "# cluster audit: 1 record", "# 11 earlier records evicted",
-        ]
+        assert lines[:2] == ["# audit: 1 record", "# 11 earlier records evicted"]
         assert sum(line.count("[http]") for line in lines) == 1
-
-    def test_failed_node_still_in_merge(self, capsys):
-        """The failed node's grants stay in the trail."""
-        assert main(["audit", "--fail-one", *self.ARGS]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "# cluster audit: 12 records"
 
 
 class TestTagCommand:
@@ -217,8 +180,8 @@ class TestTagCommand:
 
 
 class TestMetricsCommand:
-    ARGS = ["--nodes", "2", "--sessions", "4", "--requests", "16",
-            "--listeners", "1", "--seed", "5"]
+    ARGS = ["--sessions", "4", "--requests", "16", "--listeners", "1",
+            "--seed", "5"]
 
     def test_text_report_lists_stages_and_spans(self, capsys):
         assert main(["metrics", *self.ARGS]) == 0

@@ -4,21 +4,15 @@
 flows are backend-agnostic *in process*.  This file proves the same
 shapes survive the wire: the http proof-carrying request and the rmi
 challenge → submit-proof → retry conversation each run through a real
-loopback TCP socket into a :class:`ServeListener`, parametrized over
-the same three backends — a single guard, a 2-node cluster, and a
-3-node one with every knob at its default (what ``bench/server.py``
-puts behind its listener).  Transports own framing;
-authorization routing stays behind ``AuthBackend``, now with a socket
-in between.
+loopback TCP socket into a :class:`ServeListener` over a
+:class:`~repro.guard.Guard`.  Transports own framing; authorization
+stays behind ``AuthBackend``, now with a socket in between.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-import pytest
-
-from repro.cluster import AuthCluster
 from repro.core.principals import HashPrincipal, KeyPrincipal
 from repro.crypto.hashes import HashValue
 from repro.guard import (
@@ -35,18 +29,12 @@ from repro.sim import SimClock
 from repro.spki import Certificate
 from repro.tags import parse_tag
 
-BACKENDS = ["guard", "cluster", "frontend"]
-
 WEB_TAG = "(tag (web))"
 RMI_TAG = "(tag (rmi))"
 
 
-def make_backend(kind, trust):
-    if kind == "guard":
-        return default_backend(trust, check_charge=None, prover=Prover())
-    if kind == "cluster":
-        return AuthCluster(node_count=2, clock=trust.clock)
-    return AuthCluster(node_count=3, clock=trust.clock)
+def make_backend(trust):
+    return default_backend(trust, check_charge=None, prover=Prover())
 
 
 def _prover_for(holder_kp, server_kp, rng, tag=WEB_TAG):
@@ -61,16 +49,15 @@ def _prover_for(holder_kp, server_kp, rng, tag=WEB_TAG):
     return prover
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
 class TestHttpShapeOverTheWire:
     """The http idiom: the proof rides the request, bound to its hash."""
 
     def test_proof_carrying_request_grants(
-        self, kind, server_kp, alice_kp, rng
+        self, server_kp, alice_kp, rng
     ):
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
-        backend = make_backend(kind, trust)
+        backend = make_backend(trust)
         prover = _prover_for(alice_kp, server_kp, rng)
 
         logical = sexp(["web", ["method", "GET"], ["path", "/doc"]])
@@ -121,16 +108,15 @@ class TestHttpShapeOverTheWire:
         assert len([entry for entry in audited]) >= 1
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
 class TestRmiShapeOverTheWire:
     """The rmi idiom: challenge, submit the proof, retry, grant."""
 
     def test_challenge_then_submit_proof_then_grant(
-        self, kind, server_kp, bob_kp, rng
+        self, server_kp, bob_kp, rng
     ):
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
-        backend = make_backend(kind, trust)
+        backend = make_backend(trust)
         speaker = KeyPrincipal(bob_kp.public)
         logical = sexp(["rmi", ["method", "frob"], ["arg", "42"]])
 

@@ -2,16 +2,15 @@
 
 The paper's Table 1 and Figures 6–8 price a 2000-era server with a
 ``Meter``; those reproductions build their own metered guards and
-transports.  A cluster serves real traffic, so no credential path —
-single or batched, in process or through a loopback listener — may reach
-``Meter.charge``.
+transports.  The default guard serves real traffic, so no credential
+path — single or batched, in process or through a loopback listener —
+may reach ``Meter.charge``.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-from repro.cluster import AuthCluster
 from repro.core.principals import (
     ChannelPrincipal,
     HashPrincipal,
@@ -26,7 +25,10 @@ from repro.guard import (
     GuardRequest,
     ProofCredential,
     SessionCredential,
+    default_backend,
 )
+from repro.net.trust import TrustEnvironment
+from repro.prover import Prover
 from repro.serve import ServeClient, ServeFleet
 from repro.sexp import sexp, to_canonical, to_transport
 from repro.sim.costmodel import Meter
@@ -49,7 +51,7 @@ def _session_request(issuer, mac_id, mac_key, path, proof_wire=None):
     )
 
 
-def _every_credential_path(cluster, server_kp, alice_kp, bob_kp, rng):
+def _every_credential_path(guard, server_kp, alice_kp, bob_kp, rng):
     """One request per credential path, each granted once its setup ran:
     the MAC fast path, a session's first-request chain, a presented
     proof, a channel, and a key whose chain came in by ``submit_proof``."""
@@ -60,11 +62,11 @@ def _every_credential_path(cluster, server_kp, alice_kp, bob_kp, rng):
             Certificate.issue(server_kp, subject, Tag.all(), rng=rng)
         )
 
-    mac_id, mac_key = cluster.mint_session(rng)
-    cluster.add_delegation(delegation(MacPrincipal(mac_key.fingerprint())))
+    mac_id, mac_key = guard.mint_session(rng)
+    guard.digest_delegation(delegation(MacPrincipal(mac_key.fingerprint())))
     fast = _session_request(issuer, mac_id, mac_key, "/fast")
 
-    first_id, first_key = cluster.mint_session(rng)
+    first_id, first_key = guard.mint_session(rng)
     chain = delegation(MacPrincipal(first_key.fingerprint()))
     first = _session_request(
         issuer, first_id, first_key, "/first",
@@ -82,8 +84,8 @@ def _every_credential_path(cluster, server_kp, alice_kp, bob_kp, rng):
 
     client = KeyPrincipal(alice_kp.public)
     channel_speaker = ChannelPrincipal.of_secret(b"unmetered-conn")
-    premise = cluster.open_channel(channel_speaker, client)
-    cluster.submit_proof(to_canonical(TransitivityStep(
+    premise = guard.open_channel(channel_speaker, client)
+    guard.submit_proof(to_canonical(TransitivityStep(
         PremiseStep(premise), delegation(client)
     ).to_sexp()))
     channel = GuardRequest(
@@ -92,7 +94,7 @@ def _every_credential_path(cluster, server_kp, alice_kp, bob_kp, rng):
     )
 
     bob = KeyPrincipal(bob_kp.public)
-    cluster.submit_proof(to_canonical(delegation(bob).to_sexp()))
+    guard.submit_proof(to_canonical(delegation(bob).to_sexp()))
     submitted = GuardRequest(
         _logical("/submitted"), issuer=issuer, transport="rmi",
         credential=ChannelCredential(bob),
@@ -111,18 +113,17 @@ def test_no_served_request_charges_a_meter(
         return charge(meter, operation, times)
 
     monkeypatch.setattr(Meter, "charge", counted)
-    cluster = AuthCluster(node_count=4, rng=rng)
+    guard = default_backend(TrustEnvironment(), prover=Prover(), rng=rng)
     requests = _every_credential_path(
-        cluster, server_kp, alice_kp, bob_kp, rng
+        guard, server_kp, alice_kp, bob_kp, rng
     )
-    assert len({cluster._route(r).node_id for r in requests}) > 1
 
     for request in requests:
-        assert cluster.check(request).granted
-    assert all(decision.granted for decision in cluster.check_many(requests))
+        assert guard.check(request).granted
+    assert all(decision.granted for decision in guard.check_many(requests))
 
     async def over_the_wire():
-        fleet = ServeFleet(cluster, listeners=1)
+        fleet = ServeFleet(guard, listeners=1)
         ((host, port),) = await fleet.start()
         client = await ServeClient.connect(host, port)
         try:
@@ -136,4 +137,4 @@ def test_no_served_request_charges_a_meter(
     replies = asyncio.run(over_the_wire())
     assert [reply.status for reply in replies] == ["ok"] * 6
     assert charges == []
-    assert cluster.guard.meter is None
+    assert guard.meter is None

@@ -18,8 +18,6 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import AuthCluster
-from repro.cluster.ring import shard_key_for
 from repro.core.principals import (
     ConjunctPrincipal,
     KeyPrincipal,
@@ -50,7 +48,10 @@ from repro.core.rules import (
 from repro.core.statements import Says, SpeaksFor, Validity
 from repro.crypto import generate_keypair
 from repro.crypto.rsa import RsaPublicKey
+from repro.guard import default_backend
 from repro.guard.cache import ProofCache
+from repro.net.trust import TrustEnvironment
+from repro.prover import Prover
 from repro.sexp import Atom, SList, parse_canonical, sexp, to_canonical
 from repro.spki import Certificate
 from repro.tags import parse_tag
@@ -268,26 +269,20 @@ class TestNonNormalEncoding:
         assert cache.retract_serial(clean.certificate.serial) == 1
         assert cache.count() == 0
 
-    def test_a_drain_hands_it_over_under_the_digest_it_was_cached_under(
+    def test_a_guard_revocation_reaches_it_under_the_digest_it_was_cached_under(
         self, clean_and_spliced
     ):
         """``to_sexp()`` rebuilds from the decoded fields, so it yields
-        the normal form; a drain never re-encodes, so the new owner is
-        answered from the entry under the digest of the bytes it arrived
-        as — the key it was cached under — and a revocation, which names
-        the certificate's serial rather than an encoding, still reaches
-        it there."""
+        the normal form; nothing re-encodes a cached proof, so its entry
+        stays under the digest of the bytes it arrived as, and a
+        revocation, which names the certificate's serial rather than an
+        encoding, reaches it there."""
         clean, wire, spliced = clean_and_spliced
         assert to_canonical(spliced.to_sexp()) == clean.canonical()
-        cluster = AuthCluster(node_count=2)
+        guard = default_backend(TrustEnvironment(), prover=Prover())
         speaker = spliced.conclusion.subject
-        draining = cluster.membership.node_for(shard_key_for(speaker))
-        cache = cluster.guard.cache
-        assert cache.add(spliced)
-
-        report = cluster.drain(draining.node_id)
-        assert report.installed == 1
-        entry = cache.buckets[speaker][spliced.digest()]
+        assert guard.cache.add(spliced)
+        entry = guard.cache.buckets[speaker][spliced.digest()]
         assert entry.proof.canonical() == wire
-        assert cluster.revoke_serial(clean.certificate.serial) == 1
-        assert cache.count() == 0
+        assert guard.revoke_serial(clean.certificate.serial) == 1
+        assert guard.cache.count() == 0

@@ -10,34 +10,37 @@ from collections import defaultdict
 
 import pytest
 
-from repro.cluster import AuthCluster, session_routing_key
 from repro.core.principals import KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
-from repro.guard import GuardRequest, SessionCredential
+from repro.guard import GuardRequest, SessionCredential, default_backend
+from repro.net.trust import TrustEnvironment
 from repro.obs import MetricsRegistry, Tracer, default_registry
+from repro.prover import Prover
 from repro.serve import STATS_OK, ServeClient, ServeListener
 from repro.serve.protocol import encode_check, encode_frame
 from repro.sexp import Atom, SList, sexp, to_canonical
 from repro.sim import SimClock
 from repro.spki import Certificate
 from repro.tags import Tag
+from tests.serve.faults import CrashingBackend
 
 
-def _observed_cluster(server_kp, rng, nodes=3, sessions=6, sample=1):
-    """The test_server cluster world, with an injected registry/tracer
-    the listener inherits off the backend (seeded ids, a ring large
-    enough to hold every span a test makes)."""
+def _observed_backend(server_kp, rng, sessions=6, sample=1):
+    """A guard behind the crash-on-demand wrapper, with an injected
+    registry/tracer the listener inherits off the backend (seeded ids,
+    a span ring large enough to hold every span a test makes)."""
     registry = MetricsRegistry()
     tracer = Tracer(registry=registry, rng=random.Random(11), sample=sample,
                     max_spans=4096)
-    cluster = AuthCluster(
-        node_count=nodes, clock=SimClock(), metrics=registry, tracer=tracer
-    )
+    backend = CrashingBackend(default_backend(
+        TrustEnvironment(clock=SimClock()), prover=Prover(),
+        metrics=registry, tracer=tracer,
+    ))
     issuer = KeyPrincipal(server_kp.public)
     minted = []
     for _ in range(sessions):
-        mac_id, mac_key = cluster.mint_session(rng)
-        cluster.add_delegation(
+        mac_id, mac_key = backend.mint_session(rng)
+        backend.digest_delegation(
             SignedCertificateStep(
                 Certificate.issue(
                     server_kp, MacPrincipal(mac_key.fingerprint()),
@@ -46,7 +49,7 @@ def _observed_cluster(server_kp, rng, nodes=3, sessions=6, sample=1):
             )
         )
         minted.append((mac_id, mac_key))
-    return cluster, issuer, minted, registry, tracer
+    return backend, issuer, minted, registry, tracer
 
 
 def _request(issuer, minted, index):
@@ -65,12 +68,12 @@ class TestStatsWire:
     def test_stats_round_trip_matches_the_in_process_registry(
         self, server_kp, rng
     ):
-        cluster, issuer, minted, registry, _ = _observed_cluster(
+        backend, issuer, minted, registry, _ = _observed_backend(
             server_kp, rng
         )
 
         async def scenario():
-            listener = ServeListener(cluster)
+            listener = ServeListener(backend)
             host, port = await listener.start()
             client = await ServeClient.connect(host, port)
             # Same session twice: the first check pays the prover, the
@@ -105,12 +108,12 @@ class TestStatsWire:
     ):
         # Spans finish before replies are written, so even a probe
         # racing a burst sees every granted request's span histogram.
-        cluster, issuer, minted, registry, _ = _observed_cluster(
+        backend, issuer, minted, registry, _ = _observed_backend(
             server_kp, rng
         )
 
         async def scenario():
-            listener = ServeListener(cluster)
+            listener = ServeListener(backend)
             host, port = await listener.start()
             client = await ServeClient.connect(host, port)
             await client.check_pipelined(
@@ -131,7 +134,7 @@ class TestStatsWire:
     ):
         # A listener handed ``metrics=`` must show its own malformed
         # frames in ``(stats)``; the process-wide registry sees nothing.
-        cluster, issuer, minted, _, _ = _observed_cluster(server_kp, rng)
+        backend, issuer, minted, _, _ = _observed_backend(server_kp, rng)
         mine = MetricsRegistry()
         request = _request(issuer, minted, 0)
         good = encode_check(3, request)
@@ -140,7 +143,7 @@ class TestStatsWire:
         before = [default_registry().counter(name) for name in names]
 
         async def scenario():
-            listener = ServeListener(cluster, metrics=mine)
+            listener = ServeListener(backend, metrics=mine)
             host, port = await listener.start()
             client = await ServeClient.connect(host, port)
             writer = client.transport
@@ -202,12 +205,12 @@ class TestServerSampling:
         # its first request: the server mints the other seven.  Counters
         # count all 8 requests; spans are kept whole or not at all, by
         # each trace's id.
-        cluster, issuer, minted, registry, tracer = _observed_cluster(
+        backend, issuer, minted, registry, tracer = _observed_backend(
             server_kp, rng, sample=4
         )
 
         async def scenario():
-            listener = ServeListener(cluster)
+            listener = ServeListener(backend)
             host, port = await listener.start()
             client = await ServeClient.connect(
                 host, port, trace_sample=1000
@@ -235,10 +238,10 @@ class TestServerSampling:
             for stage in ("fastpath", "proof_cache", "prover")
         )
         assert stage_counts == 8
-        assert cluster.audit.recorded == 8
+        assert backend.audit.recorded == 8
         # Every grant names its trace, kept or not; the server-minted
         # ids are the ones the audit trail carries.
-        trace_ids = [record.trace_id for record in cluster.audit.records]
+        trace_ids = [record.trace_id for record in backend.audit.records]
         assert len(set(trace_ids)) == 8 and traces[0] in trace_ids
         kept = _assert_all_or_none(tracer, trace_ids)
         spans = snapshot["histograms"].get("span.serve.request_ms")
@@ -256,12 +259,12 @@ class TestOneDecisionPerTrace:
     REQUESTS = 400
 
     def _serve(self, server_kp, rng, window):
-        cluster, issuer, minted, registry, tracer = _observed_cluster(
-            server_kp, rng, nodes=4, sample=4
+        backend, issuer, minted, registry, tracer = _observed_backend(
+            server_kp, rng, sample=4
         )
 
         async def scenario():
-            listener = ServeListener(cluster)
+            listener = ServeListener(backend)
             host, port = await listener.start()
             client = await ServeClient.connect(
                 host, port, trace_sample=10 * self.REQUESTS
@@ -284,7 +287,7 @@ class TestOneDecisionPerTrace:
         assert len(replies) == self.REQUESTS
         assert all(reply.granted for reply in replies)
         assert stats["batches"] == self.REQUESTS // window
-        records = cluster.audit.records
+        records = backend.audit.records
         assert len(records) == self.REQUESTS
         trace_ids = [record.trace_id for record in records]
         assert None not in trace_ids and len(set(trace_ids)) == self.REQUESTS
@@ -308,24 +311,22 @@ class TestOneDecisionPerTrace:
     def test_a_dropped_id_is_dropped_on_both_attempts_of_a_retry(
         self, server_kp, rng
     ):
-        cluster, issuer, minted, _, tracer = _observed_cluster(
+        backend, issuer, minted, _, tracer = _observed_backend(
             server_kp, rng, sample=4
         )
-        mac_id, _ = minted[0]
-        owner = cluster.membership.ring.node_for(session_routing_key(mac_id))
         dropped = next(
             trace_id for trace_id in ("%016x" % n for n in range(64))
             if not tracer.keeps(trace_id)
         )
 
         async def scenario():
-            listener = ServeListener(cluster)
+            listener = ServeListener(backend)
             host, port = await listener.start()
             client = await ServeClient.connect(host, port)
             assert (
                 await client.check(_request(issuer, minted, 0))
             ).granted
-            cluster.crash_node(owner)
+            backend.crashes = 1
             request = _request(issuer, minted, 0)
             request.trace = dropped
             reply = await client.check(request)
@@ -339,16 +340,16 @@ class TestOneDecisionPerTrace:
         # Neither the attempt that met the crash nor the resend left a
         # span; the grant still names the trace.
         assert tracer.spans_for(dropped) == []
-        assert [record.trace_id for record in cluster.audit.records
+        assert [record.trace_id for record in backend.audit.records
                 if record.trace_id == dropped] == [dropped]
 
 
 class TestPongVitals:
     def test_pong_reports_uptime_only(self, server_kp, rng):
-        cluster, issuer, minted, _, _ = _observed_cluster(server_kp, rng)
+        backend, issuer, minted, _, _ = _observed_backend(server_kp, rng)
 
         async def scenario():
-            listener = ServeListener(cluster)
+            listener = ServeListener(backend)
             host, port = await listener.start()
             client = await ServeClient.connect(host, port)
             assert (
@@ -370,20 +371,18 @@ class TestTraceAcrossRetry:
     def test_one_trace_covers_the_retry_and_the_resend(
         self, server_kp, rng
     ):
-        cluster, issuer, minted, _, tracer = _observed_cluster(
+        backend, issuer, minted, _, tracer = _observed_backend(
             server_kp, rng
         )
-        mac_id, _ = minted[0]
-        owner = cluster.membership.ring.node_for(session_routing_key(mac_id))
 
         async def scenario():
-            listener = ServeListener(cluster)
+            listener = ServeListener(backend)
             host, port = await listener.start()
             client = await ServeClient.connect(host, port)
             assert (
                 await client.check(_request(issuer, minted, 0))
             ).granted
-            cluster.crash_node(owner)
+            backend.crashes = 1
             request = _request(issuer, minted, 0)
             reply = await client.check(request)
             await client.close()
@@ -407,11 +406,11 @@ class TestTraceAcrossRetry:
         assert first.annotations["retry"] is True
         assert second.annotations["status"] == "ok"
 
-        # The grant's audit record — read through the cluster's one
+        # The grant's audit record — read through the guard's
         # log — carries the same trace id, so trail and trace join.
         stamped = [
             record
-            for record in cluster.audit.records
+            for record in backend.audit.records
             if record.trace_id == trace
         ]
         assert len(stamped) == 1
@@ -424,21 +423,19 @@ class TestTraceAcrossRetry:
         # sampled / unsampled.  The retried request is birth 3 — sampled
         # — so the whole crash/RETRY/resend arc must land in one trace
         # even though its neighbors carry no trace id at all.
-        cluster, issuer, minted, _, tracer = _observed_cluster(
+        backend, issuer, minted, _, tracer = _observed_backend(
             server_kp, rng
         )
-        mac_id, _ = minted[0]
-        owner = cluster.membership.ring.node_for(session_routing_key(mac_id))
 
         async def scenario():
-            listener = ServeListener(cluster)
+            listener = ServeListener(backend)
             host, port = await listener.start()
             client = await ServeClient.connect(host, port, trace_sample=2)
             warm = _request(issuer, minted, 0)          # birth 1: sampled
             assert (await client.check(warm)).granted
             filler = _request(issuer, minted, 1)        # birth 2: not
             assert (await client.check(filler)).granted
-            cluster.crash_node(owner)
+            backend.crashes = 1
             retried = _request(issuer, minted, 0)       # birth 3: sampled
             reply = await client.check(retried)
             await client.close()
@@ -464,10 +461,10 @@ class TestTraceAcrossRetry:
         assert second.annotations["status"] == "ok"
 
     def test_fresh_checks_get_distinct_traces(self, server_kp, rng):
-        cluster, issuer, minted, _, _ = _observed_cluster(server_kp, rng)
+        backend, issuer, minted, _, _ = _observed_backend(server_kp, rng)
 
         async def scenario():
-            listener = ServeListener(cluster)
+            listener = ServeListener(backend)
             host, port = await listener.start()
             client = await ServeClient.connect(host, port)
             first = _request(issuer, minted, 0)
@@ -482,7 +479,7 @@ class TestTraceAcrossRetry:
         assert first_trace is not None
         assert second_trace is not None
         assert first_trace != second_trace
-        records = cluster.audit.records
+        records = backend.audit.records
         assert {record.trace_id for record in records} == {
             first_trace, second_trace,
         }

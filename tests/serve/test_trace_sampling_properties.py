@@ -1,7 +1,7 @@
 """Sampling never changes a decision or a count.
 
 The same check frames, cut into the same recv chunks, are served twice
-by identically built clusters: once under ``Tracer(sample=1)`` and once
+by identically built guards: once under ``Tracer(sample=1)`` and once
 under ``Tracer(sample=N)``.  Whatever the chunking and whichever frames
 carry their own trace id, the replies are byte-identical, every counter
 (``guard.stage.*`` and the listener's ``stats`` included) is equal,
@@ -20,11 +20,12 @@ from collections import defaultdict
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import AuthCluster
 from repro.core.principals import KeyPrincipal, MacPrincipal
 from repro.core.proofs import SignedCertificateStep
-from repro.guard import GuardRequest, SessionCredential
+from repro.guard import GuardRequest, SessionCredential, default_backend
+from repro.net.trust import TrustEnvironment
 from repro.obs import MetricsRegistry, Tracer
+from repro.prover import Prover
 from repro.serve import ServeListener
 from repro.serve.protocol import encode_check, encode_frame
 from repro.serve.server import _Connection
@@ -58,24 +59,26 @@ class _RecordingTransport:
 
 
 def _world(server_kp, sample):
-    """A four-node cluster built from one seed, so two builds hold the
-    same sessions and delegations."""
+    """A guard built from one seed, so two builds hold the same
+    sessions and delegations."""
     rng = random.Random(77)
     registry = MetricsRegistry()
     tracer = Tracer(registry=registry, rng=random.Random(3), sample=sample,
                     max_spans=4096)
-    cluster = AuthCluster(node_count=4, clock=SimClock(), metrics=registry,
-                          tracer=tracer)
+    guard = default_backend(
+        TrustEnvironment(clock=SimClock()), prover=Prover(),
+        metrics=registry, tracer=tracer,
+    )
     sessions = []
     for index in range(SESSIONS):
-        mac_id, mac_key = cluster.mint_session(rng)
+        mac_id, mac_key = guard.mint_session(rng)
         if index < SESSIONS - 1:
-            cluster.add_delegation(SignedCertificateStep(Certificate.issue(
+            guard.digest_delegation(SignedCertificateStep(Certificate.issue(
                 server_kp, MacPrincipal(mac_key.fingerprint()), Tag.all(),
                 rng=rng,
             )))
         sessions.append((mac_id, mac_key))
-    return cluster, sessions, registry, tracer
+    return guard, sessions, registry, tracer
 
 
 def _frame(issuer, sessions, request_id, session, path, trace):
@@ -89,8 +92,8 @@ def _frame(issuer, sessions, request_id, session, path, trace):
     )))
 
 
-def _serve(cluster, chunks):
-    connection = _Connection(ServeListener(cluster))
+def _serve(guard, chunks):
+    connection = _Connection(ServeListener(guard))
     transport = _RecordingTransport()
     connection.connection_made(transport)
     for chunk in chunks:
@@ -146,8 +149,8 @@ def test_sampling_never_changes_a_reply_or_a_counter(keypool, data):
     grants = listeners[0]["grants"]
     assert grants == sum(1 for spec in specs if spec[0] < SESSIONS - 1)
 
-    for cluster, _, _, tracer in (reference, sampled):
-        records = cluster.audit.records
+    for guard, _, _, tracer in (reference, sampled):
+        records = guard.audit.records
         assert len(records) == grants
         assert all(record.trace_id is not None for record in records)
         traces = _spans_by_trace(tracer)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sexp import parse, parse_canonical, sexp
+from repro.sexp import parse, parse_canonical, sexp, to_canonical
 from repro.sexp.intern import INTERN_LIMIT
 from repro.tags import tag as tag_module
 from repro.tags import (
@@ -209,6 +209,30 @@ class TestDecodedTags:
     def test_a_display_hint_inside_a_star_form_is_refused(self, text):
         with pytest.raises(TagError):
             parse_tag(text)
+
+    @pytest.mark.parametrize("text", [
+        "(tag (* range alpha (le b) (ge a)))",
+        "(tag (* range alpha (ge 0) (ge A)))",
+        "(tag (* range alpha (l b) (le c)))",
+        "(tag (* range alpha (ge a) (le b) (le c)))",
+    ])
+    def test_a_range_has_one_spelling(self, text):
+        """At most one lower bound, then at most one upper bound, in the
+        order ``TagRange.to_sexp`` writes them: any other spelling would
+        re-encode to bytes its issuer never signed."""
+        with pytest.raises(TagError):
+            parse_tag(text)
+
+    @pytest.mark.parametrize("text", [
+        "(tag (* range alpha))",
+        "(tag (* range alpha (g a)))",
+        "(tag (* range alpha (l b)))",
+        "(tag (* range alpha (ge a) (le b)))",
+    ])
+    def test_a_range_in_its_one_spelling_round_trips(self, text):
+        wire = to_canonical(parse(text))
+        assert Tag.from_sexp(parse_canonical(wire)).canonical_key() == wire
+        assert to_canonical(parse_tag(text).to_sexp()) == wire
 
     def test_equal_bytes_decode_to_one_tag(self):
         wire = b"(3:tag(3:web(6:method3:GET)))"
