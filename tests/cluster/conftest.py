@@ -1,8 +1,9 @@
-"""Shared cluster-test helpers: a small cluster world.
+"""A small world around the benchmark rig's front.
 
-``cluster_world`` builds an :class:`AuthCluster` plus one delegation —
-``client => issuer`` signed by the server key and digested into the
-cluster's one graph — so any node can authorize the client's requests.
+``world`` builds an :class:`AuthCluster` as ``bench/server.py`` does,
+four member names over one guard, and hands it one delegation —
+``client => issuer`` signed by the server key — through ``add_delegation``,
+the call the rig makes.
 """
 
 from __future__ import annotations
@@ -13,18 +14,17 @@ from repro.cluster import AuthCluster
 from repro.core.principals import KeyPrincipal
 from repro.core.proofs import SignedCertificateStep
 from repro.guard import ChannelCredential, GuardRequest
-from repro.sim import SimClock
 from repro.spki import Certificate
 from repro.tags import Tag
 
 REQUEST = ["web", ["method", "GET"], ["path", "/doc"]]
-REQUESTS = 64
+REQUESTS = 16
 
 
-class ClusterWorld:
-    def __init__(self, server_kp, alice_kp, rng, nodes=3, **kwargs):
-        self.clock = SimClock()
-        self.cluster = AuthCluster(node_count=nodes, clock=self.clock, **kwargs)
+class FrontWorld:
+    def __init__(self, server_kp, alice_kp, rng, nodes=4):
+        self.cluster = AuthCluster(node_count=nodes)
+        self.guard = self.cluster.guard
         self.server_kp = server_kp
         self.rng = rng
         self.issuer = KeyPrincipal(server_kp.public)
@@ -56,18 +56,13 @@ class ClusterWorld:
             for index in range(count)
         ]
 
-
-def move_owner(cluster, speaker):
-    """Join nodes until ``speaker``'s shard changes owner; returns the
-    new owner."""
-    owner = cluster.node_for_speaker(speaker)
-    for _ in range(32):
-        cluster.add_node()
-        if cluster.node_for_speaker(speaker) is not owner:
-            return cluster.node_for_speaker(speaker)
-    raise AssertionError("no join moved the speaker's shard")
+    def check(self, request):
+        """One request through the front's ``check_many``, the rig's
+        only decision call."""
+        (decision,) = self.cluster.check_many([request])
+        return decision
 
 
 @pytest.fixture()
 def world(server_kp, alice_kp, rng):
-    return ClusterWorld(server_kp, alice_kp, rng)
+    return FrontWorld(server_kp, alice_kp, rng)

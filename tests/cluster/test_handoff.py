@@ -1,25 +1,17 @@
-"""Warm shard handoff.
+"""A drain on the benchmark rig's front.
 
-The protocol under test: a drain hands the draining node's cached
-chains, as objects, to the import hook of the ring successors inheriting
-each shard, then leaves.  Channel bindings and MAC sessions are the
-cluster's, held once, so they need no hand-over.  The refuse-stale tests
-pin that a revocation published before the drain — applied on every
-node when it was published — never rides it into an inheritor's cache.
-The import hook's own refusals are driven on one guard in
-``tests/guard/test_import_hooks.py``.
+The rig sends ``drain node-1`` and reads the answer and the front's
+``handoff`` stats.  A drain takes a name off the member list and
+nothing else: the one guard keeps every cached chain, session and
+channel binding, so ``installed`` counts the chains it kept, nothing is
+parsed or verified, and the same traffic is answered from the cache.
+These tests go with the front.
 """
 
 from __future__ import annotations
 
 import sys
 
-import pytest
-
-from repro.cluster.ring import shard_key_for
-from repro.cluster.membership import LEFT
-from repro.cluster.ring import session_routing_key
-from repro.core.errors import AuthorizationError, NeedAuthorizationError
 from repro.core.principals import (
     ChannelPrincipal,
     HashPrincipal,
@@ -31,12 +23,11 @@ from repro.core.rules import TransitivityStep
 from repro.crypto.hashes import HashValue
 from repro.crypto.rsa import RsaPublicKey
 from repro.guard import GuardRequest, ProofCredential, SessionCredential
-from repro.guard.audit import AuditRecord
 from repro.sexp import parser, sexp, to_canonical, to_transport
 from repro.spki import Certificate
 from repro.tags import Tag
 
-from tests.cluster.conftest import ClusterWorld
+from tests.cluster.conftest import FrontWorld
 
 
 def _session_request(issuer, mac_id, mac_key, index=0):
@@ -50,13 +41,28 @@ def _session_request(issuer, mac_id, mac_key, index=0):
     )
 
 
-def _mint_session(world, rng):
-    mac_id, mac_key = world.cluster.mint_session(rng)
+def _mint_session(world):
+    """A MAC session minted on the front's guard, its principal
+    delegated the whole tag through ``add_delegation``."""
+    mac_id, mac_key = world.guard.mint_session(world.rng)
     certificate = Certificate.issue(
         world.server_kp, MacPrincipal(mac_key.fingerprint()), Tag.all(),
-        rng=rng,
+        rng=world.rng,
     )
     world.cluster.add_delegation(SignedCertificateStep(certificate))
+    return mac_id, mac_key
+
+
+def _warm(world):
+    """Grant a channel speaker and a MAC session four times each;
+    returns the session."""
+    for _ in range(4):
+        assert world.check(world.request()).granted
+    mac_id, mac_key = _mint_session(world)
+    for index in range(4):
+        assert world.check(
+            _session_request(world.issuer, mac_id, mac_key, index)
+        ).granted
     return mac_id, mac_key
 
 
@@ -78,121 +84,79 @@ def _count_parses(monkeypatch):
     return calls
 
 
-class TestRecordCodec:
-    def test_mac_speaker_shards_by_session_id(self, world, rng):
-        """A MAC speaker's cached chains are owned as its *requests* are,
-        by session id — not by principal fingerprint."""
-        mac_id, mac_key = world.cluster.mint_session(rng)
-        speaker = MacPrincipal(mac_key.fingerprint())
-        assert shard_key_for(speaker) == session_routing_key(mac_id)
-        assert shard_key_for(world.client) != session_routing_key(mac_id)
+def _count_verifies(monkeypatch):
+    """Count RSA signature checks.  Returns the list they append to."""
+    verifies = []
+    verify = RsaPublicKey.verify
+    monkeypatch.setattr(
+        RsaPublicKey, "verify",
+        lambda key, message, signature: verifies.append(key)
+        or verify(key, message, signature),
+    )
+    return verifies
 
 
 class TestDrainTransfersWarmState:
-    def test_drain_hands_over_proofs_sessions_and_channels(
-        self, server_kp, alice_kp, rng
-    ):
-        """A drain keeps cached chains; a MAC session and a channel
-        binding are the cluster's, so they hold across it untouched —
-        the session still grants, and still dies at its original mint
-        time plus the TTL."""
-        world = ClusterWorld(server_kp, alice_kp, rng, session_ttl=100.0)
-        cluster = world.cluster
+    def test_drain_hands_over_proofs_sessions_and_channels(self, world):
+        """A drain keeps cached chains, the MAC session and the channel
+        binding: the same traffic grants from the cache with zero new
+        prover searches, and the answer counts every chain kept."""
+        cluster, guard = world.cluster, world.guard
+        mac_id, mac_key = _warm(world)
+        premise = guard.open_channel(
+            ChannelPrincipal.of_secret(b"\x07" * 32), world.client
+        )
+        cached = guard.cache.count()
+        searches = guard.prover.stats["searches"]
 
-        # Warm every kind of state: a channel-credential speaker (cached
-        # chain), a MAC session (secret + fastpath chain), and a live
-        # channel binding.
+        report = cluster.drain("node-1")
+
+        assert report.node_id == "node-1"
+        assert "node-1" not in cluster.members
+        assert report.installed == cached > 0
+        assert guard.cache.count() == cached
         for index in range(4):
-            assert cluster.check(world.request()).granted
-        mac_id, mac_key = _mint_session(world, rng)
-        for index in range(4):
-            assert cluster.check(
-                _session_request(world.issuer, mac_id, mac_key, index)
-            ).granted
-        channel = ChannelPrincipal.of_secret(b"\x07" * 32)
-        premise = cluster.open_channel(channel, world.client)
-
-        victim = cluster.node_for_speaker(world.client)
-        cached = cluster.guard.cache.count()
-        searches = cluster.guard.prover.stats["searches"]
-        report = cluster.drain(victim.node_id)
-
-        assert report.node_id == victim.node_id
-        assert report.installed > 0
-        assert cluster.membership.state_of(victim.node_id) == LEFT
-        assert cluster.node_for_speaker(world.client) is not victim
-        assert cluster.guard.cache.count() == cached
-
-        # The drained speakers are warm: the same traffic grants from the
-        # cache with zero new Prover searches.
-        for index in range(4):
-            assert cluster.check(world.request()).stage == "cache"
-            assert cluster.check(
+            assert world.check(world.request()).stage == "cache"
+            assert world.check(
                 _session_request(world.issuer, mac_id, mac_key, index)
             ).stage == "cache"
-        assert cluster.guard.prover.stats["searches"] == searches
+        assert guard.prover.stats["searches"] == searches
         handoff = cluster.stats_snapshot()["handoff"]
         assert handoff["records_installed"] == report.installed
         assert handoff["records_refused_stale"] == 0
-        # Nothing else moved, because nothing else was the node's own.
-        assert cluster.trust.vouches_for(premise)
-        assert cluster.sessions.get(mac_id) is mac_key
+        assert guard.trust.vouches_for(premise)
+        assert guard.sessions.get(mac_id) is mac_key
 
-        world.clock.advance(101.0)  # past the original mint + TTL
-        with pytest.raises(AuthorizationError, match="unknown MAC session"):
-            cluster.check(_session_request(world.issuer, mac_id, mac_key))
-
-    def test_a_drain_parses_and_verifies_nothing(
-        self, server_kp, alice_kp, rng, monkeypatch
-    ):
-        """Nothing moves: no byte is encoded or parsed, no signature is
-        checked, and every cache entry is the very proof object it was
-        before."""
-        world = ClusterWorld(server_kp, alice_kp, rng, session_ttl=100.0)
-        cluster = world.cluster
-        for _ in range(4):
-            assert cluster.check(world.request()).granted
-        mac_id, mac_key = _mint_session(world, rng)
-        for index in range(4):
-            assert cluster.check(
-                _session_request(world.issuer, mac_id, mac_key, index)
-            ).granted
-        cluster.open_channel(
-            ChannelPrincipal.of_secret(b"\x0b" * 32), world.client
-        )
-        victim = cluster.membership.node_for(session_routing_key(mac_id))
+    def test_a_drain_parses_and_verifies_nothing(self, world, monkeypatch):
+        """Nothing moves: no byte is parsed, no signature is checked,
+        and every cache entry is the very proof object it was before."""
+        _warm(world)
         held = [
             (speaker, entry.proof)
-            for speaker, bucket in cluster.guard.cache.buckets.items()
+            for speaker, bucket in world.guard.cache.buckets.items()
             for entry in bucket.values()
         ]
-
         parses = _count_parses(monkeypatch)
-        verifies = []
-        verify = RsaPublicKey.verify
-        monkeypatch.setattr(
-            RsaPublicKey, "verify",
-            lambda key, message, signature: verifies.append(key)
-            or verify(key, message, signature),
-        )
-        report = cluster.drain(victim.node_id)
+        verifies = _count_verifies(monkeypatch)
 
-        assert report.installed > 0
+        report = world.cluster.drain("node-2")
+
+        assert report.installed == len(held) > 0
         assert parses == []
         assert verifies == []
         for speaker, proof in held:
-            entry = cluster.guard.cache.buckets[speaker][proof.digest()]
+            entry = world.guard.cache.buckets[speaker][proof.digest()]
             assert entry.proof is proof
 
     def test_drain_report_feeds_the_aggregate_makespan(self, world):
-        """A drain's measured duration is what the stats snapshot (the
-        cluster's aggregate view) reports: 0.0 before any drain, the
-        report's ``duration_ms`` after one."""
+        """A drain's measured duration is what the stats snapshot
+        reports: 0.0 before any drain, the report's ``duration_ms``
+        after one; the answer the rig prints is the report as a dict."""
         cluster = world.cluster
         for _ in range(4):
-            assert cluster.check(world.request()).granted
+            assert world.check(world.request()).granted
         assert cluster.stats_snapshot()["handoff"]["last_drain_ms"] == 0.0
-        report = cluster.drain(cluster.nodes()[0].node_id)
+        report = cluster.drain(cluster.members[0])
         handoff = cluster.stats_snapshot()["handoff"]
         assert report.duration_ms >= 0.0
         assert handoff["last_drain_ms"] == report.duration_ms
@@ -210,12 +174,14 @@ class TestDrainTransfersWarmState:
         the graph holds the delegations handed to ``add_delegation``
         only, and two drains later every presentation is still answered
         without a signature check."""
-        world = ClusterWorld(server_kp, alice_kp, rng, nodes=4)
+        world = FrontWorld(server_kp, alice_kp, rng)
         cluster = world.cluster
         middle = KeyPrincipal(bob_kp.public)
         requests = []
         for index in range(24):
-            logical = sexp(["web", ["method", "GET"], ["path", "/p-%d" % index]])
+            logical = sexp(
+                ["web", ["method", "GET"], ["path", "/p-%d" % index]]
+            )
             subject = HashPrincipal(HashValue.of_bytes(to_canonical(logical)))
             chain = TransitivityStep(
                 SignedCertificateStep(
@@ -231,106 +197,16 @@ class TestDrainTransfersWarmState:
                     subject, wire=to_transport(chain.to_sexp())
                 ),
             ))
-        assert all(decision.granted for decision in cluster.check_many(requests))
+        assert all(d.granted for d in cluster.check_many(requests))
 
-        first = cluster.drain(cluster.nodes()[0].node_id)
-        verifies = []
-        verify = RsaPublicKey.verify
-        monkeypatch.setattr(
-            RsaPublicKey, "verify",
-            lambda key, message, signature: verifies.append(key)
-            or verify(key, message, signature),
-        )
-        second = cluster.drain(cluster.nodes()[0].node_id)
-        assert first.installed + second.installed > 0
-        assert all(decision.granted for decision in cluster.check_many(requests))
+        first = cluster.drain(cluster.members[0])
+        verifies = _count_verifies(monkeypatch)
+        second = cluster.drain(cluster.members[0])
+        assert first.installed == second.installed > 0
+        assert all(d.granted for d in cluster.check_many(requests))
         assert verifies == []
-        # The world's delegation is all the cluster was handed.
         delegated = {
             lemma.digest() for lemma in world.delegation.speaks_for_lemmas()
         }
-        assert {edge.key for edge in cluster.graph.edges()} <= delegated
-
-
-class TestMembershipOrdering:
-    def test_drain_then_leave_event_ordering(self, world):
-        """A drain has no state of its own: the membership event log
-        shows the departing node's ``join`` and then its one ``leave``,
-        and ``handoff.drains`` counts the drain."""
-        cluster = world.cluster
-        victim = cluster.nodes()[0].node_id
-        cluster.drain(victim)
-        actions = [
-            (event.action, event.node_id)
-            for event in cluster.membership.events
-            if event.node_id == victim
-        ]
-        assert actions == [("join", victim), ("leave", victim)]
-        assert cluster.membership.state_of(victim) == LEFT
-        assert cluster.stats_snapshot()["handoff"]["drains"] == 1
-        with pytest.raises(ValueError):
-            cluster.drain(victim)  # already left
-        assert cluster.stats_snapshot()["handoff"]["drains"] == 1
-
-
-def _cached_serials(cluster):
-    return {
-        serial
-        for bucket in cluster.guard.cache.buckets.values()
-        for entry in bucket.values()
-        for serial in entry.serials
-    }
-
-
-class TestRefuseStale:
-    def test_a_revoke_the_heir_forgot_does_not_ride_the_drain(self, world):
-        """A revoked chain is not granted after a drain: the revoke
-        purged the cached chain and its tombstone is kept for good, so
-        neither 4 097 later revocations nor the drain of the speaker's
-        owner bring it back."""
-        cluster = world.cluster
-        assert cluster.check(world.request()).granted
-        victim = cluster.node_for_speaker(world.client)
-        cluster.revoke_serial(world.certificate.serial)
-        for index in range(4097):
-            cluster.revoke_serial(b"unrelated-%d" % index)
-
-        cluster.drain(victim.node_id)
-
-        with pytest.raises(NeedAuthorizationError):
-            cluster.check(world.request())
-        assert world.certificate.serial not in _cached_serials(cluster)
-
-    def test_a_revoke_still_on_the_bus_is_applied_before_the_hand_over(
-        self, world, rng
-    ):
-        """The revoke is published and the drain runs on the very next
-        call.  Nothing citing the serial is left in the cache, and the
-        next check is granted only by an independent chain, through the
-        Prover, with a correct audit record."""
-        cluster = world.cluster
-        for _ in range(4):
-            assert cluster.check(world.request()).granted
-        victim = cluster.node_for_speaker(world.client)
-        cluster.revoke_serial(world.certificate.serial)
-        replacement = Certificate.issue(
-            world.server_kp, world.client, Tag.all(), rng=rng
-        )
-        cluster.add_delegation(SignedCertificateStep(replacement))
-
-        report = cluster.drain(victim.node_id)
-
-        assert report.installed == 0
-        assert world.certificate.serial not in _cached_serials(cluster)
-        assert cluster.node_for_speaker(world.client) is not victim
-        prover = cluster.guard.prover
-        searches_before = prover.stats["searches"]
-        decision = cluster.check(world.request())
-        assert decision.granted
-        assert decision.stage == "prover"
-        assert prover.stats["searches"] == searches_before + 1
-        assert world.certificate.serial not in _cached_serials(cluster)
-        record = decision.record
-        assert isinstance(record, AuditRecord)
-        assert record.speaker == world.client
-        assert record.issuer == world.issuer
+        graph = world.guard.prover.graph
+        assert {edge.key for edge in graph.edges()} <= delegated

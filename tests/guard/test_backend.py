@@ -52,9 +52,23 @@ PROTOCOL_METHODS = [
 ]
 
 
+def _guard():
+    """One guard over a simulated clock, with a prover over its
+    delegation graph."""
+    return default_backend(
+        TrustEnvironment(clock=SimClock()), prover=Prover()
+    )
+
+
+#: The backends the cases below are pinned on, each under the id it
+#: gives the case's name.  One process serves one guard, so there is one.
+BACKENDS = [pytest.param(_guard, id="guard")]
+
+
 class TestConformance:
-    def test_every_protocol_method_present(self):
-        backend = Guard(TrustEnvironment())
+    @pytest.mark.parametrize("make", BACKENDS)
+    def test_every_protocol_method_present(self, make):
+        backend = make()
         for name in PROTOCOL_METHODS:
             assert callable(getattr(backend, name)), (
                 "%s lacks %s" % (type(backend).__name__, name)
@@ -63,8 +77,9 @@ class TestConformance:
         assert hasattr(backend, "audit")
         assert hasattr(backend, "stats")
 
-    def test_runtime_isinstance(self):
-        assert isinstance(Guard(TrustEnvironment()), AuthBackend)
+    @pytest.mark.parametrize("make", BACKENDS)
+    def test_runtime_isinstance(self, make):
+        assert isinstance(make(), AuthBackend)
 
     def test_audit_views_share_the_log_surface(self):
         audit = Guard(TrustEnvironment()).audit
@@ -139,19 +154,17 @@ OUTCOMES = {
 
 
 class _World:
-    """One guard plus everything needed to ask it any of the nine
+    """One backend plus everything needed to ask it any of the nine
     (credential kind × outcome) questions.  Built from fixed seeds, so
-    two worlds are the same guard in the same state."""
+    two worlds are the same backend in the same state."""
 
-    def __init__(self, keypool):
+    def __init__(self, make, keypool):
         alice_kp, _, carol_kp, server_kp = keypool[:4]
         rng = random.Random(7)
         self.issuer = KeyPrincipal(server_kp.public)
         self.alice = KeyPrincipal(alice_kp.public)
         self.stranger = KeyPrincipal(carol_kp.public)
-        self.backend = default_backend(
-            TrustEnvironment(clock=SimClock()), prover=Prover()
-        )
+        self.backend = make()
         self.mac_id, self.mac_key = self.backend.mint_session(rng)
         self.orphan_id, self.orphan_key = self.backend.mint_session(rng)
         for subject in (
@@ -218,9 +231,12 @@ class _World:
 
 @pytest.mark.parametrize("outcome", sorted(OUTCOMES))
 @pytest.mark.parametrize("credential", CREDENTIALS)
+@pytest.mark.parametrize("make", BACKENDS)
 class TestCheckIsABatchOfOne:
-    def test_check_agrees_with_check_many(self, credential, outcome, keypool):
-        batched, single = _World(keypool), _World(keypool)
+    def test_check_agrees_with_check_many(
+        self, make, credential, outcome, keypool
+    ):
+        batched, single = _World(make, keypool), _World(make, keypool)
         (expected,) = batched.backend.check_many(
             [batched.request(credential, outcome)]
         )
@@ -247,7 +263,7 @@ class TestCheckIsABatchOfOne:
 def test_guard_checks_counts_requests_decided(keypool):
     """``stats["checks"]`` is per request, not per call: harnesses find
     the serving node of a batch by it."""
-    world = _World(keypool)
+    world = _World(_guard, keypool)
     world.backend.check(world.request("channel", "grant"))
     world.backend.check_many(
         [world.request("session", "grant"), world.request("proof", "denial")]
@@ -257,13 +273,14 @@ def test_guard_checks_counts_requests_decided(keypool):
 
 
 @pytest.mark.parametrize("invalidation", ["revoke", "retract"])
-def test_an_invalidation_refuses_the_next_check(invalidation, server_kp, rng):
+@pytest.mark.parametrize("make", BACKENDS)
+def test_an_invalidation_refuses_the_next_check(
+    make, invalidation, server_kp, rng
+):
     """The backend call that publishes an invalidation is all a caller
     makes: the next check by the speaker it reached is refused, though
     its chain was cached."""
-    backend = default_backend(
-        TrustEnvironment(clock=SimClock()), prover=Prover()
-    )
+    backend = make()
     speaker = HashPrincipal(HashValue.of_bytes(b"speaker"))
     issuer = KeyPrincipal(server_kp.public)
     certificate = Certificate.issue(server_kp, speaker, Tag.all(), rng=rng)
@@ -286,13 +303,11 @@ def test_an_invalidation_refuses_the_next_check(invalidation, server_kp, rng):
     assert isinstance(decision.error, NeedAuthorizationError)
 
 
-def _session_backend(server_kp):
-    """A guard holding one MAC session whose principal the server
-    delegated to; the same seeds build the same guard."""
+def _session_backend(make, server_kp):
+    """A backend holding one MAC session whose principal the server
+    delegated to; the same seeds build the same backend."""
     rng = random.Random(11)
-    backend = default_backend(
-        TrustEnvironment(clock=SimClock()), prover=Prover()
-    )
+    backend = make()
     mac_id, mac_key = backend.mint_session(rng)
     backend.digest_delegation(SignedCertificateStep(Certificate.issue(
         server_kp, MacPrincipal(mac_key.fingerprint()), Tag.all(), rng=rng,
@@ -305,13 +320,14 @@ def _session_backend(server_kp):
     return backend, good
 
 
-def test_a_non_ascii_session_id_is_refused_alone(server_kp):
+@pytest.mark.parametrize("make", BACKENDS)
+def test_a_non_ascii_session_id_is_refused_alone(make, server_kp):
     """A session id no session has — here one that is not ASCII — is
     denied on its own; the check beside it in the batch is decided as
     it would be alone."""
-    alone, good = _session_backend(server_kp)
+    alone, good = _session_backend(make, server_kp)
     (expected,) = alone.check_many([good])
-    backend, good = _session_backend(server_kp)
+    backend, good = _session_backend(make, server_kp)
     message = to_canonical(LOGICAL)
     bad = GuardRequest(
         LOGICAL, issuer=KeyPrincipal(server_kp.public), transport="http",
@@ -332,9 +348,7 @@ def test_a_revoked_proof_presented_again_stays_refused(
     credential, is granted; once it is revoked (or its delegation
     retracted) it is refused, and it stays refused after 4 097 unrelated
     revocations of serials nothing holds."""
-    backend = default_backend(
-        TrustEnvironment(clock=SimClock()), prover=Prover()
-    )
+    backend = _guard()
     issuer = KeyPrincipal(server_kp.public)
     subject = HashPrincipal(HashValue.of_bytes(b"message"))
     certificate = Certificate.issue(server_kp, subject, Tag.all(), rng=rng)
@@ -373,9 +387,7 @@ def test_a_retracted_certificate_respelled_stays_refused(
     """A certificate whose range tag is spelled another way is other
     bytes under the same signature: it must not decode, or it would be a
     delegation whose digest the retraction's tombstone does not name."""
-    backend = default_backend(
-        TrustEnvironment(clock=SimClock()), prover=Prover()
-    )
+    backend = _guard()
     subject = HashPrincipal(HashValue.of_bytes(b"message"))
     tag = Tag.from_sexp(parse_canonical(
         b"(3:tag(3:web(6:method(1:*5:range5:alpha%s))))" % signed

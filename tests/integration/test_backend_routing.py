@@ -2,9 +2,9 @@
 
 The http, smtp, and rmi/secure-channel integration flows pass with the
 transport fronting a :class:`Guard` it was handed rather than one it
-built.  Transports own wire framing; authorization belongs to the
-backend — so these tests vary only where the backend comes from and
-touch nothing else.
+built, whether checkAuth is charged or not.  Transports own wire
+framing; authorization belongs to the backend — so these tests vary
+only the backend and touch nothing else.
 """
 
 import pytest
@@ -25,9 +25,17 @@ from repro.smtp import SnowflakeSmtpClient, SnowflakeSmtpServer
 from repro.spki import Certificate
 from repro.tags import parse_tag
 
-def make_backend(trust):
-    """The backend every transport here is handed."""
-    return default_backend(trust, check_charge=None)
+#: ``guard`` charges nothing per check; ``frontend`` is the guard as
+#: ``repro.tools serve`` hands it to a listener: a prover over its
+#: graph, every other knob at its default.
+BACKENDS = ["guard", "frontend"]
+
+
+def make_backend(kind, trust):
+    """The only thing these tests vary."""
+    if kind == "guard":
+        return default_backend(trust, check_charge=None)
+    return default_backend(trust, prover=Prover())
 
 
 class _DocServlet(ProtectedServlet):
@@ -53,14 +61,15 @@ def _alice_prover(alice_kp, server_kp, rng, tag="(tag (web))"):
     return prover
 
 
+@pytest.mark.parametrize("kind", BACKENDS)
 class TestHttpSnowflake:
     def test_challenge_then_signed_request_grants(
-        self, server_kp, alice_kp, rng
+        self, kind, server_kp, alice_kp, rng
     ):
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
         servlet = _DocServlet(
-            issuer, b"svc", trust, guard=make_backend(trust)
+            issuer, b"svc", trust, guard=make_backend(kind, trust)
         )
         assert servlet.service(HttpRequest("GET", "/doc")).status == 401
 
@@ -73,16 +82,15 @@ class TestHttpSnowflake:
             "SnowflakeProof %s" % to_transport(proof.to_sexp()).decode("ascii"),
         )
         assert servlet.service(request).status == 200
-        # The grant landed in the backend's audit trail, whichever node
-        # (or single guard) served it.
+        # The grant landed in the backend's audit trail.
         assert len(servlet.guard.audit.by_transport("http")) == 1
 
-    def test_bad_proof_is_a_403_everywhere(self, server_kp, carol_kp,
+    def test_bad_proof_is_a_403_everywhere(self, kind, server_kp, carol_kp,
                                            alice_kp, rng):
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
         servlet = _DocServlet(
-            issuer, b"svc", trust, guard=make_backend(trust)
+            issuer, b"svc", trust, guard=make_backend(kind, trust)
         )
         # Carol has no delegation: her self-signed chain cannot reach
         # the issuer, so the proof she *can* build is for the wrong
@@ -94,6 +102,7 @@ class TestHttpSnowflake:
         assert servlet.service(request).status == 403
 
 
+@pytest.mark.parametrize("kind", BACKENDS)
 class TestHttpMacSessions:
     def _grant_session(self, servlet, alice_kp):
         request = HttpRequest("GET", "/doc")
@@ -121,10 +130,10 @@ class TestHttpMacSessions:
         )
         return request
 
-    def test_mac_session_lifecycle(self, server_kp, alice_kp, rng):
+    def test_mac_session_lifecycle(self, kind, server_kp, alice_kp, rng):
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
-        backend = make_backend(trust)
+        backend = make_backend(kind, trust)
         manager = MacSessionManager(trust, rng)
         servlet = _DocServlet(
             issuer, b"svc", trust, mac_sessions=manager, guard=backend
@@ -144,8 +153,9 @@ class TestHttpMacSessions:
             assert servlet.service(steady).status == 200
 
 
+@pytest.mark.parametrize("kind", BACKENDS)
 class TestSmtp:
-    def test_delivery_roundtrip(self, server_kp, alice_kp, rng):
+    def test_delivery_roundtrip(self, kind, server_kp, alice_kp, rng):
         net = Network()
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
@@ -153,7 +163,7 @@ class TestSmtp:
             "mail.example",
             lambda mailbox: issuer if mailbox == "bob" else None,
             trust,
-            guard=make_backend(trust),
+            guard=make_backend(kind, trust),
         )
         net.listen("mail.example", server)
         prover = _alice_prover(
@@ -168,7 +178,7 @@ class TestSmtp:
         ]
         assert len(server.guard.audit.by_transport("smtp")) == 1
 
-    def test_stranger_refused(self, server_kp, carol_kp, rng):
+    def test_stranger_refused(self, kind, server_kp, carol_kp, rng):
         net = Network()
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
@@ -176,7 +186,7 @@ class TestSmtp:
             "mail.example",
             lambda mailbox: issuer if mailbox == "bob" else None,
             trust,
-            guard=make_backend(trust),
+            guard=make_backend(kind, trust),
         )
         net.listen("mail.example", server)
         stranger = Prover()
@@ -188,8 +198,9 @@ class TestSmtp:
         assert "bob" not in server.mailboxes
 
 
+@pytest.mark.parametrize("kind", BACKENDS)
 class TestRmiOverSecureChannels:
-    def test_full_figure4_flow(self, host_kp, server_kp, alice_kp, rng):
+    def test_full_figure4_flow(self, kind, host_kp, server_kp, alice_kp, rng):
         """Connect, get challenged, submit the proof, invoke — over a
         secure channel whose bindings and checkAuth both live in the
         injected backend."""
@@ -197,7 +208,7 @@ class TestRmiOverSecureChannels:
         clock = SimClock()
         trust_clockholder = TrustEnvironment(clock=clock)
         server = RmiServer(net, "svc.addr", host_kp, clock=clock,
-                           backend=make_backend(trust_clockholder))
+                           backend=make_backend(kind, trust_clockholder))
         KS = KeyPrincipal(server_kp.public)
         state = {"count": 0}
 
@@ -219,13 +230,13 @@ class TestRmiOverSecureChannels:
         assert len(server.auth.audit.by_transport("rmi")) == 2
 
     def test_unauthorized_invocation_refused(
-        self, host_kp, server_kp, carol_kp, rng
+        self, kind, host_kp, server_kp, carol_kp, rng
     ):
         net = Network()
         clock = SimClock()
         trust_clockholder = TrustEnvironment(clock=clock)
         server = RmiServer(net, "svc.addr", host_kp, clock=clock,
-                           backend=make_backend(trust_clockholder))
+                           backend=make_backend(kind, trust_clockholder))
         KS = KeyPrincipal(server_kp.public)
         server.export(RemoteObject("counter", KS, {"read": lambda: 0}))
         registry = Registry()

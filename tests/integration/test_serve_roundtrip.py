@@ -5,13 +5,16 @@ flows are backend-agnostic *in process*.  This file proves the same
 shapes survive the wire: the http proof-carrying request and the rmi
 challenge → submit-proof → retry conversation each run through a real
 loopback TCP socket into a :class:`ServeListener` over a
-:class:`~repro.guard.Guard`.  Transports own framing; authorization
-stays behind ``AuthBackend``, now with a socket in between.
+:class:`~repro.guard.Guard`, uncharged or as ``repro.tools serve``
+builds it.  Transports own framing; authorization stays behind
+``AuthBackend``, now with a socket in between.
 """
 
 from __future__ import annotations
 
 import asyncio
+
+import pytest
 
 from repro.core.principals import HashPrincipal, KeyPrincipal
 from repro.crypto.hashes import HashValue
@@ -33,8 +36,16 @@ WEB_TAG = "(tag (web))"
 RMI_TAG = "(tag (rmi))"
 
 
-def make_backend(trust):
-    return default_backend(trust, check_charge=None, prover=Prover())
+#: ``guard`` charges nothing per check; ``frontend`` is the guard as
+#: ``repro.tools serve`` hands it to a listener, every other knob at its
+#: default.
+BACKENDS = ["guard", "frontend"]
+
+
+def make_backend(kind, trust):
+    if kind == "guard":
+        return default_backend(trust, check_charge=None, prover=Prover())
+    return default_backend(trust, prover=Prover())
 
 
 def _prover_for(holder_kp, server_kp, rng, tag=WEB_TAG):
@@ -49,15 +60,16 @@ def _prover_for(holder_kp, server_kp, rng, tag=WEB_TAG):
     return prover
 
 
+@pytest.mark.parametrize("kind", BACKENDS)
 class TestHttpShapeOverTheWire:
     """The http idiom: the proof rides the request, bound to its hash."""
 
     def test_proof_carrying_request_grants(
-        self, server_kp, alice_kp, rng
+        self, kind, server_kp, alice_kp, rng
     ):
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
-        backend = make_backend(trust)
+        backend = make_backend(kind, trust)
         prover = _prover_for(alice_kp, server_kp, rng)
 
         logical = sexp(["web", ["method", "GET"], ["path", "/doc"]])
@@ -108,15 +120,16 @@ class TestHttpShapeOverTheWire:
         assert len([entry for entry in audited]) >= 1
 
 
+@pytest.mark.parametrize("kind", BACKENDS)
 class TestRmiShapeOverTheWire:
     """The rmi idiom: challenge, submit the proof, retry, grant."""
 
     def test_challenge_then_submit_proof_then_grant(
-        self, server_kp, bob_kp, rng
+        self, kind, server_kp, bob_kp, rng
     ):
         trust = TrustEnvironment(clock=SimClock())
         issuer = KeyPrincipal(server_kp.public)
-        backend = make_backend(trust)
+        backend = make_backend(kind, trust)
         speaker = KeyPrincipal(bob_kp.public)
         logical = sexp(["rmi", ["method", "frob"], ["arg", "42"]])
 
