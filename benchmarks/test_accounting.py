@@ -6,8 +6,9 @@ ring (``retain=16``) is already full.  Every frame hits the
 listener's question memo (a hit walks no field, so it counts nothing on
 the registry) and every check is a fast-path grant.  Every other
 tally of such a request — its reply, its decode hit, its dispatch, its
-audit record and that record's eviction — is held once, by a ``stats``
-dict or by the ``AuditLog``, so:
+audit record and that record's eviction — is held once, by the
+listener's ``stats`` dict, by the ``guard.batch_size`` histogram or by
+the ``AuditLog``, so:
 
 - ``MetricsRegistry.inc`` is called exactly ``K`` times, every call for
   ``guard.stage.fastpath`` (the stage counter ``bench/layers.py`` reads);

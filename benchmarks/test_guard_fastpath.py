@@ -117,7 +117,11 @@ def test_session_fastpath_10x_over_cold(keypool, rng):
     # Batching amortizes the per-check charge below the fast path itself.
     assert per_batch < per_warm
     # The guard classified the work as expected.
-    assert guard.stats["cache_hits"] >= 3 * ROUNDS
+    cache_hits = sum(
+        guard.metrics.counter("guard.stage.%s" % stage)
+        for stage in ("fastpath", "proof_cache")
+    )
+    assert cache_hits >= 3 * ROUNDS
 
 
 def test_batch_matches_sequential_decisions(keypool, rng):

@@ -140,7 +140,7 @@ def test_a_presented_proof_is_parsed_and_verified_once(keypool, monkeypatch):
     assert counts.decodes == K
     assert counts.signature_checks == K
     assert counts.nodes_built == 0
-    dedup = guard.cache.stats["dedup_hits"]
+    dedup = guard.metrics.counter("guard.cache.dedup_hits")
     assert dedup == (REPEATS - 1) * K
 
     # One flipped signature byte is another digest: the full path runs

@@ -52,9 +52,9 @@ def test_first_query_scales_with_depth(benchmark, depth):
     prover, subject, issuer = _chain_prover(depth)
     # Every query walks at least the chain itself: a found chain is not
     # stored back into the graph (the guard's proof cache holds it).
-    prover.stats["nodes_expanded"] = 0
+    before = prover.metrics.counter("prover.nodes_expanded")
     assert prover.find_proof(subject, issuer) is not None
-    assert prover.stats["nodes_expanded"] >= depth
+    assert prover.metrics.counter("prover.nodes_expanded") - before >= depth
     benchmark(lambda: prover.find_proof(subject, issuer))
 
 
@@ -79,8 +79,8 @@ def test_refusal_cost_is_flat_in_graph_size(delegates):
     unknown = NamePrincipal(_BASE, "unknown-speaker")
     for refusal in range(1, 4):
         assert prover.find_proof(unknown, issuer) is None
-        assert prover.stats["searches"] == refusal
-        assert prover.stats["nodes_expanded"] <= 2 * refusal
+        assert prover.metrics.counter("prover.searches") == refusal
+        assert prover.metrics.counter("prover.nodes_expanded") <= 2 * refusal
 
 
 def test_cold_grant_expands_depth_not_fan_in():
@@ -97,7 +97,7 @@ def test_cold_grant_expands_depth_not_fan_in():
     assert prover.find_proof(hops[-1], issuer) is not None
     # One pop per chain edge, all on the speaker's side (alternating
     # waves would spend two of four on the issuer's delegates).
-    assert prover.stats["nodes_expanded"] == 3
+    assert prover.metrics.counter("prover.nodes_expanded") == 3
     # Warm: the guard caches the chain it found under the speaker, so a
     # repeat check is answered without a search.
     guard = Guard(trust, prover=prover)
@@ -105,9 +105,9 @@ def test_cold_grant_expands_depth_not_fan_in():
         ["web"], issuer=issuer, credential=ChannelCredential(hops[-1]),
     )
     assert guard.check(request).stage == "prover"
-    searches = prover.stats["searches"]
+    searches = prover.metrics.counter("prover.searches")
     assert guard.check(request).stage == "cache"
-    assert prover.stats["searches"] == searches
+    assert prover.metrics.counter("prover.searches") == searches
 
 
 def _revocation_world(bystanders):
@@ -158,13 +158,13 @@ def test_revocation_cost_is_flat_in_what_the_guard_holds(bystanders):
 
     guard.revoke_serial(serial)
 
-    assert guard.prover.stats["invalidate_examined"] == 1
-    assert guard.cache.stats["retract_examined"] == 1
+    assert guard.metrics.counter("prover.invalidate_examined") == 1
+    assert guard.metrics.counter("guard.cache.retract_examined") == 1
     # Only the victim's state went: the revoked edge and its cached
     # chain; the onward hop cites another serial.
     assert graph.edge_count() == edges - 1
     assert guard.cache.count() == bystanders
     assert not guard.check_many([victim_request])[0].granted
-    searches = guard.prover.stats["searches"]
+    searches = guard.metrics.counter("prover.searches")
     assert all(d.granted for d in guard.check_many(bystander_requests))
-    assert guard.prover.stats["searches"] == searches
+    assert guard.metrics.counter("prover.searches") == searches

@@ -39,9 +39,9 @@ def _counts_inline(node: ast.AST) -> bool:
     """Does this statement/expression tree hit a counting primitive?
 
     Two shapes count: a ``*.inc(...)`` call (the registry counter), and
-    ``<anything>.stats[...] += ...`` / ``stats[...] += ...`` (a
-    component's own counts, which ``(stats <id>)`` serves as a registry
-    source).  An event is counted in one of the two, never both.
+    ``<anything>.stats[...] += ...`` / ``stats[...] += ...``, a dict
+    shape kept only by the two sources the benchmark rig reads
+    (``serve/server.py``, ``cluster/__init__.py``).
     """
     for child in ast.walk(node):
         if isinstance(child, ast.Call):

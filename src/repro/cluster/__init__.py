@@ -22,6 +22,7 @@ from typing import Dict, List, NamedTuple
 
 from repro.guard import default_backend
 from repro.net.trust import TrustEnvironment
+from repro.obs.registry import Histogram
 from repro.prover import Prover
 
 
@@ -108,22 +109,36 @@ class AuthCluster:
     # -- the stats tree bench/layers.py reads --------------------------------
 
     def stats_snapshot(self) -> Dict[str, object]:
-        """``nodes`` holds the one guard's counters; ``dispatch`` counts
-        its batches; ``bus.delivered`` the delegation edges its
-        invalidations removed; ``handoff`` the drains."""
+        """``nodes`` holds the one guard's counters, read off its
+        registry; ``dispatch`` counts its batches; ``bus.delivered`` the
+        delegation edges its invalidations removed; ``handoff`` the
+        drains."""
         guard = self.guard
-        batches = guard.stats["batches"]
+
+        def section(prefix, keys):
+            return {key: guard.metrics.counter(prefix + key)
+                    for key in keys.split()}
+
+        # ``check_many`` observes each batch's size: the histogram's
+        # count is the batches, its sum the checks.
+        sizes = guard.metrics.histogram("guard.batch_size") or Histogram()
+        batches, checks = sizes.count, int(sizes.total)
+        stages = section("guard.stage.", "fastpath proof_cache prover")
+        totals = section("guard.", "denials challenges credential_verifications")
+        totals.update(checks=checks, batches=batches,
+                      grants=sum(stages.values()),
+                      cache_hits=stages["fastpath"] + stages["proof_cache"])
         return {
-            "nodes": {
-                "guard": {
-                    "guard": dict(guard.stats),
-                    "cache": dict(guard.cache.stats),
-                    "prover": dict(guard.prover.stats),
-                },
-            },
+            "nodes": {"guard": {
+                "guard": totals,
+                "cache": section("guard.cache.", "insertions dedup_hits "
+                                 "evictions invalidations retract_examined"),
+                "prover": section("prover.", "searches nodes_expanded "
+                                  "invalidate_examined"),
+            }},
             "dispatch": {
                 "dispatches": batches,
-                "requests": guard.stats["checks"],
+                "requests": checks,
                 "shard_batches": batches,
             },
             "bus": {"delivered": guard.prover.graph.invalidations},

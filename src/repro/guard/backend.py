@@ -44,9 +44,9 @@ class AuthBackend(Protocol):
     """The authorization surface a transport programs against.
 
     Implementations also expose an ``audit`` attribute (records /
-    involving / by_transport), a ``sessions`` registry and a ``stats``
-    counter dict; those are data members, so :func:`isinstance` checks
-    only the methods below.
+    involving / by_transport), a ``sessions`` registry and the
+    ``metrics`` registry they count on (``guard.*``); those are data
+    members, so :func:`isinstance` checks only the methods below.
     """
 
     # -- decisions --------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Dict, Iterable, Optional
 from repro.core.errors import AuthorizationError
 from repro.core.proofs import CitationIndex, Proof, proof_citations
 from repro.core.statements import SpeaksFor, Statement
+from repro.obs.registry import default_registry
 
 
 class CachedProof:
@@ -72,13 +73,7 @@ class ProofCache:
             (self._by_premise, _PREMISES),
         )
         self.max_speakers = max_speakers
-        self.stats = {
-            "insertions": 0,
-            "dedup_hits": 0,
-            "evictions": 0,
-            "invalidations": 0,
-            "retract_examined": 0,
-        }
+        self.metrics = default_registry()  # a guard points it at its own
 
     def add(self, proof: Proof, speaker=None,
             entry: Optional[CachedProof] = None) -> bool:
@@ -104,7 +99,7 @@ class ProofCache:
             self._buckets.move_to_end(speaker)
         key = proof.digest()
         if key in bucket:
-            self.stats["dedup_hits"] += 1
+            self.metrics.inc("guard.cache.dedup_hits")
             return False
         if entry is None:
             entry = CachedProof(proof)
@@ -112,21 +107,21 @@ class ProofCache:
         for index, cites in self._citing:
             for cited in cites(entry):
                 index.add(cited, speaker)
-        self.stats["insertions"] += 1
+        self.metrics.inc("guard.cache.insertions")
         while len(self._buckets) > self.max_speakers:
             oldest, aged = self._buckets.popitem(last=False)
             self._unlist(oldest, aged.values(), ())
-            self.stats["evictions"] += 1
+            self.metrics.inc("guard.cache.evictions")
         return True
 
     def lookup(self, speaker, digest: bytes) -> Optional[CachedProof]:
         """The entry cached for ``speaker`` under ``digest``, touching the
         LRU, or ``None``.  A hit is a presented proof the cache already
-        holds, so it counts in ``dedup_hits`` exactly as the duplicate
-        ``add`` it replaces would have."""
+        holds, so it counts in ``guard.cache.dedup_hits`` exactly as the
+        duplicate ``add`` it replaces would have."""
         entry = self.bucket(speaker).get(digest)
         if entry is not None:
-            self.stats["dedup_hits"] += 1
+            self.metrics.inc("guard.cache.dedup_hits")
         return entry
 
     def _unlist(self, speaker, gone, kept) -> None:
@@ -194,8 +189,8 @@ class ProofCache:
             removed += self._remove(speaker, bucket, [
                 key for key, entry in bucket.items() if cited in cites(entry)
             ])
-        self.stats["retract_examined"] += examined
-        self.stats["invalidations"] += removed
+        self.metrics.inc("guard.cache.retract_examined", examined)
+        self.metrics.inc("guard.cache.invalidations", removed)
         return removed
 
     def retract_serial(self, serial: bytes) -> int:

@@ -162,6 +162,10 @@ class Guard:
             sessions if sessions is not None
             else SessionRegistry(clock=trust.clock)
         )
+        # What the guard holds counts where the guard does.
+        for part in (self.cache, self.sessions, prover):
+            if part is not None:
+                part.metrics = self.metrics
         self.audit = (
             audit if audit is not None else AuditLog(metrics=self.metrics)
         )
@@ -190,15 +194,6 @@ class Guard:
         # admission re-checks.
         self._revoked_serials: Set[bytes] = set()
         self._retracted_digests: Set[bytes] = set()
-        self.stats = {
-            "checks": 0,
-            "grants": 0,
-            "denials": 0,
-            "challenges": 0,
-            "cache_hits": 0,
-            "credential_verifications": 0,
-            "batches": 0,
-        }
 
     # -- stage 1: admission (session/MAC fast path) ----------------------
 
@@ -224,10 +219,10 @@ class Guard:
                 return self._admit_session(request, credential)
             if isinstance(credential, ProofCredential):
                 return self._admit_proof(request, credential)
-        except (VerificationError, ProofError) as exc:
-            # A credential that fails to parse or verify is a denial, not
-            # a server fault: transports map AuthorizationError to their
-            # 403/554, and a batch keeps going.
+        except (VerificationError, ProofError, ValueError) as exc:
+            # A credential that fails to decode or verify is a denial,
+            # not a server fault: transports map AuthorizationError to
+            # their 403/554, and a batch keeps going.
             raise AuthorizationError("credential rejected: %s" % exc)
         raise AuthorizationError(
             "unsupported credential kind %r" % credential.kind
@@ -323,13 +318,9 @@ class Guard:
         """Admit a proof the cache does not hold: refuse it if it cites
         anything this guard saw revoked or retracted, verify it, and
         cache it under ``speaker``."""
-        entry = CachedProof(proof)
-        if self._tombstoned(entry):
-            raise VerificationError(
-                "proof cites a revoked certificate or a retracted delegation"
-            )
+        entry = self._untombstoned(proof)
         proof.verify(self.trust.context())
-        self.stats["credential_verifications"] += 1
+        self.metrics.inc("guard.credential_verifications")
         self.cache.add(proof, speaker, entry)
         return proof
 
@@ -354,8 +345,6 @@ class Guard:
         decision carrying its error.
         """
         requests = list(requests)
-        self.stats["batches"] += 1
-        self.stats["checks"] += len(requests)
         self.metrics.observe(
             "guard.batch_size", len(requests), buckets=SIZE_BUCKETS
         )
@@ -397,7 +386,7 @@ class Guard:
         decisions: List[GuardDecision] = []
         for (admitted, error), span in zip(admitted_batch, spans):
             if admitted is None:
-                self.stats["denials"] += 1
+                self.metrics.inc("guard.denials")
                 decisions.append(GuardDecision(False, error=error))
             else:
                 try:
@@ -407,10 +396,10 @@ class Guard:
                         )
                 except (AuthorizationError, NeedAuthorizationError) as exc:
                     if isinstance(exc, NeedAuthorizationError):
-                        self.stats["challenges"] += 1
+                        self.metrics.inc("guard.challenges")
                         span.annotate("status", "challenge")
                     else:
-                        self.stats["denials"] += 1
+                        self.metrics.inc("guard.denials")
                         span.annotate("status", "denied")
                     decisions.append(
                         GuardDecision(False, via=admitted.via,
@@ -491,7 +480,6 @@ class Guard:
                 continue
             decision = self._grant(admitted, entry.proof, context, "cache")
             self.cache.drop(speaker, stale)
-            self.stats["cache_hits"] += 1
             return decision
         self.cache.drop(speaker, stale)
         # Stage 3: full Prover verification over digested delegations.
@@ -549,7 +537,6 @@ class Guard:
             ),
         )
         self.audit.record(record)
-        self.stats["grants"] += 1
         return GuardDecision(
             True, via=admitted.via, stage=stage, speaker=admitted.speaker,
             proof=derived, record=record,
@@ -686,9 +673,11 @@ class Guard:
 
     def digest_delegation(self, proof: Proof) -> None:
         """Digest a client-supplied delegation chain into the attached
-        prover (the gateway's Section 6.3 move)."""
+        prover (the gateway's Section 6.3 move), unless it cites what
+        this guard saw revoked or retracted."""
         if self.prover is None:
             raise AuthorizationError("guard has no prover attached")
+        self._untombstoned(proof)
         self.prover.add_proof(proof)
 
     def outgoing_delegations(self, principal: Principal) -> int:
@@ -733,14 +722,20 @@ class Guard:
             removed += self.prover.invalidate_serial(serial)
         return removed
 
-    def _tombstoned(self, entry: CachedProof) -> bool:
-        """Whether ``entry`` cites a serial this guard saw revoked or a
-        lemma it saw retracted: a purge only removes what was cached at
-        the time, so a presented proof is read against the tombstones
-        before it is admitted."""
+    def _untombstoned(self, proof: Proof) -> CachedProof:
+        """``proof``'s cache entry, or :class:`VerificationError` when it
+        cites a serial this guard saw revoked or a lemma it saw
+        retracted: a purge only removes what was held at the time, so a
+        proof presented or digested again is read against the
+        tombstones before it is admitted."""
+        entry = CachedProof(proof)
         revoked, retracted = self._revoked_serials, self._retracted_digests
-        return (any(serial in revoked for serial in entry.serials)
-                or any(key in retracted for key in entry.lemma_keys))
+        if (any(serial in revoked for serial in entry.serials)
+                or any(key in retracted for key in entry.lemma_keys)):
+            raise VerificationError(
+                "proof cites a revoked certificate or a retracted delegation"
+            )
+        return entry
 
     # -- audit helpers ------------------------------------------------------
 

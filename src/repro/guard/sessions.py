@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 from repro.core.errors import AuthorizationError
 from repro.crypto.mac import MacKey
 from repro.crypto.rng import default_rng
+from repro.obs.registry import default_registry
 
 
 class _Session:
@@ -55,12 +56,7 @@ class SessionRegistry:
         self.max_sessions = max_sessions
         self.ttl = ttl
         self.clock = clock
-        self.stats = {
-            "installed": 0,
-            "evictions": 0,
-            "expired": 0,
-            "failures": 0,
-        }
+        self.metrics = default_registry()  # a guard points it at its own
 
     def _now(self) -> float:
         return self.clock.now() if self.clock is not None else 0.0
@@ -73,7 +69,7 @@ class SessionRegistry:
     def _bound(self) -> None:
         while len(self._sessions) > self.max_sessions:
             self._sessions.popitem(last=False)
-            self.stats["evictions"] += 1
+            self.metrics.inc("guard.sessions.evictions")
 
     def _register(
         self, mac_id: str, mac_key: MacKey, minted_at: Optional[float] = None
@@ -102,7 +98,7 @@ class SessionRegistry:
         through this).  ``minted_at`` preserves the original mint stamp
         so re-homing a session never extends its absolute lifetime."""
         self._register(mac_id, mac_key, minted_at)
-        self.stats["installed"] += 1
+        self.metrics.inc("guard.sessions.installed")
 
     def get(self, mac_id: str) -> Optional[MacKey]:
         session = self._sessions.get(mac_id)
@@ -110,7 +106,7 @@ class SessionRegistry:
             return None
         if self._expired(session):
             del self._sessions[mac_id]
-            self.stats["expired"] += 1
+            self.metrics.inc("guard.sessions.expired")
             return None
         self._sessions.move_to_end(mac_id)
         return session.mac_key
@@ -121,10 +117,10 @@ class SessionRegistry:
         bad tag."""
         mac_key = self.get(mac_id)
         if mac_key is None:
-            self.stats["failures"] += 1
+            self.metrics.inc("guard.sessions.failures")
             raise AuthorizationError("unknown MAC session %s" % mac_id)
         if not mac_key.verify(message, tag):
-            self.stats["failures"] += 1
+            self.metrics.inc("guard.sessions.failures")
             raise AuthorizationError("MAC tag does not match the request")
         return mac_key
 
@@ -144,7 +140,7 @@ class SessionRegistry:
         ]
         for mac_id in dead:
             del self._sessions[mac_id]
-        self.stats["expired"] += len(dead)
+        self.metrics.inc("guard.sessions.expired", len(dead))
         return len(dead)
 
     def adopt(self, other: "SessionRegistry") -> None:

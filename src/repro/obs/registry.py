@@ -12,10 +12,10 @@ single sink every subsystem's counters land in.  Three primitive kinds:
   in tests, the monotonic clock in production — no ambient reads, so
   ARCH003 stays clean).
 
-Subsystems with existing ad-hoc stats dicts do not copy values over;
-they ``register_source(name, fn)`` and the registry pulls a live
-snapshot at exposition time.  That keeps today's ``ServeListener.stats``
-/ ``ProofCache.stats`` / ``Prover.stats`` surfaces the source of truth while giving operators one scrape point.
+Every component counts here, under its own prefix (``guard.*``,
+``prover.*``, ``serve.client.*``, ...).  Only the two dicts the benchmark
+rig reads, the listener's ``serve.<name>`` tally and the cluster front's
+tree, are ``register_source``-d and pulled live at exposition time.
 
 Exposition: ``snapshot()`` (a JSON-able tree), ``render_text()`` (human
 lines), and ``render_prometheus()`` (the text exposition format, with

@@ -30,6 +30,7 @@ from repro.core.principals import Principal, QuotingPrincipal
 from repro.core.proofs import Proof
 from repro.core.rules import TransitivityStep
 from repro.core.statements import SpeaksFor, Validity
+from repro.obs.registry import default_registry
 from repro.prover.closures import Closure
 from repro.prover.graph import DelegationGraph
 from repro.sexp import SExp, sexp
@@ -78,13 +79,9 @@ class Prover:
         self._closures: Dict[Principal, Closure] = {}
         self.max_depth = max_depth
         self.max_visits = max_visits
-        # This prover's own work, reported by the prover-scaling
-        # benchmark; what the graph holds is counted on the graph.
-        self.stats = {
-            "searches": 0,
-            "nodes_expanded": 0,
-            "invalidate_examined": 0,
-        }
+        # This prover's own work counts here (a guard points it at its
+        # own registry); what the graph holds is counted on the graph.
+        self.metrics = default_registry()
 
     # -- collection -------------------------------------------------------
 
@@ -126,7 +123,7 @@ class Prover:
         ``serial`` (revocation event), cascading into the composites
         built on them.  Returns the number of edges removed."""
         dead = self.graph.citing_serial(serial)
-        self.stats["invalidate_examined"] += len(dead)
+        self.metrics.inc("prover.invalidate_examined", len(dead))
         removed = 0
         for key in dead:
             removed += self.graph.remove(key)
@@ -253,7 +250,7 @@ class Prover:
     ) -> Optional[Proof]:
         if request is not None:
             request = sexp(request)
-        self.stats["searches"] += 1
+        self.metrics.inc("prover.searches")
         needed_tag = self._needed_tag(request, min_tag)
         # Trivial case: we control the issuer itself.
         if use_closures and subject != issuer:
@@ -322,12 +319,15 @@ class Prover:
         backward = _Wave(issuer, backward=True)
         forward = _Wave(subject, backward=False)
         may_mint = use_closures and bool(self._closures)
-        while backward.queue and (forward.queue or may_mint):
+        found = None
+        expanded = 0
+        while found is None and backward.queue and (forward.queue or may_mint):
             wave, other = backward, forward
             if forward.queue and len(
                 graph.outgoing(forward.queue[0][0])
             ) < len(graph.incoming(backward.queue[0][0])):
                 wave, other = forward, backward
+            expanded += 1
             found = self._expand_wave(
                 wave,
                 other,
@@ -339,9 +339,8 @@ class Prover:
                 needed_tag,
                 delegation_validity,
             )
-            if found is not None:
-                return found
-        return None
+        self.metrics.inc("prover.nodes_expanded", expanded)
+        return found
 
     def _expand_wave(
         self,
@@ -363,7 +362,6 @@ class Prover:
         forward half always composes before the backward half.
         """
         principal, half, depth = wave.queue.popleft()
-        self.stats["nodes_expanded"] += 1
 
         # A final principal on the backward wave: mint the last hop.
         if (

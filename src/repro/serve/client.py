@@ -68,7 +68,6 @@ class ServeClient(asyncio.Protocol):
         #: of one per request (and lands on the server as one read,
         #: which is what its batcher coalesces).
         self._outbox: List[bytes] = []
-        self.stats = {"sent": 0, "retries": 0}
         #: Replies that matched no pending request (e.g. the server's
         #: id-0 report of an unparseable frame) — kept for inspection.
         self.orphans: List[Reply] = []
@@ -127,7 +126,6 @@ class ServeClient(asyncio.Protocol):
         future = asyncio.get_running_loop().create_future()
         self._futures[request_id] = future
         self._outbox.append(framed)
-        self.stats["sent"] += 1
         return future
 
     async def _flush(self) -> None:
@@ -229,7 +227,7 @@ class ServeClient(asyncio.Protocol):
         ):
             # The backend decided nothing; resend this frame once.
             self._retried.add(request_id)
-            self.stats["retries"] += 1
+            self.metrics.inc("serve.client.retries")
             self.transport.write(self._sent_frames[request_id])
             return
         future = self._futures.pop(request_id, None)

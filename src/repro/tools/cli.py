@@ -235,24 +235,25 @@ def _demo_run(args, **kwargs):
 
 
 def cmd_stats(args) -> int:
-    """Run a deterministic demo workload on a guard and dump every
-    guard/cache/prover/session/graph/audit counter as JSON."""
-    guard = _demo_run(args)
+    """Run a deterministic demo workload on a guard and dump, as JSON,
+    its registry's counters (one section per prefix: ``guard.stage``,
+    ``guard.cache``, ``prover``, ...) beside its graph and audit ring."""
+    from repro.obs import MetricsRegistry
+
+    guard = _demo_run(args, metrics=MetricsRegistry())
+    snapshot = {}
+    for name, value in guard.metrics.snapshot()["counters"].items():
+        prefix, _, key = name.rpartition(".")
+        snapshot.setdefault(prefix, {})[key] = value
     graph = guard.prover.graph
-    snapshot = {
-        "guard": dict(guard.stats),
-        "cache": dict(guard.cache.stats),
-        "prover": dict(guard.prover.stats),
-        "sessions": dict(guard.sessions.stats),
-        "graph": {
-            "edges": graph.edge_count(),
-            "invalidations": graph.invalidations,
-            "generation": graph.generation,
-        },
-        "audit": {
-            "recorded": guard.audit.recorded,
-            "evicted": guard.audit.evicted,
-        },
+    snapshot["graph"] = {
+        "edges": graph.edge_count(),
+        "invalidations": graph.invalidations,
+        "generation": graph.generation,
+    }
+    snapshot["audit"] = {
+        "recorded": guard.audit.recorded,
+        "evicted": guard.audit.evicted,
     }
     print(json.dumps(snapshot, indent=args.indent, sort_keys=True))
     return 0

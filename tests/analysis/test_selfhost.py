@@ -8,6 +8,7 @@ the right rule id.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import shutil
@@ -43,6 +44,45 @@ def test_rule_scopes_name_only_live_files():
         if not (SRC_REPRO.parent / literal).is_file()
     )
     assert missing == []
+
+
+#: The two surfaces the benchmark rig reads as registry sources: the
+#: listener's ``serve.<name>`` dict and the cluster front's drain tally.
+_DICT_TALLIES = {"serve/server.py", "cluster/__init__.py"}
+
+
+def _tally_name(node):
+    """``stats`` / ``tally`` when ``node`` names one, bare or as an
+    attribute, else ``None``."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return name if name in ("stats", "tally") else None
+
+
+def test_every_count_lands_in_the_registry():
+    """One accounting system: outside the two surfaces the rig reads, no
+    module keeps a ``stats`` dict or bumps ``stats[...]`` /
+    ``tally[...]``; a component counts on its ``MetricsRegistry``."""
+    found = []
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        rel = path.relative_to(SRC_REPRO).as_posix()
+        if rel in _DICT_TALLIES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.AugAssign) and isinstance(
+                node.target, ast.Subscript
+            ):
+                bumped = _tally_name(node.target.value)
+                if bumped:
+                    found.append("%s:%d %s[...] +=" % (
+                        rel, node.lineno, bumped
+                    ))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                if isinstance(node.value, ast.Dict) and any(
+                    _tally_name(target) == "stats" for target in targets
+                ):
+                    found.append("%s:%d stats = {...}" % (rel, node.lineno))
+    assert found == []
 
 
 def test_all_seven_rules_are_registered():

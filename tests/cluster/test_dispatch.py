@@ -86,18 +86,21 @@ def test_one_checkauth_charge_per_shard_batch(server_kp, alice_kp, rng):
     cluster, channels, request = _world(server_kp, alice_kp, rng)
     stream = _stream(channels, request)
     cluster.check_many(stream)
-    assert cluster.guard.stats["batches"] == 1
+    assert cluster.guard.metrics.histogram("guard.batch_size").count == 1
     assert cluster.stats_snapshot()["dispatch"] == {
         "dispatches": 1,
         "requests": len(stream),
         "shard_batches": 1,
     }
 
-    # One request per call is one guard batch per request.
+    # One request per call is one guard batch per request.  Both fronts
+    # count on the process's registry, so read the second one's share.
     sequential, channels2, request2 = _world(server_kp, alice_kp, rng)
+    sizes = sequential.guard.metrics.histogram("guard.batch_size")
+    before = sizes.count
     for one in _stream(channels2, request2):
         sequential.check_many([one])
-    assert sequential.guard.stats["batches"] == SPEAKERS * ROUNDS
+    assert sizes.count - before == SPEAKERS * ROUNDS
 
 
 def test_batch_and_sequential_agree(server_kp, alice_kp, rng):

@@ -107,7 +107,7 @@ class TestDrainTransfersWarmState:
             ChannelPrincipal.of_secret(b"\x07" * 32), world.client
         )
         cached = guard.cache.count()
-        searches = guard.prover.stats["searches"]
+        searches = guard.metrics.counter("prover.searches")
 
         report = cluster.drain("node-1")
 
@@ -120,7 +120,7 @@ class TestDrainTransfersWarmState:
             assert world.check(
                 _session_request(world.issuer, mac_id, mac_key, index)
             ).stage == "cache"
-        assert guard.prover.stats["searches"] == searches
+        assert guard.metrics.counter("prover.searches") == searches
         handoff = cluster.stats_snapshot()["handoff"]
         assert handoff["records_installed"] == report.installed
         assert handoff["records_refused_stale"] == 0

@@ -4,7 +4,7 @@ may not be safely extended")."""
 
 import pytest
 
-from repro.core.worlds import (
+from tests.reference.worlds import (
     AtomicPrincipal,
     Conj,
     Model,

@@ -25,11 +25,12 @@ from repro.guard import (
     resolve_backend,
 )
 from repro.net.trust import TrustEnvironment
+from repro.obs import MetricsRegistry
 from repro.prover import KeyClosure, Prover
 from repro.sexp import parse_canonical, sexp, to_canonical, to_transport
 from repro.sim import SimClock
 from repro.spki import Certificate
-from repro.tags import Tag, TagError
+from repro.tags import Tag
 
 PROTOCOL_METHODS = [
     "check",
@@ -54,9 +55,10 @@ PROTOCOL_METHODS = [
 
 def _guard():
     """One guard over a simulated clock, with a prover over its
-    delegation graph."""
+    delegation graph, counting on a registry of its own."""
     return default_backend(
-        TrustEnvironment(clock=SimClock()), prover=Prover()
+        TrustEnvironment(clock=SimClock()), prover=Prover(),
+        metrics=MetricsRegistry(),
     )
 
 
@@ -75,7 +77,7 @@ class TestConformance:
             )
         # The two data members every consumer reads.
         assert hasattr(backend, "audit")
-        assert hasattr(backend, "stats")
+        assert hasattr(backend, "metrics")
 
     @pytest.mark.parametrize("make", BACKENDS)
     def test_runtime_isinstance(self, make):
@@ -226,7 +228,9 @@ class _World:
         return len(self.backend.audit.records)
 
     def decided(self):
-        return self.backend.stats["checks"]
+        """The requests decided: ``check_many`` observes each batch's
+        size, so the histogram's sum."""
+        return self.backend.metrics.histogram("guard.batch_size").total
 
 
 @pytest.mark.parametrize("outcome", sorted(OUTCOMES))
@@ -261,15 +265,16 @@ class TestCheckIsABatchOfOne:
 
 
 def test_guard_checks_counts_requests_decided(keypool):
-    """``stats["checks"]`` is per request, not per call: harnesses find
-    the serving node of a batch by it."""
+    """``guard.batch_size`` sums requests, not calls, and counts the
+    batches."""
     world = _World(_guard, keypool)
     world.backend.check(world.request("channel", "grant"))
     world.backend.check_many(
         [world.request("session", "grant"), world.request("proof", "denial")]
     )
-    assert world.backend.stats["checks"] == 3
-    assert world.backend.stats["batches"] == 2
+    sizes = world.backend.metrics.histogram("guard.batch_size")
+    assert sizes.total == 3
+    assert sizes.count == 2
 
 
 @pytest.mark.parametrize("invalidation", ["revoke", "retract"])
@@ -414,4 +419,28 @@ def test_a_retracted_certificate_respelled_stays_refused(
     # conclusion keeps the spelling the certificate re-encodes to.
     decision = presented(wire.replace(signed, respelled, 1))
     assert not decision.granted, decision.stage
-    assert isinstance(decision.error, TagError)
+    assert isinstance(decision.error, AuthorizationError)
+    assert "range" in str(decision.error)
+
+
+def test_a_credential_that_decodes_to_nothing_is_a_denial(server_kp, rng):
+    """A presented certificate whose range tag is re-spelled does not
+    decode; ``Guard.check`` refuses it as it refuses any bad credential,
+    with an :class:`AuthorizationError`, not the decoder's own error."""
+    backend = _guard()
+    subject = HashPrincipal(HashValue.of_bytes(b"message"))
+    tag = Tag.from_sexp(parse_canonical(
+        b"(3:tag(3:web(6:method(1:*5:range5:alpha(2:ge1:A)))))"
+    ))
+    wire = to_canonical(SignedCertificateStep(
+        Certificate.issue(server_kp, subject, tag, rng=rng)
+    ).to_sexp())
+    respelled = wire.replace(b"(2:ge1:A)", b"(2:ge1:0)(2:ge1:A)", 1)
+    request = GuardRequest(
+        LOGICAL, issuer=KeyPrincipal(server_kp.public), transport="http",
+        credential=ProofCredential(
+            subject, wire=to_transport(parse_canonical(respelled))
+        ),
+    )
+    with pytest.raises(AuthorizationError, match="range"):
+        backend.check(request)

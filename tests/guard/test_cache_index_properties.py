@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.principals import NamePrincipal
 from repro.core.statements import SpeaksFor
 from repro.guard.cache import CachedProof, ProofCache
+from repro.obs import MetricsRegistry
 from repro.tags import Tag
 from tests.citation_catalogue import (
     A, B, C, D, K, PREMISE_STEPS, PROOFS, SERIALS,
@@ -196,10 +197,11 @@ def test_a_purge_reads_only_the_buckets_that_cite_the_thing():
     bucket and nothing else."""
     for bystanders in (8, 64):
         cache = ProofCache()
+        cache.metrics = MetricsRegistry()
         for index in range(bystanders):
             cache.add(_P1, NamePrincipal(K, "bystander-%d" % index))
         cache.add(_T2, C)
         cache.add(_P4, C)
         assert cache.retract_serial(SERIALS[0]) == 1
-        assert cache.stats["retract_examined"] == 2
+        assert cache.metrics.counter("guard.cache.retract_examined") == 2
         assert cache.count() == bystanders + 1

@@ -10,7 +10,7 @@ it.
 
 import pytest
 
-from repro.core.errors import NeedAuthorizationError
+from repro.core.errors import NeedAuthorizationError, VerificationError
 from repro.core.principals import ChannelPrincipal, KeyPrincipal
 from repro.core.proofs import PremiseStep, SignedCertificateStep
 from repro.core.rules import TransitivityStep
@@ -74,7 +74,7 @@ def test_an_invalidation_purges_the_cache_and_the_graph(world, invalidation):
     assert _invalidate(world, invalidation) == 2  # the cached chain, the edge
     assert guard.cache.count() == 0
     assert world.delegation not in guard.prover.graph
-    assert guard.cache.stats["invalidations"] == 1
+    assert guard.metrics.counter("guard.cache.invalidations") == 1
     assert guard.prover.graph.invalidations == 1
     for path in ("/doc", "/doc-1"):
         with pytest.raises(NeedAuthorizationError):
@@ -90,15 +90,31 @@ def test_an_invalidation_before_any_check_leaves_nothing_to_derive(
     _invalidate(world, invalidation)
     with pytest.raises(NeedAuthorizationError):
         world.guard.check(world.request())
-    assert world.guard.prover.stats["searches"] == 1
+    assert world.guard.metrics.counter("prover.searches") == 1
 
 
 def test_a_revocation_examines_only_what_cites_the_serial(world):
     world.warm()
     world.guard.revoke_serial(world.certificate.serial)
-    assert world.guard.prover.stats["invalidate_examined"] == 1
-    assert world.guard.cache.stats["retract_examined"] == 1
+    counted = world.guard.metrics.counter
+    assert counted("prover.invalidate_examined") == 1
+    assert counted("guard.cache.retract_examined") == 1
     assert world.guard.prover.graph.edge_count() == 0
+
+
+@pytest.mark.parametrize("invalidation", ["retract", "revoke"])
+def test_an_invalidated_delegation_digested_again_stays_refused(
+    world, invalidation
+):
+    """Digesting the same certificate again, as a quoting gateway
+    digests a client-supplied chain, does not bring it back: the guard
+    reads it against its tombstones first."""
+    world.warm()
+    _invalidate(world, invalidation)
+    with pytest.raises(VerificationError):
+        world.guard.digest_delegation(SignedCertificateStep(world.certificate))
+    with pytest.raises(NeedAuthorizationError):
+        world.guard.check(world.request())
 
 
 def test_an_unrelated_revocation_is_a_noop(world):

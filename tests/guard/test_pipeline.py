@@ -28,6 +28,7 @@ from repro.guard import (
     SessionRegistry,
 )
 from repro.net.trust import TrustEnvironment
+from repro.obs import MetricsRegistry
 from repro.prover import Prover
 from repro.sexp import sexp, to_canonical, to_transport
 from repro.sim import Meter, SimClock
@@ -86,7 +87,7 @@ class TestStages:
             world["guard"].check(channel_request(world))
         assert excinfo.value.issuer == world["issuer"]
         assert excinfo.value.tag.matches(sexp(REQUEST))
-        assert world["guard"].stats["challenges"] == 1
+        assert world["guard"].metrics.counter("guard.challenges") == 1
 
     def test_cache_stage_grants_after_submission(self, world):
         guard = world["guard"]
@@ -95,7 +96,7 @@ class TestStages:
         assert decision.granted and decision.stage == "cache"
         assert decision.via == "channel"
         assert decision.record.transport == "rmi"
-        assert guard.stats["cache_hits"] == 1
+        assert guard.metrics.counter("guard.stage.proof_cache") == 1
 
     def test_prover_stage_composes_from_digested_delegations(self, world):
         guard = Guard(
@@ -174,7 +175,7 @@ class TestProofCredential:
         assert guard.check(request()).granted
         # Digest-level dedup: the same proof wire lands in one cache slot.
         assert guard.cache.count() == 1
-        assert guard.cache.stats["dedup_hits"] >= 1
+        assert guard.metrics.counter("guard.cache.dedup_hits") >= 1
 
 
 def _bound_proof(server_kp, rng):
@@ -230,8 +231,8 @@ class TestPresentedProofs:
             assert repeat.stage == "cache" and repeat.speaker == subject
         assert first.granted
         assert len(parses) == 1 and len(verifies) == 1
-        assert guard.stats["credential_verifications"] == 1
-        assert guard.cache.stats["dedup_hits"] == 3
+        assert guard.metrics.counter("guard.credential_verifications") == 1
+        assert guard.metrics.counter("guard.cache.dedup_hits") == 3
         assert guard.cache.count() == 1
 
     def test_the_meter_charges_a_repeat_what_it_charges_a_parse(
@@ -265,7 +266,7 @@ class TestPresentedProofs:
         tampered = SignedCertificateStep(forged)
         with pytest.raises(AuthorizationError):
             guard.check(_presenting(world, tampered, subject)())
-        assert guard.stats["credential_verifications"] == 1
+        assert guard.metrics.counter("guard.credential_verifications") == 1
         # A non-canonical encoding of the genuine proof hashes elsewhere
         # too: it is parsed and verified, not looked up.
         padded = to_canonical(proof.to_sexp()).replace(
@@ -279,7 +280,7 @@ class TestPresentedProofs:
             ),
         )
         assert guard.check(request).granted
-        assert guard.stats["credential_verifications"] == 2
+        assert guard.metrics.counter("guard.credential_verifications") == 2
 
     def test_a_repeat_for_another_subject_is_refused(
         self, world, server_kp, rng
@@ -346,7 +347,7 @@ class TestPresentedProofs:
         )
         with pytest.raises(AuthorizationError, match="missing conclusion"):
             guard.check(request)
-        assert guard.stats["credential_verifications"] == 0
+        assert guard.metrics.counter("guard.credential_verifications") == 0
         assert guard.cache.count() == 0
 
 
@@ -405,12 +406,14 @@ class TestSessionCredential:
         )
 
         issuer = world["issuer"]
-        loaded = Guard(world["trust"], prover=Prover(), check_charge=None)
+        loaded = Guard(world["trust"], prover=Prover(), check_charge=None,
+                       metrics=MetricsRegistry())
         for index in range(256):
             loaded.prover.add_proof(PremiseStep(SpeaksFor(
                 NamePrincipal(issuer, "delegate%d" % index), issuer, Tag.all()
             )))
-        empty = Guard(world["trust"], prover=Prover(), check_charge=None)
+        empty = Guard(world["trust"], prover=Prover(), check_charge=None,
+                      metrics=MetricsRegistry())
         frames = []
         for guard in (loaded, empty):
             mac_id, mac_key = guard.sessions.mint(rng)
@@ -429,8 +432,9 @@ class TestSessionCredential:
                 assert type(error) is NeedAuthorizationError
                 assert error.issuer == issuer
                 assert error.tag == request.effective_min_tag()
-                assert guard.prover.stats["searches"] == refusal
-                assert guard.prover.stats["nodes_expanded"] <= 2 * refusal
+                counted = guard.metrics.counter
+                assert counted("prover.searches") == refusal
+                assert counted("prover.nodes_expanded") <= 2 * refusal
             frames.append(encode_reply(decision_reply(7, decision)))
         assert frames[0] == frames[1] == encode_reply(Reply(
             CHALLENGE, 7, issuer=issuer, tag=request.effective_min_tag()
@@ -441,7 +445,7 @@ class TestSessionCredential:
         for _ in range(10):
             registry.mint(rng)
         assert registry.count() == 4
-        assert registry.stats["evictions"] == 6
+        assert registry.metrics.counter("guard.sessions.evictions") == 6
 
 
 class TestCheckMany:
@@ -619,7 +623,7 @@ class TestCredentialFailureMapping:
                     transport="http",
                 )
             )
-        assert world["guard"].stats["denials"] == 1
+        assert world["guard"].metrics.counter("guard.denials") == 1
 
     def test_utterances_do_not_grow_the_premise_set(self, world):
         """Per-request Says statements live on the decision's context

@@ -28,6 +28,7 @@ from repro.crypto import generate_keypair
 from repro.crypto.hashes import HashValue
 from repro.guard import Guard, GuardRequest, ProofCredential
 from repro.net.trust import TrustEnvironment
+from repro.obs import MetricsRegistry
 from repro.sexp import sexp, to_canonical, to_transport
 from repro.sim import SimClock
 from repro.spki import Certificate
@@ -142,8 +143,10 @@ def _outcome(decision):
 @given(operations=st.lists(_operation, max_size=25))
 def test_a_digest_hit_decides_as_a_full_verification_would(operations):
     clock = SimClock()
-    guard = Guard(TrustEnvironment(clock=clock), check_charge=None)
-    reference = Guard(TrustEnvironment(clock=clock), check_charge=None)
+    guard = Guard(TrustEnvironment(clock=clock), check_charge=None,
+                  metrics=MetricsRegistry())
+    reference = Guard(TrustEnvironment(clock=clock), check_charge=None,
+                      metrics=MetricsRegistry())
     revoked = set()
     for name, argument in operations:
         if name == "revoke":
@@ -162,6 +165,7 @@ def test_a_digest_hit_decides_as_a_full_verification_would(operations):
                 assert got.granted == _justified(
                     *presented, revoked, clock.now()
                 )
-    assert reference.stats["credential_verifications"] >= (
-        guard.stats["credential_verifications"]
+    verified = "guard.credential_verifications"
+    assert reference.metrics.counter(verified) >= (
+        guard.metrics.counter(verified)
     )

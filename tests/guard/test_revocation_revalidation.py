@@ -58,7 +58,7 @@ class TestRevocationRevalidation:
     def test_cache_hit_passes_a_clean_crl(self, world):
         decision = world["guard"].check(world["request"]())
         assert decision.granted and decision.stage == "cache"
-        assert world["guard"].stats["cache_hits"] == 1
+        assert world["guard"].metrics.counter("guard.stage.proof_cache") == 1
 
     def test_cached_proof_denied_once_certificate_lands_on_the_crl(self, world):
         guard = world["guard"]
@@ -69,7 +69,7 @@ class TestRevocationRevalidation:
         )
         with pytest.raises(NeedAuthorizationError):
             guard.check(world["request"]())
-        assert guard.stats["challenges"] == 1
+        assert guard.metrics.counter("guard.challenges") == 1
 
     def test_replacing_the_crl_restores_the_grant(self, world):
         """The cached entry is skipped, not destroyed: a CRL that stops

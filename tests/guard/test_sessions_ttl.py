@@ -27,8 +27,8 @@ class TestTtl:
         clock.advance(61.0)
         with pytest.raises(AuthorizationError):
             registry.verify_tag(mac_id, message, mac_key.tag(message))
-        assert registry.stats["expired"] == 1
-        assert registry.stats["failures"] == 1
+        assert registry.metrics.counter("guard.sessions.expired") == 1
+        assert registry.metrics.counter("guard.sessions.failures") == 1
         assert registry.count() == 0
 
     def test_session_survives_within_ttl(self):
@@ -38,7 +38,7 @@ class TestTtl:
         clock.advance(59.0)
         message = b"GET /doc"
         assert registry.verify_tag(mac_id, message, mac_key.tag(message))
-        assert registry.stats["expired"] == 0
+        assert registry.metrics.counter("guard.sessions.expired") == 0
 
     def test_no_ttl_never_expires(self):
         clock = SimClock()
@@ -46,7 +46,7 @@ class TestTtl:
         mac_id, mac_key = registry.mint()
         clock.advance(1e9)
         assert registry.get(mac_id) is mac_key
-        assert registry.stats["expired"] == 0
+        assert registry.metrics.counter("guard.sessions.expired") == 0
 
     def test_ttl_measures_from_mint_not_last_use(self):
         """Absolute lifetime: touching a session does not extend it."""
@@ -58,7 +58,7 @@ class TestTtl:
             registry.get(mac_id)
         clock.advance(11.0)  # 66 s after mint
         assert registry.get(mac_id) is None
-        assert registry.stats["expired"] == 1
+        assert registry.metrics.counter("guard.sessions.expired") == 1
 
 
 class TestSweep:
@@ -70,7 +70,7 @@ class TestSweep:
         fresh = [registry.mint()[0] for _ in range(2)]
         clock.advance(30.0)  # old: 75 s, fresh: 30 s
         assert registry.sweep() == 3
-        assert registry.stats["expired"] == 3
+        assert registry.metrics.counter("guard.sessions.expired") == 3
         assert registry.count() == 2
         for mac_id in old:
             assert registry.get(mac_id) is None
@@ -96,7 +96,7 @@ class TestAdopt:
         assert shared.get(mac_id) is mac_key
         clock.advance(20.0)  # 65 s after the original mint
         assert shared.get(mac_id) is None
-        assert shared.stats["expired"] == 1
+        assert shared.metrics.counter("guard.sessions.expired") == 1
 
     def test_adoption_skips_already_expired_sessions(self):
         clock = SimClock()
@@ -148,4 +148,4 @@ class TestGuardWiring:
         mac_id, _ = guard.sessions.mint()
         clock.advance(61.0)
         assert guard.sessions.get(mac_id) is None
-        assert guard.sessions.stats["expired"] == 1
+        assert guard.metrics.counter("guard.sessions.expired") == 1

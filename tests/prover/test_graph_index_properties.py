@@ -116,14 +116,17 @@ def test_indexed_invalidation_matches_a_full_walk(operations):
             got = graph.invalidate_expired(args[0])
             assert got == model.invalidate_expired(args[0])
         else:
-            before = prover.stats["invalidate_examined"]
+            before = prover.metrics.counter("prover.invalidate_examined")
             cited = sum(
                 args[0] in _serials(proof) for proof in model.edges.values()
             )
             got = prover.invalidate_serial(args[0])
             assert got == model.invalidate_serial(args[0])
             # The lookup examined the citing edges and no others.
-            assert prover.stats["invalidate_examined"] - before == cited
+            assert (
+                prover.metrics.counter("prover.invalidate_examined") - before
+                == cited
+            )
         assert [edge.key for edge in graph.edges()] == list(model.edges)
         assert graph.edge_count() == len(model.edges)
         _assert_indexes_are_exact(graph)

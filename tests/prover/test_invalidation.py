@@ -18,6 +18,7 @@ from repro.core.proofs import PremiseStep
 from repro.core.rules import TransitivityStep
 from repro.core.statements import SpeaksFor, Validity
 from repro.crypto import generate_keypair
+from repro.obs import MetricsRegistry
 from repro.prover import DelegationGraph, Prover
 from repro.tags import Tag
 
@@ -107,9 +108,9 @@ class TestExpiredDelegations:
         assert prover.find_proof(_p("z"), _p("x"), now=5.0) is not None
         prover.invalidate_expired(50.0)
         # The all-unbounded chain is untouched, and still two hops.
-        before = prover.stats["nodes_expanded"]
+        before = prover.metrics.counter("prover.nodes_expanded")
         assert prover.find_proof(_p("z"), _p("x")) is not None
-        assert prover.stats["nodes_expanded"] - before <= 2
+        assert prover.metrics.counter("prover.nodes_expanded") - before <= 2
 
     def test_validity_bounded_query_never_serves_shortcut_stale(self):
         """A chain derived inside the window is found again inside it;
@@ -169,15 +170,15 @@ class TestStats:
         """A prover counts its own work; what the graph holds is counted
         once, on the graph, because several provers may search it."""
         prover = Prover()
-        assert set(prover.stats) == {
-            "searches",
-            "nodes_expanded",
-            "invalidate_examined",
-        }
+        prover.metrics = MetricsRegistry()
         prover.add_proof(_edge(_p("c"), _p("b")))
         prover.add_proof(_edge(_p("b"), _p("a")))
         prover.find_proof(_p("c"), _p("a"))
-        assert prover.stats["searches"] == 1
+        # One search, one pop from each end of the two-hop chain.
+        assert prover.metrics.snapshot()["counters"] == {
+            "prover.searches": 1,
+            "prover.nodes_expanded": 2,
+        }
         # A found chain is not stored: the graph holds what was collected.
         assert prover.graph.edge_count() == 2
         prover.invalidate_proof(_edge(_p("b"), _p("a")))
@@ -187,9 +188,13 @@ class TestStats:
     def test_provers_sharing_a_graph_count_their_own_searches(self):
         graph = DelegationGraph()
         first, second = Prover(graph=graph), Prover(graph=graph)
+        first.metrics, second.metrics = MetricsRegistry(), MetricsRegistry()
         first.add_proof(_edge(_p("b"), _p("a")))
         assert second.find_proof(_p("b"), _p("a")) is not None
-        assert (first.stats["searches"], second.stats["searches"]) == (0, 1)
+        assert (
+            first.metrics.counter("prover.searches"),
+            second.metrics.counter("prover.searches"),
+        ) == (0, 1)
         assert second.invalidate_proof(_edge(_p("b"), _p("a"))) == 1
         # Applied again, through the other prover, it finds nothing.
         assert first.invalidate_proof(_edge(_p("b"), _p("a"))) == 0

@@ -12,6 +12,7 @@ from repro.core.proofs import (
 )
 from repro.core.rules import TransitivityStep
 from repro.core.statements import SpeaksFor, Validity
+from repro.obs import MetricsRegistry
 from repro.prover import KeyClosure, PremiseClosure, Prover
 from repro.sexp import parse_canonical, to_canonical
 from repro.spki import Certificate
@@ -357,15 +358,16 @@ class TestLimits:
             subject, issuer
         )
         # One pop per chain edge, none spent on the 32 dead ends.
-        assert prover.stats["nodes_expanded"] == depth
+        assert prover.metrics.counter("prover.nodes_expanded") == depth
 
         too_deep = Prover(max_depth=depth)
+        too_deep.metrics = MetricsRegistry()
         subject = self._chain(too_deep, issuer, depth + 1, wide)
         assert too_deep.find_proof(subject, issuer) is None
         if wide != "middle":
             # The walking wave popped its seed and every chain node, the
             # one at max_depth included (popped, counted, not expanded).
-            assert too_deep.stats["nodes_expanded"] == depth + 1
+            assert too_deep.metrics.counter("prover.nodes_expanded") == depth + 1
 
 
 class TestEarlyTermination:
@@ -383,16 +385,16 @@ class TestEarlyTermination:
         self._delegates(prover, principals["A"], 8)
         # A speaker with no delegation: its wave dies on the first pop.
         assert prover.find_proof(principals["C"], principals["A"]) is None
-        assert prover.stats["searches"] == 1
-        assert prover.stats["nodes_expanded"] == 1
+        assert prover.metrics.counter("prover.searches") == 1
+        assert prover.metrics.counter("prover.nodes_expanded") == 1
         # A speaker whose two delegations lead nowhere near the issuer:
         # three pops (itself and both dead-end hops), still one search.
         aside = [NamePrincipal(principals["S"], "aside%d" % i) for i in range(2)]
         for subject, issuer in zip([principals["B"]] + aside, aside):
             _delegate(prover, subject, issuer)
         assert prover.find_proof(principals["B"], principals["A"]) is None
-        assert prover.stats["searches"] == 2
-        assert prover.stats["nodes_expanded"] == 1 + 3
+        assert prover.metrics.counter("prover.searches") == 2
+        assert prover.metrics.counter("prover.nodes_expanded") == 1 + 3
 
     def test_exhausted_forward_wave_leaves_a_minting_prover_running(
         self, alice_kp, server_kp, principals, rng

@@ -332,11 +332,12 @@ class TestOneDecisionPerTrace:
             reply = await client.check(request)
             await client.close()
             await listener.shutdown()
-            return reply, client.stats, listener.stats
+            retries = client.metrics.counter("serve.client.retries")
+            return reply, retries, listener.stats
 
-        reply, client_stats, listener_stats = asyncio.run(scenario())
+        reply, client_retries, listener_stats = asyncio.run(scenario())
         assert reply.granted
-        assert client_stats["retries"] == 1 == listener_stats["retries"]
+        assert client_retries == 1 == listener_stats["retries"]
         # Neither the attempt that met the crash nor the resend left a
         # span; the grant still names the trace.
         assert tracer.spans_for(dropped) == []
@@ -387,11 +388,12 @@ class TestTraceAcrossRetry:
             reply = await client.check(request)
             await client.close()
             await listener.shutdown()
-            return reply, request.trace, client.stats
+            retries = client.metrics.counter("serve.client.retries")
+            return reply, request.trace, retries
 
-        reply, trace, client_stats = asyncio.run(scenario())
+        reply, trace, retries = asyncio.run(scenario())
         assert reply.granted
-        assert client_stats["retries"] == 1
+        assert retries == 1
 
         # One logical request, one trace id, two serve-layer spans: the
         # attempt the crash turned into RETRY and the resend that won.
@@ -440,11 +442,12 @@ class TestTraceAcrossRetry:
             reply = await client.check(retried)
             await client.close()
             await listener.shutdown()
-            return reply, filler.trace, retried.trace, client.stats
+            retries = client.metrics.counter("serve.client.retries")
+            return reply, filler.trace, retried.trace, retries
 
-        reply, filler_trace, trace, client_stats = asyncio.run(scenario())
+        reply, filler_trace, trace, retries = asyncio.run(scenario())
         assert reply.granted
-        assert client_stats["retries"] == 1
+        assert retries == 1
         # The sampled-out neighbor really carried no id; the server
         # traced it on its own terms (or not), invisibly to the client.
         assert filler_trace is None
