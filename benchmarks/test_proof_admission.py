@@ -16,10 +16,11 @@ is a digest lookup in the speaker's proof-cache bucket.  Counted:
   decode and one signature check.
 
 And what the K kept proofs hold, when every certificate carries one tag
-shape: one ``Tag`` object for all of them (decoded tags are interned by
-their bytes) and K subject principals, not 2K (the kept proof's subject
-is the speaker the frame decoded), and the proof reader declines none
-of them to the tree path.
+shape and one issuer: one ``Tag`` object for all of them (decoded tags
+are interned by their bytes), one ``KeyPrincipal``, not K (a key hands
+out one principal), and K subject principals, not 2K (the kept proof's
+subject is the speaker the frame decoded), and the proof reader
+declines none of them to the tree path.
 """
 
 import gc
@@ -202,11 +203,14 @@ def test_kept_proofs_share_their_tag_and_subject(keypool):
             subjects.add(id(entry.proof.conclusion.subject))
             subjects.add(id(entry.proof.certificate.subject))
     tags = _reachable(cache, Tag)
+    issuers = _reachable(cache, KeyPrincipal)
     print(
-        "\n%d fresh credentials: %d Tag objects and %d subject principals "
-        "reachable from the cache" % (K, tags, len(subjects))
+        "\n%d fresh credentials: %d Tag objects, %d KeyPrincipals and %d "
+        "subject principals reachable from the cache"
+        % (K, tags, issuers, len(subjects))
     )
     assert tags == 1
+    assert issuers == 1
     assert len(subjects) == K
     assert metrics.counter("serve.protocol.decode_fallbacks") == 0
     assert metrics.counter("core.proofs.reader_declines") == 0

@@ -10,7 +10,11 @@ path a wire check takes:
   parser-built list is reachable from a cached proof (a kept proof costs
   its canonical bytes, not its parse tree);
 - **one warm MAC session** — once the audit ring is full and the memos
-  are warm, serving 2 048 more requests must not grow the heap at all.
+  are warm, serving 2 048 more requests must not grow the heap at all;
+- **one MAC session, distinct questions** — every request asks a path
+  never asked before, so nothing per question may be kept past the
+  audit ring and the decode memos: once both are full, the heap is flat
+  from block to block.
 """
 
 import gc
@@ -40,7 +44,9 @@ BATCH = 8
 #: decoders adopted parse trees, 33.4 with bytes adopted, decoded issuer
 #: keys interned, and no tree memo left on proofs, statements or
 #: principals; 25.0 with decoded tags interned too and the proof's
-#: subject the speaker the frame decoded.  The count repeats exactly
+#: subject the speaker the frame decoded; 23.9 with one issuer
+#: principal per key and no per-question memo on the guard.  The count
+#: repeats exactly
 #: under ``PYTHONHASHSEED=0``; the margin is for interpreter versions
 #: that track differently.
 OBJECTS_PER_FRESH_PROOF = 50
@@ -158,3 +164,46 @@ def test_a_warm_session_serves_without_growing_the_heap(keypool):
     )
     # The ring filled during the first block; after that the heap is flat.
     assert abs(sizes[2] - sizes[1]) <= 0.01 * sizes[1]
+
+
+#: Blocks of ``AUDIT_RETAIN`` distinct questions in the distinct-questions
+#: case: the ring and the decode memos fill in the first.
+DISTINCT_BLOCKS = 5
+
+
+def test_distinct_questions_leave_nothing_behind(keypool):
+    rng = random.Random(0x2E7C)
+    server = keypool[0]
+    issuer = KeyPrincipal(server.public)
+    guard = default_backend(TrustEnvironment(), prover=Prover())
+    mac_id, mac_key = guard.mint_session(rng)
+    guard.digest_delegation(SignedCertificateStep(Certificate.issue(
+        server, MacPrincipal(mac_key.fingerprint()), Tag.all(), rng=rng
+    )))
+    cache = DecodeCache()
+    sizes = []
+    for block in range(DISTINCT_BLOCKS):
+        frames = []
+        first = 1 + block * AUDIT_RETAIN
+        for request_id in range(first, first + AUDIT_RETAIN):
+            logical = sexp(
+                ["web", ["method", "GET"], ["path", "/doc-%d" % request_id]]
+            )
+            message = to_canonical(logical)
+            frames.append(encode_check(request_id, GuardRequest(
+                logical, issuer=issuer, transport="http",
+                credential=SessionCredential(
+                    mac_id, mac_key.tag(message), message
+                ),
+            )))
+        assert _serve(guard, cache, frames) == AUDIT_RETAIN
+        del frames, logical
+        sizes.append(_tracked())
+    print(
+        "\ngc-tracked objects after each block of %d distinct questions: %s"
+        % (AUDIT_RETAIN, sizes)
+    )
+    # The ring and the decode memos filled during the first block; after
+    # that each block leaves the heap as it found it.
+    settled = sizes[1:]
+    assert max(settled) - min(settled) <= 0.01 * min(settled)

@@ -18,6 +18,7 @@ from typing import Dict, FrozenSet, Iterable, Tuple
 from repro.crypto.hashes import HashValue
 from repro.crypto.rsa import RsaPublicKey
 from repro.sexp import Atom, SExp, SList, to_canonical
+from repro.sexp.intern import InternTable
 
 
 class Principal:
@@ -91,6 +92,23 @@ class KeyPrincipal(Principal):
     def __init__(self, key: RsaPublicKey):
         object.__setattr__(self, "key", key)
 
+    @classmethod
+    def of(cls, key: RsaPublicKey) -> "KeyPrincipal":
+        """The one principal for ``key``'s encoding.
+
+        Every certificate a key signed names it as issuer, and every
+        kept proof keeps its conclusion's issuer: sharing one principal
+        per key (interned by the key's canonical bytes, as decoded keys
+        are) shares its encoding too, and makes the guard's issuer
+        comparisons identity tests."""
+        wire = to_canonical(key.to_sexp())
+        principal = _KEY_PRINCIPALS.get(wire)
+        if principal is None:
+            principal = cls(key)
+            object.__setattr__(principal, "_key", wire)
+            _KEY_PRINCIPALS.add(wire, principal)
+        return principal
+
     def __setattr__(self, name, value):
         raise AttributeError("principals are immutable")
 
@@ -103,6 +121,10 @@ class KeyPrincipal(Principal):
 
     def display(self) -> str:
         return "K<%s>" % self.key.fingerprint().digest.hex()[:8]
+
+
+#: Key principals by their key's canonical bytes (``KeyPrincipal.of``).
+_KEY_PRINCIPALS: InternTable[KeyPrincipal] = InternTable()
 
 
 class HashPrincipal(Principal):
@@ -381,7 +403,7 @@ def _principal_from_sexp(node: SExp) -> Principal:
         raise ValueError("principal must be an S-expression list: %r" % (node,))
     head = node.head()
     if head == "public-key":
-        return KeyPrincipal(RsaPublicKey.from_sexp(node))
+        return KeyPrincipal.of(RsaPublicKey.from_sexp(node))
     if head == "hash":
         return HashPrincipal(HashValue.from_sexp(node))
     if head == "name":

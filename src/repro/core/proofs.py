@@ -68,7 +68,10 @@ class VerificationContext:
         self.now = now
         self.trusted_premises: Set[Statement] = set(trusted_premises or ())
         self.revocation = revocation
-        self._verified: Set[int] = set()
+        # Verified nodes by ``id()``, each held for the context's life: a
+        # node freed while its id was still marked would hand that mark to
+        # the next node allocated at its address.
+        self._verified: Dict[int, "Proof"] = {}
 
     def trust(self, statement: Statement) -> None:
         """Vouch for a statement (transport layers call this)."""
@@ -78,7 +81,7 @@ class VerificationContext:
         return id(proof) in self._verified
 
     def mark_verified(self, proof: "Proof") -> None:
-        self._verified.add(id(proof))
+        self._verified[id(proof)] = proof
 
 
 class Proof:

@@ -590,8 +590,17 @@ class DerivedSaysStep(Proof):
             raise VerificationError("request escapes the restriction set")
         if not delegation.validity.contains(context.now):
             raise VerificationError("delegation expired or not yet valid")
-        expected = Says(delegation.issuer, utterance.request)
-        if expected != self.conclusion:
+        # The conclusion must be ``issuer says request``.  Compared part
+        # by part, by value (equality tests identity first), rather than
+        # by building that ``Says`` and encoding both: canonical form is
+        # injective, so equal parts are equal encodings.
+        conclusion = self.conclusion
+        if not (
+            isinstance(conclusion, Says)
+            and conclusion.speaker == delegation.issuer
+            and (conclusion.request is utterance.request
+                 or conclusion.request == utterance.request)
+        ):
             raise VerificationError("derived-says conclusion was altered")
 
     @classmethod

@@ -29,7 +29,7 @@ prover's read-only graph views underneath it), and one metered
 from __future__ import annotations
 
 from hashlib import sha256
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.core.errors import (
     AuthorizationError,
@@ -37,7 +37,7 @@ from repro.core.errors import (
     ProofError,
     VerificationError,
 )
-from repro.core.principals import MacPrincipal, Principal
+from repro.core.principals import Principal
 from repro.core.proofs import PremiseStep, Proof, proof_from_canonical
 from repro.core.rules import DerivedSaysStep
 from repro.core.statements import Says, SpeaksFor
@@ -106,15 +106,19 @@ def _detached(exc: Exception) -> Exception:
 
 
 class _Admitted:
-    """A request past stage 1: speaker resolved, credential verified."""
+    """A request past stage 1: speaker resolved, credential verified.
+    ``utterance`` is its ``speaker says logical``, set when
+    ``check_many`` vouches it into the batch's context."""
 
-    __slots__ = ("request", "speaker", "credential_proof", "via")
+    __slots__ = ("request", "speaker", "credential_proof", "via",
+                 "utterance")
 
     def __init__(self, request, speaker, credential_proof, via):
         self.request = request
         self.speaker = speaker
         self.credential_proof = credential_proof
         self.via = via
+        self.utterance: Optional[Says] = None
 
 
 class Guard:
@@ -170,20 +174,6 @@ class Guard:
             audit if audit is not None else AuditLog(metrics=self.metrics)
         )
         self.check_charge = check_charge
-        # Derived-step memo for the grant hot path ("each proof need be
-        # verified only once" — Section 4.3).  Keyed by (speaker, logical)
-        # canonical bytes; a hit is honored only when it still hangs off
-        # the *same* proof object the cache/prover just produced, and the
-        # two context-sensitive obligations (utterance vouched now,
-        # validity window contains now) are re-checked per request.
-        self._derived_memo: Dict[Tuple[bytes, bytes], "DerivedSaysStep"] = {}
-        # Value-object interning for the admission/vouch hot path: the
-        # session principal per MAC fingerprint, and the ``speaker says
-        # logical`` utterance per (speaker, logical) canonical pair.
-        # Both are immutable value objects, so sharing instances only
-        # shares their memoized canonical encodings.
-        self._session_principals: Dict[object, MacPrincipal] = {}
-        self._says_memo: Dict[Tuple[bytes, bytes], Says] = {}
         # Invalidation tombstones: the serials and lemma digests this
         # guard has seen revoked or retracted, kept for good, as a CRL
         # keeps its entries (a serial names no one certificate, so no
@@ -235,10 +225,9 @@ class Guard:
         session principal; the first request of a session also digests
         its delegation chain into the proof cache."""
         maybe_charge(self.meter, "mac_compute")
-        mac_key = self.sessions.verify_tag(
+        principal = self.sessions.verify_tag(
             credential.session_id, credential.message, credential.tag
         )
-        principal = self._session_principal(mac_key.fingerprint())
         proof: Optional[Proof] = None
         if credential.proof_wire is not None:
             # First request of the session: digest the delegation chain.
@@ -378,11 +367,10 @@ class Guard:
         context = self.trust.context()
         for admitted, _ in admitted_batch:
             if admitted is not None:
-                context.trust(
-                    self._utterance(
-                        admitted.speaker, admitted.request.logical
-                    )
+                admitted.utterance = Says(
+                    admitted.speaker, admitted.request.logical
                 )
+                context.trust(admitted.utterance)
         decisions: List[GuardDecision] = []
         for (admitted, error), span in zip(admitted_batch, spans):
             if admitted is None:
@@ -542,85 +530,26 @@ class Guard:
             proof=derived, record=record,
         )
 
-    #: Bound on each hot-path memo dict.
-    DERIVED_MEMO_LIMIT = 4096
-
-    def _memoize(self, memo: dict, key, value):
-        """Insert into one of the three hot-path memos under the one
-        bound they share: a full dict is cleared wholesale (the steady
-        state is a small working set of (speaker, logical) pairs, so a
-        rare full reset beats per-entry bookkeeping)."""
-        if len(memo) >= self.DERIVED_MEMO_LIMIT:
-            memo.clear()
-        memo[key] = value
-        return value
-
-    def _session_principal(self, fingerprint) -> MacPrincipal:
-        """One :class:`MacPrincipal` instance per MAC fingerprint, so
-        every steady-state request for a session reuses the principal's
-        memoized canonical encoding."""
-        principal = self._session_principals.get(fingerprint)
-        if principal is None:
-            principal = self._memoize(
-                self._session_principals, fingerprint,
-                MacPrincipal(fingerprint),
-            )
-        return principal
-
-    def _utterance(self, speaker: Principal, logical) -> Says:
-        """One ``speaker says logical`` instance per canonical pair:
-        the statement is vouched into a context snapshot and looked up
-        again at grant time on every request, and interning makes both
-        sides one memoized-bytes hash instead of a tree walk."""
-        key = (speaker.canonical_key(), to_canonical(logical))
-        says = self._says_memo.get(key)
-        if says is None:
-            says = self._memoize(
-                self._says_memo, key, Says(speaker, logical)
-            )
-        return says
-
     def _derived_step(self, admitted: _Admitted, proof: Proof,
                       context) -> DerivedSaysStep:
-        """Build-or-reuse the final ``issuer says r`` inference.
+        """The final ``issuer says r`` inference, built and verified on
+        every grant.
 
-        The derivation's structural checks (subject matches the utterer,
-        the request is inside the delegated restriction set, the
-        conclusion is well-formed) are pure functions of (speaker,
-        logical, proof), so a repeat of the same question over the same
-        proof object can reuse the step verified the first time.  What
-        the environment controls is re-checked on every hit: the
-        utterance must be vouched in *this* request's context snapshot,
-        and the delegation's validity window must contain *this* ``now``.
-        A memo entry hanging off a different proof object than the one
-        the cache/prover just validated is ignored — retraction swaps
-        the proof object, so staleness can never satisfy the identity
-        test."""
-        request = admitted.request
-        key = (
-            admitted.speaker.canonical_key(),
-            to_canonical(request.logical),
-        )
-        derived = self._derived_memo.get(key)
-        if (
-            derived is not None
-            and derived.premises[1] is proof
-            and derived.premises[0].conclusion in context.trusted_premises
-            and proof.conclusion.validity.contains(context.now)
-        ):
-            context.mark_verified(derived)
-            return derived
-        utterance = PremiseStep(
-            self._utterance(admitted.speaker, request.logical)
-        )
+        Nothing is kept per question ("each proof need be verified only
+        once" is the proof cache's job, Section 4.3): ``proof`` is
+        already marked verified in ``context``, so what runs here is the
+        utterance's vouching in this batch's context, the derivation's
+        structure (subject is the utterer, request inside the
+        delegated tag, conclusion well-formed) and the delegation's
+        validity at this ``now``."""
         try:
-            derived = DerivedSaysStep(utterance, proof)
+            derived = DerivedSaysStep(PremiseStep(admitted.utterance), proof)
             derived.verify(context)
         except (ProofError, VerificationError) as exc:
             # A proof that cannot derive this grant refuses this one
             # request; ``check_many`` keeps deciding the rest of the batch.
             raise AuthorizationError("grant not derivable: %s" % exc)
-        return self._memoize(self._derived_memo, key, derived)
+        return derived
 
     # -- transport delivery (secure channels, local pipes) ----------------
 

@@ -22,19 +22,24 @@ from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from repro.core.errors import AuthorizationError
+from repro.core.principals import MacPrincipal
 from repro.crypto.mac import MacKey
 from repro.crypto.rng import default_rng
 from repro.obs.registry import default_registry
 
 
 class _Session:
-    """One registered MAC session: the shared secret and its mint time."""
+    """One registered MAC session: the shared secret, its mint time and
+    the principal a tagged request speaks as.  The principal is built
+    once, here, so every request of the session shares it (and its
+    encoding), and it goes when the session goes."""
 
-    __slots__ = ("mac_key", "minted_at")
+    __slots__ = ("mac_key", "minted_at", "principal")
 
     def __init__(self, mac_key: MacKey, minted_at: float):
         self.mac_key = mac_key
         self.minted_at = minted_at
+        self.principal = MacPrincipal(mac_key.fingerprint())
 
 
 class SessionRegistry:
@@ -100,7 +105,7 @@ class SessionRegistry:
         self._register(mac_id, mac_key, minted_at)
         self.metrics.inc("guard.sessions.installed")
 
-    def get(self, mac_id: str) -> Optional[MacKey]:
+    def _live(self, mac_id: str) -> Optional[_Session]:
         session = self._sessions.get(mac_id)
         if session is None:
             return None
@@ -109,20 +114,25 @@ class SessionRegistry:
             self.metrics.inc("guard.sessions.expired")
             return None
         self._sessions.move_to_end(mac_id)
-        return session.mac_key
+        return session
 
-    def verify_tag(self, mac_id: str, message: bytes, tag: bytes) -> MacKey:
-        """Check an HMAC tag against a registered session; raises
-        :class:`AuthorizationError` on unknown (or expired) session or
-        bad tag."""
-        mac_key = self.get(mac_id)
-        if mac_key is None:
+    def get(self, mac_id: str) -> Optional[MacKey]:
+        session = self._live(mac_id)
+        return session.mac_key if session is not None else None
+
+    def verify_tag(self, mac_id: str, message: bytes,
+                   tag: bytes) -> MacPrincipal:
+        """Check an HMAC tag against a registered session and return the
+        session's principal; raises :class:`AuthorizationError` on
+        unknown (or expired) session or bad tag."""
+        session = self._live(mac_id)
+        if session is None:
             self.metrics.inc("guard.sessions.failures")
             raise AuthorizationError("unknown MAC session %s" % mac_id)
-        if not mac_key.verify(message, tag):
+        if not session.mac_key.verify(message, tag):
             self.metrics.inc("guard.sessions.failures")
             raise AuthorizationError("MAC tag does not match the request")
-        return mac_key
+        return session.principal
 
     def sweep(self) -> int:
         """Eagerly drop every expired session; returns the count removed.

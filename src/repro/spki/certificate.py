@@ -147,7 +147,7 @@ class Certificate:
         return self.issuer_key.verify(self.body_canonical(), self.signature)
 
     def issuer_principal(self) -> Principal:
-        base: Principal = KeyPrincipal(self.issuer_key)
+        base: Principal = KeyPrincipal.of(self.issuer_key)
         if self.issuer_name is None:
             return base
         if self.issuer_via_hash:

@@ -93,10 +93,13 @@ class TagList(TagExpr):
             return False
         if len(node) < len(self.elements):
             return False
-        return all(
-            pattern.matches(item)
-            for pattern, item in zip(self.elements, node.items)
-        )
+        # A loop, not ``all()`` over a generator: every grant matches a
+        # request against its tag, and the generator frame costs more
+        # than the few elements it walks.
+        for pattern, item in zip(self.elements, node.items):
+            if not pattern.matches(item):
+                return False
+        return True
 
     def to_sexp(self) -> SExp:
         return SList(element.to_sexp() for element in self.elements)

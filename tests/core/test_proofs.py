@@ -60,6 +60,18 @@ class TestPremiseStep:
         context = VerificationContext(trusted_premises=[statement])
         PremiseStep(statement).verify(context)
 
+    def test_a_freed_node_hands_its_mark_to_no_one(self, A):
+        # The allocator hands a freed node's address to the next node of
+        # its size; a mark kept by address alone would go with it.
+        vouched, unvouched = Says(A, "ping"), Says(A, "pong")
+        context = VerificationContext(trusted_premises=[vouched])
+        for _ in range(200):
+            step = PremiseStep(vouched)
+            step.verify(context)
+            del step
+            with pytest.raises(VerificationError):
+                PremiseStep(unvouched).verify(context)
+
 
 class TestSignedCertificateStep:
     def test_verifies(self, alice_kp, B, rng):

@@ -255,3 +255,16 @@ class TestDerivedSays:
         derived.verify(trusting_context(utterance, delegation, now=5.0))
         with pytest.raises(VerificationError):
             derived.verify(trusting_context(utterance, delegation, now=50.0))
+
+    @pytest.mark.parametrize("altered", ["speaker", "request", "kind"])
+    def test_an_altered_conclusion_fails_verification(self, altered, A, B, C):
+        utterance = PremiseStep(Says(B, ["read", "x"]))
+        delegation = premise(B, A, parse_tag("(tag (read))"))
+        derived = DerivedSaysStep(utterance, delegation)
+        derived._conclusion = {
+            "speaker": Says(C, ["read", "x"]),
+            "request": Says(A, ["read", "y"]),
+            "kind": SpeaksFor(B, A, parse_tag("(tag (read))")),
+        }[altered]
+        with pytest.raises(VerificationError):
+            derived.verify(trusting_context(utterance, delegation))
